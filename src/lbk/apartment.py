@@ -196,25 +196,16 @@ class Apartment:
 
     def pairing(self, root: Sequence[int], v: Point) -> LambdaScalar:
         """(alpha, v) = sum_j d_i a_ij lambda_j, extended linearly over Phi."""
-        row = self.pairing_row(self.check_root(root))
-        total = self.zero()
-        for c, x in zip(row, v):
-            if c != 0:
-                total = total + x * c
-        return total
+        return LambdaScalar.lincomb(self.pairing_row(self.check_root(root)), v)
 
     def metric(self, v1: Point, v2: Point) -> LambdaScalar:
         """d(v1,v2): sum over positive roots of |(alpha, v1 - v2)|."""
         diff = tuple(a - b for a, b in zip(v1, v2))
-        total = self.zero()
-        for root in self.roots.positive_roots:
-            row = self.pairing_row(root)
-            value = self.zero()
-            for c, x in zip(row, diff):
-                if c != 0:
-                    value = value + x * c
-            total = total + abs(value)
-        return total
+        values = [
+            abs(LambdaScalar.lincomb(self.pairing_row(root), diff))
+            for root in self.roots.positive_roots
+        ]
+        return LambdaScalar.lincomb((1,) * len(values), values)
 
     def coordinate(self, v: Point, i: int, w: Optional[WeylElement] = None) -> LambdaScalar:
         """v^{w(alpha_i)} = (alpha_i, w^-1(v)) / 2 (1-based i)."""

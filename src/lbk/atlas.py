@@ -25,6 +25,14 @@ from .lexq import LambdaScalar
 from .linarith import ConstraintSystem, LinearConstraint, feasible
 
 
+def is_chart_name(name: object) -> bool:
+    """Chart names are nonempty strings without whitespace, ``:`` or ``#``,
+    so that a model file's glue lines can name charts by label."""
+    return isinstance(name, str) and bool(name) and not any(
+        c.isspace() or c in ":#" for c in name
+    )
+
+
 class NoCommonChartError(RuntimeError):
     """Raised when two points admit no shared chart (a compatibility failure)."""
 
@@ -72,6 +80,11 @@ class Atlas:
     ):
         if len(set(chart_names)) != len(chart_names):
             raise ValueError("chart names must be unique")
+        for name in chart_names:
+            if not is_chart_name(name):
+                raise ValueError(
+                    f"chart name {name!r} must be a nonempty string without whitespace, ':' or '#'"
+                )
         self.apartment = apartment
         self.chart_names = list(chart_names)
         self.transitions = dict(transitions)
@@ -147,9 +160,6 @@ class Atlas:
         if not ap.region_contains(t.region, ap.sector_region(bs.sector)):
             return None
         return ap.sector(t.iso.apply(bs.sector.base), t.iso.linear * bs.sector.direction)
-
-    def charts_containing_sector(self, bs: BuildingSector) -> list[int]:
-        return [j for j in self.charts() if self.transport_sector(bs, j) is not None]
 
     def transport_germ(self, bg: BuildingGerm, j: int) -> Optional[Sector]:
         """Image of a sector germ in chart j; needs only a germ-sized overlap."""

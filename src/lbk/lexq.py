@@ -7,124 +7,204 @@ behave like infinitesimals relative to the earlier components, which is what
 makes the non-Archimedean examples work.  The scalars form a totally ordered
 abelian group closed under division by nonzero integers, so midpoints and
 exact elimination never leave the domain.
+
+Internally a scalar is a tuple of ``int`` numerators over one positive
+``int`` denominator, always reduced (the gcd of the denominator and every
+numerator is 1), so each value has exactly one representation.  Arithmetic,
+comparison and ``abs`` work on those ints and create no ``Fraction``, and
+every result costs at most one gcd.  The ``parts`` property rebuilds the
+public view, a tuple of reduced ``Fraction`` values.
+:meth:`LambdaScalar.lincomb` sums a whole linear combination with rational
+coefficients over one common denominator and builds only the result;
+pairings, metrics, Weyl actions and Fourier-Motzkin bounds go through it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
+
+_new = object.__new__
+
+
+def _make(nums: tuple[int, ...], den: int) -> "LambdaScalar":
+    """Trusted constructor: ``den > 0`` and ``gcd(den, *nums) == 1`` hold."""
+    s = _new(LambdaScalar)
+    s._nums = nums
+    s._den = den
+    return s
+
+
+def _reduced(nums: tuple[int, ...], den: int) -> "LambdaScalar":
+    """Scalar nums/den for a positive den, after dividing out the common factor."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return _make(tuple(n // g for n in nums), den // g)
+    return _make(nums, den)
 
 
 class LambdaScalar:
     """Element of lex-ordered Q^k.  Immutable and hashable."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, parts: Iterable[Rational]):
-        self.parts: tuple[Fraction, ...] = tuple(Fraction(p) for p in parts)
-        if not self.parts:
+        fracs = [p if isinstance(p, (int, Fraction)) else Fraction(p) for p in parts]
+        if not fracs:
             raise ValueError("scalar needs at least one component")
+        den = lcm(*(f.denominator for f in fracs))
+        # Each component is reduced, so nums and den share no factor.
+        self._nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        self._den = den
 
     @classmethod
     def zero(cls, rank: int) -> "LambdaScalar":
-        return cls((Fraction(0),) * rank)
+        return cls.rational(0, rank)
 
     @classmethod
     def one(cls, rank: int) -> "LambdaScalar":
-        return cls((Fraction(1),) + (Fraction(0),) * (rank - 1))
+        return cls.rational(1, rank)
 
     @classmethod
     def rational(cls, value: Rational, rank: int = 1) -> "LambdaScalar":
         """Embed a rational as (value, 0, ..., 0); the order embedding Q -> Q^k."""
-        return cls((Fraction(value),) + (Fraction(0),) * (rank - 1))
+        if rank < 1:
+            raise ValueError("scalar needs at least one component")
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return _make((value.numerator,) + (0,) * (rank - 1), value.denominator)
+
+    @staticmethod
+    def lincomb(coeffs: Iterable[Rational], xs: Iterable["LambdaScalar"]) -> "LambdaScalar":
+        """sum_j coeffs[j] * xs[j] for int or Fraction coefficients.
+
+        Pairs terms as ``zip`` does.  The terms are brought to one common
+        denominator and summed as ints, so the result is built once.
+        """
+        ps: list[int] = []
+        dens: list[int] = []
+        rows: list[tuple[int, ...]] = []
+        for c, x in zip(coeffs, xs):
+            if not isinstance(x, LambdaScalar):
+                raise TypeError(f"expected LambdaScalar, got {type(x).__name__}")
+            if isinstance(c, int):
+                ps.append(c)
+                dens.append(x._den)
+            elif isinstance(c, Fraction):
+                ps.append(c.numerator)
+                dens.append(c.denominator * x._den)
+            else:
+                raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+            rows.append(x._nums)
+        if not rows:
+            raise ValueError("linear combination needs at least one term")
+        rank = len(rows[0])
+        for r in rows:
+            if len(r) != rank:
+                raise ValueError(f"lex rank mismatch: {rank} vs {len(r)}")
+        den = lcm(*dens)
+        if den != 1:
+            ps = [p * (den // d) for p, d in zip(ps, dens)]
+        return _reduced(tuple(sum(map(mul, ps, col)) for col in zip(*rows)), den)
+
+    @property
+    def parts(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._nums)
 
     @property
     def rank(self) -> int:
-        return len(self.parts)
+        return len(self._nums)
 
     def is_zero(self) -> bool:
-        return all(p == 0 for p in self.parts)
+        return not any(self._nums)
 
     def sign(self) -> int:
-        for p in self.parts:
-            if p > 0:
-                return 1
-            if p < 0:
-                return -1
+        for n in self._nums:
+            if n:
+                return 1 if n > 0 else -1
         return 0
 
     def _check(self, other: "LambdaScalar") -> None:
         if not isinstance(other, LambdaScalar):
             raise TypeError(f"expected LambdaScalar, got {type(other).__name__}")
-        if other.rank != self.rank:
+        if len(other._nums) != len(self._nums):
             raise ValueError(f"lex rank mismatch: {self.rank} vs {other.rank}")
 
     def __add__(self, other: "LambdaScalar") -> "LambdaScalar":
         self._check(other)
-        return LambdaScalar(a + b for a, b in zip(self.parts, other.parts))
+        d1, d2 = self._den, other._den
+        return _reduced(tuple(a * d2 + b * d1 for a, b in zip(self._nums, other._nums)), d1 * d2)
 
     def __sub__(self, other: "LambdaScalar") -> "LambdaScalar":
         self._check(other)
-        return LambdaScalar(a - b for a, b in zip(self.parts, other.parts))
+        d1, d2 = self._den, other._den
+        return _reduced(tuple(a * d2 - b * d1 for a, b in zip(self._nums, other._nums)), d1 * d2)
 
     def __neg__(self) -> "LambdaScalar":
-        return LambdaScalar(-a for a in self.parts)
+        return _make(tuple(-n for n in self._nums), self._den)
 
     def __mul__(self, factor: Rational) -> "LambdaScalar":
         if not isinstance(factor, (int, Fraction)):
             return NotImplemented
-        return LambdaScalar(a * factor for a in self.parts)
+        p, q = factor.numerator, factor.denominator
+        return _reduced(tuple(n * p for n in self._nums), self._den * q)
 
     __rmul__ = __mul__
 
     def __truediv__(self, divisor: Rational) -> "LambdaScalar":
         if not isinstance(divisor, (int, Fraction)):
             return NotImplemented
-        return LambdaScalar(a / Fraction(divisor) for a in self.parts)
+        p, q = divisor.numerator, divisor.denominator
+        if p == 0:
+            raise ZeroDivisionError("scalar division by zero")
+        if p < 0:
+            p, q = -p, -q
+        return _reduced(tuple(n * q for n in self._nums), self._den * p)
 
     def __abs__(self) -> "LambdaScalar":
         return self if self.sign() >= 0 else -self
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, LambdaScalar) and self.parts == other.parts
+        return (
+            isinstance(other, LambdaScalar)
+            and self._den == other._den
+            and self._nums == other._nums
+        )
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        # Integers hash like the equal Fractions, so hash(s) == hash(s.parts);
+        # for the common integer scalars this builds no Fraction.
+        return hash(self._nums) if self._den == 1 else hash(self.parts)
+
+    def _cross(self, other: "LambdaScalar") -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Numerators of self and other over a shared denominator."""
+        self._check(other)
+        d1, d2 = self._den, other._den
+        return tuple(a * d2 for a in self._nums), tuple(b * d1 for b in other._nums)
 
     def __lt__(self, other: "LambdaScalar") -> bool:
-        self._check(other)
-        return self.parts < other.parts
+        a, b = self._cross(other)
+        return a < b
 
     def __le__(self, other: "LambdaScalar") -> bool:
-        self._check(other)
-        return self.parts <= other.parts
+        a, b = self._cross(other)
+        return a <= b
 
     def __gt__(self, other: "LambdaScalar") -> bool:
-        self._check(other)
-        return self.parts > other.parts
+        a, b = self._cross(other)
+        return a > b
 
     def __ge__(self, other: "LambdaScalar") -> bool:
-        self._check(other)
-        return self.parts >= other.parts
+        a, b = self._cross(other)
+        return a >= b
 
     def __str__(self) -> str:
         return "|".join(str(p) for p in self.parts)
 
     def __repr__(self) -> str:
         return f"LambdaScalar({self})"
-
-
-def compare(a: LambdaScalar, b: LambdaScalar) -> int:
-    """Three-way lexicographic comparison: -1, 0 or 1."""
-    a._check(b)
-    if a.parts < b.parts:
-        return -1
-    if a.parts > b.parts:
-        return 1
-    return 0
-
-
-def abs_val(a: LambdaScalar) -> LambdaScalar:
-    """Absolute value: a itself when a >= 0, else -a."""
-    return abs(a)

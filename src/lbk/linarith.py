@@ -123,7 +123,7 @@ def _combine(lower: _Row, upper: _Row, idx: int) -> _Row:
     c1 = lower[0][idx]
     c2 = upper[0][idx]
     coeffs = tuple(c1 * b - c2 * a for a, b in zip(lower[0], upper[0]))
-    bound = lower[2] * (-c2) + upper[2] * c1
+    bound = LambdaScalar.lincomb((-c2, c1), (lower[2], upper[2]))
     return (coeffs, lower[1] or upper[1], bound)
 
 

@@ -7,12 +7,14 @@ A model file is line oriented::
     roots A1                 (or: cartan [[2,-1],[-1,2]])
     charts 3
     name 1 12                (optional labels; default labels are 1..m)
-    glue 1 2 : ge a1 0 ; word ; t (0|0)
+    glue 12 2 : ge a1 0 ; word ; t (0|0)
 
-A glue line lists the overlap region of the first chart (comma-separated
-constraints ``ge|le|eq <root-expr> <scalar>``, empty for the whole
-apartment), then the gluing isometry as a generator word and a translation
-point.  Reverse transitions are derived automatically unless spelled out.
+A glue line names its two charts by label or by 1-based index (labels are
+resolved first and contain no whitespace, ``:`` or ``#``).  It then lists the
+overlap region of the first chart (comma-separated constraints
+``ge|le|eq <root-expr> <scalar>``, empty for the whole apartment), then the
+gluing isometry as a generator word and a translation point.  Reverse
+transitions are derived automatically unless spelled out.
 
 Scalar literals are reduced rationals joined by ``|`` across lex components
 (parentheses optional); a bare rational embeds as its first component.
@@ -26,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .apartment import AffineIsometry, Apartment, HalfApartment, Point, format_point
-from .atlas import Atlas, BuildingGerm, BuildingPoint, Transition
+from .atlas import Atlas, BuildingGerm, BuildingPoint, Transition, is_chart_name
 from .lexq import LambdaScalar
 from .rootsystem import build_root_system
 
@@ -165,6 +167,8 @@ def parse_model(text: str) -> Atlas:
                 idx = int(parts[0])
             except ValueError:
                 raise ModelFormatError(f"bad chart index {parts[0]!r}", lineno)
+            if not is_chart_name(parts[1]):
+                raise ModelFormatError(f"chart label {parts[1]!r} contains ':'", lineno)
             names[idx - 1] = parts[1]
         elif head == "glue":
             glue_lines.append((lineno, rest))
@@ -267,7 +271,7 @@ def serialize_model(atlas: Atlas) -> str:
         )
         word = format_word(t.iso.linear.word)
         return (
-            f"glue {i + 1} {j + 1} : {constraints} ; word{(' ' + word) if word else ''}"
+            f"glue {atlas.name(i)} {atlas.name(j)} : {constraints} ; word{(' ' + word) if word else ''}"
             f" ; t {format_point(t.iso.shift)}"
         )
 

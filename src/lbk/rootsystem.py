@@ -19,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .lexq import LambdaScalar
+
 Root = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -145,14 +147,7 @@ class WeylElement:
 
     def act_point(self, coords):
         """Apply the integer action matrix to a tuple of LambdaScalars."""
-        out = []
-        for row in self.matrix:
-            total = coords[0] * 0
-            for a, x in zip(row, coords):
-                if a != 0:
-                    total = total + x * a
-            out.append(total)
-        return tuple(out)
+        return tuple(LambdaScalar.lincomb(row, coords) for row in self.matrix)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -316,18 +311,3 @@ def build_root_system(
         return RootSystem(named_cartan(spec), label=spec.strip().upper().replace("_", ""), weyl_cap=weyl_cap)
     return RootSystem(spec, weyl_cap=weyl_cap)
 
-
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    return rs.simple(i)
-
-
-def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
-    return a * b
-
-
-def invert(a: WeylElement) -> WeylElement:
-    return a.inverse()
-
-
-def enumerate_weyl(rs: RootSystem) -> list[WeylElement]:
-    return rs.weyl_elements()

@@ -34,6 +34,14 @@ def test_fixture_lambda_two(tmp_path, capsys):
     assert code == 0
 
 
+def test_fixture_then_validate_many_charts(tmp_path, capsys):
+    path = tmp_path / "t6.lbm"
+    assert main(["fixture", "tree", "--ends", "6", "-o", str(path)]) == 0
+    code, out = run(capsys, "validate", str(path))
+    assert code == 0
+    assert out.strip().endswith("RESULT valid")
+
+
 def test_axioms_subset_exit_zero(tripod_model, capsys):
     code, out = run(capsys, "axioms", str(tripod_model), "--only", "A6,EC,SE")
     assert code == 0

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lbk.lexq import LambdaScalar, abs_val, compare
+from lbk.lexq import LambdaScalar
 
 
 def lam(*parts):
@@ -11,20 +11,20 @@ def lam(*parts):
 
 
 def test_lexicographic_examples():
-    assert compare(lam(0, 1), lam(1, 0)) == -1
-    assert compare(lam(2, -5), lam(2, -5)) == 0
-    assert compare(lam(Q(1, 2), 100), lam(Q(1, 2), 99)) == 1
+    assert lam(0, 1) < lam(1, 0)
+    assert lam(2, -5) == lam(2, -5)
+    assert lam(Q(1, 2), 100) > lam(Q(1, 2), 99)
 
 
 def test_abs_examples():
-    assert abs_val(lam(0, 0)) == lam(0, 0)
-    assert abs_val(lam(-1, 3)) == lam(1, -3)
-    assert abs_val(lam(0, -2)) == lam(0, 2)
+    assert abs(lam(0, 0)) == lam(0, 0)
+    assert abs(lam(-1, 3)) == lam(1, -3)
+    assert abs(lam(0, -2)) == lam(0, 2)
 
 
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
-        compare(lam(1), lam(1, 0))
+        lam(1) < lam(1, 0)
     with pytest.raises(ValueError):
         lam(1) + lam(1, 0)
 
@@ -77,3 +77,145 @@ def test_embedding_and_formatting():
     assert LambdaScalar.rational(Q(3, 2), 3).parts == (Q(3, 2), 0, 0)
     assert str(lam(Q(1, 2), -3)) == "1/2|-3"
     assert LambdaScalar.one(2) > LambdaScalar.zero(2)
+
+
+# -- the int-numerator kernel against a plain Fraction-tuple reference ---------
+
+CASES = 300
+
+
+def rand_parts(rng, rank):
+    return tuple(Q(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(rank))
+
+
+def rand_factor(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-12, 12)
+    return Q(rng.randint(-50, 50), rng.randint(1, 12))
+
+
+def ref_sign(parts):
+    for p in parts:
+        if p:
+            return 1 if p > 0 else -1
+    return 0
+
+
+def seeded_pairs(seed):
+    rng = random.Random(seed)
+    for _ in range(CASES):
+        rank = rng.randint(1, 3)
+        yield rng, rank, rand_parts(rng, rank), rand_parts(rng, rank)
+
+
+def test_kernel_matches_fraction_reference():
+    for rng, rank, x, y in seeded_pairs(17):
+        a, b = LambdaScalar(x), LambdaScalar(y)
+        assert a.parts == x and all(type(p) is Q for p in a.parts)
+        assert a.rank == rank
+        assert (a + b).parts == tuple(p + q for p, q in zip(x, y))
+        assert (a - b).parts == tuple(p - q for p, q in zip(x, y))
+        assert (-a).parts == tuple(-p for p in x)
+        f = rand_factor(rng)
+        assert (a * f).parts == tuple(p * f for p in x)
+        assert (f * a).parts == tuple(p * f for p in x)
+        if f:
+            assert (a / f).parts == tuple(p / Q(f) for p in x)
+        assert (abs(a)).parts == (x if ref_sign(x) >= 0 else tuple(-p for p in x))
+        assert a.sign() == ref_sign(x)
+        assert a.is_zero() == (ref_sign(x) == 0)
+        assert str(a) == "|".join(str(p) for p in x)
+        assert repr(a) == f"LambdaScalar({a})"
+        assert hash(a) == hash(x)
+        assert (a == b) == (x == y) and (a != b) == (x != y)
+        assert (a < b) == (x < y) and (a <= b) == (x <= y)
+        assert (a > b) == (x > y) and (a >= b) == (x >= y)
+        assert a == LambdaScalar(x) and hash(a) == hash(LambdaScalar(list(x)))
+
+
+def test_kernel_values_are_canonical():
+    # One representation per value: results reached by different routes are
+    # equal, hash alike and sort alike.
+    for rng, rank, x, y in seeded_pairs(23):
+        a, b = LambdaScalar(x), LambdaScalar(y)
+        routes = [(a + b) - b, (a * 6) / 6, -(-a), (a * Q(7, 3)) * Q(3, 7), a + LambdaScalar.zero(rank)]
+        for r in routes:
+            assert r == a and r.parts == x and hash(r) == hash(a) and str(r) == str(a)
+        assert not (a - a).sign() and (a - a) == LambdaScalar.zero(rank)
+        assert a * 0 == LambdaScalar.zero(rank) and a * Q(0) == LambdaScalar.zero(rank)
+
+
+def fold(coeffs, xs):
+    """The loop lincomb replaces: total = total + x * c over the nonzero terms."""
+    total = xs[0] * 0
+    for c, x in zip(coeffs, xs):
+        if c != 0:
+            total = total + x * c
+    return total
+
+
+def test_lincomb_matches_fold_and_reference():
+    rng = random.Random(29)
+    for _ in range(CASES):
+        rank, terms = rng.randint(1, 3), rng.randint(1, 6)
+        xs = [rand_parts(rng, rank) for _ in range(terms)]
+        coeffs = [rand_factor(rng) for _ in range(terms)]
+        scalars = [LambdaScalar(x) for x in xs]
+        got = LambdaScalar.lincomb(coeffs, scalars)
+        assert got == fold(coeffs, scalars)
+        assert got.parts == tuple(sum((c * x[k] for c, x in zip(coeffs, xs)), Q(0)) for k in range(rank))
+        # zip pairing: surplus terms on either side are ignored
+        assert LambdaScalar.lincomb(coeffs + [1], scalars) == got
+        assert LambdaScalar.lincomb(iter(coeffs), iter(scalars + [scalars[0]])) == got
+
+
+def test_ordered_group_laws():
+    for rng, rank, x, y in seeded_pairs(31):
+        a, b, c = LambdaScalar(x), LambdaScalar(y), LambdaScalar(rand_parts(rng, rank))
+        zero = LambdaScalar.zero(rank)
+        assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
+        assert a + zero == a and a + (-a) == zero
+        if a <= b:
+            assert a + c <= b + c
+            assert a * 3 <= b * 3 and a * Q(1, 5) <= b * Q(1, 5)
+            assert a * -2 >= b * -2
+        assert abs(a + b) <= abs(a) + abs(b)
+        assert abs(a) >= zero and abs(-a) == abs(a)
+        assert (a * Q(2, 3) + a * Q(1, 3)) == a
+        n = rng.randint(1, 12)
+        assert (a / n) * n == a
+        assert (a / -n) * -n == a
+
+
+def test_kernel_errors():
+    a, b = lam(1, Q(-1, 2)), lam(Q(1, 3))
+    for op in (
+        lambda: a + 1,
+        lambda: a - Q(1),
+        lambda: a < 1,
+        lambda: a >= Q(1, 2),
+        lambda: a * 1.5,
+        lambda: a / 1.5,
+        lambda: a * a,
+        lambda: LambdaScalar.lincomb([1, 1], [a, 1]),
+        lambda: LambdaScalar.lincomb([1.5], [a]),
+    ):
+        with pytest.raises(TypeError):
+            op()
+    for op in (
+        lambda: a + b,
+        lambda: a - b,
+        lambda: a <= b,
+        lambda: a > b,
+        lambda: LambdaScalar.lincomb([1, 2], [a, b]),
+        lambda: LambdaScalar.lincomb([], []),
+        lambda: LambdaScalar([]),
+        lambda: LambdaScalar.zero(0),
+    ):
+        with pytest.raises(ValueError):
+            op()
+    for op in (lambda: a / 0, lambda: a / Q(0), lambda: LambdaScalar.zero(2) / 0):
+        with pytest.raises(ZeroDivisionError):
+            op()
+    assert a != b and a != 1 and not (a == (1, Q(-1, 2)))

@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lbk.atlas import validate
+from lbk.atlas import Atlas, validate
 from lbk.fixtures import fan, lambda_tree, shifted_rays
 from lbk.lexq import LambdaScalar
 from lbk.modelfile import (
@@ -41,7 +41,17 @@ def test_parse_minimal_model():
 
 
 def test_roundtrip_fixtures():
-    for build in (lambda: lambda_tree(3), lambda: lambda_tree(4, 2), lambda: fan(3), lambda: shifted_rays()):
+    # tree(6, 1) and tree(8, 2) have 15 and 28 charts with numeric labels,
+    # some of which are also chart indices; glue lines name charts by label.
+    builds = (
+        lambda: lambda_tree(3),
+        lambda: lambda_tree(4, 2),
+        lambda: lambda_tree(6, 1),
+        lambda: lambda_tree(8, 2),
+        lambda: fan(3),
+        lambda: shifted_rays(),
+    )
+    for build in builds:
         atlas = build()
         text = serialize_model(atlas)
         again = parse_model(text)
@@ -91,6 +101,17 @@ def test_root_expressions():
         parse_root_expr("a1+a3", ap)
     with pytest.raises(ModelFormatError):
         parse_root_expr("5a1+a2", ap)  # not a root of G2
+
+
+def test_chart_labels_are_glue_line_tokens():
+    # A label with ':' or whitespace could not be written on a glue line.
+    with pytest.raises(ModelFormatError) as err:
+        parse_model("lambda 1\nroots A1\ncharts 2\nname 1 a:b\nglue 1 2 : ; word ; t (0)\n")
+    assert "line 4" in str(err.value)
+    ap = lambda_tree(3).apartment
+    for bad in ("a:b", "a b", "a#b", ""):
+        with pytest.raises(ValueError):
+            Atlas(ap, [bad, "2"], {})
 
 
 def test_parse_errors_carry_line_numbers():

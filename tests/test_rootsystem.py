@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from lbk.rootsystem import build_root_system, enumerate_weyl, named_cartan
+from lbk.rootsystem import build_root_system, named_cartan
 
 COUNTS = {"A1": (2, 1, 1), "A2": (6, 3, 3), "B2": (8, 4, 4), "G2": (12, 6, 6)}
 
@@ -20,7 +20,7 @@ def test_positive_root_sets():
 def test_weyl_counts_and_longest(name):
     order, longest, positives = COUNTS[name]
     rs = build_root_system(name)
-    elements = enumerate_weyl(rs)
+    elements = rs.weyl_elements()
     assert len(elements) == order
     w0 = rs.longest_element()
     assert w0.length == longest
@@ -69,7 +69,7 @@ def test_group_laws_and_braid():
     w = r1 * r2
     assert e * w == w and w * e == w
     assert r1 * r2 * r1 == r2 * r1 * r2
-    for elem in enumerate_weyl(rs):
+    for elem in rs.weyl_elements():
         assert (elem * elem.inverse()).is_identity()
 
 
@@ -83,7 +83,7 @@ def test_mixed_root_systems_rejected():
 @pytest.mark.parametrize("name", sorted(COUNTS))
 def test_length_changes_by_one(name):
     rs = build_root_system(name)
-    for w in enumerate_weyl(rs):
+    for w in rs.weyl_elements():
         for i in range(1, rs.rank + 1):
             assert abs((w * rs.simple(i)).length - w.length) == 1
 
@@ -93,7 +93,7 @@ def test_longest_element_properties(name):
     rs = build_root_system(name)
     w0 = rs.longest_element()
     assert (w0 * w0).is_identity()
-    for w in enumerate_weyl(rs):
+    for w in rs.weyl_elements():
         assert (w0 * w).length == w0.length - w.length
 
 
@@ -108,7 +108,7 @@ def test_simple_reflection_permutes_other_positive_roots(name):
 
 def test_canonical_words_are_reduced_and_least():
     rs = build_root_system("B2")
-    for w in enumerate_weyl(rs):
+    for w in rs.weyl_elements():
         # every generator sequence reproducing the matrix is at least as long
         # and lexicographically no smaller among equal-length ones
         assert rs.from_word(w.word) == w
