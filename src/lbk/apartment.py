@@ -25,7 +25,7 @@ from .linarith import (
     feasible,
     project_interval,
 )
-from .rootsystem import Root, RootSystem, WeylElement
+from .rootsystem import Matrix, Root, RootSystem, WeylElement
 
 Point = tuple[LambdaScalar, ...]
 
@@ -149,6 +149,7 @@ class Apartment:
             tuple(self._inverse[j][i] for j in range(self.rank)) for i in range(self.rank)
         )
         self._classify_cache: dict[tuple[HalfApartment, ...], RegionShape] = {}
+        self._cones: dict[Matrix, tuple[tuple[Fraction, ...], ...]] = {}
 
     # -- scalars and points ---------------------------------------------
 
@@ -184,9 +185,14 @@ class Apartment:
         return r
 
     def pairing_row(self, root: Sequence[int]) -> tuple[Fraction, ...]:
-        r = tuple(int(c) for c in root)
-        row = self._pairing_rows.get(r)
+        """Coefficients of (root, .) in the simple-root base.
+
+        The cache holds roots only, so a hit needs no validation; a miss
+        validates the root and raises ValueError for a non-root.
+        """
+        row = self._pairing_rows.get(root) if type(root) is tuple else None
         if row is None:
+            r = self.check_root(root)
             row = tuple(
                 sum(Fraction(r[i]) * self.pairing_matrix[i][j] for i in range(self.rank))
                 for j in range(self.rank)
@@ -196,7 +202,7 @@ class Apartment:
 
     def pairing(self, root: Sequence[int], v: Point) -> LambdaScalar:
         """(alpha, v) = sum_j d_i a_ij lambda_j, extended linearly over Phi."""
-        return LambdaScalar.lincomb(self.pairing_row(self.check_root(root)), v)
+        return LambdaScalar.lincomb(self.pairing_row(root), v)
 
     def metric(self, v1: Point, v2: Point) -> LambdaScalar:
         """d(v1,v2): sum over positive roots of |(alpha, v1 - v2)|."""
@@ -313,7 +319,7 @@ class Apartment:
 
         Returns "empty", "unbounded" or (value, attained).
         """
-        row = self.pairing_row(self.check_root(root))
+        row = self.pairing_row(root)
         n = self.rank
         rows = [self.half_constraint(h) for h in region.halves]
         widened = [LinearConstraint(c.coeffs + (Fraction(0),), c.relation, c.bound) for c in rows]
@@ -347,14 +353,18 @@ class Apartment:
             halves.append(self.half(r, 1, self.pairing(r, s.base)))
         return self.region(halves)
 
-    def sector_cone(self, direction: WeylElement) -> list[tuple[Fraction, ...]]:
+    def sector_cone(self, direction: WeylElement) -> tuple[tuple[Fraction, ...], ...]:
         """Generators of the direction cone: images of the dual basis."""
-        gens = []
-        for u in self.cone_basis:
-            gens.append(tuple(
-                sum(Fraction(direction.matrix[i][j]) * u[j] for j in range(self.rank))
-                for i in range(self.rank)
-            ))
+        gens = self._cones.get(direction.matrix)
+        if gens is None:
+            gens = tuple(
+                tuple(
+                    sum(Fraction(direction.matrix[i][j]) * u[j] for j in range(self.rank))
+                    for i in range(self.rank)
+                )
+                for u in self.cone_basis
+            )
+            self._cones[direction.matrix] = gens
         return gens
 
     def panel_cone(self, direction: WeylElement, panel_type: int) -> list[tuple[Fraction, ...]]:
@@ -371,6 +381,22 @@ class Apartment:
             if k == panel_type:
                 halves.append(self.half(r, -1, bound))
         return self.region(halves)
+
+    def sector_in_region(self, s: Sector, region: ConvexRegion, panel_type: int = 0) -> bool:
+        """Does the sector (panel_type 0) or its type-i panel lie in the region?
+
+        A cone with apex b lies in a half-apartment exactly when b does and
+        the half does not cap any generator of the cone, so no elimination
+        is needed.
+        """
+        if panel_type:
+            gens = self.panel_cone(s.direction, panel_type)
+        else:
+            gens = self.sector_cone(s.direction)
+        return (
+            self._cone_fit_rows(gens, region) is not None
+            and self.region_contains_point(region, s.base)
+        )
 
     def sector_contains_point(self, s: Sector, p: Point) -> bool:
         return self.region_contains_point(self.sector_region(s), p)
@@ -556,6 +582,17 @@ class Apartment:
             cached = self._classify(region)
             self._classify_cache[key] = cached
         return cached
+
+    def region_half(self, region: ConvexRegion) -> Optional[HalfApartment]:
+        """The half-apartment equal to the region, or None.
+
+        Read off the cached classification: a region equals a half-apartment
+        exactly when that half is one of its own halves.
+        """
+        shape = self.classify_region(region)
+        if shape.kind != "half-apartment":
+            return None
+        return HalfApartment(shape.root, shape.sense, shape.bound)
 
     def _classify(self, region: ConvexRegion) -> RegionShape:
         probe = self.region_feasible(region)

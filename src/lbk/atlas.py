@@ -136,12 +136,17 @@ class Atlas:
             return None
         return t.iso.apply(p)
 
-    def charts_containing_point(self, bp: BuildingPoint) -> list[int]:
-        out = []
+    def locate_point(self, bp: BuildingPoint) -> dict[int, Point]:
+        """The point in each chart that contains it, in chart order."""
+        out = {}
         for j in self.charts():
-            if self.transport_point(bp.chart, bp.point, j) is not None:
-                out.append(j)
+            p = self.transport_point(bp.chart, bp.point, j)
+            if p is not None:
+                out[j] = p
         return out
+
+    def charts_containing_point(self, bp: BuildingPoint) -> list[int]:
+        return list(self.locate_point(bp))
 
     def points_equal(self, bp: BuildingPoint, bq: BuildingPoint) -> bool:
         moved = self.transport_point(bp.chart, bp.point, bq.chart)
@@ -157,7 +162,7 @@ class Atlas:
         t = self.transition(bs.chart, j)
         if t is None:
             return None
-        if not ap.region_contains(t.region, ap.sector_region(bs.sector)):
+        if not ap.sector_in_region(bs.sector, t.region):
             return None
         return ap.sector(t.iso.apply(bs.sector.base), t.iso.linear * bs.sector.direction)
 
@@ -274,19 +279,24 @@ def common_chart(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint) -> Optional
 
 def global_distance(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint) -> LambdaScalar:
     """Metric evaluated in a shared chart; all shared charts must agree."""
-    shared = sorted(
-        set(atlas.charts_containing_point(bp)) & set(atlas.charts_containing_point(bq))
-    )
+    return located_distance(atlas, bp, bq, atlas.locate_point(bp), atlas.locate_point(bq))
+
+
+def located_distance(
+    atlas: Atlas,
+    bp: BuildingPoint,
+    bq: BuildingPoint,
+    at_p: dict[int, Point],
+    at_q: dict[int, Point],
+) -> LambdaScalar:
+    """:func:`global_distance` from the points' :meth:`Atlas.locate_point` maps."""
+    shared = sorted(at_p.keys() & at_q.keys())
     if not shared:
         raise NoCommonChartError(
             f"no chart contains both {format_point(bp.point)}@{atlas.name(bp.chart)} "
             f"and {format_point(bq.point)}@{atlas.name(bq.chart)}"
         )
-    values = []
-    for j in shared:
-        p = atlas.transport_point(bp.chart, bp.point, j)
-        q = atlas.transport_point(bq.chart, bq.point, j)
-        values.append(atlas.apartment.metric(p, q))
+    values = [atlas.apartment.metric(at_p[j], at_q[j]) for j in shared]
     first = values[0]
     if any(v != first for v in values[1:]):
         raise AssertionError("distance disagrees between shared charts (atlas not compatible)")

@@ -17,7 +17,15 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .apartment import AffineIsometry, Apartment, ConvexRegion, Point, Sector, format_point
+from .apartment import (
+    AffineIsometry,
+    Apartment,
+    ConvexRegion,
+    HalfApartment,
+    Point,
+    Sector,
+    format_point,
+)
 from .atlas import (
     Atlas,
     BuildingGerm,
@@ -25,7 +33,7 @@ from .atlas import (
     BuildingSector,
     NoCommonChartError,
     common_chart,
-    global_distance,
+    located_distance,
     validate,
 )
 from .lexq import LambdaScalar
@@ -277,11 +285,11 @@ def recheck_a6_counterexample(atlas: Atlas, i: int, j: int, k: int) -> bool:
 # -- EC ----------------------------------------------------------------------
 
 
-def _flip_half(ap: Apartment, region: ConvexRegion) -> Optional[ConvexRegion]:
-    shape = ap.classify_region(region)
-    if shape.kind != "half-apartment":
+def _flip_half(ap: Apartment, region: ConvexRegion) -> Optional[HalfApartment]:
+    h = ap.region_half(region)
+    if h is None:
         return None
-    return ConvexRegion((ap.half(shape.root, -shape.sense, shape.bound),))
+    return ap.half(h.root, -h.sense, h.bound)
 
 
 def check_ec(atlas: Atlas) -> AxiomReport:
@@ -308,7 +316,7 @@ def check_ec(atlas: Atlas) -> AxiomReport:
             rjc = atlas.overlap_region(j, c)
             if ric is None or rjc is None:
                 continue
-            if ap.region_equal(ric, target_i) and ap.region_equal(rjc, target_j):
+            if ap.region_half(ric) == target_i and ap.region_half(rjc) == target_j:
                 witness = c
                 break
         if witness is None:
@@ -323,17 +331,25 @@ def check_ec(atlas: Atlas) -> AxiomReport:
 # -- SE ----------------------------------------------------------------------
 
 
-def _panel_of_sector(ap: Apartment, sector: Sector, cut: ConvexRegion) -> Optional[int]:
-    """The panel type when the cut equals a face of the sector, else None.
+def _panel_of_sector(ap: Apartment, sector: Sector, overlap: ConvexRegion) -> Optional[int]:
+    """The panel type when the sector meets the overlap in a face of itself, else None.
 
     The exchange hypothesis wants the chart to meet the sector in one of the
     sector's own panels (apex included); a panel-shaped slice further out
-    does not qualify.
+    does not qualify.  The cut equals panel i exactly when panel i lies in the
+    overlap and the cut stays on the panel's side of the i-th sector wall.
+    Two panels together hold every cone generator, so once panel i lies in
+    the overlap, either the whole sector does (and the cut reaches past every
+    wall) or no other panel does.
     """
-    for i in range(1, ap.rank + 1):
-        if ap.region_equal(cut, ap.panel_region(sector, i)):
-            return i
-    return None
+    fitting = (i for i in range(1, ap.rank + 1) if ap.sector_in_region(sector, overlap, i))
+    i = next(fitting, None)
+    if i is None or ap.sector_in_region(sector, overlap):
+        return None
+    root = ap.sector_roots(sector.direction)[i - 1]
+    panel_side = ap.half_region(root, -1, ap.pairing(root, sector.base))
+    cut = ap.intersect(ap.sector_region(sector), overlap)
+    return i if ap.region_contains(panel_side, cut) else None
 
 
 def check_se(atlas: Atlas, seed: int = 0, bases_per_chart: int = 1) -> AxiomReport:
@@ -347,10 +363,7 @@ def check_se(atlas: Atlas, seed: int = 0, bases_per_chart: int = 1) -> AxiomRepo
             t = atlas.transition(bs.chart, a)
             if t is None:
                 continue
-            cut = ap.intersect(ap.sector_region(bs.sector), t.region)
-            if ap.region_empty(cut):
-                continue
-            panel_type = _panel_of_sector(ap, bs.sector, cut)
+            panel_type = _panel_of_sector(ap, bs.sector, t.region)
             if panel_type is None:
                 continue
             face_root = bs.sector.direction.act_root(ap.roots.simple_root(panel_type))
@@ -361,7 +374,7 @@ def check_se(atlas: Atlas, seed: int = 0, bases_per_chart: int = 1) -> AxiomRepo
             found = []
             missing = []
             for sense in (1, -1):
-                side = ap.half_region(wall_root, sense, wall_bound)
+                side = ap.half(wall_root, sense, wall_bound)
                 witness = None
                 for c in atlas.charts():
                     if c == a:
@@ -369,7 +382,7 @@ def check_se(atlas: Atlas, seed: int = 0, bases_per_chart: int = 1) -> AxiomRepo
                     rac = atlas.overlap_region(a, c)
                     if rac is None:
                         continue
-                    if not ap.region_equal(rac, side):
+                    if ap.region_half(rac) != side:
                         continue
                     if atlas.transport_sector(bs, c) is None:
                         continue
@@ -419,24 +432,18 @@ class Retraction:
             )
             self.maps[b] = AffineIsometry(linear, shift)
 
-    def eligible_charts(self, bp: BuildingPoint) -> list[int]:
-        return [
-            b
-            for b in self.maps
-            if self.atlas.transport_point(bp.chart, bp.point, b) is not None
-        ]
-
     def evaluate(self, bp: BuildingPoint) -> BuildingPoint:
-        charts = self.eligible_charts(bp)
-        if not charts:
+        moved = {b: self.atlas.transport_point(bp.chart, bp.point, b) for b in self.maps}
+        return self.evaluate_located(bp, {b: p for b, p in moved.items() if p is not None})
+
+    def evaluate_located(self, bp: BuildingPoint, located: dict[int, Point]) -> BuildingPoint:
+        """:meth:`evaluate` from the point's copy in each chart that holds it."""
+        images = [self.maps[b].apply(local) for b, local in located.items() if b in self.maps]
+        if not images:
             raise TheoremViolation(
                 f"no chart contains both the germ and {format_point(bp.point)}"
                 f"@{self.atlas.name(bp.chart)}"
             )
-        images = []
-        for b in charts:
-            local = self.atlas.transport_point(bp.chart, bp.point, b)
-            images.append(self.maps[b].apply(local))
         first = images[0]
         if any(img != first for img in images[1:]):
             raise TheoremViolation("retraction value depends on the chart chosen")
@@ -462,6 +469,7 @@ def check_a5(atlas: Atlas, samples: int = 200, seed: int = 0, targets: int = 3) 
     for chart in atlas.charts():
         for p in designated_points(atlas, chart, 2, seed):
             points.append(BuildingPoint(chart, p))
+    located = {bp: atlas.locate_point(bp) for bp in points}
 
     for chart, germ in germ_targets:
         config_base = f"(chart={atlas.name(chart)},germ={_germ_label(atlas, germ)})"
@@ -470,19 +478,30 @@ def check_a5(atlas: Atlas, samples: int = 200, seed: int = 0, targets: int = 3) 
         except TheoremViolation as exc:
             report.add(config_base, FAIL, f"detail={str(exc).replace(' ', '_')}")
             continue
-        germ_charts = set(rho.maps)
+        images: dict[BuildingPoint, BuildingPoint | TheoremViolation] = {}
+
+        def image(bp: BuildingPoint) -> BuildingPoint:
+            if bp not in images:
+                try:
+                    images[bp] = rho.evaluate_located(bp, located[bp])
+                except TheoremViolation as exc:
+                    images[bp] = exc
+            if isinstance(images[bp], TheoremViolation):
+                raise images[bp]
+            return images[bp]
+
         failed = False
         for bp, bq in _cap_pairs(points, samples, seed, f"a5:{atlas.name(chart)}"):
             config = f"{config_base}:({atlas.name(bp.chart)}:{format_point(bp.point)},{atlas.name(bq.chart)}:{format_point(bq.point)})"
             try:
-                ry = rho.evaluate(bp)
-                rz = rho.evaluate(bq)
+                ry = image(bp)
+                rz = image(bq)
             except TheoremViolation as exc:
                 report.add(config, FAIL, f"detail={str(exc).replace(' ', '_')}")
                 failed = True
                 continue
             try:
-                original = global_distance(atlas, bp, bq)
+                original = located_distance(atlas, bp, bq, located[bp], located[bq])
             except NoCommonChartError:
                 continue
             retracted = ap.metric(ry.point, rz.point)
@@ -490,16 +509,12 @@ def check_a5(atlas: Atlas, samples: int = 200, seed: int = 0, targets: int = 3) 
                 report.add(config, FAIL, "detail=distance-increased")
                 failed = True
                 continue
-            shared = (
-                set(atlas.charts_containing_point(bp))
-                & set(atlas.charts_containing_point(bq))
-                & germ_charts
-            )
+            shared = located[bp].keys() & located[bq].keys() & rho.maps.keys()
             if shared and retracted != original:
                 report.add(config, FAIL, "detail=not-isometric-on-co-chart-pair")
                 failed = True
         for bp in points:
-            if bp.chart == chart and rho.evaluate(bp).point != bp.point:
+            if bp.chart == chart and image(bp).point != bp.point:
                 report.add(config_base, FAIL, "detail=not-identity-on-target")
                 failed = True
                 break

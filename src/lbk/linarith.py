@@ -43,7 +43,10 @@ class LinearConstraint:
     def __post_init__(self) -> None:
         if self.relation not in _RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        coeffs = self.coeffs
+        if type(coeffs) is not tuple or not all(type(c) is Fraction for c in coeffs):
+            coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+            object.__setattr__(self, "coeffs", coeffs)
 
     def evaluate(self, point: Sequence[LambdaScalar]) -> bool:
         if len(point) != len(self.coeffs):

@@ -33,8 +33,14 @@ def test_pairing_examples():
 
 def test_pairing_rejects_non_roots():
     ap = make("A2")
-    with pytest.raises(ValueError):
-        ap.pairing((2, 0), ap.origin())
+    v = ap.simple_point(1, 0)
+    for bad in ((2, 0), [2, 0], (1,), (1, 0, 0), (0, 0)):
+        with pytest.raises(ValueError):
+            ap.pairing(bad, v)
+        # Rows of real roots are cached by now; a non-root still misses and raises.
+        assert ap.pairing([1, 1], v) == ap.pairing((1, 1), v) == ap.scalar(1)
+        with pytest.raises(ValueError):
+            ap.pairing_row(bad)
 
 
 def test_metric_examples():

@@ -5,6 +5,12 @@
 apartment counts of ``infinity_complex``.  It was written by this module's
 ``golden_reports`` before the scalar kernel moved to int numerators, so a
 change in any layer's arithmetic that alters a single report byte fails here.
+
+The last five members take the failing path: three members with their last
+chart removed by ``drop_chart``, and the two broken fixtures.  Their entries
+were generated before the SE, EC and A5 checkers and sector transport stopped
+comparing regions by Fourier-Motzkin equality scans, so those rewrites are
+pinned on verdicts that fail as well as on verdicts that pass.
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when a
 report change is intended.
 """
@@ -21,6 +27,11 @@ MEMBERS = {
     "fan(3,A2)": lambda: fixtures.fan(3, "A2"),
     "fan(3,B2)": lambda: fixtures.fan(3, "B2"),
     "single(G2)": lambda: fixtures.single_apartment("G2"),
+    "tree(4,1)-34": lambda: fixtures.drop_chart(fixtures.lambda_tree(4, 1), "34"),
+    "fan(3,A2)-23": lambda: fixtures.drop_chart(fixtures.fan(3, "A2"), "23"),
+    "fan(3,B2)-23": lambda: fixtures.drop_chart(fixtures.fan(3, "B2"), "23"),
+    "broken_pair": fixtures.broken_pair,
+    "shifted_rays": fixtures.shifted_rays,
 }
 
 

@@ -24,6 +24,18 @@ def sys1(*rows):
     return ConstraintSystem(1, tuple(LinearConstraint((Q(c),), rel, scalar(b)) for c, rel, b in rows))
 
 
+def test_constraint_coefficients_are_a_fraction_tuple():
+    half = Q(1, 2)
+    given = LinearConstraint([1, half, 0.5], GE, scalar(1))
+    assert given.coeffs == (Q(1), half, half)
+    assert type(given.coeffs) is tuple
+    assert all(type(c) is Q for c in given.coeffs)
+    assert given.coeffs[1] is half
+    same = LinearConstraint((Q(1), half, half), GE, scalar(1))
+    assert same == given and hash(same) == hash(given)
+    assert LinearConstraint((1, 2), GE, scalar(0)) == LinearConstraint((Q(1), Q(2)), GE, scalar(0))
+
+
 def test_unsat_opposite_rays():
     assert not feasible(sys1((1, GE, 0), (-1, GE, 1))).sat
 
