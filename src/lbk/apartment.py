@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .lexq import LambdaScalar
 from .linarith import (
+    EQ,
     GE,
     GT,
     ConstraintSystem,
@@ -149,6 +150,7 @@ class Apartment:
             tuple(self._inverse[j][i] for j in range(self.rank)) for i in range(self.rank)
         )
         self._classify_cache: dict[tuple[HalfApartment, ...], RegionShape] = {}
+        self._nonempty: dict[tuple[HalfApartment, ...], bool] = {}
         self._cones: dict[Matrix, tuple[tuple[Fraction, ...], ...]] = {}
 
     # -- scalars and points ---------------------------------------------
@@ -293,15 +295,48 @@ class Apartment:
     def region_empty(self, region: ConvexRegion) -> bool:
         return not self.region_feasible(region).sat
 
+    def region_nonempty(self, region: ConvexRegion) -> bool:
+        """Is the region nonempty?  Cached per halves tuple, like :meth:`classify_region`."""
+        key = region.halves
+        cached = self._nonempty.get(key)
+        if cached is None:
+            cached = self._nonempty[key] = self.region_feasible(region).sat
+        return cached
+
+    def implied(self, region: ConvexRegion, c: LinearConstraint) -> bool:
+        """Does one half of the region alone imply c?
+
+        True when c's row is a positive multiple mu of a half's row and mu
+        times the half's bound reaches c's bound, or when c's row is zero and
+        c holds everywhere.  A sufficient test only: False decides nothing.
+        """
+        if c.relation == EQ:
+            return False
+
+        def reaches(value: LambdaScalar) -> bool:
+            return value > c.bound if c.relation == GT else value >= c.bound
+
+        if not any(c.coeffs):
+            return reaches(self.zero())
+        for h in region.halves:
+            row = self.pairing_row(h.root)
+            k = next(j for j, a in enumerate(row) if a)
+            mu = c.coeffs[k] / row[k]  # mu * sense is the positive multiple
+            if mu * h.sense > 0 and all(a == mu * b for a, b in zip(c.coeffs, row)):
+                if reaches(h.bound * mu):
+                    return True
+        return False
+
+    def region_satisfies(self, region: ConvexRegion, c: LinearConstraint) -> bool:
+        """Does every point of the region satisfy c?  :meth:`implied` first,
+        then FM looks for a region point that violates c."""
+        return self.implied(region, c) or not any(
+            feasible(self.region_system(region, (neg,)), self.lex_rank).sat for neg in c.negations()
+        )
+
     def region_contains(self, outer: ConvexRegion, inner: ConvexRegion) -> bool:
         """inner is a subset of outer: no point of inner violates a half of outer."""
-        inner_rows = tuple(self.half_constraint(h) for h in inner.halves)
-        for h in outer.halves:
-            for neg in self.half_constraint(h).negations():
-                system = ConstraintSystem(self.rank, inner_rows + (neg,))
-                if feasible(system, self.lex_rank).sat:
-                    return False
-        return True
+        return all(self.region_satisfies(inner, self.half_constraint(h)) for h in outer.halves)
 
     def region_equal(self, a: ConvexRegion, b: ConvexRegion) -> bool:
         return self.region_contains(a, b) and self.region_contains(b, a)
@@ -368,7 +403,7 @@ class Apartment:
         return gens
 
     def panel_cone(self, direction: WeylElement, panel_type: int) -> list[tuple[Fraction, ...]]:
-        """Generators of the type-i face of the direction cone (1-based i)."""
+        """Generators of the type-i face of the direction cone (1-based i; 0: all)."""
         gens = self.sector_cone(direction)
         return [g for k, g in enumerate(gens, start=1) if k != panel_type]
 
@@ -389,14 +424,20 @@ class Apartment:
         the half does not cap any generator of the cone, so no elimination
         is needed.
         """
-        if panel_type:
-            gens = self.panel_cone(s.direction, panel_type)
-        else:
-            gens = self.sector_cone(s.direction)
-        return (
-            self._cone_fit_rows(gens, region) is not None
-            and self.region_contains_point(region, s.base)
-        )
+        gens = self.panel_cone(s.direction, panel_type)
+        return self._cone_fits(gens, region) and self.region_contains_point(region, s.base)
+
+    def sector_fits(self, direction: WeylElement, region: ConvexRegion, panel_type: int = 0) -> bool:
+        """Does some direction-w sector (panel_type 0), or its type-i panel, lie in the region?
+
+        Every root but a panel's own wall root is strictly signed on the
+        (relative) interior of the cone.  So once no half caps the cone, each
+        half not constant along it holds far enough in: a sector always
+        fits, a panel exactly when the region is nonempty (Rockafellar,
+        Convex Analysis, section 8).
+        """
+        gens = self.panel_cone(direction, panel_type)
+        return self._cone_fits(gens, region) and (not panel_type or self.region_nonempty(region))
 
     def sector_contains_point(self, s: Sector, p: Point) -> bool:
         return self.region_contains_point(self.sector_region(s), p)
@@ -458,40 +499,28 @@ class Apartment:
                     rows.append(LinearConstraint((-slope,), GE, base_value - h.bound))
         return feasible(ConstraintSystem(1, tuple(rows)), self.lex_rank).sat
 
-    def _cone_fit_rows(
-        self, gens: Sequence[tuple[Fraction, ...]], region: ConvexRegion
-    ) -> Optional[list[tuple[tuple[Fraction, ...], LambdaScalar, int]]]:
-        """Per region half: (pairing row, bound, sense) after checking the cone
-        points the right way; None when some half caps the cone."""
-        out = []
+    def _cone_fits(self, gens: Sequence[tuple[Fraction, ...]], region: ConvexRegion) -> bool:
+        """No half of the region caps a generator of the cone."""
         for h in region.halves:
             row = self.pairing_row(h.root)
             for gen in gens:
-                slope = sum(c * g for c, g in zip(row, gen))
-                if h.sense == 1 and slope < 0:
-                    return None
-                if h.sense == -1 and slope > 0:
-                    return None
-            out.append((row, h.bound, h.sense))
-        return out
+                if sum(c * g for c, g in zip(row, gen)) * h.sense < 0:
+                    return False
+        return True
 
     def subsector_in_region(self, s: Sector, region: ConvexRegion) -> Optional[Sector]:
         """A minimal translate of s (along its own cone) inside the region."""
         gens = self.sector_cone(s.direction)
-        checked = self._cone_fit_rows(gens, region)
-        if checked is None:
+        if not self._cone_fits(gens, region):
             return None
         n = self.rank
         rows = []
         for k in range(n):
             rows.append(LinearConstraint(tuple(Fraction(1 if j == k else 0) for j in range(n)), GE, self.zero()))
-        for row, bound, sense in checked:
-            base_value = sum((x * c for c, x in zip(row, s.base)), self.zero())
-            coeffs = tuple(sum(c * g for c, g in zip(row, gen)) for gen in gens)
-            if sense == 1:
-                rows.append(LinearConstraint(coeffs, GE, bound - base_value))
-            else:
-                rows.append(LinearConstraint(tuple(-c for c in coeffs), GE, base_value - bound))
+        for h in region.halves:
+            row = self.pairing_row(h.root)
+            coeffs = tuple(sum(c * g for c, g in zip(row, gen)) * h.sense for gen in gens)
+            rows.append(LinearConstraint(coeffs, GE, (h.bound - self.pairing(h.root, s.base)) * h.sense))
         result = feasible(ConstraintSystem(n, tuple(rows)), self.lex_rank, witness_mode="low")
         if not result.sat:
             return None
@@ -500,37 +529,6 @@ class Apartment:
             for j in range(n):
                 shift[j] = shift[j] + t * gen[j]
         return self.sector(tuple(b + sh for b, sh in zip(s.base, shift)), s.direction)
-
-    def sector_fitting_region(self, direction: WeylElement, region: ConvexRegion) -> Optional[Sector]:
-        """Some sector with the given direction inside the region, if any."""
-        gens = self.sector_cone(direction)
-        checked = self._cone_fit_rows(gens, region)
-        if checked is None:
-            return None
-        rows = []
-        for row, bound, sense in checked:
-            if sense == 1:
-                rows.append(LinearConstraint(row, GE, bound))
-            else:
-                rows.append(LinearConstraint(tuple(-c for c in row), GE, -bound))
-        result = feasible(ConstraintSystem(self.rank, tuple(rows)), self.lex_rank)
-        if not result.sat:
-            return None
-        return self.sector(result.witness, direction)
-
-    def panel_fits_region(self, direction: WeylElement, panel_type: int, region: ConvexRegion) -> bool:
-        """Can a type-i panel of a direction-w sector be placed inside the region?"""
-        gens = self.panel_cone(direction, panel_type)
-        checked = self._cone_fit_rows(gens, region)
-        if checked is None:
-            return False
-        rows = []
-        for row, bound, sense in checked:
-            if sense == 1:
-                rows.append(LinearConstraint(row, GE, bound))
-            else:
-                rows.append(LinearConstraint(tuple(-c for c in row), GE, -bound))
-        return feasible(ConstraintSystem(self.rank, tuple(rows)), self.lex_rank).sat
 
     # -- germ galleries ------------------------------------------------------
 

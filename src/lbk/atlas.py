@@ -22,7 +22,7 @@ from .apartment import (
     format_point,
 )
 from .lexq import LambdaScalar
-from .linarith import ConstraintSystem, LinearConstraint, feasible
+from .linarith import GE, LinearConstraint
 
 
 def is_chart_name(name: object) -> bool:
@@ -220,53 +220,49 @@ def validate(atlas: Atlas) -> ValidationReport:
 
     for (i, j) in pairs:
         if i < j and atlas.transition(j, i) is not None:
-            if ap.region_empty(atlas.transitions[(i, j)].region):
+            if not ap.region_nonempty(atlas.transitions[(i, j)].region):
                 issues.append(f"nonempty: overlap ({atlas.name(i)},{atlas.name(j)}) is empty")
     notes.append("overlaps closed convex by construction (half-apartment constraints)")
 
+    # Transitions never join a chart to itself, so every triple found here
+    # has three distinct charts; pairs are sorted, so triples come in order.
     cocycle_checked = 0
-    for i in atlas.charts():
-        for j in atlas.charts():
-            for k in atlas.charts():
-                if len({i, j, k}) != 3:
-                    continue
-                tij = atlas.transition(i, j)
-                tjk = atlas.transition(j, k)
-                tik = atlas.transition(i, k)
-                if tij is None or tjk is None or tik is None:
-                    continue
-                cocycle_checked += 1
-                domain = ap.intersect(
-                    tij.region,
-                    ap.transform_region(tjk.region, tij.iso.inverse()),
-                    tik.region,
+    for (i, j) in pairs:
+        tij = atlas.transitions[(i, j)]
+        for k in atlas.charts():
+            tjk = atlas.transition(j, k)
+            tik = atlas.transition(i, k)
+            if tjk is None or tik is None:
+                continue
+            cocycle_checked += 1
+            through_j = tjk.iso.compose(tij.iso)
+            if through_j == tik.iso:
+                continue
+            domain = ap.intersect(
+                tij.region,
+                ap.transform_region(tjk.region, tij.iso.inverse()),
+                tik.region,
+            )
+            if not _fixes_region(ap, tik.iso.inverse().compose(through_j), domain):
+                issues.append(
+                    "cocycle: composite through "
+                    f"({atlas.name(i)},{atlas.name(j)},{atlas.name(k)}) moves overlap points"
                 )
-                composite = tik.iso.inverse().compose(tjk.iso.compose(tij.iso))
-                if not _fixes_region(ap, composite, domain):
-                    issues.append(
-                        "cocycle: composite through "
-                        f"({atlas.name(i)},{atlas.name(j)},{atlas.name(k)}) moves overlap points"
-                    )
     notes.append(f"cocycle triples={cocycle_checked}")
     notes.append("chart family is reflection-saturated by representation (precomposition reindexes)")
     return ValidationReport(not issues, issues, notes)
 
 
 def _fixes_region(ap: Apartment, g: AffineIsometry, region: ConvexRegion) -> bool:
-    """Is g the identity on every point of the region?"""
-    if g.is_identity():
-        return True
+    """Is g the identity on every point of the region?  Each row of
+    (M - I) x = -shift is checked as its two inequalities."""
     n = ap.rank
-    base_rows = tuple(ap.half_constraint(h) for h in region.halves)
-    ident = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    for r in range(n):
-        coeffs = tuple(g.linear.matrix[r][c] - ident[r][c] for c in range(n))
-        target = -g.shift[r]
-        eq = LinearConstraint(coeffs, "=", target)
-        for neg in eq.negations():
-            if feasible(ConstraintSystem(n, base_rows + (neg,)), ap.lex_rank).sat:
-                return False
-    return True
+    rows = [(tuple(g.linear.matrix[r][c] - (r == c) for c in range(n)), -g.shift[r]) for r in range(n)]
+    return all(
+        ap.region_satisfies(region, LinearConstraint(tuple(a * sign for a in coeffs), GE, target * sign))
+        for coeffs, target in rows
+        for sign in (-1, 1)
+    )
 
 
 def common_chart(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint) -> Optional[int]:

@@ -159,14 +159,13 @@ def _germ_label(atlas: Atlas, bg: BuildingGerm) -> str:
 # -- fit helpers -------------------------------------------------------------
 
 
-def fit_subsector(atlas: Atlas, bs: BuildingSector, chart: int) -> Optional[Sector]:
-    """A subsector of bs living inside the given chart, in home coordinates."""
+def fit_subsector(atlas: Atlas, bs: BuildingSector, chart: int) -> bool:
+    """Does bs have a subsector inside the given chart?  A subsector is a
+    translate along the sector's own cone, so only the direction matters."""
     if bs.chart == chart:
-        return bs.sector
+        return True
     t = atlas.transition(bs.chart, chart)
-    if t is None:
-        return None
-    return atlas.apartment.subsector_in_region(bs.sector, t.region)
+    return t is not None and atlas.apartment.sector_fits(bs.sector.direction, t.region)
 
 
 def sector_class_distance(atlas: Atlas, s1: BuildingSector, s2: BuildingSector):
@@ -174,15 +173,14 @@ def sector_class_distance(atlas: Atlas, s1: BuildingSector, s2: BuildingSector):
 
     Returns (element, chart) or None when no chart holds subsectors of both.
     """
-    ap = atlas.apartment
+
+    def direction_in(bs: BuildingSector, chart: int):
+        w = bs.sector.direction
+        return w if bs.chart == chart else atlas.transition(bs.chart, chart).iso.linear * w
+
     for chart in atlas.charts():
-        a = fit_subsector(atlas, s1, chart)
-        b = fit_subsector(atlas, s2, chart)
-        if a is None or b is None:
-            continue
-        d1 = a.direction if s1.chart == chart else atlas.transition(s1.chart, chart).iso.linear * a.direction
-        d2 = b.direction if s2.chart == chart else atlas.transition(s2.chart, chart).iso.linear * b.direction
-        return d2.inverse() * d1, chart
+        if fit_subsector(atlas, s1, chart) and fit_subsector(atlas, s2, chart):
+            return direction_in(s2, chart).inverse() * direction_in(s1, chart), chart
     return None
 
 
@@ -237,7 +235,7 @@ def check_a4(atlas: Atlas, samples: int = 200, seed: int = 0, bases_per_chart: i
         config = f"({_sector_label(atlas, s1)},{_sector_label(atlas, s2)})"
         witness = None
         for chart in atlas.charts():
-            if fit_subsector(atlas, s1, chart) is not None and fit_subsector(atlas, s2, chart) is not None:
+            if fit_subsector(atlas, s1, chart) and fit_subsector(atlas, s2, chart):
                 witness = chart
                 break
         if witness is None:

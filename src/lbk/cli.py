@@ -189,6 +189,13 @@ def _cmd_fixture(args) -> int:
     return EXIT_PASS
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lbk",
@@ -203,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="run axiom checkers")
     p.add_argument("model")
     p.add_argument("--only", default="", help="comma-separated subset, e.g. A6,EC,SE")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_axioms)

@@ -90,7 +90,7 @@ def infinity_complex(atlas: Atlas) -> InfinityComplex:
     # overlap is, transported, a direction-(linear*w) sector of the far chart.
     for (i, j), t in sorted(atlas.transitions.items()):
         for w in directions:
-            if ap.sector_fitting_region(w, t.region) is not None:
+            if ap.sector_fits(w, t.region):
                 moved = t.iso.linear * w
                 uf.union((i, w.matrix), (j, moved.matrix))
 
@@ -125,7 +125,7 @@ def infinity_complex(atlas: Atlas) -> InfinityComplex:
     for (i, j), t in sorted(atlas.transitions.items()):
         for w in directions:
             for itype in range(1, ap.rank + 1):
-                if ap.panel_fits_region(w, itype, t.region):
+                if ap.sector_fits(w, t.region, itype):
                     moved = t.iso.linear * w
                     puf.union((i, w.matrix, itype), (j, moved.matrix, itype))
     panel_class_of = {

@@ -69,6 +69,17 @@ def test_axioms_unknown_name_exit_two(tripod_model, capsys):
     assert main(["axioms", str(tripod_model), "--only", "A9"]) == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_axioms_samples_below_one_is_a_usage_error(tripod_model, capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        main(["axioms", str(tripod_model), "--samples", samples])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --samples: must be at least 1" in captured.err
+    assert "Sample larger than population" not in captured.err
+
+
 def test_axioms_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.lbm"
     main(["fixture", "broken-pair", "-o", str(path)])

@@ -5,7 +5,8 @@ Regions are seeded random intersections of halves placed around a random
 sector: its own walls, their opposite sides and halves of any root, with
 bounds at, just below or just above the sector's apex.  That yields empty
 regions, regions with redundant halves, sectors and panels inside and
-outside a region, and cuts that are exactly a panel.  The FM-based
+outside a region, and cuts that are exactly a panel.  The root of a
+sector's type-i wall vanishes on its type-i panel cone.  The FM-based
 references are kept here as the definition each shortcut must match.
 """
 import random
@@ -13,9 +14,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lbk.apartment import Apartment, ConvexRegion
-from lbk.axioms import _panel_of_sector
+from lbk.apartment import AffineIsometry, Apartment, ConvexRegion
+from lbk.atlas import Atlas, BuildingSector, Transition, _fixes_region
+from lbk.axioms import _panel_of_sector, fit_subsector
 from lbk.lexq import LambdaScalar
+from lbk.linarith import GE, GT, LinearConstraint, feasible
 from lbk.rootsystem import build_root_system
 
 SYSTEMS = [("A1", 1), ("A1", 2), ("A2", 1), ("B2", 1), ("G2", 1)]
@@ -114,3 +117,156 @@ def test_region_half_agrees_with_region_equal(name, lam):
         found += half is not None
         empty += ap.region_empty(region)
     assert found >= 10 and empty >= 5, (found, empty)
+
+
+# -- fits, implication, containment and cocycles --------------------------------
+
+
+def fits_by_fm(ap, direction, region, panel_type):
+    """The deleted sector_fitting_region (type 0) and panel_fits_region
+    bodies: the cone check, then an FM solve of the region."""
+    if panel_type:
+        gens = ap.panel_cone(direction, panel_type)
+    else:
+        gens = ap.sector_cone(direction)
+    for h in region.halves:
+        row = ap.pairing_row(h.root)
+        for gen in gens:
+            slope = sum(c * g for c, g in zip(row, gen))
+            if (h.sense == 1 and slope < 0) or (h.sense == -1 and slope > 0):
+                return False
+    return feasible(ap.region_system(region), ap.lex_rank).sat
+
+
+def satisfies_by_fm(ap, region, c):
+    """No point of the region violates c."""
+    return not any(
+        feasible(ap.region_system(region, (neg,)), ap.lex_rank).sat
+        for neg in c.negations()
+    )
+
+
+def contains_by_fm(ap, outer, inner):
+    """The region_contains body before the single-half test."""
+    return all(satisfies_by_fm(ap, inner, ap.half_constraint(h)) for h in outer.halves)
+
+
+def fixes_by_fm(ap, g, region):
+    """The _fixes_region body before the single-half test: two FM solves per row."""
+    n = ap.rank
+    for r in range(n):
+        coeffs = tuple(g.linear.matrix[r][c] - (1 if r == c else 0) for c in range(n))
+        eq = LinearConstraint(coeffs, "=", -g.shift[r])
+        if not satisfies_by_fm(ap, region, eq):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name,lam", SYSTEMS)
+def test_sector_fits_agrees_with_fm(name, lam):
+    seen = {True: 0, False: 0}
+    empty = 0
+    for ap, _, sector, region in cases(name, lam, 4):
+        w = sector.direction
+        for panel_type in range(ap.rank + 1):
+            expected = fits_by_fm(ap, w, region, panel_type)
+            assert ap.sector_fits(w, region, panel_type) == expected
+            seen[expected] += 1
+        empty += ap.region_empty(region)
+    assert min(seen.values()) >= 20 and empty >= 5, (seen, empty)
+
+
+@pytest.mark.parametrize("name,lam", SYSTEMS)
+def test_fit_subsector_agrees_with_subsector_search(name, lam):
+    seen = {True: 0, False: 0}
+    for ap, _, sector, region in cases(name, lam, 5):
+        identity = ap.isometry(ap.roots.identity())
+        atlas = Atlas(ap, ["0", "1"], {(0, 1): Transition(region, identity)})
+        bs = BuildingSector(0, sector)
+        expected = ap.subsector_in_region(sector, region) is not None
+        assert fit_subsector(atlas, bs, 1) == expected
+        assert fit_subsector(atlas, bs, 0)
+        assert not fit_subsector(atlas, BuildingSector(1, sector), 0)
+        seen[expected] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def rand_constraint(ap, rng, region):
+    """Mostly a scaled and shifted copy of a region half, else any root row,
+    with a zero row now and then."""
+    lam = ap.lex_rank
+    if region.halves and rng.random() < 0.6:
+        base = ap.half_constraint(rng.choice(region.halves))
+        mu = Q(rng.choice((1, 2, 3)), rng.choice((1, 2))) * rng.choice((1, 1, 1, -1))
+        coeffs = tuple(mu * a for a in base.coeffs)
+        bound = base.bound * mu + offset(rng, lam)
+    elif rng.random() < 0.85:
+        root = rng.choice(ap.roots.positive_roots)
+        coeffs = tuple(a * rng.choice((1, -1)) for a in ap.pairing_row(root))
+        bound = rand_scalar(rng, lam)
+    else:
+        coeffs = (Q(0),) * ap.rank
+        bound = rand_scalar(rng, lam)
+    return LinearConstraint(coeffs, rng.choice((GE, GE, GT)), bound)
+
+
+@pytest.mark.parametrize("name,lam", SYSTEMS)
+def test_implied_is_sound_and_region_satisfies_agrees_with_fm(name, lam):
+    implied = fm_only = violated = 0
+    for ap, rng, sector, region in cases(name, lam, 6):
+        for _ in range(3):
+            c = rand_constraint(ap, rng, region)
+            expected = satisfies_by_fm(ap, region, c)
+            if ap.implied(region, c):
+                assert expected, (region, c)
+                implied += 1
+            else:
+                fm_only += expected
+                violated += not expected
+            assert ap.region_satisfies(region, c) == expected
+    assert implied >= 20 and fm_only >= 5 and violated >= 20, (implied, fm_only, violated)
+
+
+@pytest.mark.parametrize("name,lam", SYSTEMS)
+def test_region_contains_agrees_with_fm(name, lam):
+    seen = {True: 0, False: 0}
+    for ap, rng, sector, region in cases(name, lam, 7):
+        halves = list(region.halves)
+        others = [
+            ap.region(rng.sample(halves, rng.randint(0, len(halves)))),
+            rand_region(ap, rng, sector),
+            ap.sector_region(sector),
+            ap.region(ap.half(h.root, h.sense, h.bound - LambdaScalar.one(ap.lex_rank) * h.sense) for h in halves),
+        ]
+        for other in others:
+            for outer, inner in ((other, region), (region, other)):
+                expected = contains_by_fm(ap, outer, inner)
+                assert ap.region_contains(outer, inner) == expected
+                seen[expected] += 1
+            assert ap.region_equal(region, other) == (
+                contains_by_fm(ap, region, other) and contains_by_fm(ap, other, region)
+            )
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("name,lam", SYSTEMS)
+def test_fixes_region_agrees_with_all_rows_fm(name, lam):
+    seen = {True: 0, False: 0}
+    for ap, rng, sector, region in cases(name, lam, 8):
+        p = sector.base
+        u = sector.direction
+        i = rng.randint(1, ap.rank)
+        root = ap.sector_roots(u)[i - 1]
+        reflection = u * ap.roots.simple(i) * u.inverse()
+        linear = rng.choice((reflection, reflection, rng.choice(ap.directions())))
+        # An isometry fixing p; a reflection fixes the whole wall of root at p.
+        moved = linear.act_point(p)
+        g = AffineIsometry(linear, tuple(a - b for a, b in zip(p, moved)))
+        if rng.random() < 0.5:
+            region = ap.intersect(region, ap.wall_region(root, ap.pairing(root, p)))
+        if rng.random() < 0.1:
+            g = ap.translation(tuple(rand_scalar(rng, lam) for _ in range(ap.rank)))
+        expected = fixes_by_fm(ap, g, region)
+        assert _fixes_region(ap, g, region) == expected
+        seen[expected] += 1
+    assert min(seen.values()) >= 20, seen
