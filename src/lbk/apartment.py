@@ -24,7 +24,6 @@ from .linarith import (
     Feasibility,
     LinearConstraint,
     feasible,
-    project_interval,
 )
 from .rootsystem import Matrix, Root, RootSystem, WeylElement
 
@@ -111,17 +110,14 @@ class SectorGerm:
 class RegionShape:
     """Classification of a convex region.
 
-    kind is one of "empty", "half-apartment", "wall", "sector-panel",
-    "other"; the remaining fields are filled per kind.
+    kind is one of "empty", "half-apartment", "wall", "other"; a half fills
+    root, sense and bound, a wall root and bound.
     """
 
     kind: str
     root: Optional[Root] = None
     sense: int = 0
     bound: Optional[LambdaScalar] = None
-    apex: Optional[Point] = None
-    direction: Optional[WeylElement] = None
-    panel_type: int = 0
 
 
 class Apartment:
@@ -149,7 +145,6 @@ class Apartment:
         self.cone_basis: tuple[tuple[Fraction, ...], ...] = tuple(
             tuple(self._inverse[j][i] for j in range(self.rank)) for i in range(self.rank)
         )
-        self._classify_cache: dict[tuple[HalfApartment, ...], RegionShape] = {}
         self._nonempty: dict[tuple[HalfApartment, ...], bool] = {}
         self._cones: dict[Matrix, tuple[tuple[Fraction, ...], ...]] = {}
 
@@ -225,13 +220,8 @@ class Apartment:
 
     def point_from_coordinates(self, values: Sequence[LambdaScalar]) -> Point:
         """Invert v -> (v^1..v^n); points are determined by their coordinates."""
-        doubled = [v * 2 for v in values]
-        return self.solve_pairing([self.roots.simple_root(i) for i in range(1, self.rank + 1)], doubled)
-
-    def solve_pairing(self, roots: Sequence[Sequence[int]], values: Sequence[LambdaScalar]) -> Point:
-        """The unique point with (root_j, v) = values[j] for a basis of roots."""
-        rows = [self.pairing_row(r) for r in roots]
-        return _solve(rows, list(values), self.lex_rank)
+        rows = [self.pairing_row(self.roots.simple_root(i)) for i in range(1, self.rank + 1)]
+        return _solve(rows, [v * 2 for v in values], self.lex_rank)
 
     def translation(self, shift: Point) -> AffineIsometry:
         return AffineIsometry(self.roots.identity(), tuple(shift))
@@ -296,7 +286,7 @@ class Apartment:
         return not self.region_feasible(region).sat
 
     def region_nonempty(self, region: ConvexRegion) -> bool:
-        """Is the region nonempty?  Cached per halves tuple, like :meth:`classify_region`."""
+        """Is the region nonempty?  Cached per halves tuple."""
         key = region.halves
         cached = self._nonempty.get(key)
         if cached is None:
@@ -348,28 +338,6 @@ class Apartment:
 
     def transform_region(self, region: ConvexRegion, g: AffineIsometry) -> ConvexRegion:
         return self.region(self.transform_half(h, g) for h in region.halves)
-
-    def extremum(self, region: ConvexRegion, root: Sequence[int], *, upper: bool):
-        """Exact inf/sup of (root, .) over a region.
-
-        Returns "empty", "unbounded" or (value, attained).
-        """
-        row = self.pairing_row(root)
-        n = self.rank
-        rows = [self.half_constraint(h) for h in region.halves]
-        widened = [LinearConstraint(c.coeffs + (Fraction(0),), c.relation, c.bound) for c in rows]
-        zero = self.zero()
-        widened.append(LinearConstraint(row + (Fraction(-1),), "=", zero))
-        system = ConstraintSystem(n + 1, tuple(widened))
-        interval = project_interval(system, n, self.lex_rank)
-        if interval is None:
-            return "empty"
-        lo, hi = interval
-        side = hi if upper else lo
-        if side is None:
-            return "unbounded"
-        value, strict = side
-        return value, not strict
 
     # -- sectors -----------------------------------------------------------
 
@@ -574,76 +542,37 @@ class Apartment:
     # -- classification --------------------------------------------------------
 
     def classify_region(self, region: ConvexRegion) -> RegionShape:
-        key = tuple(region.halves)
-        cached = self._classify_cache.get(key)
-        if cached is None:
-            cached = self._classify(region)
-            self._classify_cache[key] = cached
-        return cached
+        """Shape of a region, read off its halves.
+
+        A half-space holds a half-apartment or a wall only when the two share
+        a root: distinct positive roots have independent pairing rows.  So a
+        region whose halves share one root is an interval of that root's
+        pairing, decided by its tightest bounds, and any other region is
+        "empty" or "other".
+        """
+        half = self.region_half(region)
+        if half is not None:
+            return RegionShape("half-apartment", half.root, half.sense, half.bound)
+        roots = {h.root for h in region.halves}
+        if len(roots) == 1:
+            lo = max(h.bound for h in region.halves if h.sense == 1)
+            hi = min(h.bound for h in region.halves if h.sense == -1)
+            if lo == hi:
+                return RegionShape("wall", root=roots.pop(), bound=lo)
+            return RegionShape("empty" if lo > hi else "other")
+        return RegionShape("other" if self.region_nonempty(region) else "empty")
 
     def region_half(self, region: ConvexRegion) -> Optional[HalfApartment]:
         """The half-apartment equal to the region, or None.
 
-        Read off the cached classification: a region equals a half-apartment
-        exactly when that half is one of its own halves.
+        A region equals a half-apartment exactly when all its halves share a
+        root and a sense (see :meth:`classify_region`); it is their tightest.
         """
-        shape = self.classify_region(region)
-        if shape.kind != "half-apartment":
+        halves = region.halves
+        if not halves or any((h.root, h.sense) != (halves[0].root, halves[0].sense) for h in halves):
             return None
-        return HalfApartment(shape.root, shape.sense, shape.bound)
-
-    def _classify(self, region: ConvexRegion) -> RegionShape:
-        probe = self.region_feasible(region)
-        if not probe.sat:
-            return RegionShape("empty")
-        for h in region.halves:
-            if self.region_equal(region, ConvexRegion((h,))):
-                return RegionShape("half-apartment", root=h.root, sense=h.sense, bound=h.bound)
-        # Constant pairing directions; a wall pins exactly one positive root.
-        witness = probe.witness
-        constants: list[tuple[Root, LambdaScalar]] = []
-        for root in self.roots.positive_roots:
-            value = self.pairing(root, witness)
-            if self.region_contains(self.wall_region(root, value), region):
-                constants.append((root, value))
-        for root, value in constants:
-            if self.region_equal(region, self.wall_region(root, value)):
-                return RegionShape("wall", root=root, bound=value)
-        if constants:
-            shape = self._match_panel(region, witness)
-            if shape is not None:
-                return shape
-        return RegionShape("other")
-
-    def _match_panel(self, region: ConvexRegion, witness: Point) -> Optional[RegionShape]:
-        for w in self.directions():
-            roots = self.sector_roots(w)
-            for panel_type in range(1, self.rank + 1):
-                bounds = []
-                ok = True
-                for k, root in enumerate(roots, start=1):
-                    if k == panel_type:
-                        lo = self.extremum(region, root, upper=False)
-                        hi = self.extremum(region, root, upper=True)
-                        if lo in ("empty", "unbounded") or hi in ("empty", "unbounded") or lo != hi:
-                            ok = False
-                            break
-                        bounds.append(lo[0])
-                    else:
-                        lo = self.extremum(region, root, upper=False)
-                        if lo in ("empty", "unbounded") or not lo[1]:
-                            ok = False
-                            break
-                        bounds.append(lo[0])
-                if not ok:
-                    continue
-                apex = self.solve_pairing(roots, bounds)
-                candidate = self.panel_region(self.sector(apex, w), panel_type)
-                if self.region_equal(region, candidate):
-                    return RegionShape(
-                        "sector-panel", apex=apex, direction=w, panel_type=panel_type
-                    )
-        return None
+        tightest = max if halves[0].sense == 1 else min
+        return tightest(halves, key=lambda h: h.bound)
 
 
 def _invert(matrix: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:

@@ -16,7 +16,6 @@ from .apartment import (
     Apartment,
     ConvexRegion,
     Point,
-    RegionShape,
     Sector,
     SectorGerm,
     format_point,
@@ -35,6 +34,10 @@ def is_chart_name(name: object) -> bool:
 
 class NoCommonChartError(RuntimeError):
     """Raised when two points admit no shared chart (a compatibility failure)."""
+
+
+class DistanceDisagreementError(RuntimeError):
+    """Raised when shared charts give two points different distances (a compatibility failure)."""
 
 
 @dataclass(frozen=True)
@@ -295,19 +298,8 @@ def located_distance(
     values = [atlas.apartment.metric(at_p[j], at_q[j]) for j in shared]
     first = values[0]
     if any(v != first for v in values[1:]):
-        raise AssertionError("distance disagrees between shared charts (atlas not compatible)")
+        raise DistanceDisagreementError(
+            f"distance from {format_point(bp.point)}@{atlas.name(bp.chart)} "
+            f"to {format_point(bq.point)}@{atlas.name(bq.chart)} disagrees between shared charts"
+        )
     return first
-
-
-@dataclass(frozen=True)
-class IntersectionInfo:
-    region: Optional[ConvexRegion]
-    shape: RegionShape
-
-
-def intersection_region(atlas: Atlas, i: int, j: int) -> IntersectionInfo:
-    """Overlap of charts i and j in chart-i coordinates, with its shape."""
-    region = atlas.overlap_region(i, j)
-    if region is None:
-        return IntersectionInfo(None, RegionShape("empty"))
-    return IntersectionInfo(region, atlas.apartment.classify_region(region))

@@ -31,6 +31,7 @@ from .atlas import (
     BuildingGerm,
     BuildingPoint,
     BuildingSector,
+    DistanceDisagreementError,
     NoCommonChartError,
     common_chart,
     located_distance,
@@ -250,19 +251,14 @@ def check_a4(atlas: Atlas, samples: int = 200, seed: int = 0, bases_per_chart: i
 
 def check_a6(atlas: Atlas) -> AxiomReport:
     """Triples of pairwise half-apartment overlaps must meet."""
-    from .atlas import intersection_region
-
     report = AxiomReport("A6")
     ap = atlas.apartment
     for i, j, k in combinations(atlas.charts(), 3):
-        shapes = [
-            intersection_region(atlas, a, b).shape.kind
-            for a, b in ((i, j), (i, k), (j, k))
-        ]
-        if any(kind != "half-apartment" for kind in shapes):
+        overlaps = [atlas.overlap_region(a, b) for a, b in ((i, j), (i, k), (j, k))]
+        if any(r is None or ap.region_half(r) is None for r in overlaps):
             continue
         config = f"({atlas.name(i)},{atlas.name(j)},{atlas.name(k)})"
-        triple = ap.intersect(atlas.overlap_region(i, j), atlas.overlap_region(i, k))
+        triple = ap.intersect(overlaps[0], overlaps[1])
         probe = ap.region_feasible(triple)
         if probe.sat:
             report.add(config, PASS, f"witness={format_point(probe.witness)}")
@@ -501,6 +497,10 @@ def check_a5(atlas: Atlas, samples: int = 200, seed: int = 0, targets: int = 3) 
             try:
                 original = located_distance(atlas, bp, bq, located[bp], located[bq])
             except NoCommonChartError:
+                continue
+            except DistanceDisagreementError:
+                report.add(config, FAIL, "detail=distance-disagrees-between-charts")
+                failed = True
                 continue
             retracted = ap.metric(ry.point, rz.point)
             if retracted > original:

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from . import axioms as ax
 from . import fixtures
-from .atlas import Atlas, NoCommonChartError, validate
+from .atlas import Atlas, DistanceDisagreementError, NoCommonChartError, validate
 from .infinity import infinity_complex
 from .modelfile import (
     ModelFormatError,
@@ -109,7 +109,7 @@ def _cmd_distance(args) -> int:
         from .atlas import global_distance
 
         value = global_distance(atlas, p, q)
-    except NoCommonChartError as exc:
+    except (NoCommonChartError, DistanceDisagreementError) as exc:
         print(f"fail: {exc}")
         return EXIT_FAIL
     print(format_scalar(value))

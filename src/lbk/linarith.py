@@ -130,12 +130,9 @@ def _combine(lower: _Row, upper: _Row, idx: int) -> _Row:
     return (coeffs, lower[1] or upper[1], bound)
 
 
-def _eliminate_rows(rows: list[_Row], idx: int) -> tuple[list[_Row], list[_Row], list[_Row]]:
-    """Split rows on the sign of column idx and return (kept, lowers, uppers).
-
-    ``kept`` is the eliminated system: pass-through rows plus every
-    lower/upper combination, deduplicated.
-    """
+def _eliminate_rows(rows: list[_Row], idx: int) -> list[_Row]:
+    """The rows with column idx eliminated: rows without it, plus every
+    lower/upper combination (coefficient > 0 / < 0), deduplicated."""
     lowers: list[_Row] = []
     uppers: list[_Row] = []
     kept: list[_Row] = []
@@ -154,7 +151,26 @@ def _eliminate_rows(rows: list[_Row], idx: int) -> tuple[list[_Row], list[_Row],
             if combo not in seen:
                 seen.add(combo)
                 kept.append(combo)
-    return kept, lowers, uppers
+    return kept
+
+
+def _contradicts(rows: list[_Row]) -> bool:
+    return any(not any(row[0]) and not _constant_row_ok(row) for row in rows)
+
+
+def _eliminate_columns(rows: list[_Row], columns: Sequence[int]) -> Optional[tuple[list[_Row], list]]:
+    """Eliminate the columns in order, or return None as soon as a constant
+    row is contradictory.  Returns the remaining rows and, per column, the
+    rows that mention it before its elimination (for back-substitution)."""
+    stages: list[tuple[int, list[_Row]]] = []
+    if _contradicts(rows):
+        return None
+    for idx in columns:
+        stages.append((idx, [r for r in rows if r[0][idx] != 0]))
+        rows = _eliminate_rows(rows, idx)
+        if _contradicts(rows):
+            return None
+    return rows, stages
 
 
 def _interval_pick(
@@ -217,18 +233,10 @@ def feasible(
     """
     if lex_rank is None:
         lex_rank = system.constraints[0].bound.rank if system.constraints else 1
-    rows = _normalize(system)
-    stages: list[tuple[int, list[_Row]]] = []
-    for idx in range(system.nvars - 1, -1, -1):
-        active = [r for r in rows if r[0][idx] != 0]
-        stages.append((idx, active))
-        rows, _, _ = _eliminate_rows(rows, idx)
-        for row in rows:
-            if all(a == 0 for a in row[0]) and not _constant_row_ok(row):
-                return Feasibility(False, None)
-    for row in rows:
-        if not _constant_row_ok(row):
-            return Feasibility(False, None)
+    eliminated = _eliminate_columns(_normalize(system), range(system.nvars - 1, -1, -1))
+    if eliminated is None:
+        return Feasibility(False, None)
+    _, stages = eliminated
 
     partial: dict[int, LambdaScalar] = {}
     for idx, active in reversed(stages):
@@ -248,7 +256,7 @@ def eliminate(system: ConstraintSystem, index: int) -> ConstraintSystem:
     """Project the solution set onto the variables other than ``index``."""
     if not 0 <= index < system.nvars:
         raise ValueError(f"variable index {index} out of range")
-    rows, _, _ = _eliminate_rows(_normalize(system), index)
+    rows = _eliminate_rows(_normalize(system), index)
     out = []
     for coeffs, strict, bound in rows:
         reduced = tuple(c for j, c in enumerate(coeffs) if j != index)
@@ -265,21 +273,12 @@ def project_interval(system: ConstraintSystem, index: int, lex_rank: Optional[in
     """
     if lex_rank is None:
         lex_rank = system.constraints[0].bound.rank if system.constraints else 1
-    rows = _normalize(system)
-    for idx in range(system.nvars - 1, -1, -1):
-        if idx == index:
-            continue
-        rows, _, _ = _eliminate_rows(rows, idx)
-        for row in rows:
-            if all(a == 0 for a in row[0]) and not _constant_row_ok(row):
-                return None
-    final = []
-    for row in rows:
-        if row[0][index] != 0:
-            final.append(row)
-        elif not _constant_row_ok(row):
-            return None
-    lo, hi = _bounds_for(final, index, {}, lex_rank)
+    columns = [idx for idx in range(system.nvars - 1, -1, -1) if idx != index]
+    eliminated = _eliminate_columns(_normalize(system), columns)
+    if eliminated is None:
+        return None
+    rows, _ = eliminated
+    lo, hi = _bounds_for([r for r in rows if r[0][index] != 0], index, {}, lex_rank)
     if lo is not None and hi is not None:
         if lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or hi[1])):
             return None

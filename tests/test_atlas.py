@@ -8,7 +8,6 @@ from lbk.atlas import (
     Transition,
     common_chart,
     global_distance,
-    intersection_region,
     validate,
 )
 from lbk.fixtures import broken_pair, fan, lambda_tree, shifted_rays, single_apartment
@@ -155,16 +154,15 @@ def test_points_equal_through_transition():
 def test_intersection_region_classifier():
     tripod = lambda_tree(3)
     i, j, k = (tripod.index(n) for n in ("12", "13", "23"))
-    assert intersection_region(tripod, i, j).shape.kind == "half-apartment"
+    assert tripod.apartment.classify_region(tripod.overlap_region(i, j)).kind == "half-apartment"
 
     f4 = fan(4)
     a, b = f4.index("12"), f4.index("34")
-    assert intersection_region(f4, a, b).shape.kind == "wall"
+    assert f4.apartment.classify_region(f4.overlap_region(a, b)).kind == "wall"
 
     ap1 = Apartment(build_root_system("A1"), 1)
     disconnected = Atlas(ap1, ["1", "2"], {})
-    assert intersection_region(disconnected, 0, 1).shape.kind == "empty"
-    assert intersection_region(disconnected, 0, 1).region is None
+    assert disconnected.overlap_region(0, 1) is None
 
 
 def test_negative_fixtures_validate_clean():

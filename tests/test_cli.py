@@ -5,6 +5,10 @@ from pathlib import Path
 import pytest
 
 from lbk.cli import main
+from lbk.modelfile import serialize_model
+from test_golden import fm_fallback
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -166,8 +170,42 @@ def test_module_entrypoint_runs():
         [sys.executable, "-m", "lbk", "fixture", "tree", "--ends", "2"],
         capture_output=True,
         text=True,
-        cwd=str(Path(__file__).resolve().parent.parent),
-        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"), "PATH": "/usr/bin:/bin"},
+        cwd=str(ROOT),
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
     assert result.returncode == 0
     assert "roots A1" in result.stdout
+
+
+def run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "lbk", *argv],
+        capture_output=True,
+        text=True,
+        cwd=str(ROOT),
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+
+
+@pytest.fixture()
+def incompatible_model(tmp_path):
+    """``fm_fallback`` as a model file: its shared charts disagree on some distances."""
+    path = tmp_path / "fm_fallback.lbm"
+    path.write_text(serialize_model(fm_fallback()))
+    return path
+
+
+def test_axioms_on_disagreeing_charts_reports_a5_failure(incompatible_model):
+    result = run_module("axioms", str(incompatible_model))
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "AXIOM A5 " in result.stdout
+    assert "verdict=fail detail=distance-disagrees-between-charts" in result.stdout
+    assert result.stdout.splitlines()[-1].startswith("EQUIVALENCE precondition=unmet")
+
+
+def test_distance_on_disagreeing_charts_fails_cleanly(incompatible_model):
+    result = run_module("distance", str(incompatible_model), "chart:a (0,0)", "chart:e (-1/4,3/2)")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stdout.startswith("fail: ") and "disagrees between shared charts" in result.stdout

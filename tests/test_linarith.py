@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -13,6 +14,7 @@ from lbk.linarith import (
     LinearConstraint,
     eliminate,
     feasible,
+    project_interval,
 )
 
 
@@ -145,3 +147,51 @@ def test_eliminate_preserves_feasibility():
 def test_index_out_of_range():
     with pytest.raises(ValueError):
         eliminate(sys1((1, GE, 0)), 5)
+
+
+def _lex_system(rng, nvars, lex_rank):
+    """Like _random_system, with bounds that use every lex component."""
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs = tuple(Q(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(nvars))
+        rel = rng.choice((GE, GE, GT, EQ))
+        bound = LambdaScalar([Q(rng.randint(-4, 4))] + [Q(rng.randint(-2, 2)) for _ in range(lex_rank - 1)])
+        rows.append(LinearConstraint(coeffs, rel, bound))
+    return ConstraintSystem(nvars, tuple(rows))
+
+
+def _pin(system, index, value):
+    """The system plus x_index = value."""
+    row = tuple(Q(int(j == index)) for j in range(system.nvars))
+    return ConstraintSystem(system.nvars, system.constraints + (LinearConstraint(row, EQ, value),))
+
+
+def test_project_interval_is_exact():
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(250):
+        nvars = rng.randint(1, 3)
+        lex_rank = rng.choice((1, 2))
+        system = _lex_system(rng, nvars, lex_rank)
+        verdict = feasible(system, lex_rank=lex_rank)
+        one = LambdaScalar.one(lex_rank)
+        steps = [one, one / 1000] + [LambdaScalar([Q(0), Q(1)])] * (lex_rank == 2)
+        for index in range(nvars):
+            interval = project_interval(system, index, lex_rank)
+            assert (interval is None) == (not verdict.sat), system
+            if interval is None:
+                seen["empty"] += 1
+                continue
+            # sign -1 walks below the lower side, +1 above the upper side.
+            for side, sign in zip(interval, (-1, 1)):
+                if side is None:
+                    far = verdict.witness[index] + one * (1000 * sign)
+                    assert feasible(_pin(system, index, far), lex_rank).sat, (system, index)
+                    seen["open"] += 1
+                    continue
+                value, strict = side
+                assert feasible(_pin(system, index, value), lex_rank).sat == (not strict)
+                for step in steps:
+                    assert not feasible(_pin(system, index, value + step * sign), lex_rank).sat
+                seen["strict" if strict else "closed"] += 1
+    assert min(seen[k] for k in ("empty", "open", "strict", "closed")) >= 20, seen

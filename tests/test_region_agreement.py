@@ -10,11 +10,12 @@ sector's type-i wall vanishes on its type-i panel cone.  The FM-based
 references are kept here as the definition each shortcut must match.
 """
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
-from lbk.apartment import AffineIsometry, Apartment, ConvexRegion
+from lbk.apartment import AffineIsometry, Apartment, ConvexRegion, HalfApartment, RegionShape
 from lbk.atlas import Atlas, BuildingSector, Transition, _fixes_region
 from lbk.axioms import _panel_of_sector, fit_subsector
 from lbk.lexq import LambdaScalar
@@ -117,6 +118,64 @@ def test_region_half_agrees_with_region_equal(name, lam):
         found += half is not None
         empty += ap.region_empty(region)
     assert found >= 10 and empty >= 5, (found, empty)
+
+
+def one_root_region(ap, rng):
+    """Halves of a single root: half-apartments, slabs, walls, empty
+    intervals and repeated halves.  Two candidate bounds make walls common."""
+    root = rng.choice(ap.roots.positive_roots)
+    bounds = [rand_scalar(rng, ap.lex_rank) for _ in range(2)]
+    halves = []
+    for _ in range(rng.randint(1, 4)):
+        signed = root if rng.random() < 0.5 else tuple(-c for c in root)
+        halves.append(ap.half(signed, rng.choice((1, -1)), rng.choice(bounds)))
+    if rng.random() < 0.3:
+        halves.append(rng.choice(halves))
+    return ConvexRegion(tuple(halves))
+
+
+def classify_by_fm(ap, region):
+    """The FM classifier classify_region replaced, with its sector-panel
+    match dropped: such regions read "other"."""
+    probe = ap.region_feasible(region)
+    if not probe.sat:
+        return RegionShape("empty")
+    for h in region.halves:
+        half = ConvexRegion((h,))
+        if contains_by_fm(ap, region, half) and contains_by_fm(ap, half, region):
+            return RegionShape("half-apartment", root=h.root, sense=h.sense, bound=h.bound)
+    witness = probe.witness
+    constants = []
+    for root in ap.roots.positive_roots:
+        value = ap.pairing(root, witness)
+        if contains_by_fm(ap, ap.wall_region(root, value), region):
+            constants.append((root, value))
+    for root, value in constants:
+        if contains_by_fm(ap, region, ap.wall_region(root, value)):
+            return RegionShape("wall", root=root, bound=value)
+    return RegionShape("other")
+
+
+@pytest.mark.parametrize("name,lam", SYSTEMS)
+def test_classify_region_agrees_with_fm_classifier(name, lam):
+    kinds = Counter()
+    for ap, rng, sector, region in cases(name, lam, 9):
+        for r in (region, one_root_region(ap, rng)):
+            expected = classify_by_fm(ap, r)
+            assert ap.classify_region(r) == expected, r
+            if expected.kind == "half-apartment":
+                assert ap.region_half(r) == HalfApartment(expected.root, expected.sense, expected.bound)
+            else:
+                assert ap.region_half(r) is None
+            several = len({h.root for h in r.halves}) > 1
+            kinds[expected.kind, several] += 1
+    whole = ap.whole_region()
+    assert ap.classify_region(whole) == classify_by_fm(ap, whole) == RegionShape("other")
+    assert ap.region_half(whole) is None
+    single = [kinds[kind, False] for kind in ("half-apartment", "wall", "empty", "other")]
+    assert min(single) >= 10, kinds
+    if ap.rank > 1:
+        assert kinds["empty", True] >= 5 and kinds["other", True] >= 20, kinds
 
 
 # -- fits, implication, containment and cocycles --------------------------------
