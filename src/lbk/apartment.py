@@ -220,8 +220,7 @@ class Apartment:
 
     def point_from_coordinates(self, values: Sequence[LambdaScalar]) -> Point:
         """Invert v -> (v^1..v^n); points are determined by their coordinates."""
-        rows = [self.pairing_row(self.roots.simple_root(i)) for i in range(1, self.rank + 1)]
-        return _solve(rows, [v * 2 for v in values], self.lex_rank)
+        return tuple(LambdaScalar.lincomb([2 * c for c in row], values) for row in self._inverse)
 
     def translation(self, shift: Point) -> AffineIsometry:
         return AffineIsometry(self.roots.identity(), tuple(shift))
@@ -393,7 +392,7 @@ class Apartment:
         is needed.
         """
         gens = self.panel_cone(s.direction, panel_type)
-        return self._cone_fits(gens, region) and self.region_contains_point(region, s.base)
+        return self._cone_fits(gens, region.halves) and self.region_contains_point(region, s.base)
 
     def sector_fits(self, direction: WeylElement, region: ConvexRegion, panel_type: int = 0) -> bool:
         """Does some direction-w sector (panel_type 0), or its type-i panel, lie in the region?
@@ -405,7 +404,7 @@ class Apartment:
         Convex Analysis, section 8).
         """
         gens = self.panel_cone(direction, panel_type)
-        return self._cone_fits(gens, region) and (not panel_type or self.region_nonempty(region))
+        return self._cone_fits(gens, region.halves) and (not panel_type or self.region_nonempty(region))
 
     def sector_contains_point(self, s: Sector, p: Point) -> bool:
         return self.region_contains_point(self.sector_region(s), p)
@@ -448,55 +447,26 @@ class Apartment:
     def region_contains_germ(self, region: ConvexRegion, germ: SectorGerm) -> bool:
         """Does the region contain an initial chunk of the sector at its base?
 
-        Decided with a single Fourier-Motzkin variable eps > 0 pushed along
-        every edge of the direction cone.
+        The base must lie in the region.  A half the base satisfies strictly
+        keeps a positive gap, so a small enough eps > 0 along every generator
+        of the direction cone stays inside it; a half tight at the base is
+        kept only when it caps no generator.  So the germ fits exactly when
+        the cone fits the halves through the base.
         """
         base = germ.base
         if not self.region_contains_point(region, base):
             return False
-        gens = self.sector_cone(germ.direction)
-        rows = [LinearConstraint((Fraction(1),), GT, self.zero())]
-        for h in region.halves:
-            row = self.pairing_row(h.root)
-            base_value = self.pairing(h.root, base)
-            for gen in gens:
-                slope = sum(c * g for c, g in zip(row, gen))
-                if h.sense == 1:
-                    rows.append(LinearConstraint((slope,), GE, h.bound - base_value))
-                else:
-                    rows.append(LinearConstraint((-slope,), GE, base_value - h.bound))
-        return feasible(ConstraintSystem(1, tuple(rows)), self.lex_rank).sat
+        tight = (h for h in region.halves if self.pairing(h.root, base) == h.bound)
+        return self._cone_fits(self.sector_cone(germ.direction), tight)
 
-    def _cone_fits(self, gens: Sequence[tuple[Fraction, ...]], region: ConvexRegion) -> bool:
-        """No half of the region caps a generator of the cone."""
-        for h in region.halves:
+    def _cone_fits(self, gens: Sequence[tuple[Fraction, ...]], halves: Iterable[HalfApartment]) -> bool:
+        """No half caps a generator of the cone."""
+        for h in halves:
             row = self.pairing_row(h.root)
             for gen in gens:
                 if sum(c * g for c, g in zip(row, gen)) * h.sense < 0:
                     return False
         return True
-
-    def subsector_in_region(self, s: Sector, region: ConvexRegion) -> Optional[Sector]:
-        """A minimal translate of s (along its own cone) inside the region."""
-        gens = self.sector_cone(s.direction)
-        if not self._cone_fits(gens, region):
-            return None
-        n = self.rank
-        rows = []
-        for k in range(n):
-            rows.append(LinearConstraint(tuple(Fraction(1 if j == k else 0) for j in range(n)), GE, self.zero()))
-        for h in region.halves:
-            row = self.pairing_row(h.root)
-            coeffs = tuple(sum(c * g for c, g in zip(row, gen)) * h.sense for gen in gens)
-            rows.append(LinearConstraint(coeffs, GE, (h.bound - self.pairing(h.root, s.base)) * h.sense))
-        result = feasible(ConstraintSystem(n, tuple(rows)), self.lex_rank, witness_mode="low")
-        if not result.sat:
-            return None
-        shift = [self.zero() for _ in range(n)]
-        for t, gen in zip(result.witness, gens):
-            for j in range(n):
-                shift[j] = shift[j] + t * gen[j]
-        return self.sector(tuple(b + sh for b, sh in zip(s.base, shift)), s.direction)
 
     # -- germ galleries ------------------------------------------------------
 
@@ -590,25 +560,3 @@ def _invert(matrix: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...],
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def _solve(rows: Sequence[Sequence[Fraction]], rhs: list[LambdaScalar], lex_rank: int) -> Point:
-    """Solve a square rational system with scalar right-hand sides."""
-    n = len(rows)
-    mat = [list(map(Fraction, row)) for row in rows]
-    vec = list(rhs)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        vec[col], vec[pivot] = vec[pivot], vec[col]
-        factor = mat[col][col]
-        mat[col] = [x / factor for x in mat[col]]
-        vec[col] = vec[col] / factor
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                vec[r] = vec[r] - vec[col] * f
-    return tuple(vec)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 from .apartment import (
     AffineIsometry,
@@ -39,7 +39,6 @@ from .atlas import (
 )
 from .lexq import LambdaScalar
 from .linarith import ConstraintSystem, feasible
-from .rootsystem import WeylElement
 
 PASS = "pass"
 FAIL = "fail"
@@ -147,14 +146,9 @@ def _cap_pairs(items: list, samples: int, seed: int, tag: str) -> list:
     return [(items[a], items[b]) for a, b in sorted(chosen)]
 
 
-def _sector_label(atlas: Atlas, bs: BuildingSector) -> str:
+def _sector_label(atlas: Atlas, bs: BuildingSector | BuildingGerm) -> str:
     word = "".join(str(i) for i in bs.sector.direction.word) or "e"
     return f"{atlas.name(bs.chart)}:{format_point(bs.sector.base)}:{word}"
-
-
-def _germ_label(atlas: Atlas, bg: BuildingGerm) -> str:
-    word = "".join(str(i) for i in bg.sector.direction.word) or "e"
-    return f"{atlas.name(bg.chart)}:{format_point(bg.sector.base)}:{word}"
 
 
 # -- fit helpers -------------------------------------------------------------
@@ -234,15 +228,11 @@ def check_a4(atlas: Atlas, samples: int = 200, seed: int = 0, bases_per_chart: i
     sectors = building_sectors(atlas, bases_per_chart, seed)
     for s1, s2 in _cap_pairs(sectors, samples, seed, "a4"):
         config = f"({_sector_label(atlas, s1)},{_sector_label(atlas, s2)})"
-        witness = None
-        for chart in atlas.charts():
-            if fit_subsector(atlas, s1, chart) and fit_subsector(atlas, s2, chart):
-                witness = chart
-                break
-        if witness is None:
+        found = sector_class_distance(atlas, s1, s2)
+        if found is None:
             report.add(config, FAIL, "detail=no-chart-holds-both-subsectors")
         else:
-            report.add(config, PASS, f"witness={atlas.name(witness)}")
+            report.add(config, PASS, f"witness={atlas.name(found[1])}")
     return report
 
 
@@ -412,7 +402,7 @@ class Retraction:
         target = atlas.transport_germ(germ, chart)
         if target is None:
             raise TheoremViolation(
-                f"germ {_germ_label(atlas, germ)} is not contained in chart {atlas.name(chart)}"
+                f"germ {_sector_label(atlas, germ)} is not contained in chart {atlas.name(chart)}"
             )
         self.atlas = atlas
         self.germ = germ
@@ -466,7 +456,7 @@ def check_a5(atlas: Atlas, samples: int = 200, seed: int = 0, targets: int = 3) 
     located = {bp: atlas.locate_point(bp) for bp in points}
 
     for chart, germ in germ_targets:
-        config_base = f"(chart={atlas.name(chart)},germ={_germ_label(atlas, germ)})"
+        config_base = f"(chart={atlas.name(chart)},germ={_sector_label(atlas, germ)})"
         try:
             rho = build_retraction(atlas, germ, chart)
         except TheoremViolation as exc:

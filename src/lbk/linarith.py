@@ -13,9 +13,6 @@ Witness extraction, per interval shape:
 * lower bound only   -> bound + 1,
 * upper bound only   -> bound - 1,
 * free               -> 0.
-
-A second mode ("low") prefers the attained lower endpoint; sector searches
-use it so the translates they return are minimal rather than interior.
 """
 from __future__ import annotations
 
@@ -177,16 +174,12 @@ def _interval_pick(
     lo: Optional[tuple[LambdaScalar, bool]],
     hi: Optional[tuple[LambdaScalar, bool]],
     rank: int,
-    mode: str,
 ) -> Optional[LambdaScalar]:
     one = LambdaScalar.one(rank)
     if lo is None and hi is None:
         return LambdaScalar.zero(rank)
     if hi is None:
-        value, strict = lo
-        if mode == "low" and not strict:
-            return value
-        return value + one
+        return lo[0] + one
     if lo is None:
         return hi[0] - one
     (lval, lstrict), (uval, ustrict) = lo, hi
@@ -195,8 +188,6 @@ def _interval_pick(
     if lval == uval:
         if lstrict or ustrict:
             return None
-        return lval
-    if mode == "low" and not lstrict:
         return lval
     return (lval + uval) / 2
 
@@ -221,11 +212,7 @@ def _bounds_for(rows: list[_Row], idx: int, partial: dict[int, LambdaScalar], ra
     return lo, hi
 
 
-def feasible(
-    system: ConstraintSystem,
-    lex_rank: Optional[int] = None,
-    witness_mode: str = "midpoint",
-) -> Feasibility:
+def feasible(system: ConstraintSystem, lex_rank: Optional[int] = None) -> Feasibility:
     """Decide satisfiability exactly; on SAT also return a checkable witness.
 
     ``lex_rank`` is only needed for systems with no constraints at all (the
@@ -241,7 +228,7 @@ def feasible(
     partial: dict[int, LambdaScalar] = {}
     for idx, active in reversed(stages):
         lo, hi = _bounds_for(active, idx, partial, lex_rank)
-        value = _interval_pick(lo, hi, lex_rank, witness_mode)
+        value = _interval_pick(lo, hi, lex_rank)
         if value is None:
             # Dense order: cannot happen once elimination succeeded.
             return Feasibility(False, None)
@@ -250,18 +237,6 @@ def feasible(
     if not system.holds_at(witness):
         raise AssertionError("internal error: witness fails re-substitution")
     return Feasibility(True, witness)
-
-
-def eliminate(system: ConstraintSystem, index: int) -> ConstraintSystem:
-    """Project the solution set onto the variables other than ``index``."""
-    if not 0 <= index < system.nvars:
-        raise ValueError(f"variable index {index} out of range")
-    rows = _eliminate_rows(_normalize(system), index)
-    out = []
-    for coeffs, strict, bound in rows:
-        reduced = tuple(c for j, c in enumerate(coeffs) if j != index)
-        out.append(LinearConstraint(reduced, GT if strict else GE, bound))
-    return ConstraintSystem(system.nvars - 1, tuple(dict.fromkeys(out)))
 
 
 def project_interval(system: ConstraintSystem, index: int, lex_rank: Optional[int] = None):

@@ -137,10 +137,7 @@ class WeylElement:
 
     def inverse(self) -> "WeylElement":
         # Generators are involutions, so the reversed word gives the inverse.
-        inv = _identity(self.system.rank)
-        for i in reversed(self.word):
-            inv = _mat_mul(inv, self.system.reflection_matrix(i))
-        return self.system.element(inv)
+        return self.system.from_word(reversed(self.word))
 
     def act_root(self, root: Sequence[int]) -> Root:
         return _mat_vec(self.matrix, root)

@@ -145,7 +145,7 @@ def test_hull_of_subsector_and_base_is_sector():
             assert ap.region_equal(hull, ap.sector_region(sector))
 
 
-# -- germs, parallelism, subsectors ---------------------------------------------
+# -- germs and parallelism ------------------------------------------------------
 
 
 def test_region_contains_germ_examples():
@@ -189,27 +189,6 @@ def test_parallel_sectors_same_germ_only_at_same_base():
     t = ap.sector(ap.simple_point(1), ap.roots.identity())
     assert not ap.germ_equal(s.germ(), t.germ())
     assert ap.germ_equal(s.germ(), ap.fundamental_sector().germ())
-
-
-def test_subsector_in_region_examples():
-    ap = make("A1")
-    s = ap.fundamental_sector()
-    assert ap.subsector_in_region(s, ap.whole_region()) == s
-    found = ap.subsector_in_region(s, ap.half_region((1,), 1, 4))
-    assert found is not None and found.base == (ap.scalar(2),)
-    assert ap.subsector_in_region(s, ap.half_region((1,), -1, 0)) is None
-
-
-def test_subsector_is_inside_sector_and_region():
-    rng = random.Random(17)
-    ap = make("B2")
-    for _ in range(25):
-        s = ap.sector(rand_point(ap, rng), rng.choice(ap.directions()))
-        region = ap.half_region(rng.choice(ap.roots.positive_roots), rng.choice((1, -1)), rand_scalar(rng, 1))
-        sub = ap.subsector_in_region(s, region)
-        if sub is not None:
-            assert ap.region_contains(ap.sector_region(s), ap.sector_region(sub))
-            assert ap.region_contains(region, ap.sector_region(sub))
 
 
 # -- germ distance and galleries ---------------------------------------------------

@@ -2,8 +2,6 @@ import random
 from collections import Counter
 from fractions import Fraction as Q
 
-import pytest
-
 from gridsearch import grid_sat
 from lbk.lexq import LambdaScalar
 from lbk.linarith import (
@@ -12,7 +10,6 @@ from lbk.linarith import (
     GT,
     ConstraintSystem,
     LinearConstraint,
-    eliminate,
     feasible,
     project_interval,
 )
@@ -65,28 +62,6 @@ def test_lex_rank_two_interval():
     assert system.holds_at(result.witness)
 
 
-def test_eliminate_examples():
-    system = ConstraintSystem(
-        2,
-        (
-            LinearConstraint((Q(1), Q(-1)), GE, scalar(0)),  # x - y >= 0
-            LinearConstraint((Q(0), Q(1)), GE, scalar(1)),  # y >= 1
-        ),
-    )
-    projected = eliminate(system, 1)
-    assert projected.nvars == 1
-    assert feasible(projected).sat
-    # the projection is exactly x >= 1
-    assert not projected.holds_at((scalar(Q(1, 2)),))
-    assert projected.holds_at((scalar(1),))
-
-    assert eliminate(sys1((1, GE, 0)), 0).constraints == ()
-
-    contradiction = eliminate(sys1((1, GE, 1), (-1, GE, 0)), 0)
-    assert contradiction.nvars == 0
-    assert not feasible(contradiction).sat
-
-
 def test_strict_touching_bounds_unsat():
     assert not feasible(sys1((1, GT, 0), (-1, GE, 0))).sat
     assert feasible(sys1((1, GT, 0))).sat
@@ -103,7 +78,6 @@ def test_equality_relation():
 def test_witness_modes():
     bounded = sys1((1, GE, 0), (-1, GE, -4))
     assert feasible(bounded).witness == (scalar(2),)  # midpoint
-    assert feasible(bounded, witness_mode="low").witness == (scalar(0),)
     assert feasible(sys1((1, GE, 5))).witness == (scalar(6),)  # bound + 1
     assert feasible(sys1((-1, GE, -5))).witness == (scalar(4),)  # bound - 1
 
@@ -130,23 +104,6 @@ def test_oracle_agreement_sample():
             assert system.holds_at(hit)
         if verdict.sat:
             assert system.holds_at(verdict.witness)
-
-
-def test_eliminate_preserves_feasibility():
-    rng = random.Random(77)
-    for _ in range(300):
-        nvars = rng.randint(1, 3)
-        lex_rank = rng.choice((1, 2))
-        system = _random_system(rng, nvars, lex_rank=lex_rank)
-        before = feasible(system, lex_rank=lex_rank).sat
-        for idx in range(nvars):
-            after = feasible(eliminate(system, idx), lex_rank=lex_rank).sat
-            assert after == before
-
-
-def test_index_out_of_range():
-    with pytest.raises(ValueError):
-        eliminate(sys1((1, GE, 0)), 5)
 
 
 def _lex_system(rng, nvars, lex_rank):

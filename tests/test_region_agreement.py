@@ -19,7 +19,7 @@ from lbk.apartment import AffineIsometry, Apartment, ConvexRegion, HalfApartment
 from lbk.atlas import Atlas, BuildingSector, Transition, _fixes_region
 from lbk.axioms import _panel_of_sector, fit_subsector
 from lbk.lexq import LambdaScalar
-from lbk.linarith import GE, GT, LinearConstraint, feasible
+from lbk.linarith import GE, GT, ConstraintSystem, LinearConstraint, feasible
 from lbk.rootsystem import build_root_system
 
 SYSTEMS = [("A1", 1), ("A1", 2), ("A2", 1), ("B2", 1), ("G2", 1)]
@@ -181,6 +181,17 @@ def test_classify_region_agrees_with_fm_classifier(name, lam):
 # -- fits, implication, containment and cocycles --------------------------------
 
 
+def slopes(ap, h, gens):
+    """The rate of change of h's pairing along each cone generator."""
+    row = ap.pairing_row(h.root)
+    return [sum(c * g for c, g in zip(row, gen)) for gen in gens]
+
+
+def cone_capped(ap, gens, region):
+    """Some half of the region decreases along a generator of the cone."""
+    return any(slope * h.sense < 0 for h in region.halves for slope in slopes(ap, h, gens))
+
+
 def fits_by_fm(ap, direction, region, panel_type):
     """The deleted sector_fitting_region (type 0) and panel_fits_region
     bodies: the cone check, then an FM solve of the region."""
@@ -188,13 +199,37 @@ def fits_by_fm(ap, direction, region, panel_type):
         gens = ap.panel_cone(direction, panel_type)
     else:
         gens = ap.sector_cone(direction)
+    return not cone_capped(ap, gens, region) and feasible(ap.region_system(region), ap.lex_rank).sat
+
+
+def subsector_by_fm(ap, sector, region):
+    """The deleted subsector_in_region body: the cone check, then an FM solve
+    for lengths t_k >= 0 along the cone generators that move the apex into
+    the region."""
+    gens = ap.sector_cone(sector.direction)
+    if cone_capped(ap, gens, region):
+        return False
+    n = ap.rank
+    rows = [LinearConstraint(tuple(Q(j == k) for j in range(n)), GE, ap.zero()) for k in range(n)]
     for h in region.halves:
-        row = ap.pairing_row(h.root)
-        for gen in gens:
-            slope = sum(c * g for c, g in zip(row, gen))
-            if (h.sense == 1 and slope < 0) or (h.sense == -1 and slope > 0):
-                return False
-    return feasible(ap.region_system(region), ap.lex_rank).sat
+        coeffs = tuple(slope * h.sense for slope in slopes(ap, h, gens))
+        rows.append(LinearConstraint(coeffs, GE, (h.bound - ap.pairing(h.root, sector.base)) * h.sense))
+    return feasible(ConstraintSystem(n, tuple(rows)), ap.lex_rank).sat
+
+
+def germ_by_fm(ap, region, germ):
+    """The region_contains_germ body before the tangent-cone rule: the base
+    in the region, then one FM variable eps > 0 pushed along every generator
+    of the direction cone."""
+    base = germ.base
+    if not ap.region_contains_point(region, base):
+        return False
+    rows = [LinearConstraint((Q(1),), GT, ap.zero())]
+    for h in region.halves:
+        gap = (h.bound - ap.pairing(h.root, base)) * h.sense
+        for slope in slopes(ap, h, ap.sector_cone(germ.direction)):
+            rows.append(LinearConstraint((slope * h.sense,), GE, gap))
+    return feasible(ConstraintSystem(1, tuple(rows)), ap.lex_rank).sat
 
 
 def satisfies_by_fm(ap, region, c):
@@ -242,12 +277,28 @@ def test_fit_subsector_agrees_with_subsector_search(name, lam):
         identity = ap.isometry(ap.roots.identity())
         atlas = Atlas(ap, ["0", "1"], {(0, 1): Transition(region, identity)})
         bs = BuildingSector(0, sector)
-        expected = ap.subsector_in_region(sector, region) is not None
+        expected = subsector_by_fm(ap, sector, region)
         assert fit_subsector(atlas, bs, 1) == expected
         assert fit_subsector(atlas, bs, 0)
         assert not fit_subsector(atlas, BuildingSector(1, sector), 0)
         seen[expected] += 1
     assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("name,lam", SYSTEMS)
+def test_region_contains_germ_agrees_with_fm(name, lam):
+    seen = Counter()
+    for ap, rng, sector, region in cases(name, lam, 10):
+        dirs = ap.directions()
+        near = tuple(c + rand_scalar(rng, lam) for c in sector.base)
+        for base in (sector.base, near):
+            on_wall = any(ap.pairing(h.root, base) == h.bound for h in region.halves)
+            for w in [sector.direction] + rng.sample(dirs, min(3, len(dirs))):
+                germ = ap.sector(base, w).germ()
+                expected = germ_by_fm(ap, region, germ)
+                assert ap.region_contains_germ(region, germ) == expected, (region, germ)
+                seen[expected, on_wall] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
 def rand_constraint(ap, rng, region):
