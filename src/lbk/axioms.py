@@ -127,6 +127,11 @@ def designated_points(atlas: Atlas, chart: int, extra: int, seed: int) -> list[P
     return [atlas.apartment.origin()] + sample_points(atlas, chart, extra, seed)
 
 
+def building_points(atlas: Atlas, seed: int) -> list[BuildingPoint]:
+    """The origin and two seeded points of every chart: the sample of A3 and A5."""
+    return [BuildingPoint(c, p) for c in atlas.charts() for p in designated_points(atlas, c, 2, seed)]
+
+
 def building_sectors(atlas: Atlas, bases_per_chart: int, seed: int) -> list[BuildingSector]:
     ap = atlas.apartment
     out = []
@@ -204,12 +209,7 @@ def check_a2(atlas: Atlas) -> AxiomReport:
 def check_a3(atlas: Atlas, samples: int = 60, seed: int = 0) -> AxiomReport:
     """Every sampled point pair must admit a shared chart."""
     report = AxiomReport("A3")
-    points = []
-    per_chart = 2
-    for chart in atlas.charts():
-        for p in designated_points(atlas, chart, per_chart, seed):
-            points.append(BuildingPoint(chart, p))
-    for bp, bq in _cap_pairs(points, samples, seed, "a3"):
+    for bp, bq in _cap_pairs(building_points(atlas, seed), samples, seed, "a3"):
         config = f"({atlas.name(bp.chart)}:{format_point(bp.point)},{atlas.name(bq.chart)}:{format_point(bq.point)})"
         chart = common_chart(atlas, bp, bq)
         if chart is None:
@@ -449,10 +449,7 @@ def check_a5(atlas: Atlas, samples: int = 200, seed: int = 0, targets: int = 3) 
         germ_targets.append((chart, BuildingGerm(chart, ap.sector(ap.origin(), dirs[-1]))))
     germ_targets = germ_targets[:targets] if targets else germ_targets
 
-    points = []
-    for chart in atlas.charts():
-        for p in designated_points(atlas, chart, 2, seed):
-            points.append(BuildingPoint(chart, p))
+    points = building_points(atlas, seed)
     located = {bp: atlas.locate_point(bp) for bp in points}
 
     for chart, germ in germ_targets:
@@ -752,6 +749,29 @@ def _uncovered_point(ap: Apartment, regions: list[ConvexRegion], budget: int):
 # -- equivalence ----------------------------------------------------------------
 
 
+# Every checker at its share of the sample size, in report order: the A1-A4
+# gate, the exchange conditions, then A5.
+_CHECKERS = {
+    "A1": lambda atlas, samples, seed: check_a1(atlas),
+    "A2": lambda atlas, samples, seed: check_a2(atlas),
+    "A3": lambda atlas, samples, seed: check_a3(atlas, min(samples, 60), seed),
+    "A4": lambda atlas, samples, seed: check_a4(atlas, samples, seed),
+    "A6": lambda atlas, samples, seed: check_a6(atlas),
+    "EC": lambda atlas, samples, seed: check_ec(atlas),
+    "SE": lambda atlas, samples, seed: check_se(atlas, seed),
+    "A5": lambda atlas, samples, seed: check_a5(atlas, min(samples, 120), seed),
+}
+AXIOM_ORDER = tuple(_CHECKERS)
+GATE = AXIOM_ORDER[:4]
+SUITE = AXIOM_ORDER[2:]  # the blocks equivalence_suite renders
+COMPARED = AXIOM_ORDER[4:]  # the verdicts the EQUIVALENCE line lists
+
+
+def run_axioms(atlas: Atlas, names, samples: int = 200, seed: int = 0) -> dict[str, AxiomReport]:
+    """The named checkers, run and keyed in AXIOM_ORDER."""
+    return {name: _CHECKERS[name](atlas, samples, seed) for name in AXIOM_ORDER if name in names}
+
+
 @dataclass
 class EquivalenceReport:
     reports: dict[str, AxiomReport]
@@ -762,38 +782,20 @@ class EquivalenceReport:
         return not self.alarms
 
     def rendered(self) -> list[str]:
-        out = []
-        for name in ("A3", "A4", "A6", "EC", "SE", "A5"):
-            if name in self.reports:
-                out.extend(self.reports[name].rendered())
-        verdicts = ",".join(
-            f"{name}={self.reports[name].verdict}" for name in ("A6", "EC", "SE", "A5")
-            if name in self.reports
-        )
+        out = [line for name in SUITE for line in self.reports[name].rendered()]
+        verdicts = ",".join(f"{name}={self.reports[name].verdict}" for name in COMPARED)
         out.append(f"EQUIVALENCE precondition={'ok' if self.precondition_ok else 'unmet'} {verdicts}")
-        for alarm in self.alarms:
-            out.append(f"ALARM {alarm}")
+        out.extend(f"ALARM {alarm}" for alarm in self.alarms)
         return out
 
 
 def equivalence_suite(atlas: Atlas, samples: int = 200, seed: int = 0) -> EquivalenceReport:
-    """Run the exchange checkers and assert the verdict agreements."""
-    reports = {
-        "A3": check_a3(atlas, samples=min(samples, 60), seed=seed),
-        "A4": check_a4(atlas, samples=samples, seed=seed),
-    }
-    precondition_ok = (
-        validate(atlas).ok
-        and reports["A3"].verdict == PASS
-        and reports["A4"].verdict == PASS
-    )
-    reports["A6"] = check_a6(atlas)
-    reports["EC"] = check_ec(atlas)
-    reports["SE"] = check_se(atlas, seed=seed)
-    reports["A5"] = check_a5(atlas, samples=min(samples, 120), seed=seed)
+    """Run every checker; when A1-A4 pass, assert the verdict agreements."""
+    reports = run_axioms(atlas, AXIOM_ORDER, samples, seed)
+    precondition_ok = all(reports[name].verdict == PASS for name in GATE)
     alarms = []
     if precondition_ok:
-        a6, ec, se, a5 = (reports[n].verdict for n in ("A6", "EC", "SE", "A5"))
+        a6, ec, se, a5 = (reports[n].verdict for n in COMPARED)
         if not (a6 == ec == se):
             alarms.append(f"exchange-equivalence-broken A6={a6} EC={ec} SE={se}")
         if se == PASS and a5 != PASS:

@@ -29,9 +29,6 @@ EXIT_FAIL = 1
 EXIT_MALFORMED = 2
 EXIT_INCONCLUSIVE = 3
 
-AXIOM_ORDER = ["A1", "A2", "A3", "A4", "A5", "A6", "EC", "SE"]
-
-
 def _load(path: str) -> Atlas:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -42,8 +39,11 @@ def _load(path: str) -> Atlas:
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ModelFormatError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -57,46 +57,24 @@ def _cmd_validate(args) -> int:
 
 def _cmd_axioms(args) -> int:
     atlas = _load(args.model)
-    wanted = AXIOM_ORDER if not args.only else [w.strip().upper() for w in args.only.split(",")]
+    order = ax.AXIOM_ORDER
+    wanted = order if not args.only else [w.strip().upper() for w in args.only.split(",")]
     for w in wanted:
-        if w not in AXIOM_ORDER:
-            raise ModelFormatError(f"unknown axiom {w!r} (choose from {','.join(AXIOM_ORDER)})")
-    runners = {
-        "A1": lambda: ax.check_a1(atlas),
-        "A2": lambda: ax.check_a2(atlas),
-        "A3": lambda: ax.check_a3(atlas, samples=min(args.samples, 60), seed=args.seed),
-        "A4": lambda: ax.check_a4(atlas, samples=args.samples, seed=args.seed),
-        "A5": lambda: ax.check_a5(atlas, samples=args.samples, seed=args.seed),
-        "A6": lambda: ax.check_a6(atlas),
-        "EC": lambda: ax.check_ec(atlas),
-        "SE": lambda: ax.check_se(atlas, seed=args.seed),
-    }
-    lines: list[str] = []
-    verdicts: dict[str, str] = {}
-    for name in AXIOM_ORDER:
-        if name not in wanted:
-            continue
-        report = runners[name]()
-        verdicts[name] = report.verdict
-        lines.extend(report.rendered())
-    if all(name in verdicts for name in ("A3", "A4", "A5", "A6", "EC", "SE")):
-        precondition = verdicts["A3"] == ax.PASS and verdicts["A4"] == ax.PASS
-        lines.append(
-            "EQUIVALENCE precondition="
-            + ("ok" if precondition else "unmet")
-            + " "
-            + ",".join(f"{n}={verdicts[n]}" for n in ("A6", "EC", "SE", "A5"))
-        )
-        if precondition:
-            if not (verdicts["A6"] == verdicts["EC"] == verdicts["SE"]):
-                lines.append("ALARM exchange-equivalence-broken")
-            if verdicts["SE"] == ax.PASS and verdicts["A5"] != ax.PASS:
-                lines.append("ALARM retraction-missing-despite-exchange")
-    text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    if any(v == ax.FAIL for v in verdicts.values()):
+        if w not in order:
+            raise ModelFormatError(f"unknown axiom {w!r} (choose from {','.join(order)})")
+    if set(ax.SUITE) <= set(wanted):
+        suite = ax.equivalence_suite(atlas, args.samples, args.seed)
+        reports = suite.reports
+        lines = [line for name in ("A1", "A2") if name in wanted for line in reports[name].rendered()]
+        lines += suite.rendered()
+    else:
+        reports = ax.run_axioms(atlas, wanted, args.samples, args.seed)
+        lines = [line for report in reports.values() for line in report.rendered()]
+    _emit("\n".join(lines) + "\n", args.output)
+    verdicts = {reports[name].verdict for name in wanted}
+    if ax.FAIL in verdicts:
         return EXIT_FAIL
-    if any(v == ax.INCONCLUSIVE for v in verdicts.values()):
+    if ax.INCONCLUSIVE in verdicts:
         return EXIT_INCONCLUSIVE
     return EXIT_PASS
 
@@ -149,17 +127,15 @@ def _cmd_gallery(args) -> int:
     atlas = _load(args.model)
     g1 = parse_germ_arg(args.germ1, atlas)
     g2 = parse_germ_arg(args.germ2, atlas)
-    chart = None
     for c in atlas.charts():
-        if atlas.transport_germ(g1, c) is not None and atlas.transport_germ(g2, c) is not None:
-            chart = c
+        s1 = atlas.transport_germ(g1, c)
+        s2 = None if s1 is None else atlas.transport_germ(g2, c)
+        if s2 is not None:
             break
-    if chart is None:
+    else:
         print("fail: germs share no chart")
         return EXIT_FAIL
     ap = atlas.apartment
-    s1 = atlas.transport_germ(g1, chart)
-    s2 = atlas.transport_germ(g2, chart)
     try:
         delta = ap.germ_distance(s1.germ(), s2.germ())
     except ValueError as exc:

@@ -127,7 +127,7 @@ def parse_model(text: str) -> Atlas:
     roots_spec: Optional[object] = None
     roots_label = ""
     chart_count: Optional[int] = None
-    names: dict[int, str] = {}
+    names: dict[int, tuple[str, int]] = {}  # index -> (label, line)
     glue_lines: list[tuple[int, str]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -169,7 +169,9 @@ def parse_model(text: str) -> Atlas:
                 raise ModelFormatError(f"bad chart index {parts[0]!r}", lineno)
             if not is_chart_name(parts[1]):
                 raise ModelFormatError(f"chart label {parts[1]!r} contains ':'", lineno)
-            names[idx - 1] = parts[1]
+            if idx - 1 in names:
+                raise ModelFormatError(f"chart {idx} is named twice", lineno)
+            names[idx - 1] = (parts[1], lineno)
         elif head == "glue":
             glue_lines.append((lineno, rest))
         else:
@@ -187,7 +189,10 @@ def parse_model(text: str) -> Atlas:
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
     ap = Apartment(rs, lam)
-    chart_names = [names.get(i, str(i + 1)) for i in range(chart_count)]
+    for idx, (_, lineno) in names.items():
+        if not 0 <= idx < chart_count:
+            raise ModelFormatError(f"chart index {idx + 1} outside 1..{chart_count}", lineno)
+    chart_names = [names[i][0] if i in names else str(i + 1) for i in range(chart_count)]
     if len(set(chart_names)) != chart_count:
         raise ModelFormatError("chart labels must be unique")
 

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
+import lbk.axioms
+from lbk import fixtures
+from lbk.axioms import check_a1, check_a2, equivalence_suite
 from lbk.cli import main
-from lbk.modelfile import serialize_model
+from lbk.modelfile import parse_model, serialize_model
 from test_golden import fm_fallback
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -136,6 +139,71 @@ def test_gallery(tripod_model, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "types 1"
     assert lines[2] == "length 1"
+
+
+def test_gallery_across_charts(tripod_model, capsys):
+    # The germs sit in charts 12 and 23; only chart 13 holds both.
+    code, out = run(capsys, "gallery", str(tripod_model), "chart:12 (0)", "chart:23 (0) ; 1")
+    assert code == 0
+    assert out.splitlines() == ["types 1", "delta r1", "length 1"]
+
+
+@pytest.mark.parametrize("verb", [["fixture", "tree"], ["axioms", "MODEL", "--only", "A1"]])
+def test_unwritable_output_exit_two(tripod_model, tmp_path, capsys, verb):
+    target = tmp_path / "missing" / "dir" / "out.txt"
+    argv = [str(tripod_model) if arg == "MODEL" else arg for arg in verb]
+    assert main([*argv, "-o", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
+def _drop_last(atlas):
+    return fixtures.drop_chart(atlas, atlas.name(atlas.size - 1))
+
+
+AGREEMENT_MODELS = {
+    "tree(3,1)": (lambda: fixtures.lambda_tree(3, 1), None),
+    "fan(3,B2)": (lambda: fixtures.fan(3, "B2", 1), None),
+    "broken_pair": (fixtures.broken_pair, None),
+    "shifted_rays": (fixtures.shifted_rays, None),
+    "tree(3,1)-23": (lambda: _drop_last(fixtures.lambda_tree(3, 1)), None),
+    "fm_fallback": (fm_fallback, None),  # validate fails, so the gate is unmet
+    "tree(7,1)-67": (lambda: fixtures.drop_chart(fixtures.lambda_tree(7, 1), "67"), 80),
+}
+
+
+@pytest.mark.parametrize("name", list(AGREEMENT_MODELS))
+def test_axioms_cli_agrees_with_library(name, tmp_path, capsys):
+    make, samples = AGREEMENT_MODELS[name]
+    text = serialize_model(make())
+    path = tmp_path / "model.lbm"
+    path.write_text(text)
+    argv = ["axioms", str(path)] + (["--samples", str(samples)] if samples else [])
+    main(argv)
+    atlas = parse_model(text)
+    suite = equivalence_suite(atlas, samples or 200, 0)
+    expected = check_a1(atlas).rendered() + check_a2(atlas).rendered() + suite.rendered()
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+    if name == "tree(7,1)-67":  # the sampled gate passes and raises an ALARM
+        assert suite.alarms == ["exchange-equivalence-broken A6=pass EC=fail SE=fail"]
+
+
+@pytest.mark.parametrize("only", ["A6,EC,SE", "A5,SE,EC,A6"])
+def test_axioms_subset_in_shared_order(tripod_model, capsys, only):
+    code, out = run(capsys, "axioms", str(tripod_model), "--only", only)
+    assert code == 0
+    summaries = [line.split()[1] for line in out.splitlines() if line.startswith("SUMMARY")]
+    order = [n for n in lbk.axioms.AXIOM_ORDER if n in only.split(",")]
+    assert summaries == [f"axiom={n}" for n in order]
+
+
+def test_full_axioms_run_validates_once(tripod_model, capsys, monkeypatch):
+    calls = []
+    original = lbk.axioms.validate
+    monkeypatch.setattr(lbk.axioms, "validate", lambda atlas: calls.append(1) or original(atlas))
+    assert main(["axioms", str(tripod_model), "--samples", "20"]) == 0
+    assert len(calls) == 1
 
 
 def test_malformed_model_exit_two(tmp_path, capsys):

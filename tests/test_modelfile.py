@@ -114,6 +114,22 @@ def test_chart_labels_are_glue_line_tokens():
             Atlas(ap, [bad, "2"], {})
 
 
+@pytest.mark.parametrize("line", ["name 0 zero", "name 7 seven", "name -1 neg"])
+def test_name_index_outside_the_charts(line):
+    # The name line comes before the charts line: the range is checked once
+    # the count is known, and still reported at the name line.
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(f"lambda 1\nroots A1\n{line}\ncharts 2\n")
+    assert "line 3" in str(err.value) and "outside 1..2" in str(err.value)
+
+
+def test_chart_named_twice():
+    with pytest.raises(ModelFormatError) as err:
+        parse_model("lambda 1\nroots A1\ncharts 2\nname 1 a\nname 2 b\nname 1 c\n")
+    assert "line 6" in str(err.value)
+    assert parse_model("lambda 1\nroots A1\ncharts 2\nname 1 a\nname 2 b\n").chart_names == ["a", "b"]
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ModelFormatError) as err:
         parse_model("lambda 1\nroots A1\ncharts 2\nglue 1 2 : bogus a1 0 ; word ; t (0)\n")
