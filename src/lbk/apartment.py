@@ -146,7 +146,7 @@ class Apartment:
             tuple(self._inverse[j][i] for j in range(self.rank)) for i in range(self.rank)
         )
         self._nonempty: dict[tuple[HalfApartment, ...], bool] = {}
-        self._cones: dict[Matrix, tuple[tuple[Fraction, ...], ...]] = {}
+        self._slopes: dict[Matrix, dict[Root, Root]] = {}
 
     # -- scalars and points ---------------------------------------------
 
@@ -356,23 +356,23 @@ class Apartment:
         return self.region(halves)
 
     def sector_cone(self, direction: WeylElement) -> tuple[tuple[Fraction, ...], ...]:
-        """Generators of the direction cone: images of the dual basis."""
-        gens = self._cones.get(direction.matrix)
-        if gens is None:
-            gens = tuple(
-                tuple(
-                    sum(Fraction(direction.matrix[i][j]) * u[j] for j in range(self.rank))
-                    for i in range(self.rank)
-                )
-                for u in self.cone_basis
-            )
-            self._cones[direction.matrix] = gens
-        return gens
+        """Generators of the direction cone: the images w.u_k of the dual basis."""
+        return tuple(
+            tuple(sum(a * x for a, x in zip(row, u)) for row in direction.matrix)
+            for u in self.cone_basis
+        )
 
-    def panel_cone(self, direction: WeylElement, panel_type: int) -> list[tuple[Fraction, ...]]:
-        """Generators of the type-i face of the direction cone (1-based i; 0: all)."""
-        gens = self.sector_cone(direction)
-        return [g for k, g in enumerate(gens, start=1) if k != panel_type]
+    def cone_slopes(self, direction: WeylElement, root: Root) -> Root:
+        """w^-1(root) for a positive root: its k-th coefficient is the slope
+        (root, w.u_k) of the pairing along generator k of the direction cone,
+        since the pairing is W-invariant and (alpha_j, u_k) = delta_jk.
+        Cached per direction."""
+        table = self._slopes.get(direction.matrix)
+        if table is None:
+            inverse = direction.inverse()
+            table = {r: inverse.act_root(r) for r in self.roots.positive_roots}
+            self._slopes[direction.matrix] = table
+        return table[root]
 
     def panel_region(self, s: Sector, panel_type: int) -> ConvexRegion:
         """The type-i sector panel of s: the face where the i-th pairing is pinned."""
@@ -391,8 +391,8 @@ class Apartment:
         the half does not cap any generator of the cone, so no elimination
         is needed.
         """
-        gens = self.panel_cone(s.direction, panel_type)
-        return self._cone_fits(gens, region.halves) and self.region_contains_point(region, s.base)
+        fits = self._cone_fits(s.direction, panel_type, region.halves)
+        return fits and self.region_contains_point(region, s.base)
 
     def sector_fits(self, direction: WeylElement, region: ConvexRegion, panel_type: int = 0) -> bool:
         """Does some direction-w sector (panel_type 0), or its type-i panel, lie in the region?
@@ -403,8 +403,8 @@ class Apartment:
         fits, a panel exactly when the region is nonempty (Rockafellar,
         Convex Analysis, section 8).
         """
-        gens = self.panel_cone(direction, panel_type)
-        return self._cone_fits(gens, region.halves) and (not panel_type or self.region_nonempty(region))
+        fits = self._cone_fits(direction, panel_type, region.halves)
+        return fits and (not panel_type or self.region_nonempty(region))
 
     def sector_contains_point(self, s: Sector, p: Point) -> bool:
         return self.region_contains_point(self.sector_region(s), p)
@@ -428,12 +428,10 @@ class Apartment:
         for root in self.roots.positive_roots:
             values = [self.pairing(root, p) for p in pts]
             values += [self.pairing(root, s.base) for s in secs]
-            row = self.pairing_row(root)
             lower_ok = True
             upper_ok = True
             for s in secs:
-                for gen in self.sector_cone(s.direction):
-                    slope = sum(c * g for c, g in zip(row, gen))
+                for slope in self.cone_slopes(s.direction, root):
                     if slope < 0:
                         lower_ok = False
                     if slope > 0:
@@ -457,15 +455,17 @@ class Apartment:
         if not self.region_contains_point(region, base):
             return False
         tight = (h for h in region.halves if self.pairing(h.root, base) == h.bound)
-        return self._cone_fits(self.sector_cone(germ.direction), tight)
+        return self._cone_fits(germ.direction, 0, tight)
 
-    def _cone_fits(self, gens: Sequence[tuple[Fraction, ...]], halves: Iterable[HalfApartment]) -> bool:
-        """No half caps a generator of the cone."""
+    def _cone_fits(self, direction: WeylElement, panel_type: int, halves: Iterable[HalfApartment]) -> bool:
+        """No half caps a generator of the direction cone, or of its type-i
+        face (1-based i; 0: the whole cone).  A half caps generator k when
+        its pairing falls along it: the k-th of its :meth:`cone_slopes`,
+        times its sense, is negative."""
         for h in halves:
-            row = self.pairing_row(h.root)
-            for gen in gens:
-                if sum(c * g for c, g in zip(row, gen)) * h.sense < 0:
-                    return False
+            slopes = self.cone_slopes(direction, h.root)
+            if any(c * h.sense < 0 for k, c in enumerate(slopes, start=1) if k != panel_type):
+                return False
         return True
 
     # -- germ galleries ------------------------------------------------------

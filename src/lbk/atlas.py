@@ -181,9 +181,6 @@ class Atlas:
             return None
         return ap.sector(t.iso.apply(bg.sector.base), t.iso.linear * bg.sector.direction)
 
-    def charts_containing_germ(self, bg: BuildingGerm) -> list[int]:
-        return [j for j in self.charts() if self.transport_germ(bg, j) is not None]
-
 
 @dataclass
 class ValidationReport:
@@ -270,7 +267,15 @@ def _fixes_region(ap: Apartment, g: AffineIsometry, region: ConvexRegion) -> boo
 
 def common_chart(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint) -> Optional[int]:
     """Some chart containing both points, or None (a compatibility failure)."""
-    shared = set(atlas.charts_containing_point(bp)) & set(atlas.charts_containing_point(bq))
+    return located_common_chart(bp, bq, atlas.locate_point(bp), atlas.locate_point(bq))
+
+
+def located_common_chart(
+    bp: BuildingPoint, bq: BuildingPoint, at_p: dict[int, Point], at_q: dict[int, Point]
+) -> Optional[int]:
+    """:func:`common_chart` from the points' :meth:`Atlas.locate_point` maps:
+    their own chart when they share it, else the first shared chart."""
+    shared = at_p.keys() & at_q.keys()
     if bp.chart in shared and bp.chart == bq.chart:
         return bp.chart
     return min(shared) if shared else None

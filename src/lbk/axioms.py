@@ -14,6 +14,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Optional
 
@@ -33,7 +34,7 @@ from .atlas import (
     BuildingSector,
     DistanceDisagreementError,
     NoCommonChartError,
-    common_chart,
+    located_common_chart,
     located_distance,
     validate,
 )
@@ -209,9 +210,10 @@ def check_a2(atlas: Atlas) -> AxiomReport:
 def check_a3(atlas: Atlas, samples: int = 60, seed: int = 0) -> AxiomReport:
     """Every sampled point pair must admit a shared chart."""
     report = AxiomReport("A3")
+    locate = cache(atlas.locate_point)
     for bp, bq in _cap_pairs(building_points(atlas, seed), samples, seed, "a3"):
         config = f"({atlas.name(bp.chart)}:{format_point(bp.point)},{atlas.name(bq.chart)}:{format_point(bq.point)})"
-        chart = common_chart(atlas, bp, bq)
+        chart = located_common_chart(bp, bq, locate(bp), locate(bq))
         if chart is None:
             report.add(config, FAIL, "detail=no-common-chart")
         else:
@@ -319,68 +321,65 @@ def _panel_of_sector(ap: Apartment, sector: Sector, overlap: ConvexRegion) -> Op
     """The panel type when the sector meets the overlap in a face of itself, else None.
 
     The exchange hypothesis wants the chart to meet the sector in one of the
-    sector's own panels (apex included); a panel-shaped slice further out
-    does not qualify.  The cut equals panel i exactly when panel i lies in the
-    overlap and the cut stays on the panel's side of the i-th sector wall.
-    Two panels together hold every cone generator, so once panel i lies in
-    the overlap, either the whole sector does (and the cut reaches past every
-    wall) or no other panel does.
+    sector's own panels (apex included), not a panel-shaped slice further
+    out.  The base must lie in the overlap (:func:`check_se` tests it once
+    per base).  Write a sector point as x = b + sum_k t_k w.u_k, t_k >= 0: a
+    half moves along generator k at the rate coeff_k(w^-1 r)
+    (:meth:`Apartment.cone_slopes`), and a root's coefficients share a sign.
+    So panel i fits and the sector does not exactly when i is the only
+    capped generator; each capping half then has w^-1 r = +-alpha_i and
+    reads slack - t_i >= 0, and the cut stays on panel i (t_i = 0) exactly
+    when one of them is tight at the base.
     """
-    fitting = (i for i in range(1, ap.rank + 1) if ap.sector_in_region(sector, overlap, i))
-    i = next(fitting, None)
-    if i is None or ap.sector_in_region(sector, overlap):
+    w = sector.direction
+    caps = [
+        (h, {k for k, c in enumerate(ap.cone_slopes(w, h.root), start=1) if c * h.sense < 0})
+        for h in overlap.halves
+    ]
+    capped = set().union(*(ks for _, ks in caps))
+    if len(capped) != 1:
         return None
-    root = ap.sector_roots(sector.direction)[i - 1]
-    panel_side = ap.half_region(root, -1, ap.pairing(root, sector.base))
-    cut = ap.intersect(ap.sector_region(sector), overlap)
-    return i if ap.region_contains(panel_side, cut) else None
+    tight = any(ks and ap.pairing(h.root, sector.base) == h.bound for h, ks in caps)
+    return capped.pop() if tight else None
 
 
 def check_se(atlas: Atlas, seed: int = 0, bases_per_chart: int = 1) -> AxiomReport:
-    """Sectors meeting a chart in one of their panels must extend over both wall sides."""
+    """Sectors meeting a chart in one of their panels must extend over both wall sides.
+
+    A sector lies in a chart exactly when its base does and the overlap caps
+    no generator of its cone, so the charts holding each base are found once
+    and every direction is then decided by the cone test alone.
+    """
     report = AxiomReport("SE")
     ap = atlas.apartment
+    locate = cache(atlas.locate_point)
     for bs in building_sectors(atlas, bases_per_chart, seed):
-        for a in atlas.charts():
-            if a == bs.chart:
+        chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
+        holding = locate(BuildingPoint(chart, base))
+
+        def extends(a: int, c: int, side: HalfApartment) -> bool:
+            """Chart c meets chart a in the given side and holds the whole sector."""
+            rac = atlas.overlap_region(a, c)
+            if c == a or rac is None or ap.region_half(rac) != side:
+                return False
+            return c == chart or (c in holding and ap.sector_fits(w, atlas.transition(chart, c).region))
+
+        for a in holding:
+            if a == chart:
                 continue
-            t = atlas.transition(bs.chart, a)
-            if t is None:
-                continue
+            t = atlas.transition(chart, a)
             panel_type = _panel_of_sector(ap, bs.sector, t.region)
             if panel_type is None:
                 continue
-            face_root = bs.sector.direction.act_root(ap.roots.simple_root(panel_type))
-            face_half = ap.half(face_root, 1, ap.pairing(face_root, bs.sector.base))
-            moved_half = ap.transform_half(face_half, t.iso)
-            wall_root, wall_bound = moved_half.root, moved_half.bound
+            face_root = w.act_root(ap.roots.simple_root(panel_type))
+            wall = ap.transform_half(ap.half(face_root, 1, ap.pairing(face_root, base)), t.iso)
+            sides = (ap.half(wall.root, sense, wall.bound) for sense in (1, -1))
+            found = [next((c for c in atlas.charts() if extends(a, c, side)), None) for side in sides]
             config = f"(chart={atlas.name(a)},sector={_sector_label(atlas, bs)})"
-            found = []
-            missing = []
-            for sense in (1, -1):
-                side = ap.half(wall_root, sense, wall_bound)
-                witness = None
-                for c in atlas.charts():
-                    if c == a:
-                        continue
-                    rac = atlas.overlap_region(a, c)
-                    if rac is None:
-                        continue
-                    if ap.region_half(rac) != side:
-                        continue
-                    if atlas.transport_sector(bs, c) is None:
-                        continue
-                    witness = c
-                    break
-                if witness is None:
-                    missing.append(sense)
-                else:
-                    found.append(witness)
-            if missing:
+            if None in found:
                 report.add(config, FAIL, "detail=missing-side-apartment")
             else:
-                names = "+".join(atlas.name(c) for c in found)
-                report.add(config, PASS, f"witness={names}")
+                report.add(config, PASS, "witness=" + "+".join(atlas.name(c) for c in found))
     if not report.lines:
         report.add("(no-panel-incidences)", PASS, "detail=vacuous")
     return report
@@ -398,8 +397,8 @@ class Retraction:
     """
 
     def __init__(self, atlas: Atlas, germ: BuildingGerm, chart: int):
-        ap = atlas.apartment
-        target = atlas.transport_germ(germ, chart)
+        sectors = {b: s for b in atlas.charts() if (s := atlas.transport_germ(germ, b)) is not None}
+        target = sectors.get(chart)
         if target is None:
             raise TheoremViolation(
                 f"germ {_sector_label(atlas, germ)} is not contained in chart {atlas.name(chart)}"
@@ -408,8 +407,7 @@ class Retraction:
         self.germ = germ
         self.chart = chart
         self.maps: dict[int, AffineIsometry] = {}
-        for b in atlas.charts_containing_germ(germ):
-            local = atlas.transport_germ(germ, b)
+        for b, local in sectors.items():
             linear = target.direction * local.direction.inverse()
             shift = tuple(
                 x - y for x, y in zip(target.base, linear.act_point(local.base))
@@ -528,43 +526,46 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
         atlas, BuildingSector(g1.chart, g1.sector), BuildingSector(g2.chart, g2.sector)
     )
     initial_len = initial[0].length if initial else None
+    p1, p2 = BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base)
+    same_base = atlas.points_equal(p1, p2)
 
     def finish(chart: Optional[int], note: str) -> CoapartmentResult:
         stages.append(note)
         if chart is None:
             return CoapartmentResult(None, INCONCLUSIVE, initial_len, None, stages)
         final_len = None
-        p1 = BuildingPoint(g1.chart, g1.base)
-        p2 = BuildingPoint(g2.chart, g2.base)
-        if atlas.points_equal(p1, p2):
+        if same_base:
             s1 = atlas.transport_germ(g1, chart)
             s2 = atlas.transport_germ(g2, chart)
             final_len = ap.germ_distance(s1.germ(), s2.germ()).length
         return CoapartmentResult(chart, PASS, initial_len, final_len, stages)
 
-    same_base = atlas.points_equal(
-        BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base)
-    )
-    direct = [
-        c
-        for c in atlas.charts()
-        if atlas.transport_germ(g1, c) is not None and atlas.transport_germ(g2, c) is not None
-    ]
+    def direct_scan(fallback: Optional[str], exhausted: str) -> CoapartmentResult:
+        """Finish in the first chart holding both germs, scanned only on the
+        branches that need it; fallback names the stage that gave up, if any."""
+        holders = (
+            c
+            for c in atlas.charts()
+            if atlas.transport_germ(g1, c) is not None and atlas.transport_germ(g2, c) is not None
+        )
+        chart = next(holders, None)
+        if chart is None:
+            return finish(None, exhausted)
+        if fallback is None:
+            return finish(chart, f"direct-scan chart={atlas.name(chart)}")
+        return finish(chart, f"fallback direct-scan ({fallback})")
+
     if same_base:
-        if direct:
-            return finish(direct[0], f"direct-scan chart={atlas.name(direct[0])}")
-        return finish(None, "direct-scan exhausted")
+        return direct_scan(None, "direct-scan exhausted")
 
     # Distinct bases: chart through both points, sector toward the far point,
     # then two germ-and-sector stages.
-    cc = common_chart(atlas, BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base))
+    at1, at2 = atlas.locate_point(p1), atlas.locate_point(p2)
+    cc = located_common_chart(p1, p2, at1, at2)
     if cc is None:
-        if direct:
-            return finish(direct[0], "fallback direct-scan (no point chart)")
-        return finish(None, "no chart through both base points")
+        return direct_scan("no point chart", "no chart through both base points")
     stages.append(f"points chart={atlas.name(cc)}")
-    x = atlas.transport_point(g1.chart, g1.base, cc)
-    y = atlas.transport_point(g2.chart, g2.base, cc)
+    x, y = at1[cc], at2[cc]
     toward = ap.sector_through(x, y)
     carrier = None
     for c in atlas.charts():
@@ -574,28 +575,22 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
             carrier = c
             break
     if carrier is None:
-        if direct:
-            return finish(direct[0], "fallback direct-scan (no germ+sector chart)")
-        return finish(None, "no chart with first germ and connecting sector")
+        return direct_scan("no germ+sector chart", "no chart with first germ and connecting sector")
     stages.append(f"germ+sector chart={atlas.name(carrier)}")
     germ_in_carrier = atlas.transport_germ(g1, carrier)
-    y_in_carrier = atlas.transport_point(g2.chart, g2.base, carrier)
+    y_in_carrier = at2.get(carrier)
     if y_in_carrier is None:
         # The connecting sector contains y, so its chart must too.
         y_in_carrier = atlas.transport_point(cc, y, carrier)
     pivot = ap.sector_with_germ(y_in_carrier, germ_in_carrier.germ())
     if pivot is None:
-        if direct:
-            return finish(direct[0], "fallback direct-scan (no pivot sector)")
-        return finish(None, "no sector at far base containing first germ")
+        return direct_scan("no pivot sector", "no sector at far base containing first germ")
     for c in atlas.charts():
         if atlas.transport_germ(g2, c) is not None and atlas.transport_sector(
             BuildingSector(carrier, pivot), c
         ) is not None:
             return finish(c, f"final chart={atlas.name(c)}")
-    if direct:
-        return finish(direct[0], "fallback direct-scan (descent exhausted)")
-    return finish(None, "descent exhausted")
+    return direct_scan("descent exhausted", "descent exhausted")
 
 
 @dataclass
@@ -679,8 +674,7 @@ def finite_cover(atlas: Atlas, germ: BuildingGerm, chart_b: int) -> CoverResult:
         return CoverResult(PASS, [(ap.whole_region(), chart_b)])
     base_point = BuildingPoint(germ.chart, germ.base)
     pieces: list[tuple[ConvexRegion, int]] = []
-    for c in atlas.charts_containing_point(base_point):
-        xc = atlas.transport_point(germ.chart, germ.base, c)
+    for c, xc in atlas.locate_point(base_point).items():
         for w in ap.directions():
             sector = ap.sector(xc, w)
             carrier = None

@@ -145,6 +145,24 @@ def test_hull_of_subsector_and_base_is_sector():
             assert ap.region_equal(hull, ap.sector_region(sector))
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3"])
+def test_cone_slopes_are_generator_slopes(name):
+    """(r, w.u_k) is the k-th simple-root coefficient of w^-1 r, so the sign
+    of the Fraction slope along each cone generator is an integer's sign."""
+    ap = make(name)
+    for w in ap.directions():
+        gens = ap.sector_cone(w)
+        inverse = w.inverse()
+        for r in ap.roots.positive_roots:
+            row = ap.pairing_row(r)
+            pulled = inverse.act_root(r)
+            assert ap.cone_slopes(w, r) == pulled
+            for k, gen in enumerate(gens):
+                slope = sum(c * g for c, g in zip(row, gen))
+                assert (slope > 0) - (slope < 0) == (pulled[k] > 0) - (pulled[k] < 0)
+                assert slope == pulled[k]
+
+
 # -- germs and parallelism ------------------------------------------------------
 
 

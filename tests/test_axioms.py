@@ -1,5 +1,9 @@
+import sys
+from collections import Counter
+
 import pytest
 
+import lbk
 from lbk.apartment import Apartment
 from lbk.atlas import Atlas, BuildingGerm, BuildingPoint, BuildingSector, global_distance
 from lbk.axioms import (
@@ -142,6 +146,49 @@ def test_se_broken_pair_fails():
 def ray1_germ(tripod):
     ap = tripod.apartment
     return BuildingGerm(tripod.index("12"), ap.fundamental_sector())
+
+
+def count_fm_solves(monkeypatch) -> list:
+    """Record every linarith.feasible call, under each name an lbk module holds it by."""
+    calls = []
+    original = lbk.linarith.feasible
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "lbk" or name.startswith("lbk."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "atlas",
+    [lambda_tree(5, 2), fan(4, "A2"), fan(3, "B2"), broken_pair(), shifted_rays()],
+    ids=["tree(5,2)", "fan(4,A2)", "fan(3,B2)", "broken_pair", "shifted_rays"],
+)
+def test_se_makes_no_fm_solve(atlas, monkeypatch):
+    calls = count_fm_solves(monkeypatch)
+    report = check_se(atlas)
+    assert report.lines[0].config != "(no-panel-incidences)"
+    assert not calls
+
+
+def test_a3_locates_each_point_once(monkeypatch):
+    located = Counter()
+    original = Atlas.locate_point
+
+    def counted(self, bp):
+        located[bp] += 1
+        return original(self, bp)
+
+    monkeypatch.setattr(Atlas, "locate_point", counted)
+    report = check_a3(lambda_tree(6), samples=60, seed=0)
+    assert len(report.lines) == 60
+    assert located and max(located.values()) == 1
 
 
 def test_retraction_identity_on_target(tripod):

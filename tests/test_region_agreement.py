@@ -93,18 +93,27 @@ def test_sector_in_region_agrees_with_fm(name, lam):
 
 @pytest.mark.parametrize("name,lam", SYSTEMS)
 def test_panel_of_sector_agrees_with_equality_scan(name, lam):
-    matched = empty = 0
+    """check_se calls _panel_of_sector only when the base lies in the overlap."""
+    seen = Counter()
     for ap, rng, sector, region in cases(name, lam, 2):
-        if rng.random() < 0.5:
-            # Pin one wall so the cut is often a panel of the sector.
-            i = rng.randint(1, ap.rank)
-            root = ap.sector_roots(sector.direction)[i - 1]
-            region = ap.intersect(region, ap.half_region(root, -1, ap.pairing(root, sector.base)))
-        expected = panel_by_equality(ap, sector, region)
-        assert _panel_of_sector(ap, sector, region) == expected
-        matched += expected is not None
-        empty += ap.region_empty(ap.intersect(ap.sector_region(sector), region))
-    assert matched >= 10 and empty >= 10, (matched, empty)
+        # Also pin one wall, at the apex or past it, so the cut is often a
+        # panel of the sector or a slab along one.
+        i = rng.randint(1, ap.rank)
+        root = ap.sector_roots(sector.direction)[i - 1]
+        bound = ap.pairing(root, sector.base) + rng.choice((0, 1)) * LambdaScalar.one(lam)
+        for overlap in (region, ap.intersect(region, ap.half_region(root, -1, bound))):
+            expected = panel_by_equality(ap, sector, overlap)
+            base_in = ap.region_contains_point(overlap, sector.base)
+            assert (_panel_of_sector(ap, sector, overlap) if base_in else None) == expected
+            if not base_in:
+                seen["base outside"] += 1
+            elif expected is not None:
+                seen["panel"] += 1
+            elif ap.region_contains(overlap, ap.sector_region(sector)):
+                seen["sector inside"] += 1
+            elif any(ap.region_contains(overlap, ap.panel_region(sector, k)) for k in range(1, ap.rank + 1)):
+                seen["cut leaves the panel"] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
 @pytest.mark.parametrize("name,lam", SYSTEMS)
@@ -195,10 +204,7 @@ def cone_capped(ap, gens, region):
 def fits_by_fm(ap, direction, region, panel_type):
     """The deleted sector_fitting_region (type 0) and panel_fits_region
     bodies: the cone check, then an FM solve of the region."""
-    if panel_type:
-        gens = ap.panel_cone(direction, panel_type)
-    else:
-        gens = ap.sector_cone(direction)
+    gens = [g for k, g in enumerate(ap.sector_cone(direction), start=1) if k != panel_type]
     return not cone_capped(ap, gens, region) and feasible(ap.region_system(region), ap.lex_rank).sat
 
 
