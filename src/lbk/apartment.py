@@ -28,6 +28,7 @@ from .linarith import (
 from .rootsystem import Matrix, Root, RootSystem, WeylElement
 
 Point = tuple[LambdaScalar, ...]
+MAX_LEX_RANK = 16  # scalars are tuples of this many rationals at most
 
 
 def format_point(p: Sequence[LambdaScalar]) -> str:
@@ -129,8 +130,8 @@ class Apartment:
     """
 
     def __init__(self, roots: RootSystem, lex_rank: int = 1):
-        if lex_rank < 1:
-            raise ValueError("lex rank must be at least 1")
+        if not 1 <= lex_rank <= MAX_LEX_RANK:
+            raise ValueError(f"lex rank must be in 1..{MAX_LEX_RANK}, got {lex_rank}")
         self.roots = roots
         self.rank = roots.rank
         self.lex_rank = lex_rank
@@ -281,9 +282,6 @@ class Apartment:
     def region_feasible(self, region: ConvexRegion) -> Feasibility:
         return feasible(self.region_system(region), self.lex_rank)
 
-    def region_empty(self, region: ConvexRegion) -> bool:
-        return not self.region_feasible(region).sat
-
     def region_nonempty(self, region: ConvexRegion) -> bool:
         """Is the region nonempty?  Cached per halves tuple."""
         key = region.halves
@@ -373,16 +371,6 @@ class Apartment:
             table = {r: inverse.act_root(r) for r in self.roots.positive_roots}
             self._slopes[direction.matrix] = table
         return table[root]
-
-    def panel_region(self, s: Sector, panel_type: int) -> ConvexRegion:
-        """The type-i sector panel of s: the face where the i-th pairing is pinned."""
-        halves = []
-        for k, r in enumerate(self.sector_roots(s.direction), start=1):
-            bound = self.pairing(r, s.base)
-            halves.append(self.half(r, 1, bound))
-            if k == panel_type:
-                halves.append(self.half(r, -1, bound))
-        return self.region(halves)
 
     def sector_in_region(self, s: Sector, region: ConvexRegion, panel_type: int = 0) -> bool:
         """Does the sector (panel_type 0) or its type-i panel lie in the region?

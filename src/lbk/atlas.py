@@ -148,9 +148,6 @@ class Atlas:
                 out[j] = p
         return out
 
-    def charts_containing_point(self, bp: BuildingPoint) -> list[int]:
-        return list(self.locate_point(bp))
-
     def points_equal(self, bp: BuildingPoint, bq: BuildingPoint) -> bool:
         moved = self.transport_point(bp.chart, bp.point, bq.chart)
         return moved is not None and moved == bq.point
@@ -180,6 +177,24 @@ class Atlas:
         if not ap.region_contains_germ(t.region, bg.sector.germ()):
             return None
         return ap.sector(t.iso.apply(bg.sector.base), t.iso.linear * bg.sector.direction)
+
+    def first_chart_holding(
+        self, *items: BuildingGerm | BuildingSector
+    ) -> Optional[tuple[int, list[Sector]]]:
+        """The first chart holding every given germ and whole sector, with
+        their images there, or None.  Items are transported in the order
+        given, and a chart is left at its first miss."""
+        for c in self.charts():
+            images = []
+            for item in items:
+                move = self.transport_germ if isinstance(item, BuildingGerm) else self.transport_sector
+                image = move(item, c)
+                if image is None:
+                    break
+                images.append(image)
+            else:
+                return c, images
+        return None
 
 
 @dataclass

@@ -81,9 +81,6 @@ class AxiomReport:
             return INCONCLUSIVE
         return PASS
 
-    def counterexamples(self) -> list[CheckLine]:
-        return [line for line in self.lines if line.verdict == FAIL]
-
     def add(self, config: str, verdict: str, detail: str = "") -> None:
         self.lines.append(CheckLine(config, verdict, detail))
 
@@ -133,11 +130,12 @@ def building_points(atlas: Atlas, seed: int) -> list[BuildingPoint]:
     return [BuildingPoint(c, p) for c in atlas.charts() for p in designated_points(atlas, c, 2, seed)]
 
 
-def building_sectors(atlas: Atlas, bases_per_chart: int, seed: int) -> list[BuildingSector]:
+def building_sectors(atlas: Atlas, seed: int) -> list[BuildingSector]:
+    """Sectors of every direction at the origin and one seeded point of each chart."""
     ap = atlas.apartment
     out = []
     for chart in atlas.charts():
-        for base in designated_points(atlas, chart, bases_per_chart, seed):
+        for base in designated_points(atlas, chart, 1, seed):
             for w in ap.directions():
                 out.append(BuildingSector(chart, ap.sector(base, w)))
     return out
@@ -224,10 +222,10 @@ def check_a3(atlas: Atlas, samples: int = 60, seed: int = 0) -> AxiomReport:
 # -- A4 ----------------------------------------------------------------------
 
 
-def check_a4(atlas: Atlas, samples: int = 200, seed: int = 0, bases_per_chart: int = 1) -> AxiomReport:
+def check_a4(atlas: Atlas, samples: int = 200, seed: int = 0) -> AxiomReport:
     """Sector pairs must have subsectors in a common chart."""
     report = AxiomReport("A4")
-    sectors = building_sectors(atlas, bases_per_chart, seed)
+    sectors = building_sectors(atlas, seed)
     for s1, s2 in _cap_pairs(sectors, samples, seed, "a4"):
         config = f"({_sector_label(atlas, s1)},{_sector_label(atlas, s2)})"
         found = sector_class_distance(atlas, s1, s2)
@@ -343,7 +341,7 @@ def _panel_of_sector(ap: Apartment, sector: Sector, overlap: ConvexRegion) -> Op
     return capped.pop() if tight else None
 
 
-def check_se(atlas: Atlas, seed: int = 0, bases_per_chart: int = 1) -> AxiomReport:
+def check_se(atlas: Atlas, seed: int = 0) -> AxiomReport:
     """Sectors meeting a chart in one of their panels must extend over both wall sides.
 
     A sector lies in a chart exactly when its base does and the overlap caps
@@ -353,7 +351,7 @@ def check_se(atlas: Atlas, seed: int = 0, bases_per_chart: int = 1) -> AxiomRepo
     report = AxiomReport("SE")
     ap = atlas.apartment
     locate = cache(atlas.locate_point)
-    for bs in building_sectors(atlas, bases_per_chart, seed):
+    for bs in building_sectors(atlas, seed):
         chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
         holding = locate(BuildingPoint(chart, base))
 
@@ -436,16 +434,13 @@ def build_retraction(atlas: Atlas, germ: BuildingGerm, chart: int) -> Retraction
     return Retraction(atlas, germ, chart)
 
 
-def check_a5(atlas: Atlas, samples: int = 200, seed: int = 0, targets: int = 3) -> AxiomReport:
+def check_a5(atlas: Atlas, samples: int = 200, seed: int = 0) -> AxiomReport:
     """Retractions exist, fix the target chart and never increase distances."""
     report = AxiomReport("A5")
     ap = atlas.apartment
-    germ_targets: list[tuple[int, BuildingGerm]] = []
     dirs = ap.directions()
-    for chart in atlas.charts():
-        germ_targets.append((chart, BuildingGerm(chart, ap.sector(ap.origin(), dirs[0]))))
-        germ_targets.append((chart, BuildingGerm(chart, ap.sector(ap.origin(), dirs[-1]))))
-    germ_targets = germ_targets[:targets] if targets else germ_targets
+    targets = [(chart, w) for chart in atlas.charts() for w in (dirs[0], dirs[-1])][:3]
+    germ_targets = [(chart, BuildingGerm(chart, ap.sector(ap.origin(), w))) for chart, w in targets]
 
     points = building_points(atlas, seed)
     located = {bp: atlas.locate_point(bp) for bp in points}
@@ -529,31 +524,20 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
     p1, p2 = BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base)
     same_base = atlas.points_equal(p1, p2)
 
-    def finish(chart: Optional[int], note: str) -> CoapartmentResult:
-        stages.append(note)
-        if chart is None:
-            return CoapartmentResult(None, INCONCLUSIVE, initial_len, None, stages)
-        final_len = None
-        if same_base:
-            s1 = atlas.transport_germ(g1, chart)
-            s2 = atlas.transport_germ(g2, chart)
-            final_len = ap.germ_distance(s1.germ(), s2.germ()).length
-        return CoapartmentResult(chart, PASS, initial_len, final_len, stages)
-
     def direct_scan(fallback: Optional[str], exhausted: str) -> CoapartmentResult:
         """Finish in the first chart holding both germs, scanned only on the
         branches that need it; fallback names the stage that gave up, if any."""
-        holders = (
-            c
-            for c in atlas.charts()
-            if atlas.transport_germ(g1, c) is not None and atlas.transport_germ(g2, c) is not None
-        )
-        chart = next(holders, None)
-        if chart is None:
-            return finish(None, exhausted)
+        found = atlas.first_chart_holding(g1, g2)
+        if found is None:
+            stages.append(exhausted)
+            return CoapartmentResult(None, INCONCLUSIVE, initial_len, None, stages)
+        chart, (s1, s2) = found
         if fallback is None:
-            return finish(chart, f"direct-scan chart={atlas.name(chart)}")
-        return finish(chart, f"fallback direct-scan ({fallback})")
+            stages.append(f"direct-scan chart={atlas.name(chart)}")
+        else:
+            stages.append(f"fallback direct-scan ({fallback})")
+        final_len = ap.germ_distance(s1.germ(), s2.germ()).length if same_base else None
+        return CoapartmentResult(chart, PASS, initial_len, final_len, stages)
 
     if same_base:
         return direct_scan(None, "direct-scan exhausted")
@@ -566,18 +550,11 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
         return direct_scan("no point chart", "no chart through both base points")
     stages.append(f"points chart={atlas.name(cc)}")
     x, y = at1[cc], at2[cc]
-    toward = ap.sector_through(x, y)
-    carrier = None
-    for c in atlas.charts():
-        if atlas.transport_germ(g1, c) is not None and atlas.transport_sector(
-            BuildingSector(cc, toward), c
-        ) is not None:
-            carrier = c
-            break
-    if carrier is None:
+    found = atlas.first_chart_holding(g1, BuildingSector(cc, ap.sector_through(x, y)))
+    if found is None:
         return direct_scan("no germ+sector chart", "no chart with first germ and connecting sector")
+    carrier, (germ_in_carrier, _) = found
     stages.append(f"germ+sector chart={atlas.name(carrier)}")
-    germ_in_carrier = atlas.transport_germ(g1, carrier)
     y_in_carrier = at2.get(carrier)
     if y_in_carrier is None:
         # The connecting sector contains y, so its chart must too.
@@ -585,12 +562,11 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
     pivot = ap.sector_with_germ(y_in_carrier, germ_in_carrier.germ())
     if pivot is None:
         return direct_scan("no pivot sector", "no sector at far base containing first germ")
-    for c in atlas.charts():
-        if atlas.transport_germ(g2, c) is not None and atlas.transport_sector(
-            BuildingSector(carrier, pivot), c
-        ) is not None:
-            return finish(c, f"final chart={atlas.name(c)}")
-    return direct_scan("descent exhausted", "descent exhausted")
+    found = atlas.first_chart_holding(g2, BuildingSector(carrier, pivot))
+    if found is None:
+        return direct_scan("descent exhausted", "descent exhausted")
+    stages.append(f"final chart={atlas.name(found[0])}")
+    return CoapartmentResult(found[0], PASS, initial_len, None, stages)
 
 
 @dataclass
@@ -625,24 +601,16 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
             delta = ap.germ_distance(t_here.germ(), pivot.germ())
             key = (-delta.length, w.word)
             if best is None or key < best[0]:
-                best = (key, w, bprime, pivot, delta)
+                best = (key, t_sector, bprime, pivot, delta)
             break
     if best is None:
         return OppositeResult(INCONCLUSIVE)
-    _, w, bprime, pivot, delta = best
-    t_sector = ap.sector(y, w)
-    cochart = None
-    for c in atlas.charts():
-        if (
-            atlas.transport_sector(BuildingSector(bprime, pivot), c) is not None
-            and atlas.transport_sector(BuildingSector(chart_b, t_sector), c) is not None
-        ):
-            cochart = c
-            break
-    if cochart is None:
+    _, t_sector, bprime, pivot, delta = best
+    found = atlas.first_chart_holding(BuildingSector(bprime, pivot), BuildingSector(chart_b, t_sector))
+    if found is None:
         return OppositeResult(INCONCLUSIVE, sector=t_sector, maximal_length=delta.length)
+    cochart, (_, t_there) = found
     germ_there = atlas.transport_germ(germ, cochart)
-    t_there = atlas.transport_sector(BuildingSector(chart_b, t_sector), cochart)
     parallel = ap.sector(germ_there.base, t_there.direction)
     y_there = atlas.transport_point(chart_b, y, cochart)
     contains = y_there is not None and ap.sector_contains_point(parallel, y_there)
@@ -677,14 +645,8 @@ def finite_cover(atlas: Atlas, germ: BuildingGerm, chart_b: int) -> CoverResult:
     for c, xc in atlas.locate_point(base_point).items():
         for w in ap.directions():
             sector = ap.sector(xc, w)
-            carrier = None
-            for a in atlas.charts():
-                if atlas.transport_sector(BuildingSector(c, sector), a) is not None and (
-                    atlas.transport_germ(germ, a) is not None
-                ):
-                    carrier = a
-                    break
-            if carrier is None:
+            found = atlas.first_chart_holding(BuildingSector(c, sector), germ)
+            if found is None:
                 continue
             if c == chart_b:
                 region = ap.sector_region(sector)
@@ -695,9 +657,9 @@ def finite_cover(atlas: Atlas, germ: BuildingGerm, chart_b: int) -> CoverResult:
                 region = ap.transform_region(
                     ap.intersect(ap.sector_region(sector), t.region), t.iso
                 )
-            if ap.region_empty(region):
+            if not ap.region_feasible(region).sat:
                 continue
-            pieces.append((region, carrier))
+            pieces.append((region, found[0]))
     # Keep maximal pieces only; duplicates add nothing to the union.
     kept: list[tuple[ConvexRegion, int]] = []
     for region, carrier in pieces:

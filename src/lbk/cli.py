@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from . import axioms as ax
 from . import fixtures
-from .atlas import Atlas, DistanceDisagreementError, NoCommonChartError, validate
+from .atlas import Atlas, DistanceDisagreementError, NoCommonChartError, global_distance, validate
 from .infinity import infinity_complex
 from .modelfile import (
     ModelFormatError,
@@ -84,8 +84,6 @@ def _cmd_distance(args) -> int:
     p = parse_point_arg(args.point1, atlas)
     q = parse_point_arg(args.point2, atlas)
     try:
-        from .atlas import global_distance
-
         value = global_distance(atlas, p, q)
     except (NoCommonChartError, DistanceDisagreementError) as exc:
         print(f"fail: {exc}")
@@ -127,14 +125,11 @@ def _cmd_gallery(args) -> int:
     atlas = _load(args.model)
     g1 = parse_germ_arg(args.germ1, atlas)
     g2 = parse_germ_arg(args.germ2, atlas)
-    for c in atlas.charts():
-        s1 = atlas.transport_germ(g1, c)
-        s2 = None if s1 is None else atlas.transport_germ(g2, c)
-        if s2 is not None:
-            break
-    else:
+    found = atlas.first_chart_holding(g1, g2)
+    if found is None:
         print("fail: germs share no chart")
         return EXIT_FAIL
+    _, (s1, s2) = found
     ap = atlas.apartment
     try:
         delta = ap.germ_distance(s1.germ(), s2.germ())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .apartment import AffineIsometry, Apartment
+from .apartment import Apartment
 from .atlas import Atlas, Transition
 from .rootsystem import build_root_system
 

@@ -11,7 +11,6 @@ checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .atlas import Atlas
 from .rootsystem import Matrix, WeylElement

@@ -48,9 +48,7 @@ class LinearConstraint:
     def evaluate(self, point: Sequence[LambdaScalar]) -> bool:
         if len(point) != len(self.coeffs):
             raise ValueError("point arity does not match constraint")
-        total = self.bound * 0
-        for c, x in zip(self.coeffs, point):
-            total = total + x * c
+        total = LambdaScalar.lincomb(self.coeffs, point)
         if self.relation == GE:
             return total >= self.bound
         if self.relation == GT:

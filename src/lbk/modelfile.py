@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .apartment import AffineIsometry, Apartment, HalfApartment, Point, format_point
+from .apartment import MAX_LEX_RANK, AffineIsometry, Apartment, HalfApartment, Point, format_point
 from .atlas import Atlas, BuildingGerm, BuildingPoint, Transition, is_chart_name
 from .lexq import LambdaScalar
 from .rootsystem import build_root_system
@@ -141,8 +141,8 @@ def parse_model(text: str) -> Atlas:
                 lam = int(rest)
             except ValueError:
                 raise ModelFormatError(f"bad lambda rank {rest!r}", lineno)
-            if lam < 1:
-                raise ModelFormatError("lambda rank must be >= 1", lineno)
+            if not 1 <= lam <= MAX_LEX_RANK:
+                raise ModelFormatError(f"lambda rank must be in 1..{MAX_LEX_RANK}", lineno)
         elif head == "roots":
             roots_spec = rest
             roots_label = rest

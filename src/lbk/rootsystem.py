@@ -26,6 +26,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 _ROOT_CLOSURE_FACTOR = 10
 DEFAULT_WEYL_CAP = 10000
+MAX_RANK = 16  # every root system of rank 14 or more exceeds DEFAULT_WEYL_CAP
 
 
 def _identity(n: int) -> Matrix:
@@ -49,8 +50,8 @@ def named_cartan(name: str) -> Matrix:
     if len(label) < 2 or label[0] not in "ABCG" or not label[1:].isdigit():
         raise ValueError(f"unknown root system type {name!r}")
     family, n = label[0], int(label[1:])
-    if n < 1:
-        raise ValueError(f"rank must be positive in {name!r}")
+    if not 1 <= n <= MAX_RANK:
+        raise ValueError(f"rank must be in 1..{MAX_RANK} in {name!r}")
     if family == "G":
         if n != 2:
             raise ValueError("type G only exists in rank 2")
@@ -75,6 +76,8 @@ def named_cartan(name: str) -> Matrix:
 
 def _validate_cartan(cartan: Matrix) -> None:
     n = len(cartan)
+    if n > MAX_RANK:
+        raise ValueError(f"Cartan rank {n} exceeds {MAX_RANK}")
     for row in cartan:
         if len(row) != n:
             raise ValueError("Cartan matrix must be square")

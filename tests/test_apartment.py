@@ -6,6 +6,7 @@ import pytest
 from lbk.apartment import Apartment
 from lbk.lexq import LambdaScalar
 from lbk.rootsystem import build_root_system
+from test_region_agreement import panel_region
 
 
 def make(name, lam=1):
@@ -303,5 +304,5 @@ def test_classify_region_kinds():
     empty = ap.intersect(ap.half_region((1, 0), 1, 1), ap.half_region((1, 0), -1, 0))
     assert ap.classify_region(empty).kind == "empty"
     assert ap.classify_region(ap.sector_region(ap.fundamental_sector())).kind == "other"
-    panel = ap.panel_region(ap.sector(ap.simple_point(1, 1), ap.roots.simple(2)), 1)
+    panel = panel_region(ap, ap.sector(ap.simple_point(1, 1), ap.roots.simple(2)), 1)
     assert ap.classify_region(panel).kind == "other"

@@ -1,9 +1,14 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from lbk.apartment import Apartment
 from lbk.atlas import (
     Atlas,
+    BuildingGerm,
     BuildingPoint,
+    BuildingSector,
     NoCommonChartError,
     Transition,
     common_chart,
@@ -11,6 +16,7 @@ from lbk.atlas import (
     validate,
 )
 from lbk.fixtures import broken_pair, fan, lambda_tree, shifted_rays, single_apartment
+from lbk.lexq import LambdaScalar
 from lbk.rootsystem import build_root_system
 
 
@@ -168,3 +174,77 @@ def test_intersection_region_classifier():
 def test_negative_fixtures_validate_clean():
     assert validate(broken_pair()).ok
     assert validate(shifted_rays()).ok
+
+
+# -- the one chart search -------------------------------------------------------
+
+
+def seeded_items(atlas, rng, count):
+    """Germs and whole sectors at seeded points, as often a sector as a germ."""
+    ap = atlas.apartment
+    items = []
+    for _ in range(count):
+        chart = rng.randrange(atlas.size)
+        base = tuple(
+            LambdaScalar([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(ap.lex_rank)])
+            for _ in range(ap.rank)
+        )
+        kind = rng.choice((BuildingGerm, BuildingSector))
+        items.append(kind(chart, ap.sector(base, rng.choice(ap.directions()))))
+    return items
+
+
+def transport(atlas, item, chart):
+    if isinstance(item, BuildingGerm):
+        return atlas.transport_germ(item, chart)
+    return atlas.transport_sector(item, chart)
+
+
+def brute_force_holding(atlas, items):
+    """Every item's image in every chart, then the first chart with all of them."""
+    for c in atlas.charts():
+        images = [transport(atlas, item, c) for item in items]
+        if None not in images:
+            return c, images
+    return None
+
+
+def expected_calls(atlas, items):
+    """Charts in order, items in the order given, each chart left at its first miss."""
+    calls = []
+    for c in atlas.charts():
+        for item in items:
+            calls.append((item, c))
+            if transport(atlas, item, c) is None:
+                break
+        else:
+            break
+    return calls
+
+
+@pytest.mark.parametrize(
+    "atlas", [lambda_tree(5, 2), fan(4, "A2"), fan(3, "B2")], ids=["tree(5,2)", "fan(4,A2)", "fan(3,B2)"]
+)
+def test_first_chart_holding_agrees_with_brute_force(atlas, monkeypatch):
+    rng = random.Random(f"first-chart:{atlas.label}")
+    found = missed = sector_first = 0
+    for _ in range(150):
+        items = seeded_items(atlas, rng, rng.randint(1, 3))
+        expected = brute_force_holding(atlas, items)
+        order = expected_calls(atlas, items)
+        calls = []
+        for name in ("transport_germ", "transport_sector"):
+            original = getattr(Atlas, name)
+
+            def recorded(self, item, chart, original=original):
+                calls.append((item, chart))
+                return original(self, item, chart)
+
+            monkeypatch.setattr(Atlas, name, recorded)
+        assert atlas.first_chart_holding(*items) == expected
+        monkeypatch.undo()
+        assert calls == order
+        found += expected is not None
+        missed += expected is None
+        sector_first += isinstance(items[0], BuildingSector)
+    assert found >= 10 and missed >= 10 and sector_first >= 10, (found, missed, sector_first)

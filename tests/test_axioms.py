@@ -39,6 +39,10 @@ def disconnected_pair():
     return Atlas(ap, ["1", "2"], {})
 
 
+def failed_lines(report):
+    return [line for line in report.lines if line.verdict == FAIL]
+
+
 # -- A4 ---------------------------------------------------------------------
 
 
@@ -65,7 +69,7 @@ def test_a4_tripod_cross_rays_witness(tripod):
 def test_a4_disconnected_fails():
     report = check_a4(disconnected_pair())
     assert report.verdict == FAIL
-    assert report.counterexamples()
+    assert failed_lines(report)
 
 
 # -- A6 ---------------------------------------------------------------------
@@ -87,7 +91,7 @@ def test_a6_shifted_rays_fails_with_recheckable_certificate():
     atlas = shifted_rays()
     report = check_a6(atlas)
     assert report.verdict == FAIL
-    bad = report.counterexamples()[0]
+    bad = failed_lines(report)[0]
     assert bad.config == "(1,2,3)"
     assert recheck_a6_counterexample(atlas, 0, 1, 2)
 
@@ -107,7 +111,7 @@ def test_ec_tripod_witnesses(tripod):
 def test_ec_broken_pair_fails():
     report = check_ec(broken_pair())
     assert report.verdict == FAIL
-    assert report.counterexamples()[0].config == "(1,2)"
+    assert failed_lines(report)[0].config == "(1,2)"
 
 
 def test_ec_single_chart_vacuous():
@@ -307,6 +311,33 @@ def test_coapartment_descent_never_lengthens():
                             assert result.final_length <= result.initial_length
 
 
+@pytest.mark.parametrize(
+    "atlas", [lambda_tree(5, 2), fan(4, "A2"), fan(3, "B2")], ids=["tree(5,2)", "fan(4,A2)", "fan(3,B2)"]
+)
+def test_same_base_coapartment_transports_each_germ_once(atlas, monkeypatch):
+    """The chart search hands back both germs' images, so reading the final
+    length transports neither germ into that chart again."""
+    ap = atlas.apartment
+    calls = Counter()
+    original = Atlas.transport_germ
+
+    def counted(self, germ, chart):
+        calls[germ, chart] += 1
+        return original(self, germ, chart)
+
+    monkeypatch.setattr(Atlas, "transport_germ", counted)
+    dirs = ap.directions()
+    for c1 in atlas.charts():
+        for c2, base in atlas.locate_point(BuildingPoint(c1, ap.origin())).items():
+            for w1, w2 in zip(dirs, reversed(dirs)):
+                calls.clear()
+                result = germ_coapartment(
+                    atlas, BuildingGerm(c1, ap.sector(ap.origin(), w1)), BuildingGerm(c2, ap.sector(base, w2))
+                )
+                assert result.verdict == PASS and result.final_length is not None
+                assert max(calls.values()) == 1, calls
+
+
 def test_opposite_germ_rank_one(tripod):
     ap = tripod.apartment
     germ = ray1_germ(tripod)
@@ -370,7 +401,7 @@ def test_finite_cover_pieces_relate_to_germ(tripod):
     cover = finite_cover(tripod, germ, tripod.index("23"))
     for region, chart in cover.pieces:
         assert tripod.transport_germ(germ, chart) is not None
-        assert not ap.region_empty(region)
+        assert ap.region_feasible(region).sat
 
 
 # -- equivalence ---------------------------------------------------------------

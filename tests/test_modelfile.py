@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from lbk.apartment import MAX_LEX_RANK
 from lbk.atlas import Atlas, validate
 from lbk.fixtures import fan, lambda_tree, shifted_rays
 from lbk.lexq import LambdaScalar
@@ -17,6 +18,7 @@ from lbk.modelfile import (
     parse_scalar,
     serialize_model,
 )
+from lbk.rootsystem import MAX_RANK
 
 TRIPOD = """\
 # three ends glued at the origin
@@ -142,6 +144,39 @@ def test_parse_errors_carry_line_numbers():
         parse_model("lambda 1\nroots A1\n")  # missing charts
     with pytest.raises(ModelFormatError):
         parse_model("lambda 1\nroots A1\ncharts 2\nglue 1 1 : ; word ; t (0)\n")
+
+
+OVERFLOW = "10000000000000000000000"  # too large for an index-sized int
+
+
+@pytest.mark.parametrize("value", [OVERFLOW, str(MAX_LEX_RANK + 1)])
+def test_lex_rank_is_capped(value):
+    # The cap is checked on the lambda line itself, before any scalar is parsed.
+    with pytest.raises(ModelFormatError, match=f"line 2: lambda rank must be in 1..{MAX_LEX_RANK}"):
+        parse_model(TRIPOD.replace("lambda 1", f"lambda {value}"))
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+@pytest.mark.parametrize("value", [OVERFLOW, str(MAX_RANK + 1)])
+def test_named_root_system_rank_is_capped(family, value):
+    # named_cartan rejects the rank before it builds the matrix.
+    with pytest.raises(ModelFormatError, match=f"rank must be in 1..{MAX_RANK}"):
+        parse_model(f"lambda 1\nroots {family}{value}\ncharts 1\n")
+
+
+def test_cartan_rank_is_capped():
+    n = MAX_RANK + 1
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    with pytest.raises(ModelFormatError, match=f"Cartan rank {n} exceeds {MAX_RANK}"):
+        parse_model(f"lambda 1\ncartan {rows}\ncharts 1\n")
+
+
+def test_largest_ranks_still_parse():
+    atlas = parse_model(f"lambda {MAX_LEX_RANK}\nroots A2\ncharts 1\n")
+    assert atlas.apartment.lex_rank == MAX_LEX_RANK
+    n = MAX_RANK
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    assert parse_model(f"lambda 1\ncartan {rows}\ncharts 1\n").apartment.rank == MAX_RANK
 
 
 def test_cartan_directive():

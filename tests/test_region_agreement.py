@@ -67,13 +67,28 @@ def cases(name, lam, seed):
         yield ap, rng, sector, rand_region(ap, rng, sector)
 
 
+def panel_region(ap, s, panel_type):
+    """The type-i sector panel of s: the face where the i-th pairing is pinned."""
+    halves = []
+    for k, r in enumerate(ap.sector_roots(s.direction), start=1):
+        bound = ap.pairing(r, s.base)
+        halves.append(ap.half(r, 1, bound))
+        if k == panel_type:
+            halves.append(ap.half(r, -1, bound))
+    return ap.region(halves)
+
+
+def region_empty(ap, region):
+    return not ap.region_feasible(region).sat
+
+
 def panel_by_equality(ap, sector, overlap):
     """The FM scan _panel_of_sector replaced: the cut equals one of the panels."""
     cut = ap.intersect(ap.sector_region(sector), overlap)
-    if ap.region_empty(cut):
+    if region_empty(ap, cut):
         return None
     for i in range(1, ap.rank + 1):
-        if ap.region_equal(cut, ap.panel_region(sector, i)):
+        if ap.region_equal(cut, panel_region(ap, sector, i)):
             return i
     return None
 
@@ -83,7 +98,7 @@ def test_sector_in_region_agrees_with_fm(name, lam):
     seen = {True: 0, False: 0}
     for ap, _, sector, region in cases(name, lam, 1):
         faces = [(0, ap.sector_region(sector))]
-        faces += [(i, ap.panel_region(sector, i)) for i in range(1, ap.rank + 1)]
+        faces += [(i, panel_region(ap, sector, i)) for i in range(1, ap.rank + 1)]
         for panel_type, face in faces:
             expected = ap.region_contains(region, face)
             assert ap.sector_in_region(sector, region, panel_type) == expected
@@ -111,7 +126,7 @@ def test_panel_of_sector_agrees_with_equality_scan(name, lam):
                 seen["panel"] += 1
             elif ap.region_contains(overlap, ap.sector_region(sector)):
                 seen["sector inside"] += 1
-            elif any(ap.region_contains(overlap, ap.panel_region(sector, k)) for k in range(1, ap.rank + 1)):
+            elif any(ap.region_contains(overlap, panel_region(ap, sector, k)) for k in range(1, ap.rank + 1)):
                 seen["cut leaves the panel"] += 1
     assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
@@ -125,7 +140,7 @@ def test_region_half_agrees_with_region_equal(name, lam):
         for h in candidates:
             assert (half == h) == ap.region_equal(region, ConvexRegion((h,)))
         found += half is not None
-        empty += ap.region_empty(region)
+        empty += region_empty(ap, region)
     assert found >= 10 and empty >= 5, (found, empty)
 
 
@@ -272,7 +287,7 @@ def test_sector_fits_agrees_with_fm(name, lam):
             expected = fits_by_fm(ap, w, region, panel_type)
             assert ap.sector_fits(w, region, panel_type) == expected
             seen[expected] += 1
-        empty += ap.region_empty(region)
+        empty += region_empty(ap, region)
     assert min(seen.values()) >= 20 and empty >= 5, (seen, empty)
 
 
