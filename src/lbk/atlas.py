@@ -15,6 +15,7 @@ from .apartment import (
     AffineIsometry,
     Apartment,
     ConvexRegion,
+    HalfApartment,
     Point,
     Sector,
     SectorGerm,
@@ -128,6 +129,11 @@ class Atlas:
             return self.apartment.whole_region()
         t = self.transition(i, j)
         return t.region if t else None
+
+    def overlap_half(self, i: int, j: int) -> Optional[HalfApartment]:
+        """The overlap of charts i and j as one half-apartment of chart i, or None."""
+        region = self.overlap_region(i, j)
+        return None if region is None else self.apartment.region_half(region)
 
     # -- points --------------------------------------------------------------
 

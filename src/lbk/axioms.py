@@ -244,11 +244,10 @@ def check_a6(atlas: Atlas) -> AxiomReport:
     report = AxiomReport("A6")
     ap = atlas.apartment
     for i, j, k in combinations(atlas.charts(), 3):
-        overlaps = [atlas.overlap_region(a, b) for a, b in ((i, j), (i, k), (j, k))]
-        if any(r is None or ap.region_half(r) is None for r in overlaps):
+        if any(atlas.overlap_half(a, b) is None for a, b in ((i, j), (i, k), (j, k))):
             continue
         config = f"({atlas.name(i)},{atlas.name(j)},{atlas.name(k)})"
-        triple = ap.intersect(overlaps[0], overlaps[1])
+        triple = ap.intersect(atlas.overlap_region(i, j), atlas.overlap_region(i, k))
         probe = ap.region_feasible(triple)
         if probe.sat:
             report.add(config, PASS, f"witness={format_point(probe.witness)}")
@@ -269,40 +268,20 @@ def recheck_a6_counterexample(atlas: Atlas, i: int, j: int, k: int) -> bool:
 # -- EC ----------------------------------------------------------------------
 
 
-def _flip_half(ap: Apartment, region: ConvexRegion) -> Optional[HalfApartment]:
-    h = ap.region_half(region)
-    if h is None:
-        return None
-    return ap.half(h.root, -h.sense, h.bound)
-
-
 def check_ec(atlas: Atlas) -> AxiomReport:
     """Half-apartment pairs must extend to the symmetric-difference apartment."""
     report = AxiomReport("EC")
     ap = atlas.apartment
     for i, j in combinations(atlas.charts(), 2):
-        rij = atlas.overlap_region(i, j)
-        rji = atlas.overlap_region(j, i)
-        if rij is None or rji is None:
+        halves = atlas.overlap_half(i, j), atlas.overlap_half(j, i)
+        if None in halves:
             continue
-        target_i = _flip_half(ap, rij)
-        if target_i is None:
-            continue
-        target_j = _flip_half(ap, rji)
-        if target_j is None:
-            continue
+        flipped = tuple(ap.half(h.root, -h.sense, h.bound) for h in halves)
         config = f"({atlas.name(i)},{atlas.name(j)})"
-        witness = None
-        for c in atlas.charts():
-            if c in (i, j):
-                continue
-            ric = atlas.overlap_region(i, c)
-            rjc = atlas.overlap_region(j, c)
-            if ric is None or rjc is None:
-                continue
-            if ap.region_half(ric) == target_i and ap.region_half(rjc) == target_j:
-                witness = c
-                break
+        # Neither i nor j can match: i meets itself in no half, j meets i unflipped.
+        witness = next(
+            (c for c in atlas.charts() if (atlas.overlap_half(i, c), atlas.overlap_half(j, c)) == flipped), None
+        )
         if witness is None:
             report.add(config, FAIL, "detail=missing-exchange-apartment")
         else:
@@ -357,8 +336,7 @@ def check_se(atlas: Atlas, seed: int = 0) -> AxiomReport:
 
         def extends(a: int, c: int, side: HalfApartment) -> bool:
             """Chart c meets chart a in the given side and holds the whole sector."""
-            rac = atlas.overlap_region(a, c)
-            if c == a or rac is None or ap.region_half(rac) != side:
+            if atlas.overlap_half(a, c) != side:
                 return False
             return c == chart or (c in holding and ap.sector_fits(w, atlas.transition(chart, c).region))
 
@@ -586,14 +564,14 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
     the parallel sector based at the germ base that contains y.
     """
     ap = atlas.apartment
+    held = {c: s for c in atlas.charts() if (s := atlas.transport_germ(germ, c)) is not None}
     best = None
     for w in ap.directions():
         t_sector = ap.sector(y, w)
         t_germ = BuildingGerm(chart_b, t_sector)
-        for bprime in atlas.charts():
-            s_here = atlas.transport_germ(germ, bprime)
+        for bprime, s_here in held.items():
             t_here = atlas.transport_germ(t_germ, bprime)
-            if s_here is None or t_here is None:
+            if t_here is None:
                 continue
             pivot = ap.sector_with_germ(t_here.base, s_here.germ())
             if pivot is None:
@@ -610,8 +588,7 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
     if found is None:
         return OppositeResult(INCONCLUSIVE, sector=t_sector, maximal_length=delta.length)
     cochart, (_, t_there) = found
-    germ_there = atlas.transport_germ(germ, cochart)
-    parallel = ap.sector(germ_there.base, t_there.direction)
+    parallel = ap.sector(held[cochart].base, t_there.direction)
     y_there = atlas.transport_point(chart_b, y, cochart)
     contains = y_there is not None and ap.sector_contains_point(parallel, y_there)
     return OppositeResult(

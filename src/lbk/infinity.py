@@ -3,10 +3,10 @@
 Chambers are parallel classes of sectors.  Inside one chart a class is just a
 direction; across charts two directions are identified when some sector with
 the first direction fits inside the overlap region (bounded distance is the
-same as sharing a subsector).  The classes are closed off by union-find, so
-chains of overlaps are handled.  Panels at infinity get the same treatment
-one dimension down, which yields the adjacency relation and the thinness
-checks.
+same as sharing a subsector).  Panels at infinity get the same treatment one
+dimension down.  One union-find over (chart, direction, type) faces, type 0
+the sector and type i its type-i panel, closes off chains of overlaps for
+both; the chambers holding each panel class give adjacency and thinness.
 """
 from __future__ import annotations
 
@@ -20,12 +20,9 @@ class _UnionFind:
     def __init__(self):
         self.parent: dict = {}
 
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
-
     def find(self, x):
         root = x
-        while self.parent[root] != root:
+        while self.parent.setdefault(root, root) != root:
             root = self.parent[root]
         while self.parent[x] != root:
             self.parent[x], x = root, self.parent[x]
@@ -47,7 +44,6 @@ class InfinityComplex:
     chamber_of: dict[Node, int]
     apartments: dict[int, tuple[int, ...]]
     adjacency: dict[int, set[frozenset]]
-    panel_class_of: dict[tuple[int, Matrix, int], int]
     issues: list[str] = field(default_factory=list)
 
     @property
@@ -80,73 +76,52 @@ class InfinityComplex:
 def infinity_complex(atlas: Atlas) -> InfinityComplex:
     ap = atlas.apartment
     directions = ap.directions()
+    types = range(1, ap.rank + 1)
+    mirror = {(w.matrix, i): (w * ap.roots.simple(i)).matrix for w in directions for i in types}
     uf = _UnionFind()
     for chart in atlas.charts():
-        for w in directions:
-            uf.add((chart, w.matrix))
+        for (matrix, itype), mirrored in mirror.items():
+            uf.union((chart, matrix, itype), (chart, mirrored, itype))
 
-    # Cross-chart identification: a direction-w sector fitting inside the
-    # overlap is, transported, a direction-(linear*w) sector of the far chart.
+    # Cross-chart identification: a direction-w sector, or its type-i panel,
+    # fitting inside the overlap is, transported, one of direction linear*w.
     for (i, j), t in sorted(atlas.transitions.items()):
         for w in directions:
-            if ap.sector_fits(w, t.region):
-                moved = t.iso.linear * w
-                uf.union((i, w.matrix), (j, moved.matrix))
+            moved = (t.iso.linear * w).matrix
+            for itype in range(ap.rank + 1):
+                if ap.sector_fits(w, t.region, itype):
+                    uf.union((i, w.matrix, itype), (j, moved, itype))
 
-    classes: dict[Node, list[tuple[int, WeylElement]]] = {}
+    classes: dict = {}
     for chart in atlas.charts():
         for w in directions:
-            classes.setdefault(uf.find((chart, w.matrix)), []).append((chart, w))
-    ordered = sorted(classes, key=lambda node: min((c, w.word) for c, w in classes[node]))
-    chamber_of: dict[Node, int] = {}
-    members: list[tuple[tuple[int, WeylElement], ...]] = []
-    for idx, node in enumerate(ordered):
-        members.append(tuple(sorted(classes[node], key=lambda cw: (cw[0], cw[1].word))))
-        for chart, w in classes[node]:
-            chamber_of[(chart, w.matrix)] = idx
-
+            classes.setdefault(uf.find((chart, w.matrix, 0)), []).append((chart, w))
+    # Chamber ids follow the least (chart, word) of each class.
+    by_word = [tuple(sorted(c, key=lambda cw: (cw[0], cw[1].word))) for c in classes.values()]
+    members = sorted(by_word, key=lambda m: (m[0][0], m[0][1].word))
+    chamber_of = {(chart, w.matrix): idx for idx, m in enumerate(members) for chart, w in m}
     apartments = {
         chart: tuple(chamber_of[(chart, w.matrix)] for w in directions)
         for chart in atlas.charts()
     }
 
-    # Panels at infinity: same game one dimension down.
-    puf = _UnionFind()
-    for chart in atlas.charts():
-        for w in directions:
-            for itype in range(1, ap.rank + 1):
-                puf.add((chart, w.matrix, itype))
-    for chart in atlas.charts():
-        for w in directions:
-            for itype in range(1, ap.rank + 1):
-                mirrored = w * ap.roots.simple(itype)
-                puf.union((chart, w.matrix, itype), (chart, mirrored.matrix, itype))
-    for (i, j), t in sorted(atlas.transitions.items()):
-        for w in directions:
-            for itype in range(1, ap.rank + 1):
-                if ap.sector_fits(w, t.region, itype):
-                    moved = t.iso.linear * w
-                    puf.union((i, w.matrix, itype), (j, moved.matrix, itype))
-    panel_class_of = {
-        key: puf.find(key) for key in puf.parent
-    }
-    panel_ids: dict = {}
-    for key in sorted(panel_class_of, key=lambda k: (k[0], k[2], k[1])):
-        rep = panel_class_of[key]
-        if rep not in panel_ids:
-            panel_ids[rep] = len(panel_ids)
-    panel_class = {key: panel_ids[rep] for key, rep in panel_class_of.items()}
+    # The chambers holding each panel class, over the atlas and per chart.
+    holders: dict = {}
+    local: dict = {}
+    for (chart, matrix), chamber in chamber_of.items():
+        for itype in types:
+            pclass = uf.find((chart, matrix, itype))
+            holders.setdefault(pclass, set()).add(chamber)
+            local.setdefault((chart, pclass), set()).add(chamber)
 
     issues: list[str] = []
-    for chart in atlas.charts():
-        if len(set(apartments[chart])) != len(directions):
-            issues.append(
-                f"apartment {atlas.name(chart)} has "
-                f"{len(set(apartments[chart]))} chambers, expected {len(directions)}"
-            )
     seen_sets: dict[frozenset, int] = {}
     for chart in atlas.charts():
         key = frozenset(apartments[chart])
+        if len(key) != len(directions):
+            issues.append(
+                f"apartment {atlas.name(chart)} has {len(key)} chambers, expected {len(directions)}"
+            )
         if key in seen_sets:
             issues.append(
                 f"charts {atlas.name(seen_sets[key])} and {atlas.name(chart)} "
@@ -159,30 +134,19 @@ def infinity_complex(atlas: Atlas) -> InfinityComplex:
     # two chambers exchanged by the generator.
     for chart in atlas.charts():
         for w in directions:
-            for itype in range(1, ap.rank + 1):
-                pclass = panel_class[(chart, w.matrix, itype)]
+            for itype in types:
                 here = chamber_of[(chart, w.matrix)]
-                mirrored = chamber_of[(chart, (w * ap.roots.simple(itype)).matrix)]
-                holders = {
-                    chamber_of[(chart, u.matrix)]
-                    for u in directions
-                    if panel_class[(chart, u.matrix, itype)] == pclass
-                }
-                if holders != {here, mirrored} or here == mirrored:
+                mirrored = chamber_of[(chart, mirror[(w.matrix, itype)])]
+                pclass = uf.find((chart, w.matrix, itype))
+                if local[(chart, pclass)] != {here, mirrored} or here == mirrored:
                     issues.append(
                         f"thinness fails in apartment {atlas.name(chart)} "
                         f"at direction {w!r} type {itype}"
                     )
 
-    adjacency: dict[int, set[frozenset]] = {i: set() for i in range(1, ap.rank + 1)}
-    by_type: dict[tuple[int, int], set[int]] = {}
-    for (chart, matrix, itype), pclass in panel_class.items():
-        by_type.setdefault((itype, pclass), set()).add(chamber_of[(chart, matrix)])
-    for (itype, _), chams in by_type.items():
-        for a in chams:
-            for b in chams:
-                if a < b:
-                    adjacency[itype].add(frozenset((a, b)))
+    adjacency: dict[int, set[frozenset]] = {i: set() for i in types}
+    for (_, _, itype), chams in holders.items():
+        adjacency[itype].update(frozenset((a, b)) for a in chams for b in chams if a < b)
 
     return InfinityComplex(
         atlas=atlas,
@@ -190,6 +154,5 @@ def infinity_complex(atlas: Atlas) -> InfinityComplex:
         chamber_of=chamber_of,
         apartments=apartments,
         adjacency=adjacency,
-        panel_class_of=panel_class,
         issues=sorted(set(issues)),
     )

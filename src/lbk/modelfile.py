@@ -32,6 +32,8 @@ from .atlas import Atlas, BuildingGerm, BuildingPoint, Transition, is_chart_name
 from .lexq import LambdaScalar
 from .rootsystem import build_root_system
 
+MAX_CHARTS = 10_000  # parse_model builds one label per declared chart
+
 
 class ModelFormatError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None):
@@ -157,8 +159,8 @@ def parse_model(text: str) -> Atlas:
                 chart_count = int(rest)
             except ValueError:
                 raise ModelFormatError(f"bad chart count {rest!r}", lineno)
-            if chart_count < 1:
-                raise ModelFormatError("need at least one chart", lineno)
+            if not 1 <= chart_count <= MAX_CHARTS:
+                raise ModelFormatError(f"chart count must be in 1..{MAX_CHARTS}", lineno)
         elif head == "name":
             parts = rest.split()
             if len(parts) != 2:

@@ -347,6 +347,33 @@ def test_opposite_germ_rank_one(tripod):
     assert result.maximal_length == 1  # longest element of the rank-1 group
 
 
+@pytest.mark.parametrize(
+    "atlas", [lambda_tree(4), fan(3, "A2"), fan(3, "B2")], ids=["tree(4,1)", "fan(3,A2)", "fan(3,B2)"]
+)
+def test_opposite_germ_transports_each_germ_once(atlas, monkeypatch):
+    """The given germ is located once per call, and a direction's candidate
+    germ is transported only into charts that hold the given one."""
+    ap = atlas.apartment
+    calls = Counter()
+    original = Atlas.transport_germ
+
+    def counted(self, germ, chart):
+        calls[germ, chart] += 1
+        return original(self, germ, chart)
+
+    monkeypatch.setattr(Atlas, "transport_germ", counted)
+    for c in atlas.charts():
+        germ = BuildingGerm(c, ap.sector(ap.origin(), ap.directions()[0]))
+        held = {b for b in atlas.charts() if original(atlas, germ, b) is not None}
+        for chart_b in atlas.charts():
+            if chart_b == c:
+                continue  # one candidate there would be the given germ itself
+            calls.clear()
+            assert opposite_germ(atlas, germ, chart_b, ap.origin()).verdict == PASS
+            assert max(calls.values()) == 1, calls
+            assert {b for g, b in calls if g != germ} <= held
+
+
 def test_opposite_germ_single_chart():
     atlas = single_apartment("A2", 1)
     ap = atlas.apartment

@@ -2,6 +2,7 @@ import pytest
 
 from lbk.fixtures import fan, lambda_tree, single_apartment
 from lbk.infinity import infinity_complex
+from lbk.modelfile import parse_model
 
 
 @pytest.mark.parametrize("name,count", [("A1", 2), ("A2", 6), ("B2", 8), ("G2", 12)])
@@ -55,3 +56,41 @@ def test_lines_render():
     assert lines[0] == "chambers 3"
     assert lines[1] == "apartments 3"
     assert lines[-1] == "RESULT thin"
+
+
+# Three A2 charts glued on the whole plane, one glue by the reflection r1:
+# every chart sees the same three chambers, so chamber counts, distinct
+# apartments and thinness all fail.
+DEGENERATE = """\
+lambda 1
+roots A2
+charts 3
+glue 1 2 : ; word ; t (0,0)
+glue 2 3 : ; word ; t (0,0)
+glue 1 3 : ; word 1 ; t (0,0)
+"""
+
+
+def test_degenerate_atlas_lines_are_pinned():
+    lines = infinity_complex(parse_model(DEGENERATE)).lines()
+    thinness = [
+        f"VIOLATION thinness fails in apartment {chart} at direction {w} type {t}"
+        for chart in (1, 2, 3)
+        for w, t in (("e", 1), ("r1", 1), ("r1*r2*r1", 2), ("r2*r1", 2))
+    ]
+    assert lines == [
+        "chambers 3",
+        "apartments 1",
+        "apartment 1 : 0 1 2",
+        "apartment 2 : 0 1 2",
+        "apartment 3 : 0 1 2",
+        "adjacency 1 : 1~2",
+        "adjacency 2 : 0~1",
+        "VIOLATION apartment 1 has 3 chambers, expected 6",
+        "VIOLATION apartment 2 has 3 chambers, expected 6",
+        "VIOLATION apartment 3 has 3 chambers, expected 6",
+        "VIOLATION charts 1 and 2 give the same apartment at infinity",
+        "VIOLATION charts 1 and 3 give the same apartment at infinity",
+        *thinness,
+        "RESULT degenerate",
+    ]

@@ -7,6 +7,7 @@ from lbk.atlas import Atlas, validate
 from lbk.fixtures import fan, lambda_tree, shifted_rays
 from lbk.lexq import LambdaScalar
 from lbk.modelfile import (
+    MAX_CHARTS,
     ModelFormatError,
     format_root,
     format_scalar,
@@ -169,6 +170,17 @@ def test_cartan_rank_is_capped():
     rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     with pytest.raises(ModelFormatError, match=f"Cartan rank {n} exceeds {MAX_RANK}"):
         parse_model(f"lambda 1\ncartan {rows}\ncharts 1\n")
+
+
+@pytest.mark.parametrize("value", [OVERFLOW, str(MAX_CHARTS + 1), "0"])
+def test_chart_count_is_capped(value):
+    # Rejected on the charts line itself, before any per-chart list is built.
+    with pytest.raises(ModelFormatError, match=f"line 3: chart count must be in 1..{MAX_CHARTS}"):
+        parse_model(f"lambda 1\nroots A1\ncharts {value}\nname 1 a\n")
+
+
+def test_chart_cap_itself_parses():
+    assert len(parse_model(f"lambda 1\nroots A1\ncharts {MAX_CHARTS}\n").chart_names) == MAX_CHARTS
 
 
 def test_largest_ranks_still_parse():
