@@ -9,7 +9,7 @@ the cocycle check run by :func:`validate` is what justifies that shortcut.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .apartment import (
     AffineIsometry,
@@ -45,6 +45,10 @@ class DistanceDisagreementError(RuntimeError):
 class Transition:
     region: ConvexRegion
     iso: AffineIsometry
+
+    def reverse(self, ap: Apartment) -> "Transition":
+        """The way back: the inverse isometry on the image region."""
+        return Transition(ap.transform_region(self.region, self.iso), self.iso.inverse())
 
 
 @dataclass(frozen=True)
@@ -162,27 +166,23 @@ class Atlas:
 
     def transport_sector(self, bs: BuildingSector, j: int) -> Optional[Sector]:
         """Image of a whole sector in chart j; None unless fully contained."""
-        ap = self.apartment
-        if bs.chart == j:
-            return bs.sector
-        t = self.transition(bs.chart, j)
-        if t is None:
-            return None
-        if not ap.sector_in_region(bs.sector, t.region):
-            return None
-        return ap.sector(t.iso.apply(bs.sector.base), t.iso.linear * bs.sector.direction)
+        return self._transport(bs, j, lambda r: self.apartment.sector_in_region(bs.sector, r))
 
     def transport_germ(self, bg: BuildingGerm, j: int) -> Optional[Sector]:
         """Image of a sector germ in chart j; needs only a germ-sized overlap."""
-        ap = self.apartment
-        if bg.chart == j:
-            return bg.sector
-        t = self.transition(bg.chart, j)
-        if t is None:
+        return self._transport(bg, j, lambda r: self.apartment.region_contains_germ(r, bg.germ()))
+
+    def _transport(
+        self, item: BuildingGerm | BuildingSector, j: int, fits: Callable[[ConvexRegion], bool]
+    ) -> Optional[Sector]:
+        """The item's sector moved into chart j, when ``fits`` accepts the overlap."""
+        if item.chart == j:
+            return item.sector
+        t = self.transition(item.chart, j)
+        if t is None or not fits(t.region):
             return None
-        if not ap.region_contains_germ(t.region, bg.sector.germ()):
-            return None
-        return ap.sector(t.iso.apply(bg.sector.base), t.iso.linear * bg.sector.direction)
+        sector = item.sector
+        return self.apartment.sector(t.iso.apply(sector.base), t.iso.linear * sector.direction)
 
     def first_chart_holding(
         self, *items: BuildingGerm | BuildingSector
@@ -233,9 +233,10 @@ def validate(atlas: Atlas) -> ValidationReport:
         if back is None:
             issues.append(f"symmetry: transition {label} has no reverse")
             continue
-        if back.iso != t.iso.inverse():
+        derived = t.reverse(ap)
+        if back.iso != derived.iso:
             issues.append(f"symmetry: reverse isometry of {label} is not the inverse")
-        if not ap.region_equal(back.region, ap.transform_region(t.region, t.iso)):
+        if not ap.region_equal(back.region, derived.region):
             issues.append(f"symmetry: reverse region of {label} is not the image region")
     notes.append(f"symmetry pairs={len(pairs)}")
 

@@ -71,7 +71,6 @@ class CheckLine:
 class AxiomReport:
     axiom: str
     lines: list[CheckLine] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def verdict(self) -> str:

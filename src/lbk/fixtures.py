@@ -8,8 +8,9 @@ built to break specific exchange/intersection properties.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Optional
 
-from .apartment import Apartment
+from .apartment import Apartment, ConvexRegion
 from .atlas import Atlas, Transition
 from .rootsystem import build_root_system
 
@@ -24,66 +25,27 @@ def single_apartment(roots: str = "A2", lam: int = 1) -> Atlas:
     return Atlas(ap, ["1"], {}, label=f"single {roots} lambda={lam}")
 
 
+MAX_ENDS = 32  # E ends make E(E-1)/2 charts, and a fan glues every two of them
+
+
 def _pair_name(a: int, b: int) -> str:
     return f"{a}{b}" if a < 10 and b < 10 else f"{a}-{b}"
 
 
-def lambda_tree(ends: int, lam: int = 1) -> Atlas:
-    """Tree with the given number of ends: one rank-1 chart per end pair.
+def _end_pairs(ap: Apartment, ends: int, label: str, disjoint: Optional[ConvexRegion] = None) -> Atlas:
+    """One chart per end pair {a,b} (a < b), both directions of each gluing.
 
-    All branch points sit at the chart origin.  In chart {i,j} (i < j) the
-    ray toward end i is the nonnegative side of the wall at the origin, the
-    ray toward end j the nonpositive side.
+    In chart {a,b} end a is the nonnegative side of the alpha_1 wall through
+    the origin and end b the nonpositive side.  Charts sharing an end overlap
+    on that end's side, glued by the identity or by r_1; charts without one
+    are glued on ``disjoint`` by the identity, or not at all when it is None.
     """
-    if ends < 2:
-        raise ValueError("a tree needs at least 2 ends")
-    ap = _apartment("A1", lam)
+    if not 2 <= ends <= MAX_ENDS:
+        raise ValueError(f"end count must be in 2..{MAX_ENDS}")
     pairs = list(combinations(range(1, ends + 1), 2))
-    names = [_pair_name(a, b) for a, b in pairs]
-    zero = ap.zero()
+    side_of = {s: ap.half_region(ap.roots.simple_root(1), s, ap.zero()) for s in (1, -1)}
     identity = ap.isometry(ap.roots.identity())
     flip = ap.isometry(ap.roots.simple(1))
-
-    def side(pair: tuple[int, int], end: int) -> int:
-        return 1 if end == pair[0] else -1
-
-    transitions: dict[tuple[int, int], Transition] = {}
-    for i, pi in enumerate(pairs):
-        for j, pj in enumerate(pairs):
-            if i == j:
-                continue
-            shared = set(pi) & set(pj)
-            if not shared:
-                continue
-            end = shared.pop()
-            si, sj = side(pi, end), side(pj, end)
-            region = ap.half_region((1,), si, zero)
-            iso = identity if si == sj else flip
-            transitions[(i, j)] = Transition(region, iso)
-    return Atlas(ap, names, transitions, label=f"tree ends={ends} lambda={lam}")
-
-
-def fan(leaves: int, roots: str = "A2", lam: int = 1) -> Atlas:
-    """Half-apartments sharing one wall; charts are unordered leaf pairs.
-
-    In chart {a,b} (a < b) leaf a is the nonnegative side of the alpha_1 wall
-    through the origin and leaf b the nonpositive side.  Charts with disjoint
-    leaf pairs still meet: in the wall itself.
-    """
-    if leaves < 2:
-        raise ValueError("a fan needs at least 2 leaves")
-    ap = _apartment(roots, lam)
-    if ap.rank != 2:
-        raise ValueError("fan fixtures use a rank-2 root system")
-    pairs = list(combinations(range(1, leaves + 1), 2))
-    names = [_pair_name(a, b) for a, b in pairs]
-    zero = ap.zero()
-    identity = ap.isometry(ap.roots.identity())
-    mirror = ap.isometry(ap.roots.simple(1))
-    wall = ap.wall_region((1, 0), zero)
-
-    def side(pair: tuple[int, int], leaf: int) -> int:
-        return 1 if leaf == pair[0] else -1
 
     transitions: dict[tuple[int, int], Transition] = {}
     for i, pi in enumerate(pairs):
@@ -92,15 +54,30 @@ def fan(leaves: int, roots: str = "A2", lam: int = 1) -> Atlas:
                 continue
             shared = set(pi) & set(pj)
             if shared:
-                leaf = min(shared)
-                si, sj = side(pi, leaf), side(pj, leaf)
-                region = ap.half_region((1, 0), si, zero)
-                iso = identity if si == sj else mirror
-            else:
-                region = wall
-                iso = identity
-            transitions[(i, j)] = Transition(region, iso)
-    return Atlas(ap, names, transitions, label=f"fan leaves={leaves} roots={roots} lambda={lam}")
+                end = shared.pop()
+                si, sj = (1 if end == p[0] else -1 for p in (pi, pj))
+                transitions[(i, j)] = Transition(side_of[si], identity if si == sj else flip)
+            elif disjoint is not None:
+                transitions[(i, j)] = Transition(disjoint, identity)
+    return Atlas(ap, [_pair_name(a, b) for a, b in pairs], transitions, label=label)
+
+
+def lambda_tree(ends: int, lam: int = 1) -> Atlas:
+    """Tree with the given number of ends: one rank-1 chart per end pair,
+    every branch point at the chart origin."""
+    return _end_pairs(_apartment("A1", lam), ends, f"tree ends={ends} lambda={lam}")
+
+
+def fan(leaves: int, roots: str = "A2", lam: int = 1) -> Atlas:
+    """Half-apartments sharing one wall; charts are unordered leaf pairs.
+
+    Charts with disjoint leaf pairs still meet: in the wall itself.
+    """
+    ap = _apartment(roots, lam)
+    if ap.rank != 2:
+        raise ValueError("fan fixtures use a rank-2 root system")
+    label = f"fan leaves={leaves} roots={roots} lambda={lam}"
+    return _end_pairs(ap, leaves, label, disjoint=ap.wall_region((1, 0), ap.zero()))
 
 
 def broken_pair(lam: int = 1) -> Atlas:

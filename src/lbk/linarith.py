@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lexq import LambdaScalar, Rational
+from .lexq import LambdaScalar
 
 GE = ">="
 GT = ">"
@@ -66,10 +66,6 @@ class LinearConstraint:
             LinearConstraint(self.coeffs, GT, self.bound),
             LinearConstraint(neg, GT, -self.bound),
         )
-
-
-def constraint(coeffs: Sequence[Rational], relation: str, bound: LambdaScalar) -> LinearConstraint:
-    return LinearConstraint(tuple(Fraction(c) for c in coeffs), relation, bound)
 
 
 @dataclass(frozen=True)

@@ -251,9 +251,7 @@ def parse_model(text: str) -> Atlas:
 
     for (i, j), t in list(transitions.items()):
         if (j, i) not in transitions:
-            transitions[(j, i)] = Transition(
-                ap.transform_region(t.region, t.iso), t.iso.inverse()
-            )
+            transitions[(j, i)] = t.reverse(ap)
 
     label = roots_label if isinstance(roots_spec, str) else "cartan"
     return Atlas(ap, chart_names, transitions, label=f"model {label} lambda={lam}")
@@ -291,7 +289,7 @@ def serialize_model(atlas: Atlas) -> str:
         emitted.add((i, j))
         back = atlas.transitions.get((j, i))
         if back is not None:
-            derived = Transition(ap.transform_region(t.region, t.iso), t.iso.inverse())
+            derived = t.reverse(ap)
             same = back.iso == derived.iso and ap.region_equal(back.region, derived.region)
             if not same:
                 lines.append(glue_line(j, i, back))

@@ -25,8 +25,8 @@ Root = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 _ROOT_CLOSURE_FACTOR = 10
-DEFAULT_WEYL_CAP = 10000
-MAX_RANK = 16  # every root system of rank 14 or more exceeds DEFAULT_WEYL_CAP
+WEYL_CAP = 10000  # _enumerate gives up on larger reflection groups
+MAX_RANK = 16  # every root system of rank 14 or more exceeds WEYL_CAP
 
 
 def _identity(n: int) -> Matrix:
@@ -166,19 +166,12 @@ class WeylElement:
 class RootSystem:
     """Cartan matrix, symmetrizer, positive roots and the reflection group."""
 
-    def __init__(
-        self,
-        cartan: Iterable[Iterable[int]],
-        *,
-        label: str = "",
-        weyl_cap: int = DEFAULT_WEYL_CAP,
-    ):
+    def __init__(self, cartan: Iterable[Iterable[int]], *, label: str = ""):
         matrix = tuple(tuple(int(x) for x in row) for row in cartan)
         _validate_cartan(matrix)
         self.cartan: Matrix = matrix
         self.rank = len(matrix)
         self.label = label
-        self.weyl_cap = weyl_cap
         self.sym = _symmetrizer(matrix)
         self.positive_roots: tuple[Root, ...] = self._close_positive_roots()
         self._positive_set = frozenset(self.positive_roots)
@@ -255,9 +248,9 @@ class RootSystem:
                         by_matrix[m] = elem
                         elements.append(elem)
                         nxt.append(elem)
-                        if len(elements) > self.weyl_cap:
+                        if len(elements) > WEYL_CAP:
                             raise ValueError(
-                                f"reflection group exceeds the cap of {self.weyl_cap} elements"
+                                f"reflection group exceeds the cap of {WEYL_CAP} elements"
                             )
             level = nxt
         elements.sort(key=lambda w: (w.length, w.word))
@@ -301,13 +294,9 @@ class RootSystem:
         return f"RootSystem({self.label or self.cartan})"
 
 
-def build_root_system(
-    spec: Union[str, Iterable[Iterable[int]]],
-    *,
-    weyl_cap: int = DEFAULT_WEYL_CAP,
-) -> RootSystem:
+def build_root_system(spec: Union[str, Iterable[Iterable[int]]]) -> RootSystem:
     """Build from a type name ("A2", "B3", "C2", "G2") or an explicit Cartan matrix."""
     if isinstance(spec, str):
-        return RootSystem(named_cartan(spec), label=spec.strip().upper().replace("_", ""), weyl_cap=weyl_cap)
-    return RootSystem(spec, weyl_cap=weyl_cap)
+        return RootSystem(named_cartan(spec), label=spec.strip().upper().replace("_", ""))
+    return RootSystem(spec)
 

@@ -111,3 +111,10 @@ def test_fixture_lex_rank_past_the_cap_is_a_usage_error(capsys):
     for value in ("17", OVERFLOW):
         assert main(["fixture", "tree", "--ends", "3", "--lambda", value]) == 2
     assert "lex rank must be in 1..16" in capsys.readouterr().err
+
+
+def test_fixture_end_count_past_the_cap_is_a_usage_error(capsys):
+    for value in ("33", OVERFLOW):
+        assert main(["fixture", "tree", "--ends", value]) == 2
+        assert main(["fixture", "fan", "--leaves", value]) == 2
+    assert "end count must be in 2..32" in capsys.readouterr().err
