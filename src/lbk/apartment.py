@@ -372,15 +372,13 @@ class Apartment:
             self._slopes[direction.matrix] = table
         return table[root]
 
-    def sector_in_region(self, s: Sector, region: ConvexRegion, panel_type: int = 0) -> bool:
-        """Does the sector (panel_type 0) or its type-i panel lie in the region?
+    def sector_in_region(self, s: Sector, region: ConvexRegion) -> bool:
+        """Does the sector lie in the region?
 
         A cone with apex b lies in a half-apartment exactly when b does and
-        the half does not cap any generator of the cone, so no elimination
-        is needed.
+        the half caps no generator of the cone, so no elimination is needed.
         """
-        fits = self._cone_fits(s.direction, panel_type, region.halves)
-        return fits and self.region_contains_point(region, s.base)
+        return self._cone_fits(s.direction, 0, region.halves) and self.region_contains_point(region, s.base)
 
     def sector_fits(self, direction: WeylElement, region: ConvexRegion, panel_type: int = 0) -> bool:
         """Does some direction-w sector (panel_type 0), or its type-i panel, lie in the region?
@@ -416,18 +414,9 @@ class Apartment:
         for root in self.roots.positive_roots:
             values = [self.pairing(root, p) for p in pts]
             values += [self.pairing(root, s.base) for s in secs]
-            lower_ok = True
-            upper_ok = True
-            for s in secs:
-                for slope in self.cone_slopes(s.direction, root):
-                    if slope < 0:
-                        lower_ok = False
-                    if slope > 0:
-                        upper_ok = False
-            if lower_ok:
-                halves.append(self.half(root, 1, min(values)))
-            if upper_ok:
-                halves.append(self.half(root, -1, max(values)))
+            for sense, bound in ((1, min), (-1, max)):
+                if not any(self.caps(s.direction, root, sense) for s in secs):
+                    halves.append(self.half(root, sense, bound(values)))
         return self.region(halves)
 
     def region_contains_germ(self, region: ConvexRegion, germ: SectorGerm) -> bool:
@@ -447,14 +436,14 @@ class Apartment:
 
     def _cone_fits(self, direction: WeylElement, panel_type: int, halves: Iterable[HalfApartment]) -> bool:
         """No half caps a generator of the direction cone, or of its type-i
-        face (1-based i; 0: the whole cone).  A half caps generator k when
-        its pairing falls along it: the k-th of its :meth:`cone_slopes`,
-        times its sense, is negative."""
-        for h in halves:
-            slopes = self.cone_slopes(direction, h.root)
-            if any(c * h.sense < 0 for k, c in enumerate(slopes, start=1) if k != panel_type):
-                return False
-        return True
+        face (1-based i; 0: the whole cone).  Stops at the first half that does."""
+        return not any(self.caps(direction, h.root, h.sense) - {panel_type} for h in halves)
+
+    def caps(self, direction: WeylElement, root: Root, sense: int) -> frozenset[int]:
+        """The 1-based generators k of the direction cone that the half
+        (root, sense) caps: its pairing falls along w.u_k, so sense times the
+        k-th of its :meth:`cone_slopes` is negative."""
+        return frozenset(k for k, c in enumerate(self.cone_slopes(direction, root), start=1) if c * sense < 0)
 
     # -- germ galleries ------------------------------------------------------
 

@@ -83,6 +83,13 @@ class AxiomReport:
     def add(self, config: str, verdict: str, detail: str = "") -> None:
         self.lines.append(CheckLine(config, verdict, detail))
 
+    def check(self, config: str, witness: Optional[str], failure: str) -> None:
+        """A pass line naming the witness, or a fail line naming the failure when there is none."""
+        if witness is None:
+            self.add(config, FAIL, f"detail={failure}")
+        else:
+            self.add(config, PASS, f"witness={witness}")
+
     def rendered(self) -> list[str]:
         out = []
         for line in self.lines:
@@ -103,25 +110,18 @@ class AxiomReport:
 # -- sampling ---------------------------------------------------------------
 
 
-def sample_points(atlas: Atlas, chart: int, count: int, seed: int) -> list[Point]:
-    """Seeded rational points, numerators and denominators bounded by 12."""
+def designated_points(atlas: Atlas, chart: int, extra: int, seed: int) -> list[Point]:
+    """The origin, then extra seeded rational points, numerators and denominators bounded by 12."""
     ap = atlas.apartment
     rng = random.Random(f"{seed}:{atlas.label}:{atlas.name(chart)}")
-    out = []
-    for _ in range(count):
-        coords = []
-        for _ in range(ap.rank):
-            parts = [
-                Fraction(rng.randint(-12, 12), rng.randint(1, 12))
-                for _ in range(ap.lex_rank)
-            ]
-            coords.append(LambdaScalar(parts))
-        out.append(tuple(coords))
-    return out
-
-
-def designated_points(atlas: Atlas, chart: int, extra: int, seed: int) -> list[Point]:
-    return [atlas.apartment.origin()] + sample_points(atlas, chart, extra, seed)
+    drawn = [
+        tuple(
+            LambdaScalar([Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(ap.lex_rank)])
+            for _ in range(ap.rank)
+        )
+        for _ in range(extra)
+    ]
+    return [ap.origin()] + drawn
 
 
 def building_points(atlas: Atlas, seed: int) -> list[BuildingPoint]:
@@ -141,12 +141,24 @@ def building_sectors(atlas: Atlas, seed: int) -> list[BuildingSector]:
 
 
 def _cap_pairs(items: list, samples: int, seed: int, tag: str) -> list:
-    pairs = list(combinations(range(len(items)), 2))
-    if len(pairs) <= samples:
-        return [(items[a], items[b]) for a, b in pairs]
-    rng = random.Random(f"{seed}:{tag}")
-    chosen = rng.sample(pairs, samples)
-    return [(items[a], items[b]) for a, b in sorted(chosen)]
+    """All pairs of items in order, or a seeded sample of them.  random.sample
+    picks indices from the population's length alone, so sampling the ranks of
+    the pairs in combinations order draws what sampling the listed pairs did."""
+    n = len(items)
+    total = n * (n - 1) // 2
+    if total <= samples:
+        return list(combinations(items, 2))
+    out, a, start = [], 0, 0  # start: the rank of the pair (a, a + 1)
+    for rank in sorted(random.Random(f"{seed}:{tag}").sample(range(total), samples)):
+        while rank >= start + n - 1 - a:
+            start += n - 1 - a
+            a += 1
+        out.append((items[a], items[a + 1 + rank - start]))
+    return out
+
+
+def _pair_label(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint) -> str:
+    return f"({atlas.name(bp.chart)}:{format_point(bp.point)},{atlas.name(bq.chart)}:{format_point(bq.point)})"
 
 
 def _sector_label(atlas: Atlas, bs: BuildingSector | BuildingGerm) -> str:
@@ -209,12 +221,8 @@ def check_a3(atlas: Atlas, samples: int = 60, seed: int = 0) -> AxiomReport:
     report = AxiomReport("A3")
     locate = cache(atlas.locate_point)
     for bp, bq in _cap_pairs(building_points(atlas, seed), samples, seed, "a3"):
-        config = f"({atlas.name(bp.chart)}:{format_point(bp.point)},{atlas.name(bq.chart)}:{format_point(bq.point)})"
         chart = located_common_chart(bp, bq, locate(bp), locate(bq))
-        if chart is None:
-            report.add(config, FAIL, "detail=no-common-chart")
-        else:
-            report.add(config, PASS, f"witness={atlas.name(chart)}")
+        report.check(_pair_label(atlas, bp, bq), None if chart is None else atlas.name(chart), "no-common-chart")
     return report
 
 
@@ -228,10 +236,7 @@ def check_a4(atlas: Atlas, samples: int = 200, seed: int = 0) -> AxiomReport:
     for s1, s2 in _cap_pairs(sectors, samples, seed, "a4"):
         config = f"({_sector_label(atlas, s1)},{_sector_label(atlas, s2)})"
         found = sector_class_distance(atlas, s1, s2)
-        if found is None:
-            report.add(config, FAIL, "detail=no-chart-holds-both-subsectors")
-        else:
-            report.add(config, PASS, f"witness={atlas.name(found[1])}")
+        report.check(config, None if found is None else atlas.name(found[1]), "no-chart-holds-both-subsectors")
     return report
 
 
@@ -248,10 +253,7 @@ def check_a6(atlas: Atlas) -> AxiomReport:
         config = f"({atlas.name(i)},{atlas.name(j)},{atlas.name(k)})"
         triple = ap.intersect(atlas.overlap_region(i, j), atlas.overlap_region(i, k))
         probe = ap.region_feasible(triple)
-        if probe.sat:
-            report.add(config, PASS, f"witness={format_point(probe.witness)}")
-        else:
-            report.add(config, FAIL, "detail=triple-intersection-empty")
+        report.check(config, format_point(probe.witness) if probe.sat else None, "triple-intersection-empty")
     if not report.lines:
         report.add("(no-triples)", PASS, "detail=vacuous")
     return report
@@ -281,10 +283,7 @@ def check_ec(atlas: Atlas) -> AxiomReport:
         witness = next(
             (c for c in atlas.charts() if (atlas.overlap_half(i, c), atlas.overlap_half(j, c)) == flipped), None
         )
-        if witness is None:
-            report.add(config, FAIL, "detail=missing-exchange-apartment")
-        else:
-            report.add(config, PASS, f"witness={atlas.name(witness)}")
+        report.check(config, None if witness is None else atlas.name(witness), "missing-exchange-apartment")
     if not report.lines:
         report.add("(no-half-apartment-pairs)", PASS, "detail=vacuous")
     return report
@@ -300,18 +299,14 @@ def _panel_of_sector(ap: Apartment, sector: Sector, overlap: ConvexRegion) -> Op
     sector's own panels (apex included), not a panel-shaped slice further
     out.  The base must lie in the overlap (:func:`check_se` tests it once
     per base).  Write a sector point as x = b + sum_k t_k w.u_k, t_k >= 0: a
-    half moves along generator k at the rate coeff_k(w^-1 r)
-    (:meth:`Apartment.cone_slopes`), and a root's coefficients share a sign.
+    half caps generator k (:meth:`Apartment.caps`) when it falls along it,
+    and a root's coefficients w^-1 r share a sign.
     So panel i fits and the sector does not exactly when i is the only
     capped generator; each capping half then has w^-1 r = +-alpha_i and
     reads slack - t_i >= 0, and the cut stays on panel i (t_i = 0) exactly
     when one of them is tight at the base.
     """
-    w = sector.direction
-    caps = [
-        (h, {k for k, c in enumerate(ap.cone_slopes(w, h.root), start=1) if c * h.sense < 0})
-        for h in overlap.halves
-    ]
+    caps = [(h, ap.caps(sector.direction, h.root, h.sense)) for h in overlap.halves]
     capped = set().union(*(ks for _, ks in caps))
     if len(capped) != 1:
         return None
@@ -351,10 +346,8 @@ def check_se(atlas: Atlas, seed: int = 0) -> AxiomReport:
             sides = (ap.half(wall.root, sense, wall.bound) for sense in (1, -1))
             found = [next((c for c in atlas.charts() if extends(a, c, side)), None) for side in sides]
             config = f"(chart={atlas.name(a)},sector={_sector_label(atlas, bs)})"
-            if None in found:
-                report.add(config, FAIL, "detail=missing-side-apartment")
-            else:
-                report.add(config, PASS, "witness=" + "+".join(atlas.name(c) for c in found))
+            witness = None if None in found else "+".join(atlas.name(c) for c in found)
+            report.check(config, witness, "missing-side-apartment")
     if not report.lines:
         report.add("(no-panel-incidences)", PASS, "detail=vacuous")
     return report
@@ -417,39 +410,31 @@ def check_a5(atlas: Atlas, samples: int = 200, seed: int = 0) -> AxiomReport:
     ap = atlas.apartment
     dirs = ap.directions()
     targets = [(chart, w) for chart in atlas.charts() for w in (dirs[0], dirs[-1])][:3]
-    germ_targets = [(chart, BuildingGerm(chart, ap.sector(ap.origin(), w))) for chart, w in targets]
 
     points = building_points(atlas, seed)
     located = {bp: atlas.locate_point(bp) for bp in points}
 
-    for chart, germ in germ_targets:
+    for chart, w in targets:
+        germ = BuildingGerm(chart, ap.sector(ap.origin(), w))
         config_base = f"(chart={atlas.name(chart)},germ={_sector_label(atlas, germ)})"
         try:
             rho = build_retraction(atlas, germ, chart)
         except TheoremViolation as exc:
             report.add(config_base, FAIL, f"detail={str(exc).replace(' ', '_')}")
             continue
+        written = len(report.lines)
         images: dict[BuildingPoint, BuildingPoint | TheoremViolation] = {}
-
-        def image(bp: BuildingPoint) -> BuildingPoint:
-            if bp not in images:
-                try:
-                    images[bp] = rho.evaluate_located(bp, located[bp])
-                except TheoremViolation as exc:
-                    images[bp] = exc
-            if isinstance(images[bp], TheoremViolation):
-                raise images[bp]
-            return images[bp]
-
-        failed = False
-        for bp, bq in _cap_pairs(points, samples, seed, f"a5:{atlas.name(chart)}"):
-            config = f"{config_base}:({atlas.name(bp.chart)}:{format_point(bp.point)},{atlas.name(bq.chart)}:{format_point(bq.point)})"
+        for bp in points:
             try:
-                ry = image(bp)
-                rz = image(bq)
+                images[bp] = rho.evaluate_located(bp, located[bp])
             except TheoremViolation as exc:
-                report.add(config, FAIL, f"detail={str(exc).replace(' ', '_')}")
-                failed = True
+                images[bp] = exc
+        for bp, bq in _cap_pairs(points, samples, seed, f"a5:{atlas.name(chart)}"):
+            config = f"{config_base}:{_pair_label(atlas, bp, bq)}"
+            ry, rz = images[bp], images[bq]
+            violation = next((r for r in (ry, rz) if isinstance(r, TheoremViolation)), None)
+            if violation is not None:
+                report.add(config, FAIL, f"detail={str(violation).replace(' ', '_')}")
                 continue
             try:
                 original = located_distance(atlas, bp, bq, located[bp], located[bq])
@@ -457,23 +442,18 @@ def check_a5(atlas: Atlas, samples: int = 200, seed: int = 0) -> AxiomReport:
                 continue
             except DistanceDisagreementError:
                 report.add(config, FAIL, "detail=distance-disagrees-between-charts")
-                failed = True
                 continue
             retracted = ap.metric(ry.point, rz.point)
             if retracted > original:
                 report.add(config, FAIL, "detail=distance-increased")
-                failed = True
                 continue
             shared = located[bp].keys() & located[bq].keys() & rho.maps.keys()
             if shared and retracted != original:
                 report.add(config, FAIL, "detail=not-isometric-on-co-chart-pair")
-                failed = True
-        for bp in points:
-            if bp.chart == chart and image(bp).point != bp.point:
-                report.add(config_base, FAIL, "detail=not-identity-on-target")
-                failed = True
-                break
-        if not failed:
+        # An image that is a TheoremViolation is no fixed point either.
+        if any(bp.chart == chart and images[bp] != BuildingPoint(chart, bp.point) for bp in points):
+            report.add(config_base, FAIL, "detail=not-identity-on-target")
+        if len(report.lines) == written:
             report.add(config_base, PASS, f"witness=maps:{len(rho.maps)}")
     return report
 

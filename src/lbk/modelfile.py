@@ -16,8 +16,10 @@ overlap region of the first chart (comma-separated constraints
 gluing isometry as a generator word and a translation point.  Reverse
 transitions are derived automatically unless spelled out.
 
-Scalar literals are reduced rationals joined by ``|`` across lex components
-(parentheses optional); a bare rational embeds as its first component.
+Scalar literals are rationals joined by ``|`` across lex components
+(parentheses optional); a bare rational embeds as its first component.  A
+component reads ``[+-]<digits>[/<digits>]`` with at most MAX_LITERAL_DIGITS
+digits per part: decimal and exponent forms are malformed input.
 Point literals wrap one scalar per coordinate: ``(1|0,0|0)``.
 """
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .lexq import LambdaScalar
 from .rootsystem import build_root_system
 
 MAX_CHARTS = 10_000  # parse_model builds one label per declared chart
+MAX_LITERAL_DIGITS = 64  # a literal rational reads [+-]digits[/digits], the denominator not zero
+_RATIONAL = re.compile(rf"[+-]?\d{{1,{MAX_LITERAL_DIGITS}}}(/(?=0*[1-9])\d{{1,{MAX_LITERAL_DIGITS}}})?")
 
 
 class ModelFormatError(ValueError):
@@ -57,10 +61,11 @@ def parse_scalar(text: str, lex_rank: int) -> LambdaScalar:
     if not body:
         raise ModelFormatError("empty scalar literal")
     parts = [p.strip() for p in body.split("|")]
-    try:
-        values = [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ModelFormatError(f"bad scalar literal {text!r}: {exc}") from None
+    if not all(_RATIONAL.fullmatch(p) for p in parts):
+        raise ModelFormatError(
+            f"bad scalar literal {text[:80]!r}: want [+-]digits[/digits], at most {MAX_LITERAL_DIGITS} digits a part"
+        )
+    values = [Fraction(p) for p in parts]
     if len(values) == 1 and lex_rank > 1:
         values = values + [Fraction(0)] * (lex_rank - 1)
     if len(values) != lex_rank:
@@ -198,56 +203,57 @@ def parse_model(text: str) -> Atlas:
     if len(set(chart_names)) != chart_count:
         raise ModelFormatError("chart labels must be unique")
 
-    def resolve(token: str, lineno: int) -> int:
+    def resolve(token: str) -> int:
         if token in chart_names:
             return chart_names.index(token)
         try:
             idx = int(token)
         except ValueError:
-            raise ModelFormatError(f"unknown chart {token!r}", lineno)
+            raise ModelFormatError(f"unknown chart {token!r}")
         if not 1 <= idx <= chart_count:
-            raise ModelFormatError(f"chart index {idx} out of range", lineno)
+            raise ModelFormatError(f"chart index {idx} out of range")
         return idx - 1
 
     transitions: dict[tuple[int, int], Transition] = {}
     for lineno, rest in glue_lines:
-        head, _, body = rest.partition(":")
-        pair = head.split()
-        if len(pair) != 2:
-            raise ModelFormatError("glue lines read: glue <i> <j> : ...", lineno)
-        i = resolve(pair[0], lineno)
-        j = resolve(pair[1], lineno)
-        if i == j:
-            raise ModelFormatError("cannot glue a chart to itself", lineno)
-        sections = [s.strip() for s in body.split(";")]
-        if len(sections) != 3:
-            raise ModelFormatError(
-                "glue body reads: <constraints> ; word <gens> ; t <point>", lineno
-            )
-        constraint_text, word_text, shift_text = sections
-        halves: list[HalfApartment] = []
-        if constraint_text:
-            for chunk in constraint_text.split(","):
-                fields = chunk.split()
-                if len(fields) != 3 or fields[0] not in ("ge", "le", "eq"):
-                    raise ModelFormatError(f"bad constraint {chunk.strip()!r}", lineno)
-                root = parse_root_expr(fields[1], ap)
-                bound = parse_scalar(fields[2], lam)
-                if fields[0] in ("ge", "eq"):
-                    halves.append(ap.half(root, 1, bound))
-                if fields[0] in ("le", "eq"):
-                    halves.append(ap.half(root, -1, bound))
-        if not word_text.startswith("word"):
-            raise ModelFormatError("expected 'word ...' section", lineno)
-        word = word_text[4:].split()
         try:
-            linear = rs.from_word([int(w) for w in word])
-        except ValueError as exc:
-            raise ModelFormatError(f"bad word: {exc}", lineno)
-        if not shift_text.startswith("t"):
-            raise ModelFormatError("expected 't <point>' section", lineno)
-        shift = parse_point(shift_text[1:].strip(), ap)
-        transitions[(i, j)] = Transition(ap.region(halves), AffineIsometry(linear, shift))
+            head, _, body = rest.partition(":")
+            pair = head.split()
+            if len(pair) != 2:
+                raise ModelFormatError("glue lines read: glue <i> <j> : ...")
+            i = resolve(pair[0])
+            j = resolve(pair[1])
+            if i == j:
+                raise ModelFormatError("cannot glue a chart to itself")
+            sections = [s.strip() for s in body.split(";")]
+            if len(sections) != 3:
+                raise ModelFormatError("glue body reads: <constraints> ; word <gens> ; t <point>")
+            constraint_text, word_text, shift_text = sections
+            halves: list[HalfApartment] = []
+            if constraint_text:
+                for chunk in constraint_text.split(","):
+                    fields = chunk.split()
+                    if len(fields) != 3 or fields[0] not in ("ge", "le", "eq"):
+                        raise ModelFormatError(f"bad constraint {chunk.strip()!r}")
+                    root = parse_root_expr(fields[1], ap)
+                    bound = parse_scalar(fields[2], lam)
+                    if fields[0] in ("ge", "eq"):
+                        halves.append(ap.half(root, 1, bound))
+                    if fields[0] in ("le", "eq"):
+                        halves.append(ap.half(root, -1, bound))
+            if not word_text.startswith("word"):
+                raise ModelFormatError("expected 'word ...' section")
+            word = word_text[4:].split()
+            try:
+                linear = rs.from_word([int(w) for w in word])
+            except ValueError as exc:
+                raise ModelFormatError(f"bad word: {exc}")
+            if not shift_text.startswith("t"):
+                raise ModelFormatError("expected 't <point>' section")
+            shift = parse_point(shift_text[1:].strip(), ap)
+            transitions[(i, j)] = Transition(ap.region(halves), AffineIsometry(linear, shift))
+        except ModelFormatError as exc:  # every error of a glue line names it
+            raise ModelFormatError(str(exc), lineno) from None
 
     for (i, j), t in list(transitions.items()):
         if (j, i) not in transitions:

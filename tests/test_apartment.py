@@ -164,6 +164,22 @@ def test_cone_slopes_are_generator_slopes(name):
                 assert slope == pulled[k]
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3"])
+def test_caps_reads_the_sign_of_each_generator_slope(name):
+    """A half (root, sense) caps generator k exactly when sense times the
+    Fraction slope (root, w.u_k) is negative; the generators come from the
+    inverse pairing matrix (sector_cone), not from cone_slopes."""
+    ap = make(name)
+    for w in ap.directions():
+        gens = ap.sector_cone(w)
+        for r in ap.roots.positive_roots:
+            row = ap.pairing_row(r)
+            slopes = [sum(c * g for c, g in zip(row, gen)) for gen in gens]
+            for sense in (1, -1):
+                expected = {k for k, slope in enumerate(slopes, start=1) if sense * slope < 0}
+                assert ap.caps(w, r, sense) == expected
+
+
 # -- germs and parallelism ------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
+import random
 import sys
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +13,7 @@ from lbk.axioms import (
     INCONCLUSIVE,
     PASS,
     TheoremViolation,
+    _cap_pairs,
     build_retraction,
     check_a3,
     check_a4,
@@ -530,3 +533,21 @@ def test_report_verdict_precedence():
     rendered = report.rendered()
     assert rendered[-1].endswith("verdict=fail")
     assert "checked=3 pass=1 fail=1 inconclusive=1" in rendered[-1]
+
+
+def listed_cap_pairs(items, samples, seed, tag):
+    """The sampler as it once was: list every index pair, then draw from the list."""
+    pairs = list(combinations(range(len(items)), 2))
+    if len(pairs) <= samples:
+        return [(items[a], items[b]) for a, b in pairs]
+    rng = random.Random(f"{seed}:{tag}")
+    chosen = rng.sample(pairs, samples)
+    return [(items[a], items[b]) for a, b in sorted(chosen)]
+
+
+def test_cap_pairs_draws_the_pairs_of_the_listed_sampler():
+    for n in range(2, 120):
+        items = list(range(n))
+        for samples in (1, 5, 36, 60, 80, 120, 200):
+            for seed in range(3):
+                assert _cap_pairs(items, samples, seed, "a4") == listed_cap_pairs(items, samples, seed, "a4")

@@ -10,6 +10,7 @@ allocation.
 import functools
 import random
 import re
+import time
 
 import pytest
 
@@ -118,3 +119,15 @@ def test_fixture_end_count_past_the_cap_is_a_usage_error(capsys):
         assert main(["fixture", "tree", "--ends", value]) == 2
         assert main(["fixture", "fan", "--leaves", value]) == 2
     assert "end count must be in 2..32" in capsys.readouterr().err
+
+
+def test_exponent_literal_argument_is_malformed_input(tmp_path, capsys):
+    """Exponent forms are outside the literal grammar, so the CLI rejects
+    1e100000000 at once instead of expanding it to a 100-million-digit integer."""
+    path = tmp_path / "t3.lbm"
+    path.write_text(serialize_model(fixtures.lambda_tree(3, 1)))
+    start = time.perf_counter()
+    code = main(["distance", str(path), "chart:12 (1e100000000)", "chart:12 (0)"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "bad scalar literal" in capsys.readouterr().err

@@ -77,6 +77,27 @@ def test_scalar_literals():
         parse_scalar("x", 1)
 
 
+@pytest.mark.parametrize(
+    "literal",
+    ["1.5", ".5", "1e3", "1E3", "1e100000000", "inf", "nan", "1_000", "1 / 2", "1/0", "1/-2", "--1",
+     "1" * 65, "1/" + "1" * 65, "(0|" + "9" * 5000 + ")"],
+)
+def test_scalar_literals_outside_the_grammar_are_rejected(literal):
+    with pytest.raises(ModelFormatError, match="bad scalar literal"):
+        parse_scalar(literal, 2)
+
+
+def test_scalar_literals_at_the_digit_cap_parse():
+    assert parse_scalar("-" + "9" * 64 + "/" + "7" * 64, 1) == LambdaScalar([Q(-int("9" * 64), int("7" * 64))])
+    assert parse_scalar("+3/2", 1) == LambdaScalar([Q(3, 2)])
+
+
+@pytest.mark.parametrize("bound", ["1e100000000", "0.5"])
+def test_bad_literal_in_a_glue_line_names_the_line(bound):
+    with pytest.raises(ModelFormatError, match="line 8: bad scalar literal"):
+        parse_model(TRIPOD.replace("ge a1 0", f"ge a1 {bound}"))
+
+
 def test_point_literals():
     from lbk.apartment import Apartment
     from lbk.rootsystem import build_root_system
