@@ -223,9 +223,6 @@ class Apartment:
         """Invert v -> (v^1..v^n); points are determined by their coordinates."""
         return tuple(LambdaScalar.lincomb([2 * c for c in row], values) for row in self._inverse)
 
-    def translation(self, shift: Point) -> AffineIsometry:
-        return AffineIsometry(self.roots.identity(), tuple(shift))
-
     def isometry(self, w: WeylElement, shift: Optional[Point] = None) -> AffineIsometry:
         return AffineIsometry(w, tuple(shift) if shift is not None else self.origin())
 

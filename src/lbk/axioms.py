@@ -110,34 +110,34 @@ class AxiomReport:
 # -- sampling ---------------------------------------------------------------
 
 
-def designated_points(atlas: Atlas, chart: int, extra: int, seed: int) -> list[Point]:
-    """The origin, then extra seeded rational points, numerators and denominators bounded by 12."""
-    ap = atlas.apartment
-    rng = random.Random(f"{seed}:{atlas.label}:{atlas.name(chart)}")
-    drawn = [
-        tuple(
-            LambdaScalar([Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(ap.lex_rank)])
-            for _ in range(ap.rank)
-        )
-        for _ in range(extra)
-    ]
-    return [ap.origin()] + drawn
+class Sample:
+    """The seeded building points of one run of the checkers, each located once.
 
+    Per chart, in chart order: the origin, then two seeded rational points
+    whose numerators and denominators are bounded by 12.  A3 and A5 pair the
+    points, and A4 and SE read the sectors of every direction at the first
+    two points of each chart.  ``located(bp)`` is :meth:`Atlas.locate_point`,
+    computed on first use and kept for every later checker of the run.
+    """
 
-def building_points(atlas: Atlas, seed: int) -> list[BuildingPoint]:
-    """The origin and two seeded points of every chart: the sample of A3 and A5."""
-    return [BuildingPoint(c, p) for c in atlas.charts() for p in designated_points(atlas, c, 2, seed)]
-
-
-def building_sectors(atlas: Atlas, seed: int) -> list[BuildingSector]:
-    """Sectors of every direction at the origin and one seeded point of each chart."""
-    ap = atlas.apartment
-    out = []
-    for chart in atlas.charts():
-        for base in designated_points(atlas, chart, 1, seed):
-            for w in ap.directions():
-                out.append(BuildingSector(chart, ap.sector(base, w)))
-    return out
+    def __init__(self, atlas: Atlas, seed: int = 0):
+        ap = atlas.apartment
+        self.atlas = atlas
+        self.seed = seed
+        self.points: list[BuildingPoint] = []
+        self.sectors: list[BuildingSector] = []
+        for chart in atlas.charts():
+            rng = random.Random(f"{seed}:{atlas.label}:{atlas.name(chart)}")
+            drawn = [ap.origin()] + [
+                tuple(
+                    LambdaScalar([Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(ap.lex_rank)])
+                    for _ in range(ap.rank)
+                )
+                for _ in range(2)
+            ]
+            self.points += [BuildingPoint(chart, p) for p in drawn]
+            self.sectors += [BuildingSector(chart, ap.sector(p, w)) for p in drawn[:2] for w in ap.directions()]
+        self.located = cache(atlas.locate_point)
 
 
 def _cap_pairs(items: list, samples: int, seed: int, tag: str) -> list:
@@ -216,12 +216,12 @@ def check_a2(atlas: Atlas) -> AxiomReport:
     return report
 
 
-def check_a3(atlas: Atlas, samples: int = 60, seed: int = 0) -> AxiomReport:
+def check_a3(sample: Sample, samples: int = 60) -> AxiomReport:
     """Every sampled point pair must admit a shared chart."""
     report = AxiomReport("A3")
-    locate = cache(atlas.locate_point)
-    for bp, bq in _cap_pairs(building_points(atlas, seed), samples, seed, "a3"):
-        chart = located_common_chart(bp, bq, locate(bp), locate(bq))
+    atlas = sample.atlas
+    for bp, bq in _cap_pairs(sample.points, samples, sample.seed, "a3"):
+        chart = located_common_chart(bp, bq, sample.located(bp), sample.located(bq))
         report.check(_pair_label(atlas, bp, bq), None if chart is None else atlas.name(chart), "no-common-chart")
     return report
 
@@ -229,11 +229,11 @@ def check_a3(atlas: Atlas, samples: int = 60, seed: int = 0) -> AxiomReport:
 # -- A4 ----------------------------------------------------------------------
 
 
-def check_a4(atlas: Atlas, samples: int = 200, seed: int = 0) -> AxiomReport:
+def check_a4(sample: Sample, samples: int = 200) -> AxiomReport:
     """Sector pairs must have subsectors in a common chart."""
     report = AxiomReport("A4")
-    sectors = building_sectors(atlas, seed)
-    for s1, s2 in _cap_pairs(sectors, samples, seed, "a4"):
+    atlas = sample.atlas
+    for s1, s2 in _cap_pairs(sample.sectors, samples, sample.seed, "a4"):
         config = f"({_sector_label(atlas, s1)},{_sector_label(atlas, s2)})"
         found = sector_class_distance(atlas, s1, s2)
         report.check(config, None if found is None else atlas.name(found[1]), "no-chart-holds-both-subsectors")
@@ -314,19 +314,19 @@ def _panel_of_sector(ap: Apartment, sector: Sector, overlap: ConvexRegion) -> Op
     return capped.pop() if tight else None
 
 
-def check_se(atlas: Atlas, seed: int = 0) -> AxiomReport:
+def check_se(sample: Sample) -> AxiomReport:
     """Sectors meeting a chart in one of their panels must extend over both wall sides.
 
     A sector lies in a chart exactly when its base does and the overlap caps
-    no generator of its cone, so the charts holding each base are found once
-    and every direction is then decided by the cone test alone.
+    no generator of its cone, so the charts holding each base are read from
+    the sample and every direction is then decided by the cone test alone.
     """
     report = AxiomReport("SE")
+    atlas = sample.atlas
     ap = atlas.apartment
-    locate = cache(atlas.locate_point)
-    for bs in building_sectors(atlas, seed):
+    for bs in sample.sectors:
         chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
-        holding = locate(BuildingPoint(chart, base))
+        holding = sample.located(BuildingPoint(chart, base))
 
         def extends(a: int, c: int, side: HalfApartment) -> bool:
             """Chart c meets chart a in the given side and holds the whole sector."""
@@ -404,15 +404,13 @@ def build_retraction(atlas: Atlas, germ: BuildingGerm, chart: int) -> Retraction
     return Retraction(atlas, germ, chart)
 
 
-def check_a5(atlas: Atlas, samples: int = 200, seed: int = 0) -> AxiomReport:
+def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
     """Retractions exist, fix the target chart and never increase distances."""
     report = AxiomReport("A5")
+    atlas, points, located = sample.atlas, sample.points, sample.located
     ap = atlas.apartment
     dirs = ap.directions()
     targets = [(chart, w) for chart in atlas.charts() for w in (dirs[0], dirs[-1])][:3]
-
-    points = building_points(atlas, seed)
-    located = {bp: atlas.locate_point(bp) for bp in points}
 
     for chart, w in targets:
         germ = BuildingGerm(chart, ap.sector(ap.origin(), w))
@@ -426,10 +424,10 @@ def check_a5(atlas: Atlas, samples: int = 200, seed: int = 0) -> AxiomReport:
         images: dict[BuildingPoint, BuildingPoint | TheoremViolation] = {}
         for bp in points:
             try:
-                images[bp] = rho.evaluate_located(bp, located[bp])
+                images[bp] = rho.evaluate_located(bp, located(bp))
             except TheoremViolation as exc:
                 images[bp] = exc
-        for bp, bq in _cap_pairs(points, samples, seed, f"a5:{atlas.name(chart)}"):
+        for bp, bq in _cap_pairs(points, samples, sample.seed, f"a5:{atlas.name(chart)}"):
             config = f"{config_base}:{_pair_label(atlas, bp, bq)}"
             ry, rz = images[bp], images[bq]
             violation = next((r for r in (ry, rz) if isinstance(r, TheoremViolation)), None)
@@ -437,7 +435,7 @@ def check_a5(atlas: Atlas, samples: int = 200, seed: int = 0) -> AxiomReport:
                 report.add(config, FAIL, f"detail={str(violation).replace(' ', '_')}")
                 continue
             try:
-                original = located_distance(atlas, bp, bq, located[bp], located[bq])
+                original = located_distance(atlas, bp, bq, located(bp), located(bq))
             except NoCommonChartError:
                 continue
             except DistanceDisagreementError:
@@ -447,7 +445,7 @@ def check_a5(atlas: Atlas, samples: int = 200, seed: int = 0) -> AxiomReport:
             if retracted > original:
                 report.add(config, FAIL, "detail=distance-increased")
                 continue
-            shared = located[bp].keys() & located[bq].keys() & rho.maps.keys()
+            shared = located(bp).keys() & located(bq).keys() & rho.maps.keys()
             if shared and retracted != original:
                 report.add(config, FAIL, "detail=not-isometric-on-co-chart-pair")
         # An image that is a TheoremViolation is no fixed point either.
@@ -662,16 +660,16 @@ def _uncovered_point(ap: Apartment, regions: list[ConvexRegion], budget: int):
 
 
 # Every checker at its share of the sample size, in report order: the A1-A4
-# gate, the exchange conditions, then A5.
+# gate, the exchange conditions, then A5.  Each reads one Sample of the run.
 _CHECKERS = {
-    "A1": lambda atlas, samples, seed: check_a1(atlas),
-    "A2": lambda atlas, samples, seed: check_a2(atlas),
-    "A3": lambda atlas, samples, seed: check_a3(atlas, min(samples, 60), seed),
-    "A4": lambda atlas, samples, seed: check_a4(atlas, samples, seed),
-    "A6": lambda atlas, samples, seed: check_a6(atlas),
-    "EC": lambda atlas, samples, seed: check_ec(atlas),
-    "SE": lambda atlas, samples, seed: check_se(atlas, seed),
-    "A5": lambda atlas, samples, seed: check_a5(atlas, min(samples, 120), seed),
+    "A1": lambda sample, samples: check_a1(sample.atlas),
+    "A2": lambda sample, samples: check_a2(sample.atlas),
+    "A3": lambda sample, samples: check_a3(sample, min(samples, 60)),
+    "A4": lambda sample, samples: check_a4(sample, samples),
+    "A6": lambda sample, samples: check_a6(sample.atlas),
+    "EC": lambda sample, samples: check_ec(sample.atlas),
+    "SE": lambda sample, samples: check_se(sample),
+    "A5": lambda sample, samples: check_a5(sample, min(samples, 120)),
 }
 AXIOM_ORDER = tuple(_CHECKERS)
 GATE = AXIOM_ORDER[:4]
@@ -680,8 +678,9 @@ COMPARED = AXIOM_ORDER[4:]  # the verdicts the EQUIVALENCE line lists
 
 
 def run_axioms(atlas: Atlas, names, samples: int = 200, seed: int = 0) -> dict[str, AxiomReport]:
-    """The named checkers, run and keyed in AXIOM_ORDER."""
-    return {name: _CHECKERS[name](atlas, samples, seed) for name in AXIOM_ORDER if name in names}
+    """The named checkers, run on one Sample and keyed in AXIOM_ORDER."""
+    sample = Sample(atlas, seed)
+    return {name: _CHECKERS[name](sample, samples) for name in AXIOM_ORDER if name in names}
 
 
 @dataclass

@@ -226,10 +226,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ModelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except ValueError as exc:
+    except ValueError as exc:  # ModelFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

@@ -75,7 +75,7 @@ def test_apply_examples():
     v = ap.simple_point(Q(7, 3))
     assert ap.isometry(ap.roots.identity()).apply(v) == v
     assert ap.isometry(ap.roots.simple(1)).apply(v) == ap.simple_point(Q(-7, 3))
-    assert ap.translation(ap.simple_point(1)).apply(ap.origin()) == ap.simple_point(1)
+    assert ap.isometry(ap.roots.identity(), ap.simple_point(1)).apply(ap.origin()) == ap.simple_point(1)
 
 
 def test_isometry_group_laws():

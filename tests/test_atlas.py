@@ -74,7 +74,7 @@ def test_validate_reports_missing_reverse_and_empty_overlap():
 def test_validate_reports_cocycle_violation():
     ap = Apartment(build_root_system("A1"), 1)
     identity = ap.isometry(ap.roots.identity())
-    shifted = ap.translation(ap.simple_point(1))
+    shifted = ap.isometry(ap.roots.identity(), ap.simple_point(1))
     ray = ap.half_region((1,), 1, 0)
     # 1->2 and 1->3 use the identity, 2->3 shifts: composite moves points.
     transitions = {

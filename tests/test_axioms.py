@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from lbk.axioms import (
     FAIL,
     INCONCLUSIVE,
     PASS,
+    Sample,
     TheoremViolation,
     _cap_pairs,
     build_retraction,
@@ -26,10 +28,13 @@ from lbk.axioms import (
     germ_coapartment,
     opposite_germ,
     recheck_a6_counterexample,
+    run_axioms,
     sector_class_distance,
 )
 from lbk.fixtures import broken_pair, drop_chart, fan, lambda_tree, shifted_rays, single_apartment
+from lbk.lexq import LambdaScalar
 from lbk.rootsystem import build_root_system
+from report_digest import members
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +55,14 @@ def failed_lines(report):
 
 
 def test_a4_single_chart(tripod):
-    assert check_a4(single_apartment("A2", 1)).verdict == PASS
+    assert check_a4(Sample(single_apartment("A2", 1))).verdict == PASS
 
 
 def test_a4_tripod_cross_rays_witness(tripod):
     ap = tripod.apartment
     s1 = BuildingSector(tripod.index("12"), ap.sector(ap.origin(), ap.roots.simple(1)))  # ray 2
     s2 = BuildingSector(tripod.index("13"), ap.sector(ap.origin(), ap.roots.simple(1)))  # ray 3
-    report = check_a4(tripod)
+    report = check_a4(Sample(tripod))
     assert report.verdict == PASS
     witness = None
     for chart in tripod.charts():
@@ -70,7 +75,7 @@ def test_a4_tripod_cross_rays_witness(tripod):
 
 
 def test_a4_disconnected_fails():
-    report = check_a4(disconnected_pair())
+    report = check_a4(Sample(disconnected_pair()))
     assert report.verdict == FAIL
     assert failed_lines(report)
 
@@ -127,11 +132,11 @@ def test_ec_single_chart_vacuous():
 
 
 def test_se_vacuous_without_panels():
-    assert check_se(single_apartment("B2", 1)).verdict == PASS
+    assert check_se(Sample(single_apartment("B2", 1))).verdict == PASS
 
 
 def test_se_tripod_two_sides(tripod):
-    report = check_se(tripod)
+    report = check_se(Sample(tripod))
     assert report.verdict == PASS
     details = {line.config: line.detail for line in report.lines}
     # sector toward end 3 (chart 13, direction r1) meets chart 12 in the branch point
@@ -139,12 +144,12 @@ def test_se_tripod_two_sides(tripod):
 
 
 def test_se_pruned_fan_fails():
-    report = check_se(drop_chart(fan(3), "23"))
+    report = check_se(Sample(drop_chart(fan(3), "23")))
     assert report.verdict == FAIL
 
 
 def test_se_broken_pair_fails():
-    assert check_se(broken_pair()).verdict == FAIL
+    assert check_se(Sample(broken_pair())).verdict == FAIL
 
 
 # -- retraction ----------------------------------------------------------------
@@ -179,12 +184,13 @@ def count_fm_solves(monkeypatch) -> list:
 )
 def test_se_makes_no_fm_solve(atlas, monkeypatch):
     calls = count_fm_solves(monkeypatch)
-    report = check_se(atlas)
+    report = check_se(Sample(atlas))
     assert report.lines[0].config != "(no-panel-incidences)"
     assert not calls
 
 
-def test_a3_locates_each_point_once(monkeypatch):
+def count_locates(monkeypatch) -> Counter:
+    """Count the Atlas.locate_point calls of each building point."""
     located = Counter()
     original = Atlas.locate_point
 
@@ -193,9 +199,69 @@ def test_a3_locates_each_point_once(monkeypatch):
         return original(self, bp)
 
     monkeypatch.setattr(Atlas, "locate_point", counted)
-    report = check_a3(lambda_tree(6), samples=60, seed=0)
+    return located
+
+
+def test_a3_locates_each_point_once(monkeypatch):
+    located = count_locates(monkeypatch)
+    report = check_a3(Sample(lambda_tree(6), seed=0), samples=60)
     assert len(report.lines) == 60
     assert located and max(located.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "atlas",
+    [lambda_tree(5, 2), fan(4, "B2"), single_apartment("G2", 1)],
+    ids=["tree(5,2)", "fan(4,B2)", "single(G2)"],
+)
+def test_one_run_locates_each_sampled_point_once(atlas, monkeypatch):
+    """A3, SE and A5 read the located maps of one Sample per run."""
+    located = count_locates(monkeypatch)
+    equivalence_suite(atlas, samples=80, seed=0)
+    once = Counter(set(Sample(atlas, 0).points))
+    assert located == once
+    located.clear()
+    run_axioms(atlas, ("A3", "SE", "A5"))
+    assert located == once
+
+
+def reference_designated_points(atlas, chart, extra, seed):
+    """The sampler before Sample: the origin, then extra seeded points."""
+    ap = atlas.apartment
+    rng = random.Random(f"{seed}:{atlas.label}:{atlas.name(chart)}")
+    drawn = [
+        tuple(
+            LambdaScalar([Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(ap.lex_rank)])
+            for _ in range(ap.rank)
+        )
+        for _ in range(extra)
+    ]
+    return [ap.origin()] + drawn
+
+
+def reference_building_points(atlas, seed):
+    return [BuildingPoint(c, p) for c in atlas.charts() for p in reference_designated_points(atlas, c, 2, seed)]
+
+
+def reference_building_sectors(atlas, seed):
+    ap = atlas.apartment
+    out = []
+    for chart in atlas.charts():
+        for base in reference_designated_points(atlas, chart, 1, seed):
+            for w in ap.directions():
+                out.append(BuildingSector(chart, ap.sector(base, w)))
+    return out
+
+
+def test_sample_draws_the_points_and_sectors_of_the_old_sampler():
+    def words(sectors):
+        return [(bs.chart, bs.sector.base, bs.sector.direction.word) for bs in sectors]
+
+    for _, atlas in members():
+        for seed in range(6):
+            sample = Sample(atlas, seed)
+            assert sample.points == reference_building_points(atlas, seed)
+            assert words(sample.sectors) == words(reference_building_sectors(atlas, seed))
 
 
 def test_retraction_identity_on_target(tripod):
@@ -260,11 +326,11 @@ def test_germ_stabilizer_is_trivial():
 
 
 def test_a5_tripod(tripod):
-    assert check_a5(tripod, samples=60).verdict == PASS
+    assert check_a5(Sample(tripod), samples=60).verdict == PASS
 
 
 def test_a5_fan():
-    assert check_a5(fan(3), samples=40).verdict == PASS
+    assert check_a5(Sample(fan(3)), samples=40).verdict == PASS
 
 
 # -- section 4 searches -----------------------------------------------------------
@@ -509,9 +575,9 @@ def test_sector_class_distance(tripod):
 
 
 def test_a3_passes_on_fixtures(tripod):
-    assert check_a3(tripod).verdict == PASS
-    assert check_a3(fan(3)).verdict == PASS
-    assert check_a3(disconnected_pair()).verdict == FAIL
+    assert check_a3(Sample(tripod)).verdict == PASS
+    assert check_a3(Sample(fan(3))).verdict == PASS
+    assert check_a3(Sample(disconnected_pair())).verdict == FAIL
 
 
 def test_cover_budget_exhaustion_is_inconclusive(tripod, monkeypatch):

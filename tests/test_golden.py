@@ -61,7 +61,7 @@ def fm_fallback() -> Atlas:
     )
     upper = ap.half_region(a2, 1, 0)
     empty = ap.region([ap.half(a2, 1, 1), ap.half(a2, -1, 0)])
-    shift = ap.translation(ap.simple_point(0, 1))
+    shift = ap.isometry(ap.roots.identity(), ap.simple_point(0, 1))
     transitions = {
         (0, 1): Transition(ap.half_region(a1, 1, 0), identity),
         (1, 0): Transition(ap.half_region(a1, 1, 1), identity),

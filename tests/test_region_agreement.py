@@ -393,7 +393,7 @@ def test_fixes_region_agrees_with_all_rows_fm(name, lam):
         if rng.random() < 0.5:
             region = ap.intersect(region, ap.wall_region(root, ap.pairing(root, p)))
         if rng.random() < 0.1:
-            g = ap.translation(tuple(rand_scalar(rng, lam) for _ in range(ap.rank)))
+            g = ap.isometry(ap.roots.identity(), tuple(rand_scalar(rng, lam) for _ in range(ap.rank)))
         expected = fixes_by_fm(ap, g, region)
         assert _fixes_region(ap, g, region) == expected
         seen[expected] += 1
