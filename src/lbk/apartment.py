@@ -146,7 +146,7 @@ class Apartment:
         self.cone_basis: tuple[tuple[Fraction, ...], ...] = tuple(
             tuple(self._inverse[j][i] for j in range(self.rank)) for i in range(self.rank)
         )
-        self._nonempty: dict[tuple[HalfApartment, ...], bool] = {}
+        self._feasible: dict[tuple[HalfApartment, ...], Feasibility] = {}
         self._slopes: dict[Matrix, dict[Root, Root]] = {}
 
     # -- scalars and points ---------------------------------------------
@@ -277,14 +277,10 @@ class Apartment:
         return all(self.half_holds(h, p) for h in region.halves)
 
     def region_feasible(self, region: ConvexRegion) -> Feasibility:
-        return feasible(self.region_system(region), self.lex_rank)
-
-    def region_nonempty(self, region: ConvexRegion) -> bool:
-        """Is the region nonempty?  Cached per halves tuple."""
-        key = region.halves
-        cached = self._nonempty.get(key)
+        """Is the region nonempty?  One FM answer, witness included, cached per halves tuple."""
+        cached = self._feasible.get(region.halves)
         if cached is None:
-            cached = self._nonempty[key] = self.region_feasible(region).sat
+            cached = self._feasible[region.halves] = feasible(self.region_system(region), self.lex_rank)
         return cached
 
     def implied(self, region: ConvexRegion, c: LinearConstraint) -> bool:
@@ -387,7 +383,7 @@ class Apartment:
         Convex Analysis, section 8).
         """
         fits = self._cone_fits(direction, panel_type, region.halves)
-        return fits and (not panel_type or self.region_nonempty(region))
+        return fits and (not panel_type or self.region_feasible(region).sat)
 
     def sector_contains_point(self, s: Sector, p: Point) -> bool:
         return self.region_contains_point(self.sector_region(s), p)
@@ -504,7 +500,7 @@ class Apartment:
             if lo == hi:
                 return RegionShape("wall", root=roots.pop(), bound=lo)
             return RegionShape("empty" if lo > hi else "other")
-        return RegionShape("other" if self.region_nonempty(region) else "empty")
+        return RegionShape("other" if self.region_feasible(region).sat else "empty")
 
     def region_half(self, region: ConvexRegion) -> Optional[HalfApartment]:
         """The half-apartment equal to the region, or None.

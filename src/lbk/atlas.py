@@ -101,6 +101,11 @@ class Atlas:
         for (i, j) in self.transitions:
             if not (0 <= i < m and 0 <= j < m) or i == j:
                 raise ValueError(f"bad transition pair ({i}, {j})")
+        # The overlap index, built once, read-only: per chart, each distinct overlap region (by
+        # halves tuple, so no elimination runs) with the charts meeting it there, in chart order.
+        self.overlap_classes: list[dict[ConvexRegion, list[int]]] = [{} for _ in range(m)]
+        for (i, j) in sorted(self.transitions):
+            self.overlap_classes[i].setdefault(self.transitions[(i, j)].region, []).append(j)
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -139,6 +144,10 @@ class Atlas:
         region = self.overlap_region(i, j)
         return None if region is None else self.apartment.region_half(region)
 
+    def charts_meeting(self, i: int, half: HalfApartment) -> list[int]:
+        """The charts whose overlap with chart i is exactly the given half, in chart order."""
+        return sorted(j for r, js in self.overlap_classes[i].items() if self.apartment.region_half(r) == half for j in js)
+
     # -- points --------------------------------------------------------------
 
     def transport_point(self, i: int, p: Point, j: int) -> Optional[Point]:
@@ -150,13 +159,13 @@ class Atlas:
         return t.iso.apply(p)
 
     def locate_point(self, bp: BuildingPoint) -> dict[int, Point]:
-        """The point in each chart that contains it, in chart order."""
-        out = {}
-        for j in self.charts():
-            p = self.transport_point(bp.chart, bp.point, j)
-            if p is not None:
-                out[j] = p
-        return out
+        """The point in each chart that contains it, in chart order; one test per overlap class."""
+        i, p = bp.chart, bp.point
+        out = {i: p}
+        for region, js in self.overlap_classes[i].items():
+            if self.apartment.region_contains_point(region, p):
+                out.update((j, self.transitions[(i, j)].iso.apply(p)) for j in js)
+        return dict(sorted(out.items()))
 
     def points_equal(self, bp: BuildingPoint, bq: BuildingPoint) -> bool:
         moved = self.transport_point(bp.chart, bp.point, bq.chart)
@@ -242,7 +251,7 @@ def validate(atlas: Atlas) -> ValidationReport:
 
     for (i, j) in pairs:
         if i < j and atlas.transition(j, i) is not None:
-            if not ap.region_nonempty(atlas.transitions[(i, j)].region):
+            if not ap.region_feasible(atlas.transitions[(i, j)].region).sat:
                 issues.append(f"nonempty: overlap ({atlas.name(i)},{atlas.name(j)}) is empty")
     notes.append("overlaps closed convex by construction (half-apartment constraints)")
 

@@ -22,7 +22,6 @@ from .apartment import (
     AffineIsometry,
     Apartment,
     ConvexRegion,
-    HalfApartment,
     Point,
     Sector,
     format_point,
@@ -279,10 +278,8 @@ def check_ec(atlas: Atlas) -> AxiomReport:
             continue
         flipped = tuple(ap.half(h.root, -h.sense, h.bound) for h in halves)
         config = f"({atlas.name(i)},{atlas.name(j)})"
-        # Neither i nor j can match: i meets itself in no half, j meets i unflipped.
-        witness = next(
-            (c for c in atlas.charts() if (atlas.overlap_half(i, c), atlas.overlap_half(j, c)) == flipped), None
-        )
+        both = set(atlas.charts_meeting(i, flipped[0])).intersection(atlas.charts_meeting(j, flipped[1]))
+        witness = min(both, default=None)
         report.check(config, None if witness is None else atlas.name(witness), "missing-exchange-apartment")
     if not report.lines:
         report.add("(no-half-apartment-pairs)", PASS, "detail=vacuous")
@@ -328,10 +325,7 @@ def check_se(sample: Sample) -> AxiomReport:
         chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
         holding = sample.located(BuildingPoint(chart, base))
 
-        def extends(a: int, c: int, side: HalfApartment) -> bool:
-            """Chart c meets chart a in the given side and holds the whole sector."""
-            if atlas.overlap_half(a, c) != side:
-                return False
+        def holds_sector(c: int) -> bool:
             return c == chart or (c in holding and ap.sector_fits(w, atlas.transition(chart, c).region))
 
         for a in holding:
@@ -344,7 +338,7 @@ def check_se(sample: Sample) -> AxiomReport:
             face_root = w.act_root(ap.roots.simple_root(panel_type))
             wall = ap.transform_half(ap.half(face_root, 1, ap.pairing(face_root, base)), t.iso)
             sides = (ap.half(wall.root, sense, wall.bound) for sense in (1, -1))
-            found = [next((c for c in atlas.charts() if extends(a, c, side)), None) for side in sides]
+            found = [next(filter(holds_sector, atlas.charts_meeting(a, side)), None) for side in sides]
             config = f"(chart={atlas.name(a)},sector={_sector_label(atlas, bs)})"
             witness = None if None in found else "+".join(atlas.name(c) for c in found)
             report.check(config, witness, "missing-side-apartment")
@@ -383,8 +377,7 @@ class Retraction:
             self.maps[b] = AffineIsometry(linear, shift)
 
     def evaluate(self, bp: BuildingPoint) -> BuildingPoint:
-        moved = {b: self.atlas.transport_point(bp.chart, bp.point, b) for b in self.maps}
-        return self.evaluate_located(bp, {b: p for b, p in moved.items() if p is not None})
+        return self.evaluate_located(bp, self.atlas.locate_point(bp))
 
     def evaluate_located(self, bp: BuildingPoint, located: dict[int, Point]) -> BuildingPoint:
         """:meth:`evaluate` from the point's copy in each chart that holds it."""

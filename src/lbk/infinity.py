@@ -11,6 +11,7 @@ both; the chambers holding each panel class give adjacency and thinness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .atlas import Atlas
 from .rootsystem import Matrix, WeylElement
@@ -83,14 +84,14 @@ def infinity_complex(atlas: Atlas) -> InfinityComplex:
         for (matrix, itype), mirrored in mirror.items():
             uf.union((chart, matrix, itype), (chart, mirrored, itype))
 
-    # Cross-chart identification: a direction-w sector, or its type-i panel,
-    # fitting inside the overlap is, transported, one of direction linear*w.
-    for (i, j), t in sorted(atlas.transitions.items()):
-        for w in directions:
-            moved = (t.iso.linear * w).matrix
-            for itype in range(ap.rank + 1):
-                if ap.sector_fits(w, t.region, itype):
-                    uf.union((i, w.matrix, itype), (j, moved, itype))
+    # Cross-chart identification, once per overlap class: a direction-w sector, or its
+    # type-i panel, fitting inside it is one of direction linear*w in each chart of the class.
+    for i in atlas.charts():
+        for region, js in atlas.overlap_classes[i].items():
+            for w, itype in product(directions, range(ap.rank + 1)):
+                if ap.sector_fits(w, region, itype):
+                    for j in js:
+                        uf.union((i, w.matrix, itype), (j, (atlas.transition(i, j).iso.linear * w).matrix, itype))
 
     classes: dict = {}
     for chart in atlas.charts():

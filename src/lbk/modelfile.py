@@ -156,9 +156,14 @@ def parse_model(text: str) -> Atlas:
         elif head == "cartan":
             try:
                 rows = ast.literal_eval(rest)  # matrix literal like [[2,-1],[-1,2]]
-                roots_spec = [[int(x) for x in row] for row in rows]
-            except (ValueError, SyntaxError, TypeError):
+            except (ValueError, SyntaxError, TypeError, MemoryError, RecursionError):  # the last two: too deep
+                rows = None
+            # Entries are plain ints: no float to truncate, no bool, no infinity to convert.
+            if not isinstance(rows, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) and all(type(x) is int for x in row) for row in rows
+            ):
                 raise ModelFormatError(f"bad cartan literal {rest!r}", lineno)
+            roots_spec = [list(row) for row in rows]
         elif head == "charts":
             try:
                 chart_count = int(rest)

@@ -40,6 +40,8 @@ FIXED = [
     ("fan(3,A2)", r"^roots A2$", "roots B17"),
     ("tree(3,1)", r"; word 1 ;", f"; word {OVERFLOW} ;"),
     ("tree(3,1)", r"\(0\)", f"({OVERFLOW})"),
+    ("tree(3,1)", r"^roots A1$", "cartan [[1e400]]"),
+    ("fan(3,A2)", r"^roots A2$", "cartan [[2.5,-1],[-1,2]]"),
 ]
 
 
@@ -106,6 +108,15 @@ def test_mutants_are_distinct_and_mixed(tmp_path, capsys):
     capsys.readouterr()
     # Both kinds occur: models that still parse and models rejected with exit 2.
     assert codes.count(2) >= 10 and codes.count(2) <= 35, codes
+
+
+def test_non_integer_cartan_mutants_are_malformed_input(tmp_path, capsys):
+    path = tmp_path / "mutant.lbm"
+    for text in mutants()[:len(FIXED)]:
+        if "cartan" in text:
+            path.write_text(text)
+            assert main(["validate", str(path)]) == 2
+    assert "bad cartan literal" in capsys.readouterr().err
 
 
 def test_fixture_lex_rank_past_the_cap_is_a_usage_error(capsys):

@@ -218,6 +218,17 @@ def test_cartan_directive():
     assert len(atlas.apartment.roots.positive_roots) == 3
 
 
+@pytest.mark.parametrize(
+    "literal",
+    ["[[1e400]]", "[[2.5,-1],[-1,2]]", "[[2,-1.9],[-1,2]]", "[[2,False],[False,2]]", "[['2']]", "2", "-" * 100000 + "2"],
+    ids=["overflow", "float", "float-off-diagonal", "bool", "string", "scalar", "too-deep"],
+)
+def test_cartan_entries_must_be_integers(literal):
+    # A float was truncated by int() and an infinite one raised OverflowError.
+    with pytest.raises(ModelFormatError, match="line 2: bad cartan literal"):
+        parse_model(f"lambda 1\ncartan {literal}\ncharts 1\n")
+
+
 def test_point_and_germ_args():
     atlas = lambda_tree(3)
     bp = parse_point_arg("chart:23 (-2)", atlas)

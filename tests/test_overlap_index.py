@@ -1,0 +1,149 @@
+"""The overlap index of an atlas agrees with the chart-by-chart scans it replaces.
+
+``Atlas.overlap_classes`` groups each chart's overlaps by region, so
+``locate_point`` tests each distinct region once and ``charts_meeting`` reads
+the charts meeting a chart in a given half off the groups.  The references
+below are the per-chart loops they replaced, run over the 40 digest members
+and ``fm_fallback``, whose overlaps include a quadrant, a wall and an empty
+region.  A6 then asks Fourier-Motzkin once per distinct pair of overlaps.
+"""
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+import lbk.apartment
+from lbk import fixtures
+from lbk.apartment import Apartment
+from lbk.atlas import Atlas, BuildingPoint, Transition
+from lbk.axioms import Sample, check_a6, recheck_a6_counterexample
+from lbk.linarith import feasible
+from lbk.rootsystem import build_root_system
+from report_digest import members
+from test_golden import fm_fallback
+
+ATLASES = dict(members())
+ATLASES["fm_fallback"] = fm_fallback()
+
+
+def locate_by_scan(atlas, bp):
+    """The point in each chart, by one transport per chart."""
+    out = {}
+    for j in atlas.charts():
+        p = atlas.transport_point(bp.chart, bp.point, j)
+        if p is not None:
+            out[j] = p
+    return out
+
+
+def wall_points(atlas, i):
+    """Points of chart i on each wall of its overlaps, and a witness inside each overlap."""
+    ap = atlas.apartment
+    out = []
+    for region in atlas.overlap_classes[i]:
+        probe = ap.region_feasible(region)
+        if probe.sat:
+            out.append(probe.witness)
+        for h in region.halves:
+            row = ap.pairing_row(h.root)
+            k = next(c for c, a in enumerate(row) if a)
+            out.append(tuple(h.bound / row[k] if c == k else ap.zero() for c in range(ap.rank)))
+    return out
+
+
+def probe_points(atlas):
+    sample = Sample(atlas, seed=5)
+    extra = [BuildingPoint(i, p) for i in atlas.charts() for p in wall_points(atlas, i)]
+    return sample.points + extra
+
+
+@pytest.mark.parametrize("name", sorted(ATLASES))
+def test_index_groups_every_transition_once(name):
+    atlas = ATLASES[name]
+    for i in atlas.charts():
+        classes = atlas.overlap_classes[i]
+        listed = [j for js in classes.values() for j in js]
+        assert sorted(listed) == [j for j in atlas.charts() if atlas.transition(i, j) is not None]
+        for region, js in classes.items():
+            assert js == sorted(js)
+            assert all(atlas.overlap_region(i, j) == region for j in js)
+        assert len(set(classes)) == len(classes)
+
+
+@pytest.mark.parametrize("name", sorted(ATLASES))
+def test_locate_point_agrees_with_the_per_chart_scan(name):
+    atlas = ATLASES[name]
+    for bp in probe_points(atlas):
+        located = atlas.locate_point(bp)
+        expected = locate_by_scan(atlas, bp)
+        assert list(located.items()) == list(expected.items()), (name, bp)
+
+
+@pytest.mark.parametrize("name", sorted(ATLASES))
+def test_charts_meeting_agrees_with_the_overlap_half_scan(name):
+    atlas = ATLASES[name]
+    ap = atlas.apartment
+    for i in atlas.charts():
+        halves = {atlas.overlap_half(i, c) for c in atlas.charts()} - {None}
+        halves |= {ap.half(h.root, -h.sense, h.bound) for h in halves}
+        halves.add(ap.half(ap.roots.positive_roots[0], 1, ap.scalar(Fraction(7, 3))))  # met by no chart
+        for h in halves:
+            assert atlas.charts_meeting(i, h) == [c for c in atlas.charts() if atlas.overlap_half(i, c) == h]
+
+
+def test_probes_reach_overlaps_that_are_not_halves_and_points_in_many_charts():
+    """fm_fallback has overlaps that are no single half, which charts_meeting
+    must leave out, and the probe points of a tree lie in several charts."""
+    atlas = ATLASES["fm_fallback"]
+    assert any(atlas.apartment.region_half(r) is None for i in atlas.charts() for r in atlas.overlap_classes[i])
+    tree = ATLASES["tree(6,1)"]
+    assert any(len(tree.locate_point(bp)) > 2 for bp in probe_points(tree))
+
+
+def test_charts_meeting_merges_regions_that_are_one_half():
+    """A weaker extra half leaves a region the same half-apartment under
+    another halves tuple, so two overlap classes meet chart a in one half."""
+    ap = Apartment(build_root_system("A1"), 1)
+    identity = ap.isometry(ap.roots.identity())
+    half = ap.half((1,), 1, 0)
+    plain, padded = ap.region([half]), ap.region([half, ap.half((1,), 1, -1)])
+    glue = {(0, 1): plain, (0, 2): padded, (0, 3): plain}
+    atlas = Atlas(ap, ["a", "b", "c", "d"], {pair: Transition(r, identity) for pair, r in glue.items()})
+    assert list(atlas.overlap_classes[0].values()) == [[1, 3], [2]]
+    assert atlas.charts_meeting(0, half) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("build", [lambda: fixtures.lambda_tree(8, 1), lambda: fixtures.fan(5, "B2", 1)])
+def test_a6_solves_each_distinct_overlap_pair_once(build, monkeypatch):
+    atlas = build()
+    ap = atlas.apartment
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return feasible(*args, **kwargs)
+
+    monkeypatch.setattr(lbk.apartment, "feasible", counted)
+    report = check_a6(atlas)
+    triples = [
+        t for t in combinations(atlas.charts(), 3)
+        if all(atlas.overlap_half(a, b) is not None for a, b in combinations(t, 2))
+    ]
+    distinct = {ap.intersect(atlas.overlap_region(i, j), atlas.overlap_region(i, k)).halves for i, j, k in triples}
+    assert report.verdict == "pass"
+    assert len(distinct) < len(report.lines)
+    assert len(calls) <= len(distinct)
+
+
+def test_cached_answer_is_the_fresh_solve():
+    ap = fixtures.lambda_tree(4, 1).apartment
+    sat = ap.region([ap.half((1,), 1, 0), ap.half((1,), -1, 2)])
+    rays = fixtures.shifted_rays()
+    i, j, k = 0, 1, 2
+    unsat = rays.apartment.intersect(rays.overlap_region(i, j), rays.overlap_region(i, k))
+    for space, region in ((ap, sat), (rays.apartment, unsat)):
+        fresh = feasible(space.region_system(region), space.lex_rank)
+        assert space.region_feasible(region) == fresh
+        assert space.region_feasible(region) is space.region_feasible(region)  # the cached answer
+    assert ap.region_feasible(sat).sat and not rays.apartment.region_feasible(unsat).sat
+    assert recheck_a6_counterexample(rays, i, j, k)
