@@ -144,6 +144,10 @@ class Atlas:
         region = self.overlap_region(i, j)
         return None if region is None else self.apartment.region_half(region)
 
+    def glued(self, i: int) -> list[int]:
+        """The charts with a transition from chart i, in chart order."""
+        return sorted(j for js in self.overlap_classes[i].values() for j in js)
+
     def charts_meeting(self, i: int, half: HalfApartment) -> list[int]:
         """The charts whose overlap with chart i is exactly the given half, in chart order."""
         return sorted(j for r, js in self.overlap_classes[i].items() if self.apartment.region_half(r) == half for j in js)
@@ -235,17 +239,16 @@ def validate(atlas: Atlas) -> ValidationReport:
     notes: list[str] = []
 
     pairs = sorted(atlas.transitions)
+    reverse = {pair: atlas.transitions[pair].reverse(ap) for pair in pairs}
     for (i, j) in pairs:
-        t = atlas.transitions[(i, j)]
         back = atlas.transition(j, i)
         label = f"({atlas.name(i)},{atlas.name(j)})"
         if back is None:
             issues.append(f"symmetry: transition {label} has no reverse")
             continue
-        derived = t.reverse(ap)
-        if back.iso != derived.iso:
+        if back.iso != reverse[(i, j)].iso:
             issues.append(f"symmetry: reverse isometry of {label} is not the inverse")
-        if not ap.region_equal(back.region, derived.region):
+        if not ap.region_equal(back.region, reverse[(i, j)].region):
             issues.append(f"symmetry: reverse region of {label} is not the image region")
     notes.append(f"symmetry pairs={len(pairs)}")
 
@@ -255,26 +258,22 @@ def validate(atlas: Atlas) -> ValidationReport:
                 issues.append(f"nonempty: overlap ({atlas.name(i)},{atlas.name(j)}) is empty")
     notes.append("overlaps closed convex by construction (half-apartment constraints)")
 
-    # Transitions never join a chart to itself, so every triple found here
-    # has three distinct charts; pairs are sorted, so triples come in order.
+    # The cocycle: routes i -> j -> k and i -> k agree on U_ij, U_ik and U_jk pulled back into chart i.
+    # No transition joins a chart to itself, and pairs are sorted, so triples are distinct and in order.
     cocycle_checked = 0
     for (i, j) in pairs:
         tij = atlas.transitions[(i, j)]
-        for k in atlas.charts():
-            tjk = atlas.transition(j, k)
+        for k in atlas.glued(j):
             tik = atlas.transition(i, k)
-            if tjk is None or tik is None:
+            if tik is None:
                 continue
+            tjk = atlas.transitions[(j, k)]
             cocycle_checked += 1
             through_j = tjk.iso.compose(tij.iso)
             if through_j == tik.iso:
                 continue
-            domain = ap.intersect(
-                tij.region,
-                ap.transform_region(tjk.region, tij.iso.inverse()),
-                tik.region,
-            )
-            if not _fixes_region(ap, tik.iso.inverse().compose(through_j), domain):
+            domain = ap.intersect(tij.region, ap.transform_region(tjk.region, reverse[(i, j)].iso), tik.region)
+            if not _agree_on(ap, through_j, tik.iso, domain):
                 issues.append(
                     "cocycle: composite through "
                     f"({atlas.name(i)},{atlas.name(j)},{atlas.name(k)}) moves overlap points"
@@ -284,14 +283,13 @@ def validate(atlas: Atlas) -> ValidationReport:
     return ValidationReport(not issues, issues, notes)
 
 
-def _fixes_region(ap: Apartment, g: AffineIsometry, region: ConvexRegion) -> bool:
-    """Is g the identity on every point of the region?  Each row of
-    (M - I) x = -shift is checked as its two inequalities."""
-    n = ap.rank
-    rows = [(tuple(g.linear.matrix[r][c] - (r == c) for c in range(n)), -g.shift[r]) for r in range(n)]
+def _agree_on(ap: Apartment, f: AffineIsometry, g: AffineIsometry, region: ConvexRegion) -> bool:
+    """Do f and g agree at every point of the region?  Each row of
+    (F - G) x = s_g - s_f is checked as its two inequalities."""
+    rows = zip(f.linear.matrix, g.linear.matrix, f.shift, g.shift)
     return all(
-        ap.region_satisfies(region, LinearConstraint(tuple(a * sign for a in coeffs), GE, target * sign))
-        for coeffs, target in rows
+        ap.region_satisfies(region, LinearConstraint(tuple((a - b) * sign for a, b in zip(fr, gr)), GE, (sg - sf) * sign))
+        for fr, gr, sf, sg in rows
         for sign in (-1, 1)
     )
 

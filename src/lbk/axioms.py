@@ -246,13 +246,15 @@ def check_a6(atlas: Atlas) -> AxiomReport:
     """Triples of pairwise half-apartment overlaps must meet."""
     report = AxiomReport("A6")
     ap = atlas.apartment
-    for i, j, k in combinations(atlas.charts(), 3):
-        if any(atlas.overlap_half(a, b) is None for a, b in ((i, j), (i, k), (j, k))):
-            continue
-        config = f"({atlas.name(i)},{atlas.name(j)},{atlas.name(k)})"
-        triple = ap.intersect(atlas.overlap_region(i, j), atlas.overlap_region(i, k))
-        probe = ap.region_feasible(triple)
-        report.check(config, format_point(probe.witness) if probe.sat else None, "triple-intersection-empty")
+    for i in atlas.charts():
+        half_glued = [j for j in atlas.glued(i) if j > i and atlas.overlap_half(i, j) is not None]
+        for j, k in combinations(half_glued, 2):
+            if atlas.overlap_half(j, k) is None:
+                continue
+            config = f"({atlas.name(i)},{atlas.name(j)},{atlas.name(k)})"
+            triple = ap.intersect(atlas.overlap_region(i, j), atlas.overlap_region(i, k))
+            probe = ap.region_feasible(triple)
+            report.check(config, format_point(probe.witness) if probe.sat else None, "triple-intersection-empty")
     if not report.lines:
         report.add("(no-triples)", PASS, "detail=vacuous")
     return report
@@ -272,7 +274,7 @@ def check_ec(atlas: Atlas) -> AxiomReport:
     """Half-apartment pairs must extend to the symmetric-difference apartment."""
     report = AxiomReport("EC")
     ap = atlas.apartment
-    for i, j in combinations(atlas.charts(), 2):
+    for i, j in ((i, j) for i in atlas.charts() for j in atlas.glued(i) if j > i):
         halves = atlas.overlap_half(i, j), atlas.overlap_half(j, i)
         if None in halves:
             continue
@@ -324,10 +326,6 @@ def check_se(sample: Sample) -> AxiomReport:
     for bs in sample.sectors:
         chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
         holding = sample.located(BuildingPoint(chart, base))
-
-        def holds_sector(c: int) -> bool:
-            return c == chart or (c in holding and ap.sector_fits(w, atlas.transition(chart, c).region))
-
         for a in holding:
             if a == chart:
                 continue
@@ -338,7 +336,10 @@ def check_se(sample: Sample) -> AxiomReport:
             face_root = w.act_root(ap.roots.simple_root(panel_type))
             wall = ap.transform_half(ap.half(face_root, 1, ap.pairing(face_root, base)), t.iso)
             sides = (ap.half(wall.root, sense, wall.bound) for sense in (1, -1))
-            found = [next(filter(holds_sector, atlas.charts_meeting(a, side)), None) for side in sides]
+            found = [
+                next((c for c in atlas.charts_meeting(a, side) if c in holding and fit_subsector(atlas, bs, c)), None)
+                for side in sides
+            ]
             config = f"(chart={atlas.name(a)},sector={_sector_label(atlas, bs)})"
             witness = None if None in found else "+".join(atlas.name(c) for c in found)
             report.check(config, witness, "missing-side-apartment")

@@ -132,7 +132,7 @@ def format_word(word) -> str:
 def parse_model(text: str) -> Atlas:
     lam: Optional[int] = None
     roots_spec: Optional[object] = None
-    roots_label = ""
+    roots_line: Optional[int] = None  # the roots or cartan line, named by root-system errors
     chart_count: Optional[int] = None
     names: dict[int, tuple[str, int]] = {}  # index -> (label, line)
     glue_lines: list[tuple[int, str]] = []
@@ -151,8 +151,7 @@ def parse_model(text: str) -> Atlas:
             if not 1 <= lam <= MAX_LEX_RANK:
                 raise ModelFormatError(f"lambda rank must be in 1..{MAX_LEX_RANK}", lineno)
         elif head == "roots":
-            roots_spec = rest
-            roots_label = rest
+            roots_spec, roots_line = rest, lineno
         elif head == "cartan":
             try:
                 rows = ast.literal_eval(rest)  # matrix literal like [[2,-1],[-1,2]]
@@ -163,7 +162,7 @@ def parse_model(text: str) -> Atlas:
                 isinstance(row, (list, tuple)) and all(type(x) is int for x in row) for row in rows
             ):
                 raise ModelFormatError(f"bad cartan literal {rest!r}", lineno)
-            roots_spec = [list(row) for row in rows]
+            roots_spec, roots_line = [list(row) for row in rows], lineno
         elif head == "charts":
             try:
                 chart_count = int(rest)
@@ -199,7 +198,7 @@ def parse_model(text: str) -> Atlas:
     try:
         rs = build_root_system(roots_spec)
     except ValueError as exc:
-        raise ModelFormatError(str(exc)) from None
+        raise ModelFormatError(str(exc), roots_line) from None
     ap = Apartment(rs, lam)
     for idx, (_, lineno) in names.items():
         if not 0 <= idx < chart_count:
@@ -264,7 +263,7 @@ def parse_model(text: str) -> Atlas:
         if (j, i) not in transitions:
             transitions[(j, i)] = t.reverse(ap)
 
-    label = roots_label if isinstance(roots_spec, str) else "cartan"
+    label = roots_spec if isinstance(roots_spec, str) else "cartan"
     return Atlas(ap, chart_names, transitions, label=f"model {label} lambda={lam}")
 
 

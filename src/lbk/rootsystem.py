@@ -76,6 +76,8 @@ def named_cartan(name: str) -> Matrix:
 
 def _validate_cartan(cartan: Matrix) -> None:
     n = len(cartan)
+    if not n:
+        raise ValueError("Cartan matrix is empty")
     if n > MAX_RANK:
         raise ValueError(f"Cartan rank {n} exceeds {MAX_RANK}")
     for row in cartan:

@@ -42,10 +42,10 @@ def test_validate_glued_pair():
     assert validate(atlas).ok
 
 
-def test_validate_reports_broken_symmetry():
+def broken_symmetry_atlas():
     ap = Apartment(build_root_system("A1"), 1)
     identity = ap.isometry(ap.roots.identity())
-    atlas = Atlas(
+    return Atlas(
         ap,
         ["1", "2"],
         {
@@ -53,25 +53,21 @@ def test_validate_reports_broken_symmetry():
             (1, 0): Transition(ap.half_region((1,), 1, 1), identity),  # wrong region
         },
     )
-    report = validate(atlas)
-    assert not report.ok
-    assert any("symmetry" in issue for issue in report.issues)
 
 
-def test_validate_reports_missing_reverse_and_empty_overlap():
+def missing_reverse_atlas():
     ap = Apartment(build_root_system("A1"), 1)
     identity = ap.isometry(ap.roots.identity())
-    atlas = Atlas(ap, ["1", "2"], {(0, 1): Transition(ap.half_region((1,), 1, 0), identity)})
-    report = validate(atlas)
-    assert any("no reverse" in issue for issue in report.issues)
+    return Atlas(ap, ["1", "2"], {(0, 1): Transition(ap.half_region((1,), 1, 0), identity)})
 
+
+def empty_overlap_atlas():
+    ap = Apartment(build_root_system("A1"), 1)
     empty = ap.intersect(ap.half_region((1,), 1, 1), ap.half_region((1,), -1, 0))
-    atlas2 = two_chart_atlas(ap, empty, identity)
-    report2 = validate(atlas2)
-    assert any("empty" in issue for issue in report2.issues)
+    return two_chart_atlas(ap, empty, ap.isometry(ap.roots.identity()))
 
 
-def test_validate_reports_cocycle_violation():
+def cocycle_breaking_atlas():
     ap = Apartment(build_root_system("A1"), 1)
     identity = ap.isometry(ap.roots.identity())
     shifted = ap.isometry(ap.roots.identity(), ap.simple_point(1))
@@ -85,7 +81,29 @@ def test_validate_reports_cocycle_violation():
         (1, 2): Transition(ray, shifted),
         (2, 1): Transition(ap.transform_region(ray, shifted), shifted.inverse()),
     }
-    report = validate(Atlas(ap, ["1", "2", "3"], transitions))
+    return Atlas(ap, ["1", "2", "3"], transitions)
+
+
+# The atlases above whose gluing validate must reject.
+FAULTY_ATLASES = [broken_symmetry_atlas, missing_reverse_atlas, empty_overlap_atlas, cocycle_breaking_atlas]
+
+
+def test_validate_reports_broken_symmetry():
+    report = validate(broken_symmetry_atlas())
+    assert not report.ok
+    assert any("symmetry" in issue for issue in report.issues)
+
+
+def test_validate_reports_missing_reverse_and_empty_overlap():
+    report = validate(missing_reverse_atlas())
+    assert any("no reverse" in issue for issue in report.issues)
+
+    report2 = validate(empty_overlap_atlas())
+    assert any("empty" in issue for issue in report2.issues)
+
+
+def test_validate_reports_cocycle_violation():
+    report = validate(cocycle_breaking_atlas())
     assert any("cocycle" in issue for issue in report.issues)
 
 

@@ -193,6 +193,18 @@ def test_cartan_rank_is_capped():
         parse_model(f"lambda 1\ncartan {rows}\ncharts 1\n")
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [("cartan []", "Cartan matrix is empty"), ("roots A0", f"rank must be in 1..{MAX_RANK} in 'A0'")],
+    ids=["empty-cartan", "rank-zero"],
+)
+def test_root_system_errors_name_their_line(spec, message):
+    # build_root_system runs after every line is read; its error still names the roots or cartan line.
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(f"lambda 1\n{spec}\ncharts 1\n")
+    assert str(err.value) == f"line 2: {message}"
+
+
 @pytest.mark.parametrize("value", [OVERFLOW, str(MAX_CHARTS + 1), "0"])
 def test_chart_count_is_capped(value):
     # Rejected on the charts line itself, before any per-chart list is built.

@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 import pytest
 
 from lbk.apartment import AffineIsometry, Apartment, ConvexRegion, HalfApartment, RegionShape
-from lbk.atlas import Atlas, BuildingSector, Transition, _fixes_region
+from lbk.atlas import Atlas, BuildingSector, Transition, _agree_on
 from lbk.axioms import _panel_of_sector, fit_subsector
 from lbk.lexq import LambdaScalar
 from lbk.linarith import GE, GT, ConstraintSystem, LinearConstraint, feasible
@@ -264,7 +264,8 @@ def contains_by_fm(ap, outer, inner):
 
 
 def fixes_by_fm(ap, g, region):
-    """The _fixes_region body before the single-half test: two FM solves per row."""
+    """Does g fix every point of the region?  Each row of (M - I) x = -shift
+    by two FM solves, with no single-half test."""
     n = ap.rank
     for r in range(n):
         coeffs = tuple(g.linear.matrix[r][c] - (1 if r == c else 0) for c in range(n))
@@ -272,6 +273,11 @@ def fixes_by_fm(ap, g, region):
         if not satisfies_by_fm(ap, region, eq):
             return False
     return True
+
+
+def agree_by_fm(ap, f, g, region):
+    """Do f and g agree at every point of the region?  g^-1 f fixes it, as g is a bijection."""
+    return fixes_by_fm(ap, g.inverse().compose(f), region)
 
 
 @pytest.mark.parametrize("name,lam", SYSTEMS)
@@ -395,6 +401,31 @@ def test_fixes_region_agrees_with_all_rows_fm(name, lam):
         if rng.random() < 0.1:
             g = ap.isometry(ap.roots.identity(), tuple(rand_scalar(rng, lam) for _ in range(ap.rank)))
         expected = fixes_by_fm(ap, g, region)
-        assert _fixes_region(ap, g, region) == expected
+        assert _agree_on(ap, g, ap.isometry(ap.roots.identity()), region) == expected
+        seen[expected] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("name,lam", SYSTEMS)
+def test_agree_on_agrees_with_fm_over_random_pairs(name, lam):
+    """Random (f, g) pairs: g random, the identity in some cases, and f = g h
+    with h fixing a point, the wall of a reflection at it, or nothing."""
+    seen = {True: 0, False: 0}
+    for ap, rng, sector, region in cases(name, lam, 9):
+        p, u = sector.base, sector.direction
+        i = rng.randint(1, ap.rank)
+        root = ap.sector_roots(u)[i - 1]
+        linear = rng.choice((u * ap.roots.simple(i) * u.inverse(), rng.choice(ap.directions())))
+        h = AffineIsometry(linear, tuple(a - b for a, b in zip(p, linear.act_point(p))))
+        if rng.random() < 0.5:
+            region = ap.intersect(region, ap.wall_region(root, ap.pairing(root, p)))
+        if rng.random() < 0.2:
+            h = ap.isometry(rng.choice(ap.directions()), tuple(rand_scalar(rng, lam) for _ in range(ap.rank)))
+        shift = tuple(rand_scalar(rng, lam) for _ in range(ap.rank))
+        g = ap.isometry(ap.roots.identity()) if rng.random() < 0.2 else ap.isometry(rng.choice(ap.directions()), shift)
+        f = g.compose(h)
+        expected = agree_by_fm(ap, f, g, region)
+        assert _agree_on(ap, f, g, region) == expected
+        assert _agree_on(ap, g, f, region) == expected
         seen[expected] += 1
     assert min(seen.values()) >= 20, seen
