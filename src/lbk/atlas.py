@@ -23,6 +23,7 @@ from .apartment import (
 )
 from .lexq import LambdaScalar
 from .linarith import GE, LinearConstraint
+from .rootsystem import Matrix, WeylElement
 
 
 def is_chart_name(name: object) -> bool:
@@ -106,6 +107,7 @@ class Atlas:
         self.overlap_classes: list[dict[ConvexRegion, list[int]]] = [{} for _ in range(m)]
         for (i, j) in sorted(self.transitions):
             self.overlap_classes[i].setdefault(self.transitions[(i, j)].region, []).append(j)
+        self._fitting: dict[tuple[int, Matrix, int], int] = {}
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -144,13 +146,27 @@ class Atlas:
         region = self.overlap_region(i, j)
         return None if region is None else self.apartment.region_half(region)
 
+    def reach(self, i: int, fits: Callable[[ConvexRegion], bool]) -> list[int]:
+        """The charts glued to chart i along an overlap class that ``fits`` accepts, in chart order."""
+        return sorted(j for region, js in self.overlap_classes[i].items() if fits(region) for j in js)
+
     def glued(self, i: int) -> list[int]:
         """The charts with a transition from chart i, in chart order."""
-        return sorted(j for js in self.overlap_classes[i].values() for j in js)
+        return self.reach(i, lambda region: True)
 
     def charts_meeting(self, i: int, half: HalfApartment) -> list[int]:
         """The charts whose overlap with chart i is exactly the given half, in chart order."""
-        return sorted(j for r, js in self.overlap_classes[i].items() if self.apartment.region_half(r) == half for j in js)
+        return self.reach(i, lambda region: self.apartment.region_half(region) == half)
+
+    def fitting(self, i: int, w: WeylElement, face: int = 0) -> int:
+        """The charts holding a subsector of every direction-w sector of chart i (face 0),
+        or of its type-face panel, as a bitmask: bit i and the charts glued along an overlap
+        the face fits (:meth:`Apartment.sector_fits`).  Cached per (i, w, face), idempotent."""
+        key = (i, w.matrix, face)
+        if key not in self._fitting:
+            fits = self.reach(i, lambda region: self.apartment.sector_fits(w, region, face))
+            self._fitting[key] = sum(1 << j for j in fits) | 1 << i
+        return self._fitting[key]
 
     # -- points --------------------------------------------------------------
 
@@ -165,11 +181,8 @@ class Atlas:
     def locate_point(self, bp: BuildingPoint) -> dict[int, Point]:
         """The point in each chart that contains it, in chart order; one test per overlap class."""
         i, p = bp.chart, bp.point
-        out = {i: p}
-        for region, js in self.overlap_classes[i].items():
-            if self.apartment.region_contains_point(region, p):
-                out.update((j, self.transitions[(i, j)].iso.apply(p)) for j in js)
-        return dict(sorted(out.items()))
+        held = self.reach(i, lambda region: self.apartment.region_contains_point(region, p))
+        return {j: p if j == i else self.transitions[(i, j)].iso.apply(p) for j in sorted([i, *held])}
 
     def points_equal(self, bp: BuildingPoint, bq: BuildingPoint) -> bool:
         moved = self.transport_point(bp.chart, bp.point, bq.chart)

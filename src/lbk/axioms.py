@@ -165,32 +165,18 @@ def _sector_label(atlas: Atlas, bs: BuildingSector | BuildingGerm) -> str:
     return f"{atlas.name(bs.chart)}:{format_point(bs.sector.base)}:{word}"
 
 
-# -- fit helpers -------------------------------------------------------------
-
-
-def fit_subsector(atlas: Atlas, bs: BuildingSector, chart: int) -> bool:
-    """Does bs have a subsector inside the given chart?  A subsector is a
-    translate along the sector's own cone, so only the direction matters."""
-    if bs.chart == chart:
-        return True
-    t = atlas.transition(bs.chart, chart)
-    return t is not None and atlas.apartment.sector_fits(bs.sector.direction, t.region)
-
-
 def sector_class_distance(atlas: Atlas, s1: BuildingSector, s2: BuildingSector):
-    """Group distance between the parallel classes, via a shared chart.
-
-    Returns (element, chart) or None when no chart holds subsectors of both.
-    """
-
-    def direction_in(bs: BuildingSector, chart: int):
-        w = bs.sector.direction
-        return w if bs.chart == chart else atlas.transition(bs.chart, chart).iso.linear * w
-
-    for chart in atlas.charts():
-        if fit_subsector(atlas, s1, chart) and fit_subsector(atlas, s2, chart):
-            return direction_in(s2, chart).inverse() * direction_in(s1, chart), chart
-    return None
+    """The group distance between the parallel classes and the first chart holding
+    subsectors of both (the lowest bit their :meth:`Atlas.fitting` masks share), or None."""
+    both = atlas.fitting(s1.chart, s1.sector.direction) & atlas.fitting(s2.chart, s2.sector.direction)
+    if not both:
+        return None
+    chart = (both & -both).bit_length() - 1
+    w1, w2 = (
+        bs.sector.direction if bs.chart == chart else atlas.transition(bs.chart, chart).iso.linear * bs.sector.direction
+        for bs in (s1, s2)
+    )
+    return w2.inverse() * w1, chart
 
 
 # -- A1/A2/A3 ----------------------------------------------------------------
@@ -326,6 +312,7 @@ def check_se(sample: Sample) -> AxiomReport:
     for bs in sample.sectors:
         chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
         holding = sample.located(BuildingPoint(chart, base))
+        fits = atlas.fitting(chart, w)
         for a in holding:
             if a == chart:
                 continue
@@ -337,7 +324,7 @@ def check_se(sample: Sample) -> AxiomReport:
             wall = ap.transform_half(ap.half(face_root, 1, ap.pairing(face_root, base)), t.iso)
             sides = (ap.half(wall.root, sense, wall.bound) for sense in (1, -1))
             found = [
-                next((c for c in atlas.charts_meeting(a, side) if c in holding and fit_subsector(atlas, bs, c)), None)
+                next((c for c in atlas.charts_meeting(a, side) if c in holding and fits >> c & 1), None)
                 for side in sides
             ]
             config = f"(chart={atlas.name(a)},sector={_sector_label(atlas, bs)})"

@@ -84,14 +84,13 @@ def infinity_complex(atlas: Atlas) -> InfinityComplex:
         for (matrix, itype), mirrored in mirror.items():
             uf.union((chart, matrix, itype), (chart, mirrored, itype))
 
-    # Cross-chart identification, once per overlap class: a direction-w sector, or its
-    # type-i panel, fitting inside it is one of direction linear*w in each chart of the class.
-    for i in atlas.charts():
-        for region, js in atlas.overlap_classes[i].items():
-            for w, itype in product(directions, range(ap.rank + 1)):
-                if ap.sector_fits(w, region, itype):
-                    for j in js:
-                        uf.union((i, w.matrix, itype), (j, (atlas.transition(i, j).iso.linear * w).matrix, itype))
+    # Cross-chart identification from the atlas's fit table: a direction-w sector, or its
+    # type-i panel, with a subsector in chart j is one of direction linear*w there.
+    for i, w, itype in product(atlas.charts(), directions, range(ap.rank + 1)):
+        fits = atlas.fitting(i, w, itype)
+        for j in atlas.glued(i):
+            if fits >> j & 1:
+                uf.union((i, w.matrix, itype), (j, (atlas.transition(i, j).iso.linear * w).matrix, itype))
 
     classes: dict = {}
     for chart in atlas.charts():

@@ -64,14 +64,8 @@ def test_a4_tripod_cross_rays_witness(tripod):
     s2 = BuildingSector(tripod.index("13"), ap.sector(ap.origin(), ap.roots.simple(1)))  # ray 3
     report = check_a4(Sample(tripod))
     assert report.verdict == PASS
-    witness = None
-    for chart in tripod.charts():
-        from lbk.axioms import fit_subsector
-
-        if fit_subsector(tripod, s1, chart) and fit_subsector(tripod, s2, chart):
-            witness = chart
-            break
-    assert tripod.name(witness) == "23"
+    both = tripod.fitting(s1.chart, s1.sector.direction) & tripod.fitting(s2.chart, s2.sector.direction)
+    assert [tripod.name(c) for c in tripod.charts() if both >> c & 1] == ["23"]
 
 
 def test_a4_disconnected_fails():

@@ -1,10 +1,12 @@
 """The overlap index of an atlas agrees with the chart-by-chart scans it replaces.
 
-``Atlas.overlap_classes`` groups each chart's overlaps by region, so
-``locate_point`` tests each distinct region once and ``charts_meeting`` reads
-the charts meeting a chart in a given half off the groups.  The references
-below are the per-chart loops they replaced, run over the 40 digest members
-and ``fm_fallback``, whose overlaps include a quadrant, a wall and an empty
+``Atlas.overlap_classes`` groups each chart's overlaps by region, and
+``Atlas.reach`` reads them with one test per group: ``locate_point`` tests
+each distinct region once, ``charts_meeting`` reads the charts meeting a
+chart in a given half off the groups, and the fit table ``Atlas.fitting``
+decides each (chart, direction, face) fit once.  The references below are the
+per-chart loops they replaced, run over the 40 digest members and
+``fm_fallback``, whose overlaps include a quadrant, a wall and an empty
 region.  A6 then asks Fourier-Motzkin once per distinct pair of overlaps.
 """
 from fractions import Fraction
@@ -16,7 +18,8 @@ import lbk.apartment
 from lbk import fixtures
 from lbk.apartment import Apartment
 from lbk.atlas import Atlas, BuildingPoint, Transition
-from lbk.axioms import Sample, check_a6, recheck_a6_counterexample
+from lbk.axioms import AXIOM_ORDER, Sample, check_a6, recheck_a6_counterexample, run_axioms
+from lbk.infinity import infinity_complex
 from lbk.linarith import feasible
 from lbk.rootsystem import build_root_system
 from report_digest import members
@@ -111,6 +114,69 @@ def test_charts_meeting_merges_regions_that_are_one_half():
     atlas = Atlas(ap, ["a", "b", "c", "d"], {pair: Transition(r, identity) for pair, r in glue.items()})
     assert list(atlas.overlap_classes[0].values()) == [[1, 3], [2]]
     assert atlas.charts_meeting(0, half) == [1, 2, 3]
+
+
+def fit_subsector(atlas, i, w, face, j):
+    """The per-chart fit the table replaced: does a direction-w sector of chart
+    i, or its type-face panel, have a subsector in chart j?"""
+    if i == j:
+        return True
+    t = atlas.transition(i, j)
+    return t is not None and atlas.apartment.sector_fits(w, t.region, face)
+
+
+@pytest.mark.parametrize("name", sorted(ATLASES))
+def test_fitting_agrees_with_the_per_chart_fit(name):
+    atlas = ATLASES[name]
+    ap = atlas.apartment
+    for i in atlas.charts():
+        for w in ap.directions():
+            for face in range(ap.rank + 1):
+                mask = atlas.fitting(i, w, face)
+                assert mask >> i & 1 and mask < 1 << atlas.size
+                for j in atlas.charts():
+                    assert bool(mask >> j & 1) == fit_subsector(atlas, i, w, face, j), (i, w.word, face, j)
+                assert atlas.fitting(i, w, face) is mask  # the cached answer
+
+
+def test_fit_table_is_read_through_reach():
+    """reach runs one test per overlap class and lists the class's charts in chart order."""
+    ap = Apartment(build_root_system("A1"), 1)
+    identity = ap.isometry(ap.roots.identity())
+    half = ap.half((1,), 1, 0)
+    plain, wall = ap.region([half]), ap.wall_region((1,), 0)
+    glue = {(0, 3): plain, (0, 1): wall, (0, 2): plain}
+    atlas = Atlas(ap, ["a", "b", "c", "d"], {pair: Transition(r, identity) for pair, r in glue.items()})
+    tested = []
+    assert atlas.reach(0, lambda r: tested.append(r) or r == plain) == [2, 3]
+    assert tested == [wall, plain]
+    identity_w, flip = ap.roots.identity(), ap.roots.simple(1)
+    assert atlas.fitting(0, identity_w) == 0b1101  # the ray toward +infinity fits the half alpha_1 >= 0
+    assert atlas.fitting(0, flip) == 0b0001
+    assert atlas.fitting(0, identity_w, 1) == 0b1111  # the panel is the apex: every nonempty overlap
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: fixtures.lambda_tree(8, 1), lambda: fixtures.fan(5, "B2", 1)], ids=["tree(8,1)", "fan(5,B2)"]
+)
+def test_checkers_decide_no_fit_the_complex_at_infinity_does_not(build, monkeypatch):
+    """A4, SE and the complex at infinity read one fit table, so the checkers
+    add no sector_fits call to those the complex at infinity makes alone."""
+    calls = []
+    original = lbk.apartment.Apartment.sector_fits
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(lbk.apartment.Apartment, "sector_fits", counted)
+    infinity_complex(build())
+    alone = len(calls)
+    calls.clear()
+    atlas = build()
+    run_axioms(atlas, AXIOM_ORDER, samples=80)
+    infinity_complex(atlas)
+    assert 0 < len(calls) <= alone
 
 
 @pytest.mark.parametrize("build", [lambda: fixtures.lambda_tree(8, 1), lambda: fixtures.fan(5, "B2", 1)])

@@ -16,8 +16,8 @@ from fractions import Fraction as Q
 import pytest
 
 from lbk.apartment import AffineIsometry, Apartment, ConvexRegion, HalfApartment, RegionShape
-from lbk.atlas import Atlas, BuildingSector, Transition, _agree_on
-from lbk.axioms import _panel_of_sector, fit_subsector
+from lbk.atlas import Atlas, Transition, _agree_on
+from lbk.axioms import _panel_of_sector
 from lbk.lexq import LambdaScalar
 from lbk.linarith import GE, GT, ConstraintSystem, LinearConstraint, feasible
 from lbk.rootsystem import build_root_system
@@ -296,15 +296,15 @@ def test_sector_fits_agrees_with_fm(name, lam):
 
 @pytest.mark.parametrize("name,lam", SYSTEMS)
 def test_fit_subsector_agrees_with_subsector_search(name, lam):
+    """The fit table's sector bit for chart 1 is the FM subsector search; a
+    chart always holds its own sectors, and chart 1 has no way back to 0."""
     seen = {True: 0, False: 0}
     for ap, _, sector, region in cases(name, lam, 5):
         identity = ap.isometry(ap.roots.identity())
         atlas = Atlas(ap, ["0", "1"], {(0, 1): Transition(region, identity)})
-        bs = BuildingSector(0, sector)
         expected = subsector_by_fm(ap, sector, region)
-        assert fit_subsector(atlas, bs, 1) == expected
-        assert fit_subsector(atlas, bs, 0)
-        assert not fit_subsector(atlas, BuildingSector(1, sector), 0)
+        assert atlas.fitting(0, sector.direction) == (0b11 if expected else 0b01)
+        assert atlas.fitting(1, sector.direction) == 0b10
         seen[expected] += 1
     assert min(seen.values()) >= 20, seen
 
