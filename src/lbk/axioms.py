@@ -215,13 +215,26 @@ def check_a3(sample: Sample, samples: int = 60) -> AxiomReport:
 
 
 def check_a4(sample: Sample, samples: int = 200) -> AxiomReport:
-    """Sector pairs must have subsectors in a common chart."""
+    """Sector pairs must have subsectors in a common chart.  That depends only
+    on their charts and directions, so when the sampled pairs pass, the first
+    pair of (chart, direction) classes whose fit masks do not meet, in chart
+    and ``directions()`` order, is one more fail line, named by the classes'
+    sectors at the chart origin."""
     report = AxiomReport("A4")
     atlas = sample.atlas
+    ap = atlas.apartment
     for s1, s2 in _cap_pairs(sample.sectors, samples, sample.seed, "a4"):
         config = f"({_sector_label(atlas, s1)},{_sector_label(atlas, s2)})"
         found = sector_class_distance(atlas, s1, s2)
         report.check(config, None if found is None else atlas.name(found[1]), "no-chart-holds-both-subsectors")
+    if report.verdict == PASS:
+        origin = [BuildingSector(c, ap.sector(ap.origin(), w)) for c in atlas.charts() for w in ap.directions()]
+        masks = [atlas.fitting(bs.chart, bs.sector.direction) for bs in origin]
+        for (s1, f1), (s2, f2) in combinations(zip(origin, masks), 2):
+            if not f1 & f2:
+                config = f"({_sector_label(atlas, s1)},{_sector_label(atlas, s2)})"
+                report.check(config, None, "no-chart-holds-both-subsectors")
+                break
     return report
 
 

@@ -19,7 +19,7 @@ import sys
 
 from lbk import equivalence_suite, fixtures, infinity_complex, validate
 
-REPORT = "d030d5895e18353e05eb0482fdb6600ffc11bdbba4d7443fb7ec6ff75c4bad86"
+REPORT = "d7c833cb94c48ab20d143f835ce8069c6044a92abe3024956e7fa298bc5e3dfd"
 VALIDATE = "b6ad7a9da02f461133c8682e21f37cdf4a75562815c5f9903f7fa49c1313a4f3"
 
 # (name, family, size, roots, lex rank), as in bench/workloads.py.

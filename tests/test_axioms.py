@@ -2,20 +2,23 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
 
 import lbk
 from lbk.apartment import Apartment
-from lbk.atlas import Atlas, BuildingGerm, BuildingPoint, BuildingSector, global_distance
+from lbk.atlas import Atlas, BuildingGerm, BuildingPoint, BuildingSector, Transition, global_distance, validate
 from lbk.axioms import (
     FAIL,
     INCONCLUSIVE,
     PASS,
+    CheckLine,
     Sample,
     TheoremViolation,
     _cap_pairs,
+    _sector_label,
     build_retraction,
     check_a3,
     check_a4,
@@ -35,6 +38,7 @@ from lbk.fixtures import broken_pair, drop_chart, fan, lambda_tree, shifted_rays
 from lbk.lexq import LambdaScalar
 from lbk.rootsystem import build_root_system
 from report_digest import members
+from test_golden import fm_fallback
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +76,54 @@ def test_a4_disconnected_fails():
     report = check_a4(Sample(disconnected_pair()))
     assert report.verdict == FAIL
     assert failed_lines(report)
+
+
+@cache
+def digest_members():
+    """The 40 digest members: 20 ladder members, then 18 pruned ones and two broken ones."""
+    return list(members())
+
+
+def origin_sectors(atlas):
+    ap = atlas.apartment
+    return [BuildingSector(c, ap.sector(ap.origin(), w)) for c in atlas.charts() for w in ap.directions()]
+
+
+def test_exact_a4_fails_off_the_ladder_and_passes_on_it():
+    """One sampled pair leaves the verdict to the exact scan of the fit table."""
+    for index, (name, atlas) in enumerate(digest_members()):
+        report = check_a4(Sample(atlas), samples=1)
+        assert report.verdict == (PASS if index < 20 else FAIL), name
+
+
+def test_exact_a4_agrees_with_a_scan_of_all_origin_sector_pairs():
+    for name, atlas in digest_members() + [("fm_fallback", fm_fallback())]:
+        pairs = combinations(origin_sectors(atlas), 2)
+        gap = next((pair for pair in pairs if sector_class_distance(atlas, *pair) is None), None)
+        for samples in (1, 80):
+            sample = Sample(atlas)
+            report = check_a4(sample, samples)
+            assert (report.verdict == PASS) == (gap is None), name
+            # The exact line follows the sampled lines only when they all pass.
+            sampled = len(_cap_pairs(sample.sectors, samples, sample.seed, "a4"))
+            exact = report.lines[sampled:]
+            if gap is None or any(line.verdict == FAIL for line in report.lines[:sampled]):
+                assert exact == [], name
+            else:
+                label = f"({_sector_label(atlas, gap[0])},{_sector_label(atlas, gap[1])})"
+                assert exact == [CheckLine(label, FAIL, "detail=no-chart-holds-both-subsectors")], name
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_no_alarm_on_the_digest_members(seed):
+    """On the ladder the A1-A4 gate opens and the suite raises no ALARM; off
+    it, exact A4 alone shuts the gate, which no ALARM can then pass."""
+    for index, (name, atlas) in enumerate(digest_members()):
+        if index < 20:
+            suite = equivalence_suite(atlas, samples=80, seed=seed)
+            assert suite.precondition_ok and not suite.alarms, (name, suite.alarms)
+        else:
+            assert check_a4(Sample(atlas, seed), samples=80).verdict == FAIL, name
 
 
 # -- A6 ---------------------------------------------------------------------
@@ -144,6 +196,22 @@ def test_se_pruned_fan_fails():
 
 def test_se_broken_pair_fails():
     assert check_se(Sample(broken_pair())).verdict == FAIL
+
+
+def test_se_side_chart_must_hold_the_sector_base():
+    """Chart C lies on the far side of the wall alpha_1 = 0 in chart A, and
+    the ray of X fits C's overlap alpha_1 >= 1, but C misses the ray's base."""
+    ap = Apartment(build_root_system("A1"), 1)
+    identity = ap.isometry(ap.roots.identity())
+    x, a, c = 0, 1, 2
+    glue = {(x, a): ap.half_region((1,), -1, 0), (a, c): ap.half_region((1,), 1, 0), (x, c): ap.half_region((1,), 1, 1)}
+    transitions = {pair: Transition(r, identity) for (i, j), r in glue.items() for pair in ((i, j), (j, i))}
+    atlas = Atlas(ap, ["X", "A", "C"], transitions)
+    assert validate(atlas).ok
+    lines = {line.config: line for line in check_se(Sample(atlas)).lines}
+    assert lines["(chart=A,sector=X:(0):e)"] == CheckLine(
+        "(chart=A,sector=X:(0):e)", FAIL, "detail=missing-side-apartment"
+    )
 
 
 # -- retraction ----------------------------------------------------------------

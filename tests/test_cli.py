@@ -6,7 +6,7 @@ import pytest
 
 import lbk.axioms
 from lbk import fixtures
-from lbk.axioms import check_a1, check_a2, equivalence_suite
+from lbk.axioms import FAIL, PASS, check_a1, check_a2, equivalence_suite
 from lbk.cli import main
 from lbk.modelfile import parse_model, serialize_model
 from test_golden import fm_fallback
@@ -170,6 +170,7 @@ AGREEMENT_MODELS = {
     "tree(3,1)-23": (lambda: _drop_last(fixtures.lambda_tree(3, 1)), None),
     "fm_fallback": (fm_fallback, None),  # validate fails, so the gate is unmet
     "tree(7,1)-67": (lambda: fixtures.drop_chart(fixtures.lambda_tree(7, 1), "67"), 80),
+    "tree(8,1)-78": (lambda: fixtures.drop_chart(fixtures.lambda_tree(8, 1), "78"), 80),
 }
 
 
@@ -185,8 +186,12 @@ def test_axioms_cli_agrees_with_library(name, tmp_path, capsys):
     suite = equivalence_suite(atlas, samples or 200, 0)
     expected = check_a1(atlas).rendered() + check_a2(atlas).rendered() + suite.rendered()
     assert capsys.readouterr().out == "\n".join(expected) + "\n"
-    if name == "tree(7,1)-67":  # the sampled gate passes and raises an ALARM
-        assert suite.alarms == ["exchange-equivalence-broken A6=pass EC=fail SE=fail"]
+    if name in ("tree(7,1)-67", "tree(8,1)-78"):  # the sampled A4 passes, and exact A4 shuts the gate
+        assert not suite.alarms and not suite.precondition_ok
+        assert [line.verdict for line in suite.reports["A4"].lines].count(FAIL) == 1
+        assert suite.reports["A4"].lines[-1].detail == "detail=no-chart-holds-both-subsectors"
+    if name == "tree(7,1)-67":  # its sampled A3 passes too: the gate opened and raised a false ALARM
+        assert suite.reports["A3"].verdict == PASS
 
 
 @pytest.mark.parametrize("only", ["A6,EC,SE", "A5,SE,EC,A6"])
