@@ -84,22 +84,15 @@ def digest_members():
     return list(members())
 
 
-def origin_sectors(atlas):
-    ap = atlas.apartment
-    return [BuildingSector(c, ap.sector(ap.origin(), w)) for c in atlas.charts() for w in ap.directions()]
-
-
-def test_exact_a4_fails_off_the_ladder_and_passes_on_it():
-    """One sampled pair leaves the verdict to the exact scan of the fit table."""
-    for index, (name, atlas) in enumerate(digest_members()):
-        report = check_a4(Sample(atlas), samples=1)
-        assert report.verdict == (PASS if index < 20 else FAIL), name
-
-
 def test_exact_a4_agrees_with_a_scan_of_all_origin_sector_pairs():
-    for name, atlas in digest_members() + [("fm_fallback", fm_fallback())]:
-        pairs = combinations(origin_sectors(atlas), 2)
-        gap = next((pair for pair in pairs if sector_class_distance(atlas, *pair) is None), None)
+    """A4 fails exactly off the ladder, and one sampled pair leaves the verdict
+    to the scan of the fit table, which names the first pair no chart holds."""
+    for index, (name, atlas) in enumerate(digest_members() + [("fm_fallback", fm_fallback())]):
+        ap = atlas.apartment
+        origin = [BuildingSector(c, ap.sector(ap.origin(), w)) for c in atlas.charts() for w in ap.directions()]
+        gap = next((pair for pair in combinations(origin, 2) if sector_class_distance(atlas, *pair) is None), None)
+        if index < 40:
+            assert (gap is None) == (index < 20), name
         for samples in (1, 80):
             sample = Sample(atlas)
             report = check_a4(sample, samples)

@@ -139,7 +139,7 @@ def test_fitting_agrees_with_the_per_chart_fit(name):
                 assert atlas.fitting(i, w, face) is mask  # the cached answer
 
 
-def test_fit_table_is_read_through_reach():
+def test_reach_tests_each_overlap_class_once():
     """reach runs one test per overlap class and lists the class's charts in chart order."""
     ap = Apartment(build_root_system("A1"), 1)
     identity = ap.isometry(ap.roots.identity())
