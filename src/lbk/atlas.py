@@ -9,6 +9,7 @@ the cocycle check run by :func:`validate` is what justifies that shortcut.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional
 
 from .apartment import (
@@ -246,22 +247,43 @@ class ValidationReport:
 
 
 def validate(atlas: Atlas) -> ValidationReport:
-    """Structural checks: symmetry, nonemptiness, closedness, cocycle."""
+    """Structural checks: symmetry, nonemptiness, closedness, cocycle.  A check reads only its
+    transitions' values, so it is decided once per distinct value pair or triple."""
     ap = atlas.apartment
     issues: list[str] = []
     notes: list[str] = []
 
     pairs = sorted(atlas.transitions)
-    reverse = {pair: atlas.transitions[pair].reverse(ap) for pair in pairs}
+    ids: dict[Transition, int] = {}
+    tid = {pair: ids.setdefault(atlas.transitions[pair], len(ids)) for pair in pairs}
+    values = list(ids)
+    reverse = [t.reverse(ap) for t in values]
+
+    @cache
+    def symmetric(a: int, b: int) -> tuple[bool, bool]:
+        """Are value b's isometry and region those of value a's reverse?"""
+        back, derived = values[b], reverse[a]
+        return back.iso == derived.iso, ap.region_equal(back.region, derived.region)
+
+    @cache
+    def cocycle(a: int, b: int, c: int) -> bool:
+        """Do t_jk t_ij and t_ik agree on U_ij, U_ik and U_jk pulled back into chart i?"""
+        tij, tjk, tik = values[a], values[b], values[c]
+        through_j = tjk.iso.compose(tij.iso)
+        if through_j == tik.iso:
+            return True
+        domain = ap.intersect(tij.region, ap.transform_region(tjk.region, reverse[a].iso), tik.region)
+        return _agree_on(ap, through_j, tik.iso, domain)
+
     for (i, j) in pairs:
-        back = atlas.transition(j, i)
         label = f"({atlas.name(i)},{atlas.name(j)})"
-        if back is None:
+        if (j, i) not in tid:
             issues.append(f"symmetry: transition {label} has no reverse")
             continue
-        if back.iso != reverse[(i, j)].iso:
+        iso_ok, region_ok = symmetric(tid[(i, j)], tid[(j, i)])
+        if not iso_ok:
             issues.append(f"symmetry: reverse isometry of {label} is not the inverse")
-        if not ap.region_equal(back.region, reverse[(i, j)].region):
+        if not region_ok:
             issues.append(f"symmetry: reverse region of {label} is not the image region")
     notes.append(f"symmetry pairs={len(pairs)}")
 
@@ -271,22 +293,14 @@ def validate(atlas: Atlas) -> ValidationReport:
                 issues.append(f"nonempty: overlap ({atlas.name(i)},{atlas.name(j)}) is empty")
     notes.append("overlaps closed convex by construction (half-apartment constraints)")
 
-    # The cocycle: routes i -> j -> k and i -> k agree on U_ij, U_ik and U_jk pulled back into chart i.
     # No transition joins a chart to itself, and pairs are sorted, so triples are distinct and in order.
     cocycle_checked = 0
     for (i, j) in pairs:
-        tij = atlas.transitions[(i, j)]
         for k in atlas.glued(j):
-            tik = atlas.transition(i, k)
-            if tik is None:
+            if (i, k) not in tid:
                 continue
-            tjk = atlas.transitions[(j, k)]
             cocycle_checked += 1
-            through_j = tjk.iso.compose(tij.iso)
-            if through_j == tik.iso:
-                continue
-            domain = ap.intersect(tij.region, ap.transform_region(tjk.region, reverse[(i, j)].iso), tik.region)
-            if not _agree_on(ap, through_j, tik.iso, domain):
+            if not cocycle(tid[(i, j)], tid[(j, k)], tid[(i, k)]):
                 issues.append(
                     "cocycle: composite through "
                     f"({atlas.name(i)},{atlas.name(j)},{atlas.name(k)}) moves overlap points"

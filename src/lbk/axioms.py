@@ -406,6 +406,15 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
     dirs = ap.directions()
     targets = [(chart, w) for chart in atlas.charts() for w in (dirs[0], dirs[-1])][:3]
 
+    @cache
+    def distance(bp: BuildingPoint, bq: BuildingPoint):
+        """The pair's distance, measured once for every target; a failure is kept as its
+        class, since an exception instance would keep its traceback's frames alive."""
+        try:
+            return located_distance(atlas, bp, bq, located(bp), located(bq))
+        except (NoCommonChartError, DistanceDisagreementError) as exc:
+            return type(exc)
+
     for chart, w in targets:
         germ = BuildingGerm(chart, ap.sector(ap.origin(), w))
         config_base = f"(chart={atlas.name(chart)},germ={_sector_label(atlas, germ)})"
@@ -422,26 +431,21 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
             except TheoremViolation as exc:
                 images[bp] = exc
         for bp, bq in _cap_pairs(points, samples, sample.seed, f"a5:{atlas.name(chart)}"):
-            config = f"{config_base}:{_pair_label(atlas, bp, bq)}"
             ry, rz = images[bp], images[bq]
             violation = next((r for r in (ry, rz) if isinstance(r, TheoremViolation)), None)
             if violation is not None:
-                report.add(config, FAIL, f"detail={str(violation).replace(' ', '_')}")
+                failure = str(violation).replace(" ", "_")
+            elif (original := distance(bp, bq)) is NoCommonChartError:
                 continue
-            try:
-                original = located_distance(atlas, bp, bq, located(bp), located(bq))
-            except NoCommonChartError:
+            elif original is DistanceDisagreementError:
+                failure = "distance-disagrees-between-charts"
+            elif (retracted := ap.metric(ry.point, rz.point)) > original:
+                failure = "distance-increased"
+            elif retracted != original and located(bp).keys() & located(bq).keys() & rho.maps.keys():
+                failure = "not-isometric-on-co-chart-pair"
+            else:
                 continue
-            except DistanceDisagreementError:
-                report.add(config, FAIL, "detail=distance-disagrees-between-charts")
-                continue
-            retracted = ap.metric(ry.point, rz.point)
-            if retracted > original:
-                report.add(config, FAIL, "detail=distance-increased")
-                continue
-            shared = located(bp).keys() & located(bq).keys() & rho.maps.keys()
-            if shared and retracted != original:
-                report.add(config, FAIL, "detail=not-isometric-on-co-chart-pair")
+            report.add(f"{config_base}:{_pair_label(atlas, bp, bq)}", FAIL, f"detail={failure}")
         # An image that is a TheoremViolation is no fixed point either.
         if any(bp.chart == chart and images[bp] != BuildingPoint(chart, bp.point) for bp in points):
             report.add(config_base, FAIL, "detail=not-identity-on-target")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from collections import Counter
@@ -386,6 +387,42 @@ def test_a5_tripod(tripod):
 
 def test_a5_fan():
     assert check_a5(Sample(fan(3)), samples=40).verdict == PASS
+
+
+def test_a5_measures_each_sampled_pair_once(monkeypatch):
+    """The three targets of a rank-1 model are chart 0 twice, then chart 1; the
+    source distance of a pair is measured once, however many targets sample it."""
+    atlas = lambda_tree(8, 1)
+    sample = Sample(atlas)
+    pairs = {pair for chart in (0, 1) for pair in _cap_pairs(sample.points, 200, 0, f"a5:{atlas.name(chart)}")}
+    calls = []
+    measure = lbk.axioms.located_distance
+
+    def counted(atlas, bp, bq, at_p, at_q):
+        calls.append((bp, bq))
+        return measure(atlas, bp, bq, at_p, at_q)
+
+    monkeypatch.setattr(lbk.axioms, "located_distance", counted)
+    assert check_a5(sample).verdict == PASS
+    assert sorted(calls, key=repr) == sorted(pairs, key=repr)
+
+
+# sha256 of check_a5(Sample(atlas)).rendered(), one line each, written before A5
+# measured each pair once and built its labels only for the lines it writes.
+A5_LINES = {
+    "fm_fallback": "8927cf530cce610a19686e3f195af3d37a837906d946e205c9cf4367d12e6592",
+    "broken_pair": "2f47eda1ceb0e3c7dc2aea26495f89def99024e4e579c31fcdbfeeef2b256479",
+    "tree(8,1)": "b8843096f4fd8c8a936e8ef2cb2905a8ce2c2ebeb748cf3d63b5895d93994199",
+}
+
+
+@pytest.mark.parametrize("name", sorted(A5_LINES))
+def test_a5_lines_are_pinned(name):
+    atlas = {"fm_fallback": fm_fallback, "broken_pair": broken_pair, "tree(8,1)": lambda: lambda_tree(8, 1)}[name]()
+    lines = check_a5(Sample(atlas)).rendered()
+    assert hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest() == A5_LINES[name]
+    if name == "fm_fallback":
+        assert any("detail=distance-disagrees-between-charts" in line for line in lines)
 
 
 # -- section 4 searches -----------------------------------------------------------

@@ -1,13 +1,16 @@
 """validate, A6 and EC walk the gluing and agree with the chart scans they replace.
 
-``validate`` derives each transition's reverse once and checks the cocycle
-as two routes that agree, walking ``Atlas.glued(j)``; A6 and EC walk the
+``validate`` derives one reverse per distinct transition value, decides each
+distinct value pair and triple once, and checks the cocycle as two routes
+that agree, walking ``Atlas.glued(j)``; A6 and EC walk the
 glued charts of each chart.  The references below are the loops they
 replaced: every chart pair and triple probed, the inverse recomputed per
 triple, and the cocycle as "t_ik^-1 t_jk t_ij fixes the domain".  They run
 over the 40 digest members, ``fm_fallback``, the faulty atlases of
 ``test_atlas`` and seeded corruptions of a few members, which break symmetry
-and the cocycle with reflections and translations.
+and the cocycle with reflections and translations, or give one transition
+the value of another so that a check decided per distinct value must tell
+the two values apart.
 """
 import random
 from fractions import Fraction
@@ -15,6 +18,7 @@ from itertools import combinations
 
 import pytest
 
+from lbk import atlas as atlas_module
 from lbk import fixtures
 from lbk.apartment import AffineIsometry
 from lbk.atlas import Atlas, Transition, ValidationReport, validate
@@ -41,6 +45,17 @@ def corrupted(atlas, seed):
     return Atlas(ap, atlas.chart_names, transitions, label=f"{atlas.label}~{seed}")
 
 
+def borrowed(atlas, seed):
+    """The atlas with one seeded transition given the value of a different
+    existing transition, and its reverse left as it was."""
+    rng = random.Random(f"borrowed:{atlas.label}:{seed}")
+    transitions = dict(atlas.transitions)
+    pairs = sorted(transitions)
+    pair = rng.choice(pairs)
+    transitions[pair] = transitions[rng.choice([p for p in pairs if transitions[p] != transitions[pair]])]
+    return Atlas(atlas.apartment, atlas.chart_names, transitions, label=f"{atlas.label}^{seed}")
+
+
 def atlases():
     out = dict(members())
     out["fm_fallback"] = fm_fallback()
@@ -48,6 +63,9 @@ def atlases():
     for name in ("tree(4,1)", "tree(3,2)", "fan(3,A2)", "fan(3,B2)", "fan(4,A2)"):
         for seed in range(3):
             out[f"{name}~{seed}"] = corrupted(out[name], seed)
+    for name in ("tree(4,1)", "fan(3,B2)", "fan(4,A2)"):
+        for seed in range(3):
+            out[f"{name}^{seed}"] = borrowed(out[name], seed)
     return out
 
 
@@ -169,7 +187,37 @@ def test_validate_inverts_each_transition_once(monkeypatch):
 
     monkeypatch.setattr(AffineIsometry, "inverse", counted)
     assert validate(atlas).ok
-    assert len(calls) == len(atlas.transitions) == 336
+    assert len(calls) == len(set(atlas.transitions.values())) == 4
+
+
+def test_validate_decides_each_distinct_value_triple_once(monkeypatch):
+    """tree(16,1) has 3,360 transitions and 47,040 cocycle triples over 4 distinct
+    transition values: validate inverts each value once, composes each distinct
+    (t_ij, t_jk, t_ik) value triple once and checks a domain only for the triples
+    whose composite is not t_ik."""
+    atlas = fixtures.lambda_tree(16, 1)
+    t = atlas.transitions
+    ids = {}
+    tid = {pair: ids.setdefault(value, len(ids)) for pair, value in t.items()}
+    values = list(ids)
+    triples = {(tid[(i, j)], tid[(j, k)], tid[(i, k)]) for (i, j) in t for k in atlas.glued(j) if (i, k) in t}
+    moving = [(a, b, c) for a, b, c in triples if values[b].iso.compose(values[a].iso) != values[c].iso]
+    calls = {"inverse": 0, "compose": 0, "agree": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(AffineIsometry, "inverse", counting("inverse", AffineIsometry.inverse))
+    monkeypatch.setattr(AffineIsometry, "compose", counting("compose", AffineIsometry.compose))
+    monkeypatch.setattr(atlas_module, "_agree_on", counting("agree", atlas_module._agree_on))
+    report = validate(atlas)
+    assert report.ok and "cocycle triples=47040" in report.notes
+    assert calls["inverse"] == len(values) == 4
+    assert calls["compose"] <= len(triples)
+    assert calls["agree"] <= len(moving)
 
 
 def test_a6_reads_each_glued_pair_not_every_triple(monkeypatch):
