@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .lexq import LambdaScalar
@@ -141,6 +142,12 @@ class Apartment:
             tuple(d[i] * a[i][j] for j in range(self.rank)) for i in range(self.rank)
         )
         self._pairing_rows: dict[Root, tuple[Fraction, ...]] = {}
+        # The positive roots' pairing rows as ints over one common denominator, for metric.
+        rows = [self.pairing_row(r) for r in roots.positive_roots]
+        self._metric_den = lcm(*(c.denominator for row in rows for c in row))
+        self._metric_rows = tuple(
+            tuple(c.numerator * (self._metric_den // c.denominator) for c in row) for row in rows
+        )
         self._inverse = _invert(self.pairing_matrix)
         # Dual basis: (alpha_j, u_i) = delta_ij; these span the fundamental cone.
         self.cone_basis: tuple[tuple[Fraction, ...], ...] = tuple(
@@ -203,13 +210,8 @@ class Apartment:
         return LambdaScalar.lincomb(self.pairing_row(root), v)
 
     def metric(self, v1: Point, v2: Point) -> LambdaScalar:
-        """d(v1,v2): sum over positive roots of |(alpha, v1 - v2)|."""
-        diff = tuple(a - b for a, b in zip(v1, v2))
-        values = [
-            abs(LambdaScalar.lincomb(self.pairing_row(root), diff))
-            for root in self.roots.positive_roots
-        ]
-        return LambdaScalar.lincomb((1,) * len(values), values)
+        """d(v1,v2): sum over positive roots of |(alpha, v1 - v2)|, in one integer pass."""
+        return LambdaScalar.abs_sum(self._metric_rows, v1, v2, self._metric_den)
 
     def coordinate(self, v: Point, i: int, w: Optional[WeylElement] = None) -> LambdaScalar:
         """v^{w(alpha_i)} = (alpha_i, w^-1(v)) / 2 (1-based i)."""

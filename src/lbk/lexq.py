@@ -16,14 +16,18 @@ every result costs at most one gcd.  The ``parts`` property rebuilds the
 public view, a tuple of reduced ``Fraction`` values.
 :meth:`LambdaScalar.lincomb` sums a whole linear combination with rational
 coefficients over one common denominator and builds only the result;
-pairings, metrics, Weyl actions and Fourier-Motzkin bounds go through it.
+pairings, Weyl actions and Fourier-Motzkin bounds go through it.
+:meth:`LambdaScalar.abs_sum` sums the absolute values of int linear forms of
+a difference in one integer pass; distances go through it.  A scalar keeps
+its hash once computed, so a non-integer scalar rebuilds its ``Fraction``
+parts for hashing only once.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -50,7 +54,7 @@ def _reduced(nums: tuple[int, ...], den: int) -> "LambdaScalar":
 class LambdaScalar:
     """Element of lex-ordered Q^k.  Immutable and hashable."""
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_nums", "_den", "_hash")  # _hash is set by the first __hash__
 
     def __init__(self, parts: Iterable[Rational]):
         fracs = [p if isinstance(p, (int, Fraction)) else Fraction(p) for p in parts]
@@ -110,6 +114,38 @@ class LambdaScalar:
         if den != 1:
             ps = [p * (den // d) for p, d in zip(ps, dens)]
         return _reduced(tuple(sum(map(mul, ps, col)) for col in zip(*rows)), den)
+
+    @staticmethod
+    def abs_sum(
+        rows: Iterable[Sequence[int]], xs: Sequence["LambdaScalar"], ys: Sequence["LambdaScalar"], den: int = 1
+    ) -> "LambdaScalar":
+        """sum over rows of |sum_j row[j] * (xs[j] - ys[j])|, divided by den > 0.
+
+        For int rows; coordinates pair as ``zip`` pairs them.  The differences
+        are brought to one common denominator, each row's dot product is taken
+        per lex component in ints and negated when its first nonzero component
+        is negative, and only the sum is built.
+        """
+        pairs = list(zip(xs, ys))
+        if not pairs:
+            raise ValueError("a distance needs at least one coordinate")
+        for x, y in pairs:
+            if not isinstance(x, LambdaScalar):
+                raise TypeError(f"expected LambdaScalar, got {type(x).__name__}")
+            pairs[0][0]._check(x)
+            x._check(y)
+        d = lcm(*(x._den for x, _ in pairs), *(y._den for _, y in pairs))
+        cols = list(zip(*(
+            [a * (d // x._den) - b * (d // y._den) for a, b in zip(x._nums, y._nums)] for x, y in pairs
+        )))
+        total = zero = [0] * len(cols)
+        for row in rows:
+            dots = [sum(map(mul, row, col)) for col in cols]
+            if dots < zero:  # lists compare lexicographically: the sign of the first nonzero
+                total = [t - v for t, v in zip(total, dots)]
+            else:
+                total = [t + v for t, v in zip(total, dots)]
+        return _reduced(tuple(total), d * den)
 
     @property
     def parts(self) -> tuple[Fraction, ...]:
@@ -178,8 +214,17 @@ class LambdaScalar:
 
     def __hash__(self) -> int:
         # Integers hash like the equal Fractions, so hash(s) == hash(s.parts);
-        # for the common integer scalars this builds no Fraction.
-        return hash(self._nums) if self._den == 1 else hash(self.parts)
+        # for the common integer scalars this builds no Fraction, and each
+        # scalar computes its hash once.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self._nums) if self._den == 1 else hash(self.parts)
+            return self._hash
+
+    def __reduce__(self):
+        # Copies and pickles carry the value, not the kept hash, which holds for this build of Python only.
+        return _make, (self._nums, self._den)
 
     def _cross(self, other: "LambdaScalar") -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Numerators of self and other over a shared denominator."""

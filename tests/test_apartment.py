@@ -53,6 +53,69 @@ def test_metric_examples():
     assert a1.metric(a1.origin(), a1.simple_point(3)) == a1.scalar(6)
 
 
+def reference_metric(cartan, p, q):
+    """sum over positive roots of |(alpha, p - q)| in Fraction tuples, from the Cartan matrix alone."""
+    n = len(cartan)
+    d = [None] * n  # the symmetrizer: d_i a_ij = d_j a_ji, min d_i = 1
+    for start in range(n):
+        if d[start] is None:
+            d[start], todo = Q(1), [start]
+            while todo:
+                i = todo.pop()
+                for j in range(n):
+                    if i != j and cartan[i][j] and d[j] is None:
+                        d[j] = d[i] * Q(cartan[i][j], cartan[j][i])
+                        todo.append(j)
+    d = [x / min(d) for x in d]
+    roots, todo = set(), [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    while todo:  # close the simple roots under the simple reflections
+        b = todo.pop()
+        if b in roots or min(b) < 0:
+            continue
+        roots.add(b)
+        for k in range(n):
+            c = sum(cartan[k][j] * b[j] for j in range(n))
+            todo.append(tuple(b[i] - c * (i == k) for i in range(n)))
+    diff = [tuple(a - b for a, b in zip(x.parts, y.parts)) for x, y in zip(p, q)]
+    total = [Q(0)] * len(diff[0])
+    for root in roots:
+        weights = [sum(root[i] * d[i] * cartan[i][j] for i in range(n)) for j in range(n)]
+        value = [sum((w * x[k] for w, x in zip(weights, diff)), Q(0)) for k in range(len(total))]
+        if value < [0] * len(value):
+            value = [-v for v in value]
+        total = [t + v for t, v in zip(total, value)]
+    return tuple(total)
+
+
+@pytest.mark.parametrize(
+    "name,lam", [("A1", 1), ("A1", 2), ("A1", 3), ("A2", 2), ("B2", 2), ("C2", 2), ("G2", 2), ("A3", 2)]
+)
+def test_metric_matches_fraction_reference(name, lam):
+    ap = make(name, lam)
+    cartan = ap.roots.cartan
+    rng = random.Random(f"metric:{name}:{lam}")
+    for _ in range(40):
+        u, v = rand_point(ap, rng), rand_point(ap, rng)
+        pairs = [(u, v), (v, u), (u, u)]
+        if lam >= 2:
+            # u - w has first lex components 0 and second ones negative; the
+            # pairings with the roots then take their sign from the second.
+            tail = [Q(rng.randint(-5, 5), 3) for _ in range(lam - 2)]
+            step = tuple(LambdaScalar([0, Q(-rng.randint(1, 9), rng.randint(1, 4))] + tail) for _ in range(ap.rank))
+            w = tuple(a - b for a, b in zip(u, step))
+            pairs += [(u, w), (w, u)]
+        for p, q in pairs:
+            got = ap.metric(p, q)
+            assert got.parts == reference_metric(cartan, p, q)
+            assert got == ap.metric(q, p)
+    if lam >= 2:
+        # (0|-1) in every coordinate: each pairing's first lex component is 0.
+        p = tuple(LambdaScalar([0, -1] + [0] * (lam - 2)) for _ in range(ap.rank))
+        got = ap.metric(p, ap.origin())
+        assert got.parts == reference_metric(cartan, p, ap.origin())
+        assert got.parts[0] == 0 and got.parts[1] > 0
+
+
 def test_coordinate_examples():
     a1 = make("A1")
     assert a1.coordinate(a1.origin(), 1).is_zero()

@@ -407,6 +407,23 @@ def test_a5_measures_each_sampled_pair_once(monkeypatch):
     assert sorted(calls, key=repr) == sorted(pairs, key=repr)
 
 
+def test_a5_rerun_rebuilds_no_fractions(monkeypatch):
+    """Sample points keep their scalars' hashes, so a second A5 run over the same
+    sample builds almost no Fraction (1,988 when each hash rebuilt the parts)."""
+    sample = Sample(lambda_tree(8, 1))
+    assert check_a5(sample).verdict == PASS
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert check_a5(sample).verdict == PASS
+    assert len(built) <= 10
+
+
 # sha256 of check_a5(Sample(atlas)).rendered(), one line each, written before A5
 # measured each pair once and built its labels only for the lines it writes.
 A5_LINES = {

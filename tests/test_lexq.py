@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as Q
 
@@ -133,16 +135,34 @@ def test_kernel_matches_fraction_reference():
         assert a == LambdaScalar(x) and hash(a) == hash(LambdaScalar(list(x)))
 
 
+def canonical_routes(a, b, rank):
+    """Routes by which a's value is reached again."""
+    return [(a + b) - b, (a * 6) / 6, -(-a), (a * Q(7, 3)) * Q(3, 7), a + LambdaScalar.zero(rank)]
+
+
 def test_kernel_values_are_canonical():
     # One representation per value: results reached by different routes are
     # equal, hash alike and sort alike.
     for rng, rank, x, y in seeded_pairs(23):
         a, b = LambdaScalar(x), LambdaScalar(y)
-        routes = [(a + b) - b, (a * 6) / 6, -(-a), (a * Q(7, 3)) * Q(3, 7), a + LambdaScalar.zero(rank)]
-        for r in routes:
+        for r in canonical_routes(a, b, rank):
             assert r == a and r.parts == x and hash(r) == hash(a) and str(r) == str(a)
         assert not (a - a).sign() and (a - a) == LambdaScalar.zero(rank)
         assert a * 0 == LambdaScalar.zero(rank) and a * Q(0) == LambdaScalar.zero(rank)
+
+
+def test_kept_hash_is_the_parts_hash():
+    # The first __hash__ keeps the hash; it is hash(parts) on the first call and
+    # every later one, and copies and pickles, made before or after, agree.
+    for rng, rank, x, y in seeded_pairs(37):
+        a, b = LambdaScalar(x), LambdaScalar(y)
+        for r in canonical_routes(a, b, rank) + [a, LambdaScalar.lincomb([1, -1], [a, b]) + b]:
+            before = [copy.copy(r), pickle.loads(pickle.dumps(r))]
+            assert hash(r) == hash(x)
+            assert hash(r) == hash(r.parts) == hash(x)
+            for c in before + [copy.copy(r), pickle.loads(pickle.dumps(r))]:
+                assert c == r and hash(c) == hash(x)
+                assert hash(c) == hash(c.parts)
 
 
 def fold(coeffs, xs):
@@ -167,6 +187,29 @@ def test_lincomb_matches_fold_and_reference():
         # zip pairing: surplus terms on either side are ignored
         assert LambdaScalar.lincomb(coeffs + [1], scalars) == got
         assert LambdaScalar.lincomb(iter(coeffs), iter(scalars + [scalars[0]])) == got
+
+
+def test_abs_sum_matches_fold_of_abs_lincomb():
+    rng = random.Random(41)
+    for _ in range(CASES):
+        rank, terms, nrows = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 6)
+        xs = [LambdaScalar(rand_parts(rng, rank)) for _ in range(terms)]
+        ys = [LambdaScalar(rand_parts(rng, rank)) for _ in range(terms)]
+        rows = [[rng.randint(-3, 3) for _ in range(terms)] for _ in range(nrows)]
+        rows[rng.randrange(nrows)] = [0] * terms
+        den = rng.randint(1, 6)
+        zeros = [LambdaScalar.zero(rank)] * terms
+        diffs = [x - y for x, y in zip(xs, ys)]
+        for a, b, vs in ((xs, zeros, xs), (xs, ys, diffs), (ys, xs, [-d for d in diffs]), (xs, xs, zeros)):
+            want = LambdaScalar.zero(rank)
+            for row in rows:
+                want = want + abs(LambdaScalar.lincomb(row, vs))
+            assert LambdaScalar.abs_sum(rows, a, b) == want
+            assert LambdaScalar.abs_sum(rows, a, b, den) == want / den
+        # The sign is the first nonzero component's: (0|-1) counts as negative.
+        if rank >= 2:
+            v = LambdaScalar([0, -1] + [5] * (rank - 2))
+            assert LambdaScalar.abs_sum([[1]], [v], [LambdaScalar.zero(rank)]) == -v
 
 
 def test_ordered_group_laws():
@@ -200,6 +243,8 @@ def test_kernel_errors():
         lambda: a * a,
         lambda: LambdaScalar.lincomb([1, 1], [a, 1]),
         lambda: LambdaScalar.lincomb([1.5], [a]),
+        lambda: LambdaScalar.abs_sum([[1]], [1], [a]),
+        lambda: LambdaScalar.abs_sum([[1]], [a], [1]),
     ):
         with pytest.raises(TypeError):
             op()
@@ -210,6 +255,9 @@ def test_kernel_errors():
         lambda: a > b,
         lambda: LambdaScalar.lincomb([1, 2], [a, b]),
         lambda: LambdaScalar.lincomb([], []),
+        lambda: LambdaScalar.abs_sum([[1, 1]], [a, a], [a, b]),
+        lambda: LambdaScalar.abs_sum([[1, 1]], [a, b], [a, b]),
+        lambda: LambdaScalar.abs_sum([[]], [], []),
         lambda: LambdaScalar([]),
         lambda: LambdaScalar.zero(0),
     ):
