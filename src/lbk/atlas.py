@@ -1,10 +1,9 @@
 """Atlas-presented candidate buildings: charts, gluing data, global queries.
 
-An :class:`Atlas` is a finite presentation of a pair (point set, chart
-family): finitely many copies of the model apartment, plus for ordered chart
-pairs an overlap region and the isometry identifying it with a region of the
-other chart.  Point equality deliberately uses single transition steps only;
-the cocycle check run by :func:`validate` is what justifies that shortcut.
+An :class:`Atlas` is a finite presentation of a pair (point set, chart family): finitely many
+copies of the model apartment, plus for ordered chart pairs an overlap region and the isometry
+identifying it with a region of the other chart.  Point equality and :meth:`Atlas.locate_point`
+are one-hop, sound only for a closed gluing; :func:`validate` does not check closure (ROADMAP item 2).
 """
 from __future__ import annotations
 
@@ -33,6 +32,20 @@ def is_chart_name(name: object) -> bool:
     return isinstance(name, str) and bool(name) and not any(
         c.isspace() or c in ":#" for c in name
     )
+
+
+def charts_of(mask: int) -> list[int]:
+    """The charts of a chart mask (an int whose bit c stands for chart c), in chart order."""
+    charts = []
+    while mask:
+        charts.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return charts
+
+
+def lowest(mask: int) -> Optional[int]:
+    """The first chart of a chart mask, or None when it is empty."""
+    return (mask & -mask).bit_length() - 1 if mask else None
 
 
 class NoCommonChartError(RuntimeError):
@@ -104,10 +117,10 @@ class Atlas:
             if not (0 <= i < m and 0 <= j < m) or i == j:
                 raise ValueError(f"bad transition pair ({i}, {j})")
         # The overlap index, built once, read-only: per chart, each distinct overlap region (by
-        # halves tuple, so no elimination runs) with the charts meeting it there, in chart order.
-        self.overlap_classes: list[dict[ConvexRegion, list[int]]] = [{} for _ in range(m)]
-        for (i, j) in sorted(self.transitions):
-            self.overlap_classes[i].setdefault(self.transitions[(i, j)].region, []).append(j)
+        # halves tuple, so no elimination runs) with the mask of the charts meeting it there.
+        self.overlap_classes: list[dict[ConvexRegion, int]] = [{} for _ in range(m)]
+        for (i, j), t in sorted(self.transitions.items()):
+            self.overlap_classes[i][t.region] = self.overlap_classes[i].get(t.region, 0) | 1 << j
         self._fitting: dict[tuple[int, Matrix, int], int] = {}
 
     # -- chart bookkeeping -------------------------------------------------
@@ -147,16 +160,16 @@ class Atlas:
         region = self.overlap_region(i, j)
         return None if region is None else self.apartment.region_half(region)
 
-    def reach(self, i: int, fits: Callable[[ConvexRegion], bool]) -> list[int]:
-        """The charts glued to chart i along an overlap class that ``fits`` accepts, in chart order."""
-        return sorted(j for region, js in self.overlap_classes[i].items() if fits(region) for j in js)
+    def reach(self, i: int, fits: Callable[[ConvexRegion], bool]) -> int:
+        """The charts glued to chart i along the overlap classes ``fits`` accepts: a sum of disjoint masks."""
+        return sum(js for region, js in self.overlap_classes[i].items() if fits(region))
 
-    def glued(self, i: int) -> list[int]:
-        """The charts with a transition from chart i, in chart order."""
+    def glued(self, i: int) -> int:
+        """The mask of the charts with a transition from chart i."""
         return self.reach(i, lambda region: True)
 
-    def charts_meeting(self, i: int, half: HalfApartment) -> list[int]:
-        """The charts whose overlap with chart i is exactly the given half, in chart order."""
+    def charts_meeting(self, i: int, half: HalfApartment) -> int:
+        """The mask of the charts whose overlap with chart i is exactly the given half."""
         return self.reach(i, lambda region: self.apartment.region_half(region) == half)
 
     def fitting(self, i: int, w: WeylElement, face: int = 0) -> int:
@@ -165,8 +178,7 @@ class Atlas:
         the face fits (:meth:`Apartment.sector_fits`).  Cached per (i, w, face), idempotent."""
         key = (i, w.matrix, face)
         if key not in self._fitting:
-            fits = self.reach(i, lambda region: self.apartment.sector_fits(w, region, face))
-            self._fitting[key] = sum(1 << j for j in fits) | 1 << i
+            self._fitting[key] = self.reach(i, lambda region: self.apartment.sector_fits(w, region, face)) | 1 << i
         return self._fitting[key]
 
     # -- points --------------------------------------------------------------
@@ -183,7 +195,7 @@ class Atlas:
         """The point in each chart that contains it, in chart order; one test per overlap class."""
         i, p = bp.chart, bp.point
         held = self.reach(i, lambda region: self.apartment.region_contains_point(region, p))
-        return {j: p if j == i else self.transitions[(i, j)].iso.apply(p) for j in sorted([i, *held])}
+        return {j: p if j == i else self.transitions[(i, j)].iso.apply(p) for j in charts_of(held | 1 << i)}
 
     def points_equal(self, bp: BuildingPoint, bq: BuildingPoint) -> bool:
         moved = self.transport_point(bp.chart, bp.point, bq.chart)
@@ -295,10 +307,9 @@ def validate(atlas: Atlas) -> ValidationReport:
 
     # No transition joins a chart to itself, and pairs are sorted, so triples are distinct and in order.
     cocycle_checked = 0
+    glued = [atlas.glued(i) for i in atlas.charts()]
     for (i, j) in pairs:
-        for k in atlas.glued(j):
-            if (i, k) not in tid:
-                continue
+        for k in charts_of(glued[i] & glued[j]):
             cocycle_checked += 1
             if not cocycle(tid[(i, j)], tid[(j, k)], tid[(i, k)]):
                 issues.append(

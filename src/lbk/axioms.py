@@ -33,8 +33,10 @@ from .atlas import (
     BuildingSector,
     DistanceDisagreementError,
     NoCommonChartError,
+    charts_of,
     located_common_chart,
     located_distance,
+    lowest,
     validate,
 )
 from .lexq import LambdaScalar
@@ -168,10 +170,9 @@ def _sector_label(atlas: Atlas, bs: BuildingSector | BuildingGerm) -> str:
 def sector_class_distance(atlas: Atlas, s1: BuildingSector, s2: BuildingSector):
     """The group distance between the parallel classes and the first chart holding
     subsectors of both (the lowest bit their :meth:`Atlas.fitting` masks share), or None."""
-    both = atlas.fitting(s1.chart, s1.sector.direction) & atlas.fitting(s2.chart, s2.sector.direction)
-    if not both:
+    chart = lowest(atlas.fitting(s1.chart, s1.sector.direction) & atlas.fitting(s2.chart, s2.sector.direction))
+    if chart is None:
         return None
-    chart = (both & -both).bit_length() - 1
     w1, w2 = (
         bs.sector.direction if bs.chart == chart else atlas.transition(bs.chart, chart).iso.linear * bs.sector.direction
         for bs in (s1, s2)
@@ -246,7 +247,7 @@ def check_a6(atlas: Atlas) -> AxiomReport:
     report = AxiomReport("A6")
     ap = atlas.apartment
     for i in atlas.charts():
-        half_glued = [j for j in atlas.glued(i) if j > i and atlas.overlap_half(i, j) is not None]
+        half_glued = [j for j in charts_of(atlas.glued(i)) if j > i and atlas.overlap_half(i, j) is not None]
         for j, k in combinations(half_glued, 2):
             if atlas.overlap_half(j, k) is None:
                 continue
@@ -273,14 +274,13 @@ def check_ec(atlas: Atlas) -> AxiomReport:
     """Half-apartment pairs must extend to the symmetric-difference apartment."""
     report = AxiomReport("EC")
     ap = atlas.apartment
-    for i, j in ((i, j) for i in atlas.charts() for j in atlas.glued(i) if j > i):
+    for i, j in ((i, j) for i in atlas.charts() for j in charts_of(atlas.glued(i)) if j > i):
         halves = atlas.overlap_half(i, j), atlas.overlap_half(j, i)
         if None in halves:
             continue
         flipped = tuple(ap.half(h.root, -h.sense, h.bound) for h in halves)
         config = f"({atlas.name(i)},{atlas.name(j)})"
-        both = set(atlas.charts_meeting(i, flipped[0])).intersection(atlas.charts_meeting(j, flipped[1]))
-        witness = min(both, default=None)
+        witness = lowest(atlas.charts_meeting(i, flipped[0]) & atlas.charts_meeting(j, flipped[1]))
         report.check(config, None if witness is None else atlas.name(witness), "missing-exchange-apartment")
     if not report.lines:
         report.add("(no-half-apartment-pairs)", PASS, "detail=vacuous")
@@ -324,22 +324,16 @@ def check_se(sample: Sample) -> AxiomReport:
     ap = atlas.apartment
     for bs in sample.sectors:
         chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
-        holding = sample.located(BuildingPoint(chart, base))
+        held = sum(1 << c for c in sample.located(BuildingPoint(chart, base)))
         fits = atlas.fitting(chart, w)
-        for a in holding:
-            if a == chart:
-                continue
+        for a in charts_of(held & ~(1 << chart)):
             t = atlas.transition(chart, a)
             panel_type = _panel_of_sector(ap, bs.sector, t.region)
             if panel_type is None:
                 continue
             face_root = w.act_root(ap.roots.simple_root(panel_type))
             wall = ap.transform_half(ap.half(face_root, 1, ap.pairing(face_root, base)), t.iso)
-            sides = (ap.half(wall.root, sense, wall.bound) for sense in (1, -1))
-            found = [
-                next((c for c in atlas.charts_meeting(a, side) if c in holding and fits >> c & 1), None)
-                for side in sides
-            ]
+            found = [lowest(atlas.charts_meeting(a, ap.half(wall.root, s, wall.bound)) & fits & held) for s in (1, -1)]
             config = f"(chart={atlas.name(a)},sector={_sector_label(atlas, bs)})"
             witness = None if None in found else "+".join(atlas.name(c) for c in found)
             report.check(config, witness, "missing-side-apartment")
@@ -686,9 +680,6 @@ class EquivalenceReport:
     reports: dict[str, AxiomReport]
     precondition_ok: bool
     alarms: list[str] = field(default_factory=list)
-
-    def agreement(self) -> bool:
-        return not self.alarms
 
     def rendered(self) -> list[str]:
         out = [line for name in SUITE for line in self.reports[name].rendered()]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .atlas import Atlas
+from .atlas import Atlas, charts_of
 from .rootsystem import Matrix, WeylElement
 
 
@@ -87,10 +87,8 @@ def infinity_complex(atlas: Atlas) -> InfinityComplex:
     # Cross-chart identification from the atlas's fit table: a direction-w sector, or its
     # type-i panel, with a subsector in chart j is one of direction linear*w there.
     for i, w, itype in product(atlas.charts(), directions, range(ap.rank + 1)):
-        fits = atlas.fitting(i, w, itype)
-        for j in atlas.glued(i):
-            if fits >> j & 1:
-                uf.union((i, w.matrix, itype), (j, (atlas.transition(i, j).iso.linear * w).matrix, itype))
+        for j in charts_of(atlas.fitting(i, w, itype) & ~(1 << i)):
+            uf.union((i, w.matrix, itype), (j, (atlas.transition(i, j).iso.linear * w).matrix, itype))
 
     classes: dict = {}
     for chart in atlas.charts():

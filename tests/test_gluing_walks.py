@@ -2,7 +2,8 @@
 
 ``validate`` derives one reverse per distinct transition value, decides each
 distinct value pair and triple once, and checks the cocycle as two routes
-that agree, walking ``Atlas.glued(j)``; A6 and EC walk the
+that agree, walking the charts k that ``Atlas.glued`` masks share for i and
+j; A6 and EC walk the
 glued charts of each chart.  The references below are the loops they
 replaced: every chart pair and triple probed, the inverse recomputed per
 triple, and the cocycle as "t_ik^-1 t_jk t_ij fixes the domain".  They run
@@ -21,7 +22,7 @@ import pytest
 from lbk import atlas as atlas_module
 from lbk import fixtures
 from lbk.apartment import AffineIsometry
-from lbk.atlas import Atlas, Transition, ValidationReport, validate
+from lbk.atlas import Atlas, Transition, ValidationReport, charts_of, validate
 from lbk.axioms import check_a6, check_ec
 from lbk.lexq import LambdaScalar
 from lbk.linarith import GE, LinearConstraint
@@ -173,7 +174,7 @@ def test_a6_and_ec_configs_agree_with_the_chart_scans(name):
 def test_glued_lists_the_charts_with_a_transition_in_chart_order():
     for atlas in ATLASES.values():
         for i in atlas.charts():
-            assert atlas.glued(i) == [j for j in atlas.charts() if atlas.transition(i, j) is not None]
+            assert charts_of(atlas.glued(i)) == [j for j in atlas.charts() if atlas.transition(i, j) is not None]
 
 
 def test_validate_inverts_each_transition_once(monkeypatch):
@@ -200,7 +201,9 @@ def test_validate_decides_each_distinct_value_triple_once(monkeypatch):
     ids = {}
     tid = {pair: ids.setdefault(value, len(ids)) for pair, value in t.items()}
     values = list(ids)
-    triples = {(tid[(i, j)], tid[(j, k)], tid[(i, k)]) for (i, j) in t for k in atlas.glued(j) if (i, k) in t}
+    triples = {
+        (tid[(i, j)], tid[(j, k)], tid[(i, k)]) for (i, j) in t for k in charts_of(atlas.glued(j)) if (i, k) in t
+    }
     moving = [(a, b, c) for a, b, c in triples if values[b].iso.compose(values[a].iso) != values[c].iso]
     calls = {"inverse": 0, "compose": 0, "agree": 0}
 

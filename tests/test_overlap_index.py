@@ -1,6 +1,7 @@
 """The overlap index of an atlas agrees with the chart-by-chart scans it replaces.
 
-``Atlas.overlap_classes`` groups each chart's overlaps by region, and
+``Atlas.overlap_classes`` groups each chart's overlaps by region, with the
+mask of the charts meeting it there (bit c for chart c), and
 ``Atlas.reach`` reads them with one test per group: ``locate_point`` tests
 each distinct region once, ``charts_meeting`` reads the charts meeting a
 chart in a given half off the groups, and the fit table ``Atlas.fitting``
@@ -9,6 +10,7 @@ per-chart loops they replaced, run over the 40 digest members and
 ``fm_fallback``, whose overlaps include a quadrant, a wall and an empty
 region.  A6 then asks Fourier-Motzkin once per distinct pair of overlaps.
 """
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,7 +19,7 @@ import pytest
 import lbk.apartment
 from lbk import fixtures
 from lbk.apartment import Apartment
-from lbk.atlas import Atlas, BuildingPoint, Transition
+from lbk.atlas import Atlas, BuildingPoint, Transition, charts_of, lowest
 from lbk.axioms import AXIOM_ORDER, Sample, check_a6, recheck_a6_counterexample, run_axioms
 from lbk.infinity import infinity_complex
 from lbk.linarith import feasible
@@ -65,11 +67,11 @@ def test_index_groups_every_transition_once(name):
     atlas = ATLASES[name]
     for i in atlas.charts():
         classes = atlas.overlap_classes[i]
-        listed = [j for js in classes.values() for j in js]
+        listed = [j for js in classes.values() for j in charts_of(js)]
         assert sorted(listed) == [j for j in atlas.charts() if atlas.transition(i, j) is not None]
         for region, js in classes.items():
-            assert js == sorted(js)
-            assert all(atlas.overlap_region(i, j) == region for j in js)
+            assert type(js) is int and charts_of(js) == sorted(charts_of(js))
+            assert all(atlas.overlap_region(i, j) == region for j in charts_of(js))
         assert len(set(classes)) == len(classes)
 
 
@@ -91,7 +93,8 @@ def test_charts_meeting_agrees_with_the_overlap_half_scan(name):
         halves |= {ap.half(h.root, -h.sense, h.bound) for h in halves}
         halves.add(ap.half(ap.roots.positive_roots[0], 1, ap.scalar(Fraction(7, 3))))  # met by no chart
         for h in halves:
-            assert atlas.charts_meeting(i, h) == [c for c in atlas.charts() if atlas.overlap_half(i, c) == h]
+            meeting = atlas.charts_meeting(i, h)
+            assert charts_of(meeting) == [c for c in atlas.charts() if atlas.overlap_half(i, c) == h]
 
 
 def test_probes_reach_overlaps_that_are_not_halves_and_points_in_many_charts():
@@ -112,8 +115,25 @@ def test_charts_meeting_merges_regions_that_are_one_half():
     plain, padded = ap.region([half]), ap.region([half, ap.half((1,), 1, -1)])
     glue = {(0, 1): plain, (0, 2): padded, (0, 3): plain}
     atlas = Atlas(ap, ["a", "b", "c", "d"], {pair: Transition(r, identity) for pair, r in glue.items()})
-    assert list(atlas.overlap_classes[0].values()) == [[1, 3], [2]]
-    assert atlas.charts_meeting(0, half) == [1, 2, 3]
+    assert list(atlas.overlap_classes[0].values()) == [0b1010, 0b0100]
+    assert atlas.charts_meeting(0, half) == 0b1110
+
+
+def test_charts_of_and_lowest_read_a_mask_in_chart_order():
+    """A chart set is an int, bit c for chart c, of any width: charts_of lists
+    its charts in chart order and lowest gives the first, or None."""
+    rng = random.Random("chart-masks")
+    sets = [[], [0], [63], [64], [200], list(range(201)), [200, 3, 64, 3]]
+    sets += [[rng.randrange(240) for _ in range(rng.randrange(12))] for _ in range(200)]
+    for charts in sets:
+        mask = 0
+        for c in charts:
+            mask |= 1 << c
+        assert charts_of(mask) == sorted(set(charts))
+        if charts:
+            assert lowest(mask) == min(charts_of(mask))
+    assert charts_of(0) == [] and lowest(0) is None
+    assert charts_of(1 << 200 | 0b101) == [0, 2, 200] and lowest(1 << 200 | 1 << 70) == 70
 
 
 def fit_subsector(atlas, i, w, face, j):
@@ -140,7 +160,8 @@ def test_fitting_agrees_with_the_per_chart_fit(name):
 
 
 def test_reach_tests_each_overlap_class_once():
-    """reach runs one test per overlap class and lists the class's charts in chart order."""
+    """reach runs one test per overlap class, in the order the classes first
+    appear, and returns the mask of the charts of the classes it accepts."""
     ap = Apartment(build_root_system("A1"), 1)
     identity = ap.isometry(ap.roots.identity())
     half = ap.half((1,), 1, 0)
@@ -148,7 +169,7 @@ def test_reach_tests_each_overlap_class_once():
     glue = {(0, 3): plain, (0, 1): wall, (0, 2): plain}
     atlas = Atlas(ap, ["a", "b", "c", "d"], {pair: Transition(r, identity) for pair, r in glue.items()})
     tested = []
-    assert atlas.reach(0, lambda r: tested.append(r) or r == plain) == [2, 3]
+    assert atlas.reach(0, lambda r: tested.append(r) or r == plain) == 0b1100
     assert tested == [wall, plain]
     identity_w, flip = ap.roots.identity(), ap.roots.simple(1)
     assert atlas.fitting(0, identity_w) == 0b1101  # the ray toward +infinity fits the half alpha_1 >= 0
