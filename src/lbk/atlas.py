@@ -122,6 +122,7 @@ class Atlas:
         for (i, j), t in sorted(self.transitions.items()):
             self.overlap_classes[i][t.region] = self.overlap_classes[i].get(t.region, 0) | 1 << j
         self._fitting: dict[tuple[int, Matrix, int], int] = {}
+        self._halves: list[Optional[dict[HalfApartment, int]]] = [None] * m
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -169,8 +170,14 @@ class Atlas:
         return self.reach(i, lambda region: True)
 
     def charts_meeting(self, i: int, half: HalfApartment) -> int:
-        """The mask of the charts whose overlap with chart i is exactly the given half."""
-        return self.reach(i, lambda region: self.apartment.region_half(region) == half)
+        """The mask of the charts whose overlap with chart i is exactly the given half, by chart i's half index."""
+        index = self._halves[i]
+        if index is None:
+            index = self._halves[i] = {}
+            for region, js in self.overlap_classes[i].items():
+                if (h := self.apartment.region_half(region)) is not None:
+                    index[h] = index.get(h, 0) | js
+        return index.get(half, 0)
 
     def fitting(self, i: int, w: WeylElement, face: int = 0) -> int:
         """The charts holding a subsector of every direction-w sector of chart i (face 0),

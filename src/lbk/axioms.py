@@ -41,6 +41,7 @@ from .atlas import (
 )
 from .lexq import LambdaScalar
 from .linarith import ConstraintSystem, feasible
+from .rootsystem import Matrix, WeylElement
 
 PASS = "pass"
 FAIL = "fail"
@@ -290,6 +291,17 @@ def check_ec(atlas: Atlas) -> AxiomReport:
 # -- SE ----------------------------------------------------------------------
 
 
+def _capped_panel(ap: Apartment, w: WeylElement, overlap: ConvexRegion) -> Optional[tuple]:
+    """The part of :func:`_panel_of_sector` that reads only the direction and the overlap: the one
+    generator k the overlap caps, the wall root w.alpha_k and the capping halves, or None."""
+    caps = [(h, ap.caps(w, h.root, h.sense)) for h in overlap.halves]
+    capped = set().union(*(ks for _, ks in caps))
+    if len(capped) != 1:
+        return None
+    k = capped.pop()
+    return k, w.act_root(ap.roots.simple_root(k)), [h for h, ks in caps if ks]
+
+
 def _panel_of_sector(ap: Apartment, sector: Sector, overlap: ConvexRegion) -> Optional[int]:
     """The panel type when the sector meets the overlap in a face of itself, else None.
 
@@ -300,16 +312,13 @@ def _panel_of_sector(ap: Apartment, sector: Sector, overlap: ConvexRegion) -> Op
     half caps generator k (:meth:`Apartment.caps`) when it falls along it,
     and a root's coefficients w^-1 r share a sign.
     So panel i fits and the sector does not exactly when i is the only
-    capped generator; each capping half then has w^-1 r = +-alpha_i and
-    reads slack - t_i >= 0, and the cut stays on panel i (t_i = 0) exactly
-    when one of them is tight at the base.
+    capped generator (:func:`_capped_panel`); each capping half then has
+    w^-1 r = +-alpha_i and reads slack - t_i >= 0, and the cut stays on
+    panel i (t_i = 0) exactly when one of them is tight at the base.
     """
-    caps = [(h, ap.caps(sector.direction, h.root, h.sense)) for h in overlap.halves]
-    capped = set().union(*(ks for _, ks in caps))
-    if len(capped) != 1:
-        return None
-    tight = any(ks and ap.pairing(h.root, sector.base) == h.bound for h, ks in caps)
-    return capped.pop() if tight else None
+    panel = _capped_panel(ap, sector.direction, overlap)
+    tight = panel is not None and any(ap.pairing(h.root, sector.base) == h.bound for h in panel[2])
+    return panel[0] if tight else None
 
 
 def check_se(sample: Sample) -> AxiomReport:
@@ -318,25 +327,33 @@ def check_se(sample: Sample) -> AxiomReport:
     A sector lies in a chart exactly when its base does and the overlap caps
     no generator of its cone, so the charts holding each base are read from
     the sample and every direction is then decided by the cone test alone.
+    :func:`_capped_panel` is decided once per (direction, overlap region); a
+    base tests its capping halves for tightness and reads the wall in chart a
+    at its located copy there, as the pairing is W-invariant.
     """
     report = AxiomReport("SE")
     atlas = sample.atlas
     ap = atlas.apartment
+    panels: dict[tuple[Matrix, ConvexRegion], Optional[tuple]] = {}
     for bs in sample.sectors:
         chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
-        held = sum(1 << c for c in sample.located(BuildingPoint(chart, base)))
+        located = sample.located(BuildingPoint(chart, base))
+        held = sum(1 << c for c in located)
         fits = atlas.fitting(chart, w)
+        label = None
         for a in charts_of(held & ~(1 << chart)):
             t = atlas.transition(chart, a)
-            panel_type = _panel_of_sector(ap, bs.sector, t.region)
-            if panel_type is None:
+            if (key := (w.matrix, t.region)) not in panels:
+                panels[key] = _capped_panel(ap, w, t.region)
+            panel = panels[key]
+            if panel is None or not any(ap.pairing(h.root, base) == h.bound for h in panel[2]):
                 continue
-            face_root = w.act_root(ap.roots.simple_root(panel_type))
-            wall = ap.transform_half(ap.half(face_root, 1, ap.pairing(face_root, base)), t.iso)
+            r = t.iso.linear.act_root(panel[1])
+            wall = ap.half(r, 1, ap.pairing(r, located[a]))
             found = [lowest(atlas.charts_meeting(a, ap.half(wall.root, s, wall.bound)) & fits & held) for s in (1, -1)]
-            config = f"(chart={atlas.name(a)},sector={_sector_label(atlas, bs)})"
+            label = label or _sector_label(atlas, bs)
             witness = None if None in found else "+".join(atlas.name(c) for c in found)
-            report.check(config, witness, "missing-side-apartment")
+            report.check(f"(chart={atlas.name(a)},sector={label})", witness, "missing-side-apartment")
     if not report.lines:
         report.add("(no-panel-incidences)", PASS, "detail=vacuous")
     return report

@@ -138,11 +138,13 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if other.system is not self.system:
             raise ValueError("cannot multiply elements of different root systems")
-        return self.system.element(_mat_mul(self.matrix, other.matrix))
+        table, key = self.system._products, (self.matrix, other.matrix)
+        return table.get(key) or table.setdefault(key, self.system.element(_mat_mul(self.matrix, other.matrix)))
 
     def inverse(self) -> "WeylElement":
         # Generators are involutions, so the reversed word gives the inverse.
-        return self.system.from_word(reversed(self.word))
+        table = self.system._inverses
+        return table.get(self.matrix) or table.setdefault(self.matrix, self.system.from_word(reversed(self.word)))
 
     def act_root(self, root: Sequence[int]) -> Root:
         return _mat_vec(self.matrix, root)
@@ -179,6 +181,9 @@ class RootSystem:
         self._positive_set = frozenset(self.positive_roots)
         self._elements: list[WeylElement] | None = None
         self._by_matrix: dict[Matrix, WeylElement] = {}
+        # Products and inverses, looked up by action matrix and filled on first use: the group is finite.
+        self._products: dict[tuple[Matrix, Matrix], WeylElement] = {}
+        self._inverses: dict[Matrix, WeylElement] = {}
 
     # -- roots ---------------------------------------------------------
 

@@ -11,6 +11,7 @@ per-chart loops they replaced, run over the 40 digest members and
 region.  A6 then asks Fourier-Motzkin once per distinct pair of overlaps.
 """
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,7 +21,7 @@ import lbk.apartment
 from lbk import fixtures
 from lbk.apartment import Apartment
 from lbk.atlas import Atlas, BuildingPoint, Transition, charts_of, lowest
-from lbk.axioms import AXIOM_ORDER, Sample, check_a6, recheck_a6_counterexample, run_axioms
+from lbk.axioms import AXIOM_ORDER, Sample, check_a6, check_ec, check_se, recheck_a6_counterexample, run_axioms
 from lbk.infinity import infinity_complex
 from lbk.linarith import feasible
 from lbk.rootsystem import build_root_system
@@ -117,6 +118,38 @@ def test_charts_meeting_merges_regions_that_are_one_half():
     atlas = Atlas(ap, ["a", "b", "c", "d"], {pair: Transition(r, identity) for pair, r in glue.items()})
     assert list(atlas.overlap_classes[0].values()) == [0b1010, 0b0100]
     assert atlas.charts_meeting(0, half) == 0b1110
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: fixtures.lambda_tree(8, 1), lambda: fixtures.fan(5, "B2", 1)], ids=["tree(8,1)", "fan(5,B2)"]
+)
+def test_charts_meeting_reads_each_overlap_class_half_once(build, monkeypatch):
+    """charts_meeting builds chart i's half index on its first call, one
+    region_half per overlap class, and every later call is a lookup."""
+    atlas = build()
+    inside, asked, halved = [], [], Counter()
+    region_half, charts_meeting = Apartment.region_half, Atlas.charts_meeting
+
+    def counted_half(self, region):
+        if inside:
+            halved[inside[-1], region] += 1
+        return region_half(self, region)
+
+    def counted_meeting(self, i, half):
+        inside.append(i)
+        asked.append(i)
+        try:
+            return charts_meeting(self, i, half)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Apartment, "region_half", counted_half)
+    monkeypatch.setattr(Atlas, "charts_meeting", counted_meeting)
+    check_ec(atlas)
+    check_se(Sample(atlas))
+    assert set(halved.values()) == {1}
+    assert all(region in atlas.overlap_classes[i] for i, region in halved)
+    assert {i for i, _ in halved} == set(asked) and len(asked) > 2 * len(halved)
 
 
 def test_charts_of_and_lowest_read_a_mask_in_chart_order():

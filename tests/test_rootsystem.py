@@ -81,6 +81,30 @@ def test_mixed_root_systems_rejected():
         a * b
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
+def test_weyl_table_gives_the_matrix_products_and_word_inverses(name):
+    """Products and inverses are looked up per root system; every ordered pair
+    matches the matrix product, every inverse the reversed word, and a second
+    call returns the same element.  The table is keyed by matrices, so a
+    product across systems, even of one type, still raises."""
+    rs = build_root_system(name)
+    elements = rs.weyl_elements()
+    identity = rs.identity()
+    for a, b in itertools.product(elements, repeat=2):
+        product = a * b
+        assert product is rs.element(rootsystem._mat_mul(a.matrix, b.matrix))
+        assert a * b is product
+    for w in elements:
+        inverse = w.inverse()
+        assert inverse == rs.from_word(reversed(w.word))
+        assert w * inverse is identity and inverse * w is identity
+        assert w.inverse() is inverse
+    twin = build_root_system(name)
+    for a, b in ((elements[-1], twin.weyl_elements()[-1]), (twin.identity(), identity)):
+        with pytest.raises(ValueError):
+            a * b
+
+
 @pytest.mark.parametrize("name", sorted(COUNTS))
 def test_length_changes_by_one(name):
     rs = build_root_system(name)
