@@ -122,6 +122,7 @@ class Atlas:
         for (i, j), t in sorted(self.transitions.items()):
             self.overlap_classes[i][t.region] = self.overlap_classes[i].get(t.region, 0) | 1 << j
         self._fitting: dict[tuple[int, Matrix, int], int] = {}
+        self._class_halves: list[Optional[dict[ConvexRegion, Optional[HalfApartment]]]] = [None] * m
         self._halves: list[Optional[dict[HalfApartment, int]]] = [None] * m
 
     # -- chart bookkeeping -------------------------------------------------
@@ -158,8 +159,16 @@ class Atlas:
 
     def overlap_half(self, i: int, j: int) -> Optional[HalfApartment]:
         """The overlap of charts i and j as one half-apartment of chart i, or None."""
-        region = self.overlap_region(i, j)
-        return None if region is None else self.apartment.region_half(region)
+        t = self.transition(i, j)
+        return None if t is None else self.class_halves(i)[t.region]
+
+    def class_halves(self, i: int) -> dict[ConvexRegion, Optional[HalfApartment]]:
+        """Each overlap class of chart i with its half-apartment (None when it is none),
+        one :meth:`Apartment.region_half` per class, read once per atlas."""
+        halves = self._class_halves[i]
+        if halves is None:
+            halves = self._class_halves[i] = {r: self.apartment.region_half(r) for r in self.overlap_classes[i]}
+        return halves
 
     def reach(self, i: int, fits: Callable[[ConvexRegion], bool]) -> int:
         """The charts glued to chart i along the overlap classes ``fits`` accepts: a sum of disjoint masks."""
@@ -174,9 +183,9 @@ class Atlas:
         index = self._halves[i]
         if index is None:
             index = self._halves[i] = {}
-            for region, js in self.overlap_classes[i].items():
-                if (h := self.apartment.region_half(region)) is not None:
-                    index[h] = index.get(h, 0) | js
+            for region, h in self.class_halves(i).items():
+                if h is not None:
+                    index[h] = index.get(h, 0) | self.overlap_classes[i][region]
         return index.get(half, 0)
 
     def fitting(self, i: int, w: WeylElement, face: int = 0) -> int:
@@ -198,11 +207,12 @@ class Atlas:
             return None
         return t.iso.apply(p)
 
-    def locate_point(self, bp: BuildingPoint) -> dict[int, Point]:
-        """The point in each chart that contains it, in chart order; one test per overlap class."""
+    def locate_point(self, bp: BuildingPoint, *, move: Callable = AffineIsometry.apply) -> dict[int, Point]:
+        """The point in each chart that contains it, in chart order; one test per overlap class.
+        ``move(iso, p)`` applies a transition."""
         i, p = bp.chart, bp.point
         held = self.reach(i, lambda region: self.apartment.region_contains_point(region, p))
-        return {j: p if j == i else self.transitions[(i, j)].iso.apply(p) for j in charts_of(held | 1 << i)}
+        return {j: p if j == i else move(self.transitions[(i, j)].iso, p) for j in charts_of(held | 1 << i)}
 
     def points_equal(self, bp: BuildingPoint, bq: BuildingPoint) -> bool:
         moved = self.transport_point(bp.chart, bp.point, bq.chart)
@@ -212,23 +222,23 @@ class Atlas:
 
     def transport_sector(self, bs: BuildingSector, j: int) -> Optional[Sector]:
         """Image of a whole sector in chart j; None unless fully contained."""
-        return self._transport(bs, j, lambda r: self.apartment.sector_in_region(bs.sector, r))
+        return self._transport(bs, j, lambda r: self.apartment.sector_in_region(bs.sector, r), AffineIsometry.apply)
 
-    def transport_germ(self, bg: BuildingGerm, j: int) -> Optional[Sector]:
+    def transport_germ(self, bg: BuildingGerm, j: int, *, move: Callable = AffineIsometry.apply) -> Optional[Sector]:
         """Image of a sector germ in chart j; needs only a germ-sized overlap."""
-        return self._transport(bg, j, lambda r: self.apartment.region_contains_germ(r, bg.germ()))
+        return self._transport(bg, j, lambda r: self.apartment.region_contains_germ(r, bg.germ()), move)
 
     def _transport(
-        self, item: BuildingGerm | BuildingSector, j: int, fits: Callable[[ConvexRegion], bool]
+        self, item: BuildingGerm | BuildingSector, j: int, fits: Callable[[ConvexRegion], bool], move: Callable
     ) -> Optional[Sector]:
-        """The item's sector moved into chart j, when ``fits`` accepts the overlap."""
+        """The item's sector moved into chart j by ``move(iso, base)``, when ``fits`` accepts the overlap."""
         if item.chart == j:
             return item.sector
         t = self.transition(item.chart, j)
         if t is None or not fits(t.region):
             return None
         sector = item.sector
-        return self.apartment.sector(t.iso.apply(sector.base), t.iso.linear * sector.direction)
+        return self.apartment.sector(move(t.iso, sector.base), t.iso.linear * sector.direction)
 
     def first_chart_holding(
         self, *items: BuildingGerm | BuildingSector
@@ -366,15 +376,19 @@ def located_distance(
     bq: BuildingPoint,
     at_p: dict[int, Point],
     at_q: dict[int, Point],
+    *, metric: Optional[Callable[[Point, Point], LambdaScalar]] = None,
 ) -> LambdaScalar:
-    """:func:`global_distance` from the points' :meth:`Atlas.locate_point` maps."""
+    """:func:`global_distance` from the points' :meth:`Atlas.locate_point` maps; ``metric``
+    defaults to the apartment's."""
     shared = sorted(at_p.keys() & at_q.keys())
     if not shared:
         raise NoCommonChartError(
             f"no chart contains both {format_point(bp.point)}@{atlas.name(bp.chart)} "
             f"and {format_point(bq.point)}@{atlas.name(bq.chart)}"
         )
-    values = [atlas.apartment.metric(at_p[j], at_q[j]) for j in shared]
+    if metric is None:  # a Memo is a dict, falsy while empty
+        metric = atlas.apartment.metric
+    values = [metric(at_p[j], at_q[j]) for j in shared]
     first = values[0]
     if any(v != first for v in values[1:]):
         raise DistanceDisagreementError(

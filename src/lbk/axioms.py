@@ -14,14 +14,15 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional
 
 from .apartment import (
     AffineIsometry,
     Apartment,
     ConvexRegion,
+    HalfApartment,
     Point,
     Sector,
     format_point,
@@ -112,6 +113,23 @@ class AxiomReport:
 # -- sampling ---------------------------------------------------------------
 
 
+class Memo(dict):
+    """An exact memo of a pure function: its values keyed by the arguments themselves
+    (``LambdaScalar`` equality and hash).  A miss calls the function, so a tracer
+    wrapped around it counts misses only."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key: tuple):
+        value = self[key] = self.fn(*key)
+        return value
+
+    def __call__(self, *key):
+        return self[key]
+
+
 class Sample:
     """The seeded building points of one run of the checkers, each located once.
 
@@ -120,6 +138,12 @@ class Sample:
     points, and A4 and SE read the sectors of every direction at the first
     two points of each chart.  ``located(bp)`` is :meth:`Atlas.locate_point`,
     computed on first use and kept for every later checker of the run.
+
+    The run's pure point functions are exact :class:`Memo` tables that live and
+    die with the sample, so nothing keyed by points outlives the run:
+    ``move(iso, p)`` is ``iso.apply(p)`` (located copies and retraction
+    images), ``metric`` and ``pairing`` (keyed by a tuple root) are the
+    apartment's, and ``format`` is :func:`format_point` (labels and witnesses).
     """
 
     def __init__(self, atlas: Atlas, seed: int = 0):
@@ -139,7 +163,11 @@ class Sample:
             ]
             self.points += [BuildingPoint(chart, p) for p in drawn]
             self.sectors += [BuildingSector(chart, ap.sector(p, w)) for p in drawn[:2] for w in ap.directions()]
-        self.located = cache(atlas.locate_point)
+        move = self.move = Memo(lambda iso, p: iso.apply(p))
+        self.metric = Memo(lambda v1, v2: ap.metric(v1, v2))
+        self.pairing = Memo(lambda root, v: ap.pairing(root, v))
+        self.format = Memo(format_point)
+        self.located = cache(lambda bp: atlas.locate_point(bp, move=move))
 
 
 def _cap_pairs(items: list, samples: int, seed: int, tag: str) -> list:
@@ -159,13 +187,13 @@ def _cap_pairs(items: list, samples: int, seed: int, tag: str) -> list:
     return out
 
 
-def _pair_label(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint) -> str:
-    return f"({atlas.name(bp.chart)}:{format_point(bp.point)},{atlas.name(bq.chart)}:{format_point(bq.point)})"
+def _pair_label(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint, fmt: Callable) -> str:
+    return f"({atlas.name(bp.chart)}:{fmt(bp.point)},{atlas.name(bq.chart)}:{fmt(bq.point)})"
 
 
-def _sector_label(atlas: Atlas, bs: BuildingSector | BuildingGerm) -> str:
+def _sector_label(atlas: Atlas, bs: BuildingSector | BuildingGerm, fmt: Callable = format_point) -> str:
     word = "".join(str(i) for i in bs.sector.direction.word) or "e"
-    return f"{atlas.name(bs.chart)}:{format_point(bs.sector.base)}:{word}"
+    return f"{atlas.name(bs.chart)}:{fmt(bs.sector.base)}:{word}"
 
 
 def sector_class_distance(atlas: Atlas, s1: BuildingSector, s2: BuildingSector):
@@ -209,7 +237,7 @@ def check_a3(sample: Sample, samples: int = 60) -> AxiomReport:
     atlas = sample.atlas
     for bp, bq in _cap_pairs(sample.points, samples, sample.seed, "a3"):
         chart = located_common_chart(bp, bq, sample.located(bp), sample.located(bq))
-        report.check(_pair_label(atlas, bp, bq), None if chart is None else atlas.name(chart), "no-common-chart")
+        report.check(_pair_label(atlas, bp, bq, sample.format), None if chart is None else atlas.name(chart), "no-common-chart")
     return report
 
 
@@ -225,8 +253,9 @@ def check_a4(sample: Sample, samples: int = 200) -> AxiomReport:
     report = AxiomReport("A4")
     atlas = sample.atlas
     ap = atlas.apartment
+    label = partial(_sector_label, atlas, fmt=sample.format)
     for s1, s2 in _cap_pairs(sample.sectors, samples, sample.seed, "a4"):
-        config = f"({_sector_label(atlas, s1)},{_sector_label(atlas, s2)})"
+        config = f"({label(s1)},{label(s2)})"
         found = sector_class_distance(atlas, s1, s2)
         report.check(config, None if found is None else atlas.name(found[1]), "no-chart-holds-both-subsectors")
     if report.verdict == PASS:
@@ -234,8 +263,7 @@ def check_a4(sample: Sample, samples: int = 200) -> AxiomReport:
         masks = [atlas.fitting(bs.chart, bs.sector.direction) for bs in origin]
         for (s1, f1), (s2, f2) in combinations(zip(origin, masks), 2):
             if not f1 & f2:
-                config = f"({_sector_label(atlas, s1)},{_sector_label(atlas, s2)})"
-                report.check(config, None, "no-chart-holds-both-subsectors")
+                report.check(f"({label(s1)},{label(s2)})", None, "no-chart-holds-both-subsectors")
                 break
     return report
 
@@ -243,8 +271,8 @@ def check_a4(sample: Sample, samples: int = 200) -> AxiomReport:
 # -- A6 ----------------------------------------------------------------------
 
 
-def check_a6(atlas: Atlas) -> AxiomReport:
-    """Triples of pairwise half-apartment overlaps must meet."""
+def check_a6(atlas: Atlas, *, fmt: Callable = format_point) -> AxiomReport:
+    """Triples of pairwise half-apartment overlaps must meet; ``fmt`` writes a witness point."""
     report = AxiomReport("A6")
     ap = atlas.apartment
     for i in atlas.charts():
@@ -255,7 +283,7 @@ def check_a6(atlas: Atlas) -> AxiomReport:
             config = f"({atlas.name(i)},{atlas.name(j)},{atlas.name(k)})"
             triple = ap.intersect(atlas.overlap_region(i, j), atlas.overlap_region(i, k))
             probe = ap.region_feasible(triple)
-            report.check(config, format_point(probe.witness) if probe.sat else None, "triple-intersection-empty")
+            report.check(config, fmt(probe.witness) if probe.sat else None, "triple-intersection-empty")
     if not report.lines:
         report.add("(no-triples)", PASS, "detail=vacuous")
     return report
@@ -346,12 +374,12 @@ def check_se(sample: Sample) -> AxiomReport:
             if (key := (w.matrix, t.region)) not in panels:
                 panels[key] = _capped_panel(ap, w, t.region)
             panel = panels[key]
-            if panel is None or not any(ap.pairing(h.root, base) == h.bound for h in panel[2]):
+            if panel is None or not any(sample.pairing(h.root, base) == h.bound for h in panel[2]):
                 continue
             r = t.iso.linear.act_root(panel[1])
-            wall = ap.half(r, 1, ap.pairing(r, located[a]))
-            found = [lowest(atlas.charts_meeting(a, ap.half(wall.root, s, wall.bound)) & fits & held) for s in (1, -1)]
-            label = label or _sector_label(atlas, bs)
+            wall = ap.half(r, 1, sample.pairing(r, located[a]))
+            found = [lowest(atlas.charts_meeting(a, HalfApartment(wall.root, s, wall.bound)) & fits & held) for s in (1, -1)]
+            label = label or _sector_label(atlas, bs, sample.format)
             witness = None if None in found else "+".join(atlas.name(c) for c in found)
             report.check(f"(chart={atlas.name(a)},sector={label})", witness, "missing-side-apartment")
     if not report.lines:
@@ -367,11 +395,12 @@ class Retraction:
 
     The per-chart maps are the unique isometries carrying that chart's copy
     of the germ onto the target chart's copy; evaluation cross-checks all
-    eligible charts to assert well-definedness.
+    eligible charts to assert well-definedness.  ``move(iso, p)`` applies an
+    isometry, both to transport the germ and to map a point.
     """
 
-    def __init__(self, atlas: Atlas, germ: BuildingGerm, chart: int):
-        sectors = {b: s for b in atlas.charts() if (s := atlas.transport_germ(germ, b)) is not None}
+    def __init__(self, atlas: Atlas, germ: BuildingGerm, chart: int, *, move: Callable = AffineIsometry.apply):
+        sectors = {b: s for b in atlas.charts() if (s := atlas.transport_germ(germ, b, move=move)) is not None}
         target = sectors.get(chart)
         if target is None:
             raise TheoremViolation(
@@ -380,6 +409,7 @@ class Retraction:
         self.atlas = atlas
         self.germ = germ
         self.chart = chart
+        self.move = move
         self.maps: dict[int, AffineIsometry] = {}
         for b, local in sectors.items():
             linear = target.direction * local.direction.inverse()
@@ -393,7 +423,7 @@ class Retraction:
 
     def evaluate_located(self, bp: BuildingPoint, located: dict[int, Point]) -> BuildingPoint:
         """:meth:`evaluate` from the point's copy in each chart that holds it."""
-        images = [self.maps[b].apply(local) for b, local in located.items() if b in self.maps]
+        images = [self.move(self.maps[b], local) for b, local in located.items() if b in self.maps]
         if not images:
             raise TheoremViolation(
                 f"no chart contains both the germ and {format_point(bp.point)}"
@@ -410,7 +440,11 @@ def build_retraction(atlas: Atlas, germ: BuildingGerm, chart: int) -> Retraction
 
 
 def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
-    """Retractions exist, fix the target chart and never increase distances."""
+    """Retractions exist, fix the target chart and never increase distances.
+
+    Germ transports, images and distances go through the sample's memos, so
+    a run moves each distinct (map, point) and measures each distinct pair of
+    points once, in the shared charts and after retraction alike."""
     report = AxiomReport("A5")
     atlas, points, located = sample.atlas, sample.points, sample.located
     ap = atlas.apartment
@@ -422,15 +456,15 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
         """The pair's distance, measured once for every target; a failure is kept as its
         class, since an exception instance would keep its traceback's frames alive."""
         try:
-            return located_distance(atlas, bp, bq, located(bp), located(bq))
+            return located_distance(atlas, bp, bq, located(bp), located(bq), metric=sample.metric)
         except (NoCommonChartError, DistanceDisagreementError) as exc:
             return type(exc)
 
     for chart, w in targets:
         germ = BuildingGerm(chart, ap.sector(ap.origin(), w))
-        config_base = f"(chart={atlas.name(chart)},germ={_sector_label(atlas, germ)})"
+        config_base = f"(chart={atlas.name(chart)},germ={_sector_label(atlas, germ, sample.format)})"
         try:
-            rho = build_retraction(atlas, germ, chart)
+            rho = Retraction(atlas, germ, chart, move=sample.move)
         except TheoremViolation as exc:
             report.add(config_base, FAIL, f"detail={str(exc).replace(' ', '_')}")
             continue
@@ -450,13 +484,13 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
                 continue
             elif original is DistanceDisagreementError:
                 failure = "distance-disagrees-between-charts"
-            elif (retracted := ap.metric(ry.point, rz.point)) > original:
+            elif (retracted := sample.metric(ry.point, rz.point)) > original:
                 failure = "distance-increased"
             elif retracted != original and located(bp).keys() & located(bq).keys() & rho.maps.keys():
                 failure = "not-isometric-on-co-chart-pair"
             else:
                 continue
-            report.add(f"{config_base}:{_pair_label(atlas, bp, bq)}", FAIL, f"detail={failure}")
+            report.add(f"{config_base}:{_pair_label(atlas, bp, bq, sample.format)}", FAIL, f"detail={failure}")
         # An image that is a TheoremViolation is no fixed point either.
         if any(bp.chart == chart and images[bp] != BuildingPoint(chart, bp.point) for bp in points):
             report.add(config_base, FAIL, "detail=not-identity-on-target")
@@ -675,7 +709,7 @@ _CHECKERS = {
     "A2": lambda sample, samples: check_a2(sample.atlas),
     "A3": lambda sample, samples: check_a3(sample, min(samples, 60)),
     "A4": lambda sample, samples: check_a4(sample, samples),
-    "A6": lambda sample, samples: check_a6(sample.atlas),
+    "A6": lambda sample, samples: check_a6(sample.atlas, fmt=sample.format),
     "EC": lambda sample, samples: check_ec(sample.atlas),
     "SE": lambda sample, samples: check_se(sample),
     "A5": lambda sample, samples: check_a5(sample, min(samples, 120)),

@@ -250,9 +250,9 @@ def count_locates(monkeypatch) -> Counter:
     located = Counter()
     original = Atlas.locate_point
 
-    def counted(self, bp):
+    def counted(self, bp, **memos):
         located[bp] += 1
-        return original(self, bp)
+        return original(self, bp, **memos)
 
     monkeypatch.setattr(Atlas, "locate_point", counted)
     return located
@@ -398,9 +398,9 @@ def test_a5_measures_each_sampled_pair_once(monkeypatch):
     calls = []
     measure = lbk.axioms.located_distance
 
-    def counted(atlas, bp, bq, at_p, at_q):
+    def counted(atlas, bp, bq, at_p, at_q, **memos):
         calls.append((bp, bq))
-        return measure(atlas, bp, bq, at_p, at_q)
+        return measure(atlas, bp, bq, at_p, at_q, **memos)
 
     monkeypatch.setattr(lbk.axioms, "located_distance", counted)
     assert check_a5(sample).verdict == PASS

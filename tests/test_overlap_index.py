@@ -124,31 +124,38 @@ def test_charts_meeting_merges_regions_that_are_one_half():
     "build", [lambda: fixtures.lambda_tree(8, 1), lambda: fixtures.fan(5, "B2", 1)], ids=["tree(8,1)", "fan(5,B2)"]
 )
 def test_charts_meeting_reads_each_overlap_class_half_once(build, monkeypatch):
-    """charts_meeting builds chart i's half index on its first call, one
-    region_half per overlap class, and every later call is a lookup."""
+    """charts_meeting and overlap_half read one table per chart, built on the
+    first call for that chart with one region_half per overlap class; A6, EC
+    and SE make every later call a lookup."""
     atlas = build()
     inside, asked, halved = [], [], Counter()
-    region_half, charts_meeting = Apartment.region_half, Atlas.charts_meeting
+    region_half = Apartment.region_half
 
     def counted_half(self, region):
         if inside:
             halved[inside[-1], region] += 1
         return region_half(self, region)
 
-    def counted_meeting(self, i, half):
-        inside.append(i)
-        asked.append(i)
-        try:
-            return charts_meeting(self, i, half)
-        finally:
-            inside.pop()
+    def reading(method):
+        def counted(self, i, *args):
+            inside.append(i)
+            asked.append(i)
+            try:
+                return method(self, i, *args)
+            finally:
+                inside.pop()
+
+        return counted
 
     monkeypatch.setattr(Apartment, "region_half", counted_half)
-    monkeypatch.setattr(Atlas, "charts_meeting", counted_meeting)
+    monkeypatch.setattr(Atlas, "charts_meeting", reading(Atlas.charts_meeting))
+    monkeypatch.setattr(Atlas, "overlap_half", reading(Atlas.overlap_half))
+    check_a6(atlas)
     check_ec(atlas)
     check_se(Sample(atlas))
     assert set(halved.values()) == {1}
     assert all(region in atlas.overlap_classes[i] for i, region in halved)
+    assert len(halved) == sum(len(atlas.overlap_classes[i]) for i in set(asked))
     assert {i for i, _ in halved} == set(asked) and len(asked) > 2 * len(halved)
 
 

@@ -1,0 +1,148 @@
+"""One run of the checkers keeps exact memos of four pure point functions,
+``Sample.move``, ``metric``, ``pairing`` and ``format``, and nothing past the run.
+
+Every fixture transition has a zero shift.  ``moved_sample`` reads a digest
+member through the per-chart isometries of :func:`test_se_panels.chart_moves`,
+so its transitions carry shifts and reflections, and moves the original
+sample's points and sectors with them.  Charts 0 and 1 keep their
+coordinates: A5 retracts onto the origin germs of those charts, which must
+stay the same germs of the building.
+"""
+from collections import Counter
+
+import pytest
+
+import lbk.axioms
+from lbk.apartment import AffineIsometry, Apartment, format_point
+from lbk.atlas import BuildingPoint, BuildingSector, global_distance
+from lbk.axioms import _CHECKERS, Sample, equivalence_suite
+from lbk.fixtures import fan, lambda_tree
+from report_digest import LADDER
+from test_se_panels import MEMBERS, chart_moves, moved_atlas
+
+CHECKED = ("A3", "A4", "A6", "EC", "SE", "A5")
+
+
+def moved_sample(atlas, seed):
+    """The member's sample, and the same building points and sectors in the moved member."""
+    ap = atlas.apartment
+    moves = chart_moves(atlas, seed)
+    moves[:2] = [ap.isometry(ap.roots.identity())] * 2
+    original, moved = Sample(atlas, seed), Sample(moved_atlas(atlas, moves), seed)
+    moved.points = [BuildingPoint(bp.chart, moves[bp.chart].apply(bp.point)) for bp in original.points]
+    moved.sectors = [
+        BuildingSector(bs.chart, ap.sector(moves[bs.chart].apply(bs.sector.base), moves[bs.chart].linear * bs.sector.direction))
+        for bs in original.sectors
+    ]
+    return original, moved
+
+
+def outcome(axiom, line):
+    """A line's verdict, with its witness charts (a point for A6) or a failure that names no point."""
+    if line.verdict == "pass":
+        return line.verdict, None if axiom == "A6" else sorted(line.detail.removeprefix("witness=").split("+"))
+    return line.verdict, None if "(" in line.detail else line.detail
+
+
+def assert_memos_are_direct_calls(sample):
+    ap = sample.atlas.apartment
+    assert all(image == iso.apply(p) for (iso, p), image in sample.move.items())
+    assert all(d == ap.metric(v, w) for (v, w), d in sample.metric.items())
+    assert all(x == ap.pairing(root, v) for (root, v), x in sample.pairing.items())
+    assert all(text == format_point(p) for (p,), text in sample.format.items())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_checkers_on_shifted_transitions_match_the_originals(seed):
+    shifted = fails = 0
+    entries = Counter()
+    for name, atlas in MEMBERS:
+        original, moved = moved_sample(atlas, seed)
+        shifted += sum(any(not c.is_zero() for c in t.iso.shift) for t in moved.atlas.transitions.values())
+        for axiom in CHECKED:
+            before, after = _CHECKERS[axiom](original, 80), _CHECKERS[axiom](moved, 80)
+            assert len(after.lines) == len(before.lines), (name, axiom)
+            assert [outcome(axiom, line) for line in after.lines] == [outcome(axiom, line) for line in before.lines], (name, axiom)
+            fails += sum(line.verdict == "fail" for line in after.lines)
+        assert_memos_are_direct_calls(moved)
+        entries.update(move=len(moved.move), metric=len(moved.metric), pairing=len(moved.pairing), format=len(moved.format))
+    assert shifted > 1000 and fails > 300, (shifted, fails)
+    assert min(entries.values()) > 100, entries
+
+
+def record_runs(monkeypatch):
+    """The Samples of every run, and the calls of the functions the move and metric memos wrap."""
+    samples, calls = [], Counter()
+    apply, metric = AffineIsometry.apply, Apartment.metric
+
+    class Recorded(Sample):
+        def __init__(self, *args):
+            super().__init__(*args)
+            samples.append(self)
+
+    def counted_apply(self, p):
+        calls["apply"] += 1
+        return apply(self, p)
+
+    def counted_metric(self, v1, v2):
+        calls["metric"] += 1
+        return metric(self, v1, v2)
+
+    monkeypatch.setattr(lbk.axioms, "Sample", Recorded)
+    monkeypatch.setattr(AffineIsometry, "apply", counted_apply)
+    monkeypatch.setattr(Apartment, "metric", counted_metric)
+    return samples, calls
+
+
+def misses(sample):
+    return [len(sample.move), len(sample.metric), len(sample.pairing), len(sample.format)]
+
+
+@pytest.mark.parametrize("atlas", [lambda_tree(5, 2), fan(4, "B2")], ids=["tree(5,2)", "fan(4,B2)"])
+def test_two_runs_on_one_atlas_make_the_same_misses(atlas, monkeypatch):
+    """Nothing a run memoizes carries over to the next run on the same atlas,
+    and a miss is the one call of the memoized function."""
+    samples, calls = record_runs(monkeypatch)
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        equivalence_suite(atlas, samples=80, seed=0)
+        runs.append((misses(samples[-1]), calls["apply"], calls["metric"]))
+    assert runs[0] == runs[1] and min(runs[0][0]) > 0, runs
+    assert runs[0][0][:2] == [runs[0][1], runs[0][2]]
+
+
+def test_global_distance_measures_in_every_shared_chart(monkeypatch):
+    """Outside a run nothing is memoized: one metric call per shared chart."""
+    atlas = lambda_tree(5, 1)
+    points = Sample(atlas).points
+    calls = []
+    metric = Apartment.metric
+
+    def counted(self, v1, v2):
+        calls.append((v1, v2))
+        return metric(self, v1, v2)
+
+    monkeypatch.setattr(Apartment, "metric", counted)
+    for bp in points:
+        for bq in points:
+            shared = atlas.locate_point(bp).keys() & atlas.locate_point(bq).keys()
+            if shared:
+                calls.clear()
+                global_distance(atlas, bp, bq)
+                assert len(calls) == len(shared)
+    for _ in range(2):
+        calls.clear()
+        global_distance(atlas, points[0], points[1])
+        assert len(calls) == len(atlas.locate_point(points[0]).keys() & atlas.locate_point(points[1]).keys())
+
+
+def test_ladder_memo_misses_are_pinned(monkeypatch):
+    """On the 20 ladder members at seed 0, each run's memos miss once per
+    distinct argument: 921 moves and 2,587 distances, which are all of the
+    pass's isometry moves and metric calls (7,513 and 9,684 unmemoized)."""
+    samples, calls = record_runs(monkeypatch)
+    for name, atlas in MEMBERS[: len(LADDER)]:
+        assert not equivalence_suite(atlas, samples=80, seed=0).alarms, name
+    assert len(samples) == len(LADDER)
+    assert [sum(column) for column in zip(*map(misses, samples))][:2] == [calls["apply"], calls["metric"]] == [921, 2587]

@@ -77,25 +77,35 @@ def test_se_writes_the_lines_of_the_per_sector_checker(seed):
     assert fails >= 50 and panels >= 1000, (fails, panels)
 
 
-def recoordinated(atlas, seed):
-    """The same building with chart c read through an isometry g_c of seeded
-    direction and shift: transitions g_j t_ij g_i^-1 on the images of the
-    overlaps, and the origin sectors of the atlas moved by g_c."""
+def chart_moves(atlas, seed):
+    """Per chart, an isometry g_c of seeded direction and shift."""
     ap = atlas.apartment
     rng = random.Random(f"recoordinate:{seed}:{atlas.label}")
-    moves = [
+    return [
         ap.isometry(rng.choice(ap.directions()), ap.point(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(ap.rank)))
         for _ in atlas.charts()
     ]
+
+
+def moved_atlas(atlas, moves):
+    """The same building with chart c read through the isometry moves[c]:
+    transitions g_j t_ij g_i^-1 on the images of the overlaps."""
+    ap = atlas.apartment
     transitions = {
         (i, j): Transition(ap.transform_region(t.region, moves[i]), moves[j].compose(t.iso).compose(moves[i].inverse()))
         for (i, j), t in atlas.transitions.items()
     }
-    moved = Atlas(ap, atlas.chart_names, transitions, atlas.label)
+    return Atlas(ap, atlas.chart_names, transitions, atlas.label)
+
+
+def recoordinated(atlas, seed):
+    """The atlas moved by :func:`chart_moves`, and its origin sectors moved by g_c."""
+    ap = atlas.apartment
+    moves = chart_moves(atlas, seed)
     sectors = [
         BuildingSector(c, ap.sector(g.apply(ap.origin()), g.linear * w)) for c, g in enumerate(moves) for w in ap.directions()
     ]
-    return moved, sectors
+    return moved_atlas(atlas, moves), sectors
 
 
 def outcome(line):
