@@ -26,7 +26,7 @@ from .linarith import (
     LinearConstraint,
     feasible,
 )
-from .rootsystem import Matrix, Root, RootSystem, WeylElement
+from .rootsystem import Root, RootSystem, WeylElement
 
 Point = tuple[LambdaScalar, ...]
 MAX_LEX_RANK = 16  # scalars are tuples of this many rationals at most
@@ -154,7 +154,7 @@ class Apartment:
             tuple(self._inverse[j][i] for j in range(self.rank)) for i in range(self.rank)
         )
         self._feasible: dict[tuple[HalfApartment, ...], Feasibility] = {}
-        self._slopes: dict[Matrix, dict[Root, Root]] = {}
+        self._slopes: dict[WeylElement, dict[Root, Root]] = {}
 
     # -- scalars and points ---------------------------------------------
 
@@ -360,11 +360,11 @@ class Apartment:
         (root, w.u_k) of the pairing along generator k of the direction cone,
         since the pairing is W-invariant and (alpha_j, u_k) = delta_jk.
         Cached per direction."""
-        table = self._slopes.get(direction.matrix)
+        table = self._slopes.get(direction)
         if table is None:
             inverse = direction.inverse()
             table = {r: inverse.act_root(r) for r in self.roots.positive_roots}
-            self._slopes[direction.matrix] = table
+            self._slopes[direction] = table
         return table[root]
 
     def sector_in_region(self, s: Sector, region: ConvexRegion) -> bool:
@@ -392,10 +392,10 @@ class Apartment:
 
     def sectors_parallel(self, s: Sector, t: Sector) -> bool:
         """Parallel means bounded distance; inside one apartment, same direction."""
-        return s.direction.matrix == t.direction.matrix
+        return s.direction is t.direction
 
     def germ_equal(self, g1: SectorGerm, g2: SectorGerm) -> bool:
-        return g1.base == g2.base and g1.direction.matrix == g2.direction.matrix
+        return g1.base == g2.base and g1.direction is g2.direction
 
     # -- hulls and germ containment ----------------------------------------
 

@@ -23,7 +23,7 @@ from .apartment import (
 )
 from .lexq import LambdaScalar
 from .linarith import GE, LinearConstraint
-from .rootsystem import Matrix, WeylElement
+from .rootsystem import WeylElement
 
 
 def is_chart_name(name: object) -> bool:
@@ -121,7 +121,7 @@ class Atlas:
         self.overlap_classes: list[dict[ConvexRegion, int]] = [{} for _ in range(m)]
         for (i, j), t in sorted(self.transitions.items()):
             self.overlap_classes[i][t.region] = self.overlap_classes[i].get(t.region, 0) | 1 << j
-        self._fitting: dict[tuple[int, Matrix, int], int] = {}
+        self._fitting: dict[tuple[int, WeylElement, int], int] = {}
         self._class_halves: list[Optional[dict[ConvexRegion, Optional[HalfApartment]]]] = [None] * m
         self._halves: list[Optional[dict[HalfApartment, int]]] = [None] * m
 
@@ -192,7 +192,7 @@ class Atlas:
         """The charts holding a subsector of every direction-w sector of chart i (face 0),
         or of its type-face panel, as a bitmask: bit i and the charts glued along an overlap
         the face fits (:meth:`Apartment.sector_fits`).  Cached per (i, w, face), idempotent."""
-        key = (i, w.matrix, face)
+        key = (i, w, face)
         if key not in self._fitting:
             self._fitting[key] = self.reach(i, lambda region: self.apartment.sector_fits(w, region, face)) | 1 << i
         return self._fitting[key]
@@ -367,7 +367,7 @@ def located_common_chart(
 
 def global_distance(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint) -> LambdaScalar:
     """Metric evaluated in a shared chart; all shared charts must agree."""
-    return located_distance(atlas, bp, bq, atlas.locate_point(bp), atlas.locate_point(bq))
+    return located_distance(atlas, bp, bq, atlas.locate_point(bp), atlas.locate_point(bq), metric=atlas.apartment.metric)
 
 
 def located_distance(
@@ -376,18 +376,15 @@ def located_distance(
     bq: BuildingPoint,
     at_p: dict[int, Point],
     at_q: dict[int, Point],
-    *, metric: Optional[Callable[[Point, Point], LambdaScalar]] = None,
+    *, metric: Callable[[Point, Point], LambdaScalar],
 ) -> LambdaScalar:
-    """:func:`global_distance` from the points' :meth:`Atlas.locate_point` maps; ``metric``
-    defaults to the apartment's."""
+    """:func:`global_distance` from the points' :meth:`Atlas.locate_point` maps, measured by ``metric``."""
     shared = sorted(at_p.keys() & at_q.keys())
     if not shared:
         raise NoCommonChartError(
             f"no chart contains both {format_point(bp.point)}@{atlas.name(bp.chart)} "
             f"and {format_point(bq.point)}@{atlas.name(bq.chart)}"
         )
-    if metric is None:  # a Memo is a dict, falsy while empty
-        metric = atlas.apartment.metric
     values = [metric(at_p[j], at_q[j]) for j in shared]
     first = values[0]
     if any(v != first for v in values[1:]):

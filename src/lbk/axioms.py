@@ -42,7 +42,7 @@ from .atlas import (
 )
 from .lexq import LambdaScalar
 from .linarith import ConstraintSystem, feasible
-from .rootsystem import Matrix, WeylElement
+from .rootsystem import WeylElement
 
 PASS = "pass"
 FAIL = "fail"
@@ -330,8 +330,9 @@ def _capped_panel(ap: Apartment, w: WeylElement, overlap: ConvexRegion) -> Optio
     return k, w.act_root(ap.roots.simple_root(k)), [h for h, ks in caps if ks]
 
 
-def _panel_of_sector(ap: Apartment, sector: Sector, overlap: ConvexRegion) -> Optional[int]:
-    """The panel type when the sector meets the overlap in a face of itself, else None.
+def _panel_of_sector(panel: Optional[tuple], base: Point, pairing: Callable) -> Optional[int]:
+    """The panel type when a sector at ``base`` meets the overlap in a face of itself, else None;
+    ``panel`` is :func:`_capped_panel` of the sector's direction and the overlap.
 
     The exchange hypothesis wants the chart to meet the sector in one of the
     sector's own panels (apex included), not a panel-shaped slice further
@@ -340,13 +341,11 @@ def _panel_of_sector(ap: Apartment, sector: Sector, overlap: ConvexRegion) -> Op
     half caps generator k (:meth:`Apartment.caps`) when it falls along it,
     and a root's coefficients w^-1 r share a sign.
     So panel i fits and the sector does not exactly when i is the only
-    capped generator (:func:`_capped_panel`); each capping half then has
-    w^-1 r = +-alpha_i and reads slack - t_i >= 0, and the cut stays on
-    panel i (t_i = 0) exactly when one of them is tight at the base.
+    capped generator; each capping half then has w^-1 r = +-alpha_i and
+    reads slack - t_i >= 0, and the cut stays on panel i (t_i = 0) exactly
+    when one of them is tight at the base.
     """
-    panel = _capped_panel(ap, sector.direction, overlap)
-    tight = panel is not None and any(ap.pairing(h.root, sector.base) == h.bound for h in panel[2])
-    return panel[0] if tight else None
+    return panel[0] if panel is not None and any(pairing(h.root, base) == h.bound for h in panel[2]) else None
 
 
 def check_se(sample: Sample) -> AxiomReport:
@@ -355,14 +354,14 @@ def check_se(sample: Sample) -> AxiomReport:
     A sector lies in a chart exactly when its base does and the overlap caps
     no generator of its cone, so the charts holding each base are read from
     the sample and every direction is then decided by the cone test alone.
-    :func:`_capped_panel` is decided once per (direction, overlap region); a
-    base tests its capping halves for tightness and reads the wall in chart a
-    at its located copy there, as the pairing is W-invariant.
+    :func:`_capped_panel` is decided once per (direction, overlap region); a base
+    tests its capping halves for tightness (:func:`_panel_of_sector`) and reads the wall
+    in chart a at its located copy there, as the pairing is W-invariant.
     """
     report = AxiomReport("SE")
     atlas = sample.atlas
     ap = atlas.apartment
-    panels: dict[tuple[Matrix, ConvexRegion], Optional[tuple]] = {}
+    panels: dict[tuple[WeylElement, ConvexRegion], Optional[tuple]] = {}
     for bs in sample.sectors:
         chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
         located = sample.located(BuildingPoint(chart, base))
@@ -371,10 +370,10 @@ def check_se(sample: Sample) -> AxiomReport:
         label = None
         for a in charts_of(held & ~(1 << chart)):
             t = atlas.transition(chart, a)
-            if (key := (w.matrix, t.region)) not in panels:
+            if (key := (w, t.region)) not in panels:
                 panels[key] = _capped_panel(ap, w, t.region)
             panel = panels[key]
-            if panel is None or not any(sample.pairing(h.root, base) == h.bound for h in panel[2]):
+            if _panel_of_sector(panel, base, sample.pairing) is None:
                 continue
             r = t.iso.linear.act_root(panel[1])
             wall = ap.half(r, 1, sample.pairing(r, located[a]))

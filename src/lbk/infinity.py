@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .atlas import Atlas, charts_of
-from .rootsystem import Matrix, WeylElement
+from .rootsystem import WeylElement
 
 
 class _UnionFind:
@@ -35,7 +35,7 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-Node = tuple[int, Matrix]
+Node = tuple[int, WeylElement]
 
 
 @dataclass
@@ -57,7 +57,7 @@ class InfinityComplex:
         return len({frozenset(v) for v in self.apartments.values()})
 
     def chamber(self, chart: int, direction: WeylElement) -> int:
-        return self.chamber_of[(chart, direction.matrix)]
+        return self.chamber_of[(chart, direction)]
 
     def lines(self) -> list[str]:
         out = [f"chambers {self.chamber_count}", f"apartments {self.apartment_count}"]
@@ -78,37 +78,34 @@ def infinity_complex(atlas: Atlas) -> InfinityComplex:
     ap = atlas.apartment
     directions = ap.directions()
     types = range(1, ap.rank + 1)
-    mirror = {(w.matrix, i): (w * ap.roots.simple(i)).matrix for w in directions for i in types}
+    mirror = {(w, i): w * ap.roots.simple(i) for w in directions for i in types}
     uf = _UnionFind()
     for chart in atlas.charts():
-        for (matrix, itype), mirrored in mirror.items():
-            uf.union((chart, matrix, itype), (chart, mirrored, itype))
+        for (w, itype), mirrored in mirror.items():
+            uf.union((chart, w, itype), (chart, mirrored, itype))
 
     # Cross-chart identification from the atlas's fit table: a direction-w sector, or its
     # type-i panel, with a subsector in chart j is one of direction linear*w there.
     for i, w, itype in product(atlas.charts(), directions, range(ap.rank + 1)):
         for j in charts_of(atlas.fitting(i, w, itype) & ~(1 << i)):
-            uf.union((i, w.matrix, itype), (j, (atlas.transition(i, j).iso.linear * w).matrix, itype))
+            uf.union((i, w, itype), (j, atlas.transition(i, j).iso.linear * w, itype))
 
     classes: dict = {}
     for chart in atlas.charts():
         for w in directions:
-            classes.setdefault(uf.find((chart, w.matrix, 0)), []).append((chart, w))
+            classes.setdefault(uf.find((chart, w, 0)), []).append((chart, w))
     # Chamber ids follow the least (chart, word) of each class.
     by_word = [tuple(sorted(c, key=lambda cw: (cw[0], cw[1].word))) for c in classes.values()]
     members = sorted(by_word, key=lambda m: (m[0][0], m[0][1].word))
-    chamber_of = {(chart, w.matrix): idx for idx, m in enumerate(members) for chart, w in m}
-    apartments = {
-        chart: tuple(chamber_of[(chart, w.matrix)] for w in directions)
-        for chart in atlas.charts()
-    }
+    chamber_of = {(chart, w): idx for idx, m in enumerate(members) for chart, w in m}
+    apartments = {chart: tuple(chamber_of[(chart, w)] for w in directions) for chart in atlas.charts()}
 
     # The chambers holding each panel class, over the atlas and per chart.
     holders: dict = {}
     local: dict = {}
-    for (chart, matrix), chamber in chamber_of.items():
+    for (chart, w), chamber in chamber_of.items():
         for itype in types:
-            pclass = uf.find((chart, matrix, itype))
+            pclass = uf.find((chart, w, itype))
             holders.setdefault(pclass, set()).add(chamber)
             local.setdefault((chart, pclass), set()).add(chamber)
 
@@ -133,9 +130,9 @@ def infinity_complex(atlas: Atlas) -> InfinityComplex:
     for chart in atlas.charts():
         for w in directions:
             for itype in types:
-                here = chamber_of[(chart, w.matrix)]
-                mirrored = chamber_of[(chart, mirror[(w.matrix, itype)])]
-                pclass = uf.find((chart, w.matrix, itype))
+                here = chamber_of[(chart, w)]
+                mirrored = chamber_of[(chart, mirror[(w, itype)])]
+                pclass = uf.find((chart, w, itype))
                 if local[(chart, pclass)] != {here, mirrored} or here == mirrored:
                     issues.append(
                         f"thinness fails in apartment {atlas.name(chart)} "

@@ -10,9 +10,10 @@ Conventions, fixed once and used consistently everywhere:
   makes the pairing a symmetric reflection-invariant form (see README,
   "Conventions").
 
-Group elements are identified by their integer action matrix on base
-coordinates; the stored word is the lexicographically least reduced word,
-assigned during a breadth-first enumeration of the group.
+Each group element is one object, built by a breadth-first enumeration of the
+group: every route to it returns that object, so it is its own key, and elements
+of two separately built systems neither compare equal nor multiply.  It holds its
+integer action matrix on base coordinates and its lexicographically least reduced word.
 """
 from __future__ import annotations
 
@@ -119,7 +120,8 @@ def _symmetrizer(cartan: Matrix) -> tuple[Fraction, ...]:
 
 
 class WeylElement:
-    """Finite reflection group element: action matrix plus canonical word."""
+    """Finite reflection group element: action matrix plus canonical word.  Its system
+    builds one instance per element, so equality and hash are identity."""
 
     __slots__ = ("system", "matrix", "word")
 
@@ -133,18 +135,18 @@ class WeylElement:
         return len(self.word)
 
     def is_identity(self) -> bool:
-        return self.matrix == _identity(self.system.rank)
+        return not self.word
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if other.system is not self.system:
             raise ValueError("cannot multiply elements of different root systems")
-        table, key = self.system._products, (self.matrix, other.matrix)
+        table, key = self.system._products, (self, other)
         return table.get(key) or table.setdefault(key, self.system.element(_mat_mul(self.matrix, other.matrix)))
 
     def inverse(self) -> "WeylElement":
         # Generators are involutions, so the reversed word gives the inverse.
         table = self.system._inverses
-        return table.get(self.matrix) or table.setdefault(self.matrix, self.system.from_word(reversed(self.word)))
+        return table.get(self) or table.setdefault(self, self.system.from_word(reversed(self.word)))
 
     def act_root(self, root: Sequence[int]) -> Root:
         return _mat_vec(self.matrix, root)
@@ -152,16 +154,6 @@ class WeylElement:
     def act_point(self, coords):
         """Apply the integer action matrix to a tuple of LambdaScalars."""
         return tuple(LambdaScalar.lincomb(row, coords) for row in self.matrix)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, WeylElement)
-            and other.matrix == self.matrix
-            and other.system.cartan == self.system.cartan
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.system.cartan, self.matrix))
 
     def __repr__(self) -> str:
         return "e" if not self.word else "*".join(f"r{i}" for i in self.word)
@@ -181,9 +173,9 @@ class RootSystem:
         self._positive_set = frozenset(self.positive_roots)
         self._elements: list[WeylElement] | None = None
         self._by_matrix: dict[Matrix, WeylElement] = {}
-        # Products and inverses, looked up by action matrix and filled on first use: the group is finite.
-        self._products: dict[tuple[Matrix, Matrix], WeylElement] = {}
-        self._inverses: dict[Matrix, WeylElement] = {}
+        # Products and inverses, keyed by the elements and filled on first use: the group is finite.
+        self._products: dict[tuple[WeylElement, WeylElement], WeylElement] = {}
+        self._inverses: dict[WeylElement, WeylElement] = {}
 
     # -- roots ---------------------------------------------------------
 

@@ -17,7 +17,7 @@ import pytest
 
 from lbk.apartment import AffineIsometry, Apartment, ConvexRegion, HalfApartment, RegionShape
 from lbk.atlas import Atlas, Transition, _agree_on
-from lbk.axioms import _panel_of_sector
+from lbk.axioms import _capped_panel, _panel_of_sector
 from lbk.lexq import LambdaScalar
 from lbk.linarith import GE, GT, ConstraintSystem, LinearConstraint, feasible
 from lbk.rootsystem import build_root_system
@@ -105,7 +105,8 @@ def test_sector_in_region_agrees_with_fm(name, lam):
 
 @pytest.mark.parametrize("name,lam", SYSTEMS)
 def test_panel_of_sector_agrees_with_equality_scan(name, lam):
-    """check_se calls _panel_of_sector only when the base lies in the overlap."""
+    """check_se asks _panel_of_sector, with the direction's _capped_panel, only when the base
+    lies in the overlap."""
     seen = Counter()
     for ap, rng, sector, region in cases(name, lam, 2):
         # Also pin one wall, at the apex or past it, so the cut is often a
@@ -116,7 +117,8 @@ def test_panel_of_sector_agrees_with_equality_scan(name, lam):
         for overlap in (region, ap.intersect(region, ap.half_region(root, -1, bound))):
             expected = panel_by_equality(ap, sector, overlap)
             base_in = ap.region_contains_point(overlap, sector.base)
-            assert (_panel_of_sector(ap, sector, overlap) if base_in else None) == expected
+            panel = _capped_panel(ap, sector.direction, overlap)
+            assert (_panel_of_sector(panel, sector.base, ap.pairing) if base_in else None) == expected
             if not base_in:
                 seen["base outside"] += 1
             elif expected is not None:

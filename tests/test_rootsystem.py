@@ -85,8 +85,8 @@ def test_mixed_root_systems_rejected():
 def test_weyl_table_gives_the_matrix_products_and_word_inverses(name):
     """Products and inverses are looked up per root system; every ordered pair
     matches the matrix product, every inverse the reversed word, and a second
-    call returns the same element.  The table is keyed by matrices, so a
-    product across systems, even of one type, still raises."""
+    call returns the same element.  The table is keyed by the elements, and a
+    product across systems, even of one type, raises."""
     rs = build_root_system(name)
     elements = rs.weyl_elements()
     identity = rs.identity()
@@ -101,6 +101,36 @@ def test_weyl_table_gives_the_matrix_products_and_word_inverses(name):
         assert w.inverse() is inverse
     twin = build_root_system(name)
     for a, b in ((elements[-1], twin.weyl_elements()[-1]), (twin.identity(), identity)):
+        with pytest.raises(ValueError):
+            a * b
+
+
+@pytest.mark.parametrize(
+    "spec", ["A1", "A2", "B2", "G2", [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]], ids=["A1", "A2", "B2", "G2", "cartan-B3"]
+)
+def test_every_route_to_an_element_returns_its_one_instance(spec):
+    """A group element is one object, so it is its own dict key and equal only
+    to itself; a second system of the same type has equal matrices and words
+    but elements that neither compare equal nor multiply with these."""
+    rs = build_root_system(spec)
+    elements = rs.weyl_elements()
+    identity = rs.identity()
+    assert all(a is b for a, b in zip(elements, rs.weyl_elements()))
+    assert identity is elements[0] is rs.from_word(())
+    for w in elements:
+        assert rs.element(w.matrix) is w and rs.from_word(w.word) is w
+        assert w.inverse() is rs.from_word(reversed(w.word)) and w.inverse().inverse() is w
+        assert w * identity is w and identity * w is w
+        assert w.is_identity() == (w is identity)
+    for i in range(1, rs.rank + 1):
+        assert rs.simple(i) is rs.from_word((i,)) is rs.element(rs.reflection_matrix(i))
+    for a, b in itertools.product(elements, repeat=2):
+        assert a * b is rs.from_word(a.word + b.word)
+        assert (a == b) == (a is b)
+    assert len({w: w.word for w in elements}) == len(elements) == len({w.matrix for w in elements})
+    twin = build_root_system(spec)
+    for a, b in zip(elements, twin.weyl_elements()):
+        assert (a.matrix, a.word) == (b.matrix, b.word) and a != b
         with pytest.raises(ValueError):
             a * b
 

@@ -147,7 +147,7 @@ def test_se_decides_each_direction_and_overlap_class_once(monkeypatch):
     transform_half = lbk.apartment.Apartment.transform_half
 
     def counted_panel(ap, w, overlap):
-        decided.append((w.matrix, overlap))
+        decided.append((w, overlap))
         return capped_panel(ap, w, overlap)
 
     def counted_half(self, *args):
