@@ -1,9 +1,10 @@
 """Affine model geometry over lex-ordered rationals, at desk scale.
 
-Exact arithmetic throughout: scalars are lexicographic rational tuples,
-feasibility questions go through Fourier-Motzkin elimination, and every
-checker verdict is backed by a witness or counterexample that re-validates
-by direct substitution.
+Exact arithmetic throughout: scalars are lexicographic rational tuples, and
+feasibility questions that the halves of a region do not settle go through
+Fourier-Motzkin elimination.  Every pass line names its witness, and a
+feasible answer's witness point re-checks by substitution; fail lines carry
+no certificate yet (ROADMAP item 5).
 """
 
 from .lexq import LambdaScalar

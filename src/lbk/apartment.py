@@ -2,9 +2,13 @@
 
 Points are tuples of :class:`~lbk.lexq.LambdaScalar` holding the coefficients
 of a vector in the simple-root base.  All set-valued reasoning happens through
-:class:`ConvexRegion` (finite intersections of half-apartments) so that
-membership, emptiness, containment and equality reduce to exact
-Fourier-Motzkin feasibility runs.
+:class:`ConvexRegion` (finite intersections of half-apartments).  Membership
+is substitution; sector, panel and germ fits are cone-sign tests
+(:meth:`Apartment.caps`), and half-apartment shapes are read from one shared
+root (:meth:`Apartment.region_half`).  Containment and equality try a
+single-half implication (:meth:`Apartment.implied`) first; what these tests
+leave open, emptiness included, goes to an exact Fourier-Motzkin run.  A
+"no" carries no certificate yet (ROADMAP item 5).
 
 Index conventions: simple roots, reflection generators, coordinates v^i and
 sector-panel types are 1-based, matching the a1/a2 syntax of model files.

@@ -121,9 +121,14 @@ class Atlas:
         self.overlap_classes: list[dict[ConvexRegion, int]] = [{} for _ in range(m)]
         for (i, j), t in sorted(self.transitions.items()):
             self.overlap_classes[i][t.region] = self.overlap_classes[i].get(t.region, 0) | 1 << j
+        # Per chart, each overlap class's half-apartment (None when it is none), one region_half per
+        # class, and the half index: each such half with the mask of the charts meeting chart i in it.
+        self.class_halves = [{r: apartment.region_half(r) for r in classes} for classes in self.overlap_classes]
+        self._meeting: list[dict[HalfApartment, int]] = [{} for _ in range(m)]
+        for (i, j), t in sorted(self.transitions.items()):
+            if (h := self.class_halves[i][t.region]) is not None:
+                self._meeting[i][h] = self._meeting[i].get(h, 0) | 1 << j
         self._fitting: dict[tuple[int, WeylElement, int], int] = {}
-        self._class_halves: list[Optional[dict[ConvexRegion, Optional[HalfApartment]]]] = [None] * m
-        self._halves: list[Optional[dict[HalfApartment, int]]] = [None] * m
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -160,15 +165,7 @@ class Atlas:
     def overlap_half(self, i: int, j: int) -> Optional[HalfApartment]:
         """The overlap of charts i and j as one half-apartment of chart i, or None."""
         t = self.transition(i, j)
-        return None if t is None else self.class_halves(i)[t.region]
-
-    def class_halves(self, i: int) -> dict[ConvexRegion, Optional[HalfApartment]]:
-        """Each overlap class of chart i with its half-apartment (None when it is none),
-        one :meth:`Apartment.region_half` per class, read once per atlas."""
-        halves = self._class_halves[i]
-        if halves is None:
-            halves = self._class_halves[i] = {r: self.apartment.region_half(r) for r in self.overlap_classes[i]}
-        return halves
+        return None if t is None else self.class_halves[i][t.region]
 
     def reach(self, i: int, fits: Callable[[ConvexRegion], bool]) -> int:
         """The charts glued to chart i along the overlap classes ``fits`` accepts: a sum of disjoint masks."""
@@ -180,13 +177,7 @@ class Atlas:
 
     def charts_meeting(self, i: int, half: HalfApartment) -> int:
         """The mask of the charts whose overlap with chart i is exactly the given half, by chart i's half index."""
-        index = self._halves[i]
-        if index is None:
-            index = self._halves[i] = {}
-            for region, h in self.class_halves(i).items():
-                if h is not None:
-                    index[h] = index.get(h, 0) | self.overlap_classes[i][region]
-        return index.get(half, 0)
+        return self._meeting[i].get(half, 0)
 
     def fitting(self, i: int, w: WeylElement, face: int = 0) -> int:
         """The charts holding a subsector of every direction-w sector of chart i (face 0),

@@ -9,13 +9,24 @@ from itertools import combinations
 import pytest
 
 import lbk
-from lbk.apartment import Apartment
-from lbk.atlas import Atlas, BuildingGerm, BuildingPoint, BuildingSector, Transition, global_distance, validate
+from lbk.apartment import AffineIsometry, Apartment, format_point
+from lbk.atlas import (
+    Atlas,
+    BuildingGerm,
+    BuildingPoint,
+    BuildingSector,
+    DistanceDisagreementError,
+    NoCommonChartError,
+    Transition,
+    global_distance,
+    validate,
+)
 from lbk.axioms import (
     FAIL,
     INCONCLUSIVE,
     PASS,
     CheckLine,
+    Retraction,
     Sample,
     TheoremViolation,
     _cap_pairs,
@@ -104,7 +115,7 @@ def test_exact_a4_agrees_with_a_scan_of_all_origin_sector_pairs():
             if gap is None or any(line.verdict == FAIL for line in report.lines[:sampled]):
                 assert exact == [], name
             else:
-                label = f"({_sector_label(atlas, gap[0])},{_sector_label(atlas, gap[1])})"
+                label = f"({_sector_label(atlas, gap[0], format_point)},{_sector_label(atlas, gap[1], format_point)})"
                 assert exact == [CheckLine(label, FAIL, "detail=no-chart-holds-both-subsectors")], name
 
 
@@ -426,6 +437,9 @@ def test_a5_rerun_rebuilds_no_fractions(monkeypatch):
 
 # sha256 of check_a5(Sample(atlas)).rendered(), one line each, written before A5
 # measured each pair once and built its labels only for the lines it writes.
+# sha256 of check_a5(Sample(bent_tree()), samples=120).rendered(), one line each.
+BENT_A5 = "95e04152b9c208166ff96d02ae313d3b52340cc065abade1376ef34c3cbbd2d2"
+
 A5_LINES = {
     "fm_fallback": "8927cf530cce610a19686e3f195af3d37a837906d946e205c9cf4367d12e6592",
     "broken_pair": "2f47eda1ceb0e3c7dc2aea26495f89def99024e4e579c31fcdbfeeef2b256479",
@@ -440,6 +454,61 @@ def test_a5_lines_are_pinned(name):
     assert hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest() == A5_LINES[name]
     if name == "fm_fallback":
         assert any("detail=distance-disagrees-between-charts" in line for line in lines)
+
+
+def bent_tree(pair=(0, 1)):
+    """tree(3,1), its label kept, with the transition of ``pair`` replaced by the
+    reflection r_1 followed by the shift 1 on the same overlap; its reverse is unchanged."""
+    atlas = lambda_tree(3, 1)
+    ap = atlas.apartment
+    transitions = dict(atlas.transitions)
+    transitions[pair] = Transition(transitions[pair].region, AffineIsometry(ap.roots.simple(1), (ap.scalar(1),)))
+    return Atlas(ap, atlas.chart_names, transitions, label=atlas.label)
+
+
+def test_a5_writes_the_failures_of_a_bent_transition():
+    """A transition that is not the inverse of its reverse reaches A5's three
+    pair failures: images that depend on the chart, distances that disagree
+    between shared charts, and a retracted distance above the original."""
+    lines = check_a5(Sample(bent_tree()), samples=120).rendered()
+    details = Counter(line.split("detail=")[1] for line in lines[:-1])
+    assert details == {
+        "retraction_value_depends_on_the_chart_chosen": 42,
+        "distance-disagrees-between-charts": 11,
+        "distance-increased": 2,
+    }
+    assert lines[-1] == "SUMMARY axiom=A5 checked=55 pass=0 fail=55 inconclusive=0 verdict=fail"
+    assert hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest() == BENT_A5
+
+
+@pytest.mark.parametrize("index", range(43))
+def test_retractions_fix_their_target_and_keep_co_chart_distances(index):
+    """What A5 does not write a line for: every retraction of A5's targets fixes
+    each sampled point of its target chart, and every sampled pair sharing a
+    chart of the maps keeps its distance there and, when both images and the
+    distance are defined, after retraction."""
+    atlas = ([atlas for _, atlas in digest_members()] + [bent_tree(pair) for pair in ((0, 1), (1, 0), (1, 2))])[index]
+    ap = atlas.apartment
+    sample = Sample(atlas)
+    dirs = ap.directions()
+    for chart, w in [(chart, w) for chart in atlas.charts() for w in (dirs[0], dirs[-1])][:3]:
+        rho = Retraction(atlas, BuildingGerm(chart, ap.sector(ap.origin(), w)), chart)
+        for bp in sample.points:
+            if bp.chart == chart:
+                assert rho.evaluate_located(bp, sample.located(bp)) == bp
+        for bp, bq in _cap_pairs(sample.points, 120, sample.seed, f"a5:{atlas.name(chart)}"):
+            at_p, at_q = sample.located(bp), sample.located(bq)
+            shared = at_p.keys() & at_q.keys() & rho.maps.keys()
+            for c in shared:
+                move = rho.maps[c].apply
+                assert ap.metric(move(at_p[c]), move(at_q[c])) == ap.metric(at_p[c], at_q[c])
+            try:
+                ry, rz = rho.evaluate_located(bp, at_p), rho.evaluate_located(bq, at_q)
+                original = global_distance(atlas, bp, bq)
+            except (TheoremViolation, NoCommonChartError, DistanceDisagreementError):
+                continue
+            if shared:
+                assert ap.metric(ry.point, rz.point) == original
 
 
 # -- section 4 searches -----------------------------------------------------------

@@ -124,39 +124,35 @@ def test_charts_meeting_merges_regions_that_are_one_half():
     "build", [lambda: fixtures.lambda_tree(8, 1), lambda: fixtures.fan(5, "B2", 1)], ids=["tree(8,1)", "fan(5,B2)"]
 )
 def test_charts_meeting_reads_each_overlap_class_half_once(build, monkeypatch):
-    """charts_meeting and overlap_half read one table per chart, built on the
-    first call for that chart with one region_half per overlap class; A6, EC
-    and SE make every later call a lookup."""
-    atlas = build()
-    inside, asked, halved = [], [], Counter()
+    """Building the atlas halves each overlap class of every chart exactly once,
+    into the tables that charts_meeting and overlap_half read; A6, EC and SE
+    then read those tables and call region_half no more."""
+    halved, asked = Counter(), Counter()
     region_half = Apartment.region_half
 
     def counted_half(self, region):
-        if inside:
-            halved[inside[-1], region] += 1
+        halved[region] += 1
         return region_half(self, region)
 
     def reading(method):
-        def counted(self, i, *args):
-            inside.append(i)
-            asked.append(i)
-            try:
-                return method(self, i, *args)
-            finally:
-                inside.pop()
+        def counted(self, *args):
+            asked[method.__name__] += 1
+            return method(self, *args)
 
         return counted
 
     monkeypatch.setattr(Apartment, "region_half", counted_half)
+    atlas = build()
+    assert halved == Counter(region for classes in atlas.overlap_classes for region in classes)
+    assert [list(halves) for halves in atlas.class_halves] == [list(classes) for classes in atlas.overlap_classes]
+    halved.clear()
     monkeypatch.setattr(Atlas, "charts_meeting", reading(Atlas.charts_meeting))
     monkeypatch.setattr(Atlas, "overlap_half", reading(Atlas.overlap_half))
     check_a6(atlas)
     check_ec(atlas)
     check_se(Sample(atlas))
-    assert set(halved.values()) == {1}
-    assert all(region in atlas.overlap_classes[i] for i, region in halved)
-    assert len(halved) == sum(len(atlas.overlap_classes[i]) for i in set(asked))
-    assert {i for i, _ in halved} == set(asked) and len(asked) > 2 * len(halved)
+    assert not halved
+    assert min(asked["charts_meeting"], asked["overlap_half"]) > 2 * sum(map(len, atlas.overlap_classes)), asked
 
 
 def test_charts_of_and_lowest_read_a_mask_in_chart_order():

@@ -1,5 +1,7 @@
 """One run of the checkers keeps exact memos of four pure point functions,
 ``Sample.move``, ``metric``, ``pairing`` and ``format``, and nothing past the run.
+Every table a run keeps is a ``functools.cache``; ``record_memos`` wraps the
+``cache`` of ``lbk.axioms`` to see every value those tables return, hits included.
 
 Every fixture transition has a zero shift.  ``moved_sample`` reads a digest
 member through the per-chart isometries of :func:`test_se_panels.chart_moves`,
@@ -9,6 +11,7 @@ coordinates: A5 retracts onto the origin germs of those charts, which must
 stay the same germs of the building.
 """
 from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -44,19 +47,43 @@ def outcome(axiom, line):
     return line.verdict, None if "(" in line.detail else line.detail
 
 
-def assert_memos_are_direct_calls(sample):
-    ap = sample.atlas.apartment
-    assert all(image == iso.apply(p) for (iso, p), image in sample.move.items())
-    assert all(d == ap.metric(v, w) for (v, w), d in sample.metric.items())
-    assert all(x == ap.pairing(root, v) for (root, v), x in sample.pairing.items())
-    assert all(text == format_point(p) for (p,), text in sample.format.items())
+def record_memos(monkeypatch):
+    """The tables ``lbk.axioms`` makes from now on, each recording every distinct value it
+    returns, hits included, by (arguments, value object), next to the function it wraps."""
+    tables = []
+
+    def recording_cache(fn):
+        memo = cache(fn)
+
+        def recorded(*args):
+            value = memo(*args)
+            recorded.returned.setdefault((args, id(value)), (args, value))
+            return value
+
+        recorded.fn, recorded.returned, recorded.cache_info = fn, {}, memo.cache_info
+        tables.append(recorded)
+        return recorded
+
+    monkeypatch.setattr(lbk.axioms, "cache", recording_cache)
+    return tables
+
+
+def assert_returns_fresh_calls(table, fn):
+    """Each value the table returned, hit or miss, equals a fresh call of fn."""
+    assert all(value == fn(*args) for args, value in list(table.returned.values())), fn
+
+
+def misses(sample):
+    return [memo.cache_info().misses for memo in (sample.move, sample.metric, sample.pairing, sample.format)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_checkers_on_shifted_transitions_match_the_originals(seed):
-    shifted = fails = 0
+def test_checkers_on_shifted_transitions_match_the_originals(seed, monkeypatch):
+    tables = record_memos(monkeypatch)
+    shifted = fails = hits = 0
     entries = Counter()
     for name, atlas in MEMBERS:
+        tables.clear()
         original, moved = moved_sample(atlas, seed)
         shifted += sum(any(not c.is_zero() for c in t.iso.shift) for t in moved.atlas.transitions.values())
         for axiom in CHECKED:
@@ -64,10 +91,16 @@ def test_checkers_on_shifted_transitions_match_the_originals(seed):
             assert len(after.lines) == len(before.lines), (name, axiom)
             assert [outcome(axiom, line) for line in after.lines] == [outcome(axiom, line) for line in before.lines], (name, axiom)
             fails += sum(line.verdict == "fail" for line in after.lines)
-        assert_memos_are_direct_calls(moved)
-        entries.update(move=len(moved.move), metric=len(moved.metric), pairing=len(moved.pairing), format=len(moved.format))
+        for table in tables:
+            assert_returns_fresh_calls(table, table.fn)
+        ap = moved.atlas.apartment
+        references = (lambda iso, p: iso.apply(p), ap.metric, ap.pairing, format_point)
+        for table, reference in zip((moved.move, moved.metric, moved.pairing, moved.format), references):
+            assert_returns_fresh_calls(table, reference)
+        entries.update(dict(zip(("move", "metric", "pairing", "format"), misses(moved))))
+        hits += sum(table.cache_info().hits for table in tables)
     assert shifted > 1000 and fails > 300, (shifted, fails)
-    assert min(entries.values()) > 100, entries
+    assert min(entries.values()) > 100 and hits > 10000, (entries, hits)
 
 
 def record_runs(monkeypatch):
@@ -92,10 +125,6 @@ def record_runs(monkeypatch):
     monkeypatch.setattr(AffineIsometry, "apply", counted_apply)
     monkeypatch.setattr(Apartment, "metric", counted_metric)
     return samples, calls
-
-
-def misses(sample):
-    return [len(sample.move), len(sample.metric), len(sample.pairing), len(sample.format)]
 
 
 @pytest.mark.parametrize("atlas", [lambda_tree(5, 2), fan(4, "B2")], ids=["tree(5,2)", "fan(4,B2)"])

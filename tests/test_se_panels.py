@@ -19,6 +19,7 @@ import pytest
 
 import lbk.apartment
 import lbk.axioms
+from lbk.apartment import format_point
 from lbk.atlas import Atlas, BuildingPoint, BuildingSector, Transition, charts_of, lowest
 from lbk.axioms import AxiomReport, Sample, _sector_label, check_se
 from report_digest import LADDER, members
@@ -57,7 +58,7 @@ def reference_se(sample):
             face_root = w.act_root(ap.roots.simple_root(panel_type))
             wall = ap.transform_half(ap.half(face_root, 1, ap.pairing(face_root, base)), t.iso)
             found = [lowest(reference_meeting(atlas, a, ap.half(wall.root, s, wall.bound)) & fits & held) for s in (1, -1)]
-            config = f"(chart={atlas.name(a)},sector={_sector_label(atlas, bs)})"
+            config = f"(chart={atlas.name(a)},sector={_sector_label(atlas, bs, format_point)})"
             witness = None if None in found else "+".join(atlas.name(c) for c in found)
             report.check(config, witness, "missing-side-apartment")
     if not report.lines:
