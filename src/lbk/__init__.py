@@ -4,7 +4,7 @@ Exact arithmetic throughout: scalars are lexicographic rational tuples, and
 feasibility questions that the halves of a region do not settle go through
 Fourier-Motzkin elimination.  Every pass line names its witness, and a
 feasible answer's witness point re-checks by substitution; fail lines carry
-no certificate yet (ROADMAP item 5).
+no certificate yet (ROADMAP item 6).
 """
 
 from .lexq import LambdaScalar

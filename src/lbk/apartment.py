@@ -8,7 +8,7 @@ is substitution; sector, panel and germ fits are cone-sign tests
 root (:meth:`Apartment.region_half`).  Containment and equality try a
 single-half implication (:meth:`Apartment.implied`) first; what these tests
 leave open, emptiness included, goes to an exact Fourier-Motzkin run.  A
-"no" carries no certificate yet (ROADMAP item 5).
+"no" carries no certificate yet (ROADMAP item 6).
 
 Index conventions: simple roots, reflection generators, coordinates v^i and
 sector-panel types are 1-based, matching the a1/a2 syntax of model files.
@@ -477,13 +477,13 @@ class Apartment:
                 return s
         raise AssertionError("direction cones cover the apartment")
 
-    def sector_with_germ(self, base: Point, germ: SectorGerm) -> Optional[Sector]:
+    def sector_with_germ(self, base: Point, germ: SectorGerm) -> Sector:
         """First sector at base whose region contains the given germ."""
         for w in self.directions():
             s = self.sector(base, w)
             if self.region_contains_germ(self.sector_region(s), germ):
                 return s
-        return None
+        raise AssertionError("the sectors at a base hold every germ")
 
     # -- classification --------------------------------------------------------
 

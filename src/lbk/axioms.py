@@ -533,8 +533,6 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
         # The connecting sector contains y, so its chart must too.
         y_in_carrier = atlas.transport_point(cc, y, carrier)
     pivot = ap.sector_with_germ(y_in_carrier, germ_in_carrier.germ())
-    if pivot is None:
-        return direct_scan("no pivot sector", "no sector at far base containing first germ")
     found = atlas.first_chart_holding(g2, BuildingSector(carrier, pivot))
     if found is None:
         return direct_scan("descent exhausted", "descent exhausted")
@@ -569,8 +567,6 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
             if t_here is None:
                 continue
             pivot = ap.sector_with_germ(t_here.base, s_here.germ())
-            if pivot is None:
-                continue
             delta = ap.germ_distance(t_here.germ(), pivot.germ())
             key = (-delta.length, w.word)
             if best is None or key < best[0]:
@@ -580,7 +576,7 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
         return OppositeResult(INCONCLUSIVE)
     _, t_sector, bprime, pivot, delta = best
     found = atlas.first_chart_holding(BuildingSector(bprime, pivot), BuildingSector(chart_b, t_sector))
-    if found is None:
+    if found is None or found[0] not in held:
         return OppositeResult(INCONCLUSIVE, sector=t_sector, maximal_length=delta.length)
     cochart, (_, t_there) = found
     parallel = ap.sector(held[cochart].base, t_there.direction)

@@ -5,11 +5,13 @@ bounds; the unknowns range over the scalar group itself.  Because that group
 is a densely ordered Q-vector space, Fourier-Motzkin elimination is a
 complete decision procedure: a system is satisfiable iff the eliminated
 system has no contradictory constant row, and a witness can be rebuilt by
-back-substitution.
+back-substitution, which never meets an empty interval: the rows attaining a
+variable's two bounds combine to a row of the next system, which already
+holds (Schrijver, Theory of Linear and Integer Programming, section 12.2).
 
 Witness extraction, per interval shape:
 
-* two-sided interval -> midpoint (or the shared endpoint when degenerate),
+* two-sided interval -> midpoint (the shared endpoint when degenerate),
 * lower bound only   -> bound + 1,
 * upper bound only   -> bound - 1,
 * free               -> 0.
@@ -168,7 +170,7 @@ def _interval_pick(
     lo: Optional[tuple[LambdaScalar, bool]],
     hi: Optional[tuple[LambdaScalar, bool]],
     rank: int,
-) -> Optional[LambdaScalar]:
+) -> LambdaScalar:
     one = LambdaScalar.one(rank)
     if lo is None and hi is None:
         return LambdaScalar.zero(rank)
@@ -176,14 +178,7 @@ def _interval_pick(
         return lo[0] + one
     if lo is None:
         return hi[0] - one
-    (lval, lstrict), (uval, ustrict) = lo, hi
-    if lval > uval:
-        return None
-    if lval == uval:
-        if lstrict or ustrict:
-            return None
-        return lval
-    return (lval + uval) / 2
+    return (lo[0] + hi[0]) / 2
 
 
 def _bounds_for(rows: list[_Row], idx: int, partial: dict[int, LambdaScalar], rank: int):
@@ -222,11 +217,7 @@ def feasible(system: ConstraintSystem, lex_rank: Optional[int] = None) -> Feasib
     partial: dict[int, LambdaScalar] = {}
     for idx, active in reversed(stages):
         lo, hi = _bounds_for(active, idx, partial, lex_rank)
-        value = _interval_pick(lo, hi, lex_rank)
-        if value is None:
-            # Dense order: cannot happen once elimination succeeded.
-            return Feasibility(False, None)
-        partial[idx] = value
+        partial[idx] = _interval_pick(lo, hi, lex_rank)
     witness = tuple(partial[i] for i in range(system.nvars))
     if not system.holds_at(witness):
         raise AssertionError("internal error: witness fails re-substitution")

@@ -143,6 +143,8 @@ def parse_model(text: str) -> Atlas:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        if {"lambda": lam, "roots": roots_spec, "cartan": roots_spec, "charts": chart_count}.get(head) is not None:
+            raise ModelFormatError(f"a second {head!r} line: lambda, roots or cartan, and charts come once", lineno)
         if head == "lambda":
             try:
                 lam = int(rest)
@@ -229,6 +231,8 @@ def parse_model(text: str) -> Atlas:
             j = resolve(pair[1])
             if i == j:
                 raise ModelFormatError("cannot glue a chart to itself")
+            if (i, j) in transitions:
+                raise ModelFormatError(f"charts {pair[0]} and {pair[1]} are glued in this order twice")
             sections = [s.strip() for s in body.split(";")]
             if len(sections) != 3:
                 raise ModelFormatError("glue body reads: <constraints> ; word <gens> ; t <point>")

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
@@ -260,6 +262,34 @@ def test_sector_contains_own_germ():
     for _ in range(20):
         s = ap.sector(rand_point(ap, rng), rng.choice(ap.directions()))
         assert ap.region_contains_germ(ap.sector_region(s), s.germ())
+
+
+@pytest.mark.parametrize("lam", [1, 2])
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+def test_sector_with_germ_finds_a_sector_at_every_base(name, lam):
+    """Every germ (x, w) lies in a sector at every base y: a point z a little
+    way into the germ's open cone lies on no wall through y, so in one open
+    chamber y + w'C.  The halves of that sector tight at x are positive on
+    w(u_1+...+u_n), and a root's coefficients share one sign, so none of them
+    caps a generator of the germ's cone."""
+    ap = make(name, lam)
+    values = [ap.scalar(q) for q in (-1, Q(-1, 2), 0, Q(1, 3), 1)]
+    if lam == 2:
+        values += [LambdaScalar([Q(0), Q(1)]), LambdaScalar([Q(1), Q(-1, 2)])]
+    grid = list(product(values, repeat=ap.rank))
+    bases = [ap.origin(), grid[1], grid[-1]]
+    kinds = Counter()
+    for y in bases:
+        for x in grid:
+            on_wall = any(ap.pairing(r, x) == ap.pairing(r, y) for r in ap.roots.positive_roots)
+            kinds["at" if x == y else "wall" if on_wall else "off"] += 1
+            for w in ap.directions():
+                germ = ap.sector(x, w).germ()
+                s = ap.sector_with_germ(y, germ)
+                assert s.base == y and ap.region_contains_germ(ap.sector_region(s), germ)
+    # In rank 1 the only wall through y is y itself.
+    assert kinds["at"] == len(bases) and kinds["off"] >= len(bases), kinds
+    assert kinds["wall"] >= len(bases) or ap.rank == 1, kinds
 
 
 def test_sectors_parallel():

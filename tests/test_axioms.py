@@ -640,6 +640,21 @@ def test_opposite_germ_at_base_point(tripod):
     assert result.contains_point
 
 
+def test_opposite_germ_without_a_cochart_holding_the_germ():
+    """In fm_fallback the gluing is not closed: the first chart holding the
+    pivot and the chosen sector (c) does not hold the given germ, so no
+    parallel sector at the germ's base can be read there."""
+    atlas = fm_fallback()
+    ap = atlas.apartment
+    germ = BuildingGerm(atlas.index("d"), ap.sector(ap.origin(), ap.roots.simple(1)))
+    chart_b = atlas.index("c")
+    assert atlas.transport_germ(germ, chart_b) is None
+    result = opposite_germ(atlas, germ, chart_b, ap.simple_point(Fraction(4, 3), Fraction(-9, 8)))
+    assert result.verdict == INCONCLUSIVE and result.cochart is None
+    assert result.sector == ap.sector(ap.simple_point(Fraction(4, 3), Fraction(-9, 8)), ap.roots.simple(2))
+    assert result.maximal_length == 3
+
+
 def test_finite_cover_target_chart(tripod):
     ap = tripod.apartment
     germ = ray1_germ(tripod)

@@ -148,6 +148,27 @@ def test_gallery_across_charts(tripod_model, capsys):
     assert out.splitlines() == ["types 1", "delta r1", "length 1"]
 
 
+def test_retract_germ_outside_target_chart(tripod_model, capsys):
+    code, out = run(capsys, "retract", str(tripod_model), "--chart", "23", "--germ", "chart:12 (1)", "chart:12 (0)")
+    assert code == 1
+    assert out == "fail: germ 12:(1):e is not contained in chart 23\n"
+
+
+def test_gallery_germs_in_no_common_chart(tmp_path, capsys):
+    path = tmp_path / "bp.lbm"
+    assert main(["fixture", "broken-pair", "-o", str(path)]) == 0
+    code, out = run(capsys, "gallery", str(path), "chart:1 (-1)", "chart:2 (-1)")
+    assert code == 1
+    assert out == "fail: germs share no chart\n"
+
+
+def test_gallery_germs_at_distinct_bases_exit_two(tripod_model, capsys):
+    assert main(["gallery", str(tripod_model), "chart:12 (1)", "chart:12 (2)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: germ distance needs germs at a common base point\n"
+
+
 @pytest.mark.parametrize("verb", [["fixture", "tree"], ["axioms", "MODEL", "--only", "A1"]])
 def test_unwritable_output_exit_two(tripod_model, tmp_path, capsys, verb):
     target = tmp_path / "missing" / "dir" / "out.txt"
@@ -192,6 +213,42 @@ def test_axioms_cli_agrees_with_library(name, tmp_path, capsys):
         assert suite.reports["A4"].lines[-1].detail == "detail=no-chart-holds-both-subsectors"
     if name == "tree(7,1)-67":  # its sampled A3 passes too: the gate opened and raised a false ALARM
         assert suite.reports["A3"].verdict == PASS
+
+
+ALARM_CASES = {
+    "EC": [
+        "EQUIVALENCE precondition=ok A6=pass,EC=fail,SE=pass,A5=pass",
+        "ALARM exchange-equivalence-broken A6=pass EC=fail SE=pass",
+    ],
+    "A5": [
+        "EQUIVALENCE precondition=ok A6=pass,EC=pass,SE=pass,A5=fail",
+        "ALARM retraction-missing-despite-exchange SE=pass A5=fail",
+    ],
+    "SE,A5": [
+        "EQUIVALENCE precondition=ok A6=pass,EC=pass,SE=fail,A5=fail",
+        "ALARM exchange-equivalence-broken A6=pass EC=pass SE=fail",
+    ],
+    "A6,A5": [
+        "EQUIVALENCE precondition=ok A6=fail,EC=pass,SE=pass,A5=fail",
+        "ALARM exchange-equivalence-broken A6=fail EC=pass SE=pass",
+        "ALARM retraction-missing-despite-exchange SE=pass A5=fail",
+    ],
+}
+
+
+@pytest.mark.parametrize("failing", list(ALARM_CASES))
+def test_alarm_rules_in_library_and_cli(failing, tripod_model, capsys, monkeypatch):
+    """No fixture passes the A1-A4 gate and then fails an exchange
+    condition, so canned failing reports on tree(3,1) drive each ALARM rule."""
+    for name in failing.split(","):
+        canned = lbk.axioms.AxiomReport(name, [lbk.axioms.CheckLine("canned", FAIL, "detail=canned")])
+        monkeypatch.setitem(lbk.axioms._CHECKERS, name, lambda sample, samples, canned=canned: canned)
+    expected = ALARM_CASES[failing]
+    suite = equivalence_suite(fixtures.lambda_tree(3, 1), samples=20)
+    assert suite.rendered()[-len(expected) :] == expected
+    code, out = run(capsys, "axioms", str(tripod_model), "--samples", "20")
+    assert code == 1
+    assert out.splitlines()[-len(expected) :] == expected
 
 
 @pytest.mark.parametrize("only", ["A6,EC,SE", "A5,SE,EC,A6"])

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction as Q
 
 from gridsearch import grid_sat
+from lbk import linarith
 from lbk.lexq import LambdaScalar
 from lbk.linarith import (
     EQ,
@@ -152,3 +153,37 @@ def test_project_interval_is_exact():
                     assert not feasible(_pin(system, index, value + step * sign), lex_rank).sat
                 seen["strict" if strict else "closed"] += 1
     assert min(seen[k] for k in ("empty", "open", "strict", "closed")) >= 20, seen
+
+
+def test_back_substitution_meets_only_nonempty_intervals(monkeypatch):
+    """Once elimination finds no contradictory constant row, every interval
+    back-substitution reads is nonempty: the rows attaining its two bounds
+    combine to a row of the next system, which holds at the values already
+    chosen.  A degenerate interval has both sides non-strict, and its
+    midpoint is the shared endpoint."""
+    seen = Counter()
+    bounds_for = linarith._bounds_for
+
+    def checked(rows, idx, partial, rank):
+        lo, hi = bounds_for(rows, idx, partial, rank)
+        if lo is not None and hi is not None:
+            assert lo[0] <= hi[0], (lo, hi)
+            if lo[0] == hi[0]:
+                assert not lo[1] and not hi[1], (lo, hi)
+                assert linarith._interval_pick(lo, hi, rank) == lo[0]
+                seen["degenerate"] += 1
+            else:
+                seen["open"] += 1
+        return lo, hi
+
+    monkeypatch.setattr(linarith, "_bounds_for", checked)
+    rng, lex_rng = random.Random(202), random.Random(31)
+    systems = [_random_system(rng, rng.choice((1, 1, 2, 2, 3))) for _ in range(150)]
+    systems += [_lex_system(lex_rng, lex_rng.randint(1, 3), lex_rng.choice((1, 2))) for _ in range(250)]
+    for system in systems:
+        verdict = feasible(system)
+        # "no" exactly when elimination meets a contradictory constant row.
+        eliminated = linarith._eliminate_columns(linarith._normalize(system), range(system.nvars - 1, -1, -1))
+        assert verdict.sat == (eliminated is not None), system
+        seen["sat" if verdict.sat else "unsat"] += 1
+    assert min(seen[k] for k in ("degenerate", "open", "sat", "unsat")) >= 20, seen

@@ -4,6 +4,7 @@ import pytest
 
 from lbk.apartment import MAX_LEX_RANK
 from lbk.atlas import Atlas, validate
+from lbk.cli import main
 from lbk.fixtures import fan, lambda_tree, shifted_rays
 from lbk.lexq import LambdaScalar
 from lbk.modelfile import (
@@ -152,6 +153,40 @@ def test_chart_named_twice():
         parse_model("lambda 1\nroots A1\ncharts 2\nname 1 a\nname 2 b\nname 1 c\n")
     assert "line 6" in str(err.value)
     assert parse_model("lambda 1\nroots A1\ncharts 2\nname 1 a\nname 2 b\n").chart_names == ["a", "b"]
+
+
+GLUE_0 = "glue 1 2 : ge a1 0 ; word ; t (0)\n"
+GLUE_1 = "glue 1 2 : ge a1 1 ; word ; t (0)\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("lambda 1\nroots A1\ncharts 2\nlambda 2\n", 4),
+        ("lambda 1\nroots A1\nroots A2\ncharts 1\n", 3),
+        ("lambda 1\nroots A1\ncartan [[2]]\ncharts 1\n", 3),
+        ("lambda 1\ncartan [[2]]\nroots A1\ncharts 1\n", 3),
+        ("lambda 1\nroots A1\ncharts 2\ncharts 3\n", 4),
+        ("lambda 1\nroots A1\ncharts 2\n" + GLUE_0 + GLUE_1, 5),
+        ("lambda 1\nroots A1\ncharts 2\nname 1 a\nname 2 b\nglue a b : ; word ; t (0)\n" + GLUE_1, 7),
+    ],
+    ids=["lambda", "roots", "roots-cartan", "cartan-roots", "charts", "glue", "glue-by-label-and-index"],
+)
+def test_a_repeated_directive_is_malformed(text, line, tmp_path, capsys):
+    """A second lambda, root system or charts line, or a second glue line for
+    one ordered pair, would silently override the first."""
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(text)
+    assert f"line {line}:" in str(err.value)
+    path = tmp_path / "model.lbm"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_glue_and_its_explicit_reverse_parse():
+    atlas = parse_model("lambda 1\nroots A1\ncharts 2\n" + GLUE_0 + "glue 2 1 : ge a1 0 ; word ; t (0)\n")
+    assert sorted(atlas.transitions) == [(0, 1), (1, 0)]
 
 
 def test_parse_errors_carry_line_numbers():
