@@ -116,17 +116,18 @@ class Atlas:
         for (i, j) in self.transitions:
             if not (0 <= i < m and 0 <= j < m) or i == j:
                 raise ValueError(f"bad transition pair ({i}, {j})")
-        # The overlap index, built once, read-only: per chart, each distinct overlap region (by
-        # halves tuple, so no elimination runs) with the mask of the charts meeting it there.
-        self.overlap_classes: list[dict[ConvexRegion, int]] = [{} for _ in range(m)]
-        for (i, j), t in sorted(self.transitions.items()):
-            self.overlap_classes[i][t.region] = self.overlap_classes[i].get(t.region, 0) | 1 << j
-        # Per chart, each overlap class's half-apartment (None when it is none), one region_half per
-        # class, and the half index: each such half with the mask of the charts meeting chart i in it.
-        self.class_halves = [{r: apartment.region_half(r) for r in classes} for classes in self.overlap_classes]
+        # The overlap index, built once, read-only: each distinct overlap region (by halves tuple, so no
+        # elimination runs) is one int class id, in transition order, with its region and half (or None);
+        # per chart, overlap_classes[i] and the half index _meeting[i] map each id and half to a chart mask.
+        ids: dict[ConvexRegion, int] = {}
+        self.class_of = {pair: ids.setdefault(t.region, len(ids)) for pair, t in sorted(self.transitions.items())}
+        self.regions = list(ids)
+        self.halves = [apartment.region_half(r) for r in self.regions]
+        self.overlap_classes: list[dict[int, int]] = [{} for _ in range(m)]
         self._meeting: list[dict[HalfApartment, int]] = [{} for _ in range(m)]
-        for (i, j), t in sorted(self.transitions.items()):
-            if (h := self.class_halves[i][t.region]) is not None:
+        for (i, j), c in self.class_of.items():
+            self.overlap_classes[i][c] = self.overlap_classes[i].get(c, 0) | 1 << j
+            if (h := self.halves[c]) is not None:
                 self._meeting[i][h] = self._meeting[i].get(h, 0) | 1 << j
         self._fitting: dict[tuple[int, WeylElement, int], int] = {}
 
@@ -164,12 +165,12 @@ class Atlas:
 
     def overlap_half(self, i: int, j: int) -> Optional[HalfApartment]:
         """The overlap of charts i and j as one half-apartment of chart i, or None."""
-        t = self.transition(i, j)
-        return None if t is None else self.class_halves[i][t.region]
+        c = self.class_of.get((i, j))
+        return None if c is None else self.halves[c]
 
     def reach(self, i: int, fits: Callable[[ConvexRegion], bool]) -> int:
         """The charts glued to chart i along the overlap classes ``fits`` accepts: a sum of disjoint masks."""
-        return sum(js for region, js in self.overlap_classes[i].items() if fits(region))
+        return sum(js for c, js in self.overlap_classes[i].items() if fits(self.regions[c]))
 
     def glued(self, i: int) -> int:
         """The mask of the charts with a transition from chart i."""

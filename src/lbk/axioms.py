@@ -255,19 +255,22 @@ def check_a4(sample: Sample, samples: int = 200) -> AxiomReport:
 
 
 def check_a6(atlas: Atlas) -> AxiomReport:
-    """Triples of pairwise half-apartment overlaps must meet; each distinct witness is formatted once."""
+    """Triples of pairwise half-apartment overlaps must meet; each distinct overlap class pair is decided once."""
     report = AxiomReport("A6")
-    ap = atlas.apartment
-    fmt = cache(format_point)
+    ap, class_of = atlas.apartment, atlas.class_of
+
+    @cache
+    def witness(a: int, b: int) -> Optional[str]:
+        probe = ap.region_feasible(ap.intersect(atlas.regions[a], atlas.regions[b]))
+        return format_point(probe.witness) if probe.sat else None
+
     for i in atlas.charts():
         half_glued = [j for j in charts_of(atlas.glued(i)) if j > i and atlas.overlap_half(i, j) is not None]
         for j, k in combinations(half_glued, 2):
             if atlas.overlap_half(j, k) is None:
                 continue
             config = f"({atlas.name(i)},{atlas.name(j)},{atlas.name(k)})"
-            triple = ap.intersect(atlas.overlap_region(i, j), atlas.overlap_region(i, k))
-            probe = ap.region_feasible(triple)
-            report.check(config, fmt(probe.witness) if probe.sat else None, "triple-intersection-empty")
+            report.check(config, witness(class_of[(i, j)], class_of[(i, k)]), "triple-intersection-empty")
     if not report.lines:
         report.add("(no-triples)", PASS, "detail=vacuous")
     return report
@@ -338,14 +341,14 @@ def check_se(sample: Sample) -> AxiomReport:
     A sector lies in a chart exactly when its base does and the overlap caps
     no generator of its cone, so the charts holding each base are read from
     the sample and every direction is then decided by the cone test alone.
-    :func:`_capped_panel` is decided once per (direction, overlap region); a base
+    :func:`_capped_panel` is decided once per (direction, overlap class id); a base
     tests its capping halves for tightness (:func:`_panel_of_sector`) and reads the wall
     in chart a at its located copy there, as the pairing is W-invariant.
     """
     report = AxiomReport("SE")
     atlas = sample.atlas
     ap = atlas.apartment
-    capped_panel = cache(partial(_capped_panel, ap))
+    capped_panel = cache(lambda w, c: _capped_panel(ap, w, atlas.regions[c]))
     for bs in sample.sectors:
         chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
         located = sample.located(BuildingPoint(chart, base))
@@ -354,7 +357,7 @@ def check_se(sample: Sample) -> AxiomReport:
         label = None
         for a in charts_of(held & ~(1 << chart)):
             t = atlas.transition(chart, a)
-            panel = capped_panel(w, t.region)
+            panel = capped_panel(w, atlas.class_of[(chart, a)])
             if _panel_of_sector(panel, base, sample.pairing) is None:
                 continue
             r = t.iso.linear.act_root(panel[1])
@@ -505,6 +508,9 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
             stages.append(exhausted)
             return CoapartmentResult(None, INCONCLUSIVE, initial_len, None, stages)
         chart, (s1, s2) = found
+        if same_base and s1.base != s2.base:  # one point to points_equal, two in this chart: a gluing not closed
+            stages.append(f"bases differ in chart={atlas.name(chart)}")
+            return CoapartmentResult(None, INCONCLUSIVE, initial_len, None, stages)
         if fallback is None:
             stages.append(f"direct-scan chart={atlas.name(chart)}")
         else:

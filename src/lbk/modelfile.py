@@ -27,6 +27,7 @@ from __future__ import annotations
 import ast
 import re
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .apartment import MAX_LEX_RANK, AffineIsometry, Apartment, HalfApartment, Point, format_point
@@ -221,6 +222,7 @@ def parse_model(text: str) -> Atlas:
         return idx - 1
 
     transitions: dict[tuple[int, int], Transition] = {}
+    parsed: dict[str, Transition] = {}
     for lineno, rest in glue_lines:
         try:
             head, _, body = rest.partition(":")
@@ -233,39 +235,40 @@ def parse_model(text: str) -> Atlas:
                 raise ModelFormatError("cannot glue a chart to itself")
             if (i, j) in transitions:
                 raise ModelFormatError(f"charts {pair[0]} and {pair[1]} are glued in this order twice")
-            sections = [s.strip() for s in body.split(";")]
-            if len(sections) != 3:
-                raise ModelFormatError("glue body reads: <constraints> ; word <gens> ; t <point>")
-            constraint_text, word_text, shift_text = sections
-            halves: list[HalfApartment] = []
-            if constraint_text:
-                for chunk in constraint_text.split(","):
-                    fields = chunk.split()
-                    if len(fields) != 3 or fields[0] not in ("ge", "le", "eq"):
-                        raise ModelFormatError(f"bad constraint {chunk.strip()!r}")
-                    root = parse_root_expr(fields[1], ap)
-                    bound = parse_scalar(fields[2], lam)
-                    if fields[0] in ("ge", "eq"):
-                        halves.append(ap.half(root, 1, bound))
-                    if fields[0] in ("le", "eq"):
-                        halves.append(ap.half(root, -1, bound))
-            if not word_text.startswith("word"):
-                raise ModelFormatError("expected 'word ...' section")
-            word = word_text[4:].split()
-            try:
-                linear = rs.from_word([int(w) for w in word])
-            except ValueError as exc:
-                raise ModelFormatError(f"bad word: {exc}")
-            if not shift_text.startswith("t"):
-                raise ModelFormatError("expected 't <point>' section")
-            shift = parse_point(shift_text[1:].strip(), ap)
-            transitions[(i, j)] = Transition(ap.region(halves), AffineIsometry(linear, shift))
+            if body not in parsed:  # each distinct body text is parsed once
+                sections = [s.strip() for s in body.split(";")]
+                if len(sections) != 3:
+                    raise ModelFormatError("glue body reads: <constraints> ; word <gens> ; t <point>")
+                constraint_text, word_text, shift_text = sections
+                halves: list[HalfApartment] = []
+                if constraint_text:
+                    for chunk in constraint_text.split(","):
+                        fields = chunk.split()
+                        if len(fields) != 3 or fields[0] not in ("ge", "le", "eq"):
+                            raise ModelFormatError(f"bad constraint {chunk.strip()!r}")
+                        root = parse_root_expr(fields[1], ap)
+                        bound = parse_scalar(fields[2], lam)
+                        if fields[0] in ("ge", "eq"):
+                            halves.append(ap.half(root, 1, bound))
+                        if fields[0] in ("le", "eq"):
+                            halves.append(ap.half(root, -1, bound))
+                if not word_text.startswith("word"):
+                    raise ModelFormatError("expected 'word ...' section")
+                word = word_text[4:].split()
+                try:
+                    linear = rs.from_word([int(w) for w in word])
+                except ValueError as exc:
+                    raise ModelFormatError(f"bad word: {exc}")
+                if not shift_text.startswith("t"):
+                    raise ModelFormatError("expected 't <point>' section")
+                shift = parse_point(shift_text[1:].strip(), ap)
+                parsed[body] = Transition(ap.region(halves), AffineIsometry(linear, shift))
+            transitions[(i, j)] = parsed[body]
         except ModelFormatError as exc:  # every error of a glue line names it
             raise ModelFormatError(str(exc), lineno) from None
 
-    for (i, j), t in list(transitions.items()):
-        if (j, i) not in transitions:
-            transitions[(j, i)] = t.reverse(ap)
+    reverse = cache(lambda t: t.reverse(ap))  # one reverse per distinct value
+    transitions |= {(j, i): reverse(t) for (i, j), t in transitions.items() if (j, i) not in transitions}
 
     label = roots_spec if isinstance(roots_spec, str) else "cartan"
     return Atlas(ap, chart_names, transitions, label=f"model {label} lambda={lam}")

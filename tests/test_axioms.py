@@ -655,6 +655,23 @@ def test_opposite_germ_without_a_cochart_holding_the_germ():
     assert result.maximal_length == 3
 
 
+def test_coapartment_on_a_gluing_that_is_not_closed():
+    """In fm_fallback, e's (0,4) and d's (0,3) are one point to points_equal,
+    but b, the first chart holding both germs, holds them at (0,4) and (0,3):
+    no gallery length can be read there, so the search is inconclusive."""
+    atlas = fm_fallback()
+    ap = atlas.apartment
+    w = ap.roots.from_word([1, 2])
+    g1 = BuildingGerm(atlas.index("e"), ap.sector(ap.simple_point(0, 4), w))
+    g2 = BuildingGerm(atlas.index("d"), ap.sector(ap.simple_point(0, 3), w))
+    assert atlas.points_equal(BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base))
+    _, (s1, s2) = atlas.first_chart_holding(g1, g2)
+    assert s1.base != s2.base
+    result = germ_coapartment(atlas, g1, g2)
+    assert result.verdict == INCONCLUSIVE and result.chart is None and result.final_length is None
+    assert result.stages == ["bases differ in chart=b"]
+
+
 def test_finite_cover_target_chart(tripod):
     ap = tripod.apartment
     germ = ray1_germ(tripod)

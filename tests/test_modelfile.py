@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from lbk.apartment import MAX_LEX_RANK
-from lbk.atlas import Atlas, validate
+from lbk.atlas import Atlas, Transition, validate
 from lbk.cli import main
 from lbk.fixtures import fan, lambda_tree, shifted_rays
 from lbk.lexq import LambdaScalar
@@ -187,6 +187,35 @@ def test_a_repeated_directive_is_malformed(text, line, tmp_path, capsys):
 def test_glue_and_its_explicit_reverse_parse():
     atlas = parse_model("lambda 1\nroots A1\ncharts 2\n" + GLUE_0 + "glue 2 1 : ge a1 0 ; word ; t (0)\n")
     assert sorted(atlas.transitions) == [(0, 1), (1, 0)]
+
+
+def test_a_malformed_body_on_two_glue_lines_names_the_first():
+    """Each distinct glue body is parsed once, so the error of a body repeated
+    on two glue lines is found, and named, at the first of them."""
+    bad = "ge a1 0 ; word 9 ; t (0)"
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(f"lambda 1\nroots A1\ncharts 3\nglue 1 2 : {bad}\nglue 1 3 : {bad}\n")
+    assert str(err.value).startswith("line 4: bad word")
+    with pytest.raises(ModelFormatError) as err:  # the pair is checked before the body, line by line
+        parse_model(f"lambda 1\nroots A1\ncharts 3\nglue 1 1 : {bad}\nglue 1 3 : {bad}\n")
+    assert str(err.value) == "line 4: cannot glue a chart to itself"
+
+
+def test_parse_model_derives_one_reverse_per_distinct_value(monkeypatch):
+    """tree(8,1)'s model file has 168 glue lines, spells out none of their
+    reverses, and has three distinct glue bodies."""
+    text = serialize_model(lambda_tree(8, 1))
+    calls = []
+    reverse = Transition.reverse
+
+    def counted(self, ap):
+        calls.append(self)
+        return reverse(self, ap)
+
+    monkeypatch.setattr(Transition, "reverse", counted)
+    again = parse_model(text)
+    assert len(calls) == len(set(calls)) == 3
+    assert len(again.transitions) == 336
 
 
 def test_parse_errors_carry_line_numbers():

@@ -1,6 +1,9 @@
 """The overlap index of an atlas agrees with the chart-by-chart scans it replaces.
 
-``Atlas.overlap_classes`` groups each chart's overlaps by region, with the
+The atlas numbers each distinct overlap region once: ``Atlas.regions[c]`` is
+the region of class id c, ``Atlas.halves[c]`` its half-apartment or None, and
+``Atlas.class_of[(i, j)]`` the class of transition (i, j).
+``Atlas.overlap_classes`` groups each chart's overlaps by class id, with the
 mask of the charts meeting it there (bit c for chart c), and
 ``Atlas.reach`` reads them with one test per group: ``locate_point`` tests
 each distinct region once, ``charts_meeting`` reads the charts meeting a
@@ -8,7 +11,7 @@ chart in a given half off the groups, and the fit table ``Atlas.fitting``
 decides each (chart, direction, face) fit once.  The references below are the
 per-chart loops they replaced, run over the 40 digest members and
 ``fm_fallback``, whose overlaps include a quadrant, a wall and an empty
-region.  A6 then asks Fourier-Motzkin once per distinct pair of overlaps.
+region.  A6 then decides each distinct pair of overlap classes once.
 """
 import random
 from collections import Counter
@@ -46,7 +49,8 @@ def wall_points(atlas, i):
     """Points of chart i on each wall of its overlaps, and a witness inside each overlap."""
     ap = atlas.apartment
     out = []
-    for region in atlas.overlap_classes[i]:
+    for c in atlas.overlap_classes[i]:
+        region = atlas.regions[c]
         probe = ap.region_feasible(region)
         if probe.sat:
             out.append(probe.witness)
@@ -70,10 +74,27 @@ def test_index_groups_every_transition_once(name):
         classes = atlas.overlap_classes[i]
         listed = [j for js in classes.values() for j in charts_of(js)]
         assert sorted(listed) == [j for j in atlas.charts() if atlas.transition(i, j) is not None]
-        for region, js in classes.items():
+        for c, js in classes.items():
             assert type(js) is int and charts_of(js) == sorted(charts_of(js))
-            assert all(atlas.overlap_region(i, j) == region for j in charts_of(js))
-        assert len(set(classes)) == len(classes)
+            assert all(atlas.overlap_region(i, j) == atlas.regions[c] for j in charts_of(js))
+
+
+@pytest.mark.parametrize("name", sorted(ATLASES))
+def test_overlap_classes_number_each_distinct_region_once(name):
+    """The class ids number the distinct overlap regions of the whole atlas:
+    distinct regions, each transition's own, each halved once, and per chart
+    disjoint class masks whose union is the charts glued to it."""
+    atlas = ATLASES[name]
+    ap = atlas.apartment
+    assert len(set(atlas.regions)) == len(atlas.regions)
+    assert atlas.class_of.keys() == atlas.transitions.keys()
+    assert all(atlas.regions[c] == atlas.transitions[pair].region for pair, c in atlas.class_of.items())
+    assert sorted(set(atlas.class_of.values())) == list(range(len(atlas.regions)))
+    assert atlas.halves == [ap.region_half(r) for r in atlas.regions]
+    for i in atlas.charts():
+        masks = list(atlas.overlap_classes[i].values())
+        assert sum(masks) == atlas.glued(i)
+        assert all(not a & b for a, b in combinations(masks, 2))
 
 
 @pytest.mark.parametrize("name", sorted(ATLASES))
@@ -102,7 +123,7 @@ def test_probes_reach_overlaps_that_are_not_halves_and_points_in_many_charts():
     """fm_fallback has overlaps that are no single half, which charts_meeting
     must leave out, and the probe points of a tree lie in several charts."""
     atlas = ATLASES["fm_fallback"]
-    assert any(atlas.apartment.region_half(r) is None for i in atlas.charts() for r in atlas.overlap_classes[i])
+    assert any(atlas.halves[c] is None for i in atlas.charts() for c in atlas.overlap_classes[i])
     tree = ATLASES["tree(6,1)"]
     assert any(len(tree.locate_point(bp)) > 2 for bp in probe_points(tree))
 
@@ -124,9 +145,9 @@ def test_charts_meeting_merges_regions_that_are_one_half():
     "build", [lambda: fixtures.lambda_tree(8, 1), lambda: fixtures.fan(5, "B2", 1)], ids=["tree(8,1)", "fan(5,B2)"]
 )
 def test_charts_meeting_reads_each_overlap_class_half_once(build, monkeypatch):
-    """Building the atlas halves each overlap class of every chart exactly once,
-    into the tables that charts_meeting and overlap_half read; A6, EC and SE
-    then read those tables and call region_half no more."""
+    """Building the atlas halves each distinct overlap region of the atlas
+    exactly once, into the tables that charts_meeting and overlap_half read;
+    A6, EC and SE then read those tables and call region_half no more."""
     halved, asked = Counter(), Counter()
     region_half = Apartment.region_half
 
@@ -143,8 +164,8 @@ def test_charts_meeting_reads_each_overlap_class_half_once(build, monkeypatch):
 
     monkeypatch.setattr(Apartment, "region_half", counted_half)
     atlas = build()
-    assert halved == Counter(region for classes in atlas.overlap_classes for region in classes)
-    assert [list(halves) for halves in atlas.class_halves] == [list(classes) for classes in atlas.overlap_classes]
+    assert halved == Counter(atlas.regions)
+    assert len(atlas.halves) == len(atlas.regions)
     halved.clear()
     monkeypatch.setattr(Atlas, "charts_meeting", reading(Atlas.charts_meeting))
     monkeypatch.setattr(Atlas, "overlap_half", reading(Atlas.overlap_half))
@@ -256,6 +277,33 @@ def test_a6_solves_each_distinct_overlap_pair_once(build, monkeypatch):
     assert report.verdict == "pass"
     assert len(distinct) < len(report.lines)
     assert len(calls) <= len(distinct)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: fixtures.lambda_tree(8, 1), lambda: fixtures.fan(5, "B2", 1)], ids=["tree(8,1)", "fan(5,B2)"]
+)
+def test_a6_intersects_each_distinct_class_pair_once(build, monkeypatch):
+    """Triple (i, j, k) reads only the classes of (i, j) and (i, k), so A6
+    intersects the regions of each distinct class pair once, fewer times than
+    it writes lines."""
+    atlas = build()
+    calls = []
+    intersect = Apartment.intersect
+
+    def counted(self, *regions):
+        calls.append(regions)
+        return intersect(self, *regions)
+
+    monkeypatch.setattr(Apartment, "intersect", counted)
+    report = check_a6(atlas)
+    triples = [
+        t for t in combinations(atlas.charts(), 3)
+        if all(atlas.overlap_half(a, b) is not None for a, b in combinations(t, 2))
+    ]
+    pairs = {(atlas.class_of[(i, j)], atlas.class_of[(i, k)]) for i, j, k in triples}
+    assert len(report.lines) == len(triples) and report.verdict == "pass"
+    assert len(calls) == len(pairs) < len(report.lines)
+    assert Counter(calls) == Counter((atlas.regions[a], atlas.regions[b]) for a, b in pairs)
 
 
 def test_cached_answer_is_the_fresh_solve():
