@@ -9,7 +9,6 @@ no certificate yet (ROADMAP item 6).
 
 from .lexq import LambdaScalar
 from .linarith import (
-    EQ,
     GE,
     GT,
     ConstraintSystem,
@@ -86,7 +85,6 @@ __all__ = [
     "LambdaScalar",
     "GE",
     "GT",
-    "EQ",
     "LinearConstraint",
     "ConstraintSystem",
     "Feasibility",

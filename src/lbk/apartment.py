@@ -22,7 +22,6 @@ from typing import Iterable, Optional, Sequence
 
 from .lexq import LambdaScalar
 from .linarith import (
-    EQ,
     GE,
     GT,
     ConstraintSystem,
@@ -296,9 +295,6 @@ class Apartment:
         times the half's bound reaches c's bound, or when c's row is zero and
         c holds everywhere.  A sufficient test only: False decides nothing.
         """
-        if c.relation == EQ:
-            return False
-
         def reaches(value: LambdaScalar) -> bool:
             return value > c.bound if c.relation == GT else value >= c.bound
 
@@ -316,9 +312,9 @@ class Apartment:
     def region_satisfies(self, region: ConvexRegion, c: LinearConstraint) -> bool:
         """Does every point of the region satisfy c?  :meth:`implied` first,
         then FM looks for a region point that violates c."""
-        return self.implied(region, c) or not any(
-            feasible(self.region_system(region, (neg,)), self.lex_rank).sat for neg in c.negations()
-        )
+        return self.implied(region, c) or not feasible(
+            self.region_system(region, (c.negation(),)), self.lex_rank
+        ).sat
 
     def region_contains(self, outer: ConvexRegion, inner: ConvexRegion) -> bool:
         """inner is a subset of outer: no point of inner violates a half of outer."""

@@ -667,10 +667,9 @@ def _uncovered_point(ap: Apartment, regions: list[ConvexRegion], budget: int):
         if idx == len(regions):
             return probe.witness
         for h in regions[idx].halves:
-            for neg in ap.half_constraint(h).negations():
-                result = descend(idx + 1, rows + (neg,))
-                if result is not None:
-                    return result
+            result = descend(idx + 1, rows + (ap.half_constraint(h).negation(),))
+            if result is not None:
+                return result
         return None
 
     return descend(0, ())

@@ -26,14 +26,13 @@ from .lexq import LambdaScalar
 
 GE = ">="
 GT = ">"
-EQ = "="
 
-_RELATIONS = (GE, GT, EQ)
+_RELATIONS = (GE, GT)
 
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """sum_j coeffs[j] * x_j  <relation>  bound."""
+    """sum_j coeffs[j] * x_j  >= or >  bound (an equality is two >= rows)."""
 
     coeffs: tuple[Fraction, ...]
     relation: str
@@ -53,21 +52,14 @@ class LinearConstraint:
         total = LambdaScalar.lincomb(self.coeffs, point)
         if self.relation == GE:
             return total >= self.bound
-        if self.relation == GT:
-            return total > self.bound
-        return total == self.bound
+        return total > self.bound
 
-    def negations(self) -> tuple["LinearConstraint", ...]:
-        """Constraints whose disjunction is the complement of this one."""
+    def negation(self) -> "LinearConstraint":
+        """The complement of this constraint: >= and > swap, row and bound negated."""
         neg = tuple(-c for c in self.coeffs)
         if self.relation == GE:
-            return (LinearConstraint(neg, GT, -self.bound),)
-        if self.relation == GT:
-            return (LinearConstraint(neg, GE, -self.bound),)
-        return (
-            LinearConstraint(self.coeffs, GT, self.bound),
-            LinearConstraint(neg, GT, -self.bound),
-        )
+            return LinearConstraint(neg, GT, -self.bound)
+        return LinearConstraint(neg, GE, -self.bound)
 
 
 @dataclass(frozen=True)
@@ -96,16 +88,7 @@ _Row = tuple[tuple[Fraction, ...], bool, LambdaScalar]
 
 
 def _normalize(system: ConstraintSystem) -> list[_Row]:
-    rows: list[_Row] = []
-    for c in system.constraints:
-        if c.relation == GE:
-            rows.append((c.coeffs, False, c.bound))
-        elif c.relation == GT:
-            rows.append((c.coeffs, True, c.bound))
-        else:
-            rows.append((c.coeffs, False, c.bound))
-            rows.append((tuple(-a for a in c.coeffs), False, -c.bound))
-    return rows
+    return [(c.coeffs, c.relation == GT, c.bound) for c in system.constraints]
 
 
 def _constant_row_ok(row: _Row) -> bool:

@@ -209,10 +209,11 @@ def parse_model(text: str) -> Atlas:
     chart_names = [names[i][0] if i in names else str(i + 1) for i in range(chart_count)]
     if len(set(chart_names)) != chart_count:
         raise ModelFormatError("chart labels must be unique")
+    index_of = {name: i for i, name in enumerate(chart_names)}
 
     def resolve(token: str) -> int:
-        if token in chart_names:
-            return chart_names.index(token)
+        if token in index_of:
+            return index_of[token]
         try:
             idx = int(token)
         except ValueError:
@@ -297,6 +298,11 @@ def serialize_model(atlas: Atlas) -> str:
             f" ; t {format_point(t.iso.shift)}"
         )
 
+    @cache  # is back the reverse parse_model derives from t?  Once per distinct value pair.
+    def derived_back(t: Transition, back: Transition) -> bool:
+        derived = t.reverse(ap)
+        return back.iso == derived.iso and ap.region_equal(back.region, derived.region)
+
     emitted = set()
     for (i, j) in sorted(atlas.transitions):
         if (j, i) in emitted:
@@ -305,12 +311,9 @@ def serialize_model(atlas: Atlas) -> str:
         lines.append(glue_line(i, j, t))
         emitted.add((i, j))
         back = atlas.transitions.get((j, i))
-        if back is not None:
-            derived = t.reverse(ap)
-            same = back.iso == derived.iso and ap.region_equal(back.region, derived.region)
-            if not same:
-                lines.append(glue_line(j, i, back))
-                emitted.add((j, i))
+        if back is not None and not derived_back(t, back):
+            lines.append(glue_line(j, i, back))
+            emitted.add((j, i))
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from lbk.lexq import LambdaScalar
-from lbk.linarith import EQ, GE, GT, ConstraintSystem
+from lbk.linarith import GE, GT, ConstraintSystem
 
 GRID_RADIUS = 50
 GRID_SCALE = 6
@@ -53,9 +53,7 @@ def grid_sat(system: ConstraintSystem):
 def _const_holds(rel: str, lhs: int, rhs: int) -> bool:
     if rel == GE:
         return lhs >= rhs
-    if rel == GT:
-        return lhs > rhs
-    return lhs == rhs
+    return lhs > rhs
 
 
 def _scan(rows, n: int, prefix: list[int]):
@@ -70,7 +68,6 @@ def _scan(rows, n: int, prefix: list[int]):
 
 def _last_coordinate(rows, n: int, prefix: list[int]):
     lo, hi = -GRID_RADIUS, GRID_RADIUS
-    pinned: list[int] = []
     for coeffs, rel, bound in rows:
         partial = sum(c * v for c, v in zip(coeffs[:-1], prefix))
         c = coeffs[n - 1]
@@ -78,11 +75,6 @@ def _last_coordinate(rows, n: int, prefix: list[int]):
         if c == 0:
             if not _const_holds(rel, partial, bound):
                 return None
-            continue
-        if rel == EQ:
-            if rest % c != 0:
-                return None
-            pinned.append(rest // c)
             continue
         strict = rel == GT
         exact = rest % c == 0
@@ -97,13 +89,6 @@ def _last_coordinate(rows, n: int, prefix: list[int]):
             if strict and exact:
                 edge -= 1
             hi = min(hi, edge)
-    if pinned:
-        if any(p != pinned[0] for p in pinned):
-            return None
-        value = pinned[0]
-        if lo <= value <= hi:
-            return prefix + [value]
-        return None
     if lo > hi:
         return None
     return prefix + [lo]

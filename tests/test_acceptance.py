@@ -33,7 +33,7 @@ from lbk.atlas import BuildingSector
 from lbk.fixtures import broken_pair, fan, lambda_tree, shifted_rays, single_apartment
 from lbk.infinity import infinity_complex
 from lbk.lexq import LambdaScalar
-from lbk.linarith import EQ, GE, GT, ConstraintSystem, LinearConstraint, feasible
+from lbk.linarith import GE, GT, ConstraintSystem, LinearConstraint, feasible
 from lbk.rootsystem import build_root_system
 
 
@@ -106,8 +106,13 @@ def test_criterion_2_elimination_oracle():
         for _ in range(rng.randint(0, 4)):
             den = rng.choice((1, 1, 2))
             coeffs = tuple(Q(rng.randint(-3 * den, 3 * den), den) for _ in range(nvars))
-            rel = rng.choice((GE, GE, GE, GE, GT, EQ))
-            rows.append(LinearConstraint(coeffs, rel, LambdaScalar.rational(rng.randint(-5, 5))))
+            rel = rng.choice((GE, GE, GE, GE, GT, None))  # None: an equality, as two rows
+            bound = LambdaScalar.rational(rng.randint(-5, 5))
+            if rel is None:
+                rows.append(LinearConstraint(coeffs, GE, bound))
+                rows.append(LinearConstraint(tuple(-c for c in coeffs), GE, -bound))
+            else:
+                rows.append(LinearConstraint(coeffs, rel, bound))
         system = ConstraintSystem(nvars, tuple(rows))
         verdict = feasible(system)
         hit = grid_sat(system)

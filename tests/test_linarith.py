@@ -2,11 +2,12 @@ import random
 from collections import Counter
 from fractions import Fraction as Q
 
+import pytest
+
 from gridsearch import grid_sat
 from lbk import linarith
 from lbk.lexq import LambdaScalar
 from lbk.linarith import (
-    EQ,
     GE,
     GT,
     ConstraintSystem,
@@ -22,6 +23,16 @@ def scalar(q, rank=1):
 
 def sys1(*rows):
     return ConstraintSystem(1, tuple(LinearConstraint((Q(c),), rel, scalar(b)) for c, rel, b in rows))
+
+
+def equal_rows(coeffs, bound):
+    """The equality coeffs . x = bound as its two rows, >= and <=."""
+    return (LinearConstraint(coeffs, GE, bound), LinearConstraint(tuple(-c for c in coeffs), GE, -bound))
+
+
+def test_an_equality_relation_is_rejected():
+    with pytest.raises(ValueError, match="unknown relation"):
+        LinearConstraint((Q(1),), "=", scalar(2))
 
 
 def test_constraint_coefficients_are_a_fraction_tuple():
@@ -70,10 +81,10 @@ def test_strict_touching_bounds_unsat():
 
 
 def test_equality_relation():
-    system = sys1((1, EQ, 2))
+    system = sys1((1, GE, 2), (-1, GE, -2))
     result = feasible(system)
     assert result.sat and result.witness == (scalar(2),)
-    assert not feasible(sys1((1, EQ, 2), (1, GE, 3))).sat
+    assert not feasible(sys1((1, GE, 2), (-1, GE, -2), (1, GE, 3))).sat
 
 
 def test_witness_modes():
@@ -88,9 +99,9 @@ def _random_system(rng, nvars, lex_rank=1):
     for _ in range(rng.randint(0, 4)):
         den = rng.choice((1, 2))
         coeffs = tuple(Q(rng.randint(-3 * den, 3 * den), den) for _ in range(nvars))
-        rel = rng.choice((GE, GE, GE, GT, EQ))
+        rel = rng.choice((GE, GE, GE, GT, None))  # None: an equality
         bound = LambdaScalar.rational(rng.randint(-5, 5), lex_rank)
-        rows.append(LinearConstraint(coeffs, rel, bound))
+        rows.extend(equal_rows(coeffs, bound) if rel is None else (LinearConstraint(coeffs, rel, bound),))
     return ConstraintSystem(nvars, tuple(rows))
 
 
@@ -112,16 +123,16 @@ def _lex_system(rng, nvars, lex_rank):
     rows = []
     for _ in range(rng.randint(1, 4)):
         coeffs = tuple(Q(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(nvars))
-        rel = rng.choice((GE, GE, GT, EQ))
+        rel = rng.choice((GE, GE, GT, None))  # None: an equality
         bound = LambdaScalar([Q(rng.randint(-4, 4))] + [Q(rng.randint(-2, 2)) for _ in range(lex_rank - 1)])
-        rows.append(LinearConstraint(coeffs, rel, bound))
+        rows.extend(equal_rows(coeffs, bound) if rel is None else (LinearConstraint(coeffs, rel, bound),))
     return ConstraintSystem(nvars, tuple(rows))
 
 
 def _pin(system, index, value):
     """The system plus x_index = value."""
     row = tuple(Q(int(j == index)) for j in range(system.nvars))
-    return ConstraintSystem(system.nvars, system.constraints + (LinearConstraint(row, EQ, value),))
+    return ConstraintSystem(system.nvars, system.constraints + equal_rows(row, value))
 
 
 def test_project_interval_is_exact():

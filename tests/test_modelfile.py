@@ -218,6 +218,26 @@ def test_parse_model_derives_one_reverse_per_distinct_value(monkeypatch):
     assert len(again.transitions) == 336
 
 
+def test_serialize_model_derives_one_reverse_per_distinct_pair(monkeypatch):
+    """tree(8,1) has 168 glue pairs, each written as one line, and at most
+    three distinct (transition, reverse) value pairs: serialize_model derives
+    one reverse per distinct pair to see that no reverse needs a line."""
+    atlas = lambda_tree(8, 1)
+    expected = serialize_model(atlas)
+    calls = []
+    reverse = Transition.reverse
+
+    def counted(self, ap):
+        calls.append(self)
+        return reverse(self, ap)
+
+    monkeypatch.setattr(Transition, "reverse", counted)
+    text = serialize_model(atlas)
+    assert text == expected
+    assert text.count("\nglue ") == 168
+    assert 0 < len(calls) == len(set(calls)) <= 3
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ModelFormatError) as err:
         parse_model("lambda 1\nroots A1\ncharts 2\nglue 1 2 : bogus a1 0 ; word ; t (0)\n")

@@ -254,10 +254,7 @@ def germ_by_fm(ap, region, germ):
 
 def satisfies_by_fm(ap, region, c):
     """No point of the region violates c."""
-    return not any(
-        feasible(ap.region_system(region, (neg,)), ap.lex_rank).sat
-        for neg in c.negations()
-    )
+    return not feasible(ap.region_system(region, (c.negation(),)), ap.lex_rank).sat
 
 
 def contains_by_fm(ap, outer, inner):
@@ -271,8 +268,9 @@ def fixes_by_fm(ap, g, region):
     n = ap.rank
     for r in range(n):
         coeffs = tuple(g.linear.matrix[r][c] - (1 if r == c else 0) for c in range(n))
-        eq = LinearConstraint(coeffs, "=", -g.shift[r])
-        if not satisfies_by_fm(ap, region, eq):
+        bound = -g.shift[r]
+        rows = (LinearConstraint(coeffs, GE, bound), LinearConstraint(tuple(-c for c in coeffs), GE, -bound))
+        if not all(satisfies_by_fm(ap, region, row) for row in rows):
             return False
     return True
 
