@@ -77,6 +77,10 @@ class HalfApartment:
     sense: int
     bound: LambdaScalar
 
+    def holds(self, value: LambdaScalar) -> bool:
+        """Is v in the half, given the pairing value (root, v)?"""
+        return value >= self.bound if self.sense == 1 else value <= self.bound
+
 
 @dataclass(frozen=True)
 class ConvexRegion:
@@ -274,12 +278,8 @@ class Apartment:
             self.rank, tuple(self.half_constraint(h) for h in region.halves) + tuple(extra)
         )
 
-    def half_holds(self, h: HalfApartment, p: Point) -> bool:
-        value = self.pairing(h.root, p)
-        return value >= h.bound if h.sense == 1 else value <= h.bound
-
     def region_contains_point(self, region: ConvexRegion, p: Point) -> bool:
-        return all(self.half_holds(h, p) for h in region.halves)
+        return all(h.holds(self.pairing(h.root, p)) for h in region.halves)
 
     def region_feasible(self, region: ConvexRegion) -> Feasibility:
         """Is the region nonempty?  One FM answer, witness included, cached per halves tuple."""
@@ -423,11 +423,10 @@ class Apartment:
         kept only when it caps no generator.  So the germ fits exactly when
         the cone fits the halves through the base.
         """
-        base = germ.base
-        if not self.region_contains_point(region, base):
+        values = [(h, self.pairing(h.root, germ.base)) for h in region.halves]
+        if not all(h.holds(v) for h, v in values):
             return False
-        tight = (h for h in region.halves if self.pairing(h.root, base) == h.bound)
-        return self._cone_fits(germ.direction, 0, tight)
+        return self._cone_fits(germ.direction, 0, (h for h, v in values if v == h.bound))
 
     def _cone_fits(self, direction: WeylElement, panel_type: int, halves: Iterable[HalfApartment]) -> bool:
         """No half caps a generator of the direction cone, or of its type-i

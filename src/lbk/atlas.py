@@ -2,13 +2,14 @@
 
 An :class:`Atlas` is a finite presentation of a pair (point set, chart family): finitely many
 copies of the model apartment, plus for ordered chart pairs an overlap region and the isometry
-identifying it with a region of the other chart.  Point equality and :meth:`Atlas.locate_point`
-are one-hop, sound only for a closed gluing; :func:`validate` does not check closure (ROADMAP item 2).
+identifying it with a region of the other chart.  Point equality and :meth:`Atlas.holding`, the one chart
+search, are one-hop, sound only for a closed gluing; :func:`validate` does not check closure (ROADMAP item 2).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
+from operator import and_
 from typing import Callable, Optional
 
 from .apartment import (
@@ -189,6 +190,19 @@ class Atlas:
             self._fitting[key] = self.reach(i, lambda region: self.apartment.sector_fits(w, region, face)) | 1 << i
         return self._fitting[key]
 
+    def holding(self, item: BuildingPoint | BuildingGerm | BuildingSector) -> int:
+        """The charts holding a point, germ or whole sector, as a mask: its own, and those of each class it fits."""
+        return self.reach(item.chart, self._fits(item)) | 1 << item.chart
+
+    def _fits(self, item: BuildingPoint | BuildingGerm | BuildingSector) -> Callable[[ConvexRegion], bool]:
+        """The item's fit test, built once: does a region hold the point, a chunk of the germ, or the whole sector?"""
+        if isinstance(item, BuildingPoint):
+            return lambda region: self.apartment.region_contains_point(region, item.point)
+        if isinstance(item, BuildingGerm):
+            germ = item.germ()
+            return lambda region: self.apartment.region_contains_germ(region, germ)
+        return lambda region: self.apartment.sector_in_region(item.sector, region)
+
     # -- points --------------------------------------------------------------
 
     def transport_point(self, i: int, p: Point, j: int) -> Optional[Point]:
@@ -200,11 +214,9 @@ class Atlas:
         return t.iso.apply(p)
 
     def locate_point(self, bp: BuildingPoint, *, move: Callable = AffineIsometry.apply) -> dict[int, Point]:
-        """The point in each chart that contains it, in chart order; one test per overlap class.
-        ``move(iso, p)`` applies a transition."""
+        """The point in each chart that holds it, in chart order.  ``move(iso, p)`` applies a transition."""
         i, p = bp.chart, bp.point
-        held = self.reach(i, lambda region: self.apartment.region_contains_point(region, p))
-        return {j: p if j == i else move(self.transitions[(i, j)].iso, p) for j in charts_of(held | 1 << i)}
+        return {j: p if j == i else move(self.transitions[(i, j)].iso, p) for j in charts_of(self.holding(bp))}
 
     def points_equal(self, bp: BuildingPoint, bq: BuildingPoint) -> bool:
         moved = self.transport_point(bp.chart, bp.point, bq.chart)
@@ -214,41 +226,28 @@ class Atlas:
 
     def transport_sector(self, bs: BuildingSector, j: int) -> Optional[Sector]:
         """Image of a whole sector in chart j; None unless fully contained."""
-        return self._transport(bs, j, lambda r: self.apartment.sector_in_region(bs.sector, r), AffineIsometry.apply)
+        return self._transport(bs, j, AffineIsometry.apply)
 
     def transport_germ(self, bg: BuildingGerm, j: int, *, move: Callable = AffineIsometry.apply) -> Optional[Sector]:
         """Image of a sector germ in chart j; needs only a germ-sized overlap."""
-        return self._transport(bg, j, lambda r: self.apartment.region_contains_germ(r, bg.germ()), move)
+        return self._transport(bg, j, move)
 
-    def _transport(
-        self, item: BuildingGerm | BuildingSector, j: int, fits: Callable[[ConvexRegion], bool], move: Callable
-    ) -> Optional[Sector]:
-        """The item's sector moved into chart j by ``move(iso, base)``, when ``fits`` accepts the overlap."""
+    def _transport(self, item: BuildingGerm | BuildingSector, j: int, move: Callable) -> Optional[Sector]:
+        """The item's sector moved into chart j by ``move(iso, base)``, when the overlap :meth:`_fits` it."""
         if item.chart == j:
             return item.sector
         t = self.transition(item.chart, j)
-        if t is None or not fits(t.region):
+        if t is None or not self._fits(item)(t.region):
             return None
-        sector = item.sector
-        return self.apartment.sector(move(t.iso, sector.base), t.iso.linear * sector.direction)
+        return self.apartment.sector(move(t.iso, item.sector.base), t.iso.linear * item.sector.direction)
 
-    def first_chart_holding(
-        self, *items: BuildingGerm | BuildingSector
-    ) -> Optional[tuple[int, list[Sector]]]:
-        """The first chart holding every given germ and whole sector, with
-        their images there, or None.  Items are transported in the order
-        given, and a chart is left at its first miss."""
-        for c in self.charts():
-            images = []
-            for item in items:
-                move = self.transport_germ if isinstance(item, BuildingGerm) else self.transport_sector
-                image = move(item, c)
-                if image is None:
-                    break
-                images.append(image)
-            else:
-                return c, images
-        return None
+    def first_chart_holding(self, *items: BuildingGerm | BuildingSector) -> Optional[tuple[int, list[Sector]]]:
+        """The first chart holding every given germ and whole sector, the lowest bit of the AND
+        of their :meth:`holding` masks, with each item transported once, into it; or None."""
+        c = lowest(reduce(and_, map(self.holding, items), (1 << self.size) - 1))
+        if c is None:
+            return None
+        return c, [(self.transport_germ if isinstance(item, BuildingGerm) else self.transport_sector)(item, c) for item in items]
 
 
 @dataclass

@@ -5,8 +5,10 @@ examined.  Chart searches are exhaustive (atlases are finite) and the
 translation searches are single exact Fourier-Motzkin solves, so pass/fail
 lines are certain for the configurations listed; sampling only enters where a
 statement quantifies over all points of the model, and the sample is seeded
-and reproducible.  "inconclusive" is reserved for exhausted step budgets and
-is never folded into pass or fail.
+and reproducible.  INCONCLUSIVE (``'inconclusive-budget'``) is never folded into
+pass or fail; no checker line gives it, only :func:`finite_cover` (budget spent,
+or a point left uncovered), :func:`germ_coapartment` (no chart holds both germs,
+or their bases differ there) and :func:`opposite_germ` (no candidate or co-chart).
 """
 from __future__ import annotations
 
@@ -384,9 +386,8 @@ class Retraction:
     """
 
     def __init__(self, atlas: Atlas, germ: BuildingGerm, chart: int, *, move: Callable = AffineIsometry.apply):
-        sectors = {b: s for b in atlas.charts() if (s := atlas.transport_germ(germ, b, move=move)) is not None}
-        target = sectors.get(chart)
-        if target is None:
+        sectors = {b: atlas.transport_germ(germ, b, move=move) for b in charts_of(atlas.holding(germ))}
+        if (target := sectors.get(chart)) is None:
             raise TheoremViolation(
                 f"germ {_sector_label(atlas, germ, format_point)} is not contained in chart {atlas.name(chart)}"
             )
@@ -563,21 +564,21 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
     the parallel sector based at the germ base that contains y.
     """
     ap = atlas.apartment
-    held = {c: s for c in atlas.charts() if (s := atlas.transport_germ(germ, c)) is not None}
+    mask = atlas.holding(germ)
+    held = {c: atlas.transport_germ(germ, c) for c in charts_of(mask)}
     best = None
     for w in ap.directions():
         t_sector = ap.sector(y, w)
         t_germ = BuildingGerm(chart_b, t_sector)
-        for bprime, s_here in held.items():
-            t_here = atlas.transport_germ(t_germ, bprime)
-            if t_here is None:
-                continue
-            pivot = ap.sector_with_germ(t_here.base, s_here.germ())
-            delta = ap.germ_distance(t_here.germ(), pivot.germ())
-            key = (-delta.length, w.word)
-            if best is None or key < best[0]:
-                best = (key, t_sector, bprime, pivot, delta)
-            break
+        bprime = lowest(mask & atlas.holding(t_germ))
+        if bprime is None:
+            continue
+        t_here = atlas.transport_germ(t_germ, bprime)
+        pivot = ap.sector_with_germ(t_here.base, held[bprime].germ())
+        delta = ap.germ_distance(t_here.germ(), pivot.germ())
+        key = (-delta.length, w.word)
+        if best is None or key < best[0]:
+            best = (key, t_sector, bprime, pivot, delta)
     if best is None:
         return OppositeResult(INCONCLUSIVE)
     _, t_sector, bprime, pivot, delta = best
@@ -611,7 +612,7 @@ class CoverResult:
 def finite_cover(atlas: Atlas, germ: BuildingGerm, chart_b: int) -> CoverResult:
     """Closed convex pieces covering chart_b, each co-charted with the germ."""
     ap = atlas.apartment
-    if atlas.transport_germ(germ, chart_b) is not None:
+    if (held := atlas.holding(germ)) >> chart_b & 1:
         # The whole chart already shares an apartment with the germ: itself.
         return CoverResult(PASS, [(ap.whole_region(), chart_b)])
     base_point = BuildingPoint(germ.chart, germ.base)
@@ -619,8 +620,8 @@ def finite_cover(atlas: Atlas, germ: BuildingGerm, chart_b: int) -> CoverResult:
     for c, xc in atlas.locate_point(base_point).items():
         for w in ap.directions():
             sector = ap.sector(xc, w)
-            found = atlas.first_chart_holding(BuildingSector(c, sector), germ)
-            if found is None:
+            carrier = lowest(atlas.holding(BuildingSector(c, sector)) & held)
+            if carrier is None:
                 continue
             if c == chart_b:
                 region = ap.sector_region(sector)
@@ -633,7 +634,7 @@ def finite_cover(atlas: Atlas, germ: BuildingGerm, chart_b: int) -> CoverResult:
                 )
             if not ap.region_feasible(region).sat:
                 continue
-            pieces.append((region, found[0]))
+            pieces.append((region, carrier))
     # Keep maximal pieces only; duplicates add nothing to the union.
     kept: list[tuple[ConvexRegion, int]] = []
     for region, carrier in pieces:

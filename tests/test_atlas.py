@@ -11,10 +11,12 @@ from lbk.atlas import (
     BuildingSector,
     NoCommonChartError,
     Transition,
+    charts_of,
     common_chart,
     global_distance,
     validate,
 )
+from lbk.axioms import Retraction
 from lbk.fixtures import broken_pair, fan, lambda_tree, shifted_rays, single_apartment
 from lbk.lexq import LambdaScalar
 from lbk.rootsystem import build_root_system
@@ -197,25 +199,36 @@ def test_negative_fixtures_validate_clean():
 # -- the one chart search -------------------------------------------------------
 
 
+def seeded_base(ap, rng):
+    return tuple(
+        LambdaScalar([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(ap.lex_rank)])
+        for _ in range(ap.rank)
+    )
+
+
 def seeded_items(atlas, rng, count):
     """Germs and whole sectors at seeded points, as often a sector as a germ."""
     ap = atlas.apartment
     items = []
     for _ in range(count):
         chart = rng.randrange(atlas.size)
-        base = tuple(
-            LambdaScalar([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(ap.lex_rank)])
-            for _ in range(ap.rank)
-        )
+        base = seeded_base(ap, rng)
         kind = rng.choice((BuildingGerm, BuildingSector))
         items.append(kind(chart, ap.sector(base, rng.choice(ap.directions()))))
     return items
 
 
 def transport(atlas, item, chart):
+    if isinstance(item, BuildingPoint):
+        return atlas.transport_point(item.chart, item.point, chart)
     if isinstance(item, BuildingGerm):
         return atlas.transport_germ(item, chart)
     return atlas.transport_sector(item, chart)
+
+
+def brute_force_mask(atlas, item):
+    """The charts the item moves into, tried one chart at a time."""
+    return sum(1 << c for c in atlas.charts() if transport(atlas, item, c) is not None)
 
 
 def brute_force_holding(atlas, items):
@@ -227,29 +240,25 @@ def brute_force_holding(atlas, items):
     return None
 
 
-def expected_calls(atlas, items):
-    """Charts in order, items in the order given, each chart left at its first miss."""
-    calls = []
-    for c in atlas.charts():
-        for item in items:
-            calls.append((item, c))
-            if transport(atlas, item, c) is None:
-                break
-        else:
-            break
-    return calls
-
-
 @pytest.mark.parametrize(
     "atlas", [lambda_tree(5, 2), fan(4, "A2"), fan(3, "B2")], ids=["tree(5,2)", "fan(4,A2)", "fan(3,B2)"]
 )
 def test_first_chart_holding_agrees_with_brute_force(atlas, monkeypatch):
+    """``holding`` is the mask of the charts the item moves into, and the first
+    chart search transports each item once, into the chart it returns."""
     rng = random.Random(f"first-chart:{atlas.label}")
-    found = missed = sector_first = 0
+    point_rng = random.Random(f"holding-points:{atlas.label}")
+    found = missed = sector_first = shared = 0
     for _ in range(150):
         items = seeded_items(atlas, rng, rng.randint(1, 3))
         expected = brute_force_holding(atlas, items)
-        order = expected_calls(atlas, items)
+        point = BuildingPoint(point_rng.randrange(atlas.size), seeded_base(atlas.apartment, point_rng))
+        for item in items + [point]:
+            assert atlas.holding(item) == brute_force_mask(atlas, item), item
+        shared += len(charts_of(atlas.holding(point))) > 1
+        for germ in items:
+            if isinstance(germ, BuildingGerm):
+                assert list(Retraction(atlas, germ, germ.chart).maps) == charts_of(brute_force_mask(atlas, germ))
         calls = []
         for name in ("transport_germ", "transport_sector"):
             original = getattr(Atlas, name)
@@ -261,8 +270,8 @@ def test_first_chart_holding_agrees_with_brute_force(atlas, monkeypatch):
             monkeypatch.setattr(Atlas, name, recorded)
         assert atlas.first_chart_holding(*items) == expected
         monkeypatch.undo()
-        assert calls == order
+        assert calls == ([(item, expected[0]) for item in items] if expected else [])
         found += expected is not None
         missed += expected is None
         sector_first += isinstance(items[0], BuildingSector)
-    assert found >= 10 and missed >= 10 and sector_first >= 10, (found, missed, sector_first)
+    assert found >= 10 and missed >= 10 and sector_first >= 10 and shared >= 10, (found, missed, sector_first, shared)
