@@ -2,13 +2,14 @@
 
 Points are tuples of :class:`~lbk.lexq.LambdaScalar` holding the coefficients
 of a vector in the simple-root base.  All set-valued reasoning happens through
-:class:`ConvexRegion` (finite intersections of half-apartments).  Membership
-is substitution; sector, panel and germ fits are cone-sign tests
-(:meth:`Apartment.caps`), and half-apartment shapes are read from one shared
-root (:meth:`Apartment.region_half`).  Containment and equality try a
+:class:`ConvexRegion` (finite intersections of half-apartments).  Membership is
+substitution, and a sector's is one sign pass over the positive roots
+(:meth:`Apartment.sector_walls`).  Sector, panel and germ fits are cone-sign
+tests (:meth:`Apartment.caps`), and half-apartment shapes are read from one
+shared root (:meth:`Apartment.region_half`).  Containment and equality try a
 single-half implication (:meth:`Apartment.implied`) first; what these tests
-leave open, emptiness included, goes to an exact Fourier-Motzkin run.  A
-"no" carries no certificate yet (ROADMAP item 6).
+leave open, emptiness included, goes to an exact Fourier-Motzkin run.  A "no"
+carries no certificate yet (ROADMAP item 6).
 
 Index conventions: simple roots, reflection generators, coordinates v^i and
 sector-panel types are 1-based, matching the a1/a2 syntax of model files.
@@ -162,6 +163,7 @@ class Apartment:
         )
         self._feasible: dict[tuple[HalfApartment, ...], Feasibility] = {}
         self._slopes: dict[WeylElement, dict[Root, Root]] = {}
+        self._walls: dict[WeylElement, tuple[tuple[int, int], ...]] = {}
 
     # -- scalars and points ---------------------------------------------
 
@@ -387,8 +389,21 @@ class Apartment:
         fits = self._cone_fits(direction, panel_type, region.halves)
         return fits and (not panel_type or self.region_feasible(region).sat)
 
+    def sector_walls(self, direction: WeylElement) -> tuple[tuple[int, int], ...]:
+        """(k, s) per simple root alpha_i, with w(alpha_i) = s * beta_k for the k-th positive root beta_k (a root's
+        coefficients share one sign): the sector is {v : s * (beta_k, v - base) >= 0 for each}.  Cached per direction."""
+        walls = self._walls.get(direction)
+        if walls is None:
+            positive = self.roots.positive_roots
+            walls = self._walls[direction] = tuple(
+                (positive.index(tuple(abs(c) for c in r)), 1 if max(r) > 0 else -1) for r in self.sector_roots(direction)
+            )
+        return walls
+
     def sector_contains_point(self, s: Sector, p: Point) -> bool:
-        return self.region_contains_point(self.sector_region(s), p)
+        """Is p in the sector?  Read off the signs of (beta, p - base) at its walls."""
+        signs = LambdaScalar.signs(self._metric_rows, p, s.base)
+        return all(c * signs[k] >= 0 for k, c in self.sector_walls(s.direction))
 
     def sectors_parallel(self, s: Sector, t: Sector) -> bool:
         """Parallel means bounded distance; inside one apartment, same direction."""
@@ -465,19 +480,22 @@ class Apartment:
         return self.roots.weyl_elements()
 
     def sector_through(self, base: Point, target: Point) -> Sector:
-        """First sector at base (canonical direction order) containing target."""
+        """First sector at base (canonical direction order) containing target, from one sign pass."""
+        signs = LambdaScalar.signs(self._metric_rows, target, base)
         for w in self.directions():
-            s = self.sector(base, w)
-            if self.sector_contains_point(s, target):
-                return s
+            if all(c * signs[k] >= 0 for k, c in self.sector_walls(w)):
+                return self.sector(base, w)
         raise AssertionError("direction cones cover the apartment")
 
     def sector_with_germ(self, base: Point, germ: SectorGerm) -> Sector:
-        """First sector at base whose region contains the given germ."""
+        """First sector at base whose region contains the germ (:meth:`region_contains_germ`), from one
+        sign pass: the germ's base lies in the sector, and no wall through that base caps the germ's cone."""
+        signs = LambdaScalar.signs(self._metric_rows, germ.base, base)
+        positive = self.roots.positive_roots
         for w in self.directions():
-            s = self.sector(base, w)
-            if self.region_contains_germ(self.sector_region(s), germ):
-                return s
+            walls = self.sector_walls(w)
+            if all(c * signs[k] > 0 or not signs[k] and not self.caps(germ.direction, positive[k], c) for k, c in walls):
+                return self.sector(base, w)
         raise AssertionError("the sectors at a base hold every germ")
 
     # -- classification --------------------------------------------------------

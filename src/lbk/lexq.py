@@ -18,9 +18,10 @@ public view, a tuple of reduced ``Fraction`` values.
 coefficients over one common denominator and builds only the result;
 pairings, Weyl actions and Fourier-Motzkin bounds go through it.
 :meth:`LambdaScalar.abs_sum` sums the absolute values of int linear forms of
-a difference in one integer pass; distances go through it.  A scalar keeps
-its hash once computed, so a non-integer scalar rebuilds its ``Fraction``
-parts for hashing only once.
+a difference in one integer pass; distances go through it, and sector
+membership goes through :meth:`LambdaScalar.signs`, their signs from the same
+pass.  A scalar keeps its hash once computed, so a non-integer scalar
+rebuilds its ``Fraction`` parts for hashing only once.
 """
 from __future__ import annotations
 
@@ -49,6 +50,24 @@ def _reduced(nums: tuple[int, ...], den: int) -> "LambdaScalar":
         if g != 1:
             return _make(tuple(n // g for n in nums), den // g)
     return _make(nums, den)
+
+
+def _row_dots(rows: Iterable[Sequence[int]], xs: Sequence["LambdaScalar"], ys: Sequence["LambdaScalar"]):
+    """(d, dots): a common denominator d > 0 of xs and ys (paired as ``zip`` pairs them), and per
+    int row the lex components of d * sum_j row[j] * (xs[j] - ys[j]) as a list of ints."""
+    pairs = list(zip(xs, ys))
+    if not pairs:
+        raise ValueError("a difference needs at least one coordinate")
+    for x, y in pairs:
+        if not isinstance(x, LambdaScalar):
+            raise TypeError(f"expected LambdaScalar, got {type(x).__name__}")
+        pairs[0][0]._check(x)
+        x._check(y)
+    d = lcm(*(x._den for x, _ in pairs), *(y._den for _, y in pairs))
+    cols = list(zip(*(
+        [a * (d // x._den) - b * (d // y._den) for a, b in zip(x._nums, y._nums)] for x, y in pairs
+    )))
+    return d, ([sum(map(mul, row, col)) for col in cols] for row in rows)
 
 
 class LambdaScalar:
@@ -121,31 +140,24 @@ class LambdaScalar:
     ) -> "LambdaScalar":
         """sum over rows of |sum_j row[j] * (xs[j] - ys[j])|, divided by den > 0.
 
-        For int rows; coordinates pair as ``zip`` pairs them.  The differences
-        are brought to one common denominator, each row's dot product is taken
-        per lex component in ints and negated when its first nonzero component
-        is negative, and only the sum is built.
+        For int rows, in one integer pass: each row's dot product is negated
+        when its first nonzero component is negative, and only the sum is built.
         """
-        pairs = list(zip(xs, ys))
-        if not pairs:
-            raise ValueError("a distance needs at least one coordinate")
-        for x, y in pairs:
-            if not isinstance(x, LambdaScalar):
-                raise TypeError(f"expected LambdaScalar, got {type(x).__name__}")
-            pairs[0][0]._check(x)
-            x._check(y)
-        d = lcm(*(x._den for x, _ in pairs), *(y._den for _, y in pairs))
-        cols = list(zip(*(
-            [a * (d // x._den) - b * (d // y._den) for a, b in zip(x._nums, y._nums)] for x, y in pairs
-        )))
-        total = zero = [0] * len(cols)
-        for row in rows:
-            dots = [sum(map(mul, row, col)) for col in cols]
+        d, dots_per_row = _row_dots(rows, xs, ys)
+        total = zero = [0] * xs[0].rank
+        for dots in dots_per_row:
             if dots < zero:  # lists compare lexicographically: the sign of the first nonzero
                 total = [t - v for t, v in zip(total, dots)]
             else:
                 total = [t + v for t, v in zip(total, dots)]
         return _reduced(tuple(total), d * den)
+
+    @staticmethod
+    def signs(rows: Iterable[Sequence[int]], xs: Sequence["LambdaScalar"], ys: Sequence["LambdaScalar"]) -> tuple[int, ...]:
+        """Per int row, the sign of sum_j row[j] * (xs[j] - ys[j]), from the integer pass of :meth:`abs_sum`."""
+        _, dots_per_row = _row_dots(rows, xs, ys)
+        zero = [0] * xs[0].rank
+        return tuple((dots > zero) - (dots < zero) for dots in dots_per_row)
 
     @property
     def parts(self) -> tuple[Fraction, ...]:

@@ -264,6 +264,12 @@ def test_sector_contains_own_germ():
         assert ap.region_contains_germ(ap.sector_region(s), s.germ())
 
 
+def first_sector_by_regions(ap, base, holds):
+    """The region scan the sign pass replaced: the first direction, in order,
+    whose sector region at base passes holds(region)."""
+    return next(ap.sector(base, w) for w in ap.directions() if holds(ap.sector_region(ap.sector(base, w))))
+
+
 @pytest.mark.parametrize("lam", [1, 2])
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
 def test_sector_with_germ_finds_a_sector_at_every_base(name, lam):
@@ -271,22 +277,32 @@ def test_sector_with_germ_finds_a_sector_at_every_base(name, lam):
     way into the germ's open cone lies on no wall through y, so in one open
     chamber y + w'C.  The halves of that sector tight at x are positive on
     w(u_1+...+u_n), and a root's coefficients share one sign, so none of them
-    caps a generator of the germ's cone."""
+    caps a generator of the germ's cone.
+
+    The sign pass gives the answers of the region scans it replaced:
+    sector_contains_point, sector_through and sector_with_germ agree with
+    sector regions tested point by point and germ by germ, in direction
+    order, with targets at the base and on walls through it."""
     ap = make(name, lam)
     values = [ap.scalar(q) for q in (-1, Q(-1, 2), 0, Q(1, 3), 1)]
     if lam == 2:
         values += [LambdaScalar([Q(0), Q(1)]), LambdaScalar([Q(1), Q(-1, 2)])]
     grid = list(product(values, repeat=ap.rank))
     bases = [ap.origin(), grid[1], grid[-1]]
+    dirs = ap.directions()
     kinds = Counter()
     for y in bases:
         for x in grid:
             on_wall = any(ap.pairing(r, x) == ap.pairing(r, y) for r in ap.roots.positive_roots)
             kinds["at" if x == y else "wall" if on_wall else "off"] += 1
-            for w in ap.directions():
+            for w in dirs:
+                s = ap.sector(y, w)
+                assert ap.sector_contains_point(s, x) == ap.region_contains_point(ap.sector_region(s), x)
+            assert ap.sector_through(y, x) == first_sector_by_regions(ap, y, lambda r: ap.region_contains_point(r, x))
+            for w in dirs:
                 germ = ap.sector(x, w).germ()
-                s = ap.sector_with_germ(y, germ)
-                assert s.base == y and ap.region_contains_germ(ap.sector_region(s), germ)
+                want = first_sector_by_regions(ap, y, lambda r: ap.region_contains_germ(r, germ))
+                assert ap.sector_with_germ(y, germ) == want
     # In rank 1 the only wall through y is y itself.
     assert kinds["at"] == len(bases) and kinds["off"] >= len(bases), kinds
     assert kinds["wall"] >= len(bases) or ap.rank == 1, kinds

@@ -710,6 +710,75 @@ def test_finite_cover_pieces_relate_to_germ(tripod):
         assert ap.region_feasible(region).sat
 
 
+def pin_point(ap, rng):
+    """Coordinates from a small grid, so bases and targets often share a wall."""
+    return tuple(
+        LambdaScalar([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ap.lex_rank)])
+        for _ in range(ap.rank)
+    )
+
+
+def pin_germ(atlas, rng, chart=None, base=None):
+    ap = atlas.apartment
+    chart = rng.randrange(atlas.size) if chart is None else chart
+    base = pin_point(ap, rng) if base is None else base
+    return BuildingGerm(chart, ap.sector(base, rng.choice(ap.directions())))
+
+
+def coapartment_digest(pairs_per_member=100):
+    """sha256 of repr(germ_coapartment(...)) over seeded germ pairs on the five
+    members of the benchmark's queries; every other pair shares its base."""
+    digest = hashlib.sha256()
+    for name, atlas in (
+        ("tree(5,1)", lambda_tree(5, 1)),
+        ("tree(4,2)", lambda_tree(4, 2)),
+        ("fan(4,A2)", fan(4, "A2")),
+        ("fan(3,B2)", fan(3, "B2")),
+        ("single(G2)", single_apartment("G2", 1)),
+    ):
+        rng = random.Random(f"coapartment:{name}")
+        for i in range(pairs_per_member):
+            g1 = pin_germ(atlas, rng)
+            if i % 2:
+                chart, base = rng.choice(sorted(atlas.locate_point(BuildingPoint(g1.chart, g1.base)).items()))
+                g2 = pin_germ(atlas, rng, chart, base)
+            else:
+                g2 = pin_germ(atlas, rng)
+            digest.update(f"{repr(germ_coapartment(atlas, g1, g2))}\n".encode())
+    return digest.hexdigest()
+
+
+def opposite_digest(calls_per_member=40):
+    """sha256 of the verdict, sector, co-chart, point test and maximal length
+    of opposite_germ over seeded germs, charts and points."""
+    digest = hashlib.sha256()
+    for name, atlas in (
+        ("tree(4,1)", lambda_tree(4, 1)),
+        ("fan(3,A2)", fan(3, "A2")),
+        ("fan(3,B2)", fan(3, "B2")),
+        ("single(G2)", single_apartment("G2", 1)),
+    ):
+        rng = random.Random(f"opposite:{name}")
+        for _ in range(calls_per_member):
+            germ = pin_germ(atlas, rng)
+            r = opposite_germ(atlas, germ, rng.randrange(atlas.size), pin_point(atlas.apartment, rng))
+            digest.update(f"{(r.verdict, r.sector, r.cochart, r.contains_point, r.maximal_length)!r}\n".encode())
+    return digest.hexdigest()
+
+
+# Both measured before the sector scans read signs instead of sector regions.
+COAPARTMENT_SHA256 = "7ab9bed905ee71cadd818e12e1287ebe114b93a02d08b70a315061a96dc9b9be"
+OPPOSITE_SHA256 = "a92af23c974f527594cb82fb419fe946c3ec17898fcee4f60a26e9c3d416fe18"
+
+
+def test_coapartment_results_are_pinned():
+    assert coapartment_digest() == COAPARTMENT_SHA256
+
+
+def test_opposite_germ_results_are_pinned():
+    assert opposite_digest() == OPPOSITE_SHA256
+
+
 # -- equivalence ---------------------------------------------------------------
 
 

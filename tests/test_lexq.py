@@ -212,6 +212,22 @@ def test_abs_sum_matches_fold_of_abs_lincomb():
             assert LambdaScalar.abs_sum([[1]], [v], [LambdaScalar.zero(rank)]) == -v
 
 
+def test_signs_match_the_sign_of_each_lincomb():
+    rng = random.Random(43)
+    for _ in range(CASES):
+        rank, terms, nrows = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 6)
+        xs = [LambdaScalar(rand_parts(rng, rank)) for _ in range(terms)]
+        # Some coordinates repeat, so some rows pair to zero or lead with a zero component.
+        ys = [x if rng.random() < 0.3 else LambdaScalar(rand_parts(rng, rank)) for x in xs]
+        rows = [[rng.randint(-3, 3) for _ in range(terms)] for _ in range(nrows)]
+        rows[rng.randrange(nrows)] = [0] * terms
+        diffs = [x - y for x, y in zip(xs, ys)]
+        assert LambdaScalar.signs(rows, xs, ys) == tuple(LambdaScalar.lincomb(row, diffs).sign() for row in rows)
+        assert LambdaScalar.signs(rows, xs, xs) == (0,) * nrows
+    # The sign is the first nonzero component's: (0|-1) is negative.
+    assert LambdaScalar.signs([[1], [-2], [0]], [LambdaScalar([0, -1])], [LambdaScalar.zero(2)]) == (-1, 1, 0)
+
+
 def test_ordered_group_laws():
     for rng, rank, x, y in seeded_pairs(31):
         a, b, c = LambdaScalar(x), LambdaScalar(y), LambdaScalar(rand_parts(rng, rank))
@@ -245,6 +261,8 @@ def test_kernel_errors():
         lambda: LambdaScalar.lincomb([1.5], [a]),
         lambda: LambdaScalar.abs_sum([[1]], [1], [a]),
         lambda: LambdaScalar.abs_sum([[1]], [a], [1]),
+        lambda: LambdaScalar.signs([[1]], [1], [a]),
+        lambda: LambdaScalar.signs([[1]], [a], [Q(1)]),
     ):
         with pytest.raises(TypeError):
             op()
@@ -258,6 +276,9 @@ def test_kernel_errors():
         lambda: LambdaScalar.abs_sum([[1, 1]], [a, a], [a, b]),
         lambda: LambdaScalar.abs_sum([[1, 1]], [a, b], [a, b]),
         lambda: LambdaScalar.abs_sum([[]], [], []),
+        lambda: LambdaScalar.signs([[1, 1]], [a, a], [a, b]),
+        lambda: LambdaScalar.signs([[1, 1]], [a, b], [a, b]),
+        lambda: LambdaScalar.signs([[]], [], []),
         lambda: LambdaScalar([]),
         lambda: LambdaScalar.zero(0),
     ):
