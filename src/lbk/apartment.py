@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -161,9 +162,10 @@ class Apartment:
         self.cone_basis: tuple[tuple[Fraction, ...], ...] = tuple(
             tuple(self._inverse[j][i] for j in range(self.rank)) for i in range(self.rank)
         )
-        self._feasible: dict[tuple[HalfApartment, ...], Feasibility] = {}
-        self._slopes: dict[WeylElement, dict[Root, Root]] = {}
-        self._walls: dict[WeylElement, tuple[tuple[int, int], ...]] = {}
+        # Tables that live with the apartment: caches of its own methods, which die with it.
+        self.region_feasible = cache(self.region_feasible)
+        self.cone_slopes = cache(self.cone_slopes)
+        self.sector_walls = cache(self.sector_walls)
 
     # -- scalars and points ---------------------------------------------
 
@@ -202,7 +204,9 @@ class Apartment:
         """Coefficients of (root, .) in the simple-root base.
 
         The cache holds roots only, so a hit needs no validation; a miss
-        validates the root and raises ValueError for a non-root.
+        validates the root and raises ValueError for a non-root.  It is a
+        dict, not a ``functools.cache``: a root may come as any sequence,
+        a list included, and only a miss converts and checks it.
         """
         row = self._pairing_rows.get(root) if type(root) is tuple else None
         if row is None:
@@ -284,11 +288,8 @@ class Apartment:
         return all(h.holds(self.pairing(h.root, p)) for h in region.halves)
 
     def region_feasible(self, region: ConvexRegion) -> Feasibility:
-        """Is the region nonempty?  One FM answer, witness included, cached per halves tuple."""
-        cached = self._feasible.get(region.halves)
-        if cached is None:
-            cached = self._feasible[region.halves] = feasible(self.region_system(region), self.lex_rank)
-        return cached
+        """Is the region nonempty?  One FM answer, witness included, cached per region."""
+        return feasible(self.region_system(region), self.lex_rank)
 
     def implied(self, region: ConvexRegion, c: LinearConstraint) -> bool:
         """Does one half of the region alone imply c?
@@ -361,13 +362,8 @@ class Apartment:
         """w^-1(root) for a positive root: its k-th coefficient is the slope
         (root, w.u_k) of the pairing along generator k of the direction cone,
         since the pairing is W-invariant and (alpha_j, u_k) = delta_jk.
-        Cached per direction."""
-        table = self._slopes.get(direction)
-        if table is None:
-            inverse = direction.inverse()
-            table = {r: inverse.act_root(r) for r in self.roots.positive_roots}
-            self._slopes[direction] = table
-        return table[root]
+        Cached per (direction, root)."""
+        return direction.inverse().act_root(root)
 
     def sector_in_region(self, s: Sector, region: ConvexRegion) -> bool:
         """Does the sector lie in the region?
@@ -392,13 +388,10 @@ class Apartment:
     def sector_walls(self, direction: WeylElement) -> tuple[tuple[int, int], ...]:
         """(k, s) per simple root alpha_i, with w(alpha_i) = s * beta_k for the k-th positive root beta_k (a root's
         coefficients share one sign): the sector is {v : s * (beta_k, v - base) >= 0 for each}.  Cached per direction."""
-        walls = self._walls.get(direction)
-        if walls is None:
-            positive = self.roots.positive_roots
-            walls = self._walls[direction] = tuple(
-                (positive.index(tuple(abs(c) for c in r)), 1 if max(r) > 0 else -1) for r in self.sector_roots(direction)
-            )
-        return walls
+        positive = self.roots.positive_roots
+        return tuple(
+            (positive.index(tuple(abs(c) for c in r)), 1 if max(r) > 0 else -1) for r in self.sector_roots(direction)
+        )
 
     def sector_contains_point(self, s: Sector, p: Point) -> bool:
         """Is p in the sector?  Read off the signs of (beta, p - base) at its walls."""

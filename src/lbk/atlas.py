@@ -130,7 +130,8 @@ class Atlas:
             self.overlap_classes[i][c] = self.overlap_classes[i].get(c, 0) | 1 << j
             if (h := self.halves[c]) is not None:
                 self._meeting[i][h] = self._meeting[i].get(h, 0) | 1 << j
-        self._fitting: dict[tuple[int, WeylElement, int], int] = {}
+        # The fit table.  fitting passes face on, since a cache would key fitting(i, w) and fitting(i, w, 0) apart.
+        self._fit = cache(lambda i, w, face: self.reach(i, lambda region: apartment.sector_fits(w, region, face)) | 1 << i)
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -184,11 +185,8 @@ class Atlas:
     def fitting(self, i: int, w: WeylElement, face: int = 0) -> int:
         """The charts holding a subsector of every direction-w sector of chart i (face 0),
         or of its type-face panel, as a bitmask: bit i and the charts glued along an overlap
-        the face fits (:meth:`Apartment.sector_fits`).  Cached per (i, w, face), idempotent."""
-        key = (i, w, face)
-        if key not in self._fitting:
-            self._fitting[key] = self.reach(i, lambda region: self.apartment.sector_fits(w, region, face)) | 1 << i
-        return self._fitting[key]
+        the face fits (:meth:`Apartment.sector_fits`).  Cached per (i, w, face), face 0 when defaulted."""
+        return self._fit(i, w, face)
 
     def holding(self, item: BuildingPoint | BuildingGerm | BuildingSector) -> int:
         """The charts holding a point, germ or whole sector, as a mask: its own, and those of each class it fits."""

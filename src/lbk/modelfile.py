@@ -222,8 +222,36 @@ def parse_model(text: str) -> Atlas:
             raise ModelFormatError(f"chart index {idx} out of range")
         return idx - 1
 
+    @cache  # each distinct body text is parsed once
+    def glue_body(body: str) -> Transition:
+        sections = [s.strip() for s in body.split(";")]
+        if len(sections) != 3:
+            raise ModelFormatError("glue body reads: <constraints> ; word <gens> ; t <point>")
+        constraint_text, word_text, shift_text = sections
+        halves: list[HalfApartment] = []
+        if constraint_text:
+            for chunk in constraint_text.split(","):
+                fields = chunk.split()
+                if len(fields) != 3 or fields[0] not in ("ge", "le", "eq"):
+                    raise ModelFormatError(f"bad constraint {chunk.strip()!r}")
+                root = parse_root_expr(fields[1], ap)
+                bound = parse_scalar(fields[2], lam)
+                if fields[0] in ("ge", "eq"):
+                    halves.append(ap.half(root, 1, bound))
+                if fields[0] in ("le", "eq"):
+                    halves.append(ap.half(root, -1, bound))
+        if not word_text.startswith("word"):
+            raise ModelFormatError("expected 'word ...' section")
+        word = word_text[4:].split()
+        try:
+            linear = rs.from_word([int(w) for w in word])
+        except ValueError as exc:
+            raise ModelFormatError(f"bad word: {exc}")
+        if not shift_text.startswith("t"):
+            raise ModelFormatError("expected 't <point>' section")
+        return Transition(ap.region(halves), AffineIsometry(linear, parse_point(shift_text[1:].strip(), ap)))
+
     transitions: dict[tuple[int, int], Transition] = {}
-    parsed: dict[str, Transition] = {}
     for lineno, rest in glue_lines:
         try:
             head, _, body = rest.partition(":")
@@ -236,35 +264,7 @@ def parse_model(text: str) -> Atlas:
                 raise ModelFormatError("cannot glue a chart to itself")
             if (i, j) in transitions:
                 raise ModelFormatError(f"charts {pair[0]} and {pair[1]} are glued in this order twice")
-            if body not in parsed:  # each distinct body text is parsed once
-                sections = [s.strip() for s in body.split(";")]
-                if len(sections) != 3:
-                    raise ModelFormatError("glue body reads: <constraints> ; word <gens> ; t <point>")
-                constraint_text, word_text, shift_text = sections
-                halves: list[HalfApartment] = []
-                if constraint_text:
-                    for chunk in constraint_text.split(","):
-                        fields = chunk.split()
-                        if len(fields) != 3 or fields[0] not in ("ge", "le", "eq"):
-                            raise ModelFormatError(f"bad constraint {chunk.strip()!r}")
-                        root = parse_root_expr(fields[1], ap)
-                        bound = parse_scalar(fields[2], lam)
-                        if fields[0] in ("ge", "eq"):
-                            halves.append(ap.half(root, 1, bound))
-                        if fields[0] in ("le", "eq"):
-                            halves.append(ap.half(root, -1, bound))
-                if not word_text.startswith("word"):
-                    raise ModelFormatError("expected 'word ...' section")
-                word = word_text[4:].split()
-                try:
-                    linear = rs.from_word([int(w) for w in word])
-                except ValueError as exc:
-                    raise ModelFormatError(f"bad word: {exc}")
-                if not shift_text.startswith("t"):
-                    raise ModelFormatError("expected 't <point>' section")
-                shift = parse_point(shift_text[1:].strip(), ap)
-                parsed[body] = Transition(ap.region(halves), AffineIsometry(linear, shift))
-            transitions[(i, j)] = parsed[body]
+            transitions[(i, j)] = glue_body(body)
         except ModelFormatError as exc:  # every error of a glue line names it
             raise ModelFormatError(str(exc), lineno) from None
 

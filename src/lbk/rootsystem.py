@@ -18,6 +18,7 @@ integer action matrix on base coordinates and its lexicographically least reduce
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence, Union
 
 from .lexq import LambdaScalar
@@ -140,13 +141,10 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if other.system is not self.system:
             raise ValueError("cannot multiply elements of different root systems")
-        table, key = self.system._products, (self, other)
-        return table.get(key) or table.setdefault(key, self.system.element(_mat_mul(self.matrix, other.matrix)))
+        return self.system._product(self, other)
 
     def inverse(self) -> "WeylElement":
-        # Generators are involutions, so the reversed word gives the inverse.
-        table = self.system._inverses
-        return table.get(self) or table.setdefault(self, self.system.from_word(reversed(self.word)))
+        return self.system._inverse(self)
 
     def act_root(self, root: Sequence[int]) -> Root:
         return _mat_vec(self.matrix, root)
@@ -174,8 +172,9 @@ class RootSystem:
         self._elements: list[WeylElement] | None = None
         self._by_matrix: dict[Matrix, WeylElement] = {}
         # Products and inverses, keyed by the elements and filled on first use: the group is finite.
-        self._products: dict[tuple[WeylElement, WeylElement], WeylElement] = {}
-        self._inverses: dict[WeylElement, WeylElement] = {}
+        # Generators are involutions, so the reversed word gives the inverse.
+        self._product = cache(lambda a, b: self.element(_mat_mul(a.matrix, b.matrix)))
+        self._inverse = cache(lambda w: self.from_word(reversed(w.word)))
 
     # -- roots ---------------------------------------------------------
 
@@ -229,6 +228,7 @@ class RootSystem:
     # -- group ---------------------------------------------------------
 
     def _enumerate(self) -> None:
+        """Build the group once.  Not a memo but the group itself, which raises past WEYL_CAP."""
         if self._elements is not None:
             return
         identity = WeylElement(self, _identity(self.rank), ())

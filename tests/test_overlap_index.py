@@ -13,7 +13,9 @@ per-chart loops they replaced, run over the 40 digest members and
 ``fm_fallback``, whose overlaps include a quadrant, a wall and an empty
 region.  A6 then decides each distinct pair of overlap classes once.
 """
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -23,12 +25,22 @@ import pytest
 import lbk.apartment
 from lbk import fixtures
 from lbk.apartment import Apartment
-from lbk.atlas import Atlas, BuildingPoint, Transition, charts_of, lowest
-from lbk.axioms import AXIOM_ORDER, Sample, check_a6, check_ec, check_se, recheck_a6_counterexample, run_axioms
+from lbk.atlas import Atlas, BuildingGerm, BuildingPoint, Transition, charts_of, global_distance, lowest
+from lbk.axioms import (
+    AXIOM_ORDER,
+    Sample,
+    check_a6,
+    check_ec,
+    check_se,
+    germ_coapartment,
+    recheck_a6_counterexample,
+    run_axioms,
+)
 from lbk.infinity import infinity_complex
 from lbk.linarith import feasible
 from lbk.rootsystem import build_root_system
 from report_digest import members
+from test_atlas import seeded_base
 from test_golden import fm_fallback
 
 ATLASES = dict(members())
@@ -214,6 +226,7 @@ def test_fitting_agrees_with_the_per_chart_fit(name):
                 for j in atlas.charts():
                     assert bool(mask >> j & 1) == fit_subsector(atlas, i, w, face, j), (i, w.word, face, j)
                 assert atlas.fitting(i, w, face) is mask  # the cached answer
+            assert atlas.fitting(i, w) is atlas.fitting(i, w, 0)  # a defaulted face is face 0
 
 
 def test_reach_tests_each_overlap_class_once():
@@ -318,3 +331,40 @@ def test_cached_answer_is_the_fresh_solve():
         assert space.region_feasible(region) is space.region_feasible(region)  # the cached answer
     assert ap.region_feasible(sat).sat and not rays.apartment.region_feasible(unsat).sat
     assert recheck_a6_counterexample(rays, i, j, k)
+
+
+def warmed_tables(build):
+    """Weak references to a fresh atlas, its apartment and its root system, after the checkers, the complex
+    at infinity and 350 seeded fresh-point distance and coapartment queries, checking the tables they
+    keep along the way.  Their keys are regions, charts, directions and roots, never points: once 50
+    queries have run, the next 300 add no FM answer and no fit mask, and each table stays within its
+    finite key set."""
+    atlas = build()
+    ap, rs = atlas.apartment, atlas.apartment.roots
+    run_axioms(atlas, AXIOM_ORDER, samples=40)
+    infinity_complex(atlas)
+    rng = random.Random("object-tables")
+    directions = ap.directions()
+    sizes = []
+    for count in (50, 300):
+        for _ in range(count):
+            p, q = (BuildingPoint(rng.randrange(atlas.size), seeded_base(ap, rng)) for _ in range(2))
+            global_distance(atlas, p, q)
+            g1, g2 = (BuildingGerm(bp.chart, ap.sector(bp.point, rng.choice(directions))) for bp in (p, q))
+            germ_coapartment(atlas, g1, g2)
+        sizes.append((ap.region_feasible.cache_info().currsize, atlas._fit.cache_info().currsize))
+    assert sizes[0] == sizes[1], sizes
+    group = len(directions)
+    assert rs._product.cache_info().currsize <= group**2 and rs._inverse.cache_info().currsize <= group
+    assert ap.cone_slopes.cache_info().currsize <= group * len(rs.positive_roots)
+    assert ap.sector_walls.cache_info().currsize <= group
+    return weakref.ref(atlas), weakref.ref(ap), weakref.ref(rs)
+
+
+@pytest.mark.parametrize("build", [lambda: fixtures.fan(4, "B2", 1), lambda: fixtures.lambda_tree(5, 2)], ids=["fan(4,B2)", "tree(5,2)"])
+def test_tables_stay_bounded_and_die_with_their_object(build):
+    """An atlas, its apartment and its root system keep their tables as instance caches, so nothing
+    outlives them: once the last reference goes, all three are freed."""
+    refs = warmed_tables(build)
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
