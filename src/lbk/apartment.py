@@ -2,9 +2,11 @@
 
 Points are tuples of :class:`~lbk.lexq.LambdaScalar` holding the coefficients
 of a vector in the simple-root base.  All set-valued reasoning happens through
-:class:`ConvexRegion` (finite intersections of half-apartments).  Membership is
-substitution, and a sector's is one sign pass over the positive roots
-(:meth:`Apartment.sector_walls`).  Sector, panel and germ fits are cone-sign
+:class:`ConvexRegion` (finite intersections of half-apartments).  A point's
+membership is one integer pass over the positive roots, which gives its side of
+every half (:meth:`Apartment.sides`); a sector's is one sign pass over the same
+roots (:meth:`Apartment.sector_walls`); and an isometry moves a point in one
+``M x + s`` pass (:meth:`AffineIsometry.apply`).  Sector, panel and germ fits are cone-sign
 tests (:meth:`Apartment.caps`), and half-apartment shapes are read from one
 shared root (:meth:`Apartment.region_half`).  Containment and equality try a
 single-half implication (:meth:`Apartment.implied`) first; what these tests
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .lexq import LambdaScalar
 from .linarith import (
@@ -49,8 +51,7 @@ class AffineIsometry:
     shift: Point
 
     def apply(self, point: Point) -> Point:
-        moved = self.linear.act_point(point)
-        return tuple(a + b for a, b in zip(moved, self.shift))
+        return LambdaScalar.affine(self.linear.matrix, point, self.shift)
 
     def compose(self, other: "AffineIsometry") -> "AffineIsometry":
         """self after other."""
@@ -79,16 +80,25 @@ class HalfApartment:
     sense: int
     bound: LambdaScalar
 
-    def holds(self, value: LambdaScalar) -> bool:
-        """Is v in the half, given the pairing value (root, v)?"""
-        return value >= self.bound if self.sense == 1 else value <= self.bound
-
 
 @dataclass(frozen=True)
 class ConvexRegion:
     """Finite intersection of half-apartments (closed by construction)."""
 
     halves: tuple[HalfApartment, ...]
+
+    def __hash__(self) -> int:
+        # The generated hash, kept once computed as LambdaScalar keeps its own: regions key the
+        # FM table and the overlap index, and each lookup would hash every half again.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = hash((self.halves,))
+            return value
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles carry the halves, not the kept hash, as for LambdaScalar.
+        return {"halves": self.halves}
 
 
 @dataclass(frozen=True)
@@ -157,6 +167,7 @@ class Apartment:
         self._metric_rows = tuple(
             tuple(c.numerator * (self._metric_den // c.denominator) for c in row) for row in rows
         )
+        self._positive_index = {r: k for k, r in enumerate(roots.positive_roots)}
         self._inverse = _invert(self.pairing_matrix)
         # Dual basis: (alpha_j, u_i) = delta_ij; these span the fundamental cone.
         self.cone_basis: tuple[tuple[Fraction, ...], ...] = tuple(
@@ -284,8 +295,22 @@ class Apartment:
             self.rank, tuple(self.half_constraint(h) for h in region.halves) + tuple(extra)
         )
 
+    def sides(self, p: Point) -> Callable[[HalfApartment], int]:
+        """The side of p of any half: the sign of sense * ((root, p) - bound), so 1 inside,
+        0 on its wall, -1 outside.  The pairings with the positive roots, which are the roots
+        :meth:`half` stores, come from one integer pass over the metric rows, and each side
+        cross-multiplies one of them with the bound; no scalar is built."""
+        d, dots = LambdaScalar.dots(self._metric_rows, p)
+        d *= self._metric_den
+        index = self._positive_index
+        return lambda h: h.sense * h.bound.side(dots[index[h.root]], d)
+
+    def holds(self, region: ConvexRegion, side: Callable[[HalfApartment], int]) -> bool:
+        """Does the region hold the point of these :meth:`sides`?"""
+        return all(side(h) >= 0 for h in region.halves)
+
     def region_contains_point(self, region: ConvexRegion, p: Point) -> bool:
-        return all(h.holds(self.pairing(h.root, p)) for h in region.halves)
+        return self.holds(region, self.sides(p))
 
     def region_feasible(self, region: ConvexRegion) -> Feasibility:
         """Is the region nonempty?  One FM answer, witness included, cached per region."""
@@ -371,7 +396,11 @@ class Apartment:
         A cone with apex b lies in a half-apartment exactly when b does and
         the half caps no generator of the cone, so no elimination is needed.
         """
-        return self._cone_fits(s.direction, 0, region.halves) and self.region_contains_point(region, s.base)
+        return self.holds_sector(region, s.direction, self.sides(s.base))
+
+    def holds_sector(self, region: ConvexRegion, direction: WeylElement, side: Callable[[HalfApartment], int]) -> bool:
+        """:meth:`sector_in_region` for the direction-w sector at the point of these :meth:`sides`."""
+        return self._cone_fits(direction, 0, region.halves) and self.holds(region, side)
 
     def sector_fits(self, direction: WeylElement, region: ConvexRegion, panel_type: int = 0) -> bool:
         """Does some direction-w sector (panel_type 0), or its type-i panel, lie in the region?
@@ -429,12 +458,16 @@ class Apartment:
         keeps a positive gap, so a small enough eps > 0 along every generator
         of the direction cone stays inside it; a half tight at the base is
         kept only when it caps no generator.  So the germ fits exactly when
-        the cone fits the halves through the base.
+        the cone fits the halves through the base, those its side is 0 of.
         """
-        values = [(h, self.pairing(h.root, germ.base)) for h in region.halves]
-        if not all(h.holds(v) for h, v in values):
+        return self.holds_germ(region, germ.direction, self.sides(germ.base))
+
+    def holds_germ(self, region: ConvexRegion, direction: WeylElement, side: Callable[[HalfApartment], int]) -> bool:
+        """:meth:`region_contains_germ` for the direction-w germ at the point of these :meth:`sides`."""
+        sides = [(h, side(h)) for h in region.halves]
+        if any(s < 0 for _, s in sides):
             return False
-        return self._cone_fits(germ.direction, 0, (h for h, v in values if v == h.bound))
+        return self._cone_fits(direction, 0, (h for h, s in sides if not s))
 
     def _cone_fits(self, direction: WeylElement, panel_type: int, halves: Iterable[HalfApartment]) -> bool:
         """No half caps a generator of the direction cone, or of its type-i

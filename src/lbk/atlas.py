@@ -193,13 +193,16 @@ class Atlas:
         return self.reach(item.chart, self._fits(item)) | 1 << item.chart
 
     def _fits(self, item: BuildingPoint | BuildingGerm | BuildingSector) -> Callable[[ConvexRegion], bool]:
-        """The item's fit test, built once: does a region hold the point, a chunk of the germ, or the whole sector?"""
+        """The item's fit test, built once from one pass over its point, base or sector base
+        (:meth:`Apartment.sides`): does a region hold the point, a chunk of the germ, or the whole sector?"""
+        ap = self.apartment
         if isinstance(item, BuildingPoint):
-            return lambda region: self.apartment.region_contains_point(region, item.point)
+            side = ap.sides(item.point)
+            return lambda region: ap.holds(region, side)
+        side, w = ap.sides(item.sector.base), item.sector.direction
         if isinstance(item, BuildingGerm):
-            germ = item.germ()
-            return lambda region: self.apartment.region_contains_germ(region, germ)
-        return lambda region: self.apartment.sector_in_region(item.sector, region)
+            return lambda region: ap.holds_germ(region, w, side)
+        return lambda region: ap.holds_sector(region, w, side)
 
     # -- points --------------------------------------------------------------
 
@@ -213,8 +216,13 @@ class Atlas:
 
     def locate_point(self, bp: BuildingPoint, *, move: Callable = AffineIsometry.apply) -> dict[int, Point]:
         """The point in each chart that holds it, in chart order.  ``move(iso, p)`` applies a transition."""
+        return self.locate_in(bp, self.holding(bp), move=move)
+
+    def locate_in(self, bp: BuildingPoint, mask: int, *, move: Callable = AffineIsometry.apply) -> dict[int, Point]:
+        """The point in each chart of a mask of charts that hold it (a part of its :meth:`holding`
+        mask), in chart order, moved without a fit test.  ``move(iso, p)`` applies a transition."""
         i, p = bp.chart, bp.point
-        return {j: p if j == i else move(self.transitions[(i, j)].iso, p) for j in charts_of(self.holding(bp))}
+        return {j: p if j == i else move(self.transitions[(i, j)].iso, p) for j in charts_of(mask)}
 
     def points_equal(self, bp: BuildingPoint, bq: BuildingPoint) -> bool:
         moved = self.transport_point(bp.chart, bp.point, bq.chart)
@@ -224,28 +232,36 @@ class Atlas:
 
     def transport_sector(self, bs: BuildingSector, j: int) -> Optional[Sector]:
         """Image of a whole sector in chart j; None unless fully contained."""
-        return self._transport(bs, j, AffineIsometry.apply)
+        return self._transport(bs, j)
 
-    def transport_germ(self, bg: BuildingGerm, j: int, *, move: Callable = AffineIsometry.apply) -> Optional[Sector]:
+    def transport_germ(self, bg: BuildingGerm, j: int) -> Optional[Sector]:
         """Image of a sector germ in chart j; needs only a germ-sized overlap."""
-        return self._transport(bg, j, move)
+        return self._transport(bg, j)
 
-    def _transport(self, item: BuildingGerm | BuildingSector, j: int, move: Callable) -> Optional[Sector]:
-        """The item's sector moved into chart j by ``move(iso, base)``, when the overlap :meth:`_fits` it."""
+    def _transport(self, item: BuildingGerm | BuildingSector, j: int) -> Optional[Sector]:
+        """The item's sector moved into chart j, when the overlap :meth:`_fits` it: for callers
+        that do not know whether chart j holds it."""
+        if item.chart != j:
+            t = self.transition(item.chart, j)
+            if t is None or not self._fits(item)(t.region):
+                return None
+        return self.move_held(item, j)
+
+    def move_held(self, item: BuildingGerm | BuildingSector, j: int, *, move: Callable = AffineIsometry.apply) -> Sector:
+        """The item's sector moved into chart j by ``move(iso, base)``, for a chart j its
+        :meth:`holding` mask already holds: the move runs no fit test."""
         if item.chart == j:
             return item.sector
-        t = self.transition(item.chart, j)
-        if t is None or not self._fits(item)(t.region):
-            return None
-        return self.apartment.sector(move(t.iso, item.sector.base), t.iso.linear * item.sector.direction)
+        iso = self.transitions[(item.chart, j)].iso
+        return self.apartment.sector(move(iso, item.sector.base), iso.linear * item.sector.direction)
 
     def first_chart_holding(self, *items: BuildingGerm | BuildingSector) -> Optional[tuple[int, list[Sector]]]:
         """The first chart holding every given germ and whole sector, the lowest bit of the AND
-        of their :meth:`holding` masks, with each item transported once, into it; or None."""
+        of their :meth:`holding` masks, with each item moved once, into it; or None."""
         c = lowest(reduce(and_, map(self.holding, items), (1 << self.size) - 1))
         if c is None:
             return None
-        return c, [(self.transport_germ if isinstance(item, BuildingGerm) else self.transport_sector)(item, c) for item in items]
+        return c, [self.move_held(item, c) for item in items]
 
 
 @dataclass
@@ -340,23 +356,23 @@ def _agree_on(ap: Apartment, f: AffineIsometry, g: AffineIsometry, region: Conve
 
 def common_chart(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint) -> Optional[int]:
     """Some chart containing both points, or None (a compatibility failure)."""
-    return located_common_chart(bp, bq, atlas.locate_point(bp), atlas.locate_point(bq))
+    return shared_chart(bp, bq, atlas.holding(bp) & atlas.holding(bq))
 
 
-def located_common_chart(
-    bp: BuildingPoint, bq: BuildingPoint, at_p: dict[int, Point], at_q: dict[int, Point]
-) -> Optional[int]:
-    """:func:`common_chart` from the points' :meth:`Atlas.locate_point` maps:
+def shared_chart(bp: BuildingPoint, bq: BuildingPoint, shared: int) -> Optional[int]:
+    """:func:`common_chart` from the mask of the charts holding both points:
     their own chart when they share it, else the first shared chart."""
-    shared = at_p.keys() & at_q.keys()
-    if bp.chart in shared and bp.chart == bq.chart:
+    if bp.chart == bq.chart and shared >> bp.chart & 1:
         return bp.chart
-    return min(shared) if shared else None
+    return lowest(shared)
 
 
 def global_distance(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint) -> LambdaScalar:
-    """Metric evaluated in a shared chart; all shared charts must agree."""
-    return located_distance(atlas, bp, bq, atlas.locate_point(bp), atlas.locate_point(bq), metric=atlas.apartment.metric)
+    """Metric evaluated in a shared chart; all shared charts must agree.  Each point
+    is moved only into the charts that hold both."""
+    shared = atlas.holding(bp) & atlas.holding(bq)
+    at_p, at_q = atlas.locate_in(bp, shared), atlas.locate_in(bq, shared)
+    return located_distance(atlas, bp, bq, at_p, at_q, metric=atlas.apartment.metric)
 
 
 def located_distance(

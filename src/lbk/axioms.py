@@ -37,9 +37,9 @@ from .atlas import (
     DistanceDisagreementError,
     NoCommonChartError,
     charts_of,
-    located_common_chart,
     located_distance,
     lowest,
+    shared_chart,
     validate,
 )
 from .lexq import LambdaScalar
@@ -221,7 +221,7 @@ def check_a3(sample: Sample, samples: int = 60) -> AxiomReport:
     report = AxiomReport("A3")
     atlas = sample.atlas
     for bp, bq in _cap_pairs(sample.points, samples, sample.seed, "a3"):
-        chart = located_common_chart(bp, bq, sample.located(bp), sample.located(bq))
+        chart = shared_chart(bp, bq, sum(1 << c for c in sample.located(bp).keys() & sample.located(bq).keys()))
         report.check(_pair_label(atlas, bp, bq, sample.format), None if chart is None else atlas.name(chart), "no-common-chart")
     return report
 
@@ -386,7 +386,7 @@ class Retraction:
     """
 
     def __init__(self, atlas: Atlas, germ: BuildingGerm, chart: int, *, move: Callable = AffineIsometry.apply):
-        sectors = {b: atlas.transport_germ(germ, b, move=move) for b in charts_of(atlas.holding(germ))}
+        sectors = {b: atlas.move_held(germ, b, move=move) for b in charts_of(atlas.holding(germ))}
         if (target := sectors.get(chart)) is None:
             raise TheoremViolation(
                 f"germ {_sector_label(atlas, germ, format_point)} is not contained in chart {atlas.name(chart)}"
@@ -402,9 +402,11 @@ class Retraction:
                 x - y for x, y in zip(target.base, linear.act_point(local.base))
             )
             self.maps[b] = AffineIsometry(linear, shift)
+        self.mask = sum(1 << b for b in self.maps)  # the charts of the maps, as a chart mask
 
     def evaluate(self, bp: BuildingPoint) -> BuildingPoint:
-        return self.evaluate_located(bp, self.atlas.locate_point(bp))
+        """The point's image, read in the charts holding both it and the germ."""
+        return self.evaluate_located(bp, self.atlas.locate_in(bp, self.atlas.holding(bp) & self.mask))
 
     def evaluate_located(self, bp: BuildingPoint, located: dict[int, Point]) -> BuildingPoint:
         """:meth:`evaluate` from the point's copy in each chart that holds it."""
@@ -524,18 +526,18 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
 
     # Distinct bases: chart through both points, sector toward the far point,
     # then two germ-and-sector stages.
-    at1, at2 = atlas.locate_point(p1), atlas.locate_point(p2)
-    cc = located_common_chart(p1, p2, at1, at2)
+    held2 = atlas.holding(p2)
+    cc = shared_chart(p1, p2, atlas.holding(p1) & held2)
     if cc is None:
         return direct_scan("no point chart", "no chart through both base points")
     stages.append(f"points chart={atlas.name(cc)}")
-    x, y = at1[cc], at2[cc]
+    x, y = atlas.locate_in(p1, 1 << cc)[cc], atlas.locate_in(p2, 1 << cc)[cc]
     found = atlas.first_chart_holding(g1, BuildingSector(cc, ap.sector_through(x, y)))
     if found is None:
         return direct_scan("no germ+sector chart", "no chart with first germ and connecting sector")
     carrier, (germ_in_carrier, _) = found
     stages.append(f"germ+sector chart={atlas.name(carrier)}")
-    y_in_carrier = at2.get(carrier)
+    y_in_carrier = atlas.locate_in(p2, held2 & 1 << carrier).get(carrier)
     if y_in_carrier is None:
         # The connecting sector contains y, so its chart must too.
         y_in_carrier = atlas.transport_point(cc, y, carrier)
@@ -565,7 +567,7 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
     """
     ap = atlas.apartment
     mask = atlas.holding(germ)
-    held = {c: atlas.transport_germ(germ, c) for c in charts_of(mask)}
+    held = {c: atlas.move_held(germ, c) for c in charts_of(mask)}
     best = None
     for w in ap.directions():
         t_sector = ap.sector(y, w)
@@ -573,7 +575,7 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
         bprime = lowest(mask & atlas.holding(t_germ))
         if bprime is None:
             continue
-        t_here = atlas.transport_germ(t_germ, bprime)
+        t_here = atlas.move_held(t_germ, bprime)
         pivot = ap.sector_with_germ(t_here.base, held[bprime].germ())
         delta = ap.germ_distance(t_here.germ(), pivot.germ())
         key = (-delta.length, w.word)

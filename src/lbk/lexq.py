@@ -15,13 +15,19 @@ comparison and ``abs`` work on those ints and create no ``Fraction``, and
 every result costs at most one gcd.  The ``parts`` property rebuilds the
 public view, a tuple of reduced ``Fraction`` values.
 :meth:`LambdaScalar.lincomb` sums a whole linear combination with rational
-coefficients over one common denominator and builds only the result;
-pairings, Weyl actions and Fourier-Motzkin bounds go through it.
+coefficients over one common denominator and builds only the result; single
+pairings and Fourier-Motzkin bounds go through it.  Four integer passes bring
+their scalars to one common denominator by one step (``_scaled``).
 :meth:`LambdaScalar.abs_sum` sums the absolute values of int linear forms of
-a difference in one integer pass; distances go through it, and sector
-membership goes through :meth:`LambdaScalar.signs`, their signs from the same
-pass.  A scalar keeps its hash once computed, so a non-integer scalar
-rebuilds its ``Fraction`` parts for hashing only once.
+a difference; distances go through it, and sector membership goes through
+:meth:`LambdaScalar.signs`, their signs from the same pass.  The point pass
+:meth:`LambdaScalar.dots` gives int linear forms of a point as ints over one
+denominator, and :meth:`LambdaScalar.side` compares such a value with a scalar
+by cross-multiplying, so point and germ membership build no scalar.
+:meth:`LambdaScalar.affine` is ``M x + s`` for an int matrix, one scalar per
+output coordinate; point moves go through it.  A scalar keeps its hash once
+computed, so a non-integer scalar rebuilds its ``Fraction`` parts for hashing
+only once.
 """
 from __future__ import annotations
 
@@ -52,22 +58,32 @@ def _reduced(nums: tuple[int, ...], den: int) -> "LambdaScalar":
     return _make(nums, den)
 
 
+def _scaled(xs: Sequence["LambdaScalar"]) -> tuple[int, list[Sequence[int]]]:
+    """(d, nums): a common denominator d > 0 of the scalars xs, which share one lex rank,
+    and the lex components of d * x per x."""
+    if not xs:
+        raise ValueError("an integer pass needs at least one coordinate")
+    for x in xs:
+        if not isinstance(x, LambdaScalar):
+            raise TypeError(f"expected LambdaScalar, got {type(x).__name__}")
+        if len(x._nums) != len(xs[0]._nums):
+            raise ValueError(f"lex rank mismatch: {xs[0].rank} vs {x.rank}")
+    d = lcm(*[x._den for x in xs])
+    return d, [x._nums if x._den == d else [n * (d // x._den) for n in x._nums] for x in xs]
+
+
+def _dots(rows: Iterable[Sequence[int]], cols: list) -> list[list[int]]:
+    """Per int row, its dot product with each column."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
 def _row_dots(rows: Iterable[Sequence[int]], xs: Sequence["LambdaScalar"], ys: Sequence["LambdaScalar"]):
     """(d, dots): a common denominator d > 0 of xs and ys (paired as ``zip`` pairs them), and per
     int row the lex components of d * sum_j row[j] * (xs[j] - ys[j]) as a list of ints."""
-    pairs = list(zip(xs, ys))
-    if not pairs:
-        raise ValueError("a difference needs at least one coordinate")
-    for x, y in pairs:
-        if not isinstance(x, LambdaScalar):
-            raise TypeError(f"expected LambdaScalar, got {type(x).__name__}")
-        pairs[0][0]._check(x)
-        x._check(y)
-    d = lcm(*(x._den for x, _ in pairs), *(y._den for _, y in pairs))
-    cols = list(zip(*(
-        [a * (d // x._den) - b * (d // y._den) for a, b in zip(x._nums, y._nums)] for x, y in pairs
-    )))
-    return d, ([sum(map(mul, row, col)) for col in cols] for row in rows)
+    n = min(len(xs), len(ys))
+    d, nums = _scaled([*xs[:n], *ys[:n]])
+    diffs = ([a - b for a, b in zip(x, y)] for x, y in zip(nums, nums[n:]))
+    return d, _dots(rows, list(zip(*diffs)))
 
 
 class LambdaScalar:
@@ -158,6 +174,35 @@ class LambdaScalar:
         _, dots_per_row = _row_dots(rows, xs, ys)
         zero = [0] * xs[0].rank
         return tuple((dots > zero) - (dots < zero) for dots in dots_per_row)
+
+    @staticmethod
+    def dots(rows: Iterable[Sequence[int]], xs: Sequence["LambdaScalar"]) -> tuple[int, list[list[int]]]:
+        """(d, dots): a common denominator d > 0 of xs, and per int row the lex
+        components of d * sum_j row[j] * xs[j], in one integer pass; no scalar is built."""
+        d, nums = _scaled(xs)
+        return d, _dots(rows, list(zip(*nums)))
+
+    @staticmethod
+    def affine(matrix: Sequence[Sequence[int]], xs: Sequence["LambdaScalar"], shift: Sequence["LambdaScalar"]) -> tuple["LambdaScalar", ...]:
+        """matrix * xs + shift for an int matrix, over one common denominator of xs and
+        shift, building one scalar per output coordinate."""
+        n = len(xs)
+        if not n:
+            raise ValueError("an integer pass needs at least one coordinate")
+        d, nums = _scaled([*xs, *shift])
+        cols = list(zip(*nums[:n]))
+        return tuple([
+            _reduced(tuple([sum(map(mul, row, col)) + s for col, s in zip(cols, t)]), d) for row, t in zip(matrix, nums[n:])
+        ])
+
+    def side(self, nums: Sequence[int], den: int) -> int:
+        """The sign of nums/den - self, for the int lex components nums over a positive den:
+        one cross-multiplication, no scalar built."""
+        if len(nums) != len(self._nums):
+            raise ValueError(f"lex rank mismatch: {len(nums)} vs {self.rank}")
+        a = [n * self._den for n in nums]
+        b = [n * den for n in self._nums]
+        return (a > b) - (a < b)
 
     @property
     def parts(self) -> tuple[Fraction, ...]:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -403,6 +405,18 @@ def test_region_equality_and_containment():
     assert ap.region_equal(half, redundant)
     assert ap.region_contains(ap.whole_region(), half)
     assert not ap.region_contains(half, ap.whole_region())
+
+
+def test_region_keeps_its_generated_hash():
+    """A region hashes as the dataclass would, once; copies carry the halves only."""
+    ap = make("B2", 2)
+    region = ap.intersect(ap.half_region((1, 0), 1, 0), ap.half_region((1, 1), -1, 3))
+    assert hash(region) == hash((region.halves,)) and "_hash" in vars(region)
+    assert repr(region) == f"ConvexRegion(halves={region.halves!r})"
+    for twin in (copy.copy(region), pickle.loads(pickle.dumps(region)), ap.region(region.halves)):
+        assert "_hash" not in vars(twin)
+        assert twin == region and hash(twin) == hash(region)
+    assert ap.region_feasible(ap.region(region.halves)) is ap.region_feasible(region)
 
 
 def test_transform_region_roundtrip():

@@ -226,6 +226,20 @@ def transport(atlas, item, chart):
     return atlas.transport_sector(item, chart)
 
 
+def record_calls(monkeypatch, *names):
+    """The argument tuples of every call of the named Atlas methods, per name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(Atlas, name)
+
+        def recorded(self, *args, name=name, original=original, **kwargs):
+            calls[name].append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Atlas, name, recorded)
+    return calls
+
+
 def brute_force_mask(atlas, item):
     """The charts the item moves into, tried one chart at a time."""
     return sum(1 << c for c in atlas.charts() if transport(atlas, item, c) is not None)
@@ -245,7 +259,8 @@ def brute_force_holding(atlas, items):
 )
 def test_first_chart_holding_agrees_with_brute_force(atlas, monkeypatch):
     """``holding`` is the mask of the charts the item moves into, and the first
-    chart search transports each item once, into the chart it returns."""
+    chart search tests each item's fit once, in ``holding``, and moves each item
+    once, into the chart it returns, by the move rule that runs no fit test."""
     rng = random.Random(f"first-chart:{atlas.label}")
     point_rng = random.Random(f"holding-points:{atlas.label}")
     found = missed = sector_first = shared = 0
@@ -259,18 +274,12 @@ def test_first_chart_holding_agrees_with_brute_force(atlas, monkeypatch):
         for germ in items:
             if isinstance(germ, BuildingGerm):
                 assert list(Retraction(atlas, germ, germ.chart).maps) == charts_of(brute_force_mask(atlas, germ))
-        calls = []
-        for name in ("transport_germ", "transport_sector"):
-            original = getattr(Atlas, name)
-
-            def recorded(self, item, chart, original=original):
-                calls.append((item, chart))
-                return original(self, item, chart)
-
-            monkeypatch.setattr(Atlas, name, recorded)
+        calls = record_calls(monkeypatch, "_fits", "move_held", "transport_germ", "transport_sector")
         assert atlas.first_chart_holding(*items) == expected
         monkeypatch.undo()
-        assert calls == ([(item, expected[0]) for item in items] if expected else [])
+        assert calls["_fits"] == [(item,) for item in items]
+        assert calls["move_held"] == ([(item, expected[0]) for item in items] if expected else [])
+        assert not calls["transport_germ"] and not calls["transport_sector"]
         found += expected is not None
         missed += expected is None
         sector_first += isinstance(items[0], BuildingSector)

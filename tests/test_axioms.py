@@ -50,6 +50,7 @@ from lbk.fixtures import broken_pair, drop_chart, fan, lambda_tree, shifted_rays
 from lbk.lexq import LambdaScalar
 from lbk.rootsystem import build_root_system
 from report_digest import members
+from test_atlas import record_calls
 from test_golden import fm_fallback
 
 
@@ -563,26 +564,22 @@ def test_coapartment_descent_never_lengthens():
 )
 def test_same_base_coapartment_transports_each_germ_once(atlas, monkeypatch):
     """The chart search hands back both germs' images, so reading the final
-    length transports neither germ into that chart again."""
+    length moves neither germ into that chart again: each germ's fit is tested
+    once, and each germ is moved once, into the chart found, with no fit test."""
     ap = atlas.apartment
-    calls = Counter()
-    original = Atlas.transport_germ
-
-    def counted(self, germ, chart):
-        calls[germ, chart] += 1
-        return original(self, germ, chart)
-
-    monkeypatch.setattr(Atlas, "transport_germ", counted)
+    calls = record_calls(monkeypatch, "_fits", "move_held", "transport_germ")
     dirs = ap.directions()
     for c1 in atlas.charts():
         for c2, base in atlas.locate_point(BuildingPoint(c1, ap.origin())).items():
             for w1, w2 in zip(dirs, reversed(dirs)):
-                calls.clear()
-                result = germ_coapartment(
-                    atlas, BuildingGerm(c1, ap.sector(ap.origin(), w1)), BuildingGerm(c2, ap.sector(base, w2))
-                )
+                for made in calls.values():
+                    made.clear()
+                g1, g2 = BuildingGerm(c1, ap.sector(ap.origin(), w1)), BuildingGerm(c2, ap.sector(base, w2))
+                result = germ_coapartment(atlas, g1, g2)
                 assert result.verdict == PASS and result.final_length is not None
-                assert max(calls.values()) == 1, calls
+                assert calls["_fits"] == [(g1,), (g2,)], calls
+                assert calls["move_held"] == [(g1, result.chart), (g2, result.chart)], calls
+                assert not calls["transport_germ"], calls
 
 
 def test_opposite_germ_rank_one(tripod):
@@ -598,27 +595,25 @@ def test_opposite_germ_rank_one(tripod):
     "atlas", [lambda_tree(4), fan(3, "A2"), fan(3, "B2")], ids=["tree(4,1)", "fan(3,A2)", "fan(3,B2)"]
 )
 def test_opposite_germ_transports_each_germ_once(atlas, monkeypatch):
-    """The given germ is located once per call, and a direction's candidate
-    germ is transported only into charts that hold the given one."""
+    """The given germ is located once per call, each item's fit is tested once,
+    and each item is moved at most once into a chart, with no fit test; a
+    direction's candidate germ moves only into charts that hold the given one."""
     ap = atlas.apartment
-    calls = Counter()
-    original = Atlas.transport_germ
-
-    def counted(self, germ, chart):
-        calls[germ, chart] += 1
-        return original(self, germ, chart)
-
-    monkeypatch.setattr(Atlas, "transport_germ", counted)
+    calls = record_calls(monkeypatch, "_fits", "move_held", "transport_germ", "transport_sector")
     for c in atlas.charts():
         germ = BuildingGerm(c, ap.sector(ap.origin(), ap.directions()[0]))
-        held = {b for b in atlas.charts() if original(atlas, germ, b) is not None}
+        held = {b for b in atlas.charts() if atlas.transport_germ(germ, b) is not None}
         for chart_b in atlas.charts():
             if chart_b == c:
                 continue  # one candidate there would be the given germ itself
-            calls.clear()
+            for made in calls.values():
+                made.clear()
             assert opposite_germ(atlas, germ, chart_b, ap.origin()).verdict == PASS
-            assert max(calls.values()) == 1, calls
-            assert {b for g, b in calls if g != germ} <= held
+            assert max(Counter(calls["_fits"]).values()) == 1, calls
+            assert max(Counter(calls["move_held"]).values()) == 1, calls
+            assert not calls["transport_germ"] and not calls["transport_sector"], calls
+            assert {(germ, b) for b in held} <= set(calls["move_held"])
+            assert {b for g, b in calls["move_held"] if isinstance(g, BuildingGerm) and g != germ} <= held
 
 
 def test_opposite_germ_single_chart():
@@ -766,6 +761,59 @@ def opposite_digest(calls_per_member=40):
     return digest.hexdigest()
 
 
+def query_members():
+    """The five members of the benchmark's queries, each with the number of inputs it gets,
+    and after each member of three or more charts its copy without the last chart, where
+    some point pairs share no chart and some points no chart with a retraction's germ."""
+    for name, atlas in (
+        ("tree(5,1)", lambda_tree(5, 1)),
+        ("tree(4,2)", lambda_tree(4, 2)),
+        ("fan(4,A2)", fan(4, "A2")),
+        ("fan(3,B2)", fan(3, "B2")),
+        ("single(G2)", single_apartment("G2", 1)),
+    ):
+        yield name, atlas, 80
+        if atlas.size >= 3:
+            yield f"{name}-{atlas.size - 1}", drop_chart(atlas, atlas.size - 1), 25
+
+
+def outcome(call) -> str:
+    """repr of the call's result, or the class and message of the failure it raises."""
+    try:
+        return repr(call())
+    except (NoCommonChartError, DistanceDisagreementError, TheoremViolation) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def distance_digest():
+    """sha256 of global_distance over 500 seeded pairs of building points."""
+    digest = hashlib.sha256()
+    for name, atlas, count in query_members():
+        rng = random.Random(f"distance:{name}")
+        for _ in range(count):
+            bp, bq = (BuildingPoint(rng.randrange(atlas.size), pin_point(atlas.apartment, rng)) for _ in range(2))
+            digest.update(f"{outcome(lambda: global_distance(atlas, bp, bq))}\n".encode())
+    return digest.hexdigest()
+
+
+def retraction_digest():
+    """sha256 of Retraction.evaluate over 500 seeded building points, alternating between
+    the two retractions the benchmark's queries build per member."""
+    digest = hashlib.sha256()
+    for name, atlas, count in query_members():
+        ap = atlas.apartment
+        dirs, last = ap.directions(), atlas.size - 1
+        rhos = [
+            Retraction(atlas, BuildingGerm(0, ap.sector(ap.origin(), dirs[0])), 0),
+            Retraction(atlas, BuildingGerm(last, ap.sector(ap.origin(), dirs[-1])), last),
+        ]
+        rng = random.Random(f"retract:{name}")
+        for i in range(count):
+            bp = BuildingPoint(rng.randrange(atlas.size), pin_point(ap, rng))
+            digest.update(f"{outcome(lambda: rhos[i % 2].evaluate(bp))}\n".encode())
+    return digest.hexdigest()
+
+
 # Both measured before the sector scans read signs instead of sector regions.
 COAPARTMENT_SHA256 = "7ab9bed905ee71cadd818e12e1287ebe114b93a02d08b70a315061a96dc9b9be"
 OPPOSITE_SHA256 = "a92af23c974f527594cb82fb419fe946c3ec17898fcee4f60a26e9c3d416fe18"
@@ -777,6 +825,20 @@ def test_coapartment_results_are_pinned():
 
 def test_opposite_germ_results_are_pinned():
     assert opposite_digest() == OPPOSITE_SHA256
+
+
+# Both measured before points were located from one integer pass; 8 of the pairs share no
+# chart, and 10 of the points share no chart with their retraction's germ.
+DISTANCE_SHA256 = "ac46623e047e7a69a7fda7f20636e1c32930cab174e83d80f36958422bc43e63"
+RETRACTION_SHA256 = "e4f3260c1036c7f4a22a6c9aaac58b227a3c07850a15f416d21f539459199771"
+
+
+def test_distance_results_are_pinned():
+    assert distance_digest() == DISTANCE_SHA256
+
+
+def test_retraction_results_are_pinned():
+    assert retraction_digest() == RETRACTION_SHA256
 
 
 # -- equivalence ---------------------------------------------------------------

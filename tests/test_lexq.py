@@ -2,10 +2,13 @@ import copy
 import pickle
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
+from lbk.apartment import Apartment
 from lbk.lexq import LambdaScalar
+from lbk.rootsystem import build_root_system
 
 
 def lam(*parts):
@@ -228,6 +231,70 @@ def test_signs_match_the_sign_of_each_lincomb():
     assert LambdaScalar.signs([[1], [-2], [0]], [LambdaScalar([0, -1])], [LambdaScalar.zero(2)]) == (-1, 1, 0)
 
 
+def rand_point(rng, rank, coords=2):
+    """Coordinates with mixed denominators, an integer one now and then."""
+    return tuple(
+        LambdaScalar(rand_parts(rng, rank) if rng.random() < 0.8 else [rng.randint(-9, 9) for _ in range(rank)])
+        for _ in range(coords)
+    )
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_affine_matches_act_point_plus_shift(name):
+    """M x + s in one pass equals the action row by row through lincomb, plus the shift, for every Weyl element."""
+    rng = random.Random(f"affine:{name}")
+    for w in build_root_system(name).weyl_elements():
+        for _ in range(20):
+            rank = rng.randint(1, 3)
+            x, shift = rand_point(rng, rank), rand_point(rng, rank)
+            want = tuple(LambdaScalar.lincomb(row, x) + t for row, t in zip(w.matrix, shift))
+            assert LambdaScalar.affine(w.matrix, x, shift) == want
+            assert LambdaScalar.affine(w.matrix, x, (LambdaScalar.zero(rank),) * 2) == w.act_point(x)
+
+
+def test_dots_match_lincomb():
+    rng = random.Random(59)
+    for _ in range(CASES):
+        rank, terms, nrows = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 6)
+        xs = rand_point(rng, rank, terms)
+        rows = [[rng.randint(-3, 3) for _ in range(terms)] for _ in range(nrows)]
+        d, dots = LambdaScalar.dots(rows, xs)
+        assert d > 0
+        assert [LambdaScalar([Q(n, d) for n in v]) for v in dots] == [LambdaScalar.lincomb(row, xs) for row in rows]
+
+
+def test_side_is_the_sign_against_the_bound():
+    for rng, rank, x, y in seeded_pairs(61):
+        bound = LambdaScalar(y)
+        den = rng.randint(1, 12)
+        nums = [rng.randint(-50, 50) for _ in range(rank)]
+        assert bound.side(nums, den) == ref_sign([Q(n, den) - b for n, b in zip(nums, y)])
+        # The tight case: nums/den is the bound itself, over a multiple of its denominator.
+        den = lcm(*(b.denominator for b in y)) * rng.randint(1, 5)
+        assert bound.side([int(b * den) for b in y], den) == 0
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_half_sides_from_the_point_pass(name):
+    """Each half's side at p from one pass is the sign of sense * (pairing(root, p) - bound),
+    0 on the half's wall, for every root, both senses and lex ranks 1-3."""
+    rng = random.Random(f"sides:{name}")
+    roots = build_root_system(name)
+    every_root = list(roots.positive_roots) + [tuple(-c for c in r) for r in roots.positive_roots]
+    for lex_rank in (1, 2, 3):
+        ap = Apartment(roots, lex_rank)
+        for _ in range(20):
+            p = rand_point(rng, lex_rank)
+            side = ap.sides(p)
+            for root in every_root:
+                value = ap.pairing(root, p)
+                for sense in (1, -1):
+                    for bound in (value, LambdaScalar(rand_parts(rng, lex_rank)), value + LambdaScalar.rational(Q(1, 7), lex_rank)):
+                        h = ap.half(root, sense, bound)
+                        assert side(h) == sense * (value - bound).sign()
+                        assert ap.region_contains_point(ap.region([h]), p) == (side(h) >= 0)
+
+
 def test_ordered_group_laws():
     for rng, rank, x, y in seeded_pairs(31):
         a, b, c = LambdaScalar(x), LambdaScalar(y), LambdaScalar(rand_parts(rng, rank))
@@ -263,6 +330,10 @@ def test_kernel_errors():
         lambda: LambdaScalar.abs_sum([[1]], [a], [1]),
         lambda: LambdaScalar.signs([[1]], [1], [a]),
         lambda: LambdaScalar.signs([[1]], [a], [Q(1)]),
+        lambda: LambdaScalar.dots([[1]], [1]),
+        lambda: LambdaScalar.dots([[1, 1]], [a, Q(1)]),
+        lambda: LambdaScalar.affine([[1]], [1], [a]),
+        lambda: LambdaScalar.affine([[1]], [a], [Q(1)]),
     ):
         with pytest.raises(TypeError):
             op()
@@ -279,6 +350,12 @@ def test_kernel_errors():
         lambda: LambdaScalar.signs([[1, 1]], [a, a], [a, b]),
         lambda: LambdaScalar.signs([[1, 1]], [a, b], [a, b]),
         lambda: LambdaScalar.signs([[]], [], []),
+        lambda: LambdaScalar.dots([[1, 1]], [a, b]),
+        lambda: LambdaScalar.dots([[]], []),
+        lambda: LambdaScalar.affine([[1]], [a], [b]),
+        lambda: LambdaScalar.affine([[1, 1], [1, 1]], [a, a], [a, b]),
+        lambda: LambdaScalar.affine([[]], [], [a]),
+        lambda: a.side([1], 1),
         lambda: LambdaScalar([]),
         lambda: LambdaScalar.zero(0),
     ):
