@@ -18,7 +18,7 @@ sector-panel types are 1-based, matching the a1/a2 syntax of model files.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -43,26 +43,44 @@ def format_point(p: Sequence[LambdaScalar]) -> str:
     return "(" + ",".join(str(c) for c in p) + ")"
 
 
+class _KeptHash:
+    """A frozen dataclass's generated hash, the hash of its fields' tuple, kept once computed as
+    LambdaScalar keeps its own: memo and table keys would hash every field again on each lookup.
+    Copies and pickles carry the fields, not the kept hash.  A subclass names ``__hash__`` in its
+    class body, or the dataclass would replace it with its own."""
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            # Until then the instance dict holds the fields alone, in order: __init__ and copies set nothing else.
+            value = self.__dict__["_hash"] = hash(tuple(self.__dict__.values()))
+            return value
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class AffineIsometry:
+class AffineIsometry(_KeptHash):
     """v -> linear(v) + shift, with the linear part in the reflection group."""
 
     linear: WeylElement
     shift: Point
+    __hash__ = _KeptHash.__hash__  # memos key moves by the isometry
 
     def apply(self, point: Point) -> Point:
         return LambdaScalar.affine(self.linear.matrix, point, self.shift)
 
     def compose(self, other: "AffineIsometry") -> "AffineIsometry":
-        """self after other."""
-        return AffineIsometry(
-            self.linear * other.linear,
-            tuple(a + b for a, b in zip(self.linear.act_point(other.shift), self.shift)),
-        )
+        """self after other: its shift is self applied to other's, in one ``M x + s`` pass."""
+        return AffineIsometry(self.linear * other.linear, LambdaScalar.affine(self.linear.matrix, other.shift, self.shift))
 
     def inverse(self) -> "AffineIsometry":
-        inv = self.linear.inverse()
-        return AffineIsometry(inv, tuple(-c for c in inv.act_point(self.shift)))
+        """v -> w^-1 v - w^-1 s: the shift is (-w^-1) s + 0, one ``M x + s`` pass."""
+        inv, zero = self.linear.inverse(), LambdaScalar.zero(self.shift[0].rank)
+        negated = [[-a for a in row] for row in inv.matrix]
+        return AffineIsometry(inv, LambdaScalar.affine(negated, self.shift, [zero] * len(self.shift)))
 
     def is_identity(self) -> bool:
         return self.linear.is_identity() and all(c.is_zero() for c in self.shift)
@@ -82,23 +100,11 @@ class HalfApartment:
 
 
 @dataclass(frozen=True)
-class ConvexRegion:
+class ConvexRegion(_KeptHash):
     """Finite intersection of half-apartments (closed by construction)."""
 
     halves: tuple[HalfApartment, ...]
-
-    def __hash__(self) -> int:
-        # The generated hash, kept once computed as LambdaScalar keeps its own: regions key the
-        # FM table and the overlap index, and each lookup would hash every half again.
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            value = self.__dict__["_hash"] = hash((self.halves,))
-            return value
-
-    def __getstate__(self) -> dict:
-        # Copies and pickles carry the halves, not the kept hash, as for LambdaScalar.
-        return {"halves": self.halves}
+    __hash__ = _KeptHash.__hash__  # regions key the FM table and the overlap index
 
 
 @dataclass(frozen=True)
@@ -300,10 +306,15 @@ class Apartment:
         0 on its wall, -1 outside.  The pairings with the positive roots, which are the roots
         :meth:`half` stores, come from one integer pass over the metric rows, and each side
         cross-multiplies one of them with the bound; no scalar is built."""
-        d, dots = LambdaScalar.dots(self._metric_rows, p)
-        d *= self._metric_den
+        d, dots = self.root_dots(p)
         index = self._positive_index
         return lambda h: h.sense * h.bound.side(dots[index[h.root]], d)
+
+    def root_dots(self, p: Point) -> tuple[int, list[list[int]]]:
+        """(d, dots): per positive root beta_k, the lex components of d * (beta_k, p) as ints
+        over one d > 0, from one integer pass over the metric rows; no scalar is built."""
+        d, dots = LambdaScalar.dots(self._metric_rows, p)
+        return d * self._metric_den, dots
 
     def holds(self, region: ConvexRegion, side: Callable[[HalfApartment], int]) -> bool:
         """Does the region hold the point of these :meth:`sides`?"""

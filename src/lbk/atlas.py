@@ -4,6 +4,9 @@ An :class:`Atlas` is a finite presentation of a pair (point set, chart family): 
 copies of the model apartment, plus for ordered chart pairs an overlap region and the isometry
 identifying it with a region of the other chart.  Point equality and :meth:`Atlas.holding`, the one chart
 search, are one-hop, sound only for a closed gluing; :func:`validate` does not check closure (ROADMAP item 2).
+A point's charts come from one integer pass read against per-chart half rows.  The atlas numbers its
+distinct transition isometries, and since the metric is invariant under the affine Weyl group, a distance
+is measured once per distinct composite map t_cj^-1 t_dj (:meth:`Atlas.through`, :func:`shared_distance`).
 """
 from __future__ import annotations
 
@@ -121,7 +124,8 @@ class Atlas:
         # elimination runs) is one int class id, in transition order, with its region and half (or None);
         # per chart, overlap_classes[i] and the half index _meeting[i] map each id and half to a chart mask.
         ids: dict[ConvexRegion, int] = {}
-        self.class_of = {pair: ids.setdefault(t.region, len(ids)) for pair, t in sorted(self.transitions.items())}
+        items = sorted(self.transitions.items())
+        self.class_of = {pair: ids.setdefault(t.region, len(ids)) for pair, t in items}
         self.regions = list(ids)
         self.halves = [apartment.region_half(r) for r in self.regions]
         self.overlap_classes: list[dict[int, int]] = [{} for _ in range(m)]
@@ -130,6 +134,19 @@ class Atlas:
             self.overlap_classes[i][c] = self.overlap_classes[i].get(c, 0) | 1 << j
             if (h := self.halves[c]) is not None:
                 self._meeting[i][h] = self._meeting[i].get(h, 0) | 1 << j
+        # Per chart and overlap class, the class's chart mask and its halves as int rows (k, sense, nums, den):
+        # the root is the k-th positive root and the bound is nums/den, for the point pass of holding.
+        positive = apartment.roots.positive_roots
+        rows = [tuple((positive.index(h.root), h.sense, *h.bound.ints) for h in r.halves) for r in self.regions]
+        self.half_rows = [[(rows[c], js) for c, js in classes.items()] for classes in self.overlap_classes]
+        # Transition values, numbered once in transition order: value_of[(i, j)] is the id of t_ij's isometry
+        # in isos, where id 0 is None, no move: t_ii and any identity transition, so no Weyl identity is built.
+        values: dict[Optional[AffineIsometry], int] = {None: 0}
+        for iso in dict.fromkeys(t.iso for _, t in items):
+            values.setdefault(None if iso.is_identity() else iso, len(values))
+        self.isos = list(values)
+        self.value_of = {(i, i): 0 for i in range(m)} | {pair: values.get(t.iso, 0) for pair, t in items}
+        self.through = cache(self.through)
         # The fit table.  fitting passes face on, since a cache would key fitting(i, w) and fitting(i, w, 0) apart.
         self._fit = cache(lambda i, w, face: self.reach(i, lambda region: apartment.sector_fits(w, region, face)) | 1 << i)
 
@@ -189,16 +206,29 @@ class Atlas:
         return self._fit(i, w, face)
 
     def holding(self, item: BuildingPoint | BuildingGerm | BuildingSector) -> int:
-        """The charts holding a point, germ or whole sector, as a mask: its own, and those of each class it fits."""
-        return self.reach(item.chart, self._fits(item)) | 1 << item.chart
+        """The charts holding a point, germ or whole sector, as a mask: its own, and those of each class it fits.
+        A point's classes come from one pass (:meth:`Apartment.root_dots`): a half holds it when sense * (its
+        pairing - the bound) >= 0, decided by cross-multiplying the ints of the half rows.  A whole sector lies
+        in a class exactly when its base does and the class caps no generator of its cone, and one chart's
+        class masks are disjoint: so its mask is its base's AND :meth:`fitting`."""
+        if isinstance(item, BuildingGerm):
+            return self.reach(item.chart, self._fits(item)) | 1 << item.chart
+        point = isinstance(item, BuildingPoint)
+        d, dots = self.apartment.root_dots(item.point if point else item.sector.base)
+        mask = 1 << item.chart
+        for rows, js in self.half_rows[item.chart]:
+            for k, sense, nums, den in rows:
+                a, b = [x * den for x in dots[k]], [n * d for n in nums]
+                if a < b if sense > 0 else a > b:
+                    break
+            else:
+                mask |= js
+        return mask if point else mask & self.fitting(item.chart, item.sector.direction)
 
-    def _fits(self, item: BuildingPoint | BuildingGerm | BuildingSector) -> Callable[[ConvexRegion], bool]:
-        """The item's fit test, built once from one pass over its point, base or sector base
-        (:meth:`Apartment.sides`): does a region hold the point, a chunk of the germ, or the whole sector?"""
+    def _fits(self, item: BuildingGerm | BuildingSector) -> Callable[[ConvexRegion], bool]:
+        """The item's fit test, built once from one pass over its base (:meth:`Apartment.sides`):
+        does a region hold a chunk of the germ, or the whole sector?"""
         ap = self.apartment
-        if isinstance(item, BuildingPoint):
-            side = ap.sides(item.point)
-            return lambda region: ap.holds(region, side)
         side, w = ap.sides(item.sector.base), item.sector.direction
         if isinstance(item, BuildingGerm):
             return lambda region: ap.holds_germ(region, w, side)
@@ -223,6 +253,16 @@ class Atlas:
         mask), in chart order, moved without a fit test.  ``move(iso, p)`` applies a transition."""
         i, p = bp.chart, bp.point
         return {j: p if j == i else move(self.transitions[(i, j)].iso, p) for j in charts_of(mask)}
+
+    def through(self, a: int, b: int) -> Optional[AffineIsometry]:
+        """isos[a]^-1 after isos[b], or None for no move (a == b, as values are distinct): for the ids
+        of t_cj and t_dj it carries a point of chart d to chart c through chart j.  Cached per (a, b)."""
+        if a == b:
+            return None
+        f, g = self.isos[a], self.isos[b]
+        if f is None:
+            return g
+        return f.inverse() if g is None else f.inverse().compose(g)
 
     def points_equal(self, bp: BuildingPoint, bq: BuildingPoint) -> bool:
         moved = self.transport_point(bp.chart, bp.point, bq.chart)
@@ -368,31 +408,32 @@ def shared_chart(bp: BuildingPoint, bq: BuildingPoint, shared: int) -> Optional[
 
 
 def global_distance(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint) -> LambdaScalar:
-    """Metric evaluated in a shared chart; all shared charts must agree.  Each point
-    is moved only into the charts that hold both."""
+    """Metric evaluated in a shared chart; all shared charts must agree (:func:`shared_distance`)."""
     shared = atlas.holding(bp) & atlas.holding(bq)
-    at_p, at_q = atlas.locate_in(bp, shared), atlas.locate_in(bq, shared)
-    return located_distance(atlas, bp, bq, at_p, at_q, metric=atlas.apartment.metric)
+    return shared_distance(atlas, bp, bq, shared, metric=atlas.apartment.metric, move=AffineIsometry.apply)
 
 
-def located_distance(
-    atlas: Atlas,
-    bp: BuildingPoint,
-    bq: BuildingPoint,
-    at_p: dict[int, Point],
-    at_q: dict[int, Point],
-    *, metric: Callable[[Point, Point], LambdaScalar],
+def shared_distance(
+    atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint, shared: int, *, metric: Callable, move: Callable
 ) -> LambdaScalar:
-    """:func:`global_distance` from the points' :meth:`Atlas.locate_point` maps, measured by ``metric``."""
-    shared = sorted(at_p.keys() & at_q.keys())
+    """The distance of two points in the charts of a mask of charts holding both, by ``metric``, with
+    ``move(iso, q)`` applying an isometry.  The metric is invariant under the affine Weyl group, so in
+    chart j it is metric(p, t_cj^-1 t_dj q), measured once per distinct key (id of t_cj, id of t_dj)
+    through :meth:`Atlas.through`.  The lowest shared chart's value is the distance; any other disagrees."""
     if not shared:
         raise NoCommonChartError(
             f"no chart contains both {format_point(bp.point)}@{atlas.name(bp.chart)} "
             f"and {format_point(bq.point)}@{atlas.name(bq.chart)}"
         )
-    values = [metric(at_p[j], at_q[j]) for j in shared]
-    first = values[0]
-    if any(v != first for v in values[1:]):
+    c, p, d, q = bp.chart, bp.point, bq.chart, bq.point
+    value_of, values = atlas.value_of, {}
+    for j in charts_of(shared):
+        key = (value_of[(c, j)], value_of[(d, j)])
+        if key not in values:
+            iso = atlas.through(*key)
+            values[key] = metric(p, q if iso is None else move(iso, q))
+    first, *others = values.values()
+    if any(v != first for v in others):
         raise DistanceDisagreementError(
             f"distance from {format_point(bp.point)}@{atlas.name(bp.chart)} "
             f"to {format_point(bq.point)}@{atlas.name(bq.chart)} disagrees between shared charts"

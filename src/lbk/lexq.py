@@ -63,12 +63,14 @@ def _scaled(xs: Sequence["LambdaScalar"]) -> tuple[int, list[Sequence[int]]]:
     and the lex components of d * x per x."""
     if not xs:
         raise ValueError("an integer pass needs at least one coordinate")
-    for x in xs:
+    d = 1
+    for x in xs:  # one pass checks each coordinate and folds its denominator into d
         if not isinstance(x, LambdaScalar):
             raise TypeError(f"expected LambdaScalar, got {type(x).__name__}")
         if len(x._nums) != len(xs[0]._nums):
             raise ValueError(f"lex rank mismatch: {xs[0].rank} vs {x.rank}")
-    d = lcm(*[x._den for x in xs])
+        if x._den != 1:
+            d = lcm(d, x._den)
     return d, [x._nums if x._den == d else [n * (d // x._den) for n in x._nums] for x in xs]
 
 
@@ -208,6 +210,11 @@ class LambdaScalar:
     def parts(self) -> tuple[Fraction, ...]:
         den = self._den
         return tuple(Fraction(n, den) for n in self._nums)
+
+    @property
+    def ints(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den): the lex components as int numerators over one positive denominator."""
+        return self._nums, self._den
 
     @property
     def rank(self) -> int:

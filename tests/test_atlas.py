@@ -259,8 +259,9 @@ def brute_force_holding(atlas, items):
 )
 def test_first_chart_holding_agrees_with_brute_force(atlas, monkeypatch):
     """``holding`` is the mask of the charts the item moves into, and the first
-    chart search tests each item's fit once, in ``holding``, and moves each item
-    once, into the chart it returns, by the move rule that runs no fit test."""
+    chart search makes one point pass per item (``LambdaScalar.dots``), in
+    ``holding``, and moves each item once, into the chart it returns, by the move
+    rule that runs no fit test."""
     rng = random.Random(f"first-chart:{atlas.label}")
     point_rng = random.Random(f"holding-points:{atlas.label}")
     found = missed = sector_first = shared = 0
@@ -274,10 +275,13 @@ def test_first_chart_holding_agrees_with_brute_force(atlas, monkeypatch):
         for germ in items:
             if isinstance(germ, BuildingGerm):
                 assert list(Retraction(atlas, germ, germ.chart).maps) == charts_of(brute_force_mask(atlas, germ))
-        calls = record_calls(monkeypatch, "_fits", "move_held", "transport_germ", "transport_sector")
+        calls = record_calls(monkeypatch, "move_held", "transport_germ", "transport_sector")
+        passes = []
+        dots = LambdaScalar.dots
+        monkeypatch.setattr(LambdaScalar, "dots", staticmethod(lambda rows, xs: passes.append(xs) or dots(rows, xs)))
         assert atlas.first_chart_holding(*items) == expected
         monkeypatch.undo()
-        assert calls["_fits"] == [(item,) for item in items]
+        assert passes == [item.sector.base for item in items]
         assert calls["move_held"] == ([(item, expected[0]) for item in items] if expected else [])
         assert not calls["transport_germ"] and not calls["transport_sector"]
         found += expected is not None

@@ -408,13 +408,13 @@ def test_a5_measures_each_sampled_pair_once(monkeypatch):
     sample = Sample(atlas)
     pairs = {pair for chart in (0, 1) for pair in _cap_pairs(sample.points, 200, 0, f"a5:{atlas.name(chart)}")}
     calls = []
-    measure = lbk.axioms.located_distance
+    measure = lbk.axioms.shared_distance
 
-    def counted(atlas, bp, bq, at_p, at_q, **memos):
+    def counted(atlas, bp, bq, shared, **memos):
         calls.append((bp, bq))
-        return measure(atlas, bp, bq, at_p, at_q, **memos)
+        return measure(atlas, bp, bq, shared, **memos)
 
-    monkeypatch.setattr(lbk.axioms, "located_distance", counted)
+    monkeypatch.setattr(lbk.axioms, "shared_distance", counted)
     assert check_a5(sample).verdict == PASS
     assert sorted(calls, key=repr) == sorted(pairs, key=repr)
 
@@ -496,7 +496,7 @@ def test_retractions_fix_their_target_and_keep_co_chart_distances(index):
         rho = Retraction(atlas, BuildingGerm(chart, ap.sector(ap.origin(), w)), chart)
         for bp in sample.points:
             if bp.chart == chart:
-                assert rho.evaluate_located(bp, sample.located(bp)) == bp
+                assert rho.evaluate(bp) == bp
         for bp, bq in _cap_pairs(sample.points, 120, sample.seed, f"a5:{atlas.name(chart)}"):
             at_p, at_q = sample.located(bp), sample.located(bq)
             shared = at_p.keys() & at_q.keys() & rho.maps.keys()
@@ -504,7 +504,7 @@ def test_retractions_fix_their_target_and_keep_co_chart_distances(index):
                 move = rho.maps[c].apply
                 assert ap.metric(move(at_p[c]), move(at_q[c])) == ap.metric(at_p[c], at_q[c])
             try:
-                ry, rz = rho.evaluate_located(bp, at_p), rho.evaluate_located(bq, at_q)
+                ry, rz = rho.evaluate(bp), rho.evaluate(bq)
                 original = global_distance(atlas, bp, bq)
             except (TheoremViolation, NoCommonChartError, DistanceDisagreementError):
                 continue

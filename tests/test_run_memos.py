@@ -17,10 +17,12 @@ import pytest
 
 import lbk.axioms
 from lbk.apartment import AffineIsometry, Apartment, format_point
-from lbk.atlas import BuildingPoint, BuildingSector, global_distance
+from lbk.atlas import BuildingPoint, BuildingSector, DistanceDisagreementError, charts_of, global_distance
 from lbk.axioms import _CHECKERS, Sample, equivalence_suite
 from lbk.fixtures import fan, lambda_tree
 from report_digest import LADDER
+from test_axioms import bent_tree
+from test_golden import fm_fallback
 from test_se_panels import MEMBERS, chart_moves, moved_atlas
 
 CHECKED = ("A3", "A4", "A6", "EC", "SE", "A5")
@@ -141,8 +143,15 @@ def test_two_runs_on_one_atlas_make_the_same_misses(atlas, monkeypatch):
     assert runs[0][0][:2] == [runs[0][1], runs[0][2]]
 
 
-def test_global_distance_measures_in_every_shared_chart(monkeypatch):
-    """Outside a run nothing is memoized: one metric call per shared chart."""
+def composite_keys(atlas, bp, bq):
+    """The distinct (id of t_cj, id of t_dj) keys over the charts j holding both points."""
+    shared = atlas.holding(bp) & atlas.holding(bq)
+    return {(atlas.value_of[(bp.chart, j)], atlas.value_of[(bq.chart, j)]) for j in charts_of(shared)}
+
+
+def test_global_distance_measures_once_per_composite_key(monkeypatch):
+    """Outside a run nothing is memoized: one metric call per distinct composite key
+    of the shared charts, again on every call."""
     atlas = lambda_tree(5, 1)
     points = Sample(atlas).points
     calls = []
@@ -153,25 +162,50 @@ def test_global_distance_measures_in_every_shared_chart(monkeypatch):
         return metric(self, v1, v2)
 
     monkeypatch.setattr(Apartment, "metric", counted)
+    fewer = 0
     for bp in points:
         for bq in points:
-            shared = atlas.locate_point(bp).keys() & atlas.locate_point(bq).keys()
-            if shared:
+            if keys := composite_keys(atlas, bp, bq):
                 calls.clear()
                 global_distance(atlas, bp, bq)
-                assert len(calls) == len(shared)
+                assert len(calls) == len(keys)
+                fewer += len(keys) < len(charts_of(atlas.holding(bp) & atlas.holding(bq)))
+    assert fewer > 100, fewer
     for _ in range(2):
         calls.clear()
         global_distance(atlas, points[0], points[1])
-        assert len(calls) == len(atlas.locate_point(points[0]).keys() & atlas.locate_point(points[1]).keys())
+        assert len(calls) == len(composite_keys(atlas, points[0], points[1]))
+
+
+@pytest.mark.parametrize("build", [lambda: bent_tree((1, 2)), fm_fallback], ids=["bent_tree(1,2)", "fm_fallback"])
+def test_a_disagreement_in_any_shared_chart_raises(build):
+    """When the points moved into some shared chart, the third included, measure another
+    distance than in the lowest one, global_distance raises."""
+    atlas = build()
+    ap = atlas.apartment
+    points = Sample(atlas).points
+    late = 0
+    for bp in points:
+        for bq in points:
+            shared = charts_of(atlas.holding(bp) & atlas.holding(bq))
+            at_p, at_q = atlas.locate_point(bp), atlas.locate_point(bq)
+            values = [ap.metric(at_p[j], at_q[j]) for j in shared]
+            differ = [k for k, value in enumerate(values) if value != values[0]]
+            if differ:
+                with pytest.raises(DistanceDisagreementError):
+                    global_distance(atlas, bp, bq)
+                late += differ[0] > 1
+            elif values:
+                assert global_distance(atlas, bp, bq) == values[0]
+    assert late > 0
 
 
 def test_ladder_memo_misses_are_pinned(monkeypatch):
     """On the 20 ladder members at seed 0, each run's memos miss once per
-    distinct argument: 921 moves and 2,587 distances, which are all of the
-    pass's isometry moves and metric calls (7,513 and 9,684 unmemoized)."""
+    distinct argument: 747 moves and 2,493 distances, which are all of the
+    pass's isometry moves and metric calls (7,660 and 7,418 unmemoized)."""
     samples, calls = record_runs(monkeypatch)
     for name, atlas in MEMBERS[: len(LADDER)]:
         assert not equivalence_suite(atlas, samples=80, seed=0).alarms, name
     assert len(samples) == len(LADDER)
-    assert [sum(column) for column in zip(*map(misses, samples))][:2] == [calls["apply"], calls["metric"]] == [921, 2587]
+    assert [sum(column) for column in zip(*map(misses, samples))][:2] == [calls["apply"], calls["metric"]] == [747, 2493]
