@@ -4,14 +4,15 @@ An :class:`Atlas` is a finite presentation of a pair (point set, chart family): 
 copies of the model apartment, plus for ordered chart pairs an overlap region and the isometry
 identifying it with a region of the other chart.  Point equality and :meth:`Atlas.holding`, the one chart
 search, are one-hop, sound only for a closed gluing; :func:`validate` does not check closure (ROADMAP item 2).
-A point's charts come from one integer pass read against per-chart half rows.  The atlas numbers its
+The charts holding a point, germ or whole sector are read from one integer pass against per-chart half rows
+(:meth:`Atlas.at`), made once per (chart, point) that a query asks about (:meth:`Atlas.sharing`).  The atlas numbers its
 distinct transition isometries, and since the metric is invariant under the affine Weyl group, a distance
 is measured once per distinct composite map t_cj^-1 t_dj (:meth:`Atlas.through`, :func:`shared_distance`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from operator import and_
 from typing import Callable, Optional
 
@@ -139,13 +140,14 @@ class Atlas:
         positive = apartment.roots.positive_roots
         rows = [tuple((positive.index(h.root), h.sense, *h.bound.ints) for h in r.halves) for r in self.regions]
         self.half_rows = [[(rows[c], js) for c, js in classes.items()] for classes in self.overlap_classes]
-        # Transition values, numbered once in transition order: value_of[(i, j)] is the id of t_ij's isometry
-        # in isos, where id 0 is None, no move: t_ii and any identity transition, so no Weyl identity is built.
+        # Transition values, one lookup per transition: value_of[(i, j)] is the id of t_ij's isometry in isos, in order
+        # of first use, where id 0 is None, no move: t_ii and any identity transition, so no Weyl identity is built.
+        seen: dict[AffineIsometry, int] = {}
+        number = [seen.setdefault(t.iso, len(seen)) for _, t in items]
         values: dict[Optional[AffineIsometry], int] = {None: 0}
-        for iso in dict.fromkeys(t.iso for _, t in items):
-            values.setdefault(None if iso.is_identity() else iso, len(values))
+        value = [values.setdefault(None if iso.is_identity() else iso, len(values)) for iso in seen]
         self.isos = list(values)
-        self.value_of = {(i, i): 0 for i in range(m)} | {pair: values.get(t.iso, 0) for pair, t in items}
+        self.value_of = {(i, i): 0 for i in range(m)} | {pair: value[n] for (pair, _), n in zip(items, number)}
         self.through = cache(self.through)
         # The fit table.  fitting passes face on, since a cache would key fitting(i, w) and fitting(i, w, 0) apart.
         self._fit = cache(lambda i, w, face: self.reach(i, lambda region: apartment.sector_fits(w, region, face)) | 1 << i)
@@ -206,33 +208,45 @@ class Atlas:
         return self._fit(i, w, face)
 
     def holding(self, item: BuildingPoint | BuildingGerm | BuildingSector) -> int:
-        """The charts holding a point, germ or whole sector, as a mask: its own, and those of each class it fits.
-        A point's classes come from one pass (:meth:`Apartment.root_dots`): a half holds it when sense * (its
-        pairing - the bound) >= 0, decided by cross-multiplying the ints of the half rows.  A whole sector lies
-        in a class exactly when its base does and the class caps no generator of its cone, and one chart's
-        class masks are disjoint: so its mask is its base's AND :meth:`fitting`."""
-        if isinstance(item, BuildingGerm):
-            return self.reach(item.chart, self._fits(item)) | 1 << item.chart
-        point = isinstance(item, BuildingPoint)
-        d, dots = self.apartment.root_dots(item.point if point else item.sector.base)
-        mask = 1 << item.chart
-        for rows, js in self.half_rows[item.chart]:
+        """The charts holding a point, germ or whole sector, as a mask: :meth:`read` from one pass :meth:`at`."""
+        if isinstance(item, BuildingPoint):
+            return self.at(item.chart, item.point)[0]
+        return self.read(self.at, item)
+
+    def at(self, chart: int, point: Point) -> tuple[int, int, list[list[int]]]:
+        """(mask, d, dots): one pass (d, dots) over the point (:meth:`Apartment.root_dots`) and the charts holding it,
+        its own and each class whose halves all hold it: sense * (pairing - bound) >= 0, by cross-multiplying the
+        ints of the pairing and of the half row."""
+        d, dots = self.apartment.root_dots(point)
+        mask = 1 << chart
+        for rows, js in self.half_rows[chart]:
             for k, sense, nums, den in rows:
                 a, b = [x * den for x in dots[k]], [n * d for n in nums]
                 if a < b if sense > 0 else a > b:
                     break
             else:
                 mask |= js
-        return mask if point else mask & self.fitting(item.chart, item.sector.direction)
+        return mask, d, dots
 
-    def _fits(self, item: BuildingGerm | BuildingSector) -> Callable[[ConvexRegion], bool]:
-        """The item's fit test, built once from one pass over its base (:meth:`Apartment.sides`):
-        does a region hold a chunk of the germ, or the whole sector?"""
-        ap = self.apartment
-        side, w = ap.sides(item.sector.base), item.sector.direction
+    def read(self, at: Callable, item: BuildingPoint | BuildingGerm | BuildingSector) -> int:
+        """The charts holding an item, from the pass ``at(chart, point or base)`` (:meth:`at`).  A whole sector lies
+        in a class exactly when its base does and the class caps no generator of its cone, and one chart's class
+        masks are disjoint: so its mask is its base's AND :meth:`fitting`.  A germ's is its base's less each class
+        with a half tight at the base, where the cross-multiplication is equal, that caps a generator of its cone
+        (:meth:`Apartment.caps`): the rule of :meth:`Apartment.holds_germ`."""
+        mask, d, dots = at(item.chart, item.point if isinstance(item, BuildingPoint) else item.sector.base)
         if isinstance(item, BuildingGerm):
-            return lambda region: ap.holds_germ(region, w, side)
-        return lambda region: ap.holds_sector(region, w, side)
+            caps, positive, w = self.apartment.caps, self.apartment.roots.positive_roots, item.sector.direction
+            for rows, js in self.half_rows[item.chart]:
+                if js & mask and any(caps(w, positive[k], sense) for k, sense, nums, den in rows
+                                     if [x * den for x in dots[k]] == [n * d for n in nums]):
+                    mask ^= js
+        return mask & self.fitting(item.chart, item.sector.direction) if isinstance(item, BuildingSector) else mask
+
+    def sharing(self) -> Callable[[BuildingPoint | BuildingGerm | BuildingSector], int]:
+        """:meth:`holding` for one query: one pass :meth:`at` per distinct (chart, point or base), none kept after it."""
+        passes: dict[tuple[int, Point], tuple] = {}
+        return partial(self.read, lambda *key: passes.get(key) or passes.setdefault(key, self.at(*key)))
 
     # -- points --------------------------------------------------------------
 
@@ -279,11 +293,12 @@ class Atlas:
         return self._transport(bg, j)
 
     def _transport(self, item: BuildingGerm | BuildingSector, j: int) -> Optional[Sector]:
-        """The item's sector moved into chart j, when the overlap :meth:`_fits` it: for callers
-        that do not know whether chart j holds it."""
+        """The item's sector moved into chart j, when the one overlap holds a chunk of the germ or the whole sector,
+        by one pass over its base (:meth:`Apartment.sides`): for callers that do not know whether chart j holds it."""
         if item.chart != j:
-            t = self.transition(item.chart, j)
-            if t is None or not self._fits(item)(t.region):
+            t, ap = self.transition(item.chart, j), self.apartment
+            holds = ap.holds_germ if isinstance(item, BuildingGerm) else ap.holds_sector
+            if t is None or not holds(t.region, item.sector.direction, ap.sides(item.sector.base)):
                 return None
         return self.move_held(item, j)
 
@@ -296,9 +311,12 @@ class Atlas:
         return self.apartment.sector(move(iso, item.sector.base), iso.linear * item.sector.direction)
 
     def first_chart_holding(self, *items: BuildingGerm | BuildingSector) -> Optional[tuple[int, list[Sector]]]:
-        """The first chart holding every given germ and whole sector, the lowest bit of the AND
-        of their :meth:`holding` masks, with each item moved once, into it; or None."""
-        c = lowest(reduce(and_, map(self.holding, items), (1 << self.size) - 1))
+        """The first chart holding every given germ and whole sector (:meth:`first_held`)."""
+        return self.first_held(self.holding, *items)
+
+    def first_held(self, holding: Callable, *items: BuildingGerm | BuildingSector) -> Optional[tuple[int, list[Sector]]]:
+        """The lowest bit of the AND of the items' ``holding`` masks, with each item moved once, into it; or None."""
+        c = lowest(reduce(and_, map(holding, items), (1 << self.size) - 1))
         if c is None:
             return None
         return c, [self.move_held(item, c) for item in items]

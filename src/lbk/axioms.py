@@ -512,17 +512,19 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
     )
     initial_len = initial[0].length if initial else None
     p1, p2 = BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base)
-    same_base = atlas.points_equal(p1, p2)
+    holding = atlas.sharing()  # p1's pass serves g1, and p2's g2
+    held1, held2 = holding(p1), holding(p2)
+    same_base = atlas.locate_in(p1, held1 & 1 << g2.chart).get(g2.chart) == g2.base  # points_equal(p1, p2)
 
     def direct_scan(fallback: Optional[str], exhausted: str) -> CoapartmentResult:
         """Finish in the first chart holding both germs, scanned only on the
         branches that need it; fallback names the stage that gave up, if any."""
-        found = atlas.first_chart_holding(g1, g2)
+        found = atlas.first_held(holding, g1, g2)
         if found is None:
             stages.append(exhausted)
             return CoapartmentResult(None, INCONCLUSIVE, initial_len, None, stages)
         chart, (s1, s2) = found
-        if same_base and s1.base != s2.base:  # one point to points_equal, two in this chart: a gluing not closed
+        if same_base and s1.base != s2.base:  # one point by p1's mask, two in this chart: a gluing not closed
             stages.append(f"bases differ in chart={atlas.name(chart)}")
             return CoapartmentResult(None, INCONCLUSIVE, initial_len, None, stages)
         if fallback is None:
@@ -537,13 +539,12 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
 
     # Distinct bases: chart through both points, sector toward the far point,
     # then two germ-and-sector stages.
-    held2 = atlas.holding(p2)
-    cc = shared_chart(p1, p2, atlas.holding(p1) & held2)
+    cc = shared_chart(p1, p2, held1 & held2)
     if cc is None:
         return direct_scan("no point chart", "no chart through both base points")
     stages.append(f"points chart={atlas.name(cc)}")
     x, y = atlas.locate_in(p1, 1 << cc)[cc], atlas.locate_in(p2, 1 << cc)[cc]
-    found = atlas.first_chart_holding(g1, BuildingSector(cc, ap.sector_through(x, y)))
+    found = atlas.first_held(holding, g1, BuildingSector(cc, ap.sector_through(x, y)))
     if found is None:
         return direct_scan("no germ+sector chart", "no chart with first germ and connecting sector")
     carrier, (germ_in_carrier, _) = found
@@ -553,7 +554,7 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
         # The connecting sector contains y, so its chart must too.
         y_in_carrier = atlas.transport_point(cc, y, carrier)
     pivot = ap.sector_with_germ(y_in_carrier, germ_in_carrier.germ())
-    found = atlas.first_chart_holding(g2, BuildingSector(carrier, pivot))
+    found = atlas.first_held(holding, g2, BuildingSector(carrier, pivot))
     if found is None:
         return direct_scan("descent exhausted", "descent exhausted")
     stages.append(f"final chart={atlas.name(found[0])}")
@@ -577,13 +578,14 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
     the parallel sector based at the germ base that contains y.
     """
     ap = atlas.apartment
-    mask = atlas.holding(germ)
+    holding = atlas.sharing()  # one pass at y serves every direction
+    mask = holding(germ)
     held = {c: atlas.move_held(germ, c) for c in charts_of(mask)}
     best = None
     for w in ap.directions():
         t_sector = ap.sector(y, w)
         t_germ = BuildingGerm(chart_b, t_sector)
-        bprime = lowest(mask & atlas.holding(t_germ))
+        bprime = lowest(mask & holding(t_germ))
         if bprime is None:
             continue
         t_here = atlas.move_held(t_germ, bprime)
@@ -595,13 +597,12 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
     if best is None:
         return OppositeResult(INCONCLUSIVE)
     _, t_sector, bprime, pivot, delta = best
-    found = atlas.first_chart_holding(BuildingSector(bprime, pivot), BuildingSector(chart_b, t_sector))
+    found = atlas.first_held(holding, BuildingSector(bprime, pivot), BuildingSector(chart_b, t_sector))
     if found is None or found[0] not in held:
         return OppositeResult(INCONCLUSIVE, sector=t_sector, maximal_length=delta.length)
     cochart, (_, t_there) = found
     parallel = ap.sector(held[cochart].base, t_there.direction)
-    y_there = atlas.transport_point(chart_b, y, cochart)
-    contains = y_there is not None and ap.sector_contains_point(parallel, y_there)
+    contains = ap.sector_contains_point(parallel, t_there.base)  # the cochart holds t_sector, so its base y there
     return OppositeResult(
         PASS,
         sector=t_sector,
@@ -625,15 +626,16 @@ class CoverResult:
 def finite_cover(atlas: Atlas, germ: BuildingGerm, chart_b: int) -> CoverResult:
     """Closed convex pieces covering chart_b, each co-charted with the germ."""
     ap = atlas.apartment
-    if (held := atlas.holding(germ)) >> chart_b & 1:
+    holding = atlas.sharing()  # one pass per located copy of the base serves every direction
+    if (held := holding(germ)) >> chart_b & 1:
         # The whole chart already shares an apartment with the germ: itself.
         return CoverResult(PASS, [(ap.whole_region(), chart_b)])
     base_point = BuildingPoint(germ.chart, germ.base)
     pieces: list[tuple[ConvexRegion, int]] = []
-    for c, xc in atlas.locate_point(base_point).items():
+    for c, xc in atlas.locate_in(base_point, holding(base_point)).items():
         for w in ap.directions():
             sector = ap.sector(xc, w)
-            carrier = lowest(atlas.holding(BuildingSector(c, sector)) & held)
+            carrier = lowest(holding(BuildingSector(c, sector)) & held)
             if carrier is None:
                 continue
             if c == chart_b:

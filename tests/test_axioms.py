@@ -564,22 +564,33 @@ def test_coapartment_descent_never_lengthens():
 )
 def test_same_base_coapartment_transports_each_germ_once(atlas, monkeypatch):
     """The chart search hands back both germs' images, so reading the final
-    length moves neither germ into that chart again: each germ's fit is tested
-    once, and each germ is moved once, into the chart found, with no fit test."""
+    length moves neither germ into that chart again: one point pass is made per
+    distinct (chart, base), read for both the point and the germ masks, and each
+    germ is moved once, into the chart found, with no fit test."""
     ap = atlas.apartment
-    calls = record_calls(monkeypatch, "_fits", "move_held", "transport_germ")
+    calls = record_calls(monkeypatch, "at", "move_held", "transport_germ")
+    passes = record_passes(monkeypatch)
     dirs = ap.directions()
     for c1 in atlas.charts():
         for c2, base in atlas.locate_point(BuildingPoint(c1, ap.origin())).items():
             for w1, w2 in zip(dirs, reversed(dirs)):
-                for made in calls.values():
+                for made in [*calls.values(), passes]:
                     made.clear()
                 g1, g2 = BuildingGerm(c1, ap.sector(ap.origin(), w1)), BuildingGerm(c2, ap.sector(base, w2))
                 result = germ_coapartment(atlas, g1, g2)
                 assert result.verdict == PASS and result.final_length is not None
-                assert calls["_fits"] == [(g1,), (g2,)], calls
+                bases = list(dict.fromkeys([(g1.chart, g1.base), (g2.chart, g2.base)]))
+                assert calls["at"] == bases and passes == [b for _, b in bases], (calls, passes)
                 assert calls["move_held"] == [(g1, result.chart), (g2, result.chart)], calls
                 assert not calls["transport_germ"], calls
+
+
+def record_passes(monkeypatch):
+    """The point of every Apartment.root_dots pass, in call order."""
+    points = []
+    root_dots = Apartment.root_dots
+    monkeypatch.setattr(Apartment, "root_dots", lambda self, p: points.append(p) or root_dots(self, p))
+    return points
 
 
 def test_opposite_germ_rank_one(tripod):
@@ -595,21 +606,24 @@ def test_opposite_germ_rank_one(tripod):
     "atlas", [lambda_tree(4), fan(3, "A2"), fan(3, "B2")], ids=["tree(4,1)", "fan(3,A2)", "fan(3,B2)"]
 )
 def test_opposite_germ_transports_each_germ_once(atlas, monkeypatch):
-    """The given germ is located once per call, each item's fit is tested once,
-    and each item is moved at most once into a chart, with no fit test; a
-    direction's candidate germ moves only into charts that hold the given one."""
+    """The given germ is located once per call, one point pass is made per
+    distinct (chart, base), one at y for every direction, and each item is moved
+    at most once into a chart, with no fit test; a direction's candidate germ
+    moves only into charts that hold the given one."""
     ap = atlas.apartment
-    calls = record_calls(monkeypatch, "_fits", "move_held", "transport_germ", "transport_sector")
+    calls = record_calls(monkeypatch, "at", "move_held", "transport_germ", "transport_sector")
+    passes = record_passes(monkeypatch)
     for c in atlas.charts():
         germ = BuildingGerm(c, ap.sector(ap.origin(), ap.directions()[0]))
         held = {b for b in atlas.charts() if atlas.transport_germ(germ, b) is not None}
         for chart_b in atlas.charts():
             if chart_b == c:
                 continue  # one candidate there would be the given germ itself
-            for made in calls.values():
+            for made in [*calls.values(), passes]:
                 made.clear()
             assert opposite_germ(atlas, germ, chart_b, ap.origin()).verdict == PASS
-            assert max(Counter(calls["_fits"]).values()) == 1, calls
+            assert calls["at"][:2] == [(c, ap.origin()), (chart_b, ap.origin())], calls
+            assert len(set(calls["at"])) == len(calls["at"]) and passes == [p for _, p in calls["at"]], (calls, passes)
             assert max(Counter(calls["move_held"]).values()) == 1, calls
             assert not calls["transport_germ"] and not calls["transport_sector"], calls
             assert {(germ, b) for b in held} <= set(calls["move_held"])
@@ -759,6 +773,55 @@ def opposite_digest(calls_per_member=40):
             r = opposite_germ(atlas, germ, rng.randrange(atlas.size), pin_point(atlas.apartment, rng))
             digest.update(f"{(r.verdict, r.sector, r.cochart, r.contains_point, r.maximal_length)!r}\n".encode())
     return digest.hexdigest()
+
+
+def cover_digest(calls_per_member=30):
+    """sha256 of the verdict, pieces and uncovered point of finite_cover over seeded
+    germs and target charts on the five members of the benchmark's queries."""
+    digest = hashlib.sha256()
+    for name, atlas in (
+        ("tree(5,1)", lambda_tree(5, 1)),
+        ("tree(4,2)", lambda_tree(4, 2)),
+        ("fan(4,A2)", fan(4, "A2")),
+        ("fan(3,B2)", fan(3, "B2")),
+        ("single(G2)", single_apartment("G2", 1)),
+    ):
+        rng = random.Random(f"cover:{name}")
+        for _ in range(calls_per_member):
+            germ = pin_germ(atlas, rng)
+            r = finite_cover(atlas, germ, rng.randrange(atlas.size))
+            digest.update(f"{(r.verdict, r.pieces, r.uncovered)!r}\n".encode())
+    return digest.hexdigest()
+
+
+# Measured before finite_cover read one point pass per located copy of the base.
+COVER_SHA256 = "2c0233b0e56691591003382320c8ab4e70529a71f796b009bb5e8a64e14938fc"
+
+
+def test_finite_cover_results_are_pinned():
+    assert cover_digest() == COVER_SHA256
+
+
+def test_germ_and_sector_masks_agree_with_the_region_predicates():
+    """holding(germ) and holding(sector), read from one point pass against the
+    half rows, are the charts of the classes whose overlap region holds a chunk
+    of the germ (Apartment.region_contains_germ) or the whole sector
+    (Apartment.sector_in_region), over seeded bases and every direction.  Bases
+    on a grid often lie on walls: at least 100 germs lose a chart of their base."""
+    capped = 0
+    for name, atlas in digest_members():
+        ap = atlas.apartment
+        rng = random.Random(f"germ-masks:{name}")
+        for _ in range(20):
+            chart, base = rng.randrange(atlas.size), pin_point(ap, rng)
+            point = atlas.holding(BuildingPoint(chart, base))
+            for w in ap.directions():
+                germ, sector = BuildingGerm(chart, ap.sector(base, w)), BuildingSector(chart, ap.sector(base, w))
+                expected = atlas.reach(chart, lambda r: ap.region_contains_germ(r, germ.germ())) | 1 << chart
+                assert atlas.holding(germ) == expected, (name, germ)
+                assert atlas.holding(sector) == atlas.reach(chart, lambda r: ap.sector_in_region(sector.sector, r)) | 1 << chart
+                capped += expected != point
+    assert capped >= 100, capped
 
 
 def query_members():
