@@ -6,12 +6,12 @@ of a vector in the simple-root base.  All set-valued reasoning happens through
 membership is one integer pass over the positive roots, which gives its side of
 every half (:meth:`Apartment.sides`); a sector's is one sign pass over the same
 roots (:meth:`Apartment.sector_walls`); and an isometry moves a point in one
-``M x + s`` pass (:meth:`AffineIsometry.apply`).  Sector, panel and germ fits are cone-sign
-tests (:meth:`Apartment.caps`), and half-apartment shapes are read from one
-shared root (:meth:`Apartment.region_half`).  Containment and equality try a
-single-half implication (:meth:`Apartment.implied`) first; what these tests
-leave open, emptiness included, goes to an exact Fourier-Motzkin run.  A "no"
-carries no certificate yet (ROADMAP item 6).
+``M x + s`` pass (:meth:`AffineIsometry.apply`).  Distances, sector signs and moved points' passes are
+read off passes by cross-multiplying their ints (:meth:`Apartment.pass_metric`, :meth:`Apartment.pass_signs`,
+:meth:`Apartment.move_pass`).  Sector, panel and germ fits are cone-sign tests (:meth:`Apartment.caps`), and
+half-apartment shapes are read from one shared root (:meth:`Apartment.region_half`).  Containment and
+equality try a single-half implication (:meth:`Apartment.implied`) first; what these tests leave open,
+emptiness included, goes to an exact Fourier-Motzkin run.  A "no" carries no certificate yet (ROADMAP item 6).
 
 Index conventions: simple roots, reflection generators, coordinates v^i and
 sector-panel types are 1-based, matching the a1/a2 syntax of model files.
@@ -36,6 +36,7 @@ from .linarith import (
 from .rootsystem import Root, RootSystem, WeylElement
 
 Point = tuple[LambdaScalar, ...]
+Pass = tuple[int, list[list[int]]]  # (d, dots) of :meth:`Apartment.root_dots`
 MAX_LEX_RANK = 16  # scalars are tuples of this many rationals at most
 
 
@@ -183,6 +184,7 @@ class Apartment:
         self.region_feasible = cache(self.region_feasible)
         self.cone_slopes = cache(self.cone_slopes)
         self.sector_walls = cache(self.sector_walls)
+        self.pass_moves = cache(self.pass_moves)
 
     # -- scalars and points ---------------------------------------------
 
@@ -310,11 +312,36 @@ class Apartment:
         index = self._positive_index
         return lambda h: h.sense * h.bound.side(dots[index[h.root]], d)
 
-    def root_dots(self, p: Point) -> tuple[int, list[list[int]]]:
+    def root_dots(self, p: Point) -> Pass:
         """(d, dots): per positive root beta_k, the lex components of d * (beta_k, p) as ints
         over one d > 0, from one integer pass over the metric rows; no scalar is built."""
         d, dots = LambdaScalar.dots(self._metric_rows, p)
         return d * self._metric_den, dots
+
+    def pass_metric(self, pp: Pass, pq: Pass) -> LambdaScalar:
+        """d(p, q) from the passes of p and q (:meth:`root_dots`): the sum over positive roots of
+        |dots_p[k] * d_q - dots_q[k] * d_p| / (d_p * d_q), cross-multiplied and summed as ints."""
+        (dp, p), (dq, q) = pp, pq
+        diffs = ([a * dq - b * dp for a, b in zip(x, y)] for x, y in zip(p, q))
+        return LambdaScalar.sum_abs(diffs, self.lex_rank, dp * dq)
+
+    def pass_signs(self, pt: Pass, pb: Pass) -> tuple[int, ...]:
+        """Per positive root beta_k, the sign of (beta_k, t - b), cross-multiplied from the passes of t and b."""
+        (dt, t), (db, b) = pt, pb
+        pairs = (([a * db for a in x], [a * dt for a in y]) for x, y in zip(t, b))
+        return tuple((x > y) - (x < y) for x, y in pairs)
+
+    def move_pass(self, iso: AffineIsometry, pp: Pass) -> Pass:
+        """The pass of iso(p) from p's pass, with no point moved: (beta_k, w p + s) = e * (beta_j, p) + (beta_k, s)
+        where w^-1 beta_k = e * beta_j (:meth:`pass_moves`), over d_p * d_s."""
+        (dp, p), (perm, (ds, s)) = pp, self.pass_moves(iso)
+        return dp * ds, [[e * a * ds + b * dp for a, b in zip(p[j], t)] for (j, e), t in zip(perm, s)]
+
+    def pass_moves(self, iso: AffineIsometry) -> tuple[tuple[tuple[int, int], ...], Pass]:
+        """What :meth:`move_pass` reads of an isometry, cached per isometry: per positive root beta_k the pair (j, e)
+        with w^-1 beta_k = e * beta_j (:meth:`cone_slopes`; a root's coefficients share one sign), and the shift's pass."""
+        index, slopes = self._positive_index, [self.cone_slopes(iso.linear, r) for r in self.roots.positive_roots]
+        return tuple((index[tuple(map(abs, r))], 1 if max(r) > 0 else -1) for r in slopes), self.root_dots(iso.shift)
 
     def holds(self, region: ConvexRegion, side: Callable[[HalfApartment], int]) -> bool:
         """Does the region hold the point of these :meth:`sides`?"""
@@ -433,9 +460,9 @@ class Apartment:
             (positive.index(tuple(abs(c) for c in r)), 1 if max(r) > 0 else -1) for r in self.sector_roots(direction)
         )
 
-    def sector_contains_point(self, s: Sector, p: Point) -> bool:
-        """Is p in the sector?  Read off the signs of (beta, p - base) at its walls."""
-        signs = LambdaScalar.signs(self._metric_rows, p, s.base)
+    def sector_contains_point(self, s: Sector, p: Point, signs: Optional[tuple[int, ...]] = None) -> bool:
+        """Is p in the sector?  Read off the signs of (beta, p - base) (:meth:`pass_signs`) at its walls."""
+        signs = signs or self.pass_signs(self.root_dots(p), self.root_dots(s.base))
         return all(c * signs[k] >= 0 for k, c in self.sector_walls(s.direction))
 
     def sectors_parallel(self, s: Sector, t: Sector) -> bool:
@@ -516,18 +543,18 @@ class Apartment:
     def directions(self) -> list[WeylElement]:
         return self.roots.weyl_elements()
 
-    def sector_through(self, base: Point, target: Point) -> Sector:
-        """First sector at base (canonical direction order) containing target, from one sign pass."""
-        signs = LambdaScalar.signs(self._metric_rows, target, base)
+    def sector_through(self, base: Point, target: Point, signs: Optional[tuple[int, ...]] = None) -> Sector:
+        """First sector at base (canonical direction order) containing target, from the signs of (beta, target - base)."""
+        signs = signs or self.pass_signs(self.root_dots(target), self.root_dots(base))
         for w in self.directions():
             if all(c * signs[k] >= 0 for k, c in self.sector_walls(w)):
                 return self.sector(base, w)
         raise AssertionError("direction cones cover the apartment")
 
-    def sector_with_germ(self, base: Point, germ: SectorGerm) -> Sector:
-        """First sector at base whose region contains the germ (:meth:`region_contains_germ`), from one
-        sign pass: the germ's base lies in the sector, and no wall through that base caps the germ's cone."""
-        signs = LambdaScalar.signs(self._metric_rows, germ.base, base)
+    def sector_with_germ(self, base: Point, germ: SectorGerm, signs: Optional[tuple[int, ...]] = None) -> Sector:
+        """First sector at base whose region contains the germ (:meth:`region_contains_germ`), from the signs of
+        (beta, germ base - base): the germ's base lies in the sector, and no wall through that base caps its cone."""
+        signs = signs or self.pass_signs(self.root_dots(germ.base), self.root_dots(base))
         positive = self.roots.positive_roots
         for w in self.directions():
             walls = self.sector_walls(w)

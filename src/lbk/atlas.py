@@ -7,12 +7,13 @@ search, are one-hop, sound only for a closed gluing; :func:`validate` does not c
 The charts holding a point, germ or whole sector are read from one integer pass against per-chart half rows
 (:meth:`Atlas.at`), made once per (chart, point) that a query asks about (:meth:`Atlas.sharing`).  The atlas numbers its
 distinct transition isometries, and since the metric is invariant under the affine Weyl group, a distance
-is measured once per distinct composite map t_cj^-1 t_dj (:meth:`Atlas.through`, :func:`shared_distance`).
+is measured once per distinct composite map t_cj^-1 t_dj (:meth:`Atlas.through`, :func:`shared_distance`), from the
+two points' passes with the map applied to a pass, not to a point (:func:`global_distance`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from operator import and_
 from typing import Callable, Optional
 
@@ -51,6 +52,17 @@ def charts_of(mask: int) -> list[int]:
 def lowest(mask: int) -> Optional[int]:
     """The first chart of a chart mask, or None when it is empty."""
     return (mask & -mask).bit_length() - 1 if mask else None
+
+
+def _numbered(objects: list) -> tuple[list[int], list]:
+    """Per object, the number of its value in order of first use, and the distinct values.  Objects are
+    numbered by ``id`` first, so each distinct object is hashed once, and equal objects share a number."""
+    by_id: dict[int, int] = {}
+    values: dict = {}
+    for x in objects:
+        if id(x) not in by_id:
+            by_id[id(x)] = values.setdefault(x, len(values))
+    return [by_id[id(x)] for x in objects], list(values)
 
 
 class NoCommonChartError(RuntimeError):
@@ -124,10 +136,9 @@ class Atlas:
         # The overlap index, built once, read-only: each distinct overlap region (by halves tuple, so no
         # elimination runs) is one int class id, in transition order, with its region and half (or None);
         # per chart, overlap_classes[i] and the half index _meeting[i] map each id and half to a chart mask.
-        ids: dict[ConvexRegion, int] = {}
         items = sorted(self.transitions.items())
-        self.class_of = {pair: ids.setdefault(t.region, len(ids)) for pair, t in items}
-        self.regions = list(ids)
+        ids, self.regions = _numbered([t.region for _, t in items])
+        self.class_of = {pair: c for (pair, _), c in zip(items, ids)}
         self.halves = [apartment.region_half(r) for r in self.regions]
         self.overlap_classes: list[dict[int, int]] = [{} for _ in range(m)]
         self._meeting: list[dict[HalfApartment, int]] = [{} for _ in range(m)]
@@ -140,10 +151,9 @@ class Atlas:
         positive = apartment.roots.positive_roots
         rows = [tuple((positive.index(h.root), h.sense, *h.bound.ints) for h in r.halves) for r in self.regions]
         self.half_rows = [[(rows[c], js) for c, js in classes.items()] for classes in self.overlap_classes]
-        # Transition values, one lookup per transition: value_of[(i, j)] is the id of t_ij's isometry in isos, in order
-        # of first use, where id 0 is None, no move: t_ii and any identity transition, so no Weyl identity is built.
-        seen: dict[AffineIsometry, int] = {}
-        number = [seen.setdefault(t.iso, len(seen)) for _, t in items]
+        # Transition values, one hash per distinct object: value_of[(i, j)] is the id of t_ij's isometry in isos, in
+        # order of first use, where id 0 is None, no move: t_ii and any identity transition, so no Weyl identity is built.
+        number, seen = _numbered([t.iso for _, t in items])
         values: dict[Optional[AffineIsometry], int] = {None: 0}
         value = [values.setdefault(None if iso.is_identity() else iso, len(values)) for iso in seen]
         self.isos = list(values)
@@ -243,10 +253,11 @@ class Atlas:
                     mask ^= js
         return mask & self.fitting(item.chart, item.sector.direction) if isinstance(item, BuildingSector) else mask
 
-    def sharing(self) -> Callable[[BuildingPoint | BuildingGerm | BuildingSector], int]:
-        """:meth:`holding` for one query: one pass :meth:`at` per distinct (chart, point or base), none kept after it."""
+    def sharing(self) -> Callable[[int, Point], tuple[int, int, list[list[int]]]]:
+        """:meth:`at` for one query: one pass per distinct (chart, point), none kept after it; the query's
+        :meth:`holding` is ``partial(atlas.read, at)``, and its sign vectors read the same passes."""
         passes: dict[tuple[int, Point], tuple] = {}
-        return partial(self.read, lambda *key: passes.get(key) or passes.setdefault(key, self.at(*key)))
+        return lambda *key: passes.get(key) or passes.setdefault(key, self.at(*key))
 
     # -- points --------------------------------------------------------------
 
@@ -426,30 +437,31 @@ def shared_chart(bp: BuildingPoint, bq: BuildingPoint, shared: int) -> Optional[
 
 
 def global_distance(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint) -> LambdaScalar:
-    """Metric evaluated in a shared chart; all shared charts must agree (:func:`shared_distance`)."""
-    shared = atlas.holding(bp) & atlas.holding(bq)
-    return shared_distance(atlas, bp, bq, shared, metric=atlas.apartment.metric, move=AffineIsometry.apply)
+    """Metric evaluated in a shared chart; all shared charts must agree (:func:`shared_distance`).  Each point's one
+    pass :meth:`Atlas.at` gives its mask and its pairings, which a composite map moves (:meth:`Apartment.move_pass`)."""
+    ap = atlas.apartment
+    held_p, *pp = atlas.at(bp.chart, bp.point)
+    held_q, *pq = atlas.at(bq.chart, bq.point)
+    return shared_distance(
+        atlas, bp, bq, held_p & held_q, measure=lambda iso: ap.pass_metric(pp, pq if iso is None else ap.move_pass(iso, pq))
+    )
 
 
-def shared_distance(
-    atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint, shared: int, *, metric: Callable, move: Callable
-) -> LambdaScalar:
-    """The distance of two points in the charts of a mask of charts holding both, by ``metric``, with
-    ``move(iso, q)`` applying an isometry.  The metric is invariant under the affine Weyl group, so in
-    chart j it is metric(p, t_cj^-1 t_dj q), measured once per distinct key (id of t_cj, id of t_dj)
+def shared_distance(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint, shared: int, *, measure: Callable) -> LambdaScalar:
+    """The distance of two points in the charts of a mask of charts holding both, where ``measure(iso)``
+    is d(p, iso(q)), iso None for no move.  The metric is invariant under the affine Weyl group, so in
+    chart j it is d(p, t_cj^-1 t_dj q), measured once per distinct key (id of t_cj, id of t_dj)
     through :meth:`Atlas.through`.  The lowest shared chart's value is the distance; any other disagrees."""
     if not shared:
         raise NoCommonChartError(
             f"no chart contains both {format_point(bp.point)}@{atlas.name(bp.chart)} "
             f"and {format_point(bq.point)}@{atlas.name(bq.chart)}"
         )
-    c, p, d, q = bp.chart, bp.point, bq.chart, bq.point
-    value_of, values = atlas.value_of, {}
+    c, d, value_of, values = bp.chart, bq.chart, atlas.value_of, {}
     for j in charts_of(shared):
         key = (value_of[(c, j)], value_of[(d, j)])
         if key not in values:
-            iso = atlas.through(*key)
-            values[key] = metric(p, q if iso is None else move(iso, q))
+            values[key] = measure(atlas.through(*key))
     first, *others = values.values()
     if any(v != first for v in others):
         raise DistanceDisagreementError(

@@ -457,7 +457,10 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
         """The pair's distance, measured once for every target; a failure is kept as its
         class, since an exception instance would keep its traceback's frames alive."""
         try:
-            return shared_distance(atlas, bp, bq, held[bp] & held[bq], metric=sample.metric, move=sample.move)
+            p, q = bp.point, bq.point
+            return shared_distance(
+                atlas, bp, bq, held[bp] & held[bq], measure=lambda iso: sample.metric(p, q if iso is None else sample.move(iso, q))
+            )
         except (NoCommonChartError, DistanceDisagreementError) as exc:
             return type(exc)
 
@@ -494,6 +497,12 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
 # -- co-apartment searches ---------------------------------------------------
 
 
+def _signs(ap: Apartment, at: Callable, chart: int, target: Point, base: Point) -> tuple[int, ...]:
+    """The signs of (beta, target - base) in the chart (:meth:`Apartment.pass_signs`) from a query's
+    passes ``at`` (:meth:`Atlas.sharing`): the passes its sector masks read next."""
+    return ap.pass_signs(at(chart, target)[1:], at(chart, base)[1:])
+
+
 @dataclass
 class CoapartmentResult:
     chart: Optional[int]
@@ -512,7 +521,7 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
     )
     initial_len = initial[0].length if initial else None
     p1, p2 = BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base)
-    holding = atlas.sharing()  # p1's pass serves g1, and p2's g2
+    holding = partial(atlas.read, at := atlas.sharing())  # p1's pass serves g1, and p2's g2
     held1, held2 = holding(p1), holding(p2)
     same_base = atlas.locate_in(p1, held1 & 1 << g2.chart).get(g2.chart) == g2.base  # points_equal(p1, p2)
 
@@ -544,21 +553,22 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
         return direct_scan("no point chart", "no chart through both base points")
     stages.append(f"points chart={atlas.name(cc)}")
     x, y = atlas.locate_in(p1, 1 << cc)[cc], atlas.locate_in(p2, 1 << cc)[cc]
-    found = atlas.first_held(holding, g1, BuildingSector(cc, ap.sector_through(x, y)))
-    if found is None:
+    connecting = BuildingSector(cc, ap.sector_through(x, y, _signs(ap, at, cc, y, x)))
+    carrier = lowest(holding(g1) & holding(connecting))
+    if carrier is None:
         return direct_scan("no germ+sector chart", "no chart with first germ and connecting sector")
-    carrier, (germ_in_carrier, _) = found
+    germ_in_carrier = atlas.move_held(g1, carrier)  # the one move the descent reads
     stages.append(f"germ+sector chart={atlas.name(carrier)}")
     y_in_carrier = atlas.locate_in(p2, held2 & 1 << carrier).get(carrier)
     if y_in_carrier is None:
         # The connecting sector contains y, so its chart must too.
         y_in_carrier = atlas.transport_point(cc, y, carrier)
-    pivot = ap.sector_with_germ(y_in_carrier, germ_in_carrier.germ())
-    found = atlas.first_held(holding, g2, BuildingSector(carrier, pivot))
-    if found is None:
+    pivot = ap.sector_with_germ(y_in_carrier, germ_in_carrier.germ(), _signs(ap, at, carrier, germ_in_carrier.base, y_in_carrier))
+    final = lowest(holding(g2) & holding(BuildingSector(carrier, pivot)))
+    if final is None:
         return direct_scan("descent exhausted", "descent exhausted")
-    stages.append(f"final chart={atlas.name(found[0])}")
-    return CoapartmentResult(found[0], PASS, initial_len, None, stages)
+    stages.append(f"final chart={atlas.name(final)}")
+    return CoapartmentResult(final, PASS, initial_len, None, stages)
 
 
 @dataclass
@@ -578,7 +588,7 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
     the parallel sector based at the germ base that contains y.
     """
     ap = atlas.apartment
-    holding = atlas.sharing()  # one pass at y serves every direction
+    holding = partial(atlas.read, at := atlas.sharing())  # one pass at y serves every direction
     mask = holding(germ)
     held = {c: atlas.move_held(germ, c) for c in charts_of(mask)}
     best = None
@@ -589,7 +599,7 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
         if bprime is None:
             continue
         t_here = atlas.move_held(t_germ, bprime)
-        pivot = ap.sector_with_germ(t_here.base, held[bprime].germ())
+        pivot = ap.sector_with_germ(t_here.base, held[bprime].germ(), _signs(ap, at, bprime, held[bprime].base, t_here.base))
         delta = ap.germ_distance(t_here.germ(), pivot.germ())
         key = (-delta.length, w.word)
         if best is None or key < best[0]:
@@ -602,7 +612,8 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
         return OppositeResult(INCONCLUSIVE, sector=t_sector, maximal_length=delta.length)
     cochart, (_, t_there) = found
     parallel = ap.sector(held[cochart].base, t_there.direction)
-    contains = ap.sector_contains_point(parallel, t_there.base)  # the cochart holds t_sector, so its base y there
+    # The cochart holds t_sector, so its base y there.
+    contains = ap.sector_contains_point(parallel, t_there.base, _signs(ap, at, cochart, t_there.base, parallel.base))
     return OppositeResult(
         PASS,
         sector=t_sector,
@@ -626,7 +637,7 @@ class CoverResult:
 def finite_cover(atlas: Atlas, germ: BuildingGerm, chart_b: int) -> CoverResult:
     """Closed convex pieces covering chart_b, each co-charted with the germ."""
     ap = atlas.apartment
-    holding = atlas.sharing()  # one pass per located copy of the base serves every direction
+    holding = partial(atlas.read, atlas.sharing())  # one pass per located copy of the base serves every direction
     if (held := holding(germ)) >> chart_b & 1:
         # The whole chart already shares an apartment with the germ: itself.
         return CoverResult(PASS, [(ap.whole_region(), chart_b)])

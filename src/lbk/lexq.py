@@ -16,14 +16,14 @@ every result costs at most one gcd.  The ``parts`` property rebuilds the
 public view, a tuple of reduced ``Fraction`` values.
 :meth:`LambdaScalar.lincomb` sums a whole linear combination with rational
 coefficients over one common denominator and builds only the result; single
-pairings and Fourier-Motzkin bounds go through it.  Four integer passes bring
+pairings and Fourier-Motzkin bounds go through it.  Three integer passes bring
 their scalars to one common denominator by one step (``_scaled``).
 :meth:`LambdaScalar.abs_sum` sums the absolute values of int linear forms of
-a difference; distances go through it, and sector membership goes through
-:meth:`LambdaScalar.signs`, their signs from the same pass.  The point pass
-:meth:`LambdaScalar.dots` gives int linear forms of a point as ints over one
-denominator, and :meth:`LambdaScalar.side` compares such a value with a scalar
-by cross-multiplying, so point and germ membership build no scalar.
+a difference by the fold :meth:`LambdaScalar.sum_abs`; the apartment metric goes
+through it.  The point pass :meth:`LambdaScalar.dots` gives int linear forms of
+a point as ints over one denominator, and :meth:`LambdaScalar.side` compares such
+a value with a scalar by cross-multiplying, so point and germ membership build no
+scalar; query distances and sector signs compare two such passes the same way.
 :meth:`LambdaScalar.affine` is ``M x + s`` for an int matrix, one scalar per
 output coordinate; point moves go through it.  A scalar keeps its hash once
 computed, so a non-integer scalar rebuilds its ``Fraction`` parts for hashing
@@ -77,15 +77,6 @@ def _scaled(xs: Sequence["LambdaScalar"]) -> tuple[int, list[Sequence[int]]]:
 def _dots(rows: Iterable[Sequence[int]], cols: list) -> list[list[int]]:
     """Per int row, its dot product with each column."""
     return [[sum(map(mul, row, col)) for col in cols] for row in rows]
-
-
-def _row_dots(rows: Iterable[Sequence[int]], xs: Sequence["LambdaScalar"], ys: Sequence["LambdaScalar"]):
-    """(d, dots): a common denominator d > 0 of xs and ys (paired as ``zip`` pairs them), and per
-    int row the lex components of d * sum_j row[j] * (xs[j] - ys[j]) as a list of ints."""
-    n = min(len(xs), len(ys))
-    d, nums = _scaled([*xs[:n], *ys[:n]])
-    diffs = ([a - b for a, b in zip(x, y)] for x, y in zip(nums, nums[n:]))
-    return d, _dots(rows, list(zip(*diffs)))
 
 
 class LambdaScalar:
@@ -156,26 +147,24 @@ class LambdaScalar:
     def abs_sum(
         rows: Iterable[Sequence[int]], xs: Sequence["LambdaScalar"], ys: Sequence["LambdaScalar"], den: int = 1
     ) -> "LambdaScalar":
-        """sum over rows of |sum_j row[j] * (xs[j] - ys[j])|, divided by den > 0.
-
-        For int rows, in one integer pass: each row's dot product is negated
-        when its first nonzero component is negative, and only the sum is built.
-        """
-        d, dots_per_row = _row_dots(rows, xs, ys)
-        total = zero = [0] * xs[0].rank
-        for dots in dots_per_row:
-            if dots < zero:  # lists compare lexicographically: the sign of the first nonzero
-                total = [t - v for t, v in zip(total, dots)]
-            else:
-                total = [t + v for t, v in zip(total, dots)]
-        return _reduced(tuple(total), d * den)
+        """sum over rows of |sum_j row[j] * (xs[j] - ys[j])|, divided by den > 0; xs and ys pair as ``zip``
+        pairs them.  For int rows, in one integer pass over one common denominator (:meth:`sum_abs`)."""
+        n = min(len(xs), len(ys))
+        d, nums = _scaled([*xs[:n], *ys[:n]])
+        diffs = ([a - b for a, b in zip(x, y)] for x, y in zip(nums, nums[n:]))
+        return LambdaScalar.sum_abs(_dots(rows, list(zip(*diffs))), xs[0].rank, d * den)
 
     @staticmethod
-    def signs(rows: Iterable[Sequence[int]], xs: Sequence["LambdaScalar"], ys: Sequence["LambdaScalar"]) -> tuple[int, ...]:
-        """Per int row, the sign of sum_j row[j] * (xs[j] - ys[j]), from the integer pass of :meth:`abs_sum`."""
-        _, dots_per_row = _row_dots(rows, xs, ys)
-        zero = [0] * xs[0].rank
-        return tuple((dots > zero) - (dots < zero) for dots in dots_per_row)
+    def sum_abs(vectors: Iterable[list[int]], rank: int, den: int) -> "LambdaScalar":
+        """sum of |v| / den over lists v of rank int lex components, for den > 0: each v is
+        negated when its first nonzero component is negative, and only the sum is built."""
+        total = zero = [0] * rank
+        for v in vectors:
+            if v < zero:  # lists compare lexicographically: the sign of the first nonzero
+                total = [t - x for t, x in zip(total, v)]
+            else:
+                total = [t + x for t, x in zip(total, v)]
+        return _reduced(tuple(total), den)
 
     @staticmethod
     def dots(rows: Iterable[Sequence[int]], xs: Sequence["LambdaScalar"]) -> tuple[int, list[list[int]]]:

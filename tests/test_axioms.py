@@ -50,7 +50,7 @@ from lbk.fixtures import broken_pair, drop_chart, fan, lambda_tree, shifted_rays
 from lbk.lexq import LambdaScalar
 from lbk.rootsystem import build_root_system
 from report_digest import members
-from test_atlas import record_calls
+from test_atlas import record_calls, seeded_base
 from test_golden import fm_fallback
 
 
@@ -583,6 +583,33 @@ def test_same_base_coapartment_transports_each_germ_once(atlas, monkeypatch):
                 assert calls["at"] == bases and passes == [b for _, b in bases], (calls, passes)
                 assert calls["move_held"] == [(g1, result.chart), (g2, result.chart)], calls
                 assert not calls["transport_germ"], calls
+
+
+@pytest.mark.parametrize(
+    "atlas", [lambda_tree(5, 2), fan(4, "A2"), fan(3, "B2")], ids=["tree(5,2)", "fan(4,A2)", "fan(3,B2)"]
+)
+def test_distinct_base_descent_moves_only_the_first_germ(atlas, monkeypatch):
+    """The descent's two chart searches read one image between them, g1's in the carrier, so
+    g1 is the one item moved.  Its sector signs read the query's passes: besides the two bases,
+    at most x and y in the points chart, and g1's base and y in the carrier, one pass each."""
+    ap = atlas.apartment
+    calls = record_calls(monkeypatch, "at", "move_held", "transport_germ", "transport_sector")
+    passes = record_passes(monkeypatch)
+    rng = random.Random("descent")
+    descents = 0
+    for _ in range(60):
+        g1, g2 = (BuildingGerm(rng.randrange(atlas.size), ap.sector(seeded_base(ap, rng), rng.choice(ap.directions())))
+                  for _ in range(2))
+        for made in [*calls.values(), passes]:
+            made.clear()
+        result = germ_coapartment(atlas, g1, g2)
+        if result.stages[-1].startswith("final chart="):
+            descents += 1
+            carrier = atlas.index(result.stages[1].removeprefix("germ+sector chart="))
+            assert calls["move_held"] == [(g1, carrier)], calls
+            assert not calls["transport_germ"] and not calls["transport_sector"], calls
+            assert len(set(calls["at"])) == len(calls["at"]) <= 6 and passes == [p for _, p in calls["at"]], (calls, passes)
+    assert descents > 20, descents
 
 
 def record_passes(monkeypatch):

@@ -216,6 +216,8 @@ def test_abs_sum_matches_fold_of_abs_lincomb():
 
 
 def test_signs_match_the_sign_of_each_lincomb():
+    """Apartment.pass_signs reads a sign per row off two passes over any int rows (LambdaScalar.dots)."""
+    signs = Apartment(build_root_system("A1")).pass_signs
     rng = random.Random(43)
     for _ in range(CASES):
         rank, terms, nrows = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 6)
@@ -225,10 +227,12 @@ def test_signs_match_the_sign_of_each_lincomb():
         rows = [[rng.randint(-3, 3) for _ in range(terms)] for _ in range(nrows)]
         rows[rng.randrange(nrows)] = [0] * terms
         diffs = [x - y for x, y in zip(xs, ys)]
-        assert LambdaScalar.signs(rows, xs, ys) == tuple(LambdaScalar.lincomb(row, diffs).sign() for row in rows)
-        assert LambdaScalar.signs(rows, xs, xs) == (0,) * nrows
+        passes = LambdaScalar.dots(rows, xs), LambdaScalar.dots(rows, ys)
+        assert signs(*passes) == tuple(LambdaScalar.lincomb(row, diffs).sign() for row in rows)
+        assert signs(passes[0], passes[0]) == (0,) * nrows
     # The sign is the first nonzero component's: (0|-1) is negative.
-    assert LambdaScalar.signs([[1], [-2], [0]], [LambdaScalar([0, -1])], [LambdaScalar.zero(2)]) == (-1, 1, 0)
+    rows = [[1], [-2], [0]]
+    assert signs(LambdaScalar.dots(rows, [LambdaScalar([0, -1])]), LambdaScalar.dots(rows, [LambdaScalar.zero(2)])) == (-1, 1, 0)
 
 
 def rand_point(rng, rank, coords=2):
@@ -328,8 +332,6 @@ def test_kernel_errors():
         lambda: LambdaScalar.lincomb([1.5], [a]),
         lambda: LambdaScalar.abs_sum([[1]], [1], [a]),
         lambda: LambdaScalar.abs_sum([[1]], [a], [1]),
-        lambda: LambdaScalar.signs([[1]], [1], [a]),
-        lambda: LambdaScalar.signs([[1]], [a], [Q(1)]),
         lambda: LambdaScalar.dots([[1]], [1]),
         lambda: LambdaScalar.dots([[1, 1]], [a, Q(1)]),
         lambda: LambdaScalar.affine([[1]], [1], [a]),
@@ -347,9 +349,6 @@ def test_kernel_errors():
         lambda: LambdaScalar.abs_sum([[1, 1]], [a, a], [a, b]),
         lambda: LambdaScalar.abs_sum([[1, 1]], [a, b], [a, b]),
         lambda: LambdaScalar.abs_sum([[]], [], []),
-        lambda: LambdaScalar.signs([[1, 1]], [a, a], [a, b]),
-        lambda: LambdaScalar.signs([[1, 1]], [a, b], [a, b]),
-        lambda: LambdaScalar.signs([[]], [], []),
         lambda: LambdaScalar.dots([[1, 1]], [a, b]),
         lambda: LambdaScalar.dots([[]], []),
         lambda: LambdaScalar.affine([[1]], [a], [b]),

@@ -1,0 +1,82 @@
+"""The pass readers of ``Apartment`` give what the scalar paths they replace give.
+
+A pass (``Apartment.root_dots``) holds a point's pairings with the positive roots as
+ints over one denominator.  ``pass_metric`` measures two points from their passes,
+``pass_signs`` reads the sign of each pairing of their difference, and ``move_pass``
+gives the pass of an isometry's image from the pass of the point.  Their references
+are ``Apartment.metric``, the pass of the moved point, and ``deleted_signs``: the sign
+vector ``LambdaScalar.signs`` gave before the readers replaced it, kept here as the
+definition.
+
+Fixture transitions have zero shifts, so the digest members are also read through
+``moved_atlas``, whose transitions carry shifts and reflections, and every member's
+points are also moved by the isometries of ``chart_moves``.  Fans over A2, B2 and G2
+at lex rank 2 join the members, which have those roots at lex rank 1 only.
+"""
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from lbk.axioms import Sample, _cap_pairs
+from lbk.fixtures import fan
+from lbk.lexq import _dots, _scaled
+from report_digest import members
+from test_atlas import seeded_base
+from test_se_panels import chart_moves, moved_atlas
+
+
+def deleted_signs(rows, xs, ys):
+    """Per int row, the sign of sum_j row[j] * (xs[j] - ys[j]), from one integer pass over a
+    common denominator of xs and ys: ``LambdaScalar.signs`` as it was."""
+    n = min(len(xs), len(ys))
+    d, nums = _scaled([*xs[:n], *ys[:n]])
+    diffs = ([a - b for a, b in zip(x, y)] for x, y in zip(nums, nums[n:]))
+    zero = [0] * xs[0].rank
+    return tuple((dots > zero) - (dots < zero) for dots in _dots(rows, list(zip(*diffs))))
+
+
+def values(pass_):
+    """A pass as exact values: per positive root, its pairing's lex components."""
+    d, dots = pass_
+    return [tuple(Fraction(n, d) for n in v) for v in dots]
+
+
+def atlases(group):
+    digest = [atlas for _, atlas in members()] + [fan(3, roots, 2) for roots in ("A2", "B2", "G2")]
+    if group == "digest":
+        return digest
+    return [moved_atlas(atlas, chart_moves(atlas, 1)) for atlas in digest]
+
+
+def check_readers(atlas, counts):
+    """Every reader against its reference, on the sample points and two seeded points per chart,
+    moved by every transition value, a composite map and each chart move."""
+    ap = atlas.apartment
+    rng = random.Random(f"passes:{atlas.label}")
+    points = [bp.point for bp in Sample(atlas).points[:12]] + [seeded_base(ap, rng) for _ in range(4)]
+    isos = [iso for iso in atlas.isos if iso is not None] + chart_moves(atlas, 2)
+    if len(atlas.isos) > 2:
+        isos.append(atlas.through(1, 2))
+    passes = {p: ap.root_dots(p) for p in points}
+    for iso in isos:
+        for p in points:
+            assert values(ap.move_pass(iso, passes[p])) == values(ap.root_dots(iso.apply(p))), (atlas.label, iso, p)
+        counts["shifted"] += any(not c.is_zero() for c in iso.shift)
+        counts["reflected"] += not iso.linear.is_identity()
+    for p, q in _cap_pairs(points, 60, 0, "passes"):
+        assert ap.pass_metric(passes[p], passes[q]) == ap.metric(p, q), (atlas.label, p, q)
+        signs = ap.pass_signs(passes[p], passes[q])
+        assert signs == deleted_signs(ap._metric_rows, p, q), (atlas.label, p, q)
+        counts["zero signs"] += 0 in signs
+    counts[(ap.roots.label, ap.lex_rank)] += 1
+
+
+@pytest.mark.parametrize("group", ["digest", "moved"])
+def test_pass_readers_agree_with_the_scalar_references(group):
+    counts = Counter()
+    for atlas in atlases(group):
+        check_readers(atlas, counts)
+    assert all(counts[(roots, lex_rank)] for roots in ("A1", "A2", "B2", "G2") for lex_rank in (1, 2)), counts
+    assert counts["shifted"] > 100 and counts["reflected"] > 100 and counts["zero signs"] > 0, counts

@@ -150,18 +150,18 @@ def composite_keys(atlas, bp, bq):
 
 
 def test_global_distance_measures_once_per_composite_key(monkeypatch):
-    """Outside a run nothing is memoized: one metric call per distinct composite key
+    """Outside a run nothing is memoized: one pass_metric call per distinct composite key
     of the shared charts, again on every call."""
     atlas = lambda_tree(5, 1)
     points = Sample(atlas).points
     calls = []
-    metric = Apartment.metric
+    metric = Apartment.pass_metric
 
-    def counted(self, v1, v2):
-        calls.append((v1, v2))
-        return metric(self, v1, v2)
+    def counted(self, pp, pq):
+        calls.append((pp, pq))
+        return metric(self, pp, pq)
 
-    monkeypatch.setattr(Apartment, "metric", counted)
+    monkeypatch.setattr(Apartment, "pass_metric", counted)
     fewer = 0
     for bp in points:
         for bq in points:
