@@ -3,10 +3,10 @@
 Points are tuples of :class:`~lbk.lexq.LambdaScalar` holding the coefficients
 of a vector in the simple-root base.  All set-valued reasoning happens through
 :class:`ConvexRegion` (finite intersections of half-apartments).  A point's
-membership is one integer pass over the positive roots, which gives its side of
-every half (:meth:`Apartment.sides`); a sector's is one sign pass over the same
-roots (:meth:`Apartment.sector_walls`); and an isometry moves a point in one
-``M x + s`` pass (:meth:`AffineIsometry.apply`).  Distances, sector signs and moved points' passes are
+membership is one integer pass over the positive roots, read against a region's
+halves as int rows by one rule that also decides germs (:meth:`Apartment.holds`);
+a sector's is one sign pass over the same roots (:meth:`Apartment.sector_walls`);
+and an isometry moves a point in one ``M x + s`` pass (:meth:`AffineIsometry.apply`).  Distances, sector signs and moved points' passes are
 read off passes by cross-multiplying their ints (:meth:`Apartment.pass_metric`, :meth:`Apartment.pass_signs`,
 :meth:`Apartment.move_pass`).  Sector, panel and germ fits are cone-sign tests (:meth:`Apartment.caps`), and
 half-apartment shapes are read from one shared root (:meth:`Apartment.region_half`).  Containment and
@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .lexq import LambdaScalar
 from .linarith import (
@@ -37,6 +37,7 @@ from .rootsystem import Root, RootSystem, WeylElement
 
 Point = tuple[LambdaScalar, ...]
 Pass = tuple[int, list[list[int]]]  # (d, dots) of :meth:`Apartment.root_dots`
+Rows = tuple[tuple[int, int, tuple[int, ...], int], ...]  # (k, sense, nums, den) per half, :meth:`Apartment.rows`
 MAX_LEX_RANK = 16  # scalars are tuples of this many rationals at most
 
 
@@ -182,6 +183,7 @@ class Apartment:
         )
         # Tables that live with the apartment: caches of its own methods, which die with it.
         self.region_feasible = cache(self.region_feasible)
+        self.rows = cache(self.rows)
         self.cone_slopes = cache(self.cone_slopes)
         self.sector_walls = cache(self.sector_walls)
         self.pass_moves = cache(self.pass_moves)
@@ -303,19 +305,12 @@ class Apartment:
             self.rank, tuple(self.half_constraint(h) for h in region.halves) + tuple(extra)
         )
 
-    def sides(self, p: Point) -> Callable[[HalfApartment], int]:
-        """The side of p of any half: the sign of sense * ((root, p) - bound), so 1 inside,
-        0 on its wall, -1 outside.  The pairings with the positive roots, which are the roots
-        :meth:`half` stores, come from one integer pass over the metric rows, and each side
-        cross-multiplies one of them with the bound; no scalar is built."""
-        d, dots = self.root_dots(p)
-        index = self._positive_index
-        return lambda h: h.sense * h.bound.side(dots[index[h.root]], d)
-
     def root_dots(self, p: Point) -> Pass:
         """(d, dots): per positive root beta_k, the lex components of d * (beta_k, p) as ints
         over one d > 0, from one integer pass over the metric rows; no scalar is built."""
         d, dots = LambdaScalar.dots(self._metric_rows, p)
+        if len(dots[0]) != self.lex_rank:  # a pass is compared with bounds and passes of this rank
+            raise ValueError("point has the wrong lex rank")
         return d * self._metric_den, dots
 
     def pass_metric(self, pp: Pass, pq: Pass) -> LambdaScalar:
@@ -343,12 +338,29 @@ class Apartment:
         index, slopes = self._positive_index, [self.cone_slopes(iso.linear, r) for r in self.roots.positive_roots]
         return tuple((index[tuple(map(abs, r))], 1 if max(r) > 0 else -1) for r in slopes), self.root_dots(iso.shift)
 
-    def holds(self, region: ConvexRegion, side: Callable[[HalfApartment], int]) -> bool:
-        """Does the region hold the point of these :meth:`sides`?"""
-        return all(side(h) >= 0 for h in region.halves)
+    def rows(self, region: ConvexRegion) -> Rows:
+        """The region's halves as int rows (k, sense, nums, den): the root is the k-th positive root, which
+        :meth:`half` stores, and the bound is nums/den, for :meth:`holds`.  Cached per region."""
+        return tuple((self._positive_index[h.root], h.sense, *h.bound.ints) for h in region.halves)
+
+    def holds(self, rows: Rows, pass_: Pass, direction: Optional[WeylElement] = None) -> bool:
+        """Do the halves of these :meth:`rows` hold the point of this pass (:meth:`root_dots`)?  The one
+        membership rule: each half asks sense * (pairing - bound) >= 0, by cross-multiplying the ints of the
+        pairing and of the bound, so no scalar is built.  Given a direction, do they hold a chunk of the
+        direction-w germ at the point?  A half the point satisfies strictly keeps a positive gap, so a small
+        enough eps > 0 along every generator of the cone stays inside it; a half tight at the point, where
+        the two sides are equal, holds the germ only when it caps no generator (:meth:`caps`)."""
+        d, dots = pass_
+        for k, sense, nums, den in rows:
+            a, b = [x * den for x in dots[k]], [n * d for n in nums]
+            if a < b if sense > 0 else a > b:
+                return False
+            if direction is not None and a == b and self.caps(direction, self.roots.positive_roots[k], sense):
+                return False
+        return True
 
     def region_contains_point(self, region: ConvexRegion, p: Point) -> bool:
-        return self.holds(region, self.sides(p))
+        return self.holds(self.rows(region), self.root_dots(p))
 
     def region_feasible(self, region: ConvexRegion) -> Feasibility:
         """Is the region nonempty?  One FM answer, witness included, cached per region."""
@@ -434,11 +446,7 @@ class Apartment:
         A cone with apex b lies in a half-apartment exactly when b does and
         the half caps no generator of the cone, so no elimination is needed.
         """
-        return self.holds_sector(region, s.direction, self.sides(s.base))
-
-    def holds_sector(self, region: ConvexRegion, direction: WeylElement, side: Callable[[HalfApartment], int]) -> bool:
-        """:meth:`sector_in_region` for the direction-w sector at the point of these :meth:`sides`."""
-        return self._cone_fits(direction, 0, region.halves) and self.holds(region, side)
+        return self._cone_fits(s.direction, 0, region.halves) and self.region_contains_point(region, s.base)
 
     def sector_fits(self, direction: WeylElement, region: ConvexRegion, panel_type: int = 0) -> bool:
         """Does some direction-w sector (panel_type 0), or its type-i panel, lie in the region?
@@ -455,10 +463,8 @@ class Apartment:
     def sector_walls(self, direction: WeylElement) -> tuple[tuple[int, int], ...]:
         """(k, s) per simple root alpha_i, with w(alpha_i) = s * beta_k for the k-th positive root beta_k (a root's
         coefficients share one sign): the sector is {v : s * (beta_k, v - base) >= 0 for each}.  Cached per direction."""
-        positive = self.roots.positive_roots
-        return tuple(
-            (positive.index(tuple(abs(c) for c in r)), 1 if max(r) > 0 else -1) for r in self.sector_roots(direction)
-        )
+        index = self._positive_index
+        return tuple((index[tuple(map(abs, r))], 1 if max(r) > 0 else -1) for r in self.sector_roots(direction))
 
     def sector_contains_point(self, s: Sector, p: Point, signs: Optional[tuple[int, ...]] = None) -> bool:
         """Is p in the sector?  Read off the signs of (beta, p - base) (:meth:`pass_signs`) at its walls."""
@@ -490,22 +496,8 @@ class Apartment:
         return self.region(halves)
 
     def region_contains_germ(self, region: ConvexRegion, germ: SectorGerm) -> bool:
-        """Does the region contain an initial chunk of the sector at its base?
-
-        The base must lie in the region.  A half the base satisfies strictly
-        keeps a positive gap, so a small enough eps > 0 along every generator
-        of the direction cone stays inside it; a half tight at the base is
-        kept only when it caps no generator.  So the germ fits exactly when
-        the cone fits the halves through the base, those its side is 0 of.
-        """
-        return self.holds_germ(region, germ.direction, self.sides(germ.base))
-
-    def holds_germ(self, region: ConvexRegion, direction: WeylElement, side: Callable[[HalfApartment], int]) -> bool:
-        """:meth:`region_contains_germ` for the direction-w germ at the point of these :meth:`sides`."""
-        sides = [(h, side(h)) for h in region.halves]
-        if any(s < 0 for _, s in sides):
-            return False
-        return self._cone_fits(direction, 0, (h for h, s in sides if not s))
+        """Does the region contain an initial chunk of the sector at its base?  The germ rule of :meth:`holds`."""
+        return self.holds(self.rows(region), self.root_dots(germ.base), germ.direction)
 
     def _cone_fits(self, direction: WeylElement, panel_type: int, halves: Iterable[HalfApartment]) -> bool:
         """No half caps a generator of the direction cone, or of its type-i

@@ -146,11 +146,8 @@ class Atlas:
             self.overlap_classes[i][c] = self.overlap_classes[i].get(c, 0) | 1 << j
             if (h := self.halves[c]) is not None:
                 self._meeting[i][h] = self._meeting[i].get(h, 0) | 1 << j
-        # Per chart and overlap class, the class's chart mask and its halves as int rows (k, sense, nums, den):
-        # the root is the k-th positive root and the bound is nums/den, for the point pass of holding.
-        positive = apartment.roots.positive_roots
-        rows = [tuple((positive.index(h.root), h.sense, *h.bound.ints) for h in r.halves) for r in self.regions]
-        self.half_rows = [[(rows[c], js) for c, js in classes.items()] for classes in self.overlap_classes]
+        # Per chart and overlap class, its halves as int rows (Apartment.rows) and its chart mask, for holding.
+        self.half_rows = [[(apartment.rows(self.regions[c]), js) for c, js in classes.items()] for classes in self.overlap_classes]
         # Transition values, one hash per distinct object: value_of[(i, j)] is the id of t_ij's isometry in isos, in
         # order of first use, where id 0 is None, no move: t_ii and any identity transition, so no Weyl identity is built.
         number, seen = _numbered([t.iso for _, t in items])
@@ -225,31 +222,23 @@ class Atlas:
 
     def at(self, chart: int, point: Point) -> tuple[int, int, list[list[int]]]:
         """(mask, d, dots): one pass (d, dots) over the point (:meth:`Apartment.root_dots`) and the charts holding it,
-        its own and each class whose halves all hold it: sense * (pairing - bound) >= 0, by cross-multiplying the
-        ints of the pairing and of the half row."""
-        d, dots = self.apartment.root_dots(point)
-        mask = 1 << chart
+        its own and each class whose half rows hold it (:meth:`Apartment.holds`)."""
+        pass_, holds, mask = self.apartment.root_dots(point), self.apartment.holds, 1 << chart
         for rows, js in self.half_rows[chart]:
-            for k, sense, nums, den in rows:
-                a, b = [x * den for x in dots[k]], [n * d for n in nums]
-                if a < b if sense > 0 else a > b:
-                    break
-            else:
+            if holds(rows, pass_):
                 mask |= js
-        return mask, d, dots
+        return mask, *pass_
 
     def read(self, at: Callable, item: BuildingPoint | BuildingGerm | BuildingSector) -> int:
         """The charts holding an item, from the pass ``at(chart, point or base)`` (:meth:`at`).  A whole sector lies
         in a class exactly when its base does and the class caps no generator of its cone, and one chart's class
         masks are disjoint: so its mask is its base's AND :meth:`fitting`.  A germ's is its base's less each class
-        with a half tight at the base, where the cross-multiplication is equal, that caps a generator of its cone
-        (:meth:`Apartment.caps`): the rule of :meth:`Apartment.holds_germ`."""
-        mask, d, dots = at(item.chart, item.point if isinstance(item, BuildingPoint) else item.sector.base)
+        whose rows do not hold the germ (:meth:`Apartment.holds` given its direction)."""
+        mask, *pass_ = at(item.chart, item.point if isinstance(item, BuildingPoint) else item.sector.base)
         if isinstance(item, BuildingGerm):
-            caps, positive, w = self.apartment.caps, self.apartment.roots.positive_roots, item.sector.direction
+            holds, w = self.apartment.holds, item.sector.direction
             for rows, js in self.half_rows[item.chart]:
-                if js & mask and any(caps(w, positive[k], sense) for k, sense, nums, den in rows
-                                     if [x * den for x in dots[k]] == [n * d for n in nums]):
+                if js & mask and not holds(rows, pass_, w):
                     mask ^= js
         return mask & self.fitting(item.chart, item.sector.direction) if isinstance(item, BuildingSector) else mask
 
@@ -289,10 +278,6 @@ class Atlas:
             return g
         return f.inverse() if g is None else f.inverse().compose(g)
 
-    def points_equal(self, bp: BuildingPoint, bq: BuildingPoint) -> bool:
-        moved = self.transport_point(bp.chart, bp.point, bq.chart)
-        return moved is not None and moved == bq.point
-
     # -- sectors and germs ------------------------------------------------------
 
     def transport_sector(self, bs: BuildingSector, j: int) -> Optional[Sector]:
@@ -304,12 +289,12 @@ class Atlas:
         return self._transport(bg, j)
 
     def _transport(self, item: BuildingGerm | BuildingSector, j: int) -> Optional[Sector]:
-        """The item's sector moved into chart j, when the one overlap holds a chunk of the germ or the whole sector,
-        by one pass over its base (:meth:`Apartment.sides`): for callers that do not know whether chart j holds it."""
+        """The item's sector moved into chart j, when the one overlap holds a chunk of the germ or the whole sector
+        by the rule on its rows (:meth:`Apartment.holds`): for callers that do not know whether chart j holds it."""
         if item.chart != j:
             t, ap = self.transition(item.chart, j), self.apartment
-            holds = ap.holds_germ if isinstance(item, BuildingGerm) else ap.holds_sector
-            if t is None or not holds(t.region, item.sector.direction, ap.sides(item.sector.base)):
+            if t is None or not (ap.region_contains_germ(t.region, item.germ()) if isinstance(item, BuildingGerm)
+                                 else ap.sector_in_region(item.sector, t.region)):
                 return None
         return self.move_held(item, j)
 

@@ -523,7 +523,7 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
     p1, p2 = BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base)
     holding = partial(atlas.read, at := atlas.sharing())  # p1's pass serves g1, and p2's g2
     held1, held2 = holding(p1), holding(p2)
-    same_base = atlas.locate_in(p1, held1 & 1 << g2.chart).get(g2.chart) == g2.base  # points_equal(p1, p2)
+    same_base = atlas.locate_in(p1, held1 & 1 << g2.chart).get(g2.chart) == g2.base  # one point: g2's chart holds p1, at g2's base
 
     def direct_scan(fallback: Optional[str], exhausted: str) -> CoapartmentResult:
         """Finish in the first chart holding both germs, scanned only on the

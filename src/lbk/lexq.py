@@ -21,9 +21,10 @@ their scalars to one common denominator by one step (``_scaled``).
 :meth:`LambdaScalar.abs_sum` sums the absolute values of int linear forms of
 a difference by the fold :meth:`LambdaScalar.sum_abs`; the apartment metric goes
 through it.  The point pass :meth:`LambdaScalar.dots` gives int linear forms of
-a point as ints over one denominator, and :meth:`LambdaScalar.side` compares such
-a value with a scalar by cross-multiplying, so point and germ membership build no
-scalar; query distances and sector signs compare two such passes the same way.
+a point as ints over one denominator; point and germ membership compare such a
+value with a bound's :attr:`LambdaScalar.ints` by cross-multiplying, and query
+distances and sector signs compare two such passes the same way, so none of
+them builds a scalar.
 :meth:`LambdaScalar.affine` is ``M x + s`` for an int matrix, one scalar per
 output coordinate; point moves go through it.  A scalar keeps its hash once
 computed, so a non-integer scalar rebuilds its ``Fraction`` parts for hashing
@@ -185,15 +186,6 @@ class LambdaScalar:
         return tuple([
             _reduced(tuple([sum(map(mul, row, col)) + s for col, s in zip(cols, t)]), d) for row, t in zip(matrix, nums[n:])
         ])
-
-    def side(self, nums: Sequence[int], den: int) -> int:
-        """The sign of nums/den - self, for the int lex components nums over a positive den:
-        one cross-multiplication, no scalar built."""
-        if len(nums) != len(self._nums):
-            raise ValueError(f"lex rank mismatch: {len(nums)} vs {self.rank}")
-        a = [n * self._den for n in nums]
-        b = [n * den for n in self._nums]
-        return (a > b) - (a < b)
 
     @property
     def parts(self) -> tuple[Fraction, ...]:

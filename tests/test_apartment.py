@@ -48,6 +48,21 @@ def test_pairing_rejects_non_roots():
             ap.pairing_row(bad)
 
 
+def test_point_passes_reject_the_wrong_lex_rank():
+    """A point pass is read against bounds of the apartment's lex rank, so a point of another rank raises."""
+    ap = make("A2")
+    deep = tuple(LambdaScalar([1, 2]) for _ in range(2))
+    region = ap.half_region((1, 0), 1, 0)
+    for read in (
+        lambda: ap.root_dots(deep),
+        lambda: ap.region_contains_point(region, deep),
+        lambda: ap.region_contains_germ(region, ap.sector(deep, ap.roots.identity()).germ()),
+        lambda: ap.sector_in_region(ap.sector(deep, ap.roots.identity()), ap.whole_region()),
+    ):
+        with pytest.raises(ValueError):
+            read()
+
+
 def test_metric_examples():
     a2 = make("A2")
     v = a2.simple_point(Q(5, 2), -3)

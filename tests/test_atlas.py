@@ -166,15 +166,23 @@ def test_transport_preserves_metric():
     assert ap.metric(tp, tq) == ap.metric(p, q)
 
 
+def same_point(atlas, bp, bq):
+    """Are bp and bq one point?  bq's chart is a bit of bp's holding mask, and bp lands on bq's
+    point there (locate_in), as germ_coapartment decides that its two bases are one."""
+    return atlas.locate_in(bp, atlas.holding(bp) & 1 << bq.chart).get(bq.chart) == bq.point
+
+
 def test_points_equal_through_transition():
     tripod = lambda_tree(3)
     ap = tripod.apartment
     branch_in_12 = BuildingPoint(tripod.index("12"), ap.origin())
     branch_in_23 = BuildingPoint(tripod.index("23"), ap.origin())
-    assert tripod.points_equal(branch_in_12, branch_in_23)
-    assert not tripod.points_equal(
-        branch_in_12, BuildingPoint(tripod.index("23"), ap.simple_point(1))
-    )
+    assert same_point(tripod, branch_in_12, branch_in_23)
+    assert not same_point(tripod, branch_in_12, BuildingPoint(tripod.index("23"), ap.simple_point(1)))
+    # Chart 23 holds 12's point -1 (at 1 there), and chart 13 does not hold it.
+    minus_one = BuildingPoint(tripod.index("12"), ap.simple_point(-1))
+    assert same_point(tripod, minus_one, BuildingPoint(tripod.index("23"), ap.simple_point(1)))
+    assert not same_point(tripod, minus_one, BuildingPoint(tripod.index("13"), ap.simple_point(-1)))
 
 
 def test_intersection_region_classifier():

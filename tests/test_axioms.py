@@ -50,7 +50,7 @@ from lbk.fixtures import broken_pair, drop_chart, fan, lambda_tree, shifted_rays
 from lbk.lexq import LambdaScalar
 from lbk.rootsystem import build_root_system
 from report_digest import members
-from test_atlas import record_calls, seeded_base
+from test_atlas import record_calls, same_point, seeded_base
 from test_golden import fm_fallback
 
 
@@ -692,7 +692,7 @@ def test_opposite_germ_without_a_cochart_holding_the_germ():
 
 
 def test_coapartment_on_a_gluing_that_is_not_closed():
-    """In fm_fallback, e's (0,4) and d's (0,3) are one point to points_equal,
+    """In fm_fallback, e's (0,4) and d's (0,3) are one point to e's holding mask and one move,
     but b, the first chart holding both germs, holds them at (0,4) and (0,3):
     no gallery length can be read there, so the search is inconclusive."""
     atlas = fm_fallback()
@@ -700,7 +700,7 @@ def test_coapartment_on_a_gluing_that_is_not_closed():
     w = ap.roots.from_word([1, 2])
     g1 = BuildingGerm(atlas.index("e"), ap.sector(ap.simple_point(0, 4), w))
     g2 = BuildingGerm(atlas.index("d"), ap.sector(ap.simple_point(0, 3), w))
-    assert atlas.points_equal(BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base))
+    assert same_point(atlas, BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base))
     _, (s1, s2) = atlas.first_chart_holding(g1, g2)
     assert s1.base != s2.base
     result = germ_coapartment(atlas, g1, g2)
@@ -829,12 +829,35 @@ def test_finite_cover_results_are_pinned():
     assert cover_digest() == COVER_SHA256
 
 
+def deleted_side(ap, h, p):
+    """The side of p of the half h, 1 inside, 0 on its wall, -1 outside, by scalars: ``Apartment.sides`` as it was."""
+    return h.sense * (ap.pairing(h.root, p) - h.bound).sign()
+
+
+def caps_by_cone(ap, w, h):
+    """Does the half h cap a generator w.u_k of the direction-w cone: is sense * (root, w.u_k) < 0 for some k?"""
+    row = ap.pairing_row(h.root)
+    return any(h.sense * sum(a * x for a, x in zip(row, u)) < 0 for u in ap.sector_cone(w))
+
+
+def deleted_holds_germ(ap, region, germ):
+    """``Apartment.holds_germ`` as it was: the base lies in every half, and no half tight at it caps the cone."""
+    sides = [(h, deleted_side(ap, h, germ.base)) for h in region.halves]
+    return all(s >= 0 for _, s in sides) and not any(caps_by_cone(ap, germ.direction, h) for h, s in sides if not s)
+
+
+def deleted_holds_sector(ap, region, sector):
+    """``Apartment.holds_sector`` as it was: the base lies in every half, and no half caps the cone."""
+    halves = region.halves
+    return all(deleted_side(ap, h, sector.base) >= 0 for h in halves) and not any(caps_by_cone(ap, sector.direction, h) for h in halves)
+
+
 def test_germ_and_sector_masks_agree_with_the_region_predicates():
-    """holding(germ) and holding(sector), read from one point pass against the
-    half rows, are the charts of the classes whose overlap region holds a chunk
-    of the germ (Apartment.region_contains_germ) or the whole sector
-    (Apartment.sector_in_region), over seeded bases and every direction.  Bases
-    on a grid often lie on walls: at least 100 germs lose a chart of their base."""
+    """holding(germ) and holding(sector), read from one point pass against the half rows
+    (Apartment.holds), are the charts of the classes whose overlap region holds a chunk of the
+    germ or the whole sector by the scalar rules the one rule replaced (deleted_holds_germ,
+    deleted_holds_sector), and so are the region predicates, over seeded bases and every
+    direction.  Bases on a grid often lie on walls: at least 100 germs lose a chart of their base."""
     capped = 0
     for name, atlas in digest_members():
         ap = atlas.apartment
@@ -844,9 +867,12 @@ def test_germ_and_sector_masks_agree_with_the_region_predicates():
             point = atlas.holding(BuildingPoint(chart, base))
             for w in ap.directions():
                 germ, sector = BuildingGerm(chart, ap.sector(base, w)), BuildingSector(chart, ap.sector(base, w))
-                expected = atlas.reach(chart, lambda r: ap.region_contains_germ(r, germ.germ())) | 1 << chart
+                expected = atlas.reach(chart, lambda r: deleted_holds_germ(ap, r, germ.germ())) | 1 << chart
                 assert atlas.holding(germ) == expected, (name, germ)
-                assert atlas.holding(sector) == atlas.reach(chart, lambda r: ap.sector_in_region(sector.sector, r)) | 1 << chart
+                assert atlas.reach(chart, lambda r: ap.region_contains_germ(r, germ.germ())) | 1 << chart == expected
+                whole = atlas.reach(chart, lambda r: deleted_holds_sector(ap, r, sector.sector)) | 1 << chart
+                assert atlas.holding(sector) == whole, (name, sector)
+                assert atlas.reach(chart, lambda r: ap.sector_in_region(sector.sector, r)) | 1 << chart == whole
                 capped += expected != point
     assert capped >= 100, capped
 

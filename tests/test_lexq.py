@@ -2,7 +2,6 @@ import copy
 import pickle
 import random
 from fractions import Fraction as Q
-from math import lcm
 
 import pytest
 
@@ -267,36 +266,36 @@ def test_dots_match_lincomb():
         assert [LambdaScalar([Q(n, d) for n in v]) for v in dots] == [LambdaScalar.lincomb(row, xs) for row in rows]
 
 
-def test_side_is_the_sign_against_the_bound():
-    for rng, rank, x, y in seeded_pairs(61):
-        bound = LambdaScalar(y)
-        den = rng.randint(1, 12)
-        nums = [rng.randint(-50, 50) for _ in range(rank)]
-        assert bound.side(nums, den) == ref_sign([Q(n, den) - b for n, b in zip(nums, y)])
-        # The tight case: nums/den is the bound itself, over a multiple of its denominator.
-        den = lcm(*(b.denominator for b in y)) * rng.randint(1, 5)
-        assert bound.side([int(b * den) for b in y], den) == 0
-
-
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_half_sides_from_the_point_pass(name):
-    """Each half's side at p from one pass is the sign of sense * (pairing(root, p) - bound),
-    0 on the half's wall, for every root, both senses and lex ranks 1-3."""
+    """A one-half row holds p, read from p's one pass (Apartment.holds), exactly when the side
+    sense * (pairing(root, p) - bound) has sign at least 0, for every root, both senses, tight
+    bounds and lex ranks 1-3.  Given a direction w, it holds the germ of w at p exactly when the
+    side is 1, or 0 and the half caps no generator w.u_k of the cone: sense * (root, w.u_k) < 0."""
     rng = random.Random(f"sides:{name}")
     roots = build_root_system(name)
     every_root = list(roots.positive_roots) + [tuple(-c for c in r) for r in roots.positive_roots]
+    seen = {True: 0, False: 0}
     for lex_rank in (1, 2, 3):
         ap = Apartment(roots, lex_rank)
+        cones = {w: ap.sector_cone(w) for w in ap.directions()}
         for _ in range(20):
             p = rand_point(rng, lex_rank)
-            side = ap.sides(p)
+            pass_ = ap.root_dots(p)
             for root in every_root:
-                value = ap.pairing(root, p)
+                value, row = ap.pairing(root, p), ap.pairing_row(root)
                 for sense in (1, -1):
                     for bound in (value, LambdaScalar(rand_parts(rng, lex_rank)), value + LambdaScalar.rational(Q(1, 7), lex_rank)):
-                        h = ap.half(root, sense, bound)
-                        assert side(h) == sense * (value - bound).sign()
-                        assert ap.region_contains_point(ap.region([h]), p) == (side(h) >= 0)
+                        side = sense * (value - bound).sign()
+                        region = ap.region([ap.half(root, sense, bound)])
+                        assert ap.holds(ap.rows(region), pass_) == (side >= 0)
+                        assert ap.region_contains_point(region, p) == (side >= 0)
+                        w = rng.choice(list(cones))
+                        caps = any(sense * sum(a * x for a, x in zip(row, u)) < 0 for u in cones[w])
+                        assert ap.holds(ap.rows(region), pass_, w) == (side > 0 or side == 0 and not caps)
+                        if not side:
+                            seen[caps] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_ordered_group_laws():
@@ -354,7 +353,6 @@ def test_kernel_errors():
         lambda: LambdaScalar.affine([[1]], [a], [b]),
         lambda: LambdaScalar.affine([[1, 1], [1, 1]], [a, a], [a, b]),
         lambda: LambdaScalar.affine([[]], [], [a]),
-        lambda: a.side([1], 1),
         lambda: LambdaScalar([]),
         lambda: LambdaScalar.zero(0),
     ):

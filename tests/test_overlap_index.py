@@ -338,7 +338,7 @@ def warmed_tables(build):
     at infinity and 350 seeded fresh-point distance and coapartment queries, checking the tables they
     keep along the way.  Their keys are regions, charts, directions, roots and transition-value ids,
     never points: once 50 queries have run, the next 300 add no FM answer, no fit mask and no composite
-    map, the half rows stay as built, and each table stays within its finite key set."""
+    map, the half rows stay as built, one per overlap region, and each table stays within its finite key set."""
     atlas = build()
     ap, rs = atlas.apartment, atlas.apartment.roots
     half_rows = [list(rows) for rows in atlas.half_rows]
@@ -353,10 +353,12 @@ def warmed_tables(build):
             global_distance(atlas, p, q)
             g1, g2 = (BuildingGerm(bp.chart, ap.sector(bp.point, rng.choice(directions))) for bp in (p, q))
             germ_coapartment(atlas, g1, g2)
-        sizes.append((ap.region_feasible.cache_info().currsize, atlas._fit.cache_info().currsize, atlas.through.cache_info().currsize))
+        sizes.append((ap.region_feasible.cache_info().currsize, atlas._fit.cache_info().currsize, atlas.through.cache_info().currsize,
+                      ap.rows.cache_info().currsize))
         assert atlas.half_rows == half_rows
     assert sizes[0] == sizes[1], sizes
     assert 0 < sizes[1][2] <= len(atlas.isos) ** 2
+    assert sizes[1][3] == len(atlas.regions)  # one row table per overlap region
     group = len(directions)
     assert rs._product.cache_info().currsize <= group**2 and rs._inverse.cache_info().currsize <= group
     assert ap.cone_slopes.cache_info().currsize <= group * len(rs.positive_roots)

@@ -22,7 +22,7 @@ from lbk.lexq import LambdaScalar
 from lbk.linarith import GE, GT, ConstraintSystem, LinearConstraint, feasible
 from lbk.rootsystem import build_root_system
 
-SYSTEMS = [("A1", 1), ("A1", 2), ("A2", 1), ("B2", 1), ("G2", 1)]
+SYSTEMS = [("A1", 1), ("A1", 2), ("A2", 1), ("A2", 2), ("B2", 1), ("G2", 1)]
 TRIALS = 120
 
 
