@@ -244,8 +244,8 @@ class Apartment:
         return LambdaScalar.lincomb(self.pairing_row(root), v)
 
     def metric(self, v1: Point, v2: Point) -> LambdaScalar:
-        """d(v1,v2): sum over positive roots of |(alpha, v1 - v2)|, in one integer pass."""
-        return LambdaScalar.abs_sum(self._metric_rows, v1, v2, self._metric_den)
+        """d(v1,v2): sum over positive roots of |(alpha, v1 - v2)|, from the two points' passes (:meth:`pass_metric`)."""
+        return self.pass_metric(self.root_dots(v1), self.root_dots(v2))
 
     def coordinate(self, v: Point, i: int, w: Optional[WeylElement] = None) -> LambdaScalar:
         """v^{w(alpha_i)} = (alpha_i, w^-1(v)) / 2 (1-based i)."""
@@ -308,6 +308,8 @@ class Apartment:
     def root_dots(self, p: Point) -> Pass:
         """(d, dots): per positive root beta_k, the lex components of d * (beta_k, p) as ints
         over one d > 0, from one integer pass over the metric rows; no scalar is built."""
+        if len(p) != self.rank:  # the rows pair with the coordinates as zip pairs them
+            raise ValueError("point has the wrong number of coordinates")
         d, dots = LambdaScalar.dots(self._metric_rows, p)
         if len(dots[0]) != self.lex_rank:  # a pass is compared with bounds and passes of this rank
             raise ValueError("point has the wrong lex rank")

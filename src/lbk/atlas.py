@@ -5,10 +5,10 @@ copies of the model apartment, plus for ordered chart pairs an overlap region an
 identifying it with a region of the other chart.  Point equality and :meth:`Atlas.holding`, the one chart
 search, are one-hop, sound only for a closed gluing; :func:`validate` does not check closure (ROADMAP item 2).
 The charts holding a point, germ or whole sector are read from one integer pass against per-chart half rows
-(:meth:`Atlas.at`), made once per (chart, point) that a query asks about (:meth:`Atlas.sharing`).  The atlas numbers its
-distinct transition isometries, and since the metric is invariant under the affine Weyl group, a distance
-is measured once per distinct composite map t_cj^-1 t_dj (:meth:`Atlas.through`, :func:`shared_distance`), from the
-two points' passes with the map applied to a pass, not to a point (:func:`global_distance`).
+(:meth:`Atlas.at`), made once per (chart, point) that a query or a run of the checkers asks about
+(:meth:`Atlas.sharing`).  The atlas numbers its distinct transition isometries, and since the metric is invariant
+under the affine Weyl group, a distance is measured once per distinct composite map t_cj^-1 t_dj (:meth:`Atlas.through`,
+:func:`shared_distance`), from the two points' passes with the map applied to a pass, not to a point (:func:`global_distance`).
 """
 from __future__ import annotations
 
@@ -216,8 +216,6 @@ class Atlas:
 
     def holding(self, item: BuildingPoint | BuildingGerm | BuildingSector) -> int:
         """The charts holding a point, germ or whole sector, as a mask: :meth:`read` from one pass :meth:`at`."""
-        if isinstance(item, BuildingPoint):
-            return self.at(item.chart, item.point)[0]
         return self.read(self.at, item)
 
     def at(self, chart: int, point: Point) -> tuple[int, int, list[list[int]]]:
@@ -243,10 +241,9 @@ class Atlas:
         return mask & self.fitting(item.chart, item.sector.direction) if isinstance(item, BuildingSector) else mask
 
     def sharing(self) -> Callable[[int, Point], tuple[int, int, list[list[int]]]]:
-        """:meth:`at` for one query: one pass per distinct (chart, point), none kept after it; the query's
-        :meth:`holding` is ``partial(atlas.read, at)``, and its sign vectors read the same passes."""
-        passes: dict[tuple[int, Point], tuple] = {}
-        return lambda *key: passes.get(key) or passes.setdefault(key, self.at(*key))
+        """:meth:`at` cached for one query or run of the checkers: one pass per distinct (chart, point), none kept after
+        it.  The query's :meth:`holding` is ``partial(atlas.read, at)``, and its sign vectors read the same passes."""
+        return cache(self.at)
 
     # -- points --------------------------------------------------------------
 
@@ -258,15 +255,15 @@ class Atlas:
             return None
         return t.iso.apply(p)
 
-    def locate_point(self, bp: BuildingPoint, *, move: Callable = AffineIsometry.apply) -> dict[int, Point]:
-        """The point in each chart that holds it, in chart order.  ``move(iso, p)`` applies a transition."""
-        return self.locate_in(bp, self.holding(bp), move=move)
+    def locate_point(self, bp: BuildingPoint) -> dict[int, Point]:
+        """The point in each chart that holds it, in chart order."""
+        return self.locate_in(bp, self.holding(bp))
 
-    def locate_in(self, bp: BuildingPoint, mask: int, *, move: Callable = AffineIsometry.apply) -> dict[int, Point]:
+    def locate_in(self, bp: BuildingPoint, mask: int) -> dict[int, Point]:
         """The point in each chart of a mask of charts that hold it (a part of its :meth:`holding`
-        mask), in chart order, moved without a fit test.  ``move(iso, p)`` applies a transition."""
+        mask), in chart order, moved by each transition without a fit test."""
         i, p = bp.chart, bp.point
-        return {j: p if j == i else move(self.transitions[(i, j)].iso, p) for j in charts_of(mask)}
+        return {j: p if j == i else self.transitions[(i, j)].iso.apply(p) for j in charts_of(mask)}
 
     def through(self, a: int, b: int) -> Optional[AffineIsometry]:
         """isos[a]^-1 after isos[b], or None for no move (a == b, as values are distinct): for the ids

@@ -116,17 +116,17 @@ class AxiomReport:
 
 
 class Sample:
-    """The seeded building points of one run of the checkers, each located once.
+    """The seeded building points of one run of the checkers, each read by one pass.
 
     Per chart, in chart order: the origin, then two seeded rational points
     whose numerators and denominators are bounded by 12.  A3 and A5 pair the
     points, and A4 and SE read the sectors of every direction at the first
-    two points of each chart.  ``located(bp)`` is :meth:`Atlas.locate_point`,
-    computed on first use and kept for every later checker of the run.
+    two points of each chart.  ``held(bp)``, the charts holding a point, reads
+    the run's one pass at it: ``at`` is the run's :meth:`Atlas.sharing`.
 
     The run's pure point functions are exact :func:`functools.cache` tables that
     live and die with the sample, so nothing keyed by points outlives the run:
-    ``move(iso, p)`` is ``iso.apply(p)`` (located copies and retraction
+    ``move(iso, p)`` is ``iso.apply(p)`` (SE's walls and retraction
     images), ``metric`` and ``pairing`` (keyed by a tuple root) are the
     apartment's, and ``format`` is :func:`format_point` (labels).
     """
@@ -148,11 +148,15 @@ class Sample:
             ]
             self.points += [BuildingPoint(chart, p) for p in drawn]
             self.sectors += [BuildingSector(chart, ap.sector(p, w)) for p in drawn[:2] for w in ap.directions()]
-        move = self.move = cache(AffineIsometry.apply)
+        self.move = cache(AffineIsometry.apply)
         self.metric = cache(ap.metric)
         self.pairing = cache(ap.pairing)
         self.format = cache(format_point)
-        self.located = cache(lambda bp: atlas.locate_point(bp, move=move))
+        self.at = atlas.sharing()
+
+    def held(self, bp: BuildingPoint) -> int:
+        """The charts holding a sampled point, as a mask, from the run's pass at it."""
+        return self.at(bp.chart, bp.point)[0]
 
 
 def _cap_pairs(items: list, samples: int, seed: int, tag: str) -> list:
@@ -221,7 +225,7 @@ def check_a3(sample: Sample, samples: int = 60) -> AxiomReport:
     report = AxiomReport("A3")
     atlas = sample.atlas
     for bp, bq in _cap_pairs(sample.points, samples, sample.seed, "a3"):
-        chart = shared_chart(bp, bq, sum(1 << c for c in sample.located(bp).keys() & sample.located(bq).keys()))
+        chart = shared_chart(bp, bq, sample.held(bp) & sample.held(bq))
         report.check(_pair_label(atlas, bp, bq, sample.format), None if chart is None else atlas.name(chart), "no-common-chart")
     return report
 
@@ -344,8 +348,8 @@ def check_se(sample: Sample) -> AxiomReport:
     no generator of its cone, so the charts holding each base are read from
     the sample and every direction is then decided by the cone test alone.
     :func:`_capped_panel` is decided once per (direction, overlap class id); a base
-    tests its capping halves for tightness (:func:`_panel_of_sector`) and reads the wall
-    in chart a at its located copy there, as the pairing is W-invariant.
+    tests its capping halves for tightness (:func:`_panel_of_sector`) and, for a line it writes,
+    reads the wall in chart a at its copy moved there, as the pairing is W-invariant.
     """
     report = AxiomReport("SE")
     atlas = sample.atlas
@@ -353,8 +357,7 @@ def check_se(sample: Sample) -> AxiomReport:
     capped_panel = cache(lambda w, c: _capped_panel(ap, w, atlas.regions[c]))
     for bs in sample.sectors:
         chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
-        located = sample.located(BuildingPoint(chart, base))
-        held = sum(1 << c for c in located)
+        held = sample.held(BuildingPoint(chart, base))
         fits = atlas.fitting(chart, w)
         label = None
         for a in charts_of(held & ~(1 << chart)):
@@ -363,7 +366,7 @@ def check_se(sample: Sample) -> AxiomReport:
             if _panel_of_sector(panel, base, sample.pairing) is None:
                 continue
             r = t.iso.linear.act_root(panel[1])
-            wall = ap.half(r, 1, sample.pairing(r, located[a]))
+            wall = ap.half(r, 1, sample.pairing(r, sample.move(t.iso, base)))
             found = [lowest(atlas.charts_meeting(a, HalfApartment(wall.root, s, wall.bound)) & fits & held) for s in (1, -1)]
             label = label or _sector_label(atlas, bs, sample.format)
             witness = None if None in found else "+".join(atlas.name(c) for c in found)
@@ -442,12 +445,11 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
     A retraction exists and fixes its target chart by construction: the germ
     lies in its own chart, and each map inverts the transition from the
     target.  The metric is W-invariant, so a pair sharing a chart of the maps
-    keeps its distance.  Charts come from the sample's located maps, and germ
+    keeps its distance.  Chart masks come from the sample's passes (``held``), and germ
     transports, images and distances go through its memos, so a run moves each
     distinct (composite map, point) and measures each distinct pair of points once."""
     report = AxiomReport("A5")
-    atlas, points = sample.atlas, sample.points
-    held = {bp: sum(1 << c for c in sample.located(bp)) for bp in points}  # the charts holding each point
+    atlas, points, held = sample.atlas, sample.points, sample.held
     ap = atlas.apartment
     dirs = ap.directions()
     targets = [(chart, w) for chart in atlas.charts() for w in (dirs[0], dirs[-1])][:3]
@@ -459,7 +461,7 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
         try:
             p, q = bp.point, bq.point
             return shared_distance(
-                atlas, bp, bq, held[bp] & held[bq], measure=lambda iso: sample.metric(p, q if iso is None else sample.move(iso, q))
+                atlas, bp, bq, held(bp) & held(bq), measure=lambda iso: sample.metric(p, q if iso is None else sample.move(iso, q))
             )
         except (NoCommonChartError, DistanceDisagreementError) as exc:
             return type(exc)
@@ -472,7 +474,7 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
         images: dict[BuildingPoint, BuildingPoint | TheoremViolation] = {}
         for bp in points:
             try:
-                images[bp] = rho.evaluate_in(bp, held[bp] & rho.mask)
+                images[bp] = rho.evaluate_in(bp, held(bp) & rho.mask)
             except TheoremViolation as exc:
                 images[bp] = exc
         for bp, bq in _cap_pairs(points, samples, sample.seed, f"a5:{atlas.name(chart)}"):

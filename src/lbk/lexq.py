@@ -16,15 +16,14 @@ every result costs at most one gcd.  The ``parts`` property rebuilds the
 public view, a tuple of reduced ``Fraction`` values.
 :meth:`LambdaScalar.lincomb` sums a whole linear combination with rational
 coefficients over one common denominator and builds only the result; single
-pairings and Fourier-Motzkin bounds go through it.  Three integer passes bring
-their scalars to one common denominator by one step (``_scaled``).
-:meth:`LambdaScalar.abs_sum` sums the absolute values of int linear forms of
-a difference by the fold :meth:`LambdaScalar.sum_abs`; the apartment metric goes
-through it.  The point pass :meth:`LambdaScalar.dots` gives int linear forms of
-a point as ints over one denominator; point and germ membership compare such a
-value with a bound's :attr:`LambdaScalar.ints` by cross-multiplying, and query
-distances and sector signs compare two such passes the same way, so none of
-them builds a scalar.
+pairings and Fourier-Motzkin bounds go through it.  The two integer passes
+below bring their scalars to one common denominator by one step (``_scaled``).
+The point pass :meth:`LambdaScalar.dots` gives int linear forms of a point as
+ints over one denominator; point and germ membership compare such a
+value with a bound's :attr:`LambdaScalar.ints` by cross-multiplying, and sector
+signs compare two such passes the same way, so none of them builds a scalar.
+The apartment metric cross-multiplies two passes too and builds only the
+distance, by the fold :meth:`LambdaScalar.sum_abs` of absolute values.
 :meth:`LambdaScalar.affine` is ``M x + s`` for an int matrix, one scalar per
 output coordinate; point moves go through it.  A scalar keeps its hash once
 computed, so a non-integer scalar rebuilds its ``Fraction`` parts for hashing
@@ -143,17 +142,6 @@ class LambdaScalar:
         if den != 1:
             ps = [p * (den // d) for p, d in zip(ps, dens)]
         return _reduced(tuple(sum(map(mul, ps, col)) for col in zip(*rows)), den)
-
-    @staticmethod
-    def abs_sum(
-        rows: Iterable[Sequence[int]], xs: Sequence["LambdaScalar"], ys: Sequence["LambdaScalar"], den: int = 1
-    ) -> "LambdaScalar":
-        """sum over rows of |sum_j row[j] * (xs[j] - ys[j])|, divided by den > 0; xs and ys pair as ``zip``
-        pairs them.  For int rows, in one integer pass over one common denominator (:meth:`sum_abs`)."""
-        n = min(len(xs), len(ys))
-        d, nums = _scaled([*xs[:n], *ys[:n]])
-        diffs = ([a - b for a, b in zip(x, y)] for x, y in zip(nums, nums[n:]))
-        return LambdaScalar.sum_abs(_dots(rows, list(zip(*diffs))), xs[0].rank, d * den)
 
     @staticmethod
     def sum_abs(vectors: Iterable[list[int]], rank: int, den: int) -> "LambdaScalar":

@@ -49,18 +49,24 @@ def test_pairing_rejects_non_roots():
 
 
 def test_point_passes_reject_the_wrong_lex_rank():
-    """A point pass is read against bounds of the apartment's lex rank, so a point of another rank raises."""
+    """A point pass is read against bounds of the apartment's lex rank and pairs the metric rows
+    with the apartment's coordinates, so a point of another lex rank or coordinate count raises,
+    in every pass reader and in the metric."""
     ap = make("A2")
     deep = tuple(LambdaScalar([1, 2]) for _ in range(2))
+    short, long = (LambdaScalar([1]),), tuple(LambdaScalar([1]) for _ in range(3))
     region = ap.half_region((1, 0), 1, 0)
-    for read in (
-        lambda: ap.root_dots(deep),
-        lambda: ap.region_contains_point(region, deep),
-        lambda: ap.region_contains_germ(region, ap.sector(deep, ap.roots.identity()).germ()),
-        lambda: ap.sector_in_region(ap.sector(deep, ap.roots.identity()), ap.whole_region()),
-    ):
-        with pytest.raises(ValueError):
-            read()
+    for p in (deep, short, long):
+        for read in (
+            lambda: ap.root_dots(p),
+            lambda: ap.metric(p, p),
+            lambda: ap.metric(ap.origin(), p),
+            lambda: ap.region_contains_point(region, p),
+            lambda: ap.region_contains_germ(region, ap.sector(p, ap.roots.identity()).germ()),
+            lambda: ap.sector_in_region(ap.sector(p, ap.roots.identity()), ap.whole_region()),
+        ):
+            with pytest.raises(ValueError):
+                read()
 
 
 def test_metric_examples():

@@ -257,24 +257,27 @@ def test_se_makes_no_fm_solve(atlas, monkeypatch):
     assert not calls
 
 
-def count_locates(monkeypatch) -> Counter:
-    """Count the Atlas.locate_point calls of each building point."""
-    located = Counter()
-    original = Atlas.locate_point
+def count_passes(monkeypatch) -> Counter:
+    """Count the Atlas.at calls of each (chart, point)."""
+    passes = Counter()
+    original = Atlas.at
 
-    def counted(self, bp, **memos):
-        located[bp] += 1
-        return original(self, bp, **memos)
+    def counted(self, chart, point):
+        passes[(chart, point)] += 1
+        return original(self, chart, point)
 
-    monkeypatch.setattr(Atlas, "locate_point", counted)
-    return located
+    monkeypatch.setattr(Atlas, "at", counted)
+    return passes
 
 
 def test_a3_locates_each_point_once(monkeypatch):
-    located = count_locates(monkeypatch)
-    report = check_a3(Sample(lambda_tree(6), seed=0), samples=60)
+    """A3 reads the charts holding each sampled point from one pass at it."""
+    passes = count_passes(monkeypatch)
+    sample = Sample(lambda_tree(6), seed=0)
+    report = check_a3(sample, samples=60)
     assert len(report.lines) == 60
-    assert located and max(located.values()) == 1
+    assert passes and max(passes.values()) == 1
+    assert set(passes) <= {(bp.chart, bp.point) for bp in sample.points}
 
 
 @pytest.mark.parametrize(
@@ -283,14 +286,19 @@ def test_a3_locates_each_point_once(monkeypatch):
     ids=["tree(5,2)", "fan(4,B2)", "single(G2)"],
 )
 def test_one_run_locates_each_sampled_point_once(atlas, monkeypatch):
-    """A3, SE and A5 read the located maps of one Sample per run."""
-    located = count_locates(monkeypatch)
+    """A3, SE and A5 read chart masks from the passes of one Sample per run: one pass per
+    distinct sampled point.  The only other passes are at the germ bases of A5's three
+    targets (the chart origins), where each Retraction reads its germ's holding."""
+    passes = count_passes(monkeypatch)
+    ap = atlas.apartment
+    dirs = ap.directions()
+    targets = [(chart, w) for chart in atlas.charts() for w in (dirs[0], dirs[-1])][:3]
+    once = Counter({(bp.chart, bp.point) for bp in Sample(atlas, 0).points}) + Counter((c, ap.origin()) for c, _ in targets)
     equivalence_suite(atlas, samples=80, seed=0)
-    once = Counter(set(Sample(atlas, 0).points))
-    assert located == once
-    located.clear()
+    assert passes == once
+    passes.clear()
     run_axioms(atlas, ("A3", "SE", "A5"))
-    assert located == once
+    assert passes == once
 
 
 def reference_designated_points(atlas, chart, extra, seed):
@@ -498,7 +506,7 @@ def test_retractions_fix_their_target_and_keep_co_chart_distances(index):
             if bp.chart == chart:
                 assert rho.evaluate(bp) == bp
         for bp, bq in _cap_pairs(sample.points, 120, sample.seed, f"a5:{atlas.name(chart)}"):
-            at_p, at_q = sample.located(bp), sample.located(bq)
+            at_p, at_q = atlas.locate_point(bp), atlas.locate_point(bq)
             shared = at_p.keys() & at_q.keys() & rho.maps.keys()
             for c in shared:
                 move = rho.maps[c].apply

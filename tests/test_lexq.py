@@ -191,29 +191,6 @@ def test_lincomb_matches_fold_and_reference():
         assert LambdaScalar.lincomb(iter(coeffs), iter(scalars + [scalars[0]])) == got
 
 
-def test_abs_sum_matches_fold_of_abs_lincomb():
-    rng = random.Random(41)
-    for _ in range(CASES):
-        rank, terms, nrows = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 6)
-        xs = [LambdaScalar(rand_parts(rng, rank)) for _ in range(terms)]
-        ys = [LambdaScalar(rand_parts(rng, rank)) for _ in range(terms)]
-        rows = [[rng.randint(-3, 3) for _ in range(terms)] for _ in range(nrows)]
-        rows[rng.randrange(nrows)] = [0] * terms
-        den = rng.randint(1, 6)
-        zeros = [LambdaScalar.zero(rank)] * terms
-        diffs = [x - y for x, y in zip(xs, ys)]
-        for a, b, vs in ((xs, zeros, xs), (xs, ys, diffs), (ys, xs, [-d for d in diffs]), (xs, xs, zeros)):
-            want = LambdaScalar.zero(rank)
-            for row in rows:
-                want = want + abs(LambdaScalar.lincomb(row, vs))
-            assert LambdaScalar.abs_sum(rows, a, b) == want
-            assert LambdaScalar.abs_sum(rows, a, b, den) == want / den
-        # The sign is the first nonzero component's: (0|-1) counts as negative.
-        if rank >= 2:
-            v = LambdaScalar([0, -1] + [5] * (rank - 2))
-            assert LambdaScalar.abs_sum([[1]], [v], [LambdaScalar.zero(rank)]) == -v
-
-
 def test_signs_match_the_sign_of_each_lincomb():
     """Apartment.pass_signs reads a sign per row off two passes over any int rows (LambdaScalar.dots)."""
     signs = Apartment(build_root_system("A1")).pass_signs
@@ -329,8 +306,6 @@ def test_kernel_errors():
         lambda: a * a,
         lambda: LambdaScalar.lincomb([1, 1], [a, 1]),
         lambda: LambdaScalar.lincomb([1.5], [a]),
-        lambda: LambdaScalar.abs_sum([[1]], [1], [a]),
-        lambda: LambdaScalar.abs_sum([[1]], [a], [1]),
         lambda: LambdaScalar.dots([[1]], [1]),
         lambda: LambdaScalar.dots([[1, 1]], [a, Q(1)]),
         lambda: LambdaScalar.affine([[1]], [1], [a]),
@@ -345,9 +320,6 @@ def test_kernel_errors():
         lambda: a > b,
         lambda: LambdaScalar.lincomb([1, 2], [a, b]),
         lambda: LambdaScalar.lincomb([], []),
-        lambda: LambdaScalar.abs_sum([[1, 1]], [a, a], [a, b]),
-        lambda: LambdaScalar.abs_sum([[1, 1]], [a, b], [a, b]),
-        lambda: LambdaScalar.abs_sum([[]], [], []),
         lambda: LambdaScalar.dots([[1, 1]], [a, b]),
         lambda: LambdaScalar.dots([[]], []),
         lambda: LambdaScalar.affine([[1]], [a], [b]),

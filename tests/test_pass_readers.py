@@ -4,9 +4,10 @@ A pass (``Apartment.root_dots``) holds a point's pairings with the positive root
 ints over one denominator.  ``pass_metric`` measures two points from their passes,
 ``pass_signs`` reads the sign of each pairing of their difference, and ``move_pass``
 gives the pass of an isometry's image from the pass of the point.  Their references
-are ``Apartment.metric``, the pass of the moved point, and ``deleted_signs``: the sign
-vector ``LambdaScalar.signs`` gave before the readers replaced it, kept here as the
-definition.
+are the ``Fraction`` metric ``reference_metric`` of ``test_apartment`` (``Apartment.metric``
+reads passes too, so it is checked against the same reference), the pass of the moved
+point, and ``deleted_signs``: the sign vector ``LambdaScalar.signs`` gave before the
+readers replaced it, kept here as the definition.
 
 Fixture transitions have zero shifts, so the digest members are also read through
 ``moved_atlas``, whose transitions carry shifts and reflections, and every member's
@@ -23,6 +24,7 @@ from lbk.axioms import Sample, _cap_pairs
 from lbk.fixtures import fan
 from lbk.lexq import _dots, _scaled
 from report_digest import members
+from test_apartment import reference_metric
 from test_atlas import seeded_base
 from test_se_panels import chart_moves, moved_atlas
 
@@ -66,7 +68,8 @@ def check_readers(atlas, counts):
         counts["shifted"] += any(not c.is_zero() for c in iso.shift)
         counts["reflected"] += not iso.linear.is_identity()
     for p, q in _cap_pairs(points, 60, 0, "passes"):
-        assert ap.pass_metric(passes[p], passes[q]) == ap.metric(p, q), (atlas.label, p, q)
+        want = reference_metric(ap.roots.cartan, p, q)
+        assert ap.pass_metric(passes[p], passes[q]).parts == want == ap.metric(p, q).parts, (atlas.label, p, q)
         signs = ap.pass_signs(passes[p], passes[q])
         assert signs == deleted_signs(ap._metric_rows, p, q), (atlas.label, p, q)
         counts["zero signs"] += 0 in signs

@@ -1,6 +1,6 @@
-"""SE decides each panel once per (direction, overlap class) and reads each
-wall at the base's located copy, and writes the lines of the per-sector
-checker it replaced.
+"""SE decides each panel once per (direction, overlap class), reads each wall
+at the base's copy moved into the holding chart, and writes the lines of the
+per-sector checker it replaced.
 
 ``reference_se`` is that checker, kept here as the definition: per sector
 and holding chart it matches the panel from the overlap's halves, moves the
@@ -48,7 +48,7 @@ def reference_se(sample):
     ap = atlas.apartment
     for bs in sample.sectors:
         chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
-        held = sum(1 << c for c in sample.located(BuildingPoint(chart, base)))
+        held = sum(1 << c for c in atlas.locate_point(BuildingPoint(chart, base)))
         fits = atlas.fitting(chart, w)
         for a in charts_of(held & ~(1 << chart)):
             t = atlas.transition(chart, a)
@@ -163,6 +163,6 @@ def test_se_decides_each_direction_and_overlap_class_once(monkeypatch):
         sample = Sample(atlas, 0)
         assert check_se(sample).verdict == "pass", name
         assert len(set(decided[before:])) == len(decided) - before, name  # once per run
-        matches += sum(len(sample.located(BuildingPoint(bs.chart, bs.sector.base))) - 1 for bs in sample.sectors)
+        matches += sum(len(atlas.locate_point(BuildingPoint(bs.chart, bs.sector.base))) - 1 for bs in sample.sectors)
     assert len(decided) == 160 and not moved
     assert matches > 40 * len(decided), matches
