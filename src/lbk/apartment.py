@@ -468,9 +468,8 @@ class Apartment:
         index = self._positive_index
         return tuple((index[tuple(map(abs, r))], 1 if max(r) > 0 else -1) for r in self.sector_roots(direction))
 
-    def sector_contains_point(self, s: Sector, p: Point, signs: Optional[tuple[int, ...]] = None) -> bool:
-        """Is p in the sector?  Read off the signs of (beta, p - base) (:meth:`pass_signs`) at its walls."""
-        signs = signs or self.pass_signs(self.root_dots(p), self.root_dots(s.base))
+    def sector_contains_point(self, s: Sector, signs: tuple[int, ...]) -> bool:
+        """Is p in the sector, given the signs of (beta, p - base) (:meth:`pass_signs`)?  Read off at its walls."""
         return all(c * signs[k] >= 0 for k, c in self.sector_walls(s.direction))
 
     def sectors_parallel(self, s: Sector, t: Sector) -> bool:
@@ -537,18 +536,16 @@ class Apartment:
     def directions(self) -> list[WeylElement]:
         return self.roots.weyl_elements()
 
-    def sector_through(self, base: Point, target: Point, signs: Optional[tuple[int, ...]] = None) -> Sector:
+    def sector_through(self, base: Point, signs: tuple[int, ...]) -> Sector:
         """First sector at base (canonical direction order) containing target, from the signs of (beta, target - base)."""
-        signs = signs or self.pass_signs(self.root_dots(target), self.root_dots(base))
         for w in self.directions():
             if all(c * signs[k] >= 0 for k, c in self.sector_walls(w)):
                 return self.sector(base, w)
         raise AssertionError("direction cones cover the apartment")
 
-    def sector_with_germ(self, base: Point, germ: SectorGerm, signs: Optional[tuple[int, ...]] = None) -> Sector:
+    def sector_with_germ(self, base: Point, germ: SectorGerm, signs: tuple[int, ...]) -> Sector:
         """First sector at base whose region contains the germ (:meth:`region_contains_germ`), from the signs of
         (beta, germ base - base): the germ's base lies in the sector, and no wall through that base caps its cone."""
-        signs = signs or self.pass_signs(self.root_dots(germ.base), self.root_dots(base))
         positive = self.roots.positive_roots
         for w in self.directions():
             walls = self.sector_walls(w)

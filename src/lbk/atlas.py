@@ -7,8 +7,9 @@ search, are one-hop, sound only for a closed gluing; :func:`validate` does not c
 The charts holding a point, germ or whole sector are read from one integer pass against per-chart half rows
 (:meth:`Atlas.at`), made once per (chart, point) that a query or a run of the checkers asks about
 (:meth:`Atlas.sharing`).  The atlas numbers its distinct transition isometries, and since the metric is invariant
-under the affine Weyl group, a distance is measured once per distinct composite map t_cj^-1 t_dj (:meth:`Atlas.through`,
-:func:`shared_distance`), from the two points' passes with the map applied to a pass, not to a point (:func:`global_distance`).
+under the affine Weyl group, a distance is measured once per distinct composite map t_cj^-1 t_dj (:meth:`Atlas.through`),
+from the two points' passes with the map applied to a pass, not to a point: :func:`shared_distance`, which reads the
+passes of :meth:`Atlas.at` for :func:`global_distance` and of a run's :meth:`Atlas.sharing` for A5.
 """
 from __future__ import annotations
 
@@ -303,12 +304,9 @@ class Atlas:
         iso = self.transitions[(item.chart, j)].iso
         return self.apartment.sector(move(iso, item.sector.base), iso.linear * item.sector.direction)
 
-    def first_chart_holding(self, *items: BuildingGerm | BuildingSector) -> Optional[tuple[int, list[Sector]]]:
-        """The first chart holding every given germ and whole sector (:meth:`first_held`)."""
-        return self.first_held(self.holding, *items)
-
     def first_held(self, holding: Callable, *items: BuildingGerm | BuildingSector) -> Optional[tuple[int, list[Sector]]]:
-        """The lowest bit of the AND of the items' ``holding`` masks, with each item moved once, into it; or None."""
+        """The first chart holding every given germ and whole sector: the lowest bit of the AND of the items' ``holding``
+        masks (:meth:`holding`, or ``partial(atlas.read, at)`` of a query's passes), with each item moved once, into it; or None."""
         c = lowest(reduce(and_, map(holding, items), (1 << self.size) - 1))
         if c is None:
             return None
@@ -419,22 +417,20 @@ def shared_chart(bp: BuildingPoint, bq: BuildingPoint, shared: int) -> Optional[
 
 
 def global_distance(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint) -> LambdaScalar:
-    """Metric evaluated in a shared chart; all shared charts must agree (:func:`shared_distance`).  Each point's one
-    pass :meth:`Atlas.at` gives its mask and its pairings, which a composite map moves (:meth:`Apartment.move_pass`)."""
+    """Metric evaluated in a shared chart; all shared charts must agree: :func:`shared_distance` from :meth:`Atlas.at`."""
+    return shared_distance(atlas, atlas.at, bp, bq)
+
+
+def shared_distance(atlas: Atlas, at: Callable, bp: BuildingPoint, bq: BuildingPoint) -> LambdaScalar:
+    """The distance of two points in the charts holding both, from each point's one pass ``at(chart, point)``
+    (:meth:`Atlas.at`, or a run's :meth:`Atlas.sharing`), which gives its mask and its pairings.  The metric is
+    invariant under the affine Weyl group, so in chart j it is d(p, t_cj^-1 t_dj q), measured once per distinct key
+    (id of t_cj, id of t_dj) through :meth:`Atlas.through` with the map applied to q's pass (:meth:`Apartment.move_pass`),
+    not to q.  The lowest shared chart's value is the distance; any other disagrees."""
     ap = atlas.apartment
-    held_p, *pp = atlas.at(bp.chart, bp.point)
-    held_q, *pq = atlas.at(bq.chart, bq.point)
-    return shared_distance(
-        atlas, bp, bq, held_p & held_q, measure=lambda iso: ap.pass_metric(pp, pq if iso is None else ap.move_pass(iso, pq))
-    )
-
-
-def shared_distance(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint, shared: int, *, measure: Callable) -> LambdaScalar:
-    """The distance of two points in the charts of a mask of charts holding both, where ``measure(iso)``
-    is d(p, iso(q)), iso None for no move.  The metric is invariant under the affine Weyl group, so in
-    chart j it is d(p, t_cj^-1 t_dj q), measured once per distinct key (id of t_cj, id of t_dj)
-    through :meth:`Atlas.through`.  The lowest shared chart's value is the distance; any other disagrees."""
-    if not shared:
+    held_p, *pp = at(bp.chart, bp.point)
+    held_q, *pq = at(bq.chart, bq.point)
+    if not (shared := held_p & held_q):
         raise NoCommonChartError(
             f"no chart contains both {format_point(bp.point)}@{atlas.name(bp.chart)} "
             f"and {format_point(bq.point)}@{atlas.name(bq.chart)}"
@@ -443,7 +439,8 @@ def shared_distance(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint, shared: 
     for j in charts_of(shared):
         key = (value_of[(c, j)], value_of[(d, j)])
         if key not in values:
-            values[key] = measure(atlas.through(*key))
+            iso = atlas.through(*key)
+            values[key] = ap.pass_metric(pp, pq if iso is None else ap.move_pass(iso, pq))
     first, *others = values.values()
     if any(v != first for v in others):
         raise DistanceDisagreementError(

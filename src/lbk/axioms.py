@@ -121,14 +121,15 @@ class Sample:
     Per chart, in chart order: the origin, then two seeded rational points
     whose numerators and denominators are bounded by 12.  A3 and A5 pair the
     points, and A4 and SE read the sectors of every direction at the first
-    two points of each chart.  ``held(bp)``, the charts holding a point, reads
-    the run's one pass at it: ``at`` is the run's :meth:`Atlas.sharing`.
+    two points of each chart.  ``at`` is the run's :meth:`Atlas.sharing`, one pass
+    per distinct (chart, point): ``held(bp)``, the charts holding a point, and A5's
+    distances (:func:`shared_distance`) read the run's passes.
 
     The run's pure point functions are exact :func:`functools.cache` tables that
     live and die with the sample, so nothing keyed by points outlives the run:
     ``move(iso, p)`` is ``iso.apply(p)`` (SE's walls and retraction
-    images), ``metric`` and ``pairing`` (keyed by a tuple root) are the
-    apartment's, and ``format`` is :func:`format_point` (labels).
+    images), ``pairing`` (keyed by a tuple root) is the apartment's, and
+    ``format`` is :func:`format_point` (labels).
     """
 
     def __init__(self, atlas: Atlas, seed: int = 0):
@@ -149,7 +150,6 @@ class Sample:
             self.points += [BuildingPoint(chart, p) for p in drawn]
             self.sectors += [BuildingSector(chart, ap.sector(p, w)) for p in drawn[:2] for w in ap.directions()]
         self.move = cache(AffineIsometry.apply)
-        self.metric = cache(ap.metric)
         self.pairing = cache(ap.pairing)
         self.format = cache(format_point)
         self.at = atlas.sharing()
@@ -445,9 +445,10 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
     A retraction exists and fixes its target chart by construction: the germ
     lies in its own chart, and each map inverts the transition from the
     target.  The metric is W-invariant, so a pair sharing a chart of the maps
-    keeps its distance.  Chart masks come from the sample's passes (``held``), and germ
-    transports, images and distances go through its memos, so a run moves each
-    distinct (composite map, point) and measures each distinct pair of points once."""
+    keeps its distance.  Chart masks and distances read the sample's passes (``held``, and
+    :func:`shared_distance` from ``at``), as does each image's pass, read once per target and
+    point; germ transports and images go through its ``move`` memo.  So a run moves each distinct
+    (composite map, point) once, and measures each distinct pair of sampled points once."""
     report = AxiomReport("A5")
     atlas, points, held = sample.atlas, sample.points, sample.held
     ap = atlas.apartment
@@ -459,10 +460,7 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
         """The pair's distance, measured once for every target; a failure is kept as its
         class, since an exception instance would keep its traceback's frames alive."""
         try:
-            p, q = bp.point, bq.point
-            return shared_distance(
-                atlas, bp, bq, held(bp) & held(bq), measure=lambda iso: sample.metric(p, q if iso is None else sample.move(iso, q))
-            )
+            return shared_distance(atlas, sample.at, bp, bq)
         except (NoCommonChartError, DistanceDisagreementError) as exc:
             return type(exc)
 
@@ -471,10 +469,10 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
         config_base = f"(chart={atlas.name(chart)},germ={_sector_label(atlas, germ, sample.format)})"
         rho = Retraction(atlas, germ, chart, move=sample.move)
         written = len(report.lines)
-        images: dict[BuildingPoint, BuildingPoint | TheoremViolation] = {}
+        images: dict[BuildingPoint, list | TheoremViolation] = {}  # each image's pass, or why there is none
         for bp in points:
             try:
-                images[bp] = rho.evaluate_in(bp, held(bp) & rho.mask)
+                images[bp] = sample.at(chart, rho.evaluate_in(bp, held(bp) & rho.mask).point)[1:]
             except TheoremViolation as exc:
                 images[bp] = exc
         for bp, bq in _cap_pairs(points, samples, sample.seed, f"a5:{atlas.name(chart)}"):
@@ -486,7 +484,7 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
                 continue
             elif original is DistanceDisagreementError:
                 failure = "distance-disagrees-between-charts"
-            elif sample.metric(ry.point, rz.point) > original:
+            elif ap.pass_metric(ry, rz) > original:
                 failure = "distance-increased"
             else:
                 continue
@@ -555,7 +553,7 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
         return direct_scan("no point chart", "no chart through both base points")
     stages.append(f"points chart={atlas.name(cc)}")
     x, y = atlas.locate_in(p1, 1 << cc)[cc], atlas.locate_in(p2, 1 << cc)[cc]
-    connecting = BuildingSector(cc, ap.sector_through(x, y, _signs(ap, at, cc, y, x)))
+    connecting = BuildingSector(cc, ap.sector_through(x, _signs(ap, at, cc, y, x)))
     carrier = lowest(holding(g1) & holding(connecting))
     if carrier is None:
         return direct_scan("no germ+sector chart", "no chart with first germ and connecting sector")
@@ -615,7 +613,7 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
     cochart, (_, t_there) = found
     parallel = ap.sector(held[cochart].base, t_there.direction)
     # The cochart holds t_sector, so its base y there.
-    contains = ap.sector_contains_point(parallel, t_there.base, _signs(ap, at, cochart, t_there.base, parallel.base))
+    contains = ap.sector_contains_point(parallel, _signs(ap, at, cochart, t_there.base, parallel.base))
     return OppositeResult(
         PASS,
         sector=t_sector,

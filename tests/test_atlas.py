@@ -267,9 +267,9 @@ def brute_force_holding(atlas, items):
 )
 def test_first_chart_holding_agrees_with_brute_force(atlas, monkeypatch):
     """``holding`` is the mask of the charts the item moves into, and the first
-    chart search makes one point pass per item (``LambdaScalar.dots``), in
-    ``holding``, and moves each item once, into the chart it returns, by the move
-    rule that runs no fit test."""
+    chart search (``first_held`` given ``holding``) makes one point pass per item
+    (``LambdaScalar.dots``), in ``holding``, and moves each item once, into the
+    chart it returns, by the move rule that runs no fit test."""
     rng = random.Random(f"first-chart:{atlas.label}")
     point_rng = random.Random(f"holding-points:{atlas.label}")
     found = missed = sector_first = shared = 0
@@ -287,7 +287,7 @@ def test_first_chart_holding_agrees_with_brute_force(atlas, monkeypatch):
         passes = []
         dots = LambdaScalar.dots
         monkeypatch.setattr(LambdaScalar, "dots", staticmethod(lambda rows, xs: passes.append(xs) or dots(rows, xs)))
-        assert atlas.first_chart_holding(*items) == expected
+        assert atlas.first_held(atlas.holding, *items) == expected
         monkeypatch.undo()
         assert passes == [item.sector.base for item in items]
         assert calls["move_held"] == ([(item, expected[0]) for item in items] if expected else [])

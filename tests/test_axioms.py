@@ -286,14 +286,25 @@ def test_a3_locates_each_point_once(monkeypatch):
     ids=["tree(5,2)", "fan(4,B2)", "single(G2)"],
 )
 def test_one_run_locates_each_sampled_point_once(atlas, monkeypatch):
-    """A3, SE and A5 read chart masks from the passes of one Sample per run: one pass per
-    distinct sampled point.  The only other passes are at the germ bases of A5's three
-    targets (the chart origins), where each Retraction reads its germ's holding."""
-    passes = count_passes(monkeypatch)
+    """A3, SE and A5 read chart masks, and A5 its distances, from the passes of one Sample per
+    run: one pass per distinct sampled point and per distinct (target chart, image) of A5's
+    retractions.  The only other passes are at the germ bases of A5's three targets (the
+    chart origins), where each Retraction reads its germ's holding."""
     ap = atlas.apartment
     dirs = ap.directions()
     targets = [(chart, w) for chart in atlas.charts() for w in (dirs[0], dirs[-1])][:3]
-    once = Counter({(bp.chart, bp.point) for bp in Sample(atlas, 0).points}) + Counter((c, ap.origin()) for c, _ in targets)
+    points = Sample(atlas, 0).points
+    read = {(bp.chart, bp.point) for bp in points}
+    for chart, w in targets:
+        rho = Retraction(atlas, BuildingGerm(chart, ap.sector(ap.origin(), w)), chart)
+        for bp in points:
+            try:
+                read.add((chart, rho.evaluate(bp).point))
+            except TheoremViolation:
+                pass
+    assert len(read) > len(points) or atlas.size == 1  # a single chart's retractions fix every point
+    passes = count_passes(monkeypatch)
+    once = Counter(read) + Counter((c, ap.origin()) for c, _ in targets)
     equivalence_suite(atlas, samples=80, seed=0)
     assert passes == once
     passes.clear()
@@ -418,9 +429,9 @@ def test_a5_measures_each_sampled_pair_once(monkeypatch):
     calls = []
     measure = lbk.axioms.shared_distance
 
-    def counted(atlas, bp, bq, shared, **memos):
+    def counted(atlas, at, bp, bq):
         calls.append((bp, bq))
-        return measure(atlas, bp, bq, shared, **memos)
+        return measure(atlas, at, bp, bq)
 
     monkeypatch.setattr(lbk.axioms, "shared_distance", counted)
     assert check_a5(sample).verdict == PASS
@@ -709,7 +720,7 @@ def test_coapartment_on_a_gluing_that_is_not_closed():
     g1 = BuildingGerm(atlas.index("e"), ap.sector(ap.simple_point(0, 4), w))
     g2 = BuildingGerm(atlas.index("d"), ap.sector(ap.simple_point(0, 3), w))
     assert same_point(atlas, BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base))
-    _, (s1, s2) = atlas.first_chart_holding(g1, g2)
+    _, (s1, s2) = atlas.first_held(atlas.holding, g1, g2)
     assert s1.base != s2.base
     result = germ_coapartment(atlas, g1, g2)
     assert result.verdict == INCONCLUSIVE and result.chart is None and result.final_length is None

@@ -1,5 +1,5 @@
-"""One run of the checkers keeps exact memos of four pure point functions,
-``Sample.move``, ``metric``, ``pairing`` and ``format``, and nothing past the run.
+"""One run of the checkers keeps exact memos of three pure point functions,
+``Sample.move``, ``pairing`` and ``format``, and nothing past the run.
 Every table a run keeps is a ``functools.cache``; ``record_memos`` wraps the
 ``cache`` of ``lbk.axioms`` to see every value those tables return, hits included.
 
@@ -17,11 +17,12 @@ import pytest
 
 import lbk.axioms
 from lbk.apartment import AffineIsometry, Apartment, format_point
-from lbk.atlas import BuildingPoint, BuildingSector, DistanceDisagreementError, charts_of, global_distance
+from lbk.atlas import BuildingPoint, BuildingSector, DistanceDisagreementError, charts_of, global_distance, shared_distance
 from lbk.axioms import _CHECKERS, Sample, equivalence_suite
 from lbk.fixtures import fan, lambda_tree
 from report_digest import LADDER
 from test_axioms import bent_tree
+from test_composite_maps import outcome as answer
 from test_golden import fm_fallback
 from test_se_panels import MEMBERS, chart_moves, moved_atlas
 
@@ -76,7 +77,7 @@ def assert_returns_fresh_calls(table, fn):
 
 
 def misses(sample):
-    return [memo.cache_info().misses for memo in (sample.move, sample.metric, sample.pairing, sample.format)]
+    return [memo.cache_info().misses for memo in (sample.move, sample.pairing, sample.format)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -96,19 +97,20 @@ def test_checkers_on_shifted_transitions_match_the_originals(seed, monkeypatch):
         for table in tables:
             assert_returns_fresh_calls(table, table.fn)
         ap = moved.atlas.apartment
-        references = (lambda iso, p: iso.apply(p), ap.metric, ap.pairing, format_point)
-        for table, reference in zip((moved.move, moved.metric, moved.pairing, moved.format), references):
+        references = (lambda iso, p: iso.apply(p), ap.pairing, format_point)
+        for table, reference in zip((moved.move, moved.pairing, moved.format), references):
             assert_returns_fresh_calls(table, reference)
-        entries.update(dict(zip(("move", "metric", "pairing", "format"), misses(moved))))
+        entries.update(dict(zip(("move", "pairing", "format"), misses(moved))))
         hits += sum(table.cache_info().hits for table in tables)
     assert shifted > 1000 and fails > 300, (shifted, fails)
     assert min(entries.values()) > 100 and hits > 10000, (entries, hits)
 
 
 def record_runs(monkeypatch):
-    """The Samples of every run, and the calls of the functions the move and metric memos wrap."""
+    """The Samples of every run, the calls of the function the move memo wraps, and the
+    calls of ``Apartment.metric`` and of the point pass ``Apartment.root_dots``."""
     samples, calls = [], Counter()
-    apply, metric = AffineIsometry.apply, Apartment.metric
+    apply, metric, root_dots = AffineIsometry.apply, Apartment.metric, Apartment.root_dots
 
     class Recorded(Sample):
         def __init__(self, *args):
@@ -123,24 +125,30 @@ def record_runs(monkeypatch):
         calls["metric"] += 1
         return metric(self, v1, v2)
 
+    def counted_root_dots(self, p):
+        calls["root_dots"] += 1
+        return root_dots(self, p)
+
     monkeypatch.setattr(lbk.axioms, "Sample", Recorded)
     monkeypatch.setattr(AffineIsometry, "apply", counted_apply)
     monkeypatch.setattr(Apartment, "metric", counted_metric)
+    monkeypatch.setattr(Apartment, "root_dots", counted_root_dots)
     return samples, calls
 
 
 @pytest.mark.parametrize("atlas", [lambda_tree(5, 2), fan(4, "B2")], ids=["tree(5,2)", "fan(4,B2)"])
 def test_two_runs_on_one_atlas_make_the_same_misses(atlas, monkeypatch):
-    """Nothing a run memoizes carries over to the next run on the same atlas,
-    and a miss is the one call of the memoized function."""
+    """Nothing a run memoizes carries over to the next run on the same atlas, a miss
+    is the one call of the memoized function, and no distance goes through ``Apartment.metric``."""
     samples, calls = record_runs(monkeypatch)
     runs = []
     for _ in range(2):
         calls.clear()
         equivalence_suite(atlas, samples=80, seed=0)
-        runs.append((misses(samples[-1]), calls["apply"], calls["metric"]))
+        runs.append((misses(samples[-1]), calls["apply"]))
+        assert calls["metric"] == 0
     assert runs[0] == runs[1] and min(runs[0][0]) > 0, runs
-    assert runs[0][0][:2] == [runs[0][1], runs[0][2]]
+    assert runs[0][0][0] == runs[0][1]
 
 
 def composite_keys(atlas, bp, bq):
@@ -180,10 +188,12 @@ def test_global_distance_measures_once_per_composite_key(monkeypatch):
 @pytest.mark.parametrize("build", [lambda: bent_tree((1, 2)), fm_fallback], ids=["bent_tree(1,2)", "fm_fallback"])
 def test_a_disagreement_in_any_shared_chart_raises(build):
     """When the points moved into some shared chart, the third included, measure another
-    distance than in the lowest one, global_distance raises."""
+    distance than in the lowest one, global_distance raises; A5's rule, shared_distance
+    from one run's passes, gives global_distance's value or raises the same error."""
     atlas = build()
     ap = atlas.apartment
-    points = Sample(atlas).points
+    sample = Sample(atlas)
+    points = sample.points
     late = 0
     for bp in points:
         for bq in points:
@@ -197,15 +207,22 @@ def test_a_disagreement_in_any_shared_chart_raises(build):
                 late += differ[0] > 1
             elif values:
                 assert global_distance(atlas, bp, bq) == values[0]
+            assert answer(lambda: shared_distance(atlas, sample.at, bp, bq)) == answer(lambda: global_distance(atlas, bp, bq))
     assert late > 0
 
 
 def test_ladder_memo_misses_are_pinned(monkeypatch):
-    """On the 20 ladder members at seed 0, each run's memos miss once per
-    distinct argument: 680 moves and 2,493 distances, which are all of the
-    pass's isometry moves and metric calls (6,434 and 7,418 unmemoized)."""
+    """On the 20 ladder members at seed 0, each run's move memo misses once per
+    distinct argument: 680 moves, which are all of the pass's isometry moves
+    (6,434 unmemoized).  No distance goes through ``Apartment.metric`` (2,493
+    calls when A5 measured through it): A5 reads the run's passes, and the
+    pass makes 1,609 point passes, each apartment's ``pass_moves`` table emptied first."""
+    ladder = MEMBERS[: len(LADDER)]
+    for _, atlas in ladder:
+        atlas.apartment.pass_moves.cache_clear()
     samples, calls = record_runs(monkeypatch)
-    for name, atlas in MEMBERS[: len(LADDER)]:
+    for name, atlas in ladder:
         assert not equivalence_suite(atlas, samples=80, seed=0).alarms, name
     assert len(samples) == len(LADDER)
-    assert [sum(column) for column in zip(*map(misses, samples))][:2] == [calls["apply"], calls["metric"]] == [680, 2493]
+    assert sum(misses(sample)[0] for sample in samples) == calls["apply"] == 680
+    assert (calls["metric"], calls["root_dots"]) == (0, 1609)
