@@ -296,13 +296,13 @@ class Atlas:
                 return None
         return self.move_held(item, j)
 
-    def move_held(self, item: BuildingGerm | BuildingSector, j: int, *, move: Callable = AffineIsometry.apply) -> Sector:
-        """The item's sector moved into chart j by ``move(iso, base)``, for a chart j its
+    def move_held(self, item: BuildingGerm | BuildingSector, j: int) -> Sector:
+        """The item's sector moved into chart j through the transition, for a chart j its
         :meth:`holding` mask already holds: the move runs no fit test."""
         if item.chart == j:
             return item.sector
         iso = self.transitions[(item.chart, j)].iso
-        return self.apartment.sector(move(iso, item.sector.base), iso.linear * item.sector.direction)
+        return self.apartment.sector(iso.apply(item.sector.base), iso.linear * item.sector.direction)
 
     def first_held(self, holding: Callable, *items: BuildingGerm | BuildingSector) -> Optional[tuple[int, list[Sector]]]:
         """The first chart holding every given germ and whole sector: the lowest bit of the AND of the items' ``holding``

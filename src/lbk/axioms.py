@@ -25,6 +25,7 @@ from .apartment import (
     Apartment,
     ConvexRegion,
     HalfApartment,
+    Pass,
     Point,
     Sector,
     format_point,
@@ -122,14 +123,11 @@ class Sample:
     whose numerators and denominators are bounded by 12.  A3 and A5 pair the
     points, and A4 and SE read the sectors of every direction at the first
     two points of each chart.  ``at`` is the run's :meth:`Atlas.sharing`, one pass
-    per distinct (chart, point): ``held(bp)``, the charts holding a point, and A5's
-    distances (:func:`shared_distance`) read the run's passes.
-
-    The run's pure point functions are exact :func:`functools.cache` tables that
-    live and die with the sample, so nothing keyed by points outlives the run:
-    ``move(iso, p)`` is ``iso.apply(p)`` (SE's walls and retraction
-    images), ``pairing`` (keyed by a tuple root) is the apartment's, and
-    ``format`` is :func:`format_point` (labels).
+    per distinct (chart, point): ``held(bp)``, the charts holding a point, SE's germ masks,
+    and A5's images (:meth:`Retraction.map_at`) and distances (:func:`shared_distance`) read
+    the run's passes.  ``format`` is :func:`format_point` (labels), an exact
+    :func:`functools.cache` table that lives and dies with the sample, so nothing keyed by
+    points outlives the run.
     """
 
     def __init__(self, atlas: Atlas, seed: int = 0):
@@ -149,8 +147,6 @@ class Sample:
             ]
             self.points += [BuildingPoint(chart, p) for p in drawn]
             self.sectors += [BuildingSector(chart, ap.sector(p, w)) for p in drawn[:2] for w in ap.directions()]
-        self.move = cache(AffineIsometry.apply)
-        self.pairing = cache(ap.pairing)
         self.format = cache(format_point)
         self.at = atlas.sharing()
 
@@ -313,8 +309,8 @@ def check_ec(atlas: Atlas) -> AxiomReport:
 
 
 def _capped_panel(ap: Apartment, w: WeylElement, overlap: ConvexRegion) -> Optional[tuple]:
-    """The part of :func:`_panel_of_sector` that reads only the direction and the overlap: the one
-    generator k the overlap caps, the wall root w.alpha_k and the capping halves, or None."""
+    """What a panel incidence reads of the direction and the overlap alone: the one generator k the
+    overlap caps (:meth:`Apartment.caps`), the wall root w.alpha_k and the capping halves, or None."""
     caps = [(h, ap.caps(w, h.root, h.sense)) for h in overlap.halves]
     capped = set().union(*(ks for _, ks in caps))
     if len(capped) != 1:
@@ -323,50 +319,41 @@ def _capped_panel(ap: Apartment, w: WeylElement, overlap: ConvexRegion) -> Optio
     return k, w.act_root(ap.roots.simple_root(k)), [h for h, ks in caps if ks]
 
 
-def _panel_of_sector(panel: Optional[tuple], base: Point, pairing: Callable) -> Optional[int]:
-    """The panel type when a sector at ``base`` meets the overlap in a face of itself, else None;
-    ``panel`` is :func:`_capped_panel` of the sector's direction and the overlap.
-
-    The exchange hypothesis wants the chart to meet the sector in one of the
-    sector's own panels (apex included), not a panel-shaped slice further
-    out.  The base must lie in the overlap (:func:`check_se` tests it once
-    per base).  Write a sector point as x = b + sum_k t_k w.u_k, t_k >= 0: a
-    half caps generator k (:meth:`Apartment.caps`) when it falls along it,
-    and a root's coefficients w^-1 r share a sign.
-    So panel i fits and the sector does not exactly when i is the only
-    capped generator; each capping half then has w^-1 r = +-alpha_i and
-    reads slack - t_i >= 0, and the cut stays on panel i (t_i = 0) exactly
-    when one of them is tight at the base.
-    """
-    return panel[0] if panel is not None and any(pairing(h.root, base) == h.bound for h in panel[2]) else None
-
-
 def check_se(sample: Sample) -> AxiomReport:
     """Sectors meeting a chart in one of their panels must extend over both wall sides.
 
-    A sector lies in a chart exactly when its base does and the overlap caps
-    no generator of its cone, so the charts holding each base are read from
-    the sample and every direction is then decided by the cone test alone.
-    :func:`_capped_panel` is decided once per (direction, overlap class id); a base
-    tests its capping halves for tightness (:func:`_panel_of_sector`) and, for a line it writes,
-    reads the wall in chart a at its copy moved there, as the pairing is W-invariant.
+    The exchange hypothesis wants the chart to meet the sector in one of the
+    sector's own panels (apex included), not a panel-shaped slice further out.
+    Write a sector point as x = b + sum_k t_k w.u_k, t_k >= 0: a half caps
+    generator k when it falls along it, and a root's coefficients w^-1 r share
+    a sign.  So panel k fits and the sector does not exactly when k is the only
+    capped generator (:func:`_capped_panel`, decided once per (direction, overlap
+    class id)); each capping half then reads slack - t_k >= 0, and the cut stays
+    on panel k (t_k = 0) exactly when one of them is tight at the base.  A chart
+    a holding the base has the base in the overlap, so that is where the germ
+    rule of :meth:`Apartment.holds` fails: a has a panel incidence exactly when
+    the panel is capped and a is outside the germ's mask, read from the base's
+    pass in the sample.  For a line it writes, the wall in chart a is read at the
+    base's copy moved there, as the pairing is W-invariant.
     """
     report = AxiomReport("SE")
     atlas = sample.atlas
     ap = atlas.apartment
     capped_panel = cache(lambda w, c: _capped_panel(ap, w, atlas.regions[c]))
+    move, pairing = cache(AffineIsometry.apply), cache(ap.pairing)
     for bs in sample.sectors:
         chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
         held = sample.held(BuildingPoint(chart, base))
+        outside = held & ~atlas.read(sample.at, BuildingGerm(chart, bs.sector))
         fits = atlas.fitting(chart, w)
         label = None
-        for a in charts_of(held & ~(1 << chart)):
-            t = atlas.transition(chart, a)
+        for a in charts_of(outside):
             panel = capped_panel(w, atlas.class_of[(chart, a)])
-            if _panel_of_sector(panel, base, sample.pairing) is None:
+            if panel is None:
                 continue
+            t = atlas.transition(chart, a)
             r = t.iso.linear.act_root(panel[1])
-            wall = ap.half(r, 1, sample.pairing(r, sample.move(t.iso, base)))
+            wall = ap.half(r, 1, pairing(r, move(t.iso, base)))
             found = [lowest(atlas.charts_meeting(a, HalfApartment(wall.root, s, wall.bound)) & fits & held) for s in (1, -1)]
             label = label or _sector_label(atlas, bs, sample.format)
             witness = None if None in found else "+".join(atlas.name(c) for c in found)
@@ -385,13 +372,14 @@ class Retraction:
     The per-chart maps are the unique isometries carrying that chart's copy
     of the germ onto the target chart's copy.  Through chart b a point of chart
     c goes by the cached composite maps[b] t_cb, keyed by (map id, transition
-    value id), so it is moved once per distinct key, and evaluation cross-checks
-    those images to assert well-definedness.  ``move(iso, p)`` applies an
-    isometry, both to transport the germ and to map a point.
+    value id).  :meth:`map_at` reads the point's one pass, picks the lowest
+    holding chart's composite and checks that every other distinct composite
+    moves that pass to the same pass, which asserts well-definedness with no
+    point moved; :meth:`evaluate` then moves the point once.
     """
 
-    def __init__(self, atlas: Atlas, germ: BuildingGerm, chart: int, *, move: Callable = AffineIsometry.apply):
-        sectors = {b: atlas.move_held(germ, b, move=move) for b in charts_of(atlas.holding(germ))}
+    def __init__(self, atlas: Atlas, germ: BuildingGerm, chart: int):
+        sectors = {b: atlas.move_held(germ, b) for b in charts_of(atlas.holding(germ))}
         if (target := sectors.get(chart)) is None:
             raise TheoremViolation(
                 f"germ {_sector_label(atlas, germ, format_point)} is not contained in chart {atlas.name(chart)}"
@@ -399,7 +387,6 @@ class Retraction:
         self.atlas = atlas
         self.germ = germ
         self.chart = chart
-        self.move = move
         self.maps: dict[int, AffineIsometry] = {}
         for b, local in sectors.items():
             linear = target.direction * local.direction.inverse()
@@ -413,26 +400,32 @@ class Retraction:
 
     def evaluate(self, bp: BuildingPoint) -> BuildingPoint:
         """The point's image, read in the charts holding both it and the germ."""
-        return self.evaluate_in(bp, self.atlas.holding(bp) & self.mask)
+        iso, _ = self.map_at(self.atlas.at, bp)
+        return BuildingPoint(self.chart, iso.apply(bp.point))
 
-    def evaluate_in(self, bp: BuildingPoint, charts: int) -> BuildingPoint:
-        """:meth:`evaluate` in the charts of a mask of charts of the maps that hold the point:
-        the lowest chart's image, which every other chart must give too."""
-        c, p, value_of = bp.chart, bp.point, self.atlas.value_of
-        images = {}
-        for b in charts_of(charts):
+    def map_at(self, at: Callable, bp: BuildingPoint) -> tuple[AffineIsometry, Pass]:
+        """The map carrying the point into the target chart, with the point's pass ``at(chart, point)``
+        (:meth:`Atlas.at`, or a run's :meth:`Atlas.sharing`): the composite of the lowest chart holding both
+        it and the germ.  Every other distinct composite must move the pass to the same pass
+        (:meth:`Apartment.move_pass`; equal passes have all :meth:`Apartment.pass_signs` zero)."""
+        held, *pass_ = at(bp.chart, bp.point)
+        c, value_of, composites = bp.chart, self.atlas.value_of, {}
+        for b in charts_of(held & self.mask):
             key = (self.map_of[b], value_of[(c, b)])
-            if key not in images:
-                images[key] = self.move(self._composite(*key), p)
-        if not images:
+            if key not in composites:
+                composites[key] = self._composite(*key)
+        if not composites:
             raise TheoremViolation(
                 f"no chart contains both the germ and {format_point(bp.point)}"
                 f"@{self.atlas.name(bp.chart)}"
             )
-        first, *others = images.values()
-        if any(img != first for img in others):
-            raise TheoremViolation("retraction value depends on the chart chosen")
-        return BuildingPoint(self.chart, first)
+        first, *others = composites.values()
+        if others:
+            ap = self.atlas.apartment
+            image = ap.move_pass(first, pass_)
+            if any(any(ap.pass_signs(ap.move_pass(f, pass_), image)) for f in others):
+                raise TheoremViolation("retraction value depends on the chart chosen")
+        return first, pass_
 
 
 def build_retraction(atlas: Atlas, germ: BuildingGerm, chart: int) -> Retraction:
@@ -445,12 +438,12 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
     A retraction exists and fixes its target chart by construction: the germ
     lies in its own chart, and each map inverts the transition from the
     target.  The metric is W-invariant, so a pair sharing a chart of the maps
-    keeps its distance.  Chart masks and distances read the sample's passes (``held``, and
-    :func:`shared_distance` from ``at``), as does each image's pass, read once per target and
-    point; germ transports and images go through its ``move`` memo.  So a run moves each distinct
-    (composite map, point) once, and measures each distinct pair of sampled points once."""
+    keeps its distance.  Distances read the sample's passes (:func:`shared_distance` from ``at``),
+    and so does each image's pass, once per target and point: :meth:`Retraction.map_at` moves the
+    point's pass, so no image point is built or located.  A run measures each distinct pair of
+    sampled points once."""
     report = AxiomReport("A5")
-    atlas, points, held = sample.atlas, sample.points, sample.held
+    atlas, points = sample.atlas, sample.points
     ap = atlas.apartment
     dirs = ap.directions()
     targets = [(chart, w) for chart in atlas.charts() for w in (dirs[0], dirs[-1])][:3]
@@ -467,12 +460,12 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
     for chart, w in targets:
         germ = BuildingGerm(chart, ap.sector(ap.origin(), w))
         config_base = f"(chart={atlas.name(chart)},germ={_sector_label(atlas, germ, sample.format)})"
-        rho = Retraction(atlas, germ, chart, move=sample.move)
+        rho = Retraction(atlas, germ, chart)
         written = len(report.lines)
-        images: dict[BuildingPoint, list | TheoremViolation] = {}  # each image's pass, or why there is none
+        images: dict[BuildingPoint, Pass | TheoremViolation] = {}  # each image's pass, or why there is none
         for bp in points:
             try:
-                images[bp] = sample.at(chart, rho.evaluate_in(bp, held(bp) & rho.mask).point)[1:]
+                images[bp] = ap.move_pass(*rho.map_at(sample.at, bp))
             except TheoremViolation as exc:
                 images[bp] = exc
         for bp, bq in _cap_pairs(points, samples, sample.seed, f"a5:{atlas.name(chart)}"):

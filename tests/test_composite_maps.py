@@ -19,7 +19,7 @@ from collections import Counter
 
 import pytest
 
-from lbk.apartment import format_point
+from lbk.apartment import AffineIsometry, Apartment, format_point
 from lbk.atlas import (
     BuildingGerm,
     BuildingPoint,
@@ -112,24 +112,68 @@ def test_composite_rules_agree_with_the_located_path(group):
         assert counts["DistanceDisagreementError"] > 0 and counts["retraction"] > 0, counts
 
 
+@pytest.mark.parametrize("group", ["digest", "moved", "bent"])
+def test_map_at_moves_the_point_pass_to_the_image_pass(group):
+    """Retraction.map_at's map moves the point's pass to the pass of the image Retraction.evaluate
+    gives (all its pass_signs zero), and a run's passes (Sample.at) give the map and pass that
+    Atlas.at gives, or the same failure."""
+    counts = Counter()
+    for atlas in atlases(group):
+        ap = atlas.apartment
+        sample = Sample(atlas)
+        rng = random.Random(f"map-at:{atlas.label}")
+        points = sample.points + [BuildingPoint(c, seeded_base(ap, rng)) for c in atlas.charts() for _ in range(2)]
+        dirs = ap.directions()
+        for chart, w in [(chart, w) for chart in atlas.charts() for w in (dirs[0], dirs[-1])][:3]:
+            rho = Retraction(atlas, BuildingGerm(chart, ap.sector(ap.origin(), w)), chart)
+            for bp in points:
+                got = outcome(lambda: rho.map_at(atlas.at, bp))
+                assert outcome(lambda: rho.map_at(sample.at, bp)) == got, (atlas.label, chart, bp)
+                if isinstance(got[0], type):
+                    counts[got[1].split(" ")[0]] += 1
+                    continue
+                image = ap.move_pass(*got)
+                assert not any(ap.pass_signs(image, ap.root_dots(rho.evaluate(bp).point))), (atlas.label, chart, bp)
+                keys = {(rho.map_of[b], atlas.value_of[(bp.chart, b)]) for b in charts_of(sample.held(bp) & rho.mask)}
+                counts["several keys" if len(keys) > 1 else "image"] += 1
+    assert counts["image"] > 100 and counts["several keys"] > 20 and counts["no"] > 0, counts
+    if group == "bent":
+        assert counts["retraction"] > 0, counts
+
+
 @pytest.mark.parametrize("build", [lambda: fan(4, "B2", 1), lambda: lambda_tree(5, 2)], ids=["fan(4,B2)", "tree(5,2)"])
-def test_retraction_moves_a_point_once_per_composite_key(build):
-    """Retraction.evaluate makes one move per distinct (map id, transition value id) key of the
-    charts holding both the point and the germ, and builds each composite once per retraction."""
+def test_retraction_moves_a_point_once_per_composite_key(build, monkeypatch):
+    """Retraction.evaluate checks its image through one pass move per distinct (map id, transition value
+    id) key of the charts holding both the point and the germ, when there are two or more keys, moves
+    the point itself once, and builds each composite once per retraction."""
     atlas = build()
     ap = atlas.apartment
-    moves = []
+    calls = Counter()
+    move_pass, apply = Apartment.move_pass, AffineIsometry.apply
+
+    def counted_move_pass(self, iso, pp):
+        calls["move_pass"] += 1
+        return move_pass(self, iso, pp)
+
+    def counted_apply(self, p):
+        calls["apply"] += 1
+        return apply(self, p)
+
     germ = BuildingGerm(0, ap.sector(ap.origin(), ap.directions()[-1]))
-    rho = Retraction(atlas, germ, 0, move=lambda iso, p: moves.append(iso) or iso.apply(p))
+    rho = Retraction(atlas, germ, 0)
+    monkeypatch.setattr(Apartment, "move_pass", counted_move_pass)
+    monkeypatch.setattr(AffineIsometry, "apply", counted_apply)
     rng = random.Random("composite-moves")
-    fewer = 0
+    fewer = checked = 0
     for _ in range(100):
         bp = BuildingPoint(rng.randrange(atlas.size), seeded_base(ap, rng))
         charts = charts_of(atlas.holding(bp) & rho.mask)
         keys = {(rho.map_of[b], atlas.value_of[(bp.chart, b)]) for b in charts}
-        moves.clear()
+        calls.clear()
         outcome(lambda: rho.evaluate(bp))
-        assert len(moves) == len(keys)
+        assert calls["move_pass"] == (len(keys) if len(keys) > 1 else 0)
+        assert calls["apply"] == (1 if keys else 0)
         fewer += len(keys) < len(charts)
-    assert fewer > 10, fewer
+        checked += len(keys) > 1
+    assert fewer > 10 and checked > 10, (fewer, checked)
     assert rho._composite.cache_info().currsize <= len(set(rho.maps.values())) * len(atlas.isos)

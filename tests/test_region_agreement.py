@@ -17,7 +17,7 @@ import pytest
 
 from lbk.apartment import AffineIsometry, Apartment, ConvexRegion, HalfApartment, RegionShape
 from lbk.atlas import Atlas, Transition, _agree_on
-from lbk.axioms import _capped_panel, _panel_of_sector
+from lbk.axioms import _capped_panel
 from lbk.lexq import LambdaScalar
 from lbk.linarith import GE, GT, ConstraintSystem, LinearConstraint, feasible
 from lbk.rootsystem import build_root_system
@@ -83,7 +83,7 @@ def region_empty(ap, region):
 
 
 def panel_by_equality(ap, sector, overlap):
-    """The FM scan _panel_of_sector replaced: the cut equals one of the panels."""
+    """The FM scan check_se's panel rule replaced: the cut equals one of the panels."""
     cut = ap.intersect(ap.sector_region(sector), overlap)
     if region_empty(ap, cut):
         return None
@@ -105,8 +105,9 @@ def test_sector_in_region_agrees_with_fm(name, lam):
 
 @pytest.mark.parametrize("name,lam", SYSTEMS)
 def test_panel_of_sector_agrees_with_equality_scan(name, lam):
-    """check_se asks _panel_of_sector, with the direction's _capped_panel, only when the base
-    lies in the overlap."""
+    """check_se's panel rule, asked only when the base lies in the overlap: the direction's
+    _capped_panel is not None and the overlap does not hold the sector's germ (the germ rule of
+    Apartment.holds), and then the panel is _capped_panel's generator."""
     seen = Counter()
     for ap, rng, sector, region in cases(name, lam, 2):
         # Also pin one wall, at the apex or past it, so the cut is often a
@@ -118,7 +119,8 @@ def test_panel_of_sector_agrees_with_equality_scan(name, lam):
             expected = panel_by_equality(ap, sector, overlap)
             base_in = ap.region_contains_point(overlap, sector.base)
             panel = _capped_panel(ap, sector.direction, overlap)
-            assert (_panel_of_sector(panel, sector.base, ap.pairing) if base_in else None) == expected
+            incident = base_in and panel is not None and not ap.region_contains_germ(overlap, sector.germ())
+            assert (panel[0] if incident else None) == expected
             if not base_in:
                 seen["base outside"] += 1
             elif expected is not None:

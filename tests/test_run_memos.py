@@ -1,7 +1,8 @@
-"""One run of the checkers keeps exact memos of three pure point functions,
-``Sample.move``, ``pairing`` and ``format``, and nothing past the run.
-Every table a run keeps is a ``functools.cache``; ``record_memos`` wraps the
-``cache`` of ``lbk.axioms`` to see every value those tables return, hits included.
+"""One run of the checkers keeps exact memos of pure functions, ``Sample.format``
+and the tables its checkers make (SE's panel, move and pairing tables among
+them), and nothing past the run.  Every table a run keeps is a
+``functools.cache``; ``record_memos`` wraps the ``cache`` of ``lbk.axioms`` to
+see every value those tables return, hits included.
 
 Every fixture transition has a zero shift.  ``moved_sample`` reads a digest
 member through the per-chart isometries of :func:`test_se_panels.chart_moves`,
@@ -77,7 +78,7 @@ def assert_returns_fresh_calls(table, fn):
 
 
 def misses(sample):
-    return [memo.cache_info().misses for memo in (sample.move, sample.pairing, sample.format)]
+    return sample.format.cache_info().misses
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -96,19 +97,18 @@ def test_checkers_on_shifted_transitions_match_the_originals(seed, monkeypatch):
             fails += sum(line.verdict == "fail" for line in after.lines)
         for table in tables:
             assert_returns_fresh_calls(table, table.fn)
-        ap = moved.atlas.apartment
-        references = (lambda iso, p: iso.apply(p), ap.pairing, format_point)
-        for table, reference in zip((moved.move, moved.pairing, moved.format), references):
-            assert_returns_fresh_calls(table, reference)
-        entries.update(dict(zip(("move", "pairing", "format"), misses(moved))))
+            entries[table.fn.__qualname__] += table.cache_info().misses
+        assert_returns_fresh_calls(moved.format, format_point)
+        entries["format"] += misses(moved)
         hits += sum(table.cache_info().hits for table in tables)
     assert shifted > 1000 and fails > 300, (shifted, fails)
-    assert min(entries.values()) > 100 and hits > 10000, (entries, hits)
+    moves, pairings = entries["AffineIsometry.apply"], entries["Apartment.pairing"]
+    assert min(moves, pairings, entries["format"]) > 100 and hits > 10000, (entries, hits)
 
 
 def record_runs(monkeypatch):
-    """The Samples of every run, the calls of the function the move memo wraps, and the
-    calls of ``Apartment.metric`` and of the point pass ``Apartment.root_dots``."""
+    """The Samples of every run, and the calls of the point move ``AffineIsometry.apply``,
+    of ``Apartment.metric`` and of the point pass ``Apartment.root_dots``."""
     samples, calls = [], Counter()
     apply, metric, root_dots = AffineIsometry.apply, Apartment.metric, Apartment.root_dots
 
@@ -138,17 +138,19 @@ def record_runs(monkeypatch):
 
 @pytest.mark.parametrize("atlas", [lambda_tree(5, 2), fan(4, "B2")], ids=["tree(5,2)", "fan(4,B2)"])
 def test_two_runs_on_one_atlas_make_the_same_misses(atlas, monkeypatch):
-    """Nothing a run memoizes carries over to the next run on the same atlas, a miss
-    is the one call of the memoized function, and no distance goes through ``Apartment.metric``."""
+    """Nothing a run memoizes carries over to the next run on the same atlas: both runs
+    make the same label misses, point moves and point passes (the apartment's own
+    ``pass_moves`` table, which outlives runs, emptied first), and no distance goes
+    through ``Apartment.metric``."""
     samples, calls = record_runs(monkeypatch)
     runs = []
     for _ in range(2):
         calls.clear()
+        atlas.apartment.pass_moves.cache_clear()
         equivalence_suite(atlas, samples=80, seed=0)
-        runs.append((misses(samples[-1]), calls["apply"]))
+        runs.append((misses(samples[-1]), calls["apply"], calls["root_dots"]))
         assert calls["metric"] == 0
-    assert runs[0] == runs[1] and min(runs[0][0]) > 0, runs
-    assert runs[0][0][0] == runs[0][1]
+    assert runs[0] == runs[1] and min(runs[0]) > 0, runs
 
 
 def composite_keys(atlas, bp, bq):
@@ -212,11 +214,10 @@ def test_a_disagreement_in_any_shared_chart_raises(build):
 
 
 def test_ladder_memo_misses_are_pinned(monkeypatch):
-    """On the 20 ladder members at seed 0, each run's move memo misses once per
-    distinct argument: 680 moves, which are all of the pass's isometry moves
-    (6,434 unmemoized).  No distance goes through ``Apartment.metric`` (2,493
-    calls when A5 measured through it): A5 reads the run's passes, and the
-    pass makes 1,609 point passes, each apartment's ``pass_moves`` table emptied first."""
+    """On the 20 ladder members at seed 0, the runs' label memos miss 391 times, and the
+    pass moves 198 points and makes 706 point passes, each apartment's ``pass_moves`` table
+    emptied first: A5 moves its images' passes, not its images.  No distance goes through
+    ``Apartment.metric``: A5 reads the run's passes."""
     ladder = MEMBERS[: len(LADDER)]
     for _, atlas in ladder:
         atlas.apartment.pass_moves.cache_clear()
@@ -224,5 +225,5 @@ def test_ladder_memo_misses_are_pinned(monkeypatch):
     for name, atlas in ladder:
         assert not equivalence_suite(atlas, samples=80, seed=0).alarms, name
     assert len(samples) == len(LADDER)
-    assert sum(misses(sample)[0] for sample in samples) == calls["apply"] == 680
-    assert (calls["metric"], calls["root_dots"]) == (0, 1609)
+    assert sum(misses(sample) for sample in samples) == 391
+    assert (calls["apply"], calls["metric"], calls["root_dots"]) == (198, 0, 706)
