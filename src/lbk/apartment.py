@@ -368,6 +368,31 @@ class Apartment:
         """Is the region nonempty?  One FM answer, witness included, cached per region."""
         return feasible(self.region_system(region), self.lex_rank)
 
+    def open_cells(self, halves: Iterable[HalfApartment], budget: int) -> Optional[list[Point]]:
+        """One witness point per open cell of the arrangement of the halves' distinct walls, or None once more
+        than budget FM solves were made.  A wall is keyed by (root, bound), unique since :meth:`half` stores the
+        positive root.  The descent takes the walls in first-seen order and adds each one's strict > or < side
+        as a row; a branch stops at its first infeasible system, and each leaf's witness lies in one cell."""
+        walls = list(dict.fromkeys((h.root, h.bound) for h in halves))
+        cells: list[Point] = []
+        branches: list[tuple[LinearConstraint, ...]] = [()]
+        while branches:
+            sides = branches.pop()
+            budget -= 1
+            if budget < 0:
+                return None
+            probe = feasible(ConstraintSystem(self.rank, sides), self.lex_rank)
+            if not probe.sat:
+                continue
+            if len(sides) == len(walls):
+                cells.append(probe.witness)
+                continue
+            root, bound = walls[len(sides)]
+            row = self.pairing_row(root)
+            branches.append(sides + (LinearConstraint(tuple(-c for c in row), GT, -bound),))
+            branches.append(sides + (LinearConstraint(row, GT, bound),))  # the > side is taken first
+        return cells
+
     def implied(self, region: ConvexRegion, c: LinearConstraint) -> bool:
         """Does one half of the region alone imply c?
 

@@ -7,7 +7,7 @@ lines are certain for the configurations listed; sampling only enters where a
 statement quantifies over all points of the model, and the sample is seeded
 and reproducible.  INCONCLUSIVE (``'inconclusive-budget'``) is never folded into
 pass or fail; no checker line gives it, only :func:`finite_cover` (budget spent,
-or a point left uncovered), :func:`germ_coapartment` (no chart holds both germs,
+or an open cell in no piece), :func:`germ_coapartment` (no chart holds both germs,
 or their bases differ there) and :func:`opposite_germ` (no candidate or co-chart).
 """
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .atlas import (
     validate,
 )
 from .lexq import LambdaScalar
-from .linarith import ConstraintSystem, feasible
+from .linarith import feasible
 from .rootsystem import WeylElement
 
 PASS = "pass"
@@ -552,10 +552,7 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
         return direct_scan("no germ+sector chart", "no chart with first germ and connecting sector")
     germ_in_carrier = atlas.move_held(g1, carrier)  # the one move the descent reads
     stages.append(f"germ+sector chart={atlas.name(carrier)}")
-    y_in_carrier = atlas.locate_in(p2, held2 & 1 << carrier).get(carrier)
-    if y_in_carrier is None:
-        # The connecting sector contains y, so its chart must too.
-        y_in_carrier = atlas.transport_point(cc, y, carrier)
+    y_in_carrier = atlas.locate_in(BuildingPoint(cc, y), 1 << carrier)[carrier]  # the carrier holds the connecting sector, so y
     pivot = ap.sector_with_germ(y_in_carrier, germ_in_carrier.germ(), _signs(ap, at, carrier, germ_in_carrier.base, y_in_carrier))
     final = lowest(holding(g2) & holding(BuildingSector(carrier, pivot)))
     if final is None:
@@ -621,14 +618,16 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
 class CoverResult:
     verdict: str
     pieces: list[tuple[ConvexRegion, int]] = field(default_factory=list)
-    uncovered: Optional[Point] = None
+    uncovered: Optional[Point] = None  # the witness of the first open cell that no piece holds
 
     def chart_names(self, atlas: Atlas) -> list[str]:
         return [atlas.name(c) for _, c in self.pieces]
 
 
 def finite_cover(atlas: Atlas, germ: BuildingGerm, chart_b: int) -> CoverResult:
-    """Closed convex pieces covering chart_b, each co-charted with the germ."""
+    """Closed convex pieces covering chart_b, each co-charted with the germ.  Coverage is decided over the open
+    cells of the pieces' walls (:meth:`Apartment.open_cells`): INCONCLUSIVE once LBK_BUDGET's FM solves are
+    spent, or with the first cell witness that no piece holds as ``uncovered``; PASS when every cell is held."""
     ap = atlas.apartment
     holding = partial(atlas.read, atlas.sharing())  # one pass per located copy of the base serves every direction
     if (held := holding(germ)) >> chart_b & 1:
@@ -662,37 +661,12 @@ def finite_cover(atlas: Atlas, germ: BuildingGerm, chart_b: int) -> CoverResult:
         kept = [(o, ca) for o, ca in kept if not ap.region_contains(region, o)]
         kept.append((region, carrier))
 
-    budget = search_budget()
-    witness = _uncovered_point(ap, [r for r, _ in kept], budget)
-    if witness == "budget":
+    cells = ap.open_cells([h for r, _ in kept for h in r.halves], search_budget())
+    if cells is None:
         return CoverResult(INCONCLUSIVE, kept)
-    if witness is None:
-        return CoverResult(PASS, kept)
-    return CoverResult(INCONCLUSIVE, kept, uncovered=witness)
-
-
-def _uncovered_point(ap: Apartment, regions: list[ConvexRegion], budget: int):
-    """A point outside every region, None if covered, or "budget"."""
-    steps = 0
-
-    def descend(idx: int, rows: tuple):
-        nonlocal steps
-        steps += 1
-        if steps > budget:
-            return "budget"
-        system = ConstraintSystem(ap.rank, rows)
-        probe = feasible(system, ap.lex_rank)
-        if not probe.sat:
-            return None
-        if idx == len(regions):
-            return probe.witness
-        for h in regions[idx].halves:
-            result = descend(idx + 1, rows + (ap.half_constraint(h).negation(),))
-            if result is not None:
-                return result
-        return None
-
-    return descend(0, ())
+    # Each open cell lies in a closed piece or misses it: the pieces cover the chart when every witness lies in one.
+    uncovered = next((p for p in cells if not any(ap.holds(ap.rows(r), ap.root_dots(p)) for r, _ in kept)), None)
+    return CoverResult(PASS if uncovered is None else INCONCLUSIVE, kept, uncovered=uncovered)
 
 
 # -- equivalence ----------------------------------------------------------------

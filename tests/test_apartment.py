@@ -441,6 +441,40 @@ def test_region_keeps_its_generated_hash():
     assert ap.region_feasible(ap.region(region.halves)) is ap.region_feasible(region)
 
 
+@pytest.mark.parametrize("name, chambers", [("A1", 2), ("A2", 6), ("B2", 8), ("G2", 12), ("A3", 24), ("B3", 48)])
+def test_open_cells_of_the_root_walls_are_the_chambers(name, chambers):
+    """The walls of every positive root through the origin cut the apartment into |W| open cells, one per
+    Weyl chamber: every witness lies strictly off every wall, and no two have the same signs."""
+    ap = make(name)
+    cells = ap.open_cells([ap.half(r, 1, ap.zero()) for r in ap.roots.positive_roots], 10**6)
+    assert len(cells) == len(ap.directions()) == chambers
+    origin = ap.root_dots(ap.origin())
+    signs = [ap.pass_signs(ap.root_dots(p), origin) for p in cells]
+    assert all(all(s) for s in signs)
+    assert len(set(signs)) == chambers
+
+
+def test_open_cells_of_an_infinitesimal_cell():
+    """Walls at 0 and 0|1 cut a lex-rank-2 line into 3 cells; the middle one has infinitesimal width, and
+    its witness lies strictly inside it.  The descent makes 7 FM solves: one budget fewer gives None."""
+    ap = make("A1", 2)
+    eps = LambdaScalar([0, 1])
+    halves = [ap.half((1,), 1, ap.zero()), ap.half((1,), -1, eps)]
+    cells = ap.open_cells(halves, 7)
+    values = sorted(ap.pairing((1,), p) for p in cells)
+    assert len(values) == 3
+    assert values[0] < ap.zero() < values[1] < eps < values[2]
+    assert ap.open_cells(halves, 6) is None
+
+
+def test_open_cells_key_each_wall_once():
+    """Halves of either sense on one wall, given by either root, make one wall and 2 cells; no wall, one cell."""
+    ap = make("A1")
+    assert len(ap.open_cells([ap.half((1,), 1, 0), ap.half((1,), -1, 0), ap.half((-1,), 1, 0)], 3)) == 2
+    assert len(ap.open_cells([], 1)) == 1
+    assert ap.open_cells([], 0) is None
+
+
 def test_transform_region_roundtrip():
     rng = random.Random(31)
     ap = make("B2", 2)

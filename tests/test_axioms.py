@@ -849,6 +849,73 @@ def test_finite_cover_results_are_pinned():
     assert cover_digest() == COVER_SHA256
 
 
+def half_descent_uncovered(ap, regions):
+    """A point outside every region, or None when they cover the apartment: the slow reference rule.  It
+    branches once per half of every region, on the half's negation, so its FM solves grow as the product
+    of the regions' half counts."""
+
+    def descend(idx, rows):
+        probe = lbk.linarith.feasible(lbk.linarith.ConstraintSystem(ap.rank, rows), ap.lex_rank)
+        if not probe.sat:
+            return None
+        if idx == len(regions):
+            return probe.witness
+        found = (descend(idx + 1, rows + (ap.half_constraint(h).negation(),)) for h in regions[idx].halves)
+        return next((p for p in found if p is not None), None)
+
+    return descend(0, ())
+
+
+def cover_agreement_digest(calls_per_member=20):
+    """sha256 of the verdict and pieces of finite_cover over seeded germs, bases off the origin among them,
+    and target charts, after checking each cover against the half descent: the verdicts agree, and every
+    uncovered point, of either rule, lies outside every piece.  Returns the digest and the uncovered count."""
+    digest, uncovered = hashlib.sha256(), 0
+    for name, atlas in (
+        ("tree(4,1)", lambda_tree(4, 1)),
+        ("tree(3,2)", lambda_tree(3, 2)),
+        ("fan(3,A2)", fan(3, "A2")),
+        ("fan(3,B2)", fan(3, "B2")),
+        ("tree(4,1)-12", drop_chart(lambda_tree(4, 1), "12")),
+        ("fan(4,A2)-12", drop_chart(fan(4, "A2"), "12")),
+        ("fan(3,B2)-13", drop_chart(fan(3, "B2"), "13")),
+        ("broken_pair", broken_pair()),
+        ("shifted_rays", shifted_rays()),
+    ):
+        ap = atlas.apartment
+        rng = random.Random(f"agree:{name}")
+        for _ in range(calls_per_member):
+            r = finite_cover(atlas, pin_germ(atlas, rng), rng.randrange(atlas.size))
+            regions = [region for region, _ in r.pieces]
+            slow = half_descent_uncovered(ap, regions)
+            assert (r.verdict == PASS) == (slow is None), name
+            if r.verdict != PASS:
+                uncovered += 1
+                assert r.uncovered is not None
+                assert not any(ap.region_contains_point(region, p) for region in regions for p in (r.uncovered, slow))
+            digest.update(f"{(r.verdict, r.pieces)!r}\n".encode())
+    return digest.hexdigest(), uncovered
+
+
+# Measured while finite_cover decided coverage by the half descent.
+COVER_AGREEMENT_SHA256 = "9ac57a58434e525ae40f2caad504ae54daf80e7aa44dd2f8856a998f440ca455"
+
+
+def test_finite_cover_agrees_with_the_half_descent():
+    assert cover_agreement_digest() == (COVER_AGREEMENT_SHA256, 25)
+
+
+def test_cover_budget_counts_the_open_cell_solves(monkeypatch):
+    """fan(4,B2), the origin germ of chart 12 in direction e, target chart 23: the open-cell descent over the
+    pieces' walls makes 27 FM solves (the half descent made 162)."""
+    f4 = fan(4, "B2")
+    ap = f4.apartment
+    germ = BuildingGerm(f4.index("12"), ap.sector(ap.origin(), ap.roots.identity()))
+    for budget, verdict in (("27", PASS), ("26", INCONCLUSIVE)):
+        monkeypatch.setenv("LBK_BUDGET", budget)
+        assert finite_cover(f4, germ, f4.index("23")).verdict == verdict
+
+
 def deleted_side(ap, h, p):
     """The side of p of the half h, 1 inside, 0 on its wall, -1 outside, by scalars: ``Apartment.sides`` as it was."""
     return h.sense * (ap.pairing(h.root, p) - h.bound).sign()
