@@ -561,21 +561,21 @@ class Apartment:
     def directions(self) -> list[WeylElement]:
         return self.roots.weyl_elements()
 
-    def sector_through(self, base: Point, signs: tuple[int, ...]) -> Sector:
-        """First sector at base (canonical direction order) containing target, from the signs of (beta, target - base)."""
+    def sector_through(self, signs: tuple[int, ...]) -> WeylElement:
+        """The direction of the first sector at a base (in direction order) holding a target, from the signs of (beta, target - base)."""
         for w in self.directions():
             if all(c * signs[k] >= 0 for k, c in self.sector_walls(w)):
-                return self.sector(base, w)
+                return w
         raise AssertionError("direction cones cover the apartment")
 
-    def sector_with_germ(self, base: Point, germ: SectorGerm, signs: tuple[int, ...]) -> Sector:
-        """First sector at base whose region contains the germ (:meth:`region_contains_germ`), from the signs of
-        (beta, germ base - base): the germ's base lies in the sector, and no wall through that base caps its cone."""
+    def sector_with_germ(self, direction: WeylElement, signs: tuple[int, ...]) -> WeylElement:
+        """The direction of the first sector at a base holding a chunk of a germ of this direction (:meth:`region_contains_germ`), from the
+        signs of (beta, germ base - base): the germ's base lies in the sector, and no wall through that base caps the germ's cone."""
         positive = self.roots.positive_roots
         for w in self.directions():
             walls = self.sector_walls(w)
-            if all(c * signs[k] > 0 or not signs[k] and not self.caps(germ.direction, positive[k], c) for k, c in walls):
-                return self.sector(base, w)
+            if all(c * signs[k] > 0 or not signs[k] and not self.caps(direction, positive[k], c) for k, c in walls):
+                return w
         raise AssertionError("the sectors at a base hold every germ")
 
     # -- classification --------------------------------------------------------

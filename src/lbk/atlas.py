@@ -4,12 +4,11 @@ An :class:`Atlas` is a finite presentation of a pair (point set, chart family): 
 copies of the model apartment, plus for ordered chart pairs an overlap region and the isometry
 identifying it with a region of the other chart.  Point equality and :meth:`Atlas.holding`, the one chart
 search, are one-hop, sound only for a closed gluing; :func:`validate` does not check closure (ROADMAP item 2).
-The charts holding a point, germ or whole sector are read from one integer pass against per-chart half rows
-(:meth:`Atlas.at`), made once per (chart, point) that a query or a run of the checkers asks about
-(:meth:`Atlas.sharing`).  The atlas numbers its distinct transition isometries, and since the metric is invariant
-under the affine Weyl group, a distance is measured once per distinct composite map t_cj^-1 t_dj (:meth:`Atlas.through`),
-from the two points' passes with the map applied to a pass, not to a point: :func:`shared_distance`, which reads the
-passes of :meth:`Atlas.at` for :func:`global_distance` and of a run's :meth:`Atlas.sharing` for A5.
+The charts holding a point or germ are read from one integer pass against per-chart half rows (:meth:`Atlas.point_mask`,
+:meth:`Atlas.germ_mask`), and a pass is carried between charts without moving its point (:meth:`Atlas.carry_pass`).
+The atlas numbers its distinct transition isometries, and since the metric is invariant under the affine Weyl group,
+a distance is measured once per distinct composite map t_cj^-1 t_dj (:meth:`Atlas.through`), from the two points'
+passes with the map applied to a pass, not to a point: :func:`shared_distance`.
 """
 from __future__ import annotations
 
@@ -23,6 +22,7 @@ from .apartment import (
     Apartment,
     ConvexRegion,
     HalfApartment,
+    Pass,
     Point,
     Sector,
     SectorGerm,
@@ -220,31 +220,42 @@ class Atlas:
         return self.read(self.at, item)
 
     def at(self, chart: int, point: Point) -> tuple[int, int, list[list[int]]]:
-        """(mask, d, dots): one pass (d, dots) over the point (:meth:`Apartment.root_dots`) and the charts holding it,
-        its own and each class whose half rows hold it (:meth:`Apartment.holds`)."""
-        pass_, holds, mask = self.apartment.root_dots(point), self.apartment.holds, 1 << chart
+        """(mask, d, dots): one pass (d, dots) over the point (:meth:`Apartment.root_dots`) and its :meth:`point_mask`."""
+        return self.point_mask(chart, pass_ := self.apartment.root_dots(point)), *pass_
+
+    def point_mask(self, chart: int, pass_: Pass) -> int:
+        """The charts holding the point of a chart's pass: its own and each class whose half rows hold it (:meth:`Apartment.holds`)."""
+        holds, mask = self.apartment.holds, 1 << chart
         for rows, js in self.half_rows[chart]:
             if holds(rows, pass_):
                 mask |= js
-        return mask, *pass_
+        return mask
+
+    def germ_mask(self, chart: int, pass_: Pass, mask: int, w: WeylElement) -> int:
+        """The charts holding the direction-w germ at the point of a chart's pass, from the point's mask: less each
+        class whose rows do not hold the germ (:meth:`Apartment.holds` given its direction)."""
+        holds = self.apartment.holds
+        for rows, js in self.half_rows[chart]:
+            if js & mask and not holds(rows, pass_, w):
+                mask ^= js
+        return mask
 
     def read(self, at: Callable, item: BuildingPoint | BuildingGerm | BuildingSector) -> int:
         """The charts holding an item, from the pass ``at(chart, point or base)`` (:meth:`at`).  A whole sector lies
         in a class exactly when its base does and the class caps no generator of its cone, and one chart's class
-        masks are disjoint: so its mask is its base's AND :meth:`fitting`.  A germ's is its base's less each class
-        whose rows do not hold the germ (:meth:`Apartment.holds` given its direction)."""
+        masks are disjoint: so its mask is its base's AND :meth:`fitting`.  A germ's is its :meth:`germ_mask`."""
         mask, *pass_ = at(item.chart, item.point if isinstance(item, BuildingPoint) else item.sector.base)
         if isinstance(item, BuildingGerm):
-            holds, w = self.apartment.holds, item.sector.direction
-            for rows, js in self.half_rows[item.chart]:
-                if js & mask and not holds(rows, pass_, w):
-                    mask ^= js
+            return self.germ_mask(item.chart, pass_, mask, item.sector.direction)
         return mask & self.fitting(item.chart, item.sector.direction) if isinstance(item, BuildingSector) else mask
 
-    def sharing(self) -> Callable[[int, Point], tuple[int, int, list[list[int]]]]:
-        """:meth:`at` cached for one query or run of the checkers: one pass per distinct (chart, point), none kept after
-        it.  The query's :meth:`holding` is ``partial(atlas.read, at)``, and its sign vectors read the same passes."""
-        return cache(self.at)
+    def carry_pass(self, i: int, j: int, pass_: Pass) -> Pass:
+        """A chart-i point's pass in chart j, moved through the transition (:meth:`Apartment.move_pass`): no point is moved."""
+        return pass_ if i == j else self.apartment.move_pass(self.transitions[(i, j)].iso, pass_)
+
+    def carry_direction(self, i: int, j: int, w: WeylElement) -> WeylElement:
+        """A chart-i sector direction in chart j: the transition's linear part after w."""
+        return w if i == j else self.transitions[(i, j)].iso.linear * w
 
     # -- points --------------------------------------------------------------
 
@@ -305,8 +316,8 @@ class Atlas:
         return self.apartment.sector(iso.apply(item.sector.base), iso.linear * item.sector.direction)
 
     def first_held(self, holding: Callable, *items: BuildingGerm | BuildingSector) -> Optional[tuple[int, list[Sector]]]:
-        """The first chart holding every given germ and whole sector: the lowest bit of the AND of the items' ``holding``
-        masks (:meth:`holding`, or ``partial(atlas.read, at)`` of a query's passes), with each item moved once, into it; or None."""
+        """The first chart holding every given germ and whole sector: the lowest bit of the AND of the items'
+        ``holding`` masks (:meth:`holding`), with each item moved once, into it; or None."""
         c = lowest(reduce(and_, map(holding, items), (1 << self.size) - 1))
         if c is None:
             return None
@@ -423,7 +434,7 @@ def global_distance(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint) -> Lambd
 
 def shared_distance(atlas: Atlas, at: Callable, bp: BuildingPoint, bq: BuildingPoint) -> LambdaScalar:
     """The distance of two points in the charts holding both, from each point's one pass ``at(chart, point)``
-    (:meth:`Atlas.at`, or a run's :meth:`Atlas.sharing`), which gives its mask and its pairings.  The metric is
+    (:meth:`Atlas.at`, or a run's cache of it), which gives its mask and its pairings.  The metric is
     invariant under the affine Weyl group, so in chart j it is d(p, t_cj^-1 t_dj q), measured once per distinct key
     (id of t_cj, id of t_dj) through :meth:`Atlas.through` with the map applied to q's pass (:meth:`Apartment.move_pass`),
     not to q.  The lowest shared chart's value is the distance; any other disagrees."""

@@ -122,12 +122,10 @@ class Sample:
     Per chart, in chart order: the origin, then two seeded rational points
     whose numerators and denominators are bounded by 12.  A3 and A5 pair the
     points, and A4 and SE read the sectors of every direction at the first
-    two points of each chart.  ``at`` is the run's :meth:`Atlas.sharing`, one pass
-    per distinct (chart, point): ``held(bp)``, the charts holding a point, SE's germ masks,
-    and A5's images (:meth:`Retraction.map_at`) and distances (:func:`shared_distance`) read
-    the run's passes.  ``format`` is :func:`format_point` (labels), an exact
-    :func:`functools.cache` table that lives and dies with the sample, so nothing keyed by
-    points outlives the run.
+    two points of each chart.  ``at`` (:meth:`Atlas.at`) and ``format`` (:func:`format_point`, for
+    labels) are :func:`functools.cache` tables that live and die with the sample, so nothing keyed
+    by points outlives the run: one pass per distinct (chart, point), which ``held(bp)``, SE's germ
+    masks, and A5's images (:meth:`Retraction.map_at`) and distances (:func:`shared_distance`) read.
     """
 
     def __init__(self, atlas: Atlas, seed: int = 0):
@@ -148,7 +146,7 @@ class Sample:
             self.points += [BuildingPoint(chart, p) for p in drawn]
             self.sectors += [BuildingSector(chart, ap.sector(p, w)) for p in drawn[:2] for w in ap.directions()]
         self.format = cache(format_point)
-        self.at = atlas.sharing()
+        self.at = cache(atlas.at)
 
     def held(self, bp: BuildingPoint) -> int:
         """The charts holding a sampled point, as a mask, from the run's pass at it."""
@@ -187,10 +185,7 @@ def sector_class_distance(atlas: Atlas, s1: BuildingSector, s2: BuildingSector):
     chart = lowest(atlas.fitting(s1.chart, s1.sector.direction) & atlas.fitting(s2.chart, s2.sector.direction))
     if chart is None:
         return None
-    w1, w2 = (
-        bs.sector.direction if bs.chart == chart else atlas.transition(bs.chart, chart).iso.linear * bs.sector.direction
-        for bs in (s1, s2)
-    )
+    w1, w2 = (atlas.carry_direction(bs.chart, chart, bs.sector.direction) for bs in (s1, s2))
     return w2.inverse() * w1, chart
 
 
@@ -405,7 +400,7 @@ class Retraction:
 
     def map_at(self, at: Callable, bp: BuildingPoint) -> tuple[AffineIsometry, Pass]:
         """The map carrying the point into the target chart, with the point's pass ``at(chart, point)``
-        (:meth:`Atlas.at`, or a run's :meth:`Atlas.sharing`): the composite of the lowest chart holding both
+        (:meth:`Atlas.at`, or a run's ``Sample.at``): the composite of the lowest chart holding both
         it and the germ.  Every other distinct composite must move the pass to the same pass
         (:meth:`Apartment.move_pass`; equal passes have all :meth:`Apartment.pass_signs` zero)."""
         held, *pass_ = at(bp.chart, bp.point)
@@ -490,12 +485,6 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
 # -- co-apartment searches ---------------------------------------------------
 
 
-def _signs(ap: Apartment, at: Callable, chart: int, target: Point, base: Point) -> tuple[int, ...]:
-    """The signs of (beta, target - base) in the chart (:meth:`Apartment.pass_signs`) from a query's
-    passes ``at`` (:meth:`Atlas.sharing`): the passes its sector masks read next."""
-    return ap.pass_signs(at(chart, target)[1:], at(chart, base)[1:])
-
-
 @dataclass
 class CoapartmentResult:
     chart: Optional[int]
@@ -506,55 +495,59 @@ class CoapartmentResult:
 
 
 def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> CoapartmentResult:
-    """A chart containing both germs, found by the two-stage descent."""
+    """A chart containing both germs, found by the two-stage descent on the bases' passes, with no point built or
+    moved: one pass per distinct (chart, base), carried between charts (:meth:`Atlas.carry_pass`), gives the point
+    and germ masks and, by its signs (:meth:`Apartment.pass_signs`), the sector directions; a moved germ's direction
+    is :meth:`Atlas.carry_direction`.  Two bases are one point in a chart when their passes there are equal."""
     ap = atlas.apartment
     stages: list[str] = []
-    initial = sector_class_distance(
-        atlas, BuildingSector(g1.chart, g1.sector), BuildingSector(g2.chart, g2.sector)
-    )
+    initial = sector_class_distance(atlas, BuildingSector(g1.chart, g1.sector), BuildingSector(g2.chart, g2.sector))
     initial_len = initial[0].length if initial else None
-    p1, p2 = BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base)
-    holding = partial(atlas.read, at := atlas.sharing())  # p1's pass serves g1, and p2's g2
-    held1, held2 = holding(p1), holding(p2)
-    same_base = atlas.locate_in(p1, held1 & 1 << g2.chart).get(g2.chart) == g2.base  # one point: g2's chart holds p1, at g2's base
+    (c1, w1), (c2, w2) = (g1.chart, g1.sector.direction), (g2.chart, g2.sector.direction)
+    pass1 = ap.root_dots(g1.base)
+    pass2 = pass1 if c1 == c2 and g1.base == g2.base else ap.root_dots(g2.base)
+    held1, held2 = atlas.point_mask(c1, pass1), atlas.point_mask(c2, pass2)
+    germ1, germ2 = atlas.germ_mask(c1, pass1, held1, w1), atlas.germ_mask(c2, pass2, held2, w2)
+
+    def one_base(chart: int) -> bool:  # are the bases one point in the chart, which holds both: all signs zero?
+        return not any(ap.pass_signs(atlas.carry_pass(c1, chart, pass1), atlas.carry_pass(c2, chart, pass2)))
+
+    same_base = bool(held1 >> c2 & 1) and one_base(c2)  # g2's chart holds g1's base, at g2's base
 
     def direct_scan(fallback: Optional[str], exhausted: str) -> CoapartmentResult:
         """Finish in the first chart holding both germs, scanned only on the
         branches that need it; fallback names the stage that gave up, if any."""
-        found = atlas.first_held(holding, g1, g2)
-        if found is None:
+        chart = lowest(germ1 & germ2)
+        if chart is None:
             stages.append(exhausted)
             return CoapartmentResult(None, INCONCLUSIVE, initial_len, None, stages)
-        chart, (s1, s2) = found
-        if same_base and s1.base != s2.base:  # one point by p1's mask, two in this chart: a gluing not closed
+        if same_base and not one_base(chart):  # one point in g2's chart, two in this one: a gluing not closed
             stages.append(f"bases differ in chart={atlas.name(chart)}")
             return CoapartmentResult(None, INCONCLUSIVE, initial_len, None, stages)
-        if fallback is None:
-            stages.append(f"direct-scan chart={atlas.name(chart)}")
-        else:
-            stages.append(f"fallback direct-scan ({fallback})")
-        final_len = ap.germ_distance(s1.germ(), s2.germ()).length if same_base else None
-        return CoapartmentResult(chart, PASS, initial_len, final_len, stages)
+        stages.append(f"direct-scan chart={atlas.name(chart)}" if fallback is None else f"fallback direct-scan ({fallback})")
+        if not same_base:
+            return CoapartmentResult(chart, PASS, initial_len, None, stages)
+        delta = atlas.carry_direction(c2, chart, w2).inverse() * atlas.carry_direction(c1, chart, w1)  # germ distance there
+        return CoapartmentResult(chart, PASS, initial_len, delta.length, stages)
 
     if same_base:
         return direct_scan(None, "direct-scan exhausted")
 
-    # Distinct bases: chart through both points, sector toward the far point,
-    # then two germ-and-sector stages.
-    cc = shared_chart(p1, p2, held1 & held2)
+    # Distinct bases: chart through both points (their own when shared), sector toward the far point, two germ+sector stages.
+    cc = c1 if c1 == c2 else lowest(held1 & held2)
     if cc is None:
         return direct_scan("no point chart", "no chart through both base points")
     stages.append(f"points chart={atlas.name(cc)}")
-    x, y = atlas.locate_in(p1, 1 << cc)[cc], atlas.locate_in(p2, 1 << cc)[cc]
-    connecting = BuildingSector(cc, ap.sector_through(x, _signs(ap, at, cc, y, x)))
-    carrier = lowest(holding(g1) & holding(connecting))
+    x, y = atlas.carry_pass(c1, cc, pass1), atlas.carry_pass(c2, cc, pass2)
+    connecting = ap.sector_through(ap.pass_signs(y, x))
+    carrier = lowest(germ1 & (held1 if cc == c1 else atlas.point_mask(cc, x)) & atlas.fitting(cc, connecting))
     if carrier is None:
         return direct_scan("no germ+sector chart", "no chart with first germ and connecting sector")
-    germ_in_carrier = atlas.move_held(g1, carrier)  # the one move the descent reads
     stages.append(f"germ+sector chart={atlas.name(carrier)}")
-    y_in_carrier = atlas.locate_in(BuildingPoint(cc, y), 1 << carrier)[carrier]  # the carrier holds the connecting sector, so y
-    pivot = ap.sector_with_germ(y_in_carrier, germ_in_carrier.germ(), _signs(ap, at, carrier, germ_in_carrier.base, y_in_carrier))
-    final = lowest(holding(g2) & holding(BuildingSector(carrier, pivot)))
+    y_there = atlas.carry_pass(cc, carrier, y)  # the carrier holds the connecting sector, so y
+    signs = ap.pass_signs(x if carrier == cc else atlas.carry_pass(c1, carrier, pass1), y_there)
+    pivot = ap.sector_with_germ(atlas.carry_direction(c1, carrier, w1), signs)
+    final = lowest(germ2 & atlas.point_mask(carrier, y_there) & atlas.fitting(carrier, pivot))
     if final is None:
         return direct_scan("descent exhausted", "descent exhausted")
     stages.append(f"final chart={atlas.name(final)}")
@@ -575,43 +568,38 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
     """Sector of chart_b at y maximizing germ distance from the given germ.
 
     Returns the chosen sector, a chart holding it together with the germ, and
-    the parallel sector based at the germ base that contains y.
+    the parallel sector based at the germ base that contains y.  It reads passes as :func:`germ_coapartment`
+    does, one at y and one at the germ's base: the one point built is the base of the parallel sector.
     """
     ap = atlas.apartment
-    holding = partial(atlas.read, at := atlas.sharing())  # one pass at y serves every direction
-    mask = holding(germ)
-    held = {c: atlas.move_held(germ, c) for c in charts_of(mask)}
+    c0, w0 = germ.chart, germ.sector.direction
+    pass_g, pass_y = ap.root_dots(germ.base), ap.root_dots(y)
+    mask, held_y = atlas.germ_mask(c0, pass_g, atlas.point_mask(c0, pass_g), w0), atlas.point_mask(chart_b, pass_y)
+    there = {c: (atlas.carry_pass(chart_b, c, pass_y), atlas.carry_pass(c0, c, pass_g)) for c in charts_of(mask & held_y)}
     best = None
     for w in ap.directions():
-        t_sector = ap.sector(y, w)
-        t_germ = BuildingGerm(chart_b, t_sector)
-        bprime = lowest(mask & holding(t_germ))
+        bprime = lowest(mask & atlas.germ_mask(chart_b, pass_y, held_y, w))
         if bprime is None:
             continue
-        t_here = atlas.move_held(t_germ, bprime)
-        pivot = ap.sector_with_germ(t_here.base, held[bprime].germ(), _signs(ap, at, bprime, held[bprime].base, t_here.base))
-        delta = ap.germ_distance(t_here.germ(), pivot.germ())
+        y_here, g_here = there[bprime]
+        pivot = ap.sector_with_germ(atlas.carry_direction(c0, bprime, w0), ap.pass_signs(g_here, y_here))
+        delta = pivot.inverse() * atlas.carry_direction(chart_b, bprime, w)  # germ_distance, pivot and candidate at y
         key = (-delta.length, w.word)
         if best is None or key < best[0]:
-            best = (key, t_sector, bprime, pivot, delta)
+            best = (key, w, bprime, pivot, delta)
     if best is None:
         return OppositeResult(INCONCLUSIVE)
-    _, t_sector, bprime, pivot, delta = best
-    found = atlas.first_held(holding, BuildingSector(bprime, pivot), BuildingSector(chart_b, t_sector))
-    if found is None or found[0] not in held:
+    _, w, bprime, pivot, delta = best
+    t_sector = ap.sector(y, w)
+    pivot_mask = atlas.point_mask(bprime, there[bprime][0]) & atlas.fitting(bprime, pivot)
+    cochart = lowest(pivot_mask & held_y & atlas.fitting(chart_b, w))
+    if cochart is None or not mask >> cochart & 1:
         return OppositeResult(INCONCLUSIVE, sector=t_sector, maximal_length=delta.length)
-    cochart, (_, t_there) = found
-    parallel = ap.sector(held[cochart].base, t_there.direction)
-    # The cochart holds t_sector, so its base y there.
-    contains = ap.sector_contains_point(parallel, _signs(ap, at, cochart, t_there.base, parallel.base))
-    return OppositeResult(
-        PASS,
-        sector=t_sector,
-        cochart=cochart,
-        parallel_at_base=parallel,
-        contains_point=contains,
-        maximal_length=delta.length,
-    )
+    y_there, g_there = there[cochart]  # the cochart holds t_sector, so its base y there
+    base = germ.base if cochart == c0 else atlas.transitions[(c0, cochart)].iso.apply(germ.base)
+    parallel = ap.sector(base, atlas.carry_direction(chart_b, cochart, w))
+    contains = ap.sector_contains_point(parallel, ap.pass_signs(y_there, g_there))
+    return OppositeResult(PASS, t_sector, cochart, parallel_at_base=parallel, contains_point=contains, maximal_length=delta.length)
 
 
 @dataclass
@@ -629,18 +617,19 @@ def finite_cover(atlas: Atlas, germ: BuildingGerm, chart_b: int) -> CoverResult:
     cells of the pieces' walls (:meth:`Apartment.open_cells`): INCONCLUSIVE once LBK_BUDGET's FM solves are
     spent, or with the first cell witness that no piece holds as ``uncovered``; PASS when every cell is held."""
     ap = atlas.apartment
-    holding = partial(atlas.read, atlas.sharing())  # one pass per located copy of the base serves every direction
-    if (held := holding(germ)) >> chart_b & 1:
+    pass_ = ap.root_dots(germ.base)  # the base's pass, carried into each chart holding it, serves every direction
+    base_held = atlas.point_mask(germ.chart, pass_)
+    if (held := atlas.germ_mask(germ.chart, pass_, base_held, germ.sector.direction)) >> chart_b & 1:
         # The whole chart already shares an apartment with the germ: itself.
         return CoverResult(PASS, [(ap.whole_region(), chart_b)])
-    base_point = BuildingPoint(germ.chart, germ.base)
     pieces: list[tuple[ConvexRegion, int]] = []
-    for c, xc in atlas.locate_in(base_point, holding(base_point)).items():
+    for c, xc in atlas.locate_in(BuildingPoint(germ.chart, germ.base), base_held).items():
+        located = atlas.point_mask(c, atlas.carry_pass(germ.chart, c, pass_))
         for w in ap.directions():
-            sector = ap.sector(xc, w)
-            carrier = lowest(holding(BuildingSector(c, sector)) & held)
+            carrier = lowest(located & atlas.fitting(c, w) & held)
             if carrier is None:
                 continue
+            sector = ap.sector(xc, w)
             if c == chart_b:
                 region = ap.sector_region(sector)
             else:

@@ -322,11 +322,11 @@ def test_sector_with_germ_finds_a_sector_at_every_base(name, lam):
             for w in dirs:
                 s = ap.sector(y, w)
                 assert ap.sector_contains_point(s, signs) == ap.region_contains_point(ap.sector_region(s), x)
-            assert ap.sector_through(y, signs) == first_sector_by_regions(ap, y, lambda r: ap.region_contains_point(r, x))
+            assert ap.sector(y, ap.sector_through(signs)) == first_sector_by_regions(ap, y, lambda r: ap.region_contains_point(r, x))
             for w in dirs:
                 germ = ap.sector(x, w).germ()
                 want = first_sector_by_regions(ap, y, lambda r: ap.region_contains_germ(r, germ))
-                assert ap.sector_with_germ(y, germ, signs) == want
+                assert ap.sector(y, ap.sector_with_germ(w, signs)) == want
     # In rank 1 the only wall through y is y itself.
     assert kinds["at"] == len(bases) and kinds["off"] >= len(bases), kinds
     assert kinds["wall"] >= len(bases) or ap.rank == 1, kinds

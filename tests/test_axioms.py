@@ -3,7 +3,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 
 import pytest
@@ -19,6 +19,8 @@ from lbk.atlas import (
     NoCommonChartError,
     Transition,
     global_distance,
+    lowest,
+    shared_chart,
     validate,
 )
 from lbk.axioms import (
@@ -26,6 +28,7 @@ from lbk.axioms import (
     INCONCLUSIVE,
     PASS,
     CheckLine,
+    CoapartmentResult,
     Retraction,
     Sample,
     TheoremViolation,
@@ -583,57 +586,158 @@ def test_coapartment_descent_never_lengthens():
     "atlas", [lambda_tree(5, 2), fan(4, "A2"), fan(3, "B2")], ids=["tree(5,2)", "fan(4,A2)", "fan(3,B2)"]
 )
 def test_same_base_coapartment_transports_each_germ_once(atlas, monkeypatch):
-    """The chart search hands back both germs' images, so reading the final
-    length moves neither germ into that chart again: one point pass is made per
-    distinct (chart, base), read for both the point and the germ masks, and each
-    germ is moved once, into the chart found, with no fit test."""
+    """The same-base search moves no point and no germ: one point pass is made per distinct
+    (chart, base), read for both the point and the germ masks, and carried into g2's chart and
+    the chart found (Atlas.carry_pass); the final length reads the transitions' linear parts.
+    So no Atlas.at, locate_in, move_held or transport call is made, and no
+    LambdaScalar.affine move."""
     ap = atlas.apartment
-    calls = record_calls(monkeypatch, "at", "move_held", "transport_germ")
-    passes = record_passes(monkeypatch)
+    calls = record_calls(monkeypatch, *POINT_MOVES)
+    passes, moved = record_passes(atlas, monkeypatch), record_affine(monkeypatch)
     dirs = ap.directions()
     for c1 in atlas.charts():
         for c2, base in atlas.locate_point(BuildingPoint(c1, ap.origin())).items():
             for w1, w2 in zip(dirs, reversed(dirs)):
-                for made in [*calls.values(), passes]:
+                for made in [*calls.values(), passes, moved]:
                     made.clear()
                 g1, g2 = BuildingGerm(c1, ap.sector(ap.origin(), w1)), BuildingGerm(c2, ap.sector(base, w2))
                 result = germ_coapartment(atlas, g1, g2)
                 assert result.verdict == PASS and result.final_length is not None
                 bases = list(dict.fromkeys([(g1.chart, g1.base), (g2.chart, g2.base)]))
-                assert calls["at"] == bases and passes == [b for _, b in bases], (calls, passes)
-                assert calls["move_held"] == [(g1, result.chart), (g2, result.chart)], calls
-                assert not calls["transport_germ"], calls
+                assert passes == [b for _, b in bases], passes
+                assert not any(calls.values()) and not moved, (calls, moved)
 
 
 @pytest.mark.parametrize(
     "atlas", [lambda_tree(5, 2), fan(4, "A2"), fan(3, "B2")], ids=["tree(5,2)", "fan(4,A2)", "fan(3,B2)"]
 )
 def test_distinct_base_descent_moves_only_the_first_germ(atlas, monkeypatch):
-    """The descent's two chart searches read one image between them, g1's in the carrier, so
-    g1 is the one item moved.  Its sector signs read the query's passes: besides the two bases,
-    at most x and y in the points chart, and g1's base and y in the carrier, one pass each."""
+    """The descent moves no point and no germ, g1 included: the two bases' passes, one per
+    distinct (chart, base), are carried into the points chart and the carrier (Atlas.carry_pass),
+    five passes moved between charts at most, and the directions of g1 and of the sectors come
+    from the transitions' linear parts and the passes' signs.  So no Atlas.at, locate_in,
+    move_held or transport call is made, and no LambdaScalar.affine move."""
     ap = atlas.apartment
-    calls = record_calls(monkeypatch, "at", "move_held", "transport_germ", "transport_sector")
-    passes = record_passes(monkeypatch)
+    calls = record_calls(monkeypatch, *POINT_MOVES, "carry_pass")
+    passes, moved = record_passes(atlas, monkeypatch), record_affine(monkeypatch)
     rng = random.Random("descent")
     descents = 0
     for _ in range(60):
         g1, g2 = (BuildingGerm(rng.randrange(atlas.size), ap.sector(seeded_base(ap, rng), rng.choice(ap.directions())))
                   for _ in range(2))
-        for made in [*calls.values(), passes]:
+        for made in [*calls.values(), passes, moved]:
             made.clear()
         result = germ_coapartment(atlas, g1, g2)
+        bases = list(dict.fromkeys([(g1.chart, g1.base), (g2.chart, g2.base)]))
+        assert passes == [b for _, b in bases], passes
+        assert not any(calls[name] for name in POINT_MOVES) and not moved, (calls, moved)
         if result.stages[-1].startswith("final chart="):
             descents += 1
-            carrier = atlas.index(result.stages[1].removeprefix("germ+sector chart="))
-            assert calls["move_held"] == [(g1, carrier)], calls
-            assert not calls["transport_germ"] and not calls["transport_sector"], calls
-            assert len(set(calls["at"])) == len(calls["at"]) <= 6 and passes == [p for _, p in calls["at"]], (calls, passes)
+            assert len([(i, j) for i, j, _ in calls["carry_pass"] if i != j]) <= 5, calls["carry_pass"]
     assert descents > 20, descents
 
 
-def record_passes(monkeypatch):
-    """The point of every Apartment.root_dots pass, in call order."""
+# The Atlas calls that move or locate a point, germ or sector, or make a point's pass and mask.
+POINT_MOVES = ("at", "locate_in", "move_held", "transport_point", "transport_germ", "transport_sector")
+
+
+def record_affine(monkeypatch):
+    """The point of every LambdaScalar.affine move, in call order."""
+    moved = []
+    affine = LambdaScalar.affine
+    monkeypatch.setattr(LambdaScalar, "affine", staticmethod(lambda matrix, xs, shift: moved.append(xs) or affine(matrix, xs, shift)))
+    return moved
+
+
+def point_descent(atlas, g1, g2):
+    """germ_coapartment as it was, the slow reference: it moves the bases and the first germ between
+    charts (Atlas.locate_in, Atlas.move_held, Atlas.first_held) and reads each moved point's pass
+    and mask from one query's cache of Atlas.at."""
+    ap = atlas.apartment
+    stages = []
+    initial = sector_class_distance(atlas, BuildingSector(g1.chart, g1.sector), BuildingSector(g2.chart, g2.sector))
+    initial_len = initial[0].length if initial else None
+    p1, p2 = BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base)
+    holding = partial(atlas.read, at := cache(atlas.at))
+    held1, held2 = holding(p1), holding(p2)
+    same_base = atlas.locate_in(p1, held1 & 1 << g2.chart).get(g2.chart) == g2.base
+
+    def signs(chart, target, base):
+        return ap.pass_signs(at(chart, target)[1:], at(chart, base)[1:])
+
+    def direct_scan(fallback, exhausted):
+        found = atlas.first_held(holding, g1, g2)
+        if found is None:
+            stages.append(exhausted)
+            return CoapartmentResult(None, INCONCLUSIVE, initial_len, None, stages)
+        chart, (s1, s2) = found
+        if same_base and s1.base != s2.base:
+            stages.append(f"bases differ in chart={atlas.name(chart)}")
+            return CoapartmentResult(None, INCONCLUSIVE, initial_len, None, stages)
+        stages.append(f"direct-scan chart={atlas.name(chart)}" if fallback is None else f"fallback direct-scan ({fallback})")
+        final_len = ap.germ_distance(s1.germ(), s2.germ()).length if same_base else None
+        return CoapartmentResult(chart, PASS, initial_len, final_len, stages)
+
+    if same_base:
+        return direct_scan(None, "direct-scan exhausted")
+    cc = shared_chart(p1, p2, held1 & held2)
+    if cc is None:
+        return direct_scan("no point chart", "no chart through both base points")
+    stages.append(f"points chart={atlas.name(cc)}")
+    x, y = atlas.locate_in(p1, 1 << cc)[cc], atlas.locate_in(p2, 1 << cc)[cc]
+    connecting = BuildingSector(cc, ap.sector(x, ap.sector_through(signs(cc, y, x))))
+    carrier = lowest(holding(g1) & holding(connecting))
+    if carrier is None:
+        return direct_scan("no germ+sector chart", "no chart with first germ and connecting sector")
+    germ_in_carrier = atlas.move_held(g1, carrier)
+    stages.append(f"germ+sector chart={atlas.name(carrier)}")
+    y_in_carrier = atlas.locate_in(BuildingPoint(cc, y), 1 << carrier)[carrier]
+    pivot_direction = ap.sector_with_germ(germ_in_carrier.direction, signs(carrier, germ_in_carrier.base, y_in_carrier))
+    final = lowest(holding(g2) & holding(BuildingSector(carrier, ap.sector(y_in_carrier, pivot_direction))))
+    if final is None:
+        return direct_scan("descent exhausted", "descent exhausted")
+    stages.append(f"final chart={atlas.name(final)}")
+    return CoapartmentResult(final, PASS, initial_len, None, stages)
+
+
+def stage_path(result):
+    """The path a descent took, named by the stage that decided it: a same-base result by its one
+    stage, a fallback by the stage that gave up, whether the direct scan then found a chart or not."""
+    first, last = result.stages[0], result.stages[-1]
+    if first.startswith(("direct-scan", "bases differ")):
+        return "bases differ" if first.startswith("bases differ") else "direct-scan"
+    if last.startswith("final chart="):
+        return "final chart"
+    return ("no point chart", "no germ+sector chart", "descent exhausted")[len(result.stages) - 1]
+
+
+def test_pass_descent_agrees_with_the_point_descent():
+    """germ_coapartment, which moves passes, gives the repr of the point descent over seeded germ
+    pairs on the 40 digest members (drop_chart members, broken_pair and shifted_rays among them),
+    every other pair at one base, and on fm_fallback, whose gluing is not closed.  Every stage path
+    is reached, and the count of each is pinned."""
+    paths = Counter()
+    for name, atlas in digest_members() + [("fm_fallback", fm_fallback())]:
+        rng = random.Random(f"pass-descent:{name}")
+        for i in range(60):
+            g1 = pin_germ(atlas, rng)
+            if i % 2:
+                chart, base = rng.choice(sorted(atlas.locate_point(BuildingPoint(g1.chart, g1.base)).items()))
+                g2 = pin_germ(atlas, rng, chart, base)
+            else:
+                g2 = pin_germ(atlas, rng)
+            result = germ_coapartment(atlas, g1, g2)
+            assert repr(result) == repr(point_descent(atlas, g1, g2)), (name, g1, g2)
+            paths[stage_path(result)] += 1
+    assert paths == {"direct-scan": 1248, "bases differ": 2, "final chart": 1142, "no point chart": 58,
+                     "no germ+sector chart": 4, "descent exhausted": 6}, paths
+
+
+def record_passes(atlas, monkeypatch):
+    """The point of every Apartment.root_dots pass, in call order, once the passes of the atlas's
+    transition shifts, which Apartment.pass_moves caches for a moved pass, are made."""
+    for t in atlas.transitions.values():
+        atlas.apartment.pass_moves(t.iso)
     points = []
     root_dots = Apartment.root_dots
     monkeypatch.setattr(Apartment, "root_dots", lambda self, p: points.append(p) or root_dots(self, p))
@@ -653,28 +757,30 @@ def test_opposite_germ_rank_one(tripod):
     "atlas", [lambda_tree(4), fan(3, "A2"), fan(3, "B2")], ids=["tree(4,1)", "fan(3,A2)", "fan(3,B2)"]
 )
 def test_opposite_germ_transports_each_germ_once(atlas, monkeypatch):
-    """The given germ is located once per call, one point pass is made per
-    distinct (chart, base), one at y for every direction, and each item is moved
-    at most once into a chart, with no fit test; a direction's candidate germ
-    moves only into charts that hold the given one."""
+    """One point pass is made at the germ's base and one at y, read for every direction,
+    and each is carried at most once into a chart, only into charts that hold the germ
+    (Atlas.carry_pass); the one point moved is the germ's base, into the co-chart, for the
+    parallel sector.  So no Atlas.at,
+    locate_in, move_held or transport call is made, and one LambdaScalar.affine
+    move at most, none when the co-chart is the germ's own."""
     ap = atlas.apartment
-    calls = record_calls(monkeypatch, "at", "move_held", "transport_germ", "transport_sector")
-    passes = record_passes(monkeypatch)
+    calls = record_calls(monkeypatch, *POINT_MOVES, "carry_pass")
+    passes, moved = record_passes(atlas, monkeypatch), record_affine(monkeypatch)
     for c in atlas.charts():
         germ = BuildingGerm(c, ap.sector(ap.origin(), ap.directions()[0]))
-        held = {b for b in atlas.charts() if atlas.transport_germ(germ, b) is not None}
+        held = atlas.holding(germ)
         for chart_b in atlas.charts():
             if chart_b == c:
                 continue  # one candidate there would be the given germ itself
-            for made in [*calls.values(), passes]:
+            for made in [*calls.values(), passes, moved]:
                 made.clear()
-            assert opposite_germ(atlas, germ, chart_b, ap.origin()).verdict == PASS
-            assert calls["at"][:2] == [(c, ap.origin()), (chart_b, ap.origin())], calls
-            assert len(set(calls["at"])) == len(calls["at"]) and passes == [p for _, p in calls["at"]], (calls, passes)
-            assert max(Counter(calls["move_held"]).values()) == 1, calls
-            assert not calls["transport_germ"] and not calls["transport_sector"], calls
-            assert {(germ, b) for b in held} <= set(calls["move_held"])
-            assert {b for g, b in calls["move_held"] if isinstance(g, BuildingGerm) and g != germ} <= held
+            result = opposite_germ(atlas, germ, chart_b, ap.origin())
+            assert result.verdict == PASS
+            assert passes == [germ.base, ap.origin()], passes
+            assert not any(calls[name] for name in POINT_MOVES), calls
+            carried = [(i, j) for i, j, _ in calls["carry_pass"]]
+            assert len(set(carried)) == len(carried) and all(held >> j & 1 for _, j in carried), carried
+            assert moved == ([] if result.cochart == c else [germ.base]), moved
 
 
 def test_opposite_germ_single_chart():
