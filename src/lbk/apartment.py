@@ -369,10 +369,10 @@ class Apartment:
         return feasible(self.region_system(region), self.lex_rank)
 
     def open_cells(self, halves: Iterable[HalfApartment], budget: int) -> Optional[list[Point]]:
-        """One witness point per open cell of the arrangement of the halves' distinct walls, or None once more
-        than budget FM solves were made.  A wall is keyed by (root, bound), unique since :meth:`half` stores the
-        positive root.  The descent takes the walls in first-seen order and adds each one's strict > or < side
-        as a row; a branch stops at its first infeasible system, and each leaf's witness lies in one cell."""
+        """One witness point per open cell of the arrangement of the halves' distinct walls, or None when the descent
+        would need one FM solve more than budget: it never makes more.  A wall is keyed by (root, bound), unique since
+        :meth:`half` stores the positive root.  The descent takes the walls in first-seen order and adds each one's
+        strict > or < side as a row; a branch stops at its first infeasible system, and each leaf's witness lies in one cell."""
         walls = list(dict.fromkeys((h.root, h.bound) for h in halves))
         cells: list[Point] = []
         branches: list[tuple[LinearConstraint, ...]] = [()]
@@ -466,14 +466,6 @@ class Apartment:
         since the pairing is W-invariant and (alpha_j, u_k) = delta_jk.
         Cached per (direction, root)."""
         return direction.inverse().act_root(root)
-
-    def sector_in_region(self, s: Sector, region: ConvexRegion) -> bool:
-        """Does the sector lie in the region?
-
-        A cone with apex b lies in a half-apartment exactly when b does and
-        the half caps no generator of the cone, so no elimination is needed.
-        """
-        return self._cone_fits(s.direction, 0, region.halves) and self.region_contains_point(region, s.base)
 
     def sector_fits(self, direction: WeylElement, region: ConvexRegion, panel_type: int = 0) -> bool:
         """Does some direction-w sector (panel_type 0), or its type-i panel, lie in the region?

@@ -6,6 +6,7 @@ identifying it with a region of the other chart.  Point equality and :meth:`Atla
 search, are one-hop, sound only for a closed gluing; :func:`validate` does not check closure (ROADMAP item 2).
 The charts holding a point or germ are read from one integer pass against per-chart half rows (:meth:`Atlas.point_mask`,
 :meth:`Atlas.germ_mask`), and a pass is carried between charts without moving its point (:meth:`Atlas.carry_pass`).
+A point's copy in each chart holding it is :meth:`Atlas.locate_point`; a held germ or sector moves by :meth:`Atlas.move_held`.
 The atlas numbers its distinct transition isometries, and since the metric is invariant under the affine Weyl group,
 a distance is measured once per distinct composite map t_cj^-1 t_dj (:meth:`Atlas.through`), from the two points'
 passes with the map applied to a pass, not to a point: :func:`shared_distance`.
@@ -260,22 +261,13 @@ class Atlas:
     # -- points --------------------------------------------------------------
 
     def transport_point(self, i: int, p: Point, j: int) -> Optional[Point]:
-        if i == j:
-            return p
-        t = self.transition(i, j)
-        if t is None or not self.apartment.region_contains_point(t.region, p):
-            return None
-        return t.iso.apply(p)
+        """The chart-i point p in chart j, or None when chart j does not hold it: :meth:`locate_point`."""
+        return self.locate_point(BuildingPoint(i, p)).get(j)
 
     def locate_point(self, bp: BuildingPoint) -> dict[int, Point]:
-        """The point in each chart that holds it, in chart order."""
-        return self.locate_in(bp, self.holding(bp))
-
-    def locate_in(self, bp: BuildingPoint, mask: int) -> dict[int, Point]:
-        """The point in each chart of a mask of charts that hold it (a part of its :meth:`holding`
-        mask), in chart order, moved by each transition without a fit test."""
+        """The point in each chart of its :meth:`holding` mask, in chart order, moved by each transition without a fit test."""
         i, p = bp.chart, bp.point
-        return {j: p if j == i else self.transitions[(i, j)].iso.apply(p) for j in charts_of(mask)}
+        return {j: p if j == i else self.transitions[(i, j)].iso.apply(p) for j in charts_of(self.holding(bp))}
 
     def through(self, a: int, b: int) -> Optional[AffineIsometry]:
         """isos[a]^-1 after isos[b], or None for no move (a == b, as values are distinct): for the ids
@@ -298,12 +290,14 @@ class Atlas:
         return self._transport(bg, j)
 
     def _transport(self, item: BuildingGerm | BuildingSector, j: int) -> Optional[Sector]:
-        """The item's sector moved into chart j, when the one overlap holds a chunk of the germ or the whole sector
-        by the rule on its rows (:meth:`Apartment.holds`): for callers that do not know whether chart j holds it."""
+        """The item's sector moved into chart j, when the one overlap holds a chunk of the germ by the rule on its
+        rows (:meth:`Apartment.holds`), or the whole sector: its base and the :meth:`fitting` bit of chart j.
+        For callers that do not know whether chart j holds it."""
         if item.chart != j:
             t, ap = self.transition(item.chart, j), self.apartment
             if t is None or not (ap.region_contains_germ(t.region, item.germ()) if isinstance(item, BuildingGerm)
-                                 else ap.sector_in_region(item.sector, t.region)):
+                                 else self.fitting(item.chart, item.sector.direction) >> j & 1
+                                 and ap.region_contains_point(t.region, item.sector.base)):
                 return None
         return self.move_held(item, j)
 
@@ -313,12 +307,12 @@ class Atlas:
         if item.chart == j:
             return item.sector
         iso = self.transitions[(item.chart, j)].iso
-        return self.apartment.sector(iso.apply(item.sector.base), iso.linear * item.sector.direction)
+        return self.apartment.sector(iso.apply(item.sector.base), self.carry_direction(item.chart, j, item.sector.direction))
 
-    def first_held(self, holding: Callable, *items: BuildingGerm | BuildingSector) -> Optional[tuple[int, list[Sector]]]:
+    def first_held(self, *items: BuildingGerm | BuildingSector) -> Optional[tuple[int, list[Sector]]]:
         """The first chart holding every given germ and whole sector: the lowest bit of the AND of the items'
-        ``holding`` masks (:meth:`holding`), with each item moved once, into it; or None."""
-        c = lowest(reduce(and_, map(holding, items), (1 << self.size) - 1))
+        :meth:`holding` masks, with each item moved once, into it; or None."""
+        c = lowest(reduce(and_, map(self.holding, items), (1 << self.size) - 1))
         if c is None:
             return None
         return c, [self.move_held(item, c) for item in items]

@@ -623,8 +623,8 @@ def finite_cover(atlas: Atlas, germ: BuildingGerm, chart_b: int) -> CoverResult:
         # The whole chart already shares an apartment with the germ: itself.
         return CoverResult(PASS, [(ap.whole_region(), chart_b)])
     pieces: list[tuple[ConvexRegion, int]] = []
-    for c, xc in atlas.locate_in(BuildingPoint(germ.chart, germ.base), base_held).items():
-        located = atlas.point_mask(c, atlas.carry_pass(germ.chart, c, pass_))
+    for c in charts_of(base_held):
+        xc, located = atlas.move_held(germ, c).base, atlas.point_mask(c, atlas.carry_pass(germ.chart, c, pass_))
         for w in ap.directions():
             carrier = lowest(located & atlas.fitting(c, w) & held)
             if carrier is None:

@@ -126,7 +126,7 @@ def _cmd_gallery(args) -> int:
     atlas = _load(args.model)
     g1 = parse_germ_arg(args.germ1, atlas)
     g2 = parse_germ_arg(args.germ2, atlas)
-    found = atlas.first_held(atlas.holding, g1, g2)
+    found = atlas.first_held(g1, g2)
     if found is None:
         print("fail: germs share no chart")
         return EXIT_FAIL

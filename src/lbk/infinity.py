@@ -85,10 +85,10 @@ def infinity_complex(atlas: Atlas) -> InfinityComplex:
             uf.union((chart, w, itype), (chart, mirrored, itype))
 
     # Cross-chart identification from the atlas's fit table: a direction-w sector, or its
-    # type-i panel, with a subsector in chart j is one of direction linear*w there.
+    # type-i panel, with a subsector in chart j is one of its direction carried there.
     for i, w, itype in product(atlas.charts(), directions, range(ap.rank + 1)):
         for j in charts_of(atlas.fitting(i, w, itype) & ~(1 << i)):
-            uf.union((i, w, itype), (j, atlas.transition(i, j).iso.linear * w, itype))
+            uf.union((i, w, itype), (j, atlas.carry_direction(i, j, w), itype))
 
     classes: dict = {}
     for chart in atlas.charts():

@@ -63,7 +63,6 @@ def test_point_passes_reject_the_wrong_lex_rank():
             lambda: ap.metric(ap.origin(), p),
             lambda: ap.region_contains_point(region, p),
             lambda: ap.region_contains_germ(region, ap.sector(p, ap.roots.identity()).germ()),
-            lambda: ap.sector_in_region(ap.sector(p, ap.roots.identity()), ap.whole_region()),
         ):
             with pytest.raises(ValueError):
                 read()

@@ -168,8 +168,8 @@ def test_transport_preserves_metric():
 
 def same_point(atlas, bp, bq):
     """Are bp and bq one point?  bq's chart is a bit of bp's holding mask, and bp lands on bq's
-    point there (locate_in), as germ_coapartment decides that its two bases are one."""
-    return atlas.locate_in(bp, atlas.holding(bp) & 1 << bq.chart).get(bq.chart) == bq.point
+    point there (locate_point), as germ_coapartment decides that its two bases are one."""
+    return atlas.locate_point(bp).get(bq.chart) == bq.point
 
 
 def test_points_equal_through_transition():
@@ -226,12 +226,37 @@ def seeded_items(atlas, rng, count):
     return items
 
 
+def scanned_point(atlas, i, p, j):
+    """Atlas.transport_point as it was, the slow reference: chart i's point p in chart j when the one
+    transition's region holds it (Apartment.region_contains_point), moved by its isometry; else None."""
+    if i == j:
+        return p
+    t = atlas.transition(i, j)
+    if t is None or not atlas.apartment.region_contains_point(t.region, p):
+        return None
+    return t.iso.apply(p)
+
+
+def scanned_item(atlas, item, j):
+    """Atlas._transport as it was, the slow reference: a germ or whole sector in chart j when the one
+    transition's region holds a chunk of the germ (Apartment.region_contains_germ) or, per transition and
+    not from Atlas.fitting, caps no generator of the sector's cone and holds its base (the deleted
+    Apartment.sector_in_region); moved by the isometry and its linear part; else None."""
+    if item.chart == j:
+        return item.sector
+    t, ap = atlas.transition(item.chart, j), atlas.apartment
+    base, w = item.sector.base, item.sector.direction
+    if t is None or not (ap.region_contains_germ(t.region, item.germ()) if isinstance(item, BuildingGerm)
+                         else ap.sector_fits(w, t.region) and ap.region_contains_point(t.region, base)):
+        return None
+    return ap.sector(t.iso.apply(base), t.iso.linear * w)
+
+
 def transport(atlas, item, chart):
+    """The item in the chart, or None, decided one transition at a time by the slow references."""
     if isinstance(item, BuildingPoint):
-        return atlas.transport_point(item.chart, item.point, chart)
-    if isinstance(item, BuildingGerm):
-        return atlas.transport_germ(item, chart)
-    return atlas.transport_sector(item, chart)
+        return scanned_point(atlas, item.chart, item.point, chart)
+    return scanned_item(atlas, item, chart)
 
 
 def record_calls(monkeypatch, *names):
@@ -287,7 +312,7 @@ def test_first_chart_holding_agrees_with_brute_force(atlas, monkeypatch):
         passes = []
         dots = LambdaScalar.dots
         monkeypatch.setattr(LambdaScalar, "dots", staticmethod(lambda rows, xs: passes.append(xs) or dots(rows, xs)))
-        assert atlas.first_held(atlas.holding, *items) == expected
+        assert atlas.first_held(*items) == expected
         monkeypatch.undo()
         assert passes == [item.sector.base for item in items]
         assert calls["move_held"] == ([(item, expected[0]) for item in items] if expected else [])

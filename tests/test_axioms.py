@@ -589,7 +589,7 @@ def test_same_base_coapartment_transports_each_germ_once(atlas, monkeypatch):
     """The same-base search moves no point and no germ: one point pass is made per distinct
     (chart, base), read for both the point and the germ masks, and carried into g2's chart and
     the chart found (Atlas.carry_pass); the final length reads the transitions' linear parts.
-    So no Atlas.at, locate_in, move_held or transport call is made, and no
+    So no Atlas.at, locate_point, move_held or transport call is made, and no
     LambdaScalar.affine move."""
     ap = atlas.apartment
     calls = record_calls(monkeypatch, *POINT_MOVES)
@@ -615,7 +615,7 @@ def test_distinct_base_descent_moves_only_the_first_germ(atlas, monkeypatch):
     """The descent moves no point and no germ, g1 included: the two bases' passes, one per
     distinct (chart, base), are carried into the points chart and the carrier (Atlas.carry_pass),
     five passes moved between charts at most, and the directions of g1 and of the sectors come
-    from the transitions' linear parts and the passes' signs.  So no Atlas.at, locate_in,
+    from the transitions' linear parts and the passes' signs.  So no Atlas.at, locate_point,
     move_held or transport call is made, and no LambdaScalar.affine move."""
     ap = atlas.apartment
     calls = record_calls(monkeypatch, *POINT_MOVES, "carry_pass")
@@ -638,7 +638,7 @@ def test_distinct_base_descent_moves_only_the_first_germ(atlas, monkeypatch):
 
 
 # The Atlas calls that move or locate a point, germ or sector, or make a point's pass and mask.
-POINT_MOVES = ("at", "locate_in", "move_held", "transport_point", "transport_germ", "transport_sector")
+POINT_MOVES = ("at", "locate_point", "move_held", "transport_point", "transport_germ", "transport_sector")
 
 
 def record_affine(monkeypatch):
@@ -651,8 +651,8 @@ def record_affine(monkeypatch):
 
 def point_descent(atlas, g1, g2):
     """germ_coapartment as it was, the slow reference: it moves the bases and the first germ between
-    charts (Atlas.locate_in, Atlas.move_held, Atlas.first_held) and reads each moved point's pass
-    and mask from one query's cache of Atlas.at."""
+    charts (Atlas.locate_point, Atlas.move_held) and reads each moved point's pass and mask from
+    one query's cache of Atlas.at."""
     ap = atlas.apartment
     stages = []
     initial = sector_class_distance(atlas, BuildingSector(g1.chart, g1.sector), BuildingSector(g2.chart, g2.sector))
@@ -660,17 +660,17 @@ def point_descent(atlas, g1, g2):
     p1, p2 = BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base)
     holding = partial(atlas.read, at := cache(atlas.at))
     held1, held2 = holding(p1), holding(p2)
-    same_base = atlas.locate_in(p1, held1 & 1 << g2.chart).get(g2.chart) == g2.base
+    same_base = atlas.locate_point(p1).get(g2.chart) == g2.base
 
     def signs(chart, target, base):
         return ap.pass_signs(at(chart, target)[1:], at(chart, base)[1:])
 
     def direct_scan(fallback, exhausted):
-        found = atlas.first_held(holding, g1, g2)
-        if found is None:
+        chart = lowest(holding(g1) & holding(g2))
+        if chart is None:
             stages.append(exhausted)
             return CoapartmentResult(None, INCONCLUSIVE, initial_len, None, stages)
-        chart, (s1, s2) = found
+        s1, s2 = atlas.move_held(g1, chart), atlas.move_held(g2, chart)
         if same_base and s1.base != s2.base:
             stages.append(f"bases differ in chart={atlas.name(chart)}")
             return CoapartmentResult(None, INCONCLUSIVE, initial_len, None, stages)
@@ -684,14 +684,14 @@ def point_descent(atlas, g1, g2):
     if cc is None:
         return direct_scan("no point chart", "no chart through both base points")
     stages.append(f"points chart={atlas.name(cc)}")
-    x, y = atlas.locate_in(p1, 1 << cc)[cc], atlas.locate_in(p2, 1 << cc)[cc]
+    x, y = atlas.locate_point(p1)[cc], atlas.locate_point(p2)[cc]
     connecting = BuildingSector(cc, ap.sector(x, ap.sector_through(signs(cc, y, x))))
     carrier = lowest(holding(g1) & holding(connecting))
     if carrier is None:
         return direct_scan("no germ+sector chart", "no chart with first germ and connecting sector")
     germ_in_carrier = atlas.move_held(g1, carrier)
     stages.append(f"germ+sector chart={atlas.name(carrier)}")
-    y_in_carrier = atlas.locate_in(BuildingPoint(cc, y), 1 << carrier)[carrier]
+    y_in_carrier = atlas.locate_point(BuildingPoint(cc, y))[carrier]
     pivot_direction = ap.sector_with_germ(germ_in_carrier.direction, signs(carrier, germ_in_carrier.base, y_in_carrier))
     final = lowest(holding(g2) & holding(BuildingSector(carrier, ap.sector(y_in_carrier, pivot_direction))))
     if final is None:
@@ -761,7 +761,7 @@ def test_opposite_germ_transports_each_germ_once(atlas, monkeypatch):
     and each is carried at most once into a chart, only into charts that hold the germ
     (Atlas.carry_pass); the one point moved is the germ's base, into the co-chart, for the
     parallel sector.  So no Atlas.at,
-    locate_in, move_held or transport call is made, and one LambdaScalar.affine
+    locate_point, move_held or transport call is made, and one LambdaScalar.affine
     move at most, none when the co-chart is the germ's own."""
     ap = atlas.apartment
     calls = record_calls(monkeypatch, *POINT_MOVES, "carry_pass")
@@ -827,7 +827,7 @@ def test_coapartment_on_a_gluing_that_is_not_closed():
     g1 = BuildingGerm(atlas.index("e"), ap.sector(ap.simple_point(0, 4), w))
     g2 = BuildingGerm(atlas.index("d"), ap.sector(ap.simple_point(0, 3), w))
     assert same_point(atlas, BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base))
-    _, (s1, s2) = atlas.first_held(atlas.holding, g1, g2)
+    _, (s1, s2) = atlas.first_held(g1, g2)
     assert s1.base != s2.base
     result = germ_coapartment(atlas, g1, g2)
     assert result.verdict == INCONCLUSIVE and result.chart is None and result.final_length is None
@@ -1065,7 +1065,7 @@ def test_germ_and_sector_masks_agree_with_the_region_predicates():
                 assert atlas.reach(chart, lambda r: ap.region_contains_germ(r, germ.germ())) | 1 << chart == expected
                 whole = atlas.reach(chart, lambda r: deleted_holds_sector(ap, r, sector.sector)) | 1 << chart
                 assert atlas.holding(sector) == whole, (name, sector)
-                assert atlas.reach(chart, lambda r: ap.sector_in_region(sector.sector, r)) | 1 << chart == whole
+                assert atlas.reach(chart, lambda r: ap.sector_fits(w, r) and ap.region_contains_point(r, base)) | 1 << chart == whole
                 capped += expected != point
     assert capped >= 100, capped
 

@@ -25,7 +25,7 @@ import pytest
 import lbk.apartment
 from lbk import fixtures
 from lbk.apartment import Apartment
-from lbk.atlas import Atlas, BuildingGerm, BuildingPoint, Transition, charts_of, global_distance, lowest
+from lbk.atlas import Atlas, BuildingGerm, BuildingPoint, BuildingSector, Transition, charts_of, global_distance, lowest
 from lbk.axioms import (
     AXIOM_ORDER,
     Sample,
@@ -40,7 +40,7 @@ from lbk.infinity import infinity_complex
 from lbk.linarith import feasible
 from lbk.rootsystem import build_root_system
 from report_digest import members
-from test_atlas import seeded_base
+from test_atlas import scanned_item, scanned_point, seeded_base
 from test_golden import fm_fallback
 
 ATLASES = dict(members())
@@ -48,10 +48,10 @@ ATLASES["fm_fallback"] = fm_fallback()
 
 
 def locate_by_scan(atlas, bp):
-    """The point in each chart, by one transport per chart."""
+    """The point in each chart, by one transport per chart (the slow reference)."""
     out = {}
     for j in atlas.charts():
-        p = atlas.transport_point(bp.chart, bp.point, j)
+        p = scanned_point(atlas, bp.chart, bp.point, j)
         if p is not None:
             out[j] = p
     return out
@@ -116,6 +116,32 @@ def test_locate_point_agrees_with_the_per_chart_scan(name):
         located = atlas.locate_point(bp)
         expected = locate_by_scan(atlas, bp)
         assert list(located.items()) == list(expected.items()), (name, bp)
+
+
+@pytest.mark.parametrize("name", sorted(ATLASES))
+def test_transports_agree_with_the_per_transition_rules(name):
+    """transport_point (locate_point), transport_sector (the fit-table bit and the base's pass) and
+    transport_germ give the slow references' None or image in every chart, for seeded points, whole
+    sectors and germs; and a whole sector reaches another chart exactly when FM puts its region in
+    the overlap (Apartment.region_contains), a reference that shares no code with the fit table."""
+    atlas = ATLASES[name]
+    ap = atlas.apartment
+    rng = random.Random(f"transport-rules:{name}")
+    seen = Counter()
+    for _ in range(30):
+        chart, base = rng.randrange(atlas.size), seeded_base(ap, rng)
+        w = rng.choice(ap.directions())
+        sector, germ = BuildingSector(chart, ap.sector(base, w)), BuildingGerm(chart, ap.sector(base, w))
+        for j in atlas.charts():
+            assert atlas.transport_point(chart, base, j) == scanned_point(atlas, chart, base, j), (name, chart, base, j)
+            image = atlas.transport_sector(sector, j)
+            assert image == scanned_item(atlas, sector, j), (name, sector, j)
+            assert atlas.transport_germ(germ, j) == scanned_item(atlas, germ, j), (name, germ, j)
+            if j != chart and (t := atlas.transition(chart, j)) is not None:
+                assert (image is not None) == ap.region_contains(t.region, ap.sector_region(sector.sector)), (name, sector, j)
+                seen[image is not None] += 1
+    if atlas.size > 1:
+        assert seen[True] and seen[False], (name, seen)
 
 
 @pytest.mark.parametrize("name", sorted(ATLASES))

@@ -95,10 +95,12 @@ def panel_by_equality(ap, sector, overlap):
 
 @pytest.mark.parametrize("name,lam", SYSTEMS)
 def test_sector_in_region_agrees_with_fm(name, lam):
+    """A whole sector lies in a region exactly when its cone fits and its base lies in it: the rule
+    Atlas.holding and Atlas.transport_sector read (Atlas.fitting, then the base's pass)."""
     seen = {True: 0, False: 0}
     for ap, _, sector, region in cases(name, lam, 1):
         expected = ap.region_contains(region, ap.sector_region(sector))
-        assert ap.sector_in_region(sector, region) == expected
+        assert (ap.sector_fits(sector.direction, region) and ap.region_contains_point(region, sector.base)) == expected
         seen[expected] += 1
     assert min(seen.values()) >= 20, seen
 
