@@ -471,13 +471,12 @@ class Apartment:
         """Does some direction-w sector (panel_type 0), or its type-i panel, lie in the region?
 
         Every root but a panel's own wall root is strictly signed on the
-        (relative) interior of the cone.  So once no half caps the cone, each
-        half not constant along it holds far enough in: a sector always
-        fits, a panel exactly when the region is nonempty (Rockafellar,
-        Convex Analysis, section 8).
+        (relative) interior of the cone.  So once the region caps no
+        generator of the face (:meth:`capped`), each half not constant along
+        it holds far enough in: a sector always fits, a panel exactly when
+        the region is nonempty (Rockafellar, Convex Analysis, section 8).
         """
-        fits = self._cone_fits(direction, panel_type, region.halves)
-        return fits and (not panel_type or self.region_feasible(region).sat)
+        return self.capped(direction, region) <= {panel_type} and (not panel_type or self.region_feasible(region).sat)
 
     def sector_walls(self, direction: WeylElement) -> tuple[tuple[int, int], ...]:
         """(k, s) per simple root alpha_i, with w(alpha_i) = s * beta_k for the k-th positive root beta_k (a root's
@@ -517,10 +516,10 @@ class Apartment:
         """Does the region contain an initial chunk of the sector at its base?  The germ rule of :meth:`holds`."""
         return self.holds(self.rows(region), self.root_dots(germ.base), germ.direction)
 
-    def _cone_fits(self, direction: WeylElement, panel_type: int, halves: Iterable[HalfApartment]) -> bool:
-        """No half caps a generator of the direction cone, or of its type-i
-        face (1-based i; 0: the whole cone).  Stops at the first half that does."""
-        return not any(self.caps(direction, h.root, h.sense) - {panel_type} for h in halves)
+    def capped(self, direction: WeylElement, region: ConvexRegion) -> frozenset[int]:
+        """The 1-based generators of the direction cone that some half of the region caps: the union of
+        its halves' :meth:`caps`.  A sector fits when it is empty, its type-k panel when it is at most {k}."""
+        return frozenset().union(*(self.caps(direction, h.root, h.sense) for h in region.halves))
 
     def caps(self, direction: WeylElement, root: Root, sense: int) -> frozenset[int]:
         """The 1-based generators k of the direction cone that the half

@@ -84,6 +84,10 @@ class Transition:
         """The way back: the inverse isometry on the image region."""
         return Transition(ap.transform_region(self.region, self.iso), self.iso.inverse())
 
+    def same_as(self, ap: Apartment, other: "Transition") -> tuple[bool, bool]:
+        """Is this transition ``other``, part by part: (the isometries are equal, the regions are equal)."""
+        return self.iso == other.iso, ap.region_equal(self.region, other.region)
+
 
 @dataclass(frozen=True)
 class BuildingPoint:
@@ -282,24 +286,16 @@ class Atlas:
     # -- sectors and germs ------------------------------------------------------
 
     def transport_sector(self, bs: BuildingSector, j: int) -> Optional[Sector]:
-        """Image of a whole sector in chart j; None unless fully contained."""
-        return self._transport(bs, j)
+        """Image of a whole sector in chart j; None unless its :meth:`holding` mask holds it."""
+        return self.move_held(bs, j) if self.holding(bs) >> j & 1 else None
 
     def transport_germ(self, bg: BuildingGerm, j: int) -> Optional[Sector]:
-        """Image of a sector germ in chart j; needs only a germ-sized overlap."""
-        return self._transport(bg, j)
-
-    def _transport(self, item: BuildingGerm | BuildingSector, j: int) -> Optional[Sector]:
-        """The item's sector moved into chart j, when the one overlap holds a chunk of the germ by the rule on its
-        rows (:meth:`Apartment.holds`), or the whole sector: its base and the :meth:`fitting` bit of chart j.
-        For callers that do not know whether chart j holds it."""
-        if item.chart != j:
-            t, ap = self.transition(item.chart, j), self.apartment
-            if t is None or not (ap.region_contains_germ(t.region, item.germ()) if isinstance(item, BuildingGerm)
-                                 else self.fitting(item.chart, item.sector.direction) >> j & 1
-                                 and ap.region_contains_point(t.region, item.sector.base)):
-                return None
-        return self.move_held(item, j)
+        """Image of a sector germ in chart j, for callers that do not know whether chart j holds it: the one
+        transition's region must hold a chunk of the germ (:meth:`Apartment.holds`), one overlap, not the mask."""
+        if bg.chart != j and ((t := self.transition(bg.chart, j)) is None
+                              or not self.apartment.region_contains_germ(t.region, bg.germ())):
+            return None
+        return self.move_held(bg, j)
 
     def move_held(self, item: BuildingGerm | BuildingSector, j: int) -> Sector:
         """The item's sector moved into chart j through the transition, for a chart j its
@@ -346,12 +342,7 @@ def validate(atlas: Atlas) -> ValidationReport:
     tid = {pair: ids.setdefault(atlas.transitions[pair], len(ids)) for pair in pairs}
     values = list(ids)
     reverse = [t.reverse(ap) for t in values]
-
-    @cache
-    def symmetric(a: int, b: int) -> tuple[bool, bool]:
-        """Are value b's isometry and region those of value a's reverse?"""
-        back, derived = values[b], reverse[a]
-        return back.iso == derived.iso, ap.region_equal(back.region, derived.region)
+    symmetric = cache(lambda a, b: values[b].same_as(ap, reverse[a]))  # value b against value a's reverse, per part
 
     @cache
     def cocycle(a: int, b: int, c: int) -> bool:

@@ -45,7 +45,6 @@ from .atlas import (
 )
 from .lexq import LambdaScalar
 from .linarith import feasible
-from .rootsystem import WeylElement
 
 PASS = "pass"
 FAIL = "fail"
@@ -303,38 +302,33 @@ def check_ec(atlas: Atlas) -> AxiomReport:
 # -- SE ----------------------------------------------------------------------
 
 
-def _capped_panel(ap: Apartment, w: WeylElement, overlap: ConvexRegion) -> Optional[tuple]:
-    """What a panel incidence reads of the direction and the overlap alone: the one generator k the
-    overlap caps (:meth:`Apartment.caps`), the wall root w.alpha_k and the capping halves, or None."""
-    caps = [(h, ap.caps(w, h.root, h.sense)) for h in overlap.halves]
-    capped = set().union(*(ks for _, ks in caps))
-    if len(capped) != 1:
-        return None
-    k = capped.pop()
-    return k, w.act_root(ap.roots.simple_root(k)), [h for h, ks in caps if ks]
-
-
 def check_se(sample: Sample) -> AxiomReport:
     """Sectors meeting a chart in one of their panels must extend over both wall sides.
 
     The exchange hypothesis wants the chart to meet the sector in one of the
     sector's own panels (apex included), not a panel-shaped slice further out.
     Write a sector point as x = b + sum_k t_k w.u_k, t_k >= 0: a half caps
-    generator k when it falls along it, and a root's coefficients w^-1 r share
-    a sign.  So panel k fits and the sector does not exactly when k is the only
-    capped generator (:func:`_capped_panel`, decided once per (direction, overlap
+    generator k when it falls along it, and a root's coefficients w^-1 r share a
+    sign.  So panel k fits and the sector does not exactly when k is the only
+    capped generator (:meth:`Apartment.capped`, once per (direction, overlap
     class id)); each capping half then reads slack - t_k >= 0, and the cut stays
     on panel k (t_k = 0) exactly when one of them is tight at the base.  A chart
     a holding the base has the base in the overlap, so that is where the germ
     rule of :meth:`Apartment.holds` fails: a has a panel incidence exactly when
     the panel is capped and a is outside the germ's mask, read from the base's
-    pass in the sample.  For a line it writes, the wall in chart a is read at the
-    base's copy moved there, as the pairing is W-invariant.
+    pass in the sample.  For a line it writes, the wall in chart a is read at
+    the base's copy moved there, as the pairing is W-invariant.
     """
     report = AxiomReport("SE")
     atlas = sample.atlas
     ap = atlas.apartment
-    capped_panel = cache(lambda w, c: _capped_panel(ap, w, atlas.regions[c]))
+
+    @cache
+    def wall_root(w, c):
+        """w.alpha_k when the overlap class caps exactly generator k of the cone, else None."""
+        capped = ap.capped(w, atlas.regions[c])
+        return w.act_root(ap.roots.simple_root(min(capped))) if len(capped) == 1 else None
+
     move, pairing = cache(AffineIsometry.apply), cache(ap.pairing)
     for bs in sample.sectors:
         chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
@@ -343,11 +337,11 @@ def check_se(sample: Sample) -> AxiomReport:
         fits = atlas.fitting(chart, w)
         label = None
         for a in charts_of(outside):
-            panel = capped_panel(w, atlas.class_of[(chart, a)])
-            if panel is None:
+            root = wall_root(w, atlas.class_of[(chart, a)])
+            if root is None:
                 continue
             t = atlas.transition(chart, a)
-            r = t.iso.linear.act_root(panel[1])
+            r = t.iso.linear.act_root(root)
             wall = ap.half(r, 1, pairing(r, move(t.iso, base)))
             found = [lowest(atlas.charts_meeting(a, HalfApartment(wall.root, s, wall.bound)) & fits & held) for s in (1, -1)]
             label = label or _sector_label(atlas, bs, sample.format)
@@ -457,17 +451,16 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
         config_base = f"(chart={atlas.name(chart)},germ={_sector_label(atlas, germ, sample.format)})"
         rho = Retraction(atlas, germ, chart)
         written = len(report.lines)
-        images: dict[BuildingPoint, Pass | TheoremViolation] = {}  # each image's pass, or why there is none
+        images: dict[BuildingPoint, Pass | str] = {}  # each image's pass, or the detail of why there is none
         for bp in points:
             try:
                 images[bp] = ap.move_pass(*rho.map_at(sample.at, bp))
             except TheoremViolation as exc:
-                images[bp] = exc
+                images[bp] = str(exc).replace(" ", "_")
         for bp, bq in _cap_pairs(points, samples, sample.seed, f"a5:{atlas.name(chart)}"):
             ry, rz = images[bp], images[bq]
-            violation = next((r for r in (ry, rz) if isinstance(r, TheoremViolation)), None)
-            if violation is not None:
-                failure = str(violation).replace(" ", "_")
+            if isinstance(ry, str) or isinstance(rz, str):
+                failure = ry if isinstance(ry, str) else rz
             elif (original := distance(bp, bq)) is NoCommonChartError:
                 continue
             elif original is DistanceDisagreementError:

@@ -298,10 +298,8 @@ def serialize_model(atlas: Atlas) -> str:
             f" ; t {format_point(t.iso.shift)}"
         )
 
-    @cache  # is back the reverse parse_model derives from t?  Once per distinct value pair.
-    def derived_back(t: Transition, back: Transition) -> bool:
-        derived = t.reverse(ap)
-        return back.iso == derived.iso and ap.region_equal(back.region, derived.region)
+    # Is back the reverse parse_model derives from t?  Once per distinct value pair.
+    derived_back = cache(lambda t, back: all(back.same_as(ap, t.reverse(ap))))
 
     emitted = set()
     for (i, j) in sorted(atlas.transitions):

@@ -238,10 +238,10 @@ def scanned_point(atlas, i, p, j):
 
 
 def scanned_item(atlas, item, j):
-    """Atlas._transport as it was, the slow reference: a germ or whole sector in chart j when the one
-    transition's region holds a chunk of the germ (Apartment.region_contains_germ) or, per transition and
-    not from Atlas.fitting, caps no generator of the sector's cone and holds its base (the deleted
-    Apartment.sector_in_region); moved by the isometry and its linear part; else None."""
+    """transport_germ and transport_sector as they were, the slow reference: a germ or whole sector in
+    chart j when the one transition's region holds a chunk of the germ (Apartment.region_contains_germ)
+    or, per transition and not from Atlas.fitting, caps no generator of the sector's cone and holds its
+    base (the deleted Apartment.sector_in_region); moved by the isometry and its linear part; else None."""
     if item.chart == j:
         return item.sector
     t, ap = atlas.transition(item.chart, j), atlas.apartment

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import random
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
@@ -503,6 +505,22 @@ def test_a5_writes_the_failures_of_a_bent_transition():
     }
     assert lines[-1] == "SUMMARY axiom=A5 checked=55 pass=0 fail=55 inconclusive=0 verdict=fail"
     assert hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest() == BENT_A5
+
+
+def test_a5_failures_keep_no_frame_alive():
+    """A5 keeps each failed image as its detail string, not its exception: a kept traceback would
+    hold check_a5's frame, and with it the sample and its pass caches, in a reference cycle."""
+    sample = Sample(bent_tree())
+    alive = weakref.ref(sample)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert check_a5(sample, samples=120).verdict == FAIL
+        del sample
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("index", range(43))

@@ -17,7 +17,6 @@ import pytest
 
 from lbk.apartment import AffineIsometry, Apartment, ConvexRegion, HalfApartment, RegionShape
 from lbk.atlas import Atlas, Transition, _agree_on
-from lbk.axioms import _capped_panel
 from lbk.lexq import LambdaScalar
 from lbk.linarith import GE, GT, ConstraintSystem, LinearConstraint, feasible
 from lbk.rootsystem import build_root_system
@@ -107,9 +106,9 @@ def test_sector_in_region_agrees_with_fm(name, lam):
 
 @pytest.mark.parametrize("name,lam", SYSTEMS)
 def test_panel_of_sector_agrees_with_equality_scan(name, lam):
-    """check_se's panel rule, asked only when the base lies in the overlap: the direction's
-    _capped_panel is not None and the overlap does not hold the sector's germ (the germ rule of
-    Apartment.holds), and then the panel is _capped_panel's generator."""
+    """check_se's panel rule, asked only when the base lies in the overlap: the overlap caps exactly
+    one generator k of the direction's cone (Apartment.capped) and does not hold the sector's germ
+    (the germ rule of Apartment.holds), and then the panel is k."""
     seen = Counter()
     for ap, rng, sector, region in cases(name, lam, 2):
         # Also pin one wall, at the apex or past it, so the cut is often a
@@ -120,9 +119,9 @@ def test_panel_of_sector_agrees_with_equality_scan(name, lam):
         for overlap in (region, ap.intersect(region, ap.half_region(root, -1, bound))):
             expected = panel_by_equality(ap, sector, overlap)
             base_in = ap.region_contains_point(overlap, sector.base)
-            panel = _capped_panel(ap, sector.direction, overlap)
-            incident = base_in and panel is not None and not ap.region_contains_germ(overlap, sector.germ())
-            assert (panel[0] if incident else None) == expected
+            capped = ap.capped(sector.direction, overlap)
+            incident = base_in and len(capped) == 1 and not ap.region_contains_germ(overlap, sector.germ())
+            assert (min(capped) if incident else None) == expected
             if not base_in:
                 seen["base outside"] += 1
             elif expected is not None:
@@ -282,6 +281,21 @@ def fixes_by_fm(ap, g, region):
 def agree_by_fm(ap, f, g, region):
     """Do f and g agree at every point of the region?  g^-1 f fixes it, as g is a bijection."""
     return fixes_by_fm(ap, g.inverse().compose(f), region)
+
+
+@pytest.mark.parametrize("name,lam", SYSTEMS)
+def test_capped_is_the_cap_rule_of_sector_fits(name, lam):
+    """capped is the union of the per-half caps, and a sector (face 0) or its type-k panel fits exactly
+    when the region caps no generator but the face's own and, for a panel, the region is nonempty."""
+    seen = Counter()
+    for ap, _, sector, region in cases(name, lam, 5):
+        w = sector.direction
+        capped = ap.capped(w, region)
+        assert capped == frozenset().union(*(ap.caps(w, h.root, h.sense) for h in region.halves))
+        for k in range(ap.rank + 1):
+            assert ap.sector_fits(w, region, k) == (capped <= {k} and (k == 0 or not region_empty(ap, region)))
+        seen[len(capped)] += 1
+    assert len(seen) == min(ap.rank, 2) + 1 and min(seen.values()) >= 5, seen
 
 
 @pytest.mark.parametrize("name,lam", SYSTEMS)

@@ -18,7 +18,6 @@ from fractions import Fraction
 import pytest
 
 import lbk.apartment
-import lbk.axioms
 from lbk.apartment import format_point
 from lbk.atlas import Atlas, BuildingPoint, BuildingSector, Transition, charts_of, lowest
 from lbk.axioms import AxiomReport, Sample, _sector_label, check_se
@@ -143,25 +142,29 @@ def test_se_decides_each_direction_and_overlap_class_once(monkeypatch):
     """On the 20 ladder members at seed 0, 94 (direction, overlap class)
     decisions stand for every (sector, holding chart) panel match: only a
     holding chart outside the sector's germ mask asks for one.  No wall is
-    moved through a transition."""
+    moved through a transition.  The fit table asks Apartment.capped too, so
+    it is filled before the count."""
     decided, moved = [], []
-    capped_panel = lbk.axioms._capped_panel
+    capped = lbk.apartment.Apartment.capped
     transform_half = lbk.apartment.Apartment.transform_half
 
-    def counted_panel(ap, w, overlap):
+    def counted_capped(self, w, overlap):
         decided.append((w, overlap))
-        return capped_panel(ap, w, overlap)
+        return capped(self, w, overlap)
 
     def counted_half(self, *args):
         moved.append(args)
         return transform_half(self, *args)
 
-    monkeypatch.setattr(lbk.axioms, "_capped_panel", counted_panel)
+    runs = [(name, atlas, Sample(atlas, 0)) for name, atlas in MEMBERS[: len(LADDER)]]
+    for _, atlas, sample in runs:
+        for bs in sample.sectors:
+            atlas.fitting(bs.chart, bs.sector.direction)
+    monkeypatch.setattr(lbk.apartment.Apartment, "capped", counted_capped)
     monkeypatch.setattr(lbk.apartment.Apartment, "transform_half", counted_half)
     matches = 0
-    for name, atlas in MEMBERS[: len(LADDER)]:
+    for name, atlas, sample in runs:
         before = len(decided)
-        sample = Sample(atlas, 0)
         assert check_se(sample).verdict == "pass", name
         assert len(set(decided[before:])) == len(decided) - before, name  # once per run
         matches += sum(len(atlas.locate_point(BuildingPoint(bs.chart, bs.sector.base))) - 1 for bs in sample.sectors)
