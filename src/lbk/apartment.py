@@ -187,6 +187,8 @@ class Apartment:
         self.cone_slopes = cache(self.cone_slopes)
         self.sector_walls = cache(self.sector_walls)
         self.pass_moves = cache(self.pass_moves)
+        self.sector_through = cache(self.sector_through)
+        self.sector_with_germ = cache(self.sector_with_germ)
 
     # -- scalars and points ---------------------------------------------
 
@@ -553,15 +555,15 @@ class Apartment:
         return self.roots.weyl_elements()
 
     def sector_through(self, signs: tuple[int, ...]) -> WeylElement:
-        """The direction of the first sector at a base (in direction order) holding a target, from the signs of (beta, target - base)."""
+        """The direction of the first sector at a base (in direction order) holding a target, cached per signs of (beta, target - base)."""
         for w in self.directions():
             if all(c * signs[k] >= 0 for k, c in self.sector_walls(w)):
                 return w
         raise AssertionError("direction cones cover the apartment")
 
     def sector_with_germ(self, direction: WeylElement, signs: tuple[int, ...]) -> WeylElement:
-        """The direction of the first sector at a base holding a chunk of a germ of this direction (:meth:`region_contains_germ`), from the
-        signs of (beta, germ base - base): the germ's base lies in the sector, and no wall through that base caps the germ's cone."""
+        """The direction of the first sector at a base holding a chunk of a germ of this direction (:meth:`region_contains_germ`), cached per
+        (direction, signs of (beta, germ base - base)): the germ's base lies in the sector, and no wall through it caps the germ's cone."""
         positive = self.roots.positive_roots
         for w in self.directions():
             walls = self.sector_walls(w)

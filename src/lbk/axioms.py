@@ -426,11 +426,11 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
 
     A retraction exists and fixes its target chart by construction: the germ
     lies in its own chart, and each map inverts the transition from the
-    target.  The metric is W-invariant, so a pair sharing a chart of the maps
-    keeps its distance.  Distances read the sample's passes (:func:`shared_distance` from ``at``),
-    and so does each image's pass, once per target and point: :meth:`Retraction.map_at` moves the
-    point's pass, so no image point is built or located.  A run measures each distinct pair of
-    sampled points once."""
+    target.  The metric is W-invariant, so a pair sharing a chart b of the maps keeps its distance (maps[b] after
+    t moves both, and :meth:`Retraction.map_at` checks that every composite gives one image): its images are not
+    measured.  Distances read the sample's passes (:func:`shared_distance` from ``at``), and so does each image's
+    pass, once per target and point: :meth:`Retraction.map_at` moves the point's pass, so no image point is built
+    or located.  A run measures each distinct pair of sampled points once."""
     report = AxiomReport("A5")
     atlas, points = sample.atlas, sample.points
     ap = atlas.apartment
@@ -465,7 +465,7 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
                 continue
             elif original is DistanceDisagreementError:
                 failure = "distance-disagrees-between-charts"
-            elif ap.pass_metric(ry, rz) > original:
+            elif not sample.held(bp) & sample.held(bq) & rho.mask and ap.pass_metric(ry, rz) > original:
                 failure = "distance-increased"
             else:
                 continue
@@ -500,7 +500,7 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
     pass1 = ap.root_dots(g1.base)
     pass2 = pass1 if c1 == c2 and g1.base == g2.base else ap.root_dots(g2.base)
     held1, held2 = atlas.point_mask(c1, pass1), atlas.point_mask(c2, pass2)
-    germ1, germ2 = atlas.germ_mask(c1, pass1, held1, w1), atlas.germ_mask(c2, pass2, held2, w2)
+    germ1, germ2 = atlas.germ_mask(c1, pass1, w1), atlas.germ_mask(c2, pass2, w2)
 
     def one_base(chart: int) -> bool:  # are the bases one point in the chart, which holds both: all signs zero?
         return not any(ap.pass_signs(atlas.carry_pass(c1, chart, pass1), atlas.carry_pass(c2, chart, pass2)))
@@ -567,11 +567,11 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
     ap = atlas.apartment
     c0, w0 = germ.chart, germ.sector.direction
     pass_g, pass_y = ap.root_dots(germ.base), ap.root_dots(y)
-    mask, held_y = atlas.germ_mask(c0, pass_g, atlas.point_mask(c0, pass_g), w0), atlas.point_mask(chart_b, pass_y)
+    mask, held_y = atlas.germ_mask(c0, pass_g, w0), atlas.point_mask(chart_b, pass_y)
     there = {c: (atlas.carry_pass(chart_b, c, pass_y), atlas.carry_pass(c0, c, pass_g)) for c in charts_of(mask & held_y)}
     best = None
     for w in ap.directions():
-        bprime = lowest(mask & atlas.germ_mask(chart_b, pass_y, held_y, w))
+        bprime = lowest(mask & atlas.germ_mask(chart_b, pass_y, w))
         if bprime is None:
             continue
         y_here, g_here = there[bprime]
@@ -612,7 +612,7 @@ def finite_cover(atlas: Atlas, germ: BuildingGerm, chart_b: int) -> CoverResult:
     ap = atlas.apartment
     pass_ = ap.root_dots(germ.base)  # the base's pass, carried into each chart holding it, serves every direction
     base_held = atlas.point_mask(germ.chart, pass_)
-    if (held := atlas.germ_mask(germ.chart, pass_, base_held, germ.sector.direction)) >> chart_b & 1:
+    if (held := atlas.germ_mask(germ.chart, pass_, germ.sector.direction)) >> chart_b & 1:
         # The whole chart already shares an apartment with the germ: itself.
         return CoverResult(PASS, [(ap.whole_region(), chart_b)])
     pieces: list[tuple[ConvexRegion, int]] = []

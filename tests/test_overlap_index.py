@@ -362,8 +362,8 @@ def test_cached_answer_is_the_fresh_solve():
 def warmed_tables(build):
     """Weak references to a fresh atlas, its apartment and its root system, after the checkers, the complex
     at infinity and 350 seeded fresh-point distance and coapartment queries, checking the tables they
-    keep along the way.  Their keys are regions, charts, directions, roots and transition-value ids,
-    never points: once 50 queries have run, the next 300 add no FM answer, no fit mask and no composite
+    keep along the way.  Their keys are regions, charts, directions, roots, sign vectors and transition-value
+    ids, never points: once 50 queries have run, the next 300 add no FM answer, no fit mask and no composite
     map, the half rows stay as built, one per overlap region, and each table stays within its finite key set."""
     atlas = build()
     ap, rs = atlas.apartment, atlas.apartment.roots
@@ -389,6 +389,9 @@ def warmed_tables(build):
     assert rs._product.cache_info().currsize <= group**2 and rs._inverse.cache_info().currsize <= group
     assert ap.cone_slopes.cache_info().currsize <= group * len(rs.positive_roots)
     assert ap.sector_walls.cache_info().currsize <= group
+    signs = 3 ** len(rs.positive_roots)  # sign vectors at the positive roots, or at a chart's walls
+    assert ap.sector_through.cache_info().currsize <= signs and ap.sector_with_germ.cache_info().currsize <= group * signs
+    assert all(sum(c == i for c, _, _ in atlas._cells) <= (group + 1) * 3 ** len(atlas.walls[i]) for i in atlas.charts())
     return weakref.ref(atlas), weakref.ref(ap), weakref.ref(rs)
 
 
