@@ -9,9 +9,10 @@ a sector's is one sign pass over the same roots (:meth:`Apartment.sector_walls`)
 and an isometry moves a point in one ``M x + s`` pass (:meth:`AffineIsometry.apply`).  Distances, sector signs and moved points' passes are
 read off passes by cross-multiplying their ints (:meth:`Apartment.pass_metric`, :meth:`Apartment.pass_signs`,
 :meth:`Apartment.move_pass`).  Sector, panel and germ fits are cone-sign tests (:meth:`Apartment.caps`), and
-half-apartment shapes are read from one shared root (:meth:`Apartment.region_half`).  Containment and
-equality try a single-half implication (:meth:`Apartment.implied`) first; what these tests leave open,
-emptiness included, goes to an exact Fourier-Motzkin run.  A "no" carries no certificate yet (ROADMAP item 6).
+half-apartment shapes are read from one shared root (:meth:`Apartment.region_half`).  Emptiness, containment,
+equality and the cocycle's row checks read one normal form, the region's tight root bounds (:meth:`Apartment.bounds`),
+from its basic dual solutions (:meth:`Apartment.floor`); Fourier-Motzkin runs only where a witness point is used
+(:meth:`Apartment.region_feasible`, :meth:`Apartment.open_cells`).  A "no" carries no certificate yet (ROADMAP item 6).
 
 Index conventions: simple roots, reflection generators, coordinates v^i and
 sector-panel types are 1-based, matching the a1/a2 syntax of model files.
@@ -21,8 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
+from weakref import proxy
 
 from .lexq import LambdaScalar
 from .linarith import (
@@ -43,6 +47,14 @@ MAX_LEX_RANK = 16  # scalars are tuples of this many rationals at most
 
 def format_point(p: Sequence[LambdaScalar]) -> str:
     return "(" + ",".join(str(c) for c in p) + ")"
+
+
+def memoize(obj: object, *names: str) -> None:
+    """Cache each named method of obj per instance, in obj's own dict.  The cache calls the method through a
+    weak proxy of obj, so no table holds obj: obj is freed by reference count, and its tables with it."""
+    me = proxy(obj)
+    for name in names:
+        setattr(obj, name, cache(getattr(type(obj), name).__get__(me)))
 
 
 class _KeptHash:
@@ -106,7 +118,7 @@ class ConvexRegion(_KeptHash):
     """Finite intersection of half-apartments (closed by construction)."""
 
     halves: tuple[HalfApartment, ...]
-    __hash__ = _KeptHash.__hash__  # regions key the FM table and the overlap index
+    __hash__ = _KeptHash.__hash__  # regions key the FM and normal-form tables and the overlap index
 
 
 @dataclass(frozen=True)
@@ -181,14 +193,8 @@ class Apartment:
         self.cone_basis: tuple[tuple[Fraction, ...], ...] = tuple(
             tuple(self._inverse[j][i] for j in range(self.rank)) for i in range(self.rank)
         )
-        # Tables that live with the apartment: caches of its own methods, which die with it.
-        self.region_feasible = cache(self.region_feasible)
-        self.rows = cache(self.rows)
-        self.cone_slopes = cache(self.cone_slopes)
-        self.sector_walls = cache(self.sector_walls)
-        self.pass_moves = cache(self.pass_moves)
-        self.sector_through = cache(self.sector_through)
-        self.sector_with_germ = cache(self.sector_with_germ)
+        memoize(self, "region_feasible", "bases", "bounds", "region_satisfies", "rows", "cone_slopes", "sector_walls", "pass_moves",
+                "sector_through", "sector_with_germ")
 
     # -- scalars and points ---------------------------------------------
 
@@ -367,7 +373,7 @@ class Apartment:
         return self.holds(self.rows(region), self.root_dots(p))
 
     def region_feasible(self, region: ConvexRegion) -> Feasibility:
-        """Is the region nonempty?  One FM answer, witness included, cached per region."""
+        """Is the region nonempty?  One FM answer, witness included, cached per region, for callers that use the witness."""
         return feasible(self.region_system(region), self.lex_rank)
 
     def open_cells(self, halves: Iterable[HalfApartment], budget: int) -> Optional[list[Point]]:
@@ -395,40 +401,62 @@ class Apartment:
             branches.append(sides + (LinearConstraint(row, GT, bound),))  # the > side is taken first
         return cells
 
-    def implied(self, region: ConvexRegion, c: LinearConstraint) -> bool:
-        """Does one half of the region alone imply c?
+    def bases(self, region: ConvexRegion) -> tuple:
+        """The region's basic sets, for :meth:`floor`.  Its halves read as rows sense * beta >= sense * bound, the
+        tightest bound per row; per linearly independent set of k <= rank rows: the rows, their bounds, k columns on
+        which they are independent, and the inverse of that block as int columns over one denominator.  Cached per region."""
+        tightest = dict(sorted(((tuple(h.sense * c for c in h.root), h.bound * h.sense) for h in region.halves), key=lambda rc: rc[1]))
+        out = []
+        for subset in (s for k in range(1, self.rank + 1) for s in combinations(tightest.items(), k)):
+            rows = [r for r, _ in subset]
+            for cols in combinations(range(self.rank), len(rows)):
+                try:
+                    inverse = _invert([[r[c] for c in cols] for r in rows])
+                except ValueError:
+                    continue
+                den = lcm(*(x.denominator for row in inverse for x in row))
+                out.append((rows, [b for _, b in subset], cols, [[int(x * den) for x in col] for col in zip(*inverse)], den))
+                break
+        return tuple(out)
 
-        True when c's row is a positive multiple mu of a half's row and mu
-        times the half's bound reaches c's bound, or when c's row is zero and
-        c holds everywhere.  A sufficient test only: False decides nothing.
-        """
-        def reaches(value: LambdaScalar) -> bool:
-            return value > c.bound if c.relation == GT else value >= c.bound
+    def floor(self, region: ConvexRegion, target: Sequence[Fraction]) -> Optional[LambdaScalar]:
+        """inf (target, x) over a nonempty region, for a rational target in simple-root coordinates, or None when it is
+        unbounded below: the greatest sum mu_i c_i over the basic dual solutions, mu >= 0 on one of the region's :meth:`bases`
+        with sum mu_i a_i = target for its rows a_i >= c_i (LP duality; README "Conventions"), mu read as ints over a denominator."""
+        scale = lcm(*(x.denominator for x in target))
+        t = [int(x * scale) for x in target]
+        best = None if any(t) else self.zero()
+        for rows, bounds, cols, columns, den in self.bases(region):
+            tc = [t[c] for c in cols]
+            mu = [sum(map(mul, tc, col)) for col in columns]
+            if min(mu) < 0 or len(rows) < self.rank and any(sum(m * r[c] for m, r in zip(mu, rows)) != den * t[c] for c in range(self.rank)):
+                continue
+            value = LambdaScalar.lincomb(mu, bounds) / (den * scale)
+            if best is None or value > best:
+                best = value
+        return best
 
-        if not any(c.coeffs):
-            return reaches(self.zero())
-        for h in region.halves:
-            row = self.pairing_row(h.root)
-            k = next(j for j, a in enumerate(row) if a)
-            mu = c.coeffs[k] / row[k]  # mu * sense is the positive multiple
-            if mu * h.sense > 0 and all(a == mu * b for a, b in zip(c.coeffs, row)):
-                if reaches(h.bound * mu):
-                    return True
-        return False
+    def bounds(self, region: ConvexRegion) -> Optional[tuple[tuple[Optional[LambdaScalar], Optional[LambdaScalar]], ...]]:
+        """The region's normal form, cached per region: per positive root beta_k the :meth:`floor` of beta_k and of
+        -beta_k, its tight bounds inf (beta_k, x) and -sup (beta_k, x), or None when the region is empty, which is when
+        some root's inf exceeds its sup.  Equal regions have equal normal forms."""
+        floors = tuple((self.floor(region, r), self.floor(region, tuple(-c for c in r))) for r in self.roots.positive_roots)
+        return None if any(lo is not None and up is not None and lo > -up for lo, up in floors) else floors
 
     def region_satisfies(self, region: ConvexRegion, c: LinearConstraint) -> bool:
-        """Does every point of the region satisfy c?  :meth:`implied` first,
-        then FM looks for a region point that violates c."""
-        return self.implied(region, c) or not feasible(
-            self.region_system(region, (c.negation(),)), self.lex_rank
-        ).sat
+        """Does every point of the region satisfy c?  The region is empty, or c's row, taken to simple-root
+        coordinates, has a :meth:`floor` that reaches c's bound."""
+        low = self.floor(region, [sum(a * row[i] for a, row in zip(c.coeffs, self._inverse)) for i in range(self.rank)])
+        return self.bounds(region) is None or low is not None and (low > c.bound if c.relation == GT else low >= c.bound)
 
     def region_contains(self, outer: ConvexRegion, inner: ConvexRegion) -> bool:
-        """inner is a subset of outer: no point of inner violates a half of outer."""
-        return all(self.region_satisfies(inner, self.half_constraint(h)) for h in outer.halves)
+        """inner is a subset of outer: inner is empty, or inner's floor of each half's row sense * beta reaches its bound."""
+        tight = self.bounds(inner)
+        return tight is None or all((v := tight[self._positive_index[h.root]][h.sense < 0]) is not None and v >= h.bound * h.sense for h in outer.halves)
 
     def region_equal(self, a: ConvexRegion, b: ConvexRegion) -> bool:
-        return self.region_contains(a, b) and self.region_contains(b, a)
+        """Equal regions have equal normal forms (:meth:`bounds`), the empty ones included."""
+        return self.bounds(a) == self.bounds(b)
 
     def transform_half(self, h: HalfApartment, g: AffineIsometry) -> HalfApartment:
         image_root = g.linear.act_root(h.root)
@@ -478,7 +506,7 @@ class Apartment:
         it holds far enough in: a sector always fits, a panel exactly when
         the region is nonempty (Rockafellar, Convex Analysis, section 8).
         """
-        return self.capped(direction, region) <= {panel_type} and (not panel_type or self.region_feasible(region).sat)
+        return self.capped(direction, region) <= {panel_type} and (not panel_type or self.bounds(region) is not None)
 
     def sector_walls(self, direction: WeylElement) -> tuple[tuple[int, int], ...]:
         """(k, s) per simple root alpha_i, with w(alpha_i) = s * beta_k for the k-th positive root beta_k (a root's
@@ -580,7 +608,7 @@ class Apartment:
         a root: distinct positive roots have independent pairing rows.  So a
         region whose halves share one root is an interval of that root's
         pairing, decided by its tightest bounds, and any other region is
-        "empty" or "other".
+        "empty" or "other" by its :meth:`bounds`.
         """
         half = self.region_half(region)
         if half is not None:
@@ -592,7 +620,7 @@ class Apartment:
             if lo == hi:
                 return RegionShape("wall", root=roots.pop(), bound=lo)
             return RegionShape("empty" if lo > hi else "other")
-        return RegionShape("other" if self.region_feasible(region).sat else "empty")
+        return RegionShape("other" if self.bounds(region) is not None else "empty")
 
     def region_half(self, region: ConvexRegion) -> Optional[HalfApartment]:
         """The half-apartment equal to the region, or None.
@@ -613,7 +641,7 @@ def _invert(matrix: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...],
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
-            raise ValueError("pairing matrix is singular")
+            raise ValueError("matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         factor = aug[col][col]
         aug[col] = [x / factor for x in aug[col]]

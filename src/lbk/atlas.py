@@ -29,6 +29,7 @@ from .apartment import (
     Sector,
     SectorGerm,
     format_point,
+    memoize,
 )
 from .lexq import LambdaScalar
 from .linarith import GE, LinearConstraint
@@ -166,9 +167,7 @@ class Atlas:
         value = [values.setdefault(None if iso.is_identity() else iso, len(values)) for iso in seen]
         self.isos = list(values)
         self.value_of = {(i, i): 0 for i in range(m)} | {pair: value[n] for (pair, _), n in zip(items, number)}
-        self.through = cache(self.through)
-        # The fit table.  fitting passes face on, since a cache would key fitting(i, w) and fitting(i, w, 0) apart.
-        self._fit = cache(lambda i, w, face: self.reach(i, lambda region: apartment.sector_fits(w, region, face)) | 1 << i)
+        memoize(self, "through", "_fit")
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -206,6 +205,10 @@ class Atlas:
         """The overlap of charts i and j as one half-apartment of chart i, or None."""
         c = self.class_of.get((i, j))
         return None if c is None else self.halves[c]
+
+    def _fit(self, i: int, w: WeylElement, face: int) -> int:
+        """The fit table: :meth:`fitting` passes face on, since a cache would key fitting(i, w) and fitting(i, w, 0) apart."""
+        return self.reach(i, lambda region: self.apartment.sector_fits(w, region, face)) | 1 << i
 
     def reach(self, i: int, fits: Callable[[ConvexRegion], bool]) -> int:
         """The charts glued to chart i along the overlap classes ``fits`` accepts: a sum of disjoint masks."""
@@ -385,7 +388,7 @@ def validate(atlas: Atlas) -> ValidationReport:
 
     for (i, j) in pairs:
         if i < j and atlas.transition(j, i) is not None:
-            if not ap.region_feasible(atlas.transitions[(i, j)].region).sat:
+            if ap.bounds(atlas.transitions[(i, j)].region) is None:
                 issues.append(f"nonempty: overlap ({atlas.name(i)},{atlas.name(j)}) is empty")
     notes.append("overlaps closed convex by construction (half-apartment constraints)")
 
@@ -437,8 +440,8 @@ def global_distance(atlas: Atlas, bp: BuildingPoint, bq: BuildingPoint) -> Lambd
 def shared_distance(atlas: Atlas, at: Callable, bp: BuildingPoint, bq: BuildingPoint) -> LambdaScalar:
     """The distance of two points in the charts holding both, from each point's one pass ``at(chart, point)``
     (:meth:`Atlas.at`, or a run's cache of it), which gives its mask and its pairings.  The metric is
-    invariant under the affine Weyl group, so in chart j it is d(p, t_cj^-1 t_dj q), measured once per distinct key
-    (id of t_cj, id of t_dj) through :meth:`Atlas.through` with the map applied to q's pass (:meth:`Apartment.move_pass`),
+    invariant under the affine Weyl group, so in chart j it is d(p, t_cj^-1 t_dj q), measured once per distinct map
+    t_cj^-1 t_dj (:meth:`Atlas.through` of the ids of t_cj and t_dj) applied to q's pass (:meth:`Apartment.move_pass`),
     not to q.  The lowest shared chart's value is the distance; any other disagrees."""
     ap = atlas.apartment
     held_p, *pp = at(bp.chart, bp.point)
@@ -450,10 +453,8 @@ def shared_distance(atlas: Atlas, at: Callable, bp: BuildingPoint, bq: BuildingP
         )
     c, d, value_of, values = bp.chart, bq.chart, atlas.value_of, {}
     for j in charts_of(shared):
-        key = (value_of[(c, j)], value_of[(d, j)])
-        if key not in values:
-            iso = atlas.through(*key)
-            values[key] = ap.pass_metric(pp, pq if iso is None else ap.move_pass(iso, pq))
+        if (iso := atlas.through(value_of[(c, j)], value_of[(d, j)])) not in values:
+            values[iso] = ap.pass_metric(pp, pq if iso is None else ap.move_pass(iso, pq))
     first, *others = values.values()
     if any(v != first for v in others):
         raise DistanceDisagreementError(

@@ -44,7 +44,6 @@ from .atlas import (
     validate,
 )
 from .lexq import LambdaScalar
-from .linarith import feasible
 
 PASS = "pass"
 FAIL = "fail"
@@ -273,10 +272,9 @@ def check_a6(atlas: Atlas) -> AxiomReport:
 
 
 def recheck_a6_counterexample(atlas: Atlas, i: int, j: int, k: int) -> bool:
-    """Re-verify an A6 failure certificate: the joint system really is infeasible."""
+    """Re-verify an A6 failure certificate, FM's empty triple, by the other rule: the normal form is empty too."""
     ap = atlas.apartment
-    triple = ap.intersect(atlas.overlap_region(i, j), atlas.overlap_region(i, k))
-    return not feasible(ap.region_system(triple), ap.lex_rank).sat
+    return ap.bounds(ap.intersect(atlas.overlap_region(i, j), atlas.overlap_region(i, k))) is None
 
 
 # -- EC ----------------------------------------------------------------------
@@ -389,14 +387,15 @@ class Retraction:
 
     def evaluate(self, bp: BuildingPoint) -> BuildingPoint:
         """The point's image, read in the charts holding both it and the germ."""
-        iso, _ = self.map_at(self.atlas.at, bp)
+        iso, *_ = self.map_at(self.atlas.at, bp)
         return BuildingPoint(self.chart, iso.apply(bp.point))
 
-    def map_at(self, at: Callable, bp: BuildingPoint) -> tuple[AffineIsometry, Pass]:
+    def map_at(self, at: Callable, bp: BuildingPoint) -> tuple[AffineIsometry, Pass, Optional[Pass]]:
         """The map carrying the point into the target chart, with the point's pass ``at(chart, point)``
         (:meth:`Atlas.at`, or a run's ``Sample.at``): the composite of the lowest chart holding both
         it and the germ.  Every other distinct composite must move the pass to the same pass
-        (:meth:`Apartment.move_pass`; equal passes have all :meth:`Apartment.pass_signs` zero)."""
+        (:meth:`Apartment.move_pass`; equal passes have all :meth:`Apartment.pass_signs` zero), so with two
+        or more the image's pass is moved here, and returned third; with one, the third is None."""
         held, *pass_ = at(bp.chart, bp.point)
         c, value_of, composites = bp.chart, self.atlas.value_of, {}
         for b in charts_of(held & self.mask):
@@ -409,12 +408,13 @@ class Retraction:
                 f"@{self.atlas.name(bp.chart)}"
             )
         first, *others = composites.values()
+        image = None
         if others:
             ap = self.atlas.apartment
             image = ap.move_pass(first, pass_)
             if any(any(ap.pass_signs(ap.move_pass(f, pass_), image)) for f in others):
                 raise TheoremViolation("retraction value depends on the chart chosen")
-        return first, pass_
+        return first, pass_, image
 
 
 def build_retraction(atlas: Atlas, germ: BuildingGerm, chart: int) -> Retraction:
@@ -429,7 +429,7 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
     target.  The metric is W-invariant, so a pair sharing a chart b of the maps keeps its distance (maps[b] after
     t moves both, and :meth:`Retraction.map_at` checks that every composite gives one image): its images are not
     measured.  Distances read the sample's passes (:func:`shared_distance` from ``at``), and so does each image's
-    pass, once per target and point: :meth:`Retraction.map_at` moves the point's pass, so no image point is built
+    pass, moved once per target and point (:meth:`Retraction.map_at`), so no image point is built
     or located.  A run measures each distinct pair of sampled points once."""
     report = AxiomReport("A5")
     atlas, points = sample.atlas, sample.points
@@ -454,7 +454,8 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
         images: dict[BuildingPoint, Pass | str] = {}  # each image's pass, or the detail of why there is none
         for bp in points:
             try:
-                images[bp] = ap.move_pass(*rho.map_at(sample.at, bp))
+                iso, pass_, image = rho.map_at(sample.at, bp)
+                images[bp] = ap.move_pass(iso, pass_) if image is None else image
             except TheoremViolation as exc:
                 images[bp] = str(exc).replace(" ", "_")
         for bp, bq in _cap_pairs(points, samples, sample.seed, f"a5:{atlas.name(chart)}"):
@@ -632,7 +633,7 @@ def finite_cover(atlas: Atlas, germ: BuildingGerm, chart_b: int) -> CoverResult:
                 region = ap.transform_region(
                     ap.intersect(ap.sector_region(sector), t.region), t.iso
                 )
-            if not ap.region_feasible(region).sat:
+            if ap.bounds(region) is None:
                 continue
             pieces.append((region, carrier))
     # Keep maximal pieces only; duplicates add nothing to the union.

@@ -529,7 +529,7 @@ def test_a5_measures_no_pair_a_chart_of_the_maps_holds(seed):
                 if not sample.held(bp) & sample.held(bq) & rho.mask:
                     continue
                 try:
-                    ry, rz = (ap.move_pass(*rho.map_at(sample.at, b)) for b in (bp, bq))
+                    ry, rz = (ap.move_pass(*rho.map_at(sample.at, b)[:2]) for b in (bp, bq))
                     original = shared_distance(atlas, sample.at, bp, bq)
                 except (TheoremViolation, DistanceDisagreementError):
                     continue
@@ -1002,6 +1002,39 @@ COVER_SHA256 = "2c0233b0e56691591003382320c8ab4e70529a71f796b009bb5e8a64e14938fc
 
 def test_finite_cover_results_are_pinned():
     assert cover_digest() == COVER_SHA256
+
+
+def origin_cover_digest(atlas):
+    """sha256 of finite_cover's verdict, pieces by halves and uncovered point for every germ at the
+    origin, in every chart and direction, against every target chart."""
+    ap = atlas.apartment
+    digest = hashlib.sha256()
+    for c in atlas.charts():
+        for w in ap.directions():
+            germ = BuildingGerm(c, ap.sector(ap.origin(), w))
+            for b in atlas.charts():
+                r = finite_cover(atlas, germ, b)
+                digest.update(f"{(r.verdict, [(region.halves, chart) for region, chart in r.pieces], r.uncovered)!r}\n".encode())
+    return digest.hexdigest()
+
+
+# Measured when finite_cover's maximal-piece scan decided containment by FM, one solve per half.
+ORIGIN_COVER_SHA256 = {
+    "fan(3,A2)": "1e6e1e49101ba219a24102466ada86733599c866dd1da5900a32f93a0b9d684c",
+    "fan(4,A2)": "fa12e72bd779cb77988acd11feffcad8a5206eee1b340e1f1e757496093a4b5f",
+    "fan(5,A2)": "9685ff088365fad6508321d7928785b2a3fe56c08170758438e0e8dfb1593926",
+    "fan(3,B2)": "b54f06eb36a9cdbe0b5c62acc4dcf4fb45a5253d5c1af1ac46a93cbe70e8d18e",
+    "fan(4,B2)": "14f75e7d18ea06ae8a08cb9d9c6ccfdb711b23b457a0095cd6ebad9ecb302f5b",
+    "fan(5,B2)": "0d238b6fcee7010c4e71fc06c297e97d5b70d569aefba93092fa7ee0ab0aa0a8",
+}
+
+
+@pytest.mark.parametrize("name", ORIGIN_COVER_SHA256)
+def test_origin_covers_of_the_ladder_fans_are_pinned(name):
+    """Every finite_cover of the ladder fans' origin germs, with containment and emptiness read from the
+    normal form, gives the verdicts, pieces and uncovered points that FM gave."""
+    leaves, roots = name.removeprefix("fan(").removesuffix(")").split(",")
+    assert origin_cover_digest(fan(int(leaves), roots)) == ORIGIN_COVER_SHA256[name]
 
 
 def half_descent_uncovered(ap, regions):

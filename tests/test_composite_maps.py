@@ -116,7 +116,8 @@ def test_composite_rules_agree_with_the_located_path(group):
 def test_map_at_moves_the_point_pass_to_the_image_pass(group):
     """Retraction.map_at's map moves the point's pass to the pass of the image Retraction.evaluate
     gives (all its pass_signs zero), and a run's passes (Sample.at) give the map and pass that
-    Atlas.at gives, or the same failure."""
+    Atlas.at gives, or the same failure.  With two or more composite keys, map_at returns the
+    image's pass it moved for its check; with one, it moves nothing."""
     counts = Counter()
     for atlas in atlases(group):
         ap = atlas.apartment
@@ -132,9 +133,11 @@ def test_map_at_moves_the_point_pass_to_the_image_pass(group):
                 if isinstance(got[0], type):
                     counts[got[1].split(" ")[0]] += 1
                     continue
-                image = ap.move_pass(*got)
+                iso, pass_, moved = got
+                image = ap.move_pass(iso, pass_)
                 assert not any(ap.pass_signs(image, ap.root_dots(rho.evaluate(bp).point))), (atlas.label, chart, bp)
                 keys = {(rho.map_of[b], atlas.value_of[(bp.chart, b)]) for b in charts_of(sample.held(bp) & rho.mask)}
+                assert (moved is None) == (len(keys) == 1) and (moved is None or moved == image), (atlas.label, chart, bp)
                 counts["several keys" if len(keys) > 1 else "image"] += 1
     assert counts["image"] > 100 and counts["several keys"] > 20 and counts["no"] > 0, counts
     if group == "bent":

@@ -363,7 +363,7 @@ def warmed_tables(build):
     """Weak references to a fresh atlas, its apartment and its root system, after the checkers, the complex
     at infinity and 350 seeded fresh-point distance and coapartment queries, checking the tables they
     keep along the way.  Their keys are regions, charts, directions, roots, sign vectors and transition-value
-    ids, never points: once 50 queries have run, the next 300 add no FM answer, no fit mask and no composite
+    ids, never points: once 50 queries have run, the next 300 add no FM answer, no normal form, no fit mask and no composite
     map, the half rows stay as built, one per overlap region, and each table stays within its finite key set."""
     atlas = build()
     ap, rs = atlas.apartment, atlas.apartment.roots
@@ -380,7 +380,7 @@ def warmed_tables(build):
             g1, g2 = (BuildingGerm(bp.chart, ap.sector(bp.point, rng.choice(directions))) for bp in (p, q))
             germ_coapartment(atlas, g1, g2)
         sizes.append((ap.region_feasible.cache_info().currsize, atlas._fit.cache_info().currsize, atlas.through.cache_info().currsize,
-                      ap.rows.cache_info().currsize))
+                      ap.rows.cache_info().currsize, ap.bounds.cache_info().currsize, ap.bases.cache_info().currsize))
         assert atlas.half_rows == half_rows
     assert sizes[0] == sizes[1], sizes
     assert 0 < sizes[1][2] <= len(atlas.isos) ** 2
@@ -402,3 +402,22 @@ def test_tables_stay_bounded_and_die_with_their_object(build):
     refs = warmed_tables(build)
     gc.collect()
     assert [ref() for ref in refs] == [None] * 3
+
+
+def test_atlas_and_apartment_die_by_reference_count():
+    """With the cyclic collector off, lambda_tree(3) and its apartment are freed as soon as the last
+    reference goes, after a run of the checkers: their tables live in their own dicts and call their
+    methods through a weak proxy, so no table holds a bound method or closure of its own object.  A
+    root system and its Weyl elements reference each other, so the root system may stay until the
+    collector runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        atlas = fixtures.lambda_tree(3)
+        run_axioms(atlas, AXIOM_ORDER, samples=40)
+        refs = weakref.ref(atlas), weakref.ref(atlas.apartment)
+        del atlas
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()

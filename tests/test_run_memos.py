@@ -16,12 +16,14 @@ from functools import cache
 
 import pytest
 
+import lbk.apartment
 import lbk.axioms
 from lbk.apartment import AffineIsometry, Apartment, format_point
 from lbk.atlas import BuildingPoint, BuildingSector, DistanceDisagreementError, charts_of, global_distance, shared_distance
 from lbk.axioms import _CHECKERS, Sample, equivalence_suite
 from lbk.fixtures import fan, lambda_tree
-from report_digest import LADDER
+from lbk.infinity import infinity_complex
+from report_digest import LADDER, build as build_member
 from test_axioms import bent_tree
 from test_composite_maps import outcome as answer
 from test_golden import fm_fallback
@@ -160,8 +162,9 @@ def composite_keys(atlas, bp, bq):
 
 
 def test_global_distance_measures_once_per_composite_key(monkeypatch):
-    """Outside a run nothing is memoized: one pass_metric call per distinct composite key
-    of the shared charts, again on every call."""
+    """Outside a run nothing is memoized: one pass_metric call per distinct composite map
+    t_cj^-1 t_dj (Atlas.through of a composite key) of the shared charts, again on every call.
+    Distinct keys may give one map, so there are fewer calls than keys."""
     atlas = lambda_tree(5, 1)
     points = Sample(atlas).points
     calls = []
@@ -171,6 +174,9 @@ def test_global_distance_measures_once_per_composite_key(monkeypatch):
         calls.append((pp, pq))
         return metric(self, pp, pq)
 
+    def maps(bp, bq):
+        return {atlas.through(*key) for key in composite_keys(atlas, bp, bq)}
+
     monkeypatch.setattr(Apartment, "pass_metric", counted)
     fewer = 0
     for bp in points:
@@ -178,13 +184,13 @@ def test_global_distance_measures_once_per_composite_key(monkeypatch):
             if keys := composite_keys(atlas, bp, bq):
                 calls.clear()
                 global_distance(atlas, bp, bq)
-                assert len(calls) == len(keys)
-                fewer += len(keys) < len(charts_of(atlas.holding(bp) & atlas.holding(bq)))
+                assert len(calls) == len(maps(bp, bq))
+                fewer += len(maps(bp, bq)) < len(keys)
     assert fewer > 100, fewer
     for _ in range(2):
         calls.clear()
         global_distance(atlas, points[0], points[1])
-        assert len(calls) == len(composite_keys(atlas, points[0], points[1]))
+        assert len(calls) == len(maps(points[0], points[1]))
 
 
 @pytest.mark.parametrize("build", [lambda: bent_tree((1, 2)), fm_fallback], ids=["bent_tree(1,2)", "fm_fallback"])
@@ -227,3 +233,32 @@ def test_ladder_memo_misses_are_pinned(monkeypatch):
     assert len(samples) == len(LADDER)
     assert sum(misses(sample) for sample in samples) == 391
     assert (calls["apply"], calls["metric"], calls["root_dots"]) == (198, 0, 706)
+
+
+def test_ladder_pass_work_is_pinned(monkeypatch):
+    """One pass over fresh ladder members at seed 0, as the benchmark's ladder op runs it (the suite at 80
+    samples, then the complex at infinity), builds 72 normal forms (Apartment.bounds misses), one per
+    distinct region it asks about, and solves 46 FM systems, all of them A6 witnesses.  Distances measure
+    once per distinct composite map (4,194 pass metrics), and A5 moves each image's pass once (3,774 pass
+    moves).  A memo lost, or a pass moved twice, moves one of these numbers."""
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(lbk.apartment, "feasible")
+    counted(Apartment, "move_pass")
+    counted(Apartment, "pass_metric")
+    builds = 0
+    for _, *spec in LADDER:
+        atlas = build_member(*spec)
+        equivalence_suite(atlas, samples=80, seed=0)
+        infinity_complex(atlas)
+        builds += atlas.apartment.bounds.cache_info().misses
+    assert (builds, calls["feasible"], calls["pass_metric"], calls["move_pass"]) == (72, 46, 4194, 3774)
