@@ -4,11 +4,13 @@ Points are tuples of :class:`~lbk.lexq.LambdaScalar` holding the coefficients
 of a vector in the simple-root base.  All set-valued reasoning happens through
 :class:`ConvexRegion` (finite intersections of half-apartments).  A point's
 membership is one integer pass over the positive roots, read against a region's
-halves as int rows by one rule that also decides germs (:meth:`Apartment.holds`);
-a sector's is one sign pass over the same roots (:meth:`Apartment.sector_walls`);
-and an isometry moves a point in one ``M x + s`` pass (:meth:`AffineIsometry.apply`).  Distances, sector signs and moved points' passes are
-read off passes by cross-multiplying their ints (:meth:`Apartment.pass_metric`, :meth:`Apartment.pass_signs`,
-:meth:`Apartment.move_pass`).  Sector, panel and germ fits are cone-sign tests (:meth:`Apartment.caps`), and
+halves as int rows (:meth:`Apartment.holds`).  Every side-of-a-wall test is one primitive: the sign of a pass
+against a wall, cross-multiplied as ints (:meth:`Apartment.sign`), read by one half rule that also decides germs
+(:meth:`Apartment.admits`); region, cell-table, sector and pass-to-pass tests all read these two
+(:meth:`Apartment.pass_signs`, :meth:`Apartment.sector_through`).  An isometry moves a point in one ``M x + s``
+pass (:meth:`AffineIsometry.apply`), and distances and moved points' passes are read off passes by
+cross-multiplying their ints (:meth:`Apartment.pass_metric`, :meth:`Apartment.move_pass`).  Sector, panel and germ
+fits are cone-sign tests (:meth:`Apartment.caps`), and
 half-apartment shapes are read from one shared root (:meth:`Apartment.region_half`).  Emptiness, containment,
 equality and the cocycle's row checks read one normal form, the region's tight root bounds (:meth:`Apartment.bounds`),
 from its basic dual solutions (:meth:`Apartment.floor`); Fourier-Motzkin runs only where a witness point is used
@@ -193,8 +195,8 @@ class Apartment:
         self.cone_basis: tuple[tuple[Fraction, ...], ...] = tuple(
             tuple(self._inverse[j][i] for j in range(self.rank)) for i in range(self.rank)
         )
-        memoize(self, "region_feasible", "bases", "bounds", "region_satisfies", "rows", "cone_slopes", "sector_walls", "pass_moves",
-                "sector_through", "sector_with_germ")
+        memoize(self, "region_feasible", "bases", "block", "bounds", "region_satisfies", "rows", "cone_slopes", "sector_walls",
+                "pass_moves", "sector_through")
 
     # -- scalars and points ---------------------------------------------
 
@@ -308,10 +310,8 @@ class Apartment:
             return LinearConstraint(row, GE, h.bound)
         return LinearConstraint(tuple(-c for c in row), GE, -h.bound)
 
-    def region_system(self, region: ConvexRegion, extra: Sequence[LinearConstraint] = ()) -> ConstraintSystem:
-        return ConstraintSystem(
-            self.rank, tuple(self.half_constraint(h) for h in region.halves) + tuple(extra)
-        )
+    def region_system(self, region: ConvexRegion) -> ConstraintSystem:
+        return ConstraintSystem(self.rank, tuple(self.half_constraint(h) for h in region.halves))
 
     def root_dots(self, p: Point) -> Pass:
         """(d, dots): per positive root beta_k, the lex components of d * (beta_k, p) as ints
@@ -331,10 +331,9 @@ class Apartment:
         return LambdaScalar.sum_abs(diffs, self.lex_rank, dp * dq)
 
     def pass_signs(self, pt: Pass, pb: Pass) -> tuple[int, ...]:
-        """Per positive root beta_k, the sign of (beta_k, t - b), cross-multiplied from the passes of t and b."""
-        (dt, t), (db, b) = pt, pb
-        pairs = (([a * db for a in x], [a * dt for a in y]) for x, y in zip(t, b))
-        return tuple((x > y) - (x < y) for x, y in pairs)
+        """Per positive root beta_k, the sign of (beta_k, t - b): the :meth:`sign` of t's pass against b's dots over b's d."""
+        sign, (db, b) = self.sign, pb
+        return tuple([sign(pt, k, nums, db) for k, nums in enumerate(b)])
 
     def move_pass(self, iso: AffineIsometry, pp: Pass) -> Pass:
         """The pass of iso(p) from p's pass, with no point moved: (beta_k, w p + s) = e * (beta_j, p) + (beta_k, s)
@@ -353,19 +352,28 @@ class Apartment:
         :meth:`half` stores, and the bound is nums/den, for :meth:`holds`.  Cached per region."""
         return tuple((self._positive_index[h.root], h.sense, *h.bound.ints) for h in region.halves)
 
-    def holds(self, rows: Rows, pass_: Pass, direction: Optional[WeylElement] = None) -> bool:
-        """Do the halves of these :meth:`rows` hold the point of this pass (:meth:`root_dots`)?  The one
-        membership rule: each half asks sense * (pairing - bound) >= 0, by cross-multiplying the ints of the
-        pairing and of the bound, so no scalar is built.  Given a direction, do they hold a chunk of the
-        direction-w germ at the point?  A half the point satisfies strictly keeps a positive gap, so a small
-        enough eps > 0 along every generator of the cone stays inside it; a half tight at the point, where
-        the two sides are equal, holds the germ only when it caps no generator (:meth:`caps`)."""
+    def sign(self, pass_: Pass, k: int, nums: Sequence[int], den: int) -> int:
+        """The one side test: the sign of (beta_k, p) - nums/den for the point p of this pass (:meth:`root_dots`), for
+        den > 0.  It is the sign of the first nonzero lex component of dots[k] * den - nums * d, cross-multiplied as ints."""
         d, dots = pass_
+        for x, n in zip(dots[k], nums):
+            if c := x * den - n * d:
+                return 1 if c > 0 else -1
+        return 0
+
+    def admits(self, k: int, sense: int, side: int, direction: Optional[WeylElement] = None) -> bool:
+        """The one half rule: does the half sense * (beta_k, v) >= sense * bound hold a point on this side of its wall
+        (:meth:`sign`), or, given a direction, a chunk of the direction's germ there?  A point off the wall on the half's
+        side keeps a positive gap, so a small enough step along every generator of the cone stays inside; a point on the
+        wall holds the germ only when the half caps no generator (:meth:`caps`)."""
+        return side * sense > 0 or not side and (direction is None or not self.caps(direction, self.roots.positive_roots[k], sense))
+
+    def holds(self, rows: Rows, pass_: Pass, direction: Optional[WeylElement] = None) -> bool:
+        """Do the halves of these :meth:`rows` hold the point of this pass (:meth:`root_dots`), or, given a direction,
+        a chunk of its germ?  The one membership rule: each half :meth:`admits` the point's :meth:`sign` at its wall."""
+        sign, admits = self.sign, self.admits
         for k, sense, nums, den in rows:
-            a, b = [x * den for x in dots[k]], [n * d for n in nums]
-            if a < b if sense > 0 else a > b:
-                return False
-            if direction is not None and a == b and self.caps(direction, self.roots.positive_roots[k], sense):
+            if not admits(k, sense, sign(pass_, k, nums, den), direction):
                 return False
         return True
 
@@ -408,16 +416,21 @@ class Apartment:
         tightest = dict(sorted(((tuple(h.sense * c for c in h.root), h.bound * h.sense) for h in region.halves), key=lambda rc: rc[1]))
         out = []
         for subset in (s for k in range(1, self.rank + 1) for s in combinations(tightest.items(), k)):
-            rows = [r for r, _ in subset]
-            for cols in combinations(range(self.rank), len(rows)):
-                try:
-                    inverse = _invert([[r[c] for c in cols] for r in rows])
-                except ValueError:
-                    continue
-                den = lcm(*(x.denominator for row in inverse for x in row))
-                out.append((rows, [b for _, b in subset], cols, [[int(x * den) for x in col] for col in zip(*inverse)], den))
-                break
+            if (block := self.block(rows := tuple(r for r, _ in subset))) is not None:
+                out.append((rows, [b for _, b in subset], *block))
         return tuple(out)
+
+    def block(self, rows: tuple[Root, ...]) -> Optional[tuple]:
+        """For :meth:`bases`, cached per tuple of signed rows: the first k columns on which k rows are independent and the
+        inverse of that block as int columns over one denominator, (cols, columns, den); None for dependent rows."""
+        for cols in combinations(range(self.rank), len(rows)):
+            try:
+                inverse = _invert([[r[c] for c in cols] for r in rows])
+            except ValueError:
+                continue
+            den = lcm(*(x.denominator for row in inverse for x in row))
+            return cols, tuple(tuple(int(x * den) for x in col) for col in zip(*inverse)), den
+        return None
 
     def floor(self, region: ConvexRegion, target: Sequence[Fraction]) -> Optional[LambdaScalar]:
         """inf (target, x) over a nonempty region, for a rational target in simple-root coordinates, or None when it is
@@ -515,8 +528,8 @@ class Apartment:
         return tuple((index[tuple(map(abs, r))], 1 if max(r) > 0 else -1) for r in self.sector_roots(direction))
 
     def sector_contains_point(self, s: Sector, signs: tuple[int, ...]) -> bool:
-        """Is p in the sector, given the signs of (beta, p - base) (:meth:`pass_signs`)?  Read off at its walls."""
-        return all(c * signs[k] >= 0 for k, c in self.sector_walls(s.direction))
+        """Is p in the sector, given the signs of (beta, p - base) (:meth:`pass_signs`)?  Each wall :meth:`admits` it."""
+        return all(self.admits(k, c, signs[k]) for k, c in self.sector_walls(s.direction))
 
     def sectors_parallel(self, s: Sector, t: Sector) -> bool:
         """Parallel means bounded distance; inside one apartment, same direction."""
@@ -582,22 +595,15 @@ class Apartment:
     def directions(self) -> list[WeylElement]:
         return self.roots.weyl_elements()
 
-    def sector_through(self, signs: tuple[int, ...]) -> WeylElement:
-        """The direction of the first sector at a base (in direction order) holding a target, cached per signs of (beta, target - base)."""
+    def sector_through(self, signs: tuple[int, ...], direction: Optional[WeylElement] = None) -> WeylElement:
+        """The direction of the first sector at a base, in direction order, whose walls all :meth:`admits` a target, given the
+        signs of (beta, target - base) (:meth:`pass_signs`); given a direction, a chunk of that germ at the target.
+        Cached per (signs, direction)."""
+        admits = self.admits
         for w in self.directions():
-            if all(c * signs[k] >= 0 for k, c in self.sector_walls(w)):
+            if all(admits(k, c, signs[k], direction) for k, c in self.sector_walls(w)):
                 return w
-        raise AssertionError("direction cones cover the apartment")
-
-    def sector_with_germ(self, direction: WeylElement, signs: tuple[int, ...]) -> WeylElement:
-        """The direction of the first sector at a base holding a chunk of a germ of this direction (:meth:`region_contains_germ`), cached per
-        (direction, signs of (beta, germ base - base)): the germ's base lies in the sector, and no wall through it caps the germ's cone."""
-        positive = self.roots.positive_roots
-        for w in self.directions():
-            walls = self.sector_walls(w)
-            if all(c * signs[k] > 0 or not signs[k] and not self.caps(direction, positive[k], c) for k, c in walls):
-                return w
-        raise AssertionError("the sectors at a base hold every germ")
+        raise AssertionError("the sectors at a base hold every point and germ")
 
     # -- classification --------------------------------------------------------
 

@@ -4,9 +4,9 @@ An :class:`Atlas` is a finite presentation of a pair (point set, chart family): 
 copies of the model apartment, plus for ordered chart pairs an overlap region and the isometry
 identifying it with a region of the other chart.  Point equality and :meth:`Atlas.holding`, the one chart
 search, are one-hop, sound only for a closed gluing; :func:`validate` does not check closure (ROADMAP item 2).
-The charts holding a point or germ are constant on each face of the arrangement of its chart's walls, so a cell table keeps them
-per sign vector of one integer pass at those walls, and a miss asks the chart's half rows (:meth:`Atlas.point_mask`,
-:meth:`Atlas.germ_mask`).  A pass is carried between charts without moving its point (:meth:`Atlas.carry_pass`).
+The charts holding a point or germ are constant on each face of the arrangement of its chart's walls, so one cell table keeps
+them per sign vector of one integer pass at those walls (:meth:`Apartment.sign`), and a miss asks the chart's half rows
+(:meth:`Atlas.mask`).  A pass is carried between charts without moving its point (:meth:`Atlas.carry_pass`).
 A point's copy in each chart holding it is :meth:`Atlas.locate_point`; a held germ or sector moves by :meth:`Atlas.move_held`.
 The atlas numbers its distinct transition isometries, and since the metric is invariant under the affine Weyl group,
 a distance is measured once per distinct composite map t_cj^-1 t_dj (:meth:`Atlas.through`), from the two points'
@@ -156,7 +156,7 @@ class Atlas:
                 self._meeting[i][h] = self._meeting[i].get(h, 0) | 1 << j
         # Per chart and overlap class, its halves as int rows (Apartment.rows) and its chart mask, for holding.
         self.half_rows = [[(apartment.rows(self.regions[c]), js) for c, js in classes.items()] for classes in self.overlap_classes]
-        # Per chart, the distinct walls (k, nums, den) of its half rows, and the cell table of _mask: point and germ masks
+        # Per chart, the distinct walls (k, nums, den) of its half rows, and the cell table of mask: point and germ masks
         # keyed (chart, signs at the chart's walls, w), w None for a point, so at most 3^walls keys per chart and w.
         self.walls = [tuple(dict.fromkeys((k, nums, den) for rows, _ in pairs for k, _, nums, den in rows)) for pairs in self.half_rows]
         self._cells: dict[tuple[int, tuple[int, ...], Optional[WeylElement]], int] = {}
@@ -233,45 +233,28 @@ class Atlas:
         return self.read(self.at, item)
 
     def at(self, chart: int, point: Point) -> tuple[int, int, list[list[int]]]:
-        """(mask, d, dots): one pass (d, dots) over the point (:meth:`Apartment.root_dots`) and its :meth:`point_mask`."""
-        return self.point_mask(chart, pass_ := self.apartment.root_dots(point)), *pass_
+        """(mask, d, dots): one pass (d, dots) over the point (:meth:`Apartment.root_dots`) and its :meth:`mask`."""
+        return self.mask(chart, pass_ := self.apartment.root_dots(point)), *pass_
 
-    def point_mask(self, chart: int, pass_: Pass) -> int:
-        """The charts holding the point of a chart's pass: its own and each class whose half rows hold it (:meth:`_mask`)."""
-        return self._mask(chart, pass_, None)
-
-    def germ_mask(self, chart: int, pass_: Pass, w: WeylElement) -> int:
-        """The charts holding the direction-w germ at the point of a chart's pass: its own and each class whose
-        half rows hold the germ (:meth:`_mask`), all within the point's mask."""
-        return self._mask(chart, pass_, w)
-
-    def _mask(self, chart: int, pass_: Pass, w: Optional[WeylElement]) -> int:
-        """Bit chart and each class whose rows hold the point (w None) or its direction-w germ (:meth:`Apartment.holds`),
-        read from the cell table by the pass's sign at each of the chart's walls: the sign of the first nonzero lex
-        component of the pairing less the bound, cross-multiplied as holds does.  holds reads a half only by that sign, and
-        a tight half by whether it caps a generator of w's cone, so an entry is exact; a miss asks holds of each class,
-        for a germ each class holding the point."""
-        d, dots = pass_
-        signs = ()
-        for k, nums, den in self.walls[chart]:
-            for x, n in zip(dots[k], nums):
-                if c := x * den - n * d:
-                    signs += (1 if c > 0 else -1),
-                    break
-            else:
-                signs += 0,
+    def mask(self, chart: int, pass_: Pass, w: Optional[WeylElement] = None) -> int:
+        """The charts holding the point of a chart's pass (w None) or its direction-w germ: bit chart and each class
+        whose half rows hold it (:meth:`Apartment.holds`), read from the cell table, keyed by the pass's
+        :meth:`Apartment.sign` at each of the chart's walls.  holds reads a half only through :meth:`Apartment.admits`
+        of that sign, so an entry is exact; a miss asks holds of each class, for a germ each class holding the point."""
+        sign = self.apartment.sign
+        signs = tuple([sign(pass_, k, nums, den) for k, nums, den in self.walls[chart]])  # a list builds faster than a generator
         if (mask := self._cells.get(key := (chart, signs, w))) is None:
-            holds, held = self.apartment.holds, -1 if w is None else self._mask(chart, pass_, None)
+            holds, held = self.apartment.holds, -1 if w is None else self.mask(chart, pass_)
             mask = self._cells[key] = sum((js for rows, js in self.half_rows[chart] if js & held and holds(rows, pass_, w)), 1 << chart)
         return mask
 
     def read(self, at: Callable, item: BuildingPoint | BuildingGerm | BuildingSector) -> int:
         """The charts holding an item, from the pass ``at(chart, point or base)`` (:meth:`at`).  A whole sector lies
         in a class exactly when its base does and the class caps no generator of its cone, and one chart's class
-        masks are disjoint: so its mask is its base's AND :meth:`fitting`.  A germ's is its :meth:`germ_mask`."""
+        masks are disjoint: so its mask is its base's AND :meth:`fitting`.  A germ's is its :meth:`mask` given its direction."""
         mask, *pass_ = at(item.chart, item.point if isinstance(item, BuildingPoint) else item.sector.base)
         if isinstance(item, BuildingGerm):
-            return self.germ_mask(item.chart, pass_, item.sector.direction)
+            return self.mask(item.chart, pass_, item.sector.direction)
         return mask & self.fitting(item.chart, item.sector.direction) if isinstance(item, BuildingSector) else mask
 
     def carry_pass(self, i: int, j: int, pass_: Pass) -> Pass:

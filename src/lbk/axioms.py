@@ -500,8 +500,8 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
     (c1, w1), (c2, w2) = (g1.chart, g1.sector.direction), (g2.chart, g2.sector.direction)
     pass1 = ap.root_dots(g1.base)
     pass2 = pass1 if c1 == c2 and g1.base == g2.base else ap.root_dots(g2.base)
-    held1, held2 = atlas.point_mask(c1, pass1), atlas.point_mask(c2, pass2)
-    germ1, germ2 = atlas.germ_mask(c1, pass1, w1), atlas.germ_mask(c2, pass2, w2)
+    held1, held2 = atlas.mask(c1, pass1), atlas.mask(c2, pass2)
+    germ1, germ2 = atlas.mask(c1, pass1, w1), atlas.mask(c2, pass2, w2)
 
     def one_base(chart: int) -> bool:  # are the bases one point in the chart, which holds both: all signs zero?
         return not any(ap.pass_signs(atlas.carry_pass(c1, chart, pass1), atlas.carry_pass(c2, chart, pass2)))
@@ -534,14 +534,14 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
     stages.append(f"points chart={atlas.name(cc)}")
     x, y = atlas.carry_pass(c1, cc, pass1), atlas.carry_pass(c2, cc, pass2)
     connecting = ap.sector_through(ap.pass_signs(y, x))
-    carrier = lowest(germ1 & (held1 if cc == c1 else atlas.point_mask(cc, x)) & atlas.fitting(cc, connecting))
+    carrier = lowest(germ1 & (held1 if cc == c1 else atlas.mask(cc, x)) & atlas.fitting(cc, connecting))
     if carrier is None:
         return direct_scan("no germ+sector chart", "no chart with first germ and connecting sector")
     stages.append(f"germ+sector chart={atlas.name(carrier)}")
     y_there = atlas.carry_pass(cc, carrier, y)  # the carrier holds the connecting sector, so y
     signs = ap.pass_signs(x if carrier == cc else atlas.carry_pass(c1, carrier, pass1), y_there)
-    pivot = ap.sector_with_germ(atlas.carry_direction(c1, carrier, w1), signs)
-    final = lowest(germ2 & atlas.point_mask(carrier, y_there) & atlas.fitting(carrier, pivot))
+    pivot = ap.sector_through(signs, atlas.carry_direction(c1, carrier, w1))
+    final = lowest(germ2 & atlas.mask(carrier, y_there) & atlas.fitting(carrier, pivot))
     if final is None:
         return direct_scan("descent exhausted", "descent exhausted")
     stages.append(f"final chart={atlas.name(final)}")
@@ -568,15 +568,15 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
     ap = atlas.apartment
     c0, w0 = germ.chart, germ.sector.direction
     pass_g, pass_y = ap.root_dots(germ.base), ap.root_dots(y)
-    mask, held_y = atlas.germ_mask(c0, pass_g, w0), atlas.point_mask(chart_b, pass_y)
+    mask, held_y = atlas.mask(c0, pass_g, w0), atlas.mask(chart_b, pass_y)
     there = {c: (atlas.carry_pass(chart_b, c, pass_y), atlas.carry_pass(c0, c, pass_g)) for c in charts_of(mask & held_y)}
     best = None
     for w in ap.directions():
-        bprime = lowest(mask & atlas.germ_mask(chart_b, pass_y, w))
+        bprime = lowest(mask & atlas.mask(chart_b, pass_y, w))
         if bprime is None:
             continue
         y_here, g_here = there[bprime]
-        pivot = ap.sector_with_germ(atlas.carry_direction(c0, bprime, w0), ap.pass_signs(g_here, y_here))
+        pivot = ap.sector_through(ap.pass_signs(g_here, y_here), atlas.carry_direction(c0, bprime, w0))
         delta = pivot.inverse() * atlas.carry_direction(chart_b, bprime, w)  # germ_distance, pivot and candidate at y
         key = (-delta.length, w.word)
         if best is None or key < best[0]:
@@ -585,7 +585,7 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
         return OppositeResult(INCONCLUSIVE)
     _, w, bprime, pivot, delta = best
     t_sector = ap.sector(y, w)
-    pivot_mask = atlas.point_mask(bprime, there[bprime][0]) & atlas.fitting(bprime, pivot)
+    pivot_mask = atlas.mask(bprime, there[bprime][0]) & atlas.fitting(bprime, pivot)
     cochart = lowest(pivot_mask & held_y & atlas.fitting(chart_b, w))
     if cochart is None or not mask >> cochart & 1:
         return OppositeResult(INCONCLUSIVE, sector=t_sector, maximal_length=delta.length)
@@ -612,13 +612,13 @@ def finite_cover(atlas: Atlas, germ: BuildingGerm, chart_b: int) -> CoverResult:
     spent, or with the first cell witness that no piece holds as ``uncovered``; PASS when every cell is held."""
     ap = atlas.apartment
     pass_ = ap.root_dots(germ.base)  # the base's pass, carried into each chart holding it, serves every direction
-    base_held = atlas.point_mask(germ.chart, pass_)
-    if (held := atlas.germ_mask(germ.chart, pass_, germ.sector.direction)) >> chart_b & 1:
+    base_held = atlas.mask(germ.chart, pass_)
+    if (held := atlas.mask(germ.chart, pass_, germ.sector.direction)) >> chart_b & 1:
         # The whole chart already shares an apartment with the germ: itself.
         return CoverResult(PASS, [(ap.whole_region(), chart_b)])
     pieces: list[tuple[ConvexRegion, int]] = []
     for c in charts_of(base_held):
-        xc, located = atlas.move_held(germ, c).base, atlas.point_mask(c, atlas.carry_pass(germ.chart, c, pass_))
+        xc, located = atlas.move_held(germ, c).base, atlas.mask(c, atlas.carry_pass(germ.chart, c, pass_))
         for w in ap.directions():
             carrier = lowest(located & atlas.fitting(c, w) & held)
             if carrier is None:

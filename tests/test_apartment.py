@@ -302,7 +302,7 @@ def test_sector_with_germ_finds_a_sector_at_every_base(name, lam):
     caps a generator of the germ's cone.
 
     The sign pass gives the answers of the region scans it replaced:
-    sector_contains_point, sector_through and sector_with_germ agree with
+    sector_contains_point and sector_through, with and without a germ's direction, agree with
     sector regions tested point by point and germ by germ, in direction
     order, with targets at the base and on walls through it."""
     ap = make(name, lam)
@@ -325,7 +325,7 @@ def test_sector_with_germ_finds_a_sector_at_every_base(name, lam):
             for w in dirs:
                 germ = ap.sector(x, w).germ()
                 want = first_sector_by_regions(ap, y, lambda r: ap.region_contains_germ(r, germ))
-                assert ap.sector(y, ap.sector_with_germ(w, signs)) == want
+                assert ap.sector(y, ap.sector_through(signs, w)) == want
     # In rank 1 the only wall through y is y itself.
     assert kinds["at"] == len(bases) and kinds["off"] >= len(bases), kinds
     assert kinds["wall"] >= len(bases) or ap.rank == 1, kinds

@@ -741,7 +741,7 @@ def point_descent(atlas, g1, g2):
     germ_in_carrier = atlas.move_held(g1, carrier)
     stages.append(f"germ+sector chart={atlas.name(carrier)}")
     y_in_carrier = atlas.locate_point(BuildingPoint(cc, y))[carrier]
-    pivot_direction = ap.sector_with_germ(germ_in_carrier.direction, signs(carrier, germ_in_carrier.base, y_in_carrier))
+    pivot_direction = ap.sector_through(signs(carrier, germ_in_carrier.base, y_in_carrier), germ_in_carrier.direction)
     final = lowest(holding(g2) & holding(BuildingSector(carrier, ap.sector(y_in_carrier, pivot_direction))))
     if final is None:
         return direct_scan("descent exhausted", "descent exhausted")

@@ -3,12 +3,11 @@
 A chart's point and germ masks are kept per sign vector at the chart's walls
 (``Atlas.walls``): a half's verdict at a point reads only the point's sign at
 its wall, and a tight half's germ verdict whether it caps a generator.  So
-``Atlas.point_mask`` and ``Atlas.germ_mask`` read a table keyed by (chart,
-signs, direction).  The references below are the per-class ``holds`` loops
+``Atlas.mask`` reads one table keyed by (chart, signs, direction or None).  The references below are the per-class ``holds`` loops
 that ran on every call before, compared on the 40 digest members and
 ``fm_fallback``, at seeded points, the origin, points moved onto each wall and,
-at lex rank 2, an infinitesimal off it on either side.  ``sector_through`` and
-``sector_with_germ`` are tables of their sign vectors, compared with the
+at lex rank 2, an infinitesimal off it on either side.  ``sector_through`` is a
+table of its sign vectors, with no direction or a germ's, compared with the
 direction scans over every sign vector of A1, A2, B2 and G2.
 """
 import random
@@ -82,9 +81,9 @@ def test_cell_table_agrees_with_the_class_scan(name):
             for p in points:
                 pass_ = ap.root_dots(p)
                 mask = scanned_point_mask(atlas, chart, pass_)
-                assert atlas.point_mask(chart, pass_) == mask, (name, chart, p)
+                assert atlas.mask(chart, pass_) == mask, (name, chart, p)
                 for w in ap.directions():
-                    assert atlas.germ_mask(chart, pass_, w) == scanned_germ_mask(atlas, chart, pass_, mask, w), (name, chart, p, w)
+                    assert atlas.mask(chart, pass_, w) == scanned_germ_mask(atlas, chart, pass_, mask, w), (name, chart, p, w)
         keys = [signs for c, signs, w in atlas._cells if c == chart and w is None]
         assert len(keys) <= 3 ** len(atlas.walls[chart]), (name, chart)
         walls_hit |= {k for signs in keys for k, s in enumerate(signs) if s == 0}
@@ -128,8 +127,8 @@ def outcome(scan, *args):
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
 def test_sector_tables_agree_with_the_direction_scans(name):
     """Over every sign vector in {-1, 0, 1}^|positive roots|, realizable or not, each asked twice so that the
-    second call reads the table.  No such vector makes either scan raise, so each table ends with an entry per
-    key.  A vector one sign short makes the scan and the table answer or raise alike, and the table keeps
+    second call reads the table.  No such vector makes either scan raise, so the table ends with an entry per
+    key and per key and direction.  A vector one sign short makes the scan and the table answer or raise alike, and the table keeps
     only the answers."""
     ap = Apartment(build_root_system(name), 1)
     keys = list(product((-1, 0, 1), repeat=len(ap.roots.positive_roots)))
@@ -138,9 +137,8 @@ def test_sector_tables_agree_with_the_direction_scans(name):
             assert outcome(ap.sector_through, signs) == outcome(scanned_sector_through, ap, signs) != "AssertionError", signs
             for w in ap.directions():
                 want = outcome(scanned_sector_with_germ, ap, w, signs)
-                assert outcome(ap.sector_with_germ, w, signs) == want != "AssertionError", (signs, w)
-    assert ap.sector_through.cache_info().currsize == len(keys)
-    assert ap.sector_with_germ.cache_info().currsize == len(ap.directions()) * len(keys)
+                assert outcome(ap.sector_through, signs, w) == want != "AssertionError", (signs, w)
+    assert ap.sector_through.cache_info().currsize == (1 + len(ap.directions())) * len(keys)
     answered, raised = Counter(), 0
     for short in sorted({signs[1:] for signs in keys}):
         for _ in range(2):
@@ -149,9 +147,8 @@ def test_sector_tables_agree_with_the_direction_scans(name):
             answered["through"] += want != "IndexError"
             for w in ap.directions():
                 want = outcome(scanned_sector_with_germ, ap, w, short)
-                assert outcome(ap.sector_with_germ, w, short) == want, (short, w)
+                assert outcome(ap.sector_through, short, w) == want, (short, w)
                 answered["germ"] += want != "IndexError"
                 raised += want == "IndexError"
     assert raised > 0
-    assert ap.sector_through.cache_info().currsize == len(keys) + answered["through"] // 2
-    assert ap.sector_with_germ.cache_info().currsize == len(ap.directions()) * len(keys) + answered["germ"] // 2
+    assert ap.sector_through.cache_info().currsize == (1 + len(ap.directions())) * len(keys) + (answered["through"] + answered["germ"]) // 2

@@ -390,7 +390,7 @@ def warmed_tables(build):
     assert ap.cone_slopes.cache_info().currsize <= group * len(rs.positive_roots)
     assert ap.sector_walls.cache_info().currsize <= group
     signs = 3 ** len(rs.positive_roots)  # sign vectors at the positive roots, or at a chart's walls
-    assert ap.sector_through.cache_info().currsize <= signs and ap.sector_with_germ.cache_info().currsize <= group * signs
+    assert ap.sector_through.cache_info().currsize <= (group + 1) * signs  # per sign vector, with no direction or one
     assert all(sum(c == i for c, _, _ in atlas._cells) <= (group + 1) * 3 ** len(atlas.walls[i]) for i in atlas.charts())
     return weakref.ref(atlas), weakref.ref(ap), weakref.ref(rs)
 

@@ -257,7 +257,8 @@ def germ_by_fm(ap, region, germ):
 
 def satisfies_by_fm(ap, region, c):
     """No point of the region violates c."""
-    return not feasible(ap.region_system(region, (c.negation(),)), ap.lex_rank).sat
+    system = ap.region_system(region)
+    return not feasible(ConstraintSystem(system.nvars, system.constraints + (c.negation(),)), ap.lex_rank).sat
 
 
 def contains_by_fm(ap, outer, inner):
