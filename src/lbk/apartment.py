@@ -411,13 +411,16 @@ class Apartment:
 
     def bases(self, region: ConvexRegion) -> tuple:
         """The region's basic sets, for :meth:`floor`.  Its halves read as rows sense * beta >= sense * bound, the
-        tightest bound per row; per linearly independent set of k <= rank rows: the rows, their bounds, k columns on
-        which they are independent, and the inverse of that block as int columns over one denominator.  Cached per region."""
+        tightest bound per row; per linearly independent set of k <= rank rows: the rows, their bounds, the bounds' lex
+        components as int columns over the region's one denominator, k columns on which the rows are independent, and
+        the inverse of that block as int columns over one denominator.  Cached per region."""
         tightest = dict(sorted(((tuple(h.sense * c for c in h.root), h.bound * h.sense) for h in region.halves), key=lambda rc: rc[1]))
+        d = lcm(*(b.ints[1] for b in tightest.values()))
+        ints = {r: [n * (d // b.ints[1]) for n in b.ints[0]] for r, b in tightest.items()}
         out = []
         for subset in (s for k in range(1, self.rank + 1) for s in combinations(tightest.items(), k)):
             if (block := self.block(rows := tuple(r for r, _ in subset))) is not None:
-                out.append((rows, [b for _, b in subset], *block))
+                out.append((rows, [b for _, b in subset], list(zip(*(ints[r] for r in rows))), *block))
         return tuple(out)
 
     def block(self, rows: tuple[Root, ...]) -> Optional[tuple]:
@@ -435,19 +438,22 @@ class Apartment:
     def floor(self, region: ConvexRegion, target: Sequence[Fraction]) -> Optional[LambdaScalar]:
         """inf (target, x) over a nonempty region, for a rational target in simple-root coordinates, or None when it is
         unbounded below: the greatest sum mu_i c_i over the basic dual solutions, mu >= 0 on one of the region's :meth:`bases`
-        with sum mu_i a_i = target for its rows a_i >= c_i (LP duality; README "Conventions"), mu read as ints over a denominator."""
+        with sum mu_i a_i = target for its rows a_i >= c_i (LP duality; README "Conventions"), mu read as ints over a denominator.
+        The sums are compared as int vectors over one scale, and only the greatest is built as a scalar."""
         scale = lcm(*(x.denominator for x in target))
         t = [int(x * scale) for x in target]
-        best = None if any(t) else self.zero()
-        for rows, bounds, cols, columns, den in self.bases(region):
+        if not any(t):
+            return self.zero()
+        best = None  # the greatest sum so far: its lex components over the region's denominator times den, den, mu, bounds
+        for rows, bounds, comps, cols, columns, den in self.bases(region):
             tc = [t[c] for c in cols]
             mu = [sum(map(mul, tc, col)) for col in columns]
             if min(mu) < 0 or len(rows) < self.rank and any(sum(m * r[c] for m, r in zip(mu, rows)) != den * t[c] for c in range(self.rank)):
                 continue
-            value = LambdaScalar.lincomb(mu, bounds) / (den * scale)
-            if best is None or value > best:
-                best = value
-        return best
+            value = [sum(map(mul, mu, comp)) for comp in comps]
+            if best is None or [v * best[1] for v in value] > [v * den for v in best[0]]:
+                best = value, den, mu, bounds
+        return None if best is None else LambdaScalar.lincomb(best[2], best[3]) / (best[1] * scale)
 
     def bounds(self, region: ConvexRegion) -> Optional[tuple[tuple[Optional[LambdaScalar], Optional[LambdaScalar]], ...]]:
         """The region's normal form, cached per region: per positive root beta_k the :meth:`floor` of beta_k and of

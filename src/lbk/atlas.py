@@ -335,7 +335,8 @@ class ValidationReport:
 
 def validate(atlas: Atlas) -> ValidationReport:
     """Structural checks: symmetry, nonemptiness, closedness, cocycle.  A check reads only its
-    transitions' values, so it is decided once per distinct value pair or triple."""
+    transitions' values, so it is decided once per distinct value pair or triple.  The cocycle triples a pair
+    meets are read from per-value chart masks, and the triples themselves are walked only to write a failure's lines."""
     ap = atlas.apartment
     issues: list[str] = []
     notes: list[str] = []
@@ -375,18 +376,18 @@ def validate(atlas: Atlas) -> ValidationReport:
                 issues.append(f"nonempty: overlap ({atlas.name(i)},{atlas.name(j)}) is empty")
     notes.append("overlaps closed convex by construction (half-apartment constraints)")
 
-    # No transition joins a chart to itself, and pairs are sorted, so triples are distinct and in order.
-    cocycle_checked = 0
-    glued = [atlas.glued(i) for i in atlas.charts()]
-    for (i, j) in pairs:
-        for k in charts_of(glued[i] & glued[j]):
-            cocycle_checked += 1
-            if not cocycle(tid[(i, j)], tid[(j, k)], tid[(i, k)]):
-                issues.append(
-                    "cocycle: composite through "
-                    f"({atlas.name(i)},{atlas.name(j)},{atlas.name(k)}) moves overlap points"
-                )
-    notes.append(f"cocycle triples={cocycle_checked}")
+    # Triple (i, j, k) reads the values (tid[i, j], tid[j, k], tid[i, k]).  by_value[i][c] is the mask of the charts k
+    # with tid[i, k] == c, so pair (i, j) meets (a, b, c) exactly when by_value[j][b] & by_value[i][c] is nonzero.
+    glued, by_value = [atlas.glued(i) for i in atlas.charts()], [{} for _ in atlas.charts()]
+    for (i, k), c in tid.items():
+        by_value[i][c] = by_value[i].get(c, 0) | 1 << k
+    if not all(cocycle(tid[(i, j)], b, c) for (i, j) in pairs for b, ks in by_value[j].items() for c, ls in by_value[i].items() if ks & ls):
+        # A value triple fails: walk the triples for the lines, distinct and in order (pairs are sorted, none is (i, i)).
+        for (i, j) in pairs:
+            for k in charts_of(glued[i] & glued[j]):
+                if not cocycle(tid[(i, j)], tid[(j, k)], tid[(i, k)]):
+                    issues.append(f"cocycle: composite through ({atlas.name(i)},{atlas.name(j)},{atlas.name(k)}) moves overlap points")
+    notes.append(f"cocycle triples={sum((glued[i] & glued[j]).bit_count() for i, j in pairs)}")
     notes.append("chart family is reflection-saturated by representation (precomposition reindexes)")
     return ValidationReport(not issues, issues, notes)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .apartment import (
     AffineIsometry,
@@ -119,11 +119,12 @@ class Sample:
 
     Per chart, in chart order: the origin, then two seeded rational points
     whose numerators and denominators are bounded by 12.  A3 and A5 pair the
-    points, and A4 and SE read the sectors of every direction at the first
-    two points of each chart.  ``at`` (:meth:`Atlas.at`) and ``format`` (:func:`format_point`, for
+    points by index, A4 pairs by index the sectors of every direction at the first
+    two points of each chart, and SE reads them.  ``at`` (:meth:`Atlas.at`) and ``format`` (:func:`format_point`, for
     labels) are :func:`functools.cache` tables that live and die with the sample, so nothing keyed
-    by points outlives the run: one pass per distinct (chart, point), which ``held(bp)``, SE's germ
-    masks, and A5's images (:meth:`Retraction.map_at`) and distances (:func:`shared_distance`) read.
+    by points outlives the run: one pass per distinct (chart, point), which :meth:`indexed`, SE's masks
+    (a sector's base need not be a sample point), and A5's images (:meth:`Retraction.map_at`) and
+    distances (:func:`shared_distance`) read.  A caller may set ``points`` and ``sectors`` by hand.
     """
 
     def __init__(self, atlas: Atlas, seed: int = 0):
@@ -150,8 +151,13 @@ class Sample:
         """The charts holding a sampled point, as a mask, from the run's pass at it."""
         return self.at(bp.chart, bp.point)[0]
 
+    def indexed(self) -> tuple[list[int], list[int]]:
+        """Per point of ``points``, by index, read when a checker starts: the index of its first equal point, and its mask."""
+        first: dict[BuildingPoint, int] = {}
+        return [first.setdefault(bp, i) for i, bp in enumerate(self.points)], list(map(self.held, self.points))
 
-def _cap_pairs(items: list, samples: int, seed: int, tag: str) -> list:
+
+def _cap_pairs(items: Sequence, samples: int, seed: int, tag: str) -> list:
     """All pairs of items in order, or a seeded sample of them.  random.sample
     picks indices from the population's length alone, so sampling the ranks of
     the pairs in combinations order draws what sampling the listed pairs did."""
@@ -212,10 +218,11 @@ def check_a2(atlas: Atlas) -> AxiomReport:
 def check_a3(sample: Sample, samples: int = 60) -> AxiomReport:
     """Every sampled point pair must admit a shared chart."""
     report = AxiomReport("A3")
-    atlas = sample.atlas
-    for bp, bq in _cap_pairs(sample.points, samples, sample.seed, "a3"):
-        chart = shared_chart(bp, bq, sample.held(bp) & sample.held(bq))
-        report.check(_pair_label(atlas, bp, bq, sample.format), None if chart is None else atlas.name(chart), "no-common-chart")
+    atlas, points = sample.atlas, sample.points
+    _, held = sample.indexed()
+    for i, j in _cap_pairs(range(len(points)), samples, sample.seed, "a3"):
+        chart = shared_chart(points[i], points[j], held[i] & held[j])
+        report.check(_pair_label(atlas, points[i], points[j], sample.format), None if chart is None else atlas.name(chart), "no-common-chart")
     return report
 
 
@@ -227,15 +234,18 @@ def check_a4(sample: Sample, samples: int = 200) -> AxiomReport:
     on their charts and directions, so when the sampled pairs pass, the first
     pair of (chart, direction) classes whose fit masks do not meet, in chart
     and ``directions()`` order, is one more fail line, named by the classes'
-    sectors at the chart origin."""
+    sectors at the chart origin.  Sectors are paired by index: a pair's chart is the
+    lowest bit its fit masks share, as in :func:`sector_class_distance`, and each
+    sector's label is built once."""
     report = AxiomReport("A4")
-    atlas = sample.atlas
+    atlas, sectors = sample.atlas, sample.sectors
     ap = atlas.apartment
     label = partial(_sector_label, atlas, fmt=sample.format)
-    for s1, s2 in _cap_pairs(sample.sectors, samples, sample.seed, "a4"):
-        config = f"({label(s1)},{label(s2)})"
-        found = sector_class_distance(atlas, s1, s2)
-        report.check(config, None if found is None else atlas.name(found[1]), "no-chart-holds-both-subsectors")
+    labels = cache(lambda i: label(sectors[i]))
+    fits = [atlas.fitting(bs.chart, bs.sector.direction) for bs in sectors]
+    for i, j in _cap_pairs(range(len(sectors)), samples, sample.seed, "a4"):
+        chart = lowest(fits[i] & fits[j])
+        report.check(f"({labels(i)},{labels(j)})", None if chart is None else atlas.name(chart), "no-chart-holds-both-subsectors")
     if report.verdict == PASS:
         origin = [BuildingSector(c, ap.sector(ap.origin(), w)) for c in atlas.charts() for w in ap.directions()]
         masks = [atlas.fitting(bs.chart, bs.sector.direction) for bs in origin]
@@ -315,7 +325,8 @@ def check_se(sample: Sample) -> AxiomReport:
     rule of :meth:`Apartment.holds` fails: a has a panel incidence exactly when
     the panel is capped and a is outside the germ's mask, read from the base's
     pass in the sample.  For a line it writes, the wall in chart a is read at
-    the base's copy moved there, as the pairing is W-invariant.
+    the base's copy moved there, as the pairing is W-invariant; the charts
+    meeting chart a in either side of a wall are read once per (a, root, bound).
     """
     report = AxiomReport("SE")
     atlas = sample.atlas
@@ -327,11 +338,17 @@ def check_se(sample: Sample) -> AxiomReport:
         capped = ap.capped(w, atlas.regions[c])
         return w.act_root(ap.roots.simple_root(min(capped))) if len(capped) == 1 else None
 
+    @cache
+    def sides(a, root, bound):
+        """The charts meeting chart a in either side of the wall (root, x) = bound, as two masks."""
+        wall = ap.half(root, 1, bound)
+        return [atlas.charts_meeting(a, HalfApartment(wall.root, s, wall.bound)) for s in (1, -1)]
+
     move, pairing = cache(AffineIsometry.apply), cache(ap.pairing)
     for bs in sample.sectors:
         chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
-        held = sample.held(BuildingPoint(chart, base))
-        outside = held & ~atlas.read(sample.at, BuildingGerm(chart, bs.sector))
+        held, *pass_ = sample.at(chart, base)
+        outside = held & ~atlas.mask(chart, pass_, w)
         fits = atlas.fitting(chart, w)
         label = None
         for a in charts_of(outside):
@@ -340,8 +357,7 @@ def check_se(sample: Sample) -> AxiomReport:
                 continue
             t = atlas.transition(chart, a)
             r = t.iso.linear.act_root(root)
-            wall = ap.half(r, 1, pairing(r, move(t.iso, base)))
-            found = [lowest(atlas.charts_meeting(a, HalfApartment(wall.root, s, wall.bound)) & fits & held) for s in (1, -1)]
+            found = [lowest(meeting & fits & held) for meeting in sides(a, r, pairing(r, move(t.iso, base)))]
             label = label or _sector_label(atlas, bs, sample.format)
             witness = None if None in found else "+".join(atlas.name(c) for c in found)
             report.check(f"(chart={atlas.name(a)},sector={label})", witness, "missing-side-apartment")
@@ -430,19 +446,21 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
     t moves both, and :meth:`Retraction.map_at` checks that every composite gives one image): its images are not
     measured.  Distances read the sample's passes (:func:`shared_distance` from ``at``), and so does each image's
     pass, moved once per target and point (:meth:`Retraction.map_at`), so no image point is built
-    or located.  A run measures each distinct pair of sampled points once."""
+    or located.  Points are paired by index, and a run measures each distinct pair of sampled points
+    once, keyed by the indices of their first equal points (:meth:`Sample.indexed`)."""
     report = AxiomReport("A5")
     atlas, points = sample.atlas, sample.points
     ap = atlas.apartment
     dirs = ap.directions()
     targets = [(chart, w) for chart in atlas.charts() for w in (dirs[0], dirs[-1])][:3]
+    first, held = sample.indexed()
 
     @cache
-    def distance(bp: BuildingPoint, bq: BuildingPoint):
-        """The pair's distance, measured once for every target; a failure is kept as its
+    def distance(i: int, j: int):
+        """The distance of points i and j, measured once for every target; a failure is kept as its
         class, since an exception instance would keep its traceback's frames alive."""
         try:
-            return shared_distance(atlas, sample.at, bp, bq)
+            return shared_distance(atlas, sample.at, points[i], points[j])
         except (NoCommonChartError, DistanceDisagreementError) as exc:
             return type(exc)
 
@@ -451,26 +469,26 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
         config_base = f"(chart={atlas.name(chart)},germ={_sector_label(atlas, germ, sample.format)})"
         rho = Retraction(atlas, germ, chart)
         written = len(report.lines)
-        images: dict[BuildingPoint, Pass | str] = {}  # each image's pass, or the detail of why there is none
+        images: list[Pass | str] = []  # per point, its image's pass, or the detail of why there is none
         for bp in points:
             try:
                 iso, pass_, image = rho.map_at(sample.at, bp)
-                images[bp] = ap.move_pass(iso, pass_) if image is None else image
+                images.append(ap.move_pass(iso, pass_) if image is None else image)
             except TheoremViolation as exc:
-                images[bp] = str(exc).replace(" ", "_")
-        for bp, bq in _cap_pairs(points, samples, sample.seed, f"a5:{atlas.name(chart)}"):
-            ry, rz = images[bp], images[bq]
+                images.append(str(exc).replace(" ", "_"))
+        for i, j in _cap_pairs(range(len(points)), samples, sample.seed, f"a5:{atlas.name(chart)}"):
+            ry, rz = images[i], images[j]
             if isinstance(ry, str) or isinstance(rz, str):
                 failure = ry if isinstance(ry, str) else rz
-            elif (original := distance(bp, bq)) is NoCommonChartError:
+            elif (original := distance(first[i], first[j])) is NoCommonChartError:
                 continue
             elif original is DistanceDisagreementError:
                 failure = "distance-disagrees-between-charts"
-            elif not sample.held(bp) & sample.held(bq) & rho.mask and ap.pass_metric(ry, rz) > original:
+            elif not held[i] & held[j] & rho.mask and ap.pass_metric(ry, rz) > original:
                 failure = "distance-increased"
             else:
                 continue
-            report.add(f"{config_base}:{_pair_label(atlas, bp, bq, sample.format)}", FAIL, f"detail={failure}")
+            report.add(f"{config_base}:{_pair_label(atlas, points[i], points[j], sample.format)}", FAIL, f"detail={failure}")
         if len(report.lines) == written:
             report.add(config_base, PASS, f"witness=maps:{len(rho.maps)}")
     return report

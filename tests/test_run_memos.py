@@ -11,7 +11,10 @@ sample's points and sectors with them.  Charts 0 and 1 keep their
 coordinates: A5 retracts onto the origin germs of those charts, which must
 stay the same germs of the building.
 """
+import hashlib
+import random
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -19,15 +22,15 @@ import pytest
 import lbk.apartment
 import lbk.axioms
 from lbk.apartment import AffineIsometry, Apartment, format_point
-from lbk.atlas import BuildingPoint, BuildingSector, DistanceDisagreementError, charts_of, global_distance, shared_distance
-from lbk.axioms import _CHECKERS, Sample, equivalence_suite
+from lbk.atlas import BuildingPoint, BuildingSector, DistanceDisagreementError, charts_of, global_distance, lowest, shared_distance
+from lbk.axioms import _CHECKERS, Sample, _cap_pairs, _pair_label, equivalence_suite, sector_class_distance
 from lbk.fixtures import fan, lambda_tree
 from lbk.infinity import infinity_complex
 from report_digest import LADDER, build as build_member
 from test_axioms import bent_tree
 from test_composite_maps import outcome as answer
 from test_golden import fm_fallback
-from test_se_panels import MEMBERS, chart_moves, moved_atlas
+from test_se_panels import MEMBERS, chart_moves, moved_atlas, reference_se
 
 CHECKED = ("A3", "A4", "A6", "EC", "SE", "A5")
 
@@ -262,3 +265,61 @@ def test_ladder_pass_work_is_pinned(monkeypatch):
         infinity_complex(atlas)
         builds += atlas.apartment.bounds.cache_info().misses
     assert (builds, calls["feasible"], calls["pass_metric"], calls["move_pass"]) == (72, 46, 4194, 3774)
+
+
+def hand_built(atlas, seed):
+    """A Sample with caller-chosen points and sectors: the drawn points reversed, then the first four
+    again, so that equal points sit at two indices; every third drawn sector, then the sectors of every
+    direction at two seeded bases that are no sample point."""
+    ap = atlas.apartment
+    sample = Sample(atlas, seed)
+    rng = random.Random(f"hand-built:{seed}:{atlas.label}")
+    bases = [
+        BuildingPoint(rng.randrange(atlas.size), ap.point(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(ap.rank)))
+        for _ in range(2)
+    ]
+    sample.points = sample.points[::-1] + sample.points[:4]
+    sample.sectors = sample.sectors[::3] + [BuildingSector(bp.chart, ap.sector(bp.point, w)) for bp in bases for w in ap.directions()]
+    return sample
+
+
+# sha256 of the A3, A4, SE and A5 lines, rendered, of hand_built(atlas, 0), one line each.
+HAND_BUILT = {
+    "bent_tree": "00653bc0fd6b4a70044940657677125afb5589decfd1149e5dcca1e36d6aea9c",
+    "fan(3,B2)": "752e05b36da01dd57ecbedf356810731cf76530141b08332957c54ab5857e44a",
+    "fan(4,A2)-34": "1b5984037c599637ac6c2ab9cf351c8e53f16470de921f87d9010ac98257307f",
+    "fm_fallback": "f066aa795ec889c232e08aa9ba00ba7caf127715b29f58e269cb175e39cc20f6",
+    "tree(4,2)": "006e7e206a219207f6825d1e1150ffee80d7991bff4b43b6bd41c277b2bba0ff",
+    "tree(5,1)-45": "11a1484b5652bb78316ef5535f30e344fba28228a5e42aba1c24d6d179ffd0fe",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_samples_keep_their_lines(name, monkeypatch):
+    """Checkers read a hand-built sample's points and sectors by index and its sectors' bases through the
+    run's passes: SE writes the per-sector checker's lines, A3 the lines of its pairs' holding masks, A4 the
+    charts of sector_class_distance, A5 measures each distinct pair of points once, wherever they sit, and
+    the lines are these bytes."""
+    atlas = {"bent_tree": bent_tree, "fm_fallback": fm_fallback}.get(name, lambda: dict(MEMBERS)[name])()
+    sample = hand_built(atlas, 0)
+    measured = []
+    measure = lbk.axioms.shared_distance
+
+    def counted(atlas, at, bp, bq):
+        measured.append((bp, bq))
+        return measure(atlas, at, bp, bq)
+
+    monkeypatch.setattr(lbk.axioms, "shared_distance", counted)
+    reports = {axiom: _CHECKERS[axiom](sample, 80) for axiom in ("A3", "A4", "SE", "A5")}
+    assert reports["SE"].lines == reference_se(sample).lines
+    pairs = _cap_pairs(sample.points, 60, 0, "a3")
+    shared = [lowest(atlas.holding(bp) & atlas.holding(bq)) for bp, bq in pairs]
+    assert [line.config for line in reports["A3"].lines] == [_pair_label(atlas, bp, bq, format_point) for bp, bq in pairs]
+    assert [line.verdict == "pass" for line in reports["A3"].lines] == [c is not None for c in shared]
+    found = [sector_class_distance(atlas, s1, s2) for s1, s2 in _cap_pairs(sample.sectors, 80, 0, "a4")]
+    assert [line.detail for line in reports["A4"].lines[: len(found)]] == [
+        "detail=no-chart-holds-both-subsectors" if f is None else f"witness={atlas.name(f[1])}" for f in found
+    ]
+    assert measured and len(measured) == len(set(measured))
+    lines = [line for report in reports.values() for line in report.rendered()]
+    assert hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest() == HAND_BUILT[name]
