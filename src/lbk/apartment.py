@@ -196,7 +196,7 @@ class Apartment:
             tuple(self._inverse[j][i] for j in range(self.rank)) for i in range(self.rank)
         )
         memoize(self, "region_feasible", "bases", "block", "bounds", "region_satisfies", "rows", "cone_slopes", "sector_walls",
-                "pass_moves", "sector_through")
+                "pass_moves", "sector_through", "sector_fits")
 
     # -- scalars and points ---------------------------------------------
 
@@ -463,10 +463,10 @@ class Apartment:
         return None if any(lo is not None and up is not None and lo > -up for lo, up in floors) else floors
 
     def region_satisfies(self, region: ConvexRegion, c: LinearConstraint) -> bool:
-        """Does every point of the region satisfy c?  The region is empty, or c's row, taken to simple-root
-        coordinates, has a :meth:`floor` that reaches c's bound."""
+        """Does every point of the region satisfy c?  c's row, taken to simple-root coordinates, has a :meth:`floor`
+        that reaches c's bound, or the region is empty: the normal form is built only when the floor falls short."""
         low = self.floor(region, [sum(a * row[i] for a, row in zip(c.coeffs, self._inverse)) for i in range(self.rank)])
-        return self.bounds(region) is None or low is not None and (low > c.bound if c.relation == GT else low >= c.bound)
+        return low is not None and (low > c.bound if c.relation == GT else low >= c.bound) or self.bounds(region) is None
 
     def region_contains(self, outer: ConvexRegion, inner: ConvexRegion) -> bool:
         """inner is a subset of outer: inner is empty, or inner's floor of each half's row sense * beta reaches its bound."""
@@ -523,7 +523,7 @@ class Apartment:
         (relative) interior of the cone.  So once the region caps no
         generator of the face (:meth:`capped`), each half not constant along
         it holds far enough in: a sector always fits, a panel exactly when
-        the region is nonempty (Rockafellar, Convex Analysis, section 8).
+        the region is nonempty (Rockafellar, Convex Analysis, section 8).  Cached per (direction, region, panel_type).
         """
         return self.capped(direction, region) <= {panel_type} and (not panel_type or self.bounds(region) is not None)
 

@@ -5,9 +5,10 @@ copies of the model apartment, plus for ordered chart pairs an overlap region an
 identifying it with a region of the other chart.  Point equality and :meth:`Atlas.holding`, the one chart
 search, are one-hop, sound only for a closed gluing; :func:`validate` does not check closure (ROADMAP item 2).
 The charts holding a point or germ are constant on each face of the arrangement of its chart's walls, so one cell table keeps
-them per sign vector of one integer pass at those walls (:meth:`Apartment.sign`), and a miss asks the chart's half rows
-(:meth:`Atlas.mask`).  A pass is carried between charts without moving its point (:meth:`Atlas.carry_pass`).
-A point's copy in each chart holding it is :meth:`Atlas.locate_point`; a held germ or sector moves by :meth:`Atlas.move_held`.
+them per sign vector of one integer pass at those walls (:meth:`Apartment.sign`), and a miss reads one verdict per overlap
+class at the signs of its own walls, which the charts sharing the class share (:meth:`Atlas.mask`).  A pass is carried
+between charts without moving its point (:meth:`Atlas.carry_pass`).  A point's copy in each chart holding it is
+:meth:`Atlas.locate_point`; a held germ or sector moves by :meth:`Atlas.move_held`.
 The atlas numbers its distinct transition isometries, and since the metric is invariant under the affine Weyl group,
 a distance is measured once per distinct composite map t_cj^-1 t_dj (:meth:`Atlas.through`), from the two points'
 passes with the map applied to a pass, not to a point: :func:`shared_distance`.
@@ -154,11 +155,15 @@ class Atlas:
             self.overlap_classes[i][c] = self.overlap_classes[i].get(c, 0) | 1 << j
             if (h := self.halves[c]) is not None:
                 self._meeting[i][h] = self._meeting[i].get(h, 0) | 1 << j
-        # Per chart and overlap class, its halves as int rows (Apartment.rows) and its chart mask, for holding.
-        self.half_rows = [[(apartment.rows(self.regions[c]), js) for c, js in classes.items()] for classes in self.overlap_classes]
-        # Per chart, the distinct walls (k, nums, den) of its half rows, and the cell table of mask: point and germ masks
-        # keyed (chart, signs at the chart's walls, w), w None for a point, so at most 3^walls keys per chart and w.
-        self.walls = [tuple(dict.fromkeys((k, nums, den) for rows, _ in pairs for k, _, nums, den in rows)) for pairs in self.half_rows]
+        # Per chart, the distinct walls (k, nums, den) of its classes' halves as int rows (Apartment.rows), and per class its
+        # id, chart mask and the position of each of its rows among those walls, in one pass.  The cell table of mask keeps
+        # point and germ masks keyed (chart, signs at the chart's walls, w), w None for a point: at most 3^walls keys per w.
+        self.walls, self.class_walls = [], []
+        for classes in self.overlap_classes:
+            walls: dict[tuple, int] = {}
+            place = [tuple([walls.setdefault((k, nums, den), len(walls)) for k, _, nums, den in apartment.rows(self.regions[c])]) for c in classes]
+            self.class_walls.append([(c, js, at) for (c, js), at in zip(classes.items(), place)])
+            self.walls.append(tuple(walls))
         self._cells: dict[tuple[int, tuple[int, ...], Optional[WeylElement]], int] = {}
         # Transition values, one hash per distinct object: value_of[(i, j)] is the id of t_ij's isometry in isos, in
         # order of first use, where id 0 is None, no move: t_ii and any identity transition, so no Weyl identity is built.
@@ -167,7 +172,7 @@ class Atlas:
         value = [values.setdefault(None if iso.is_identity() else iso, len(values)) for iso in seen]
         self.isos = list(values)
         self.value_of = {(i, i): 0 for i in range(m)} | {pair: value[n] for (pair, _), n in zip(items, number)}
-        memoize(self, "through", "_fit")
+        memoize(self, "through", "_fit", "_verdict")
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -238,15 +243,21 @@ class Atlas:
 
     def mask(self, chart: int, pass_: Pass, w: Optional[WeylElement] = None) -> int:
         """The charts holding the point of a chart's pass (w None) or its direction-w germ: bit chart and each class
-        whose half rows hold it (:meth:`Apartment.holds`), read from the cell table, keyed by the pass's
-        :meth:`Apartment.sign` at each of the chart's walls.  holds reads a half only through :meth:`Apartment.admits`
-        of that sign, so an entry is exact; a miss asks holds of each class, for a germ each class holding the point."""
+        whose halves hold it, read from the cell table, keyed by the pass's :meth:`Apartment.sign` at each of the
+        chart's walls.  A half's verdict reads only that sign (:meth:`Apartment.admits`), so an entry is exact; a miss
+        reads each class's :meth:`_verdict` at the signs of its own rows, which charts sharing the class share."""
         sign = self.apartment.sign
         signs = tuple([sign(pass_, k, nums, den) for k, nums, den in self.walls[chart]])  # a list builds faster than a generator
         if (mask := self._cells.get(key := (chart, signs, w))) is None:
-            holds, held = self.apartment.holds, -1 if w is None else self.mask(chart, pass_)
-            mask = self._cells[key] = sum((js for rows, js in self.half_rows[chart] if js & held and holds(rows, pass_, w)), 1 << chart)
+            holding = (js for c, js, at in self.class_walls[chart] if self._verdict(c, tuple([signs[p] for p in at]), w))
+            mask = self._cells[key] = sum(holding, 1 << chart)
         return mask
+
+    def _verdict(self, c: int, signs: tuple[int, ...], w: Optional[WeylElement]) -> bool:
+        """Does overlap class c hold a point (w None), or a chunk of its direction-w germ, whose signs at the walls of the
+        class's rows are these?  Each half :meth:`Apartment.admits` its sign, as in :meth:`Apartment.holds`.  Cached per (c, signs, w)."""
+        admits = self.apartment.admits
+        return all(admits(k, sense, s, w) for (k, sense, _, _), s in zip(self.apartment.rows(self.regions[c]), signs))
 
     def read(self, at: Callable, item: BuildingPoint | BuildingGerm | BuildingSector) -> int:
         """The charts holding an item, from the pass ``at(chart, point or base)`` (:meth:`at`).  A whole sector lies

@@ -325,7 +325,8 @@ def check_se(sample: Sample) -> AxiomReport:
     rule of :meth:`Apartment.holds` fails: a has a panel incidence exactly when
     the panel is capped and a is outside the germ's mask, read from the base's
     pass in the sample.  For a line it writes, the wall in chart a is read at
-    the base's copy moved there, as the pairing is W-invariant; the charts
+    the base's copy moved there, as the pairing is W-invariant, and its root is
+    carried there once per (transition value id, root); the charts
     meeting chart a in either side of a wall are read once per (a, root, bound).
     """
     report = AxiomReport("SE")
@@ -345,6 +346,7 @@ def check_se(sample: Sample) -> AxiomReport:
         return [atlas.charts_meeting(a, HalfApartment(wall.root, s, wall.bound)) for s in (1, -1)]
 
     move, pairing = cache(AffineIsometry.apply), cache(ap.pairing)
+    carried = cache(lambda v, root: root if atlas.isos[v] is None else atlas.isos[v].linear.act_root(root))  # per (value id, root)
     for bs in sample.sectors:
         chart, base, w = bs.chart, bs.sector.base, bs.sector.direction
         held, *pass_ = sample.at(chart, base)
@@ -355,9 +357,8 @@ def check_se(sample: Sample) -> AxiomReport:
             root = wall_root(w, atlas.class_of[(chart, a)])
             if root is None:
                 continue
-            t = atlas.transition(chart, a)
-            r = t.iso.linear.act_root(root)
-            found = [lowest(meeting & fits & held) for meeting in sides(a, r, pairing(r, move(t.iso, base)))]
+            r = carried(atlas.value_of[(chart, a)], root)
+            found = [lowest(meeting & fits & held) for meeting in sides(a, r, pairing(r, move(atlas.transitions[(chart, a)].iso, base)))]
             label = label or _sector_label(atlas, bs, sample.format)
             witness = None if None in found else "+".join(atlas.name(c) for c in found)
             report.check(f"(chart={atlas.name(a)},sector={label})", witness, "missing-side-apartment")
@@ -445,7 +446,7 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
     target.  The metric is W-invariant, so a pair sharing a chart b of the maps keeps its distance (maps[b] after
     t moves both, and :meth:`Retraction.map_at` checks that every composite gives one image): its images are not
     measured.  Distances read the sample's passes (:func:`shared_distance` from ``at``), and so does each image's
-    pass, moved once per target and point (:meth:`Retraction.map_at`), so no image point is built
+    pass, moved once per target and distinct point (:meth:`Retraction.map_at`), so no image point is built
     or located.  Points are paired by index, and a run measures each distinct pair of sampled points
     once, keyed by the indices of their first equal points (:meth:`Sample.indexed`)."""
     report = AxiomReport("A5")
@@ -469,8 +470,11 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
         config_base = f"(chart={atlas.name(chart)},germ={_sector_label(atlas, germ, sample.format)})"
         rho = Retraction(atlas, germ, chart)
         written = len(report.lines)
-        images: list[Pass | str] = []  # per point, its image's pass, or the detail of why there is none
-        for bp in points:
+        images: list[Pass | str] = []  # per point, its image's pass, or the detail of why there is none, once per first index
+        for i, bp in enumerate(points):
+            if first[i] < i:
+                images.append(images[first[i]])
+                continue
             try:
                 iso, pass_, image = rho.map_at(sample.at, bp)
                 images.append(ap.move_pass(iso, pass_) if image is None else image)

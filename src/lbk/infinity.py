@@ -7,6 +7,9 @@ same as sharing a subsector).  Panels at infinity get the same treatment one
 dimension down.  One union-find over (chart, direction, type) faces, type 0
 the sector and type i its type-i panel, closes off chains of overlaps for
 both; the chambers holding each panel class give adjacency and thinness.
+A face is an int node and the union-find one parent list; mirrors and carried
+directions are read by direction index from tables made once per call, one per
+transition value id (:attr:`Atlas.isos`), so no Weyl product is made per union.
 """
 from __future__ import annotations
 
@@ -15,25 +18,6 @@ from itertools import product
 
 from .atlas import Atlas, charts_of
 from .rootsystem import WeylElement
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        root = x
-        while self.parent.setdefault(root, root) != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
 
 Node = tuple[int, WeylElement]
 
@@ -77,41 +61,61 @@ class InfinityComplex:
 def infinity_complex(atlas: Atlas) -> InfinityComplex:
     ap = atlas.apartment
     directions = ap.directions()
-    types = range(1, ap.rank + 1)
-    mirror = {(w, i): w * ap.roots.simple(i) for w in directions for i in types}
-    uf = _UnionFind()
-    for chart in atlas.charts():
-        for (w, itype), mirrored in mirror.items():
-            uf.union((chart, w, itype), (chart, mirrored, itype))
+    n, faces, charts = len(directions), ap.rank + 1, atlas.charts()
+    types = range(1, faces)
+    index = {w: k for k, w in enumerate(directions)}
+    # Per direction index k, mirror[k][i] is the index of w_k r_i, and per transition value id v, carried[v][k] that of
+    # w_k carried by the value's linear part.  The face (chart, w_k, type) is the node (chart * n + k) * faces + type.
+    mirror = [[k] + [index[w * ap.roots.simple(i)] for i in types] for k, w in enumerate(directions)]
+    carried = [range(n) if iso is None else [index[iso.linear * w] for w in directions] for iso in atlas.isos]
+    parent = list(range(atlas.size * n * faces))
 
-    # Cross-chart identification from the atlas's fit table: a direction-w sector, or its
-    # type-i panel, with a subsector in chart j is one of its direction carried there.
-    for i, w, itype in product(atlas.charts(), directions, range(ap.rank + 1)):
-        for j in charts_of(atlas.fitting(i, w, itype) & ~(1 << i)):
-            uf.union((i, w, itype), (j, atlas.carry_direction(i, j, w), itype))
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def join(a: int, nodes) -> None:
+        a = find(a)
+        for b in map(find, nodes):
+            if b != a:
+                parent[b] = a
+
+    # A type-i panel is its mirror's (type 0 mirrors itself), and, from the atlas's fit table, a direction-w sector or
+    # its type-i panel with a subsector in chart j is one of its direction carried there.
+    for i, (k, w), itype in product(charts, enumerate(directions), range(faces)):
+        fits = charts_of(atlas.fitting(i, w, itype) & ~(1 << i))
+        join((i * n + k) * faces + itype,
+             [(i * n + mirror[k][itype]) * faces + itype] + [(j * n + carried[atlas.value_of[(i, j)]][k]) * faces + itype for j in fits])
+    root = [find(x) for x in range(len(parent))]
 
     classes: dict = {}
-    for chart in atlas.charts():
-        for w in directions:
-            classes.setdefault(uf.find((chart, w, 0)), []).append((chart, w))
+    for chart, k in product(charts, range(n)):
+        classes.setdefault(root[(chart * n + k) * faces], []).append((chart, k))
     # Chamber ids follow the least (chart, word) of each class.
-    by_word = [tuple(sorted(c, key=lambda cw: (cw[0], cw[1].word))) for c in classes.values()]
-    members = sorted(by_word, key=lambda m: (m[0][0], m[0][1].word))
-    chamber_of = {(chart, w): idx for idx, m in enumerate(members) for chart, w in m}
-    apartments = {chart: tuple(chamber_of[(chart, w)] for w in directions) for chart in atlas.charts()}
+    words = [w.word for w in directions]
+    by_word = [sorted(c, key=lambda ck: (ck[0], words[ck[1]])) for c in classes.values()]
+    members = sorted(by_word, key=lambda m: (m[0][0], words[m[0][1]]))
+    chamber = [0] * (atlas.size * n)  # per (chart, w_k), at chart * n + k
+    for idx, m in enumerate(members):
+        for chart, k in m:
+            chamber[chart * n + k] = idx
+    apartments = {chart: tuple(chamber[chart * n: chart * n + n]) for chart in charts}
 
     # The chambers holding each panel class, over the atlas and per chart.
     holders: dict = {}
     local: dict = {}
-    for (chart, w), chamber in chamber_of.items():
-        for itype in types:
-            pclass = uf.find((chart, w, itype))
-            holders.setdefault(pclass, set()).add(chamber)
-            local.setdefault((chart, pclass), set()).add(chamber)
+    for chart, k, itype in product(charts, range(n), types):
+        pclass = root[(chart * n + k) * faces + itype]
+        holders.setdefault(pclass, set()).add(chamber[chart * n + k])
+        local.setdefault((chart, pclass), set()).add(chamber[chart * n + k])
 
     issues: list[str] = []
     seen_sets: dict[frozenset, int] = {}
-    for chart in atlas.charts():
+    for chart in charts:
         key = frozenset(apartments[chart])
         if len(key) != len(directions):
             issues.append(
@@ -127,26 +131,23 @@ def infinity_complex(atlas: Atlas) -> InfinityComplex:
 
     # Thinness: inside one apartment a type-i panel belongs to exactly the
     # two chambers exchanged by the generator.
-    for chart in atlas.charts():
-        for w in directions:
-            for itype in types:
-                here = chamber_of[(chart, w)]
-                mirrored = chamber_of[(chart, mirror[(w, itype)])]
-                pclass = uf.find((chart, w, itype))
-                if local[(chart, pclass)] != {here, mirrored} or here == mirrored:
-                    issues.append(
-                        f"thinness fails in apartment {atlas.name(chart)} "
-                        f"at direction {w!r} type {itype}"
-                    )
+    for chart, k, itype in product(charts, range(n), types):
+        here = chamber[chart * n + k]
+        mirrored = chamber[chart * n + mirror[k][itype]]
+        if local[(chart, root[(chart * n + k) * faces + itype])] != {here, mirrored} or here == mirrored:
+            issues.append(
+                f"thinness fails in apartment {atlas.name(chart)} "
+                f"at direction {directions[k]!r} type {itype}"
+            )
 
     adjacency: dict[int, set[frozenset]] = {i: set() for i in types}
-    for (_, _, itype), chams in holders.items():
-        adjacency[itype].update(frozenset((a, b)) for a in chams for b in chams if a < b)
+    for pclass, chams in holders.items():
+        adjacency[pclass % faces].update(frozenset((a, b)) for a in chams for b in chams if a < b)
 
     return InfinityComplex(
         atlas=atlas,
-        chamber_members=members,
-        chamber_of=chamber_of,
+        chamber_members=[tuple((chart, directions[k]) for chart, k in m) for m in members],
+        chamber_of={(chart, directions[k]): idx for idx, m in enumerate(members) for chart, k in m},
         apartments=apartments,
         adjacency=adjacency,
         issues=sorted(set(issues)),

@@ -3,10 +3,12 @@
 A chart's point and germ masks are kept per sign vector at the chart's walls
 (``Atlas.walls``): a half's verdict at a point reads only the point's sign at
 its wall, and a tight half's germ verdict whether it caps a generator.  So
-``Atlas.mask`` reads one table keyed by (chart, signs, direction or None).  The references below are the per-class ``holds`` loops
-that ran on every call before, compared on the 40 digest members and
-``fm_fallback``, at seeded points, the origin, points moved onto each wall and,
-at lex rank 2, an infinitesimal off it on either side.  ``sector_through`` is a
+``Atlas.mask`` reads one table keyed by (chart, signs, direction or None), and a miss
+reads one verdict per overlap class, keyed by (class id, signs at the class's rows,
+direction or None), which charts sharing the class share.  The references below are the
+per-class ``holds`` loops that ran on every call before, compared on the 40 digest members,
+``fm_fallback`` and two atlases with transitions that have no reverse, at seeded points,
+the origin, points moved onto each wall and, at lex rank 2, an infinitesimal off it on either side.  ``sector_through`` is a
 table of its sign vectors, with no direction or a germ's, compared with the
 direction scans over every sign vector of A1, A2, B2 and G2.
 """
@@ -17,20 +19,37 @@ from itertools import product
 import pytest
 
 from lbk.apartment import Apartment
+from lbk.atlas import Atlas
+from lbk.fixtures import fan
 from lbk.lexq import LambdaScalar
 from lbk.rootsystem import build_root_system
 from report_digest import members
-from test_atlas import seeded_base
+from test_atlas import missing_reverse_atlas, seeded_base
 from test_golden import fm_fallback
+
+
+def one_way(atlas):
+    """The atlas less the reverse of every third glued pair: class_of lacks those pairs, and the charts
+    glued to a chart are not the charts glued to it."""
+    kept = {(i, j): t for (i, j), t in atlas.transitions.items() if i < j or (i + j) % 3}
+    return Atlas(atlas.apartment, atlas.chart_names, kept, label=f"{atlas.label} one-way")
+
 
 ATLASES = dict(members())
 ATLASES["fm_fallback"] = fm_fallback()
+ATLASES["missing_reverse"] = missing_reverse_atlas()
+ATLASES["fan(4,B2)-one-way"] = one_way(fan(4, "B2"))
+
+
+def class_rows(atlas, chart):
+    """Per overlap class of the chart, its halves as int rows and its chart mask."""
+    return [(atlas.apartment.rows(atlas.regions[c]), js) for c, js in atlas.overlap_classes[chart].items()]
 
 
 def scanned_point_mask(atlas, chart, pass_):
     """The point's mask by asking holds of every class of the chart (the slow reference)."""
     holds, mask = atlas.apartment.holds, 1 << chart
-    for rows, js in atlas.half_rows[chart]:
+    for rows, js in class_rows(atlas, chart):
         if holds(rows, pass_):
             mask |= js
     return mask
@@ -39,7 +58,7 @@ def scanned_point_mask(atlas, chart, pass_):
 def scanned_germ_mask(atlas, chart, pass_, mask, w):
     """The germ's mask from the point's: less each class whose rows do not hold the germ (the slow reference)."""
     holds = atlas.apartment.holds
-    for rows, js in atlas.half_rows[chart]:
+    for rows, js in class_rows(atlas, chart):
         if js & mask and not holds(rows, pass_, w):
             mask ^= js
     return mask
@@ -89,6 +108,28 @@ def test_cell_table_agrees_with_the_class_scan(name):
         walls_hit |= {k for signs in keys for k, s in enumerate(signs) if s == 0}
     assert all(set(signs) <= {-1, 0, 1} and len(signs) == len(atlas.walls[c]) for c, signs, _ in atlas._cells)
     assert walls_hit or not any(atlas.walls), name  # some point lies on a wall
+
+
+@pytest.mark.parametrize("name", sorted(ATLASES))
+def test_class_verdicts_are_the_holds_of_each_class(name):
+    """At every probe pass and direction or none, each overlap class's verdict, read at the pass's signs at the
+    walls of the class's rows, is holds of its rows: so every (chart, signs, w) key of the cell table is made of
+    exact verdicts.  The verdict table is keyed per class, not per chart, and stays within 3^rows keys per w."""
+    atlas = ATLASES[name]
+    ap = atlas.apartment
+    rng = random.Random(f"verdicts:{name}")
+    for chart in atlas.charts():
+        assert [(c, js) for c, js, _ in atlas.class_walls[chart]] == list(atlas.overlap_classes[chart].items())
+        for p in probes(atlas, chart, rng):
+            pass_ = ap.root_dots(p)
+            signs = [ap.sign(pass_, k, nums, den) for k, nums, den in atlas.walls[chart]]
+            for w in [None, *ap.directions()]:
+                atlas.mask(chart, pass_, w)
+                for c, _, at in atlas.class_walls[chart]:
+                    rows = ap.rows(atlas.regions[c])
+                    assert [atlas.walls[chart][q] for q in at] == [(k, nums, den) for k, _, nums, den in rows]
+                    assert atlas._verdict(c, tuple(signs[q] for q in at), w) == ap.holds(rows, pass_, w), (name, chart, p, w)
+    assert atlas._verdict.cache_info().currsize <= (1 + len(ap.directions())) * sum(3 ** len(r.halves) for r in atlas.regions)
 
 
 @pytest.mark.parametrize("name", sorted(ATLASES))

@@ -1,8 +1,15 @@
+from itertools import product
+
 import pytest
 
-from lbk.fixtures import fan, lambda_tree, single_apartment
-from lbk.infinity import infinity_complex
+from lbk.apartment import Apartment
+from lbk.atlas import charts_of
+from lbk.fixtures import _end_pairs, drop_chart, fan, lambda_tree, single_apartment
+from lbk.infinity import InfinityComplex, infinity_complex
 from lbk.modelfile import parse_model
+from lbk.rootsystem import build_root_system
+from report_digest import members
+from test_cell_table import one_way
 
 
 @pytest.mark.parametrize("name,count", [("A1", 2), ("A2", 6), ("B2", 8), ("G2", 12)])
@@ -94,3 +101,102 @@ def test_degenerate_atlas_lines_are_pinned():
         *thinness,
         "RESULT degenerate",
     ]
+
+
+class TupleUnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        root = x
+        while self.parent.setdefault(root, root) != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def reference_complex(atlas):
+    """The complex at infinity from a union-find keyed by (chart, WeylElement, type) tuples, each carried
+    direction a fresh Weyl product per union (the slow reference)."""
+    ap = atlas.apartment
+    directions = ap.directions()
+    types = range(1, ap.rank + 1)
+    mirror = {(w, i): w * ap.roots.simple(i) for w in directions for i in types}
+    uf = TupleUnionFind()
+    for chart in atlas.charts():
+        for (w, itype), mirrored in mirror.items():
+            uf.union((chart, w, itype), (chart, mirrored, itype))
+    for i, w, itype in product(atlas.charts(), directions, range(ap.rank + 1)):
+        for j in charts_of(atlas.fitting(i, w, itype) & ~(1 << i)):
+            uf.union((i, w, itype), (j, atlas.carry_direction(i, j, w), itype))
+    classes = {}
+    for chart in atlas.charts():
+        for w in directions:
+            classes.setdefault(uf.find((chart, w, 0)), []).append((chart, w))
+    by_word = [tuple(sorted(c, key=lambda cw: (cw[0], cw[1].word))) for c in classes.values()]
+    members = sorted(by_word, key=lambda m: (m[0][0], m[0][1].word))
+    chamber_of = {(chart, w): idx for idx, m in enumerate(members) for chart, w in m}
+    apartments = {chart: tuple(chamber_of[(chart, w)] for w in directions) for chart in atlas.charts()}
+    holders, local = {}, {}
+    for (chart, w), chamber in chamber_of.items():
+        for itype in types:
+            pclass = uf.find((chart, w, itype))
+            holders.setdefault(pclass, set()).add(chamber)
+            local.setdefault((chart, pclass), set()).add(chamber)
+    issues, seen_sets = [], {}
+    for chart in atlas.charts():
+        key = frozenset(apartments[chart])
+        if len(key) != len(directions):
+            issues.append(f"apartment {atlas.name(chart)} has {len(key)} chambers, expected {len(directions)}")
+        if key in seen_sets:
+            issues.append(f"charts {atlas.name(seen_sets[key])} and {atlas.name(chart)} give the same apartment at infinity")
+        else:
+            seen_sets[key] = chart
+    for chart, w, itype in product(atlas.charts(), directions, types):
+        here, mirrored = chamber_of[(chart, w)], chamber_of[(chart, mirror[(w, itype)])]
+        if local[(chart, uf.find((chart, w, itype)))] != {here, mirrored} or here == mirrored:
+            issues.append(f"thinness fails in apartment {atlas.name(chart)} at direction {w!r} type {itype}")
+    adjacency = {i: set() for i in types}
+    for (_, _, itype), chams in holders.items():
+        adjacency[itype].update(frozenset((a, b)) for a in chams for b in chams if a < b)
+    return InfinityComplex(atlas, members, chamber_of, apartments, adjacency, sorted(set(issues)))
+
+
+def rank3_fan(roots, leaves):
+    ap = Apartment(build_root_system(roots), 1)
+    return _end_pairs(ap, leaves, f"fan leaves={leaves} roots={roots}", disjoint=ap.wall_region((1, 0, 0), ap.zero()))
+
+
+def agreement_atlases():
+    """The 40 digest members (their drop_chart variants, broken_pair and the degenerate shifted_rays among
+    them), rank-3 fans and their drop_chart variants, one-way gluings and the degenerate model above."""
+    yield from members()
+    for roots, leaves in (("A3", 3), ("A3", 4), ("B3", 3)):
+        whole = rank3_fan(roots, leaves)
+        yield f"fan({leaves},{roots})", whole
+        yield f"fan({leaves},{roots})-{whole.name(0)}", drop_chart(whole, 0)
+    yield "tree(5,1)-one-way", one_way(lambda_tree(5))
+    yield "fan(4,A3)-one-way", one_way(rank3_fan("A3", 4))
+    yield "degenerate", parse_model(DEGENERATE)
+
+
+AGREEMENT = dict(agreement_atlases())
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT))
+def test_int_union_find_agrees_with_the_tuple_keyed_one(name):
+    """Every field of the complex, and its lines, equal those of the tuple-keyed union-find."""
+    atlas = AGREEMENT[name]
+    got, want = infinity_complex(atlas), reference_complex(atlas)
+    assert got.lines() == want.lines()
+    assert got.chamber_members == want.chamber_members
+    assert got.chamber_of == want.chamber_of and list(got.chamber_of) == list(want.chamber_of)
+    assert got.apartments == want.apartments
+    assert got.adjacency == want.adjacency
+    assert got.issues == want.issues

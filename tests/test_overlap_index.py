@@ -364,10 +364,10 @@ def warmed_tables(build):
     at infinity and 350 seeded fresh-point distance and coapartment queries, checking the tables they
     keep along the way.  Their keys are regions, charts, directions, roots, sign vectors and transition-value
     ids, never points: once 50 queries have run, the next 300 add no FM answer, no normal form, no fit mask and no composite
-    map, the half rows stay as built, one per overlap region, and each table stays within its finite key set."""
+    map, the class walls stay as built, one row table per overlap region, and each table stays within its finite key set."""
     atlas = build()
     ap, rs = atlas.apartment, atlas.apartment.roots
-    half_rows = [list(rows) for rows in atlas.half_rows]
+    class_walls = [list(rows) for rows in atlas.class_walls]
     run_axioms(atlas, AXIOM_ORDER, samples=40)
     infinity_complex(atlas)
     rng = random.Random("object-tables")
@@ -381,7 +381,7 @@ def warmed_tables(build):
             germ_coapartment(atlas, g1, g2)
         sizes.append((ap.region_feasible.cache_info().currsize, atlas._fit.cache_info().currsize, atlas.through.cache_info().currsize,
                       ap.rows.cache_info().currsize, ap.bounds.cache_info().currsize, ap.bases.cache_info().currsize))
-        assert atlas.half_rows == half_rows
+        assert atlas.class_walls == class_walls
     assert sizes[0] == sizes[1], sizes
     assert 0 < sizes[1][2] <= len(atlas.isos) ** 2
     assert sizes[1][3] == len(atlas.regions)  # one row table per overlap region
@@ -392,6 +392,9 @@ def warmed_tables(build):
     signs = 3 ** len(rs.positive_roots)  # sign vectors at the positive roots, or at a chart's walls
     assert ap.sector_through.cache_info().currsize <= (group + 1) * signs  # per sign vector, with no direction or one
     assert all(sum(c == i for c, _, _ in atlas._cells) <= (group + 1) * 3 ** len(atlas.walls[i]) for i in atlas.charts())
+    # Fits and class verdicts are kept per overlap class, not per chart.
+    assert ap.sector_fits.cache_info().currsize <= group * len(atlas.regions) * (rs.rank + 1)
+    assert atlas._verdict.cache_info().currsize <= (group + 1) * sum(3 ** len(r.halves) for r in atlas.regions)
     return weakref.ref(atlas), weakref.ref(ap), weakref.ref(rs)
 
 

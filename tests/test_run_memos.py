@@ -26,6 +26,7 @@ from lbk.atlas import BuildingPoint, BuildingSector, DistanceDisagreementError, 
 from lbk.axioms import _CHECKERS, Sample, _cap_pairs, _pair_label, equivalence_suite, sector_class_distance
 from lbk.fixtures import fan, lambda_tree
 from lbk.infinity import infinity_complex
+from lbk.rootsystem import WeylElement
 from report_digest import LADDER, build as build_member
 from test_axioms import bent_tree
 from test_composite_maps import outcome as answer
@@ -240,10 +241,13 @@ def test_ladder_memo_misses_are_pinned(monkeypatch):
 
 def test_ladder_pass_work_is_pinned(monkeypatch):
     """One pass over fresh ladder members at seed 0, as the benchmark's ladder op runs it (the suite at 80
-    samples, then the complex at infinity), builds 72 normal forms (Apartment.bounds misses), one per
-    distinct region it asks about, and solves 46 FM systems, all of them A6 witnesses.  Distances measure
-    once per distinct composite map (4,194 pass metrics), and A5 moves each image's pass once (3,774 pass
-    moves).  A memo lost, or a pass moved twice, moves one of these numbers."""
+    samples, then the complex at infinity), builds 40 normal forms (Apartment.bounds misses), one per
+    distinct region whose floor falls short of a bound, and solves 46 FM systems, all of them A6 witnesses.
+    Distances measure once per distinct composite map (4,194 pass metrics), and A5 moves each distinct
+    point's image pass once per target (3,730 pass moves).  Fits are decided once per (direction, overlap
+    region, face) (432 sector_fits), the cell table reads 584 per-class verdicts and asks holds never, and
+    the complex at infinity makes its Weyl products per transition value, not per union (1,004 products
+    in all).  A memo lost, or a pass moved twice, moves one of these numbers."""
     calls = Counter()
 
     def counted(owner, name):
@@ -256,15 +260,18 @@ def test_ladder_pass_work_is_pinned(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(lbk.apartment, "feasible")
-    counted(Apartment, "move_pass")
-    counted(Apartment, "pass_metric")
-    builds = 0
+    for name in ("move_pass", "pass_metric", "sector_fits", "holds"):
+        counted(Apartment, name)
+    counted(WeylElement, "__mul__")
+    builds = verdicts = 0
     for _, *spec in LADDER:
         atlas = build_member(*spec)
         equivalence_suite(atlas, samples=80, seed=0)
         infinity_complex(atlas)
         builds += atlas.apartment.bounds.cache_info().misses
-    assert (builds, calls["feasible"], calls["pass_metric"], calls["move_pass"]) == (72, 46, 4194, 3774)
+        verdicts += atlas._verdict.cache_info().currsize
+    assert (builds, calls["feasible"], calls["pass_metric"], calls["move_pass"]) == (40, 46, 4194, 3730)
+    assert (calls["sector_fits"], calls["holds"], verdicts, calls["__mul__"]) == (432, 0, 584, 1004)
 
 
 def hand_built(atlas, seed):
