@@ -1128,8 +1128,8 @@ def deleted_holds_sector(ap, region, sector):
 
 
 def test_germ_and_sector_masks_agree_with_the_region_predicates():
-    """holding(germ) and holding(sector), read from one point pass against the half rows
-    (Apartment.holds), are the charts of the classes whose overlap region holds a chunk of the
+    """holding(germ) and holding(sector), read from one point pass at the chart's walls
+    (Apartment.admits of each half's sign), are the charts of the classes whose overlap region holds a chunk of the
     germ or the whole sector by the scalar rules the one rule replaced (deleted_holds_germ,
     deleted_holds_sector), and so are the region predicates, over seeded bases and every
     direction.  Bases on a grid often lie on walls: at least 100 germs lose a chart of their base."""

@@ -10,6 +10,7 @@ from lbk.modelfile import parse_model
 from lbk.rootsystem import build_root_system
 from report_digest import members
 from test_cell_table import one_way
+from test_se_panels import chart_moves, moved_atlas
 
 
 @pytest.mark.parametrize("name,count", [("A1", 2), ("A2", 6), ("B2", 8), ("G2", 12)])
@@ -175,7 +176,9 @@ def rank3_fan(roots, leaves):
 
 def agreement_atlases():
     """The 40 digest members (their drop_chart variants, broken_pair and the degenerate shifted_rays among
-    them), rank-3 fans and their drop_chart variants, one-way gluings and the degenerate model above."""
+    them), rank-3 fans and their drop_chart variants, one-way gluings, fans whose charts are moved by seeded
+    isometries (transitions with rotations as linear parts, which are not their own inverses) and the degenerate
+    model above."""
     yield from members()
     for roots, leaves in (("A3", 3), ("A3", 4), ("B3", 3)):
         whole = rank3_fan(roots, leaves)
@@ -183,6 +186,8 @@ def agreement_atlases():
         yield f"fan({leaves},{roots})-{whole.name(0)}", drop_chart(whole, 0)
     yield "tree(5,1)-one-way", one_way(lambda_tree(5))
     yield "fan(4,A3)-one-way", one_way(rank3_fan("A3", 4))
+    for name, whole in (("fan(3,B2)", fan(3, "B2")), ("fan(3,G2)", fan(3, "G2")), ("fan(3,A3)", rank3_fan("A3", 3))):
+        yield f"{name}-moved", moved_atlas(whole, chart_moves(whole, 2))
     yield "degenerate", parse_model(DEGENERATE)
 
 
