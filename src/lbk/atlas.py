@@ -4,9 +4,9 @@ An :class:`Atlas` is a finite presentation of a pair (point set, chart family): 
 copies of the model apartment, plus for ordered chart pairs an overlap region and the isometry
 identifying it with a region of the other chart.  Point equality and :meth:`Atlas.holding`, the one chart
 search, are one-hop, sound only for a closed gluing; :func:`validate` does not check closure (ROADMAP item 2).
-The charts holding a point or germ are constant on each face of the arrangement of its chart's walls, so one cell table keeps
-them per sign vector of one integer pass at those walls (:meth:`Apartment.sign`), and a miss reads one verdict per overlap
-class at the signs of its own walls, which the charts sharing the class share (:meth:`Atlas.mask`).  A pass is carried
+The charts holding a point or germ are constant on each face of the arrangement of its chart's walls, so each chart's cell
+table keeps them under one int, the signs of one integer pass at those walls (:meth:`Apartment.sign`) in balanced ternary after
+the direction's digits, and a miss reads one verdict per overlap class, which the charts sharing it share (:meth:`Atlas.mask`).  A pass is carried
 between charts without moving its point (:meth:`Atlas.carry_pass`).  A point's copy in each chart holding it is
 :meth:`Atlas.locate_point`; a held germ or sector moves by :meth:`Atlas.move_held`.
 The atlas numbers its distinct transition isometries, and since the metric is invariant under the affine Weyl group,
@@ -156,15 +156,15 @@ class Atlas:
             if (h := self.halves[c]) is not None:
                 self._meeting[i][h] = self._meeting[i].get(h, 0) | 1 << j
         # Per chart, the distinct walls (k, nums, den) of its classes' halves as int rows (Apartment.rows), and per class its
-        # id, chart mask and the position of each of its rows among those walls, in one pass.  The cell table of mask keeps
-        # point and germ masks keyed (chart, signs at the chart's walls, w), w None for a point: at most 3^walls keys per w.
+        # id, chart mask and the position of each of its rows among those walls, in one pass; and per chart the int-keyed
+        # tables of mask (at most 3^walls keys per direction or none) and fitting (one key per direction and face).
         self.walls, self.class_walls = [], []
         for classes in self.overlap_classes:
             walls: dict[tuple, int] = {}
             place = [tuple([walls.setdefault((k, nums, den), len(walls)) for k, _, nums, den in apartment.rows(self.regions[c])]) for c in classes]
             self.class_walls.append([(c, js, at) for (c, js), at in zip(classes.items(), place)])
             self.walls.append(tuple(walls))
-        self._cells: dict[tuple[int, tuple[int, ...], Optional[WeylElement]], int] = {}
+        self._cells, self._fits, self._faces = [{} for _ in range(m)], [{} for _ in range(m)], apartment.rank + 1
         # Transition values, one hash per distinct object: value_of[(i, j)] is the id of t_ij's isometry in isos, in
         # order of first use, where id 0 is None, no move: t_ii and any identity transition, so no Weyl identity is built.
         number, seen = _numbered([t.iso for _, t in items])
@@ -172,7 +172,7 @@ class Atlas:
         value = [values.setdefault(None if iso.is_identity() else iso, len(values)) for iso in seen]
         self.isos = list(values)
         self.value_of = {(i, i): 0 for i in range(m)} | {pair: value[n] for (pair, _), n in zip(items, number)}
-        memoize(self, "through", "_fit", "_verdict")
+        memoize(self, "through", "_verdict")
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -211,10 +211,6 @@ class Atlas:
         c = self.class_of.get((i, j))
         return None if c is None else self.halves[c]
 
-    def _fit(self, i: int, w: WeylElement, face: int) -> int:
-        """The fit table: :meth:`fitting` passes face on, since a cache would key fitting(i, w) and fitting(i, w, 0) apart."""
-        return self.reach(i, lambda region: self.apartment.sector_fits(w, region, face)) | 1 << i
-
     def reach(self, i: int, fits: Callable[[ConvexRegion], bool]) -> int:
         """The charts glued to chart i along the overlap classes ``fits`` accepts: a sum of disjoint masks."""
         return sum(js for c, js in self.overlap_classes[i].items() if fits(self.regions[c]))
@@ -230,8 +226,11 @@ class Atlas:
     def fitting(self, i: int, w: WeylElement, face: int = 0) -> int:
         """The charts holding a subsector of every direction-w sector of chart i (face 0),
         or of its type-face panel, as a bitmask: bit i and the charts glued along an overlap
-        the face fits (:meth:`Apartment.sector_fits`).  Cached per (i, w, face), face 0 when defaulted."""
-        return self._fit(i, w, face)
+        the face fits (:meth:`Apartment.sector_fits`).  Kept in chart i's fit table, keyed w.index * (rank + 1) + face."""
+        try:
+            return self._fits[i][w.index * self._faces + face]
+        except KeyError:
+            return self._fits[i].setdefault(w.index * self._faces + face, self.reach(i, lambda region: self.apartment.sector_fits(w, region, face)) | 1 << i)
 
     def holding(self, item: BuildingPoint | BuildingGerm | BuildingSector) -> int:
         """The charts holding a point, germ or whole sector, as a mask: :meth:`read` from one pass :meth:`at`."""
@@ -243,21 +242,23 @@ class Atlas:
 
     def mask(self, chart: int, pass_: Pass, w: Optional[WeylElement] = None) -> int:
         """The charts holding the point of a chart's pass (w None) or its direction-w germ: bit chart and each class
-        whose halves hold it, read from the cell table, keyed by the pass's :meth:`Apartment.sign` at each of the
-        chart's walls.  A half's verdict reads only that sign (:meth:`Apartment.admits`), so an entry is exact; a miss
-        reads each class's :meth:`_verdict` at the signs of its own rows, which charts sharing the class share."""
-        sign = self.apartment.sign
-        signs = tuple([sign(pass_, k, nums, den) for k, nums, den in self.walls[chart]])  # a list builds faster than a generator
-        if (mask := self._cells.get(key := (chart, signs, w))) is None:
-            holding = (js for c, js, at in self.class_walls[chart] if self._verdict(c, tuple([signs[p] for p in at]), w))
-            mask = self._cells[key] = sum(holding, 1 << chart)
+        whose halves hold it, read from the chart's cell table, keyed by the pass's :meth:`Apartment.sign` at each of
+        the chart's walls, as one int.  A half's verdict reads only that sign (:meth:`Apartment.admits`), so an entry is
+        exact; a miss reads each class's :meth:`_verdict` at the signs of its own rows, which charts sharing the class share."""
+        sign, code, walls = self.apartment.sign, 0 if w is None else w.index + 1, self.walls[chart]
+        for k, nums, den in walls:  # the key: the signs as balanced-ternary digits after the digits of w.index + 1
+            code = 3 * code + sign(pass_, k, nums, den)
+        if (mask := (cells := self._cells[chart]).get(code)) is None:
+            low = (code + (3 ** len(walls) - 1) // 2) % 3 ** len(walls)  # the key's wall digits, each sign plus one, read back
+            holding = (js for c, js, at in self.class_walls[chart] if self._verdict(c, reduce(lambda a, p: 3 * a + low // 3 ** (len(walls) - 1 - p) % 3, at, 0), w))
+            mask = cells[code] = sum(holding, 1 << chart)
         return mask
 
-    def _verdict(self, c: int, signs: tuple[int, ...], w: Optional[WeylElement]) -> bool:
-        """Does overlap class c hold a point (w None), or a chunk of its direction-w germ, whose signs at the walls of the
-        class's rows are these?  Each half :meth:`Apartment.admits` its sign, as in :meth:`Apartment.holds`.  Cached per (c, signs, w)."""
-        admits = self.apartment.admits
-        return all(admits(k, sense, s, w) for (k, sense, _, _), s in zip(self.apartment.rows(self.regions[c]), signs))
+    def _verdict(self, c: int, code: int, w: Optional[WeylElement]) -> bool:
+        """Does overlap class c hold a point (w None), or a chunk of its direction-w germ, whose signs at its rows' walls, each
+        plus one, are the ternary digits of code, last row last?  Each half :meth:`Apartment.admits` its sign.  Cached per (c, code, w)."""
+        admits, rows = self.apartment.admits, self.apartment.rows(self.regions[c])
+        return all(admits(k, sense, code // 3**e % 3 - 1, w) for e, (k, sense, _, _) in enumerate(reversed(rows)))
 
     def read(self, at: Callable, item: BuildingPoint | BuildingGerm | BuildingSector) -> int:
         """The charts holding an item, from the pass ``at(chart, point or base)`` (:meth:`at`).  A whole sector lies

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations
-from typing import Callable, Optional, Sequence
+from itertools import chain, combinations
+from operator import attrgetter
+from typing import Callable, Iterator, Optional, Sequence
 
 from .apartment import (
     AffineIsometry,
@@ -64,7 +66,7 @@ def search_budget() -> int:
         return DEFAULT_BUDGET
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckLine:
     config: str
     verdict: str
@@ -78,11 +80,8 @@ class AxiomReport:
 
     @property
     def verdict(self) -> str:
-        if any(line.verdict == FAIL for line in self.lines):
-            return FAIL
-        if any(line.verdict == INCONCLUSIVE for line in self.lines):
-            return INCONCLUSIVE
-        return PASS
+        verdicts = set(map(attrgetter("verdict"), self.lines))
+        return FAIL if FAIL in verdicts else INCONCLUSIVE if INCONCLUSIVE in verdicts else PASS
 
     def add(self, config: str, verdict: str, detail: str = "") -> None:
         self.lines.append(CheckLine(config, verdict, detail))
@@ -95,20 +94,15 @@ class AxiomReport:
             self.add(config, PASS, f"witness={witness}")
 
     def rendered(self) -> list[str]:
-        out = []
+        return list(self.render())
+
+    def render(self) -> Iterator[str]:
+        """The report's lines one at a time, so that a writer holds one line, not the report's text."""
         for line in self.lines:
-            text = f"AXIOM {self.axiom} config={line.config} verdict={line.verdict}"
-            if line.detail:
-                text += f" {line.detail}"
-            out.append(text)
-        counts = {PASS: 0, FAIL: 0, INCONCLUSIVE: 0}
-        for line in self.lines:
-            counts[line.verdict] += 1
-        out.append(
-            f"SUMMARY axiom={self.axiom} checked={len(self.lines)} pass={counts[PASS]} "
-            f"fail={counts[FAIL]} inconclusive={counts[INCONCLUSIVE]} verdict={self.verdict}"
-        )
-        return out
+            yield f"AXIOM {self.axiom} config={line.config} verdict={line.verdict}" + (f" {line.detail}" if line.detail else "")
+        counts = Counter(map(attrgetter("verdict"), self.lines))
+        yield (f"SUMMARY axiom={self.axiom} checked={len(self.lines)} pass={counts[PASS]} "
+               f"fail={counts[FAIL]} inconclusive={counts[INCONCLUSIVE]} verdict={self.verdict}")
 
 
 # -- sampling ---------------------------------------------------------------
@@ -708,11 +702,14 @@ class EquivalenceReport:
     alarms: list[str] = field(default_factory=list)
 
     def rendered(self) -> list[str]:
-        out = [line for name in SUITE for line in self.reports[name].rendered()]
+        return list(self.render())
+
+    def render(self) -> Iterator[str]:
+        """The suite's lines one at a time: each report's, then the verdicts compared and the alarms."""
+        yield from chain.from_iterable(self.reports[name].render() for name in SUITE)
         verdicts = ",".join(f"{name}={self.reports[name].verdict}" for name in COMPARED)
-        out.append(f"EQUIVALENCE precondition={'ok' if self.precondition_ok else 'unmet'} {verdicts}")
-        out.extend(f"ALARM {alarm}" for alarm in self.alarms)
-        return out
+        yield f"EQUIVALENCE precondition={'ok' if self.precondition_ok else 'unmet'} {verdicts}"
+        yield from (f"ALARM {alarm}" for alarm in self.alarms)
 
 
 def equivalence_suite(atlas: Atlas, samples: int = 200, seed: int = 0) -> EquivalenceReport:

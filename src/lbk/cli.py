@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 from . import axioms as ax
 from . import fixtures
@@ -38,15 +39,15 @@ def _load(path: str) -> Atlas:
         raise ModelFormatError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], out_path: Optional[str]) -> None:
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise ModelFormatError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _cmd_validate(args) -> int:
@@ -66,12 +67,11 @@ def _cmd_axioms(args) -> int:
     if set(ax.SUITE) <= set(wanted):
         suite = ax.equivalence_suite(atlas, args.samples, args.seed)
         reports = suite.reports
-        lines = [line for name in ("A1", "A2") if name in wanted for line in reports[name].rendered()]
-        lines += suite.rendered()
+        lines = chain(*(reports[name].render() for name in ("A1", "A2") if name in wanted), suite.render())
     else:
         reports = ax.run_axioms(atlas, wanted, args.samples, args.seed)
-        lines = [line for report in reports.values() for line in report.rendered()]
-    _emit("\n".join(lines) + "\n", args.output)
+        lines = chain.from_iterable(report.render() for report in reports.values())
+    _emit((line + "\n" for line in lines), args.output)  # each line written as it is rendered
     verdicts = {reports[name].verdict for name in wanted}
     if ax.FAIL in verdicts:
         return EXIT_FAIL
@@ -152,7 +152,7 @@ def _cmd_fixture(args) -> int:
         atlas = fixtures.broken_pair(args.lam)
     else:  # shifted-rays: argparse restricts the kind to the choices
         atlas = fixtures.shifted_rays(args.lam)
-    _emit(serialize_model(atlas), args.output)
+    _emit([serialize_model(atlas)], args.output)
     return EXIT_PASS
 
 

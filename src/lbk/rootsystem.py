@@ -10,16 +10,17 @@ Conventions, fixed once and used consistently everywhere:
   makes the pairing a symmetric reflection-invariant form (see README,
   "Conventions").
 
-Each group element is one object, built by a breadth-first enumeration of the
-group: every route to it returns that object, so it is its own key, and elements
-of two separately built systems neither compare equal nor multiply.  It holds its
-integer action matrix on base coordinates and its lexicographically least reduced word.
+Each group element is one object, built by a breadth-first enumeration of the group: every route to it returns
+that object, so it is its own key, and elements of two separately built systems neither compare equal nor multiply.
+It holds its integer action matrix on base coordinates, its lexicographically least reduced word, its place in the
+group's (length, word) order, and its system weakly, so that a system is freed by reference count.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence, Union
+from weakref import proxy
 
 from .lexq import LambdaScalar
 
@@ -121,15 +122,16 @@ def _symmetrizer(cartan: Matrix) -> tuple[Fraction, ...]:
 
 
 class WeylElement:
-    """Finite reflection group element: action matrix plus canonical word.  Its system
-    builds one instance per element, so equality and hash are identity."""
+    """Finite reflection group element: action matrix, canonical word and its ``index`` in :meth:`RootSystem.weyl_elements`.
+    Its system, held through its weak proxy, builds one instance per element, so equality and hash are identity."""
 
-    __slots__ = ("system", "matrix", "word")
+    __slots__ = ("system", "matrix", "word", "index")
 
-    def __init__(self, system: "RootSystem", matrix: Matrix, word: tuple[int, ...]):
+    def __init__(self, system: "RootSystem", matrix: Matrix, word: tuple[int, ...], index: int):
         self.system = system
         self.matrix = matrix
         self.word = word
+        self.index = index
 
     @property
     def length(self) -> int:
@@ -171,10 +173,11 @@ class RootSystem:
         self._positive_set = frozenset(self.positive_roots)
         self._elements: list[WeylElement] | None = None
         self._by_matrix: dict[Matrix, WeylElement] = {}
-        # Products and inverses, keyed by the elements and filled on first use: the group is finite.
-        # Generators are involutions, so the reversed word gives the inverse.
-        self._product = cache(lambda a, b: self.element(_mat_mul(a.matrix, b.matrix)))
-        self._inverse = cache(lambda w: self.from_word(reversed(w.word)))
+        # Products and inverses, keyed by the elements and filled on first use: the group is finite.  Generators are
+        # involutions, so the reversed word gives the inverse.  Tables and elements reach the system by its weak proxy.
+        me = proxy(self)
+        self._product = cache(lambda a, b: me.element(_mat_mul(a.matrix, b.matrix)))
+        self._inverse = cache(lambda w: me.from_word(reversed(w.word)))
 
     # -- roots ---------------------------------------------------------
 
@@ -228,22 +231,22 @@ class RootSystem:
     # -- group ---------------------------------------------------------
 
     def _enumerate(self) -> None:
-        """Build the group once.  Not a memo but the group itself, which raises past WEYL_CAP."""
+        """Build the group once (not a memo but the group itself, which raises past WEYL_CAP), level by level: a level's
+        words are the previous level's, in order, each followed by the generators in turn, so they come in (length, word) order."""
         if self._elements is not None:
             return
-        identity = WeylElement(self, _identity(self.rank), ())
+        identity = WeylElement(me := proxy(self), _identity(self.rank), (), 0)
         by_matrix = {identity.matrix: identity}
         elements = [identity]
         level = [identity]
         reflections = [self.reflection_matrix(i) for i in range(1, self.rank + 1)]
         while level:
-            level.sort(key=lambda w: w.word)
             nxt = []
             for w in level:
                 for i in range(1, self.rank + 1):
                     m = _mat_mul(w.matrix, reflections[i - 1])
                     if m not in by_matrix:
-                        elem = WeylElement(self, m, w.word + (i,))
+                        elem = WeylElement(me, m, w.word + (i,), len(elements))
                         by_matrix[m] = elem
                         elements.append(elem)
                         nxt.append(elem)
@@ -252,7 +255,6 @@ class RootSystem:
                                 f"reflection group exceeds the cap of {WEYL_CAP} elements"
                             )
             level = nxt
-        elements.sort(key=lambda w: (w.length, w.word))
         self._elements = elements
         self._by_matrix = by_matrix
 

@@ -3,9 +3,10 @@
 A chart's point and germ masks are kept per sign vector at the chart's walls
 (``Atlas.walls``): a half's verdict at a point reads only the point's sign at
 its wall, and a tight half's germ verdict whether it caps a generator.  So
-``Atlas.mask`` reads one table keyed by (chart, signs, direction or None), and a miss
-reads one verdict per overlap class, keyed by (class id, signs at the class's rows,
-direction or None), which charts sharing the class share.  The references below are the
+``Atlas.mask`` reads one table per chart, keyed by one int, the signs in balanced
+ternary offset by the direction (:func:`cell_key`), and a miss reads one verdict per
+overlap class, keyed by (class id, the signs at the class's rows, each plus one, as one
+ternary int, direction or None), which charts sharing the class share.  The references below are the
 per-class ``holds`` loops that ran on every call before, compared on the 40 digest members,
 ``fm_fallback`` and two atlases with transitions that have no reverse, at seeded points,
 the origin, points moved onto each wall and, at lex rank 2, an infinitesimal off it on either side.  ``sector_through`` is a
@@ -80,6 +81,29 @@ def on_walls(atlas, chart, p):
     return out
 
 
+def ternary(signs):
+    """Digits as one int in base 3, the first the most significant: balanced ternary for signs in {-1, 0, 1}."""
+    code = 0
+    for s in signs:
+        code = 3 * code + s
+    return code
+
+
+def cell_key(signs, w):
+    """The cell-table key of a chart's signs at its walls: their code, offset by 3^walls times the
+    direction's index in ``directions()`` plus one, and not offset for a point."""
+    return ternary(signs) + (0 if w is None else (w.index + 1) * 3 ** len(signs))
+
+
+def digits(key, n):
+    """The (direction index + 1 or 0, signs) a cell key of n walls stands for: the inverse of cell_key."""
+    signs = []
+    for _ in range(n):
+        signs.append(s := (key + 1) % 3 - 1)
+        key = (key - s) // 3
+    return key, signs[::-1]
+
+
 def probes(atlas, chart, rng):
     ap = atlas.apartment
     seeded = [seeded_base(ap, rng) for _ in range(8)]
@@ -94,27 +118,49 @@ def test_cell_table_agrees_with_the_class_scan(name):
     ap = atlas.apartment
     rng = random.Random(f"cells:{name}")
     walls_hit = set()
+    directions = ap.directions()
     for chart in atlas.charts():
-        points = probes(atlas, chart, rng)
+        points, walls, made = probes(atlas, chart, rng), atlas.walls[chart], set()
         for _ in range(2):
             for p in points:
                 pass_ = ap.root_dots(p)
+                signs = [ap.sign(pass_, k, nums, den) for k, nums, den in walls]
                 mask = scanned_point_mask(atlas, chart, pass_)
-                assert atlas.mask(chart, pass_) == mask, (name, chart, p)
-                for w in ap.directions():
-                    assert atlas.mask(chart, pass_, w) == scanned_germ_mask(atlas, chart, pass_, mask, w), (name, chart, p, w)
-        keys = [signs for c, signs, w in atlas._cells if c == chart and w is None]
-        assert len(keys) <= 3 ** len(atlas.walls[chart]), (name, chart)
-        walls_hit |= {k for signs in keys for k, s in enumerate(signs) if s == 0}
-    assert all(set(signs) <= {-1, 0, 1} and len(signs) == len(atlas.walls[c]) for c, signs, _ in atlas._cells)
+                assert atlas.mask(chart, pass_) == mask == atlas._cells[chart][cell_key(signs, None)], (name, chart, p)
+                made.add(cell_key(signs, None))
+                walls_hit |= {q for q, s in enumerate(signs) if s == 0}
+                for w in directions:
+                    germ = scanned_germ_mask(atlas, chart, pass_, mask, w)
+                    assert atlas.mask(chart, pass_, w) == germ == atlas._cells[chart][cell_key(signs, w)], (name, chart, p, w)
+                    made.add(cell_key(signs, w))
+        table = atlas._cells[chart]
+        assert made <= set(table) and all(type(key) is int for key in table), (name, chart)
+        assert len([key for key in table if digits(key, len(walls))[0] == 0]) <= 3 ** len(walls), (name, chart)
+        assert all(0 <= digits(key, len(walls))[0] <= len(directions) for key in table), (name, chart)
+        assert len({digits(key, len(walls))[0] for key in made}) == 1 + len(directions)
     assert walls_hit or not any(atlas.walls), name  # some point lies on a wall
+
+
+def test_cell_keys_are_balanced_ternary_offset_by_the_direction():
+    """cell_key is one-to-one: every sign vector of up to three walls, with no direction or each of G2's
+    twelve, has its own key, and digits reads it back."""
+    ws = Apartment(build_root_system("G2"), 1).directions()
+    for n in range(4):
+        keys = {}
+        for signs in product((-1, 0, 1), repeat=n):
+            for w in [None, *ws]:
+                key = cell_key(list(signs), w)
+                assert digits(key, n) == (0 if w is None else w.index + 1, list(signs))
+                keys[key] = (signs, w)
+        assert len(keys) == 3**n * (1 + len(ws))
+    assert [w.index for w in ws] == list(range(len(ws)))
 
 
 @pytest.mark.parametrize("name", sorted(ATLASES))
 def test_class_verdicts_are_the_holds_of_each_class(name):
     """At every probe pass and direction or none, each overlap class's verdict, read at the pass's signs at the
-    walls of the class's rows, is holds of its rows: so every (chart, signs, w) key of the cell table is made of
-    exact verdicts.  The verdict table is keyed per class, not per chart, and stays within 3^rows keys per w."""
+    walls of the class's rows, each plus one, as one ternary int, is holds of its rows: so every key of a chart's cell
+    table is made of exact verdicts.  The verdict table is keyed per class, not per chart, and stays within 3^rows keys per w."""
     atlas = ATLASES[name]
     ap = atlas.apartment
     rng = random.Random(f"verdicts:{name}")
@@ -128,7 +174,7 @@ def test_class_verdicts_are_the_holds_of_each_class(name):
                 for c, _, at in atlas.class_walls[chart]:
                     rows = ap.rows(atlas.regions[c])
                     assert [atlas.walls[chart][q] for q in at] == [(k, nums, den) for k, _, nums, den in rows]
-                    assert atlas._verdict(c, tuple(signs[q] for q in at), w) == ap.holds(rows, pass_, w), (name, chart, p, w)
+                    assert atlas._verdict(c, ternary([signs[q] + 1 for q in at]), w) == ap.holds(rows, pass_, w), (name, chart, p, w)
     assert atlas._verdict.cache_info().currsize <= (1 + len(ap.directions())) * sum(3 ** len(r.halves) for r in atlas.regions)
 
 

@@ -251,8 +251,9 @@ def test_fitting_agrees_with_the_per_chart_fit(name):
                 assert mask >> i & 1 and mask < 1 << atlas.size
                 for j in atlas.charts():
                     assert bool(mask >> j & 1) == fit_subsector(atlas, i, w, face, j), (i, w.word, face, j)
-                assert atlas.fitting(i, w, face) is mask  # the cached answer
+                assert atlas.fitting(i, w, face) is mask is atlas._fits[i][w.index * (ap.rank + 1) + face]  # the kept answer
             assert atlas.fitting(i, w) is atlas.fitting(i, w, 0)  # a defaulted face is face 0
+        assert len(atlas._fits[i]) == len(ap.directions()) * (ap.rank + 1)  # one int key per (direction, face)
 
 
 def test_reach_tests_each_overlap_class_once():
@@ -379,7 +380,7 @@ def warmed_tables(build):
             global_distance(atlas, p, q)
             g1, g2 = (BuildingGerm(bp.chart, ap.sector(bp.point, rng.choice(directions))) for bp in (p, q))
             germ_coapartment(atlas, g1, g2)
-        sizes.append((ap.region_feasible.cache_info().currsize, atlas._fit.cache_info().currsize, atlas.through.cache_info().currsize,
+        sizes.append((ap.region_feasible.cache_info().currsize, sum(map(len, atlas._fits)), atlas.through.cache_info().currsize,
                       ap.rows.cache_info().currsize, ap.bounds.cache_info().currsize, ap.bases.cache_info().currsize))
         assert atlas.class_walls == class_walls
     assert sizes[0] == sizes[1], sizes
@@ -391,7 +392,9 @@ def warmed_tables(build):
     assert ap.sector_walls.cache_info().currsize <= group
     signs = 3 ** len(rs.positive_roots)  # sign vectors at the positive roots, or at a chart's walls
     assert ap.sector_through.cache_info().currsize <= (group + 1) * signs  # per sign vector, with no direction or one
-    assert all(sum(c == i for c, _, _ in atlas._cells) <= (group + 1) * 3 ** len(atlas.walls[i]) for i in atlas.charts())
+    assert all(len(atlas._cells[i]) <= (group + 1) * 3 ** len(atlas.walls[i]) for i in atlas.charts())
+    assert all(len(atlas._fits[i]) <= group * (rs.rank + 1) for i in atlas.charts())
+    assert all(type(key) is int for table in atlas._cells + atlas._fits for key in table)
     # Fits and class verdicts are kept per overlap class, not per chart.
     assert ap.sector_fits.cache_info().currsize <= group * len(atlas.regions) * (rs.rank + 1)
     assert atlas._verdict.cache_info().currsize <= (group + 1) * sum(3 ** len(r.halves) for r in atlas.regions)
@@ -408,19 +411,45 @@ def test_tables_stay_bounded_and_die_with_their_object(build):
 
 
 def test_atlas_and_apartment_die_by_reference_count():
-    """With the cyclic collector off, lambda_tree(3) and its apartment are freed as soon as the last
-    reference goes, after a run of the checkers: their tables live in their own dicts and call their
-    methods through a weak proxy, so no table holds a bound method or closure of its own object.  A
-    root system and its Weyl elements reference each other, so the root system may stay until the
-    collector runs."""
+    """With the cyclic collector off, lambda_tree(3), its apartment and its root system are freed as soon
+    as the last reference goes, after a run of the checkers: their tables live in their own dicts and call
+    their methods through a weak proxy, so no table holds a bound method or closure of its own object, and
+    a Weyl element holds its system through the same weak proxy."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         atlas = fixtures.lambda_tree(3)
         run_axioms(atlas, AXIOM_ORDER, samples=40)
-        refs = weakref.ref(atlas), weakref.ref(atlas.apartment)
+        refs = weakref.ref(atlas), weakref.ref(atlas.apartment), weakref.ref(atlas.apartment.roots)
         del atlas
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_root_system_dies_by_reference_count_and_its_group_still_multiplies():
+    """With the cyclic collector off, the root system of lambda_tree(3) dies with its atlas, once its group
+    has been enumerated and its product and inverse tables filled; while it lives, products and inverses
+    are the table's elements, and a product across two systems of one type raises ValueError."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        atlas = fixtures.lambda_tree(3)
+        rs = atlas.apartment.roots
+        e, r = rs.identity(), rs.simple(1)
+        assert r * r is e and r * e is r and r.inverse() is r and e.inverse() is e
+        assert rs._product.cache_info().currsize == 2 and rs._inverse.cache_info().currsize == 2
+        twin = fixtures.lambda_tree(3).apartment.roots
+        with pytest.raises(ValueError):
+            r * twin.simple(1)
+        assert r.system is not twin.simple(1).system
+        run_axioms(atlas, AXIOM_ORDER, samples=40)
+        infinity_complex(atlas)
+        ref = weakref.ref(rs)
+        del atlas, rs, e, r
+        assert ref() is None
+        assert twin.simple(1) * twin.simple(1) is twin.identity()
     finally:
         if enabled:
             gc.enable()
