@@ -195,8 +195,8 @@ class Apartment:
         self.cone_basis: tuple[tuple[Fraction, ...], ...] = tuple(
             tuple(self._inverse[j][i] for j in range(self.rank)) for i in range(self.rank)
         )
-        memoize(self, "region_feasible", "bases", "block", "bounds", "region_satisfies", "rows", "cone_slopes", "sector_walls",
-                "pass_moves", "sector_through", "sector_fits")
+        memoize(self, "bases", "block", "bounds", "region_satisfies", "rows", "cone_slopes", "sector_walls", "pass_moves",
+                "sector_through", "sector_fits")
 
     # -- scalars and points ---------------------------------------------
 
@@ -365,8 +365,9 @@ class Apartment:
         """The one half rule: does the half sense * (beta_k, v) >= sense * bound hold a point on this side of its wall
         (:meth:`sign`), or, given a direction, a chunk of the direction's germ there?  A point off the wall on the half's
         side keeps a positive gap, so a small enough step along every generator of the cone stays inside; a point on the
-        wall holds the germ only when the half caps no generator (:meth:`caps`)."""
-        return side * sense > 0 or not side and (direction is None or not self.caps(direction, self.roots.positive_roots[k], sense))
+        wall holds the germ only when the half caps no generator (:meth:`caps`): its :meth:`cone_slopes` w^-1 beta_k are
+        a root's coefficients, which share one sign, so it caps none exactly when sense times their sum is positive."""
+        return side * sense > 0 or not side and (direction is None or sense * sum(self.cone_slopes(direction, self.roots.positive_roots[k])) > 0)
 
     def holds(self, rows: Rows, pass_: Pass, direction: Optional[WeylElement] = None) -> bool:
         """Do the halves of these :meth:`rows` hold the point of this pass (:meth:`root_dots`), or, given a direction,
@@ -381,7 +382,7 @@ class Apartment:
         return self.holds(self.rows(region), self.root_dots(p))
 
     def region_feasible(self, region: ConvexRegion) -> Feasibility:
-        """Is the region nonempty?  One FM answer, witness included, cached per region, for callers that use the witness."""
+        """Is the region nonempty?  One FM answer, witness included, for callers that use the witness."""
         return feasible(self.region_system(region), self.lex_rank)
 
     def open_cells(self, halves: Iterable[HalfApartment], budget: int) -> Optional[list[Point]]:

@@ -6,7 +6,7 @@ identifying it with a region of the other chart.  Point equality and :meth:`Atla
 search, are one-hop, sound only for a closed gluing; :func:`validate` does not check closure (ROADMAP item 2).
 The charts holding a point or germ are constant on each face of the arrangement of its chart's walls, so each chart's cell
 table keeps them under one int, the signs of one integer pass at those walls (:meth:`Apartment.sign`) in balanced ternary after
-the direction's digits, and a miss reads one verdict per overlap class, which the charts sharing it share (:meth:`Atlas.mask`).  A pass is carried
+the direction's digits, and a miss tests each overlap class's halves at those signs (:meth:`Atlas.mask`).  A pass is carried
 between charts without moving its point (:meth:`Atlas.carry_pass`).  A point's copy in each chart holding it is
 :meth:`Atlas.locate_point`; a held germ or sector moves by :meth:`Atlas.move_held`.
 The atlas numbers its distinct transition isometries, and since the metric is invariant under the affine Weyl group,
@@ -156,13 +156,13 @@ class Atlas:
             if (h := self.halves[c]) is not None:
                 self._meeting[i][h] = self._meeting[i].get(h, 0) | 1 << j
         # Per chart, the distinct walls (k, nums, den) of its classes' halves as int rows (Apartment.rows), and per class its
-        # id, chart mask and the position of each of its rows among those walls, in one pass; and per chart the int-keyed
-        # tables of mask (at most 3^walls keys per direction or none) and fitting (one key per direction and face).
+        # chart mask and its halves as (position of the half's wall among those walls, k, sense), in one pass; and per chart
+        # the int-keyed tables of mask (at most 3^walls keys per direction or none) and fitting (one key per direction and face).
         self.walls, self.class_walls = [], []
         for classes in self.overlap_classes:
             walls: dict[tuple, int] = {}
-            place = [tuple([walls.setdefault((k, nums, den), len(walls)) for k, _, nums, den in apartment.rows(self.regions[c])]) for c in classes]
-            self.class_walls.append([(c, js, at) for (c, js), at in zip(classes.items(), place)])
+            halves = [tuple([(walls.setdefault((k, nums, den), len(walls)), k, sense) for k, sense, nums, den in apartment.rows(self.regions[c])]) for c in classes]
+            self.class_walls.append(list(zip(classes.values(), halves)))
             self.walls.append(tuple(walls))
         self._cells, self._fits, self._faces = [{} for _ in range(m)], [{} for _ in range(m)], apartment.rank + 1
         # Transition values, one hash per distinct object: value_of[(i, j)] is the id of t_ij's isometry in isos, in
@@ -172,7 +172,7 @@ class Atlas:
         value = [values.setdefault(None if iso.is_identity() else iso, len(values)) for iso in seen]
         self.isos = list(values)
         self.value_of = {(i, i): 0 for i in range(m)} | {pair: value[n] for (pair, _), n in zip(items, number)}
-        memoize(self, "through", "_verdict")
+        memoize(self, "through")
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -233,8 +233,14 @@ class Atlas:
             return self._fits[i].setdefault(w.index * self._faces + face, self.reach(i, lambda region: self.apartment.sector_fits(w, region, face)) | 1 << i)
 
     def holding(self, item: BuildingPoint | BuildingGerm | BuildingSector) -> int:
-        """The charts holding a point, germ or whole sector, as a mask: :meth:`read` from one pass :meth:`at`."""
-        return self.read(self.at, item)
+        """The charts holding a point, germ or whole sector, as a mask, from one pass over the point or base (:meth:`at`).
+        A whole sector lies in a class exactly when its base does and the class caps no generator of its cone, and one
+        chart's class masks are disjoint: so its mask is its base's AND :meth:`fitting`.  A germ's is its :meth:`mask`
+        given its direction."""
+        mask, *pass_ = self.at(item.chart, item.point if isinstance(item, BuildingPoint) else item.sector.base)
+        if isinstance(item, BuildingGerm):
+            return self.mask(item.chart, pass_, item.sector.direction)
+        return mask & self.fitting(item.chart, item.sector.direction) if isinstance(item, BuildingSector) else mask
 
     def at(self, chart: int, point: Point) -> tuple[int, int, list[list[int]]]:
         """(mask, d, dots): one pass (d, dots) over the point (:meth:`Apartment.root_dots`) and its :meth:`mask`."""
@@ -244,30 +250,15 @@ class Atlas:
         """The charts holding the point of a chart's pass (w None) or its direction-w germ: bit chart and each class
         whose halves hold it, read from the chart's cell table, keyed by the pass's :meth:`Apartment.sign` at each of
         the chart's walls, as one int.  A half's verdict reads only that sign (:meth:`Apartment.admits`), so an entry is
-        exact; a miss reads each class's :meth:`_verdict` at the signs of its own rows, which charts sharing the class share."""
+        exact; a miss reads the signs again into a list and tests each class's halves at the signs of their walls."""
         sign, code, walls = self.apartment.sign, 0 if w is None else w.index + 1, self.walls[chart]
         for k, nums, den in walls:  # the key: the signs as balanced-ternary digits after the digits of w.index + 1
             code = 3 * code + sign(pass_, k, nums, den)
         if (mask := (cells := self._cells[chart]).get(code)) is None:
-            low = (code + (3 ** len(walls) - 1) // 2) % 3 ** len(walls)  # the key's wall digits, each sign plus one, read back
-            holding = (js for c, js, at in self.class_walls[chart] if self._verdict(c, reduce(lambda a, p: 3 * a + low // 3 ** (len(walls) - 1 - p) % 3, at, 0), w))
+            admits, signs = self.apartment.admits, [sign(pass_, k, nums, den) for k, nums, den in walls]
+            holding = (js for js, halves in self.class_walls[chart] if all(admits(k, sense, signs[q], w) for q, k, sense in halves))
             mask = cells[code] = sum(holding, 1 << chart)
         return mask
-
-    def _verdict(self, c: int, code: int, w: Optional[WeylElement]) -> bool:
-        """Does overlap class c hold a point (w None), or a chunk of its direction-w germ, whose signs at its rows' walls, each
-        plus one, are the ternary digits of code, last row last?  Each half :meth:`Apartment.admits` its sign.  Cached per (c, code, w)."""
-        admits, rows = self.apartment.admits, self.apartment.rows(self.regions[c])
-        return all(admits(k, sense, code // 3**e % 3 - 1, w) for e, (k, sense, _, _) in enumerate(reversed(rows)))
-
-    def read(self, at: Callable, item: BuildingPoint | BuildingGerm | BuildingSector) -> int:
-        """The charts holding an item, from the pass ``at(chart, point or base)`` (:meth:`at`).  A whole sector lies
-        in a class exactly when its base does and the class caps no generator of its cone, and one chart's class
-        masks are disjoint: so its mask is its base's AND :meth:`fitting`.  A germ's is its :meth:`mask` given its direction."""
-        mask, *pass_ = at(item.chart, item.point if isinstance(item, BuildingPoint) else item.sector.base)
-        if isinstance(item, BuildingGerm):
-            return self.mask(item.chart, pass_, item.sector.direction)
-        return mask & self.fitting(item.chart, item.sector.direction) if isinstance(item, BuildingSector) else mask
 
     def carry_pass(self, i: int, j: int, pass_: Pass) -> Pass:
         """A chart-i point's pass in chart j, moved through the transition (:meth:`Apartment.move_pass`): no point is moved."""

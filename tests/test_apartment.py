@@ -267,6 +267,21 @@ def test_caps_reads_the_sign_of_each_generator_slope(name):
                 assert ap.caps(w, r, sense) == expected
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "B3", "C3"])
+def test_admits_on_the_wall_is_caps_free(name):
+    """On its wall (side 0) a half holds a chunk of the direction-w germ exactly when it caps no generator
+    of the cone: admits reads the sign of w^-1 beta_k, and caps is the reference.  Off the wall the verdict is
+    the side's alone, whatever the direction."""
+    ap = make(name)
+    for w in ap.directions():
+        for k, r in enumerate(ap.roots.positive_roots):
+            for sense in (1, -1):
+                assert ap.admits(k, sense, 0, w) == (not ap.caps(w, r, sense)), (name, w.word, r, sense)
+                for side in (1, -1):
+                    assert ap.admits(k, sense, side, w) == ap.admits(k, sense, side) == (side == sense)
+    assert all(ap.admits(k, sense, 0) for k in range(len(ap.roots.positive_roots)) for sense in (1, -1))
+
+
 # -- germs and parallelism ------------------------------------------------------
 
 
@@ -437,7 +452,7 @@ def test_region_keeps_its_generated_hash():
     for twin in (copy.copy(region), pickle.loads(pickle.dumps(region)), ap.region(region.halves)):
         assert "_hash" not in vars(twin)
         assert twin == region and hash(twin) == hash(region)
-    assert ap.region_feasible(ap.region(region.halves)) is ap.region_feasible(region)
+    assert ap.region_feasible(ap.region(region.halves)) == ap.region_feasible(region)
 
 
 @pytest.mark.parametrize("name, chambers", [("A1", 2), ("A2", 6), ("B2", 8), ("G2", 12), ("A3", 24), ("B3", 48)])

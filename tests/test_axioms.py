@@ -5,7 +5,7 @@ import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -700,14 +700,14 @@ def record_affine(monkeypatch):
 
 def point_descent(atlas, g1, g2):
     """germ_coapartment as it was, the slow reference: it moves the bases and the first germ between
-    charts (Atlas.locate_point, Atlas.move_held) and reads each moved point's pass and mask from
-    one query's cache of Atlas.at."""
+    charts (Atlas.locate_point, Atlas.move_held), reads each moved point's mask from Atlas.holding and
+    its pass from one query's cache of Atlas.at."""
     ap = atlas.apartment
     stages = []
     initial = sector_class_distance(atlas, BuildingSector(g1.chart, g1.sector), BuildingSector(g2.chart, g2.sector))
     initial_len = initial[0].length if initial else None
     p1, p2 = BuildingPoint(g1.chart, g1.base), BuildingPoint(g2.chart, g2.base)
-    holding = partial(atlas.read, at := cache(atlas.at))
+    holding, at = atlas.holding, cache(atlas.at)
     held1, held2 = holding(p1), holding(p2)
     same_base = atlas.locate_point(p1).get(g2.chart) == g2.base
 

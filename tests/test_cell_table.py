@@ -4,9 +4,8 @@ A chart's point and germ masks are kept per sign vector at the chart's walls
 (``Atlas.walls``): a half's verdict at a point reads only the point's sign at
 its wall, and a tight half's germ verdict whether it caps a generator.  So
 ``Atlas.mask`` reads one table per chart, keyed by one int, the signs in balanced
-ternary offset by the direction (:func:`cell_key`), and a miss reads one verdict per
-overlap class, keyed by (class id, the signs at the class's rows, each plus one, as one
-ternary int, direction or None), which charts sharing the class share.  The references below are the
+ternary offset by the direction (:func:`cell_key`), and a miss tests each overlap
+class's halves at the signs of their walls (``Atlas.class_walls``).  The references below are the
 per-class ``holds`` loops that ran on every call before, compared on the 40 digest members,
 ``fm_fallback`` and two atlases with transitions that have no reverse, at seeded points,
 the origin, points moved onto each wall and, at lex rank 2, an infinitesimal off it on either side.  ``sector_through`` is a
@@ -158,24 +157,24 @@ def test_cell_keys_are_balanced_ternary_offset_by_the_direction():
 
 @pytest.mark.parametrize("name", sorted(ATLASES))
 def test_class_verdicts_are_the_holds_of_each_class(name):
-    """At every probe pass and direction or none, each overlap class's verdict, read at the pass's signs at the
-    walls of the class's rows, each plus one, as one ternary int, is holds of its rows: so every key of a chart's cell
-    table is made of exact verdicts.  The verdict table is keyed per class, not per chart, and stays within 3^rows keys per w."""
+    """Per chart, class_walls lists the overlap classes in class order, each with its chart mask and each of its
+    rows as (position of the row's wall among the chart's walls, k, sense).  At every probe pass and direction or
+    none, a class's verdict on a cell-table miss, each half admitting the pass's sign at its wall, is holds of its rows."""
     atlas = ATLASES[name]
     ap = atlas.apartment
     rng = random.Random(f"verdicts:{name}")
     for chart in atlas.charts():
-        assert [(c, js) for c, js, _ in atlas.class_walls[chart]] == list(atlas.overlap_classes[chart].items())
+        assert [js for js, _ in atlas.class_walls[chart]] == list(atlas.overlap_classes[chart].values())
+        for c, (_, halves) in zip(atlas.overlap_classes[chart], atlas.class_walls[chart]):
+            rows = ap.rows(atlas.regions[c])
+            assert [(atlas.walls[chart][q], k, sense) for q, k, sense in halves] == [((k, nums, den), k, sense) for k, sense, nums, den in rows]
         for p in probes(atlas, chart, rng):
             pass_ = ap.root_dots(p)
             signs = [ap.sign(pass_, k, nums, den) for k, nums, den in atlas.walls[chart]]
             for w in [None, *ap.directions()]:
-                atlas.mask(chart, pass_, w)
-                for c, _, at in atlas.class_walls[chart]:
-                    rows = ap.rows(atlas.regions[c])
-                    assert [atlas.walls[chart][q] for q in at] == [(k, nums, den) for k, _, nums, den in rows]
-                    assert atlas._verdict(c, ternary([signs[q] + 1 for q in at]), w) == ap.holds(rows, pass_, w), (name, chart, p, w)
-    assert atlas._verdict.cache_info().currsize <= (1 + len(ap.directions())) * sum(3 ** len(r.halves) for r in atlas.regions)
+                for c, (_, halves) in zip(atlas.overlap_classes[chart], atlas.class_walls[chart]):
+                    verdict = all(ap.admits(k, sense, signs[q], w) for q, k, sense in halves)
+                    assert verdict == ap.holds(ap.rows(atlas.regions[c]), pass_, w), (name, chart, p, w)
 
 
 @pytest.mark.parametrize("name", sorted(ATLASES))

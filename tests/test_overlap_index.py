@@ -355,17 +355,25 @@ def test_cached_answer_is_the_fresh_solve():
     for space, region in ((ap, sat), (rays.apartment, unsat)):
         fresh = feasible(space.region_system(region), space.lex_rank)
         assert space.region_feasible(region) == fresh
-        assert space.region_feasible(region) is space.region_feasible(region)  # the cached answer
+        assert space.region_feasible(region) == space.region_feasible(region)  # the same answer again
     assert ap.region_feasible(sat).sat and not rays.apartment.region_feasible(unsat).sat
     assert recheck_a6_counterexample(rays, i, j, k)
 
 
-def warmed_tables(build):
+def warmed_tables(build, monkeypatch):
     """Weak references to a fresh atlas, its apartment and its root system, after the checkers, the complex
     at infinity and 350 seeded fresh-point distance and coapartment queries, checking the tables they
     keep along the way.  Their keys are regions, charts, directions, roots, sign vectors and transition-value
-    ids, never points: once 50 queries have run, the next 300 add no FM answer, no normal form, no fit mask and no composite
-    map, the class walls stay as built, one row table per overlap region, and each table stays within its finite key set."""
+    ids, never points: once 50 queries have run, the next 300 solve no FM system and add no normal form, no fit mask and
+    no composite map, the class walls stay as built, one row table per overlap region, and each table stays within its
+    finite key set."""
+    solves = Counter()
+
+    def counted(*args):
+        solves["feasible"] += 1
+        return feasible(*args)
+
+    monkeypatch.setattr(lbk.apartment, "feasible", counted)
     atlas = build()
     ap, rs = atlas.apartment, atlas.apartment.roots
     class_walls = [list(rows) for rows in atlas.class_walls]
@@ -380,7 +388,7 @@ def warmed_tables(build):
             global_distance(atlas, p, q)
             g1, g2 = (BuildingGerm(bp.chart, ap.sector(bp.point, rng.choice(directions))) for bp in (p, q))
             germ_coapartment(atlas, g1, g2)
-        sizes.append((ap.region_feasible.cache_info().currsize, sum(map(len, atlas._fits)), atlas.through.cache_info().currsize,
+        sizes.append((solves["feasible"], sum(map(len, atlas._fits)), atlas.through.cache_info().currsize,
                       ap.rows.cache_info().currsize, ap.bounds.cache_info().currsize, ap.bases.cache_info().currsize))
         assert atlas.class_walls == class_walls
     assert sizes[0] == sizes[1], sizes
@@ -395,17 +403,16 @@ def warmed_tables(build):
     assert all(len(atlas._cells[i]) <= (group + 1) * 3 ** len(atlas.walls[i]) for i in atlas.charts())
     assert all(len(atlas._fits[i]) <= group * (rs.rank + 1) for i in atlas.charts())
     assert all(type(key) is int for table in atlas._cells + atlas._fits for key in table)
-    # Fits and class verdicts are kept per overlap class, not per chart.
+    # Fits are kept per overlap class, not per chart.
     assert ap.sector_fits.cache_info().currsize <= group * len(atlas.regions) * (rs.rank + 1)
-    assert atlas._verdict.cache_info().currsize <= (group + 1) * sum(3 ** len(r.halves) for r in atlas.regions)
     return weakref.ref(atlas), weakref.ref(ap), weakref.ref(rs)
 
 
 @pytest.mark.parametrize("build", [lambda: fixtures.fan(4, "B2", 1), lambda: fixtures.lambda_tree(5, 2)], ids=["fan(4,B2)", "tree(5,2)"])
-def test_tables_stay_bounded_and_die_with_their_object(build):
+def test_tables_stay_bounded_and_die_with_their_object(build, monkeypatch):
     """An atlas, its apartment and its root system keep their tables as instance caches, so nothing
     outlives them: once the last reference goes, all three are freed."""
-    refs = warmed_tables(build)
+    refs = warmed_tables(build, monkeypatch)
     gc.collect()
     assert [ref() for ref in refs] == [None] * 3
 

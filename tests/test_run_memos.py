@@ -245,7 +245,7 @@ def test_ladder_pass_work_is_pinned(monkeypatch):
     distinct region whose floor falls short of a bound, and solves 46 FM systems, all of them A6 witnesses.
     Distances measure once per distinct composite map (4,194 pass metrics), and A5 moves each distinct
     point's image pass once per target (3,730 pass moves).  Fits are decided once per (direction, overlap
-    region, face) (432 sector_fits), the cell table reads 584 per-class verdicts and asks holds never, and
+    region, face) (432 sector_fits), the cell table asks holds never, and
     the complex at infinity makes its Weyl products per transition value, not per union (1,004 products
     in all).  The cell tables keep 1,712 masks and the fit tables 1,516, each under one int key per chart.
     A memo lost, or a pass moved twice, moves one of these numbers."""
@@ -264,18 +264,17 @@ def test_ladder_pass_work_is_pinned(monkeypatch):
     for name in ("move_pass", "pass_metric", "sector_fits", "holds"):
         counted(Apartment, name)
     counted(WeylElement, "__mul__")
-    builds = verdicts = cells = fits = 0
+    builds = cells = fits = 0
     for _, *spec in LADDER:
         atlas = build_member(*spec)
         equivalence_suite(atlas, samples=80, seed=0)
         infinity_complex(atlas)
         builds += atlas.apartment.bounds.cache_info().misses
-        verdicts += atlas._verdict.cache_info().currsize
         cells += sum(map(len, atlas._cells))
         fits += sum(map(len, atlas._fits))
         assert all(type(key) is int for table in atlas._cells + atlas._fits for key in table)
     assert (builds, calls["feasible"], calls["pass_metric"], calls["move_pass"]) == (40, 46, 4194, 3730)
-    assert (calls["sector_fits"], calls["holds"], verdicts, calls["__mul__"]) == (432, 0, 584, 1004)
+    assert (calls["sector_fits"], calls["holds"], calls["__mul__"]) == (432, 0, 1004)
     assert (cells, fits) == (1712, 1516)
 
 
