@@ -21,7 +21,6 @@ sector-panel types are 1-based, matching the a1/a2 syntax of model files.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -39,6 +38,7 @@ from .linarith import (
     LinearConstraint,
     feasible,
 )
+from .records import Value, set_field
 from .rootsystem import Root, RootSystem, WeylElement
 
 Point = tuple[LambdaScalar, ...]
@@ -59,31 +59,27 @@ def memoize(obj: object, *names: str) -> None:
         setattr(obj, name, cache(getattr(type(obj), name).__get__(me)))
 
 
-class _KeptHash:
-    """A frozen dataclass's generated hash, the hash of its fields' tuple, kept once computed as
-    LambdaScalar keeps its own: memo and table keys would hash every field again on each lookup.
-    Copies and pickles carry the fields, not the kept hash.  A subclass names ``__hash__`` in its
-    class body, or the dataclass would replace it with its own."""
+class _KeptHash(Value):
+    """A value whose hash, its fields' tuple's, is kept in its instance dict once computed, as LambdaScalar keeps
+    its own: memo and table keys would hash every field again on each lookup.  Copies and pickles go through
+    ``__init__``, so they carry the fields, not the kept hash."""
 
     def __hash__(self) -> int:
         try:
             return self.__dict__["_hash"]
         except KeyError:
-            # Until then the instance dict holds the fields alone, in order: __init__ and copies set nothing else.
-            value = self.__dict__["_hash"] = hash(tuple(self.__dict__.values()))
+            value = self.__dict__["_hash"] = hash(self._values(self))
             return value
 
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-@dataclass(frozen=True)
 class AffineIsometry(_KeptHash):
-    """v -> linear(v) + shift, with the linear part in the reflection group."""
+    """v -> linear(v) + shift, with the linear part in the reflection group.  Memos key moves by the isometry."""
 
-    linear: WeylElement
-    shift: Point
-    __hash__ = _KeptHash.__hash__  # memos key moves by the isometry
+    __slots__ = ("linear", "shift")
+
+    def __init__(self, linear: WeylElement, shift: Point):
+        set_field(self, "linear", linear)
+        set_field(self, "shift", shift)
 
     def apply(self, point: Point) -> Point:
         return LambdaScalar.affine(self.linear.matrix, point, self.shift)
@@ -102,43 +98,50 @@ class AffineIsometry(_KeptHash):
         return self.linear.is_identity() and all(c.is_zero() for c in self.shift)
 
 
-@dataclass(frozen=True)
-class HalfApartment:
+class HalfApartment(Value):
     """{v : (root, v) >= bound} when sense=+1, <= when sense=-1.
 
     The stored root is always the positive representative; flipping the sign
     of a root flips the sense and negates the bound instead.
     """
 
-    root: Root
-    sense: int
-    bound: LambdaScalar
+    __slots__ = ("root", "sense", "bound")
+
+    def __init__(self, root: Root, sense: int, bound: LambdaScalar):
+        set_field(self, "root", root)
+        set_field(self, "sense", sense)
+        set_field(self, "bound", bound)
 
 
-@dataclass(frozen=True)
 class ConvexRegion(_KeptHash):
     """Finite intersection of half-apartments (closed by construction)."""
 
-    halves: tuple[HalfApartment, ...]
-    __hash__ = _KeptHash.__hash__  # regions key the FM and normal-form tables and the overlap index
+    __slots__ = ("halves",)
+
+    def __init__(self, halves: tuple[HalfApartment, ...]):
+        set_field(self, "halves", halves)
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(Value):
     """base + direction(fundamental cone)."""
 
-    base: Point
-    direction: WeylElement
+    __slots__ = ("base", "direction")
+
+    def __init__(self, base: Point, direction: WeylElement):
+        set_field(self, "base", base)
+        set_field(self, "direction", direction)
 
     def germ(self) -> "SectorGerm":
         return SectorGerm(self)
 
 
-@dataclass(frozen=True)
-class SectorGerm:
+class SectorGerm(Value):
     """A sector taken only near its base point."""
 
-    sector: Sector
+    __slots__ = ("sector",)
+
+    def __init__(self, sector: Sector):
+        set_field(self, "sector", sector)
 
     @property
     def base(self) -> Point:
@@ -149,18 +152,20 @@ class SectorGerm:
         return self.sector.direction
 
 
-@dataclass(frozen=True)
-class RegionShape:
+class RegionShape(Value):
     """Classification of a convex region.
 
     kind is one of "empty", "half-apartment", "wall", "other"; a half fills
     root, sense and bound, a wall root and bound.
     """
 
-    kind: str
-    root: Optional[Root] = None
-    sense: int = 0
-    bound: Optional[LambdaScalar] = None
+    __slots__ = ("kind", "root", "sense", "bound")
+
+    def __init__(self, kind: str, root: Optional[Root] = None, sense: int = 0, bound: Optional[LambdaScalar] = None):
+        set_field(self, "kind", kind)
+        set_field(self, "root", root)
+        set_field(self, "sense", sense)
+        set_field(self, "bound", bound)
 
 
 class Apartment:

@@ -15,7 +15,6 @@ passes with the map applied to a pass, not to a point: :func:`shared_distance`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, reduce
 from operator import and_
 from typing import Callable, Optional
@@ -34,6 +33,7 @@ from .apartment import (
 )
 from .lexq import LambdaScalar
 from .linarith import GE, LinearConstraint
+from .records import Record, Value, set_field
 from .rootsystem import WeylElement
 
 
@@ -78,10 +78,12 @@ class DistanceDisagreementError(RuntimeError):
     """Raised when shared charts give two points different distances (a compatibility failure)."""
 
 
-@dataclass(frozen=True)
-class Transition:
-    region: ConvexRegion
-    iso: AffineIsometry
+class Transition(Value):
+    __slots__ = ("region", "iso")
+
+    def __init__(self, region: ConvexRegion, iso: AffineIsometry):
+        set_field(self, "region", region)
+        set_field(self, "iso", iso)
 
     def reverse(self, ap: Apartment) -> "Transition":
         """The way back: the inverse isometry on the image region."""
@@ -92,22 +94,28 @@ class Transition:
         return self.iso == other.iso, ap.region_equal(self.region, other.region)
 
 
-@dataclass(frozen=True)
-class BuildingPoint:
-    chart: int
-    point: Point
+class BuildingPoint(Value):
+    __slots__ = ("chart", "point")
+
+    def __init__(self, chart: int, point: Point):
+        set_field(self, "chart", chart)
+        set_field(self, "point", point)
 
 
-@dataclass(frozen=True)
-class BuildingSector:
-    chart: int
-    sector: Sector
+class BuildingSector(Value):
+    __slots__ = ("chart", "sector")
+
+    def __init__(self, chart: int, sector: Sector):
+        set_field(self, "chart", chart)
+        set_field(self, "sector", sector)
 
 
-@dataclass(frozen=True)
-class BuildingGerm:
-    chart: int
-    sector: Sector
+class BuildingGerm(Value):
+    __slots__ = ("chart", "sector")
+
+    def __init__(self, chart: int, sector: Sector):
+        set_field(self, "chart", chart)
+        set_field(self, "sector", sector)
 
     @property
     def base(self) -> Point:
@@ -320,11 +328,11 @@ class Atlas:
         return c, [self.move_held(item, c) for item in items]
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    issues: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("ok", "issues", "notes")
+
+    def __init__(self, ok: bool, issues: Optional[list[str]] = None, notes: Optional[list[str]] = None):
+        self.ok, self.issues, self.notes = ok, [] if issues is None else issues, [] if notes is None else notes
 
     def lines(self) -> list[str]:
         out = []

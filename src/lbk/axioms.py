@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, combinations
@@ -46,6 +45,7 @@ from .atlas import (
     validate,
 )
 from .lexq import LambdaScalar
+from .records import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -66,17 +66,18 @@ def search_budget() -> int:
         return DEFAULT_BUDGET
 
 
-@dataclass(slots=True)
-class CheckLine:
-    config: str
-    verdict: str
-    detail: str = ""
+class CheckLine(Record):
+    __slots__ = ("config", "verdict", "detail")
+
+    def __init__(self, config: str, verdict: str, detail: str = ""):
+        self.config, self.verdict, self.detail = config, verdict, detail
 
 
-@dataclass
-class AxiomReport:
-    axiom: str
-    lines: list[CheckLine] = field(default_factory=list)
+class AxiomReport(Record):
+    __slots__ = ("axiom", "lines")
+
+    def __init__(self, axiom: str, lines: Optional[list[CheckLine]] = None):
+        self.axiom, self.lines = axiom, [] if lines is None else lines
 
     @property
     def verdict(self) -> str:
@@ -495,13 +496,13 @@ def check_a5(sample: Sample, samples: int = 200) -> AxiomReport:
 # -- co-apartment searches ---------------------------------------------------
 
 
-@dataclass
-class CoapartmentResult:
-    chart: Optional[int]
-    verdict: str
-    initial_length: Optional[int]
-    final_length: Optional[int]
-    stages: list[str] = field(default_factory=list)
+class CoapartmentResult(Record):
+    __slots__ = ("chart", "verdict", "initial_length", "final_length", "stages")
+
+    def __init__(self, chart: Optional[int], verdict: str, initial_length: Optional[int], final_length: Optional[int],
+                 stages: Optional[list[str]] = None):
+        self.chart, self.verdict = chart, verdict
+        self.initial_length, self.final_length, self.stages = initial_length, final_length, [] if stages is None else stages
 
 
 def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> CoapartmentResult:
@@ -564,14 +565,13 @@ def germ_coapartment(atlas: Atlas, g1: BuildingGerm, g2: BuildingGerm) -> Coapar
     return CoapartmentResult(final, PASS, initial_len, None, stages)
 
 
-@dataclass
-class OppositeResult:
-    verdict: str
-    sector: Optional[Sector] = None
-    cochart: Optional[int] = None
-    parallel_at_base: Optional[Sector] = None
-    contains_point: bool = False
-    maximal_length: Optional[int] = None
+class OppositeResult(Record):
+    __slots__ = ("verdict", "sector", "cochart", "parallel_at_base", "contains_point", "maximal_length")
+
+    def __init__(self, verdict: str, sector: Optional[Sector] = None, cochart: Optional[int] = None,
+                 parallel_at_base: Optional[Sector] = None, contains_point: bool = False, maximal_length: Optional[int] = None):
+        self.verdict, self.sector, self.cochart = verdict, sector, cochart
+        self.parallel_at_base, self.contains_point, self.maximal_length = parallel_at_base, contains_point, maximal_length
 
 
 def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> OppositeResult:
@@ -612,11 +612,12 @@ def opposite_germ(atlas: Atlas, germ: BuildingGerm, chart_b: int, y: Point) -> O
     return OppositeResult(PASS, t_sector, cochart, parallel_at_base=parallel, contains_point=contains, maximal_length=delta.length)
 
 
-@dataclass
-class CoverResult:
-    verdict: str
-    pieces: list[tuple[ConvexRegion, int]] = field(default_factory=list)
-    uncovered: Optional[Point] = None  # the witness of the first open cell that no piece holds
+class CoverResult(Record):
+    __slots__ = ("verdict", "pieces", "uncovered")
+
+    def __init__(self, verdict: str, pieces: Optional[list[tuple[ConvexRegion, int]]] = None, uncovered: Optional[Point] = None):
+        self.verdict, self.pieces = verdict, [] if pieces is None else pieces
+        self.uncovered = uncovered  # the witness of the first open cell that no piece holds
 
     def chart_names(self, atlas: Atlas) -> list[str]:
         return [atlas.name(c) for _, c in self.pieces]
@@ -695,11 +696,11 @@ def run_axioms(atlas: Atlas, names, samples: int = 200, seed: int = 0) -> dict[s
     return {name: _CHECKERS[name](sample, samples) for name in AXIOM_ORDER if name in names}
 
 
-@dataclass
-class EquivalenceReport:
-    reports: dict[str, AxiomReport]
-    precondition_ok: bool
-    alarms: list[str] = field(default_factory=list)
+class EquivalenceReport(Record):
+    __slots__ = ("reports", "precondition_ok", "alarms")
+
+    def __init__(self, reports: dict[str, AxiomReport], precondition_ok: bool, alarms: Optional[list[str]] = None):
+        self.reports, self.precondition_ok, self.alarms = reports, precondition_ok, [] if alarms is None else alarms
 
     def rendered(self) -> list[str]:
         return list(self.render())

@@ -33,7 +33,7 @@ def _pair_name(a: int, b: int) -> str:
 
 
 def _end_pairs(ap: Apartment, ends: int, label: str, disjoint: Optional[ConvexRegion] = None) -> Atlas:
-    """One chart per end pair {a,b} (a < b), both directions of each gluing.
+    """One chart per end pair {a,b} (a < b), both directions of each gluing, one transition per gluing value.
 
     In chart {a,b} end a is the nonnegative side of the alpha_1 wall through
     the origin and end b the nonpositive side.  Charts sharing an end overlap
@@ -46,19 +46,19 @@ def _end_pairs(ap: Apartment, ends: int, label: str, disjoint: Optional[ConvexRe
     side_of = {s: ap.half_region(ap.roots.simple_root(1), s, ap.zero()) for s in (1, -1)}
     identity = ap.isometry(ap.roots.identity())
     flip = ap.isometry(ap.roots.simple(1))
+    glue = {(si, sj): Transition(side_of[si], identity if si == sj else flip) for si in (1, -1) for sj in (1, -1)}
+    apart = None if disjoint is None else Transition(disjoint, identity)
 
     transitions: dict[tuple[int, int], Transition] = {}
-    for i, pi in enumerate(pairs):
+    for i, (a, b) in enumerate(pairs):
         for j, pj in enumerate(pairs):
             if i == j:
                 continue
-            shared = set(pi) & set(pj)
-            if shared:
-                end = shared.pop()
-                si, sj = (1 if end == p[0] else -1 for p in (pi, pj))
-                transitions[(i, j)] = Transition(side_of[si], identity if si == sj else flip)
-            elif disjoint is not None:
-                transitions[(i, j)] = Transition(disjoint, identity)
+            if a in pj or b in pj:
+                end = a if a in pj else b  # the one end the two pairs share
+                transitions[(i, j)] = glue[1 if end == a else -1, 1 if end == pj[0] else -1]
+            elif apart is not None:
+                transitions[(i, j)] = apart
     return Atlas(ap, [_pair_name(a, b) for a, b in pairs], transitions, label=label)
 
 

@@ -13,23 +13,23 @@ transition value id (:attr:`Atlas.isos`), so no Weyl product is made per union.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
+from typing import Optional
 
 from .atlas import Atlas, charts_of
+from .records import Record
 from .rootsystem import WeylElement
 
 Node = tuple[int, WeylElement]
 
 
-@dataclass
-class InfinityComplex:
-    atlas: Atlas
-    chamber_members: list[tuple[tuple[int, WeylElement], ...]]
-    chamber_of: dict[Node, int]
-    apartments: dict[int, tuple[int, ...]]
-    adjacency: dict[int, set[frozenset]]
-    issues: list[str] = field(default_factory=list)
+class InfinityComplex(Record):
+    __slots__ = ("atlas", "chamber_members", "chamber_of", "apartments", "adjacency", "issues")
+
+    def __init__(self, atlas: Atlas, chamber_members: list[tuple[Node, ...]], chamber_of: dict[Node, int],
+                 apartments: dict[int, tuple[int, ...]], adjacency: dict[int, set[frozenset]], issues: Optional[list[str]] = None):
+        self.atlas, self.chamber_members, self.chamber_of = atlas, chamber_members, chamber_of
+        self.apartments, self.adjacency, self.issues = apartments, adjacency, [] if issues is None else issues
 
     @property
     def chamber_count(self) -> int:

@@ -18,11 +18,11 @@ Witness extraction, per interval shape:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lexq import LambdaScalar
+from .records import Value, set_field
 
 GE = ">="
 GT = ">"
@@ -30,21 +30,19 @@ GT = ">"
 _RELATIONS = (GE, GT)
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(Value):
     """sum_j coeffs[j] * x_j  >= or >  bound (an equality is two >= rows)."""
 
-    coeffs: tuple[Fraction, ...]
-    relation: str
-    bound: LambdaScalar
+    __slots__ = ("coeffs", "relation", "bound")
 
-    def __post_init__(self) -> None:
-        if self.relation not in _RELATIONS:
-            raise ValueError(f"unknown relation {self.relation!r}")
-        coeffs = self.coeffs
+    def __init__(self, coeffs: Sequence[Fraction], relation: str, bound: LambdaScalar):
+        if relation not in _RELATIONS:
+            raise ValueError(f"unknown relation {relation!r}")
         if type(coeffs) is not tuple or not all(type(c) is Fraction for c in coeffs):
             coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
-            object.__setattr__(self, "coeffs", coeffs)
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "relation", relation)
+        set_field(self, "bound", bound)
 
     def evaluate(self, point: Sequence[LambdaScalar]) -> bool:
         if len(point) != len(self.coeffs):
@@ -62,25 +60,27 @@ class LinearConstraint:
         return LinearConstraint(neg, GE, -self.bound)
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    nvars: int
-    constraints: tuple[LinearConstraint, ...]
+class ConstraintSystem(Value):
+    __slots__ = ("nvars", "constraints")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        for c in self.constraints:
-            if len(c.coeffs) != self.nvars:
+    def __init__(self, nvars: int, constraints: Sequence[LinearConstraint]):
+        constraints = tuple(constraints)
+        for c in constraints:
+            if len(c.coeffs) != nvars:
                 raise ValueError("constraint arity does not match system")
+        set_field(self, "nvars", nvars)
+        set_field(self, "constraints", constraints)
 
     def holds_at(self, point: Sequence[LambdaScalar]) -> bool:
         return all(c.evaluate(point) for c in self.constraints)
 
 
-@dataclass(frozen=True)
-class Feasibility:
-    sat: bool
-    witness: Optional[tuple[LambdaScalar, ...]]
+class Feasibility(Value):
+    __slots__ = ("sat", "witness")
+
+    def __init__(self, sat: bool, witness: Optional[tuple[LambdaScalar, ...]]):
+        set_field(self, "sat", sat)
+        set_field(self, "witness", witness)
 
 
 # Internal rows all read "sum_j coeffs[j] x_j >= bound" (strict when flagged).

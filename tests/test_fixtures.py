@@ -108,6 +108,14 @@ def test_fixture_model_files_are_pinned():
     assert digest.hexdigest() == FIXTURES_SHA256
 
 
+@pytest.mark.parametrize("make, most", [(lambda: lambda_tree(8, 1), 4), (lambda: fan(5, "B2"), 5)])
+def test_end_pairs_build_one_transition_per_gluing_value(make, most):
+    """Four side pairs (end a's side in chart i, in chart j) and, in a fan, the wall where disjoint pairs meet:
+    every chart pair glued by one of these values holds the same transition object."""
+    atlas = make()
+    assert len({id(t) for t in atlas.transitions.values()}) <= most < len(atlas.transitions)
+
+
 @pytest.mark.parametrize("name,family,size,roots,lam", LADDER)
 def test_ladder_transitions_are_reverses_of_their_opposites(name, family, size, roots, lam):
     atlas = build(family, size, roots, lam)
